@@ -351,6 +351,9 @@ func isRefType(t types.Type) bool {
 // namedOrPointee unwraps one level of pointer and returns the named type
 // beneath, or nil.
 func namedOrPointee(t types.Type) *types.Named {
+	if t == nil {
+		return nil // an expression with no type: a package name, say
+	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}

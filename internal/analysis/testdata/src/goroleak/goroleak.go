@@ -7,6 +7,7 @@ import (
 	"context"
 	"io"
 	"sync"
+	"time"
 )
 
 var tick int
@@ -113,4 +114,26 @@ func countdown(n int) {
 
 func SpawnConditioned() {
 	go countdown(1000)
+}
+
+// The receiver of a package-qualified call is a package name, which has
+// no type: time.Since is no shutdown edge (and must not crash the
+// analyzer); io.ReadFull matches an exit call by name like any reader.
+func SpawnPackageCalls(r io.Reader) {
+	start := time.Now()
+	go func() { // want `goroleak: goroutine loops forever \(line \d+\) with no shutdown edge`
+		for {
+			if time.Since(start) > time.Hour {
+				work()
+			}
+		}
+	}()
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return
+			}
+		}
+	}()
 }

@@ -9,10 +9,12 @@ import (
 
 func TestRankOrderAllowed(t *testing.T) {
 	LockAcquired(RankStreamSend, "stubby.Stream.sendMu")
+	LockAcquired(RankSendTurn, "stubby.sendTurn.mu")
 	LockAcquired(RankTransportSend, "stubby.transport.sendMu")
 	LockAcquired(RankBufPool, "wire.bufPools")
 	LockReleased(RankBufPool)
 	LockReleased(RankTransportSend)
+	LockReleased(RankSendTurn)
 	LockReleased(RankStreamSend)
 }
 

@@ -20,6 +20,7 @@ package sanitize
 const (
 	RankStreamSend    = 10 // stubby.Stream.sendMu: serializes Send/CloseSend
 	RankStreamRecv    = 20 // stubby.Stream.recvMu: inbound queue and terminal state
+	RankSendTurn      = 25 // stubby.sendTurn.mu: one sender per connection, dequeue to flush
 	RankTransportSend = 30 // stubby.transport.sendMu: frame batching and flush
 	RankTransportRecv = 35 // stubby.transport.recvMu: shared frame reader
 	RankCodecQueue    = 80 // stubby.codecPool.mu: job free list and submitter gate

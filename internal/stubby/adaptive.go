@@ -48,9 +48,9 @@ type methodComp struct {
 }
 
 // compressGate decides, per method, whether configured compression is
-// worth attempting. It is NOT safe for concurrent use: each batching
-// drain goroutine (the client sendLoop, each server connection's
-// writeLoop) owns its own gate, so decisions are lock-free on the hot
+// worth attempting. It is NOT safe for concurrent use: each connection
+// has its own gate, used only by whoever holds that connection's send
+// turn (sendTurn), so decisions take no lock of their own on the hot
 // path. A nil gate compresses everything (the non-adaptive default).
 type compressGate struct {
 	obs   DataPlaneObserver

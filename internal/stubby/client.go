@@ -25,8 +25,8 @@ type Channel struct {
 	serverCluster string
 	tr            *transport
 	comp          *compressor.Compressor
-	// gate is the adaptive-compression decision state, owned by the
-	// sendLoop goroutine; nil when Options.AdaptiveCompression is off.
+	// gate is the adaptive-compression decision state, guarded by turn; nil
+	// when Options.AdaptiveCompression is off.
 	gate *compressGate
 	// epoch anchors the channel's monotonic per-call timestamps: every
 	// instrumentation point records time.Since(epoch) nanoseconds in an
@@ -40,6 +40,7 @@ type Channel struct {
 	breaker *Breaker
 
 	sendQ      chan *clientCall
+	turn       sendTurn[*clientCall]
 	nextStream atomic.Uint64
 
 	// serverLoad caches the most recent load report the server piggybacked
@@ -77,6 +78,9 @@ type clientCall struct {
 	req      request
 	streamID uint64
 	dropped  bool // fault plane: swallow the request instead of sending
+	// cancel marks a queue entry that carries no request, only the order
+	// to stop working on streamID (see cancelRemote).
+	cancel bool
 	// bulk routes this call through the zero-copy bulk lane: the payload
 	// leaves as chunk frames after a FrameBulkRequest envelope instead of
 	// riding inside it. bulkPayload is set by prepareCall.
@@ -329,8 +333,9 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 	}
 
 	deadline := c.opts.DefaultDeadline
+	var ctxDeadline time.Time // zero: the caller set none and waits as long as it takes
 	if dl, has := ctx.Deadline(); has {
-		deadline = time.Until(dl)
+		deadline, ctxDeadline = time.Until(dl), dl
 	}
 	if deadline <= 0 {
 		return nil, c.finish(nil, method, tc, parentSpan, payload, nil, trace.DeadlineExceeded, hedged)
@@ -373,22 +378,33 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 	sc.pending[streamID] = call
 	sc.mu.Unlock()
 
-	// Enqueue onto the send queue; a full queue is back-pressure, so we
-	// block until space, cancellation, or channel death.
-	select {
-	case sc.sendQ <- call:
-	case <-ctx.Done():
-		sc.abandon(streamID)
-		return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
-	case <-sc.closed:
-		sc.abandon(streamID)
-		return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
+	if !call.bulk && len(payload) <= codecInlineMax && (ctx.Done() == nil || !ctxDeadline.IsZero()) &&
+		len(sc.sendQ) == 0 && sc.turn.tryLock() {
+		// Idle connection, small frame: take the send side's turn here, no
+		// hand-off to sendLoop. The write carries the caller's deadline so
+		// a stalled peer cannot park it past that; a caller that can be
+		// cancelled but set no deadline queues, to stay cancellable.
+		sc.prepareCall(call)
+		sc.endTurn(ctxDeadline)
+	} else {
+		// Enqueue onto the send queue; a full queue is back-pressure, so
+		// we block until space, cancellation, or channel death.
+		select {
+		case sc.sendQ <- call:
+		case <-ctx.Done():
+			sc.abandon(call)
+			return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
+		case <-sc.closed:
+			sc.abandon(call)
+			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
+		}
 	}
 
 	select {
 	case res := <-call.resultCh:
 		rcvdNs := c.sinceEpoch()
 		if res.netErr != nil {
+			sc.abandon(call) // failed by the send side, which leaves pending to the caller
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 		}
 		resp := &res.resp
@@ -419,11 +435,11 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		}
 		return out, nil
 	case <-ctx.Done():
-		sc.abandon(streamID)
-		_ = sc.tr.send(wire.FrameCancel, streamID, nil)
+		sc.abandon(call)
+		sc.cancelRemote(streamID)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
 	case <-sc.closed:
-		sc.abandon(streamID)
+		sc.abandon(call)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 	}
 }
@@ -474,11 +490,50 @@ func cancelCode(ctx context.Context) trace.ErrorCode {
 	return trace.Cancelled
 }
 
-// abandon removes a pending call so a late response is dropped.
-func (c *Channel) abandon(streamID uint64) {
+// abandon removes a pending call so a late response is dropped, and
+// reclaims a response that beat it: deliver hands results over under c.mu,
+// so one is either in resultCh by now or will never be.
+func (c *Channel) abandon(call *clientCall) {
 	c.mu.Lock()
-	delete(c.pending, streamID)
+	delete(c.pending, call.streamID)
 	c.mu.Unlock()
+	select {
+	case res := <-call.resultCh:
+		wire.PutBuf(res.buf)
+	default:
+	}
+}
+
+// deliver hands res, and with it res.buf, to the call pending on streamID;
+// with none (cancelled, duplicate, already failed by the send side) it
+// releases the buffer. The hand-over happens under c.mu so it cannot
+// interleave with abandon.
+func (c *Channel) deliver(streamID uint64, res *callResult) {
+	c.mu.Lock()
+	call := c.pending[streamID]
+	delete(c.pending, streamID)
+	if call != nil {
+		select {
+		case call.resultCh <- res:
+			res = nil
+		default:
+		}
+	}
+	c.mu.Unlock()
+	if res != nil {
+		wire.PutBuf(res.buf)
+	}
+}
+
+// cancelRemote tells the server to stop working on streamID. The frame
+// rides the send queue behind the request it cancels, so a caller whose
+// deadline has passed never touches a possibly stalled socket; a full
+// queue drops it, and the deadline the request carried ends the handler.
+func (c *Channel) cancelRemote(streamID uint64) {
+	select {
+	case c.sendQ <- &clientCall{streamID: streamID, cancel: true}:
+	default:
+	}
 }
 
 // finish emits an error span and returns the matching error.
@@ -547,6 +602,9 @@ func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, pa
 		wireTotal = time.Duration(rxAtNs-sent) - resp.Timings.Elapsed
 	}
 	if wireTotal < 0 {
+		// The server had the request before the write returned here to be
+		// stamped: that overlap is in ReqProcStack too, so take it out there.
+		b[trace.ReqProcStack] = max(0, b[trace.ReqProcStack]+wireTotal)
 		wireTotal = 0
 	}
 	reqB, respB := float64(len(reqPayload)+64), float64(len(respPayload)+64)
@@ -597,43 +655,57 @@ func ServiceOf(method string) string {
 const sendBatchBytes = 128 << 10
 
 // sendLoop drains the send queue: compression, marshalling, encryption,
-// and the write — the client side of ReqProcStack.
+// and the write — the client side of ReqProcStack. It holds the turn from
+// dequeue to flush.
 func (c *Channel) sendLoop() {
 	defer c.loops.Done()
-	batch := make([]*clientCall, 0, 32)
-	envs := make([][]byte, 0, 32)
-	var scr sealScratch
 	for {
 		select {
 		case call := <-c.sendQ:
-			batch, envs = batch[:0], envs[:0]
-			size := 0
-			batch, envs, size = c.prepareCall(call, batch, envs, size)
+			c.turn.lock()
+			c.prepareCall(call)
 		drain:
-			for size < sendBatchBytes {
+			for c.turn.size < sendBatchBytes {
 				select {
 				case next := <-c.sendQ:
-					batch, envs, size = c.prepareCall(next, batch, envs, size)
+					c.prepareCall(next)
 				default:
 					break drain
 				}
 			}
-			c.flushBatch(batch, envs, &scr)
+			c.endTurn(time.Time{})
 		case <-c.closed:
 			return
 		}
 	}
 }
 
+// endTurn flushes the turn's batch (by: write deadline, zero for none) and
+// releases the turn. A failed write kills the channel: the stream may be
+// torn, and a write deadline leaves the conn open.
+func (c *Channel) endTurn(by time.Time) {
+	err := c.flushBatch(by)
+	c.turn.unlock()
+	if err != nil {
+		c.fail(err)
+		c.tr.close()
+	}
+}
+
 // prepareCall stamps the dequeue timestamp and marshals one call's
-// request envelope into a pooled buffer, appending it to the batch.
-func (c *Channel) prepareCall(call *clientCall, batch []*clientCall, envs [][]byte, size int) ([]*clientCall, [][]byte, int) {
+// request envelope into a pooled buffer, appending it to the turn's batch.
+// Caller holds the turn.
+func (c *Channel) prepareCall(call *clientCall) {
 	call.deqNs.Store(c.sinceEpoch())
 	if call.dropped {
 		// Fault plane: the request vanishes. The call stays pending until
 		// its deadline expires, exactly like a packet lost past the
 		// transport's visibility.
-		return batch, envs, size
+		return
+	}
+	if call.cancel {
+		c.turn.add(call, nil, 0)
+		return
 	}
 	req := &call.req
 	if call.bulk {
@@ -643,13 +715,14 @@ func (c *Channel) prepareCall(call *clientCall, batch []*clientCall, envs [][]by
 		// payloads are past the size where compression pays its cycles.
 		if len(req.Payload) > wire.MaxFrameSize {
 			c.failCall(call, wire.ErrFrameTooLarge)
-			return batch, envs, size
+			return
 		}
 		call.bulkPayload = req.Payload
 		req.Payload = nil
 		req.BulkSize = uint64(len(call.bulkPayload))
 		env := appendRequest(wire.GetBuf(len(req.Method)+envelopeOverhead), req)
-		return append(batch, call), append(envs, env), size + len(env) + len(call.bulkPayload)
+		c.turn.add(call, env, len(env)+len(call.bulkPayload))
+		return
 	}
 	if c.opts.Compression != compressor.None && len(req.Payload) >= c.opts.CompressThreshold &&
 		c.gate.shouldCompress(req.Method, req.Payload) {
@@ -666,91 +739,33 @@ func (c *Channel) prepareCall(call *clientCall, batch []*clientCall, envs [][]by
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
 		wire.PutBuf(env)
 		c.failCall(call, wire.ErrFrameTooLarge)
-		return batch, envs, size
-	}
-	return append(batch, call), append(envs, env), size + len(env)
-}
-
-// flushBatch seals every prepared envelope into the transport's write
-// buffer and flushes them with a single write. With a codec pool
-// attached, large bulk payloads are sealed concurrently by the workers
-// while this goroutine appends the inline frames; harvesting jobs in
-// submission order under the send lock keeps the envelope-before-chunks
-// frame order the bulk protocol requires.
-func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte, scr *sealScratch) {
-	if len(batch) == 0 {
 		return
 	}
+	c.turn.add(call, env, len(env))
+}
+
+// flushBatch sends the turn's batch (sendTurn.flush), leaving out calls
+// abandoned since they were queued, and stamps or fails every call that
+// went. Caller holds the turn; by is the write deadline (zero: none).
+func (c *Channel) flushBatch(by time.Time) error {
+	t := &c.turn
+	if len(t.batch) == 0 {
+		return nil
+	}
 	c.mu.Lock()
-	for i, call := range batch {
-		if _, live := c.pending[call.streamID]; !live {
-			batch[i] = nil // abandoned before send
+	for i, call := range t.batch {
+		if _, live := c.pending[call.streamID]; !live && !call.cancel {
+			t.batch[i] = nil // abandoned before send
 		}
 	}
 	c.mu.Unlock()
-
-	p := c.tr.codec
-	pipelined := false
-	if p != nil {
-		scr.jobs, scr.n = scr.jobs[:0], scr.n[:0]
-		if p.enter() {
-			pipelined = true
-			for _, call := range batch {
-				k := 0
-				if call != nil && call.bulk && len(call.bulkPayload) > codecInlineMax {
-					before := len(scr.jobs)
-					scr.jobs = p.submitSealChunks(scr.jobs, call.streamID, call.bulkPayload, 0)
-					k = len(scr.jobs) - before
-				}
-				scr.n = append(scr.n, k)
-			}
-		}
-	}
-
-	c.tr.lockSend()
-	var err error
-	ji := 0
-	for i, call := range batch {
-		var k int
-		if pipelined {
-			k = scr.n[i]
-		}
-		if call == nil {
-			continue // abandoned calls submitted no jobs (k is 0)
-		}
-		if call.bulk {
-			// Envelope first, then the payload chunks on the same stream —
-			// all in this batch's single vectored write. Bulk-unary chunks
-			// are exempt from stream credit: the response bounds them.
-			if err == nil {
-				err = c.tr.appendLocked(wire.FrameBulkRequest, call.streamID, envs[i])
-			}
-			if k > 0 {
-				// Jobs must be harvested even after an error so their
-				// buffers return to the pool.
-				if herr := c.tr.appendSealedLocked(call.streamID, scr.jobs[ji:ji+k], err != nil); err == nil {
-					err = herr
-				}
-				ji += k
-			} else if err == nil {
-				err = c.tr.appendChunkedLocked(call.streamID, call.bulkPayload, 0)
-			}
-			continue
-		}
-		if err == nil {
-			err = c.tr.appendLocked(wire.FrameRequest, call.streamID, envs[i])
-		}
-	}
-	if err == nil {
-		err = c.tr.flushLocked()
-	}
-	c.tr.unlockSend()
-	if pipelined {
-		p.exit()
+	err := t.flush(c.tr, by)
+	if err == errWriteExpired {
+		err = nil // the direct call's own deadline passed, no byte left: its ctx ends it
 	}
 	sentNs := c.sinceEpoch()
-	for i, call := range batch {
-		wire.PutBuf(envs[i])
+	for i, call := range t.batch {
+		wire.PutBuf(t.envs[i])
 		if call == nil {
 			continue
 		}
@@ -760,6 +775,20 @@ func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte, scr *sealScratc
 			call.sentNs.Store(sentNs)
 		}
 	}
+	return err
+}
+
+// frame implements outbound; a nil call is one flushBatch found abandoned.
+func (call *clientCall) frame() (typ byte, streamID uint64, bulk []byte) {
+	switch {
+	case call == nil:
+		return 0, 0, nil
+	case call.bulk:
+		return wire.FrameBulkRequest, call.streamID, call.bulkPayload
+	case call.cancel:
+		return wire.FrameCancel, call.streamID, nil
+	}
+	return wire.FrameRequest, call.streamID, nil
 }
 
 func (c *Channel) failCall(call *clientCall, err error) {
@@ -769,78 +798,16 @@ func (c *Channel) failCall(call *clientCall, err error) {
 	}
 }
 
-// readLoop dispatches incoming frames to waiting calls and streams. It
-// owns bulkIn, the bulk-lane response assemblies, so that path takes no
-// locks beyond the pending-map lookup. With a codec pool attached it
-// splits into a read-ahead pump and this dispatching goroutine.
+// readLoop dispatches incoming frames to waiting calls and streams: it
+// runs the transport's receive loop with dispatchFrame over bulkIn, the
+// bulk-lane response assemblies, which only dispatchFrame touches — so
+// that path takes no locks beyond the pending-map lookup.
 func (c *Channel) readLoop() {
 	defer c.loops.Done()
 	bulkIn := make(map[uint64]*clientBulk)
-	defer func() {
-		for _, b := range bulkIn {
-			wire.PutBuf(b.data)
-		}
-	}()
-	if c.tr.codec != nil {
-		c.readLoopPipelined(bulkIn)
-		return
-	}
-	for {
-		m, err := c.tr.recv()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if !c.dispatchFrame(m, bulkIn) {
-			return
-		}
-	}
-}
-
-// readLoopPipelined overlaps frame reads and decryption: recvPump reads
-// ahead and hands large frames to the codec workers; this goroutine
-// harvests plaintexts in arrival order and dispatches them. Every item
-// the pump emits is harvested even during teardown, so the pump never
-// wedges on a full channel and no pooled buffer is lost.
-func (c *Channel) readLoopPipelined(bulkIn map[uint64]*clientBulk) {
-	items := make(chan recvItem, recvPipelineDepth)
-	var pumpErr error
-	c.loops.Add(1)
-	go func() {
-		defer c.loops.Done()
-		pumpErr = c.tr.recvPump(items)
-		close(items)
-	}()
-	failed := false
-	for it := range items {
-		if failed {
-			if it.job != nil {
-				out, _ := c.tr.finishOpen(it.job)
-				wire.PutBuf(out)
-			} else {
-				wire.PutBuf(it.msg.plain)
-			}
-			continue
-		}
-		m := it.msg
-		if it.job != nil {
-			out, err := c.tr.finishOpen(it.job)
-			if err != nil {
-				c.fail(err)
-				// The pump only exits on a read error; force one.
-				c.tr.close()
-				failed = true
-				continue
-			}
-			m.plain = out
-		}
-		if !c.dispatchFrame(m, bulkIn) {
-			c.tr.close()
-			failed = true
-		}
-	}
-	if !failed {
-		c.fail(pumpErr)
+	c.fail(c.tr.recvLoop(func(m recvMsg) bool { return c.dispatchFrame(m, bulkIn) }))
+	for _, b := range bulkIn {
+		wire.PutBuf(b.data)
 	}
 }
 
@@ -851,32 +818,23 @@ func (c *Channel) dispatchFrame(m recvMsg, bulkIn map[uint64]*clientBulk) bool {
 	plain := m.plain
 	switch m.typ {
 	case wire.FrameResponse:
-		rxNs := c.sinceEpoch()
-		c.mu.Lock()
-		call := c.pending[m.streamID]
-		delete(c.pending, m.streamID)
-		c.mu.Unlock()
-		if call == nil {
-			wire.PutBuf(plain)
-			return true // cancelled or duplicate
-		}
-		res := &callResult{buf: plain, rxAtNs: rxNs}
+		res := &callResult{buf: plain, rxAtNs: c.sinceEpoch()}
 		if perr := parseResponseInto(&res.resp, plain); perr != nil {
 			wire.PutBuf(plain)
-			c.failCall(call, perr)
+			c.deliver(m.streamID, &callResult{netErr: perr})
 			return true
 		}
 		c.serverLoad.Store(int64(res.resp.Load))
 		// Ownership of the pooled buffer travels with the result; the
 		// waiting call releases it after copying the payload out.
-		call.resultCh <- res
+		c.deliver(m.streamID, res)
 	case wire.FrameBulkResponse:
 		// Envelope of a bulk-lane response: stash it and collect the
 		// payload from the chunk frames that follow.
 		b := &clientBulk{}
 		if perr := parseResponseInto(&b.resp, plain); perr != nil {
 			wire.PutBuf(plain)
-			c.failPending(m.streamID, perr)
+			c.deliver(m.streamID, &callResult{netErr: perr})
 			return true
 		}
 		// Message was copied out by the parse; nothing aliases plain.
@@ -943,18 +901,9 @@ func (c *Channel) dispatchFrame(m recvMsg, bulkIn map[uint64]*clientBulk) bool {
 // possibly nil for an empty or error response) transfers to the waiting
 // caller.
 func (c *Channel) deliverBulk(streamID uint64, b *clientBulk, data []byte) {
-	rxNs := c.sinceEpoch()
-	c.mu.Lock()
-	call := c.pending[streamID]
-	delete(c.pending, streamID)
-	c.mu.Unlock()
-	if call == nil {
-		wire.PutBuf(data)
-		return
-	}
 	b.resp.Payload = data
 	c.serverLoad.Store(int64(b.resp.Load))
-	call.resultCh <- &callResult{resp: b.resp, buf: data, bulk: true, rxAtNs: rxNs}
+	c.deliver(streamID, &callResult{resp: b.resp, buf: data, bulk: true, rxAtNs: c.sinceEpoch()})
 }
 
 // ServerLoad returns the server's most recently reported load estimate
@@ -991,17 +940,6 @@ func (c *Channel) InFlight() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// failPending fails the pending call on streamID, if any.
-func (c *Channel) failPending(streamID uint64, err error) {
-	c.mu.Lock()
-	call := c.pending[streamID]
-	delete(c.pending, streamID)
-	c.mu.Unlock()
-	if call != nil {
-		c.failCall(call, err)
-	}
 }
 
 // lookupStream returns the live stream for id, nil if none.

@@ -287,11 +287,3 @@ func codecWorkerCount(n int) int {
 
 // maxCodecWorkers caps the auto-sized per-connection pool.
 const maxCodecWorkers = 8
-
-// sealScratch is a batching drain loop's reusable seal-job bookkeeping:
-// jobs holds the batch's submitted jobs in order, n the per-entry job
-// count (0 = that entry stayed inline).
-type sealScratch struct {
-	jobs []*codecJob
-	n    []int
-}

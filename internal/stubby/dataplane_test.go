@@ -13,11 +13,11 @@ import (
 	"rpcscale/internal/testutil"
 )
 
-// TestUnaryInlineAllocFloor pins the inline (non-pipelined) unary path:
-// a 128 B echo stays at or under 15 allocs per call end to end, the floor
-// the ISSUE-10 acceptance criteria state. Small frames must never detour
-// through the codec pool (codecInlineMax gates them), so this holds with
-// workers configured too.
+// TestUnaryInlineAllocFloor pins the small unary path: a 128 B echo stays
+// at or under 15 allocs per call end to end, the floor the ISSUE-10
+// acceptance criteria state, whether it is dispatched directly or through
+// the queues. Small frames must never detour through the codec pool
+// (codecInlineMax gates them), so this holds with workers configured too.
 func TestUnaryInlineAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
@@ -25,27 +25,37 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 	// The per-benchmark floor is 15 allocs/op; AllocsPerRun additionally
 	// observes server-side worker wakeups that the bench loop amortizes,
 	// so the test budget carries a small fixed headroom over the floor.
-	const budget = 22.0
-	ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: 2},
-		map[string]Handler{"svc/Echo": echoHandler})
-	payload := bytes.Repeat([]byte{0x42}, 128)
-	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		if _, err := ch.Call(ctx, "svc/Echo", payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(300, func() {
-		out, err := ch.Call(ctx, "svc/Echo", payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != len(payload) {
-			t.Fatalf("echo length %d, want %d", len(out), len(payload))
-		}
-	})
-	if allocs > budget {
-		t.Errorf("inline unary 128B: %.1f allocs/op, budget %.0f", allocs, budget)
+	for _, tc := range []struct {
+		name         string
+		codecWorkers int
+		budget       float64
+	}{
+		{"inline", -1, 17},
+		{"workers", 2, 22},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: tc.codecWorkers},
+				map[string]Handler{"svc/Echo": echoHandler})
+			payload := bytes.Repeat([]byte{0x42}, 128)
+			ctx := context.Background()
+			for i := 0; i < 50; i++ {
+				if _, err := ch.Call(ctx, "svc/Echo", payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(300, func() {
+				out, err := ch.Call(ctx, "svc/Echo", payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) != len(payload) {
+					t.Fatalf("echo length %d, want %d", len(out), len(payload))
+				}
+			})
+			if allocs > tc.budget {
+				t.Errorf("unary 128B: %.1f allocs/op, budget %.0f", allocs, tc.budget)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,451 @@
+package stubby
+
+// Tests for idle-path direct dispatch (DESIGN.md §16): a small frame on an
+// idle connection is sent by the goroutine that produced it and dispatched
+// by the goroutine that read it. Ordering, a stalled peer, buffer
+// accounting and the timestamps must all come out as they do through the
+// queues.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"rpcscale/internal/compressor"
+	"rpcscale/internal/leakcheck"
+	"rpcscale/internal/trace"
+	"rpcscale/internal/wire"
+)
+
+// poolBalance returns a function reporting how many pooled buffers are
+// outstanding beyond those outstanding now, once the count has stopped at
+// zero or three seconds have passed (buffers on a connection being torn
+// down come back a moment after Close returns).
+func poolBalance() func() int64 {
+	gets0, puts0 := wire.PoolCounters()
+	return func() int64 {
+		var out int64
+		for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			gets, puts := wire.PoolCounters()
+			out = (gets - puts) - (gets0 - puts0)
+			if out == 0 || time.Now().After(deadline) {
+				return out
+			}
+		}
+	}
+}
+
+// TestStreamOrderAcrossFrameSizes alternates 64 KiB messages (opened on the
+// codec workers, handed to the dispatcher) with 16 B ones (opened inline,
+// dispatched by the pump when it may) on one stream in each direction: a
+// small frame must never overtake the large one ahead of it.
+func TestStreamOrderAcrossFrameSizes(t *testing.T) {
+	const msgs = 2000
+	ch := bidiSetup(t, Options{Workers: 2, CodecWorkers: 2}, "svc/Echo", func(ctx context.Context, st *Stream) error {
+		for {
+			msg, err := st.Recv()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := st.Send(msg); err != nil {
+				return err
+			}
+		}
+	})
+	st, err := ch.OpenStream(context.Background(), "svc/Echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizeOf := func(i int) int {
+		if i%2 == 0 {
+			return 64 << 10
+		}
+		return 16
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		big, small := make([]byte, 64<<10), make([]byte, 16)
+		for i := 0; i < msgs; i++ {
+			msg := small
+			if sizeOf(i) == len(big) {
+				msg = big
+			}
+			binary.LittleEndian.PutUint64(msg, uint64(i))
+			if err := st.Send(msg); err != nil {
+				sendErr <- fmt.Errorf("send %d: %w", i, err)
+				return
+			}
+		}
+		sendErr <- st.CloseSend()
+	}()
+	for i := 0; i < msgs; i++ {
+		got, err := st.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if len(got) != sizeOf(i) || binary.LittleEndian.Uint64(got) != uint64(i) {
+			t.Fatalf("message %d: got %d bytes with sequence %d", i, len(got), binary.LittleEndian.Uint64(got))
+		}
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != io.EOF {
+		t.Fatalf("after the last echo: got %v, want io.EOF", err)
+	}
+}
+
+// TestSmallReplyBehindBulkReply runs 16 B echoes right behind 256 KiB
+// bulk-lane replies on one connection: the small reply goes out directly
+// when the turn is free and queues when the bulk reply holds it, and either
+// way every caller must get its own bytes back.
+func TestSmallReplyBehindBulkReply(t *testing.T) {
+	blob := patternPayload(256 << 10)
+	ch, _ := testSetup(t, Options{Workers: 4, CodecWorkers: 2}, map[string]Handler{
+		"svc/Echo": echoHandler,
+		"svc/Get":  func(context.Context, []byte) ([]byte, error) { return blob, nil },
+	})
+	const callers, rounds = 4, 150
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				out, err := ch.Call(context.Background(), "svc/Get", []byte("blob"))
+				if err != nil || !bytes.Equal(out, blob) {
+					errs <- fmt.Errorf("bulk reply %d: %d bytes, err %v", i, len(out), err)
+					return
+				}
+				FreeResponse(out)
+			}
+		}()
+		go func(c int) {
+			defer wg.Done()
+			req := make([]byte, 16)
+			for i := 0; i < 4*rounds; i++ {
+				binary.LittleEndian.PutUint64(req, uint64(c))
+				binary.LittleEndian.PutUint64(req[8:], uint64(i))
+				out, err := ch.Call(context.Background(), "svc/Echo", req)
+				if err != nil || !bytes.Equal(out, req) {
+					errs <- fmt.Errorf("caller %d echo %d: got %x, err %v", c, i, out, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestStalledPeerBoundsCallers points a channel at a peer that accepts and
+// never reads, with shrunken socket buffers, and keeps calling past the
+// point where the buffers are full. 4 KiB requests take the direct path, so
+// it is the callers' own writes that meet the full socket; 8 KiB requests
+// queue, sendLoop parks in the write, and the callers' cancel frames find
+// the send side busy. Either way each call must end coded within twice its
+// deadline — DeadlineExceeded, or Unavailable once a write cut short by its
+// deadline has failed the channel — and Close must join every goroutine
+// (leakcheck).
+func TestStalledPeerBoundsCallers(t *testing.T) {
+	for _, size := range []int{4 << 10, 8 << 10} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) { stalledPeer(t, size) })
+	}
+}
+
+func stalledPeer(t *testing.T, size int) {
+	leakcheck.Check(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10) // best effort: it only makes the stall come sooner
+		accepted <- conn
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.(*net.TCPConn).SetWriteBuffer(4 << 10) // best effort, as above
+	ch, err := NewChannel(conn, "stalled", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	defer peer.Close()
+
+	const callers, perCaller, deadline = 8, 12, 50 * time.Millisecond
+	payload := make([]byte, size)
+	var mu sync.Mutex
+	codes := map[trace.ErrorCode]int{}
+	var worst time.Duration
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				start := time.Now()
+				_, err := ch.Call(ctx, "svc/Echo", payload)
+				took := time.Since(start)
+				cancel()
+				mu.Lock()
+				codes[Code(err)]++
+				if took > worst {
+					worst = took
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("callers are parked on the stalled connection")
+	}
+	t.Logf("slowest call %v, outcomes %v", worst, codes)
+	if worst > 2*deadline {
+		t.Errorf("slowest call took %v, want at most %v", worst, 2*deadline)
+	}
+	for code, n := range codes {
+		if code != trace.DeadlineExceeded && code != trace.Unavailable {
+			t.Errorf("%d calls ended %v, want DeadlineExceeded or Unavailable", n, code)
+		}
+	}
+	if codes[trace.DeadlineExceeded] == 0 {
+		t.Error("no call ended DeadlineExceeded")
+	}
+	ch.Close()
+}
+
+// TestMixedSizesCompressedPoolBalanced drives 64 callers over one
+// connection with payloads on both sides of every threshold the send side
+// has (direct dispatch, inline codec, compression, bulk lane), flate and the
+// adaptive gate on: every reply must be byte-exact and every pooled buffer
+// back in the pool afterwards.
+func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
+	outstanding := poolBalance()
+	opts := Options{Workers: 8, CodecWorkers: 2, Compression: compressor.Flate,
+		CompressThreshold: 512, AdaptiveCompression: true}
+	ch, srv := testSetup(t, opts, map[string]Handler{"svc/Echo": echoHandler})
+	sizes := []int{16, 2 << 10, 8 << 10, 64 << 10}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for c := 0; c < 64; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				// Half compressible, half not, so the gate sees both.
+				req := patternPayload(sizes[(c+i)%len(sizes)])
+				if i%2 == 0 {
+					req = bytes.Repeat([]byte{byte(c), byte(i)}, len(req)/2)
+				}
+				binary.LittleEndian.PutUint64(req, uint64(c)<<32|uint64(i))
+				out, err := ch.Call(context.Background(), "svc/Echo", req)
+				if err != nil || !bytes.Equal(out, req) {
+					errs <- fmt.Errorf("caller %d call %d (%d B): got %d B, err %v", c, i, len(req), len(out), err)
+					return
+				}
+				if len(out) >= defaultBulkThreshold {
+					FreeResponse(out) // a bulk-lane reply is a pooled buffer
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	ch.Close()
+	srv.Close()
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after Close", n)
+	}
+}
+
+// TestDirectPathBreakdownReconciles checks the nine-component timestamps of
+// calls that took the direct path on both sides (one caller, 128 B): the
+// components sum to the wall time the caller saw, and the two send-queue
+// components — now the time to find the turn free — are not negative.
+func TestDirectPathBreakdownReconciles(t *testing.T) {
+	col := trace.NewCollector(1, 0)
+	ch, _ := testSetup(t, Options{Collector: col, Workers: 2}, map[string]Handler{"svc/Echo": echoHandler})
+	payload := make([]byte, 128)
+	const calls = 400
+	wall := make([]time.Duration, calls)
+	for i := range wall {
+		start := time.Now()
+		if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {
+			t.Fatal(err)
+		}
+		wall[i] = time.Since(start)
+	}
+	spans := col.Spans()
+	if len(spans) != calls {
+		t.Fatalf("%d spans for %d calls", len(spans), calls)
+	}
+	gaps := make([]time.Duration, calls)
+	for i, s := range spans {
+		for c, v := range s.Breakdown {
+			if v < 0 {
+				t.Fatalf("call %d: component %v is %v", i, trace.Component(c), v)
+			}
+		}
+		// The breakdown starts once the call is built and ends before the
+		// payload is copied out, so it may fall short of the wall time, by
+		// microseconds; it can never exceed it.
+		gaps[i] = wall[i] - s.Breakdown.Total()
+		if gaps[i] < 0 {
+			t.Fatalf("call %d: breakdown total %v exceeds wall time %v", i, s.Breakdown.Total(), wall[i])
+		}
+	}
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	if med := gaps[calls/2]; med > 50*time.Microsecond {
+		t.Errorf("median wall time not covered by the breakdown: %v", med)
+	}
+}
+
+// TestDeadlineRacingResponseReturnsBuffers tunes call deadlines to the
+// echo's own latency, so that responses and expiries race, and checks the
+// pool afterwards: a response handed to a call that has just given up must
+// still have its buffer returned. Several callers at once keep wake-ups
+// late enough for that window to open.
+func TestDeadlineRacingResponseReturnsBuffers(t *testing.T) {
+	outstanding := poolBalance()
+	ch, srv := testSetup(t, Options{Workers: 4}, map[string]Handler{"svc/Echo": echoHandler})
+	const callers, perCaller = 4, 2000
+	payload := make([]byte, 128)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Track the latency of answered calls and sweep the deadline
+			// across it, from half to one and a half times.
+			lat := 50 * time.Microsecond
+			for i := 0; i < perCaller; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), lat/2+time.Duration(i%64)*lat/64)
+				start := time.Now()
+				_, err := ch.Call(ctx, "svc/Echo", payload)
+				cancel()
+				switch Code(err) {
+				case trace.OK:
+					lat = (7*lat + time.Since(start)) / 8
+				case trace.DeadlineExceeded:
+				default:
+					errs <- fmt.Errorf("call %d: %w", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Let the server finish the calls their callers gave up on before the
+	// connection goes: a response still queued when it closes drops its
+	// request buffer to the GC (legal, and as before this PR), which is not
+	// the hand-over under test. Nothing queued or running, then one answered
+	// call — its response leaves behind every earlier one.
+	for srv.Load() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {
+		t.Error(err)
+	}
+	ch.Close()
+	srv.Close()
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after Close", n)
+	}
+}
+
+// TestExpiredWriteLeavesNothingPending gives calls on an idle channel
+// deadlines of a few microseconds, so that many run out between the
+// direct path's check and its write: the write is refused before a byte
+// leaves. Every such call must end DeadlineExceeded and leave the pending
+// table, and the channel must go on serving — a caller in a hurry condemns
+// nobody else's connection.
+func TestExpiredWriteLeavesNothingPending(t *testing.T) {
+	ch, _ := testSetup(t, Options{}, map[string]Handler{"svc/Echo": echoHandler})
+	payload := make([]byte, 128)
+	expired := 0
+	for i := 0; i < 4000; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%16)*time.Microsecond)
+		_, err := ch.Call(ctx, "svc/Echo", payload)
+		cancel()
+		switch Code(err) {
+		case trace.OK:
+		case trace.DeadlineExceeded:
+			expired++
+		default:
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if expired == 0 {
+		t.Fatal("no call expired: the deadlines are too long to exercise the path")
+	}
+	if n := ch.InFlight(); n != 0 {
+		t.Errorf("%d calls still pending after all %d returned (%d expired)", n, 4000, expired)
+	}
+	if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {
+		t.Errorf("call after the expiries: %v", err)
+	}
+}
+
+// TestOversizeResponseEndsCoded has a handler return one byte more than a
+// frame can carry with the bulk lane off: the call must end with a coded
+// status at once, not wait out its deadline.
+func TestOversizeResponseEndsCoded(t *testing.T) {
+	huge := make([]byte, wire.MaxFrameSize+1)
+	ch, _ := testSetup(t, Options{BulkThreshold: -1}, map[string]Handler{
+		"svc/Huge": func(context.Context, []byte) ([]byte, error) { return huge, nil },
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := ch.Call(ctx, "svc/Huge", []byte("x"))
+	if Code(err) != trace.NoResource {
+		t.Fatalf("got %v after %v, want NoResource", err, time.Since(start))
+	}
+	// The connection is still good.
+	if _, err := ch.Call(context.Background(), "svc/Huge", nil); Code(err) != trace.NoResource {
+		t.Fatalf("second call: %v", err)
+	}
+}

@@ -66,14 +66,16 @@ var responseDesc = codec.MustDescriptor("stubby.Response",
 	codec.Field{Number: respMessage, Name: "message", Type: codec.TypeString},
 	codec.Field{Number: respPayload, Name: "payload", Type: codec.TypeBytes},
 	codec.Field{Number: respCompressed, Name: "compressed", Type: codec.TypeBool},
+	codec.Field{Number: respMore, Name: "more", Type: codec.TypeBool},
+	codec.Field{Number: respBulkSize, Name: "bulk_size", Type: codec.TypeUint64},
+	codec.Field{Number: respLoad, Name: "load", Type: codec.TypeUint64},
+	// The timings are encoded last (descriptor order is encode order) so
+	// the server can stamp them after the payload is marshalled.
 	codec.Field{Number: respRecvQueueNs, Name: "recv_queue_ns", Type: codec.TypeUint64},
 	codec.Field{Number: respAppNs, Name: "app_ns", Type: codec.TypeUint64},
 	codec.Field{Number: respSendQueueNs, Name: "send_queue_ns", Type: codec.TypeUint64},
 	codec.Field{Number: respProcNs, Name: "resp_proc_ns", Type: codec.TypeUint64},
 	codec.Field{Number: respElapsedNs, Name: "server_elapsed_ns", Type: codec.TypeUint64},
-	codec.Field{Number: respMore, Name: "more", Type: codec.TypeBool},
-	codec.Field{Number: respBulkSize, Name: "bulk_size", Type: codec.TypeUint64},
-	codec.Field{Number: respLoad, Name: "load", Type: codec.TypeUint64},
 )
 
 // request is the decoded request envelope.
@@ -355,6 +357,14 @@ func (r *response) marshalReference() ([]byte, error) {
 // appendResponse encodes r onto dst — byte-identical to marshalReference
 // — and returns the extended slice.
 func appendResponse(dst []byte, r *response) []byte {
+	return appendTimings(appendResponseBody(dst, r), &r.Timings)
+}
+
+// appendResponseBody encodes every field of r except the timings, which
+// appendTimings must then append to complete the envelope. The split lets
+// the server stamp RespProc and Elapsed after the payload is marshalled
+// without marshalling it twice; the tag-based parser takes any field order.
+func appendResponseBody(dst []byte, r *response) []byte {
 	dst = appendUintField(dst, respCode, uint64(r.Code))
 	if r.Message != "" {
 		dst = appendStringField(dst, respMessage, r.Message)
@@ -363,11 +373,6 @@ func appendResponse(dst []byte, r *response) []byte {
 	if r.Compressed {
 		dst = appendBoolField(dst, respCompressed, true)
 	}
-	dst = appendUintField(dst, respRecvQueueNs, uint64(r.Timings.RecvQueue))
-	dst = appendUintField(dst, respAppNs, uint64(r.Timings.App))
-	dst = appendUintField(dst, respSendQueueNs, uint64(r.Timings.SendQueue))
-	dst = appendUintField(dst, respProcNs, uint64(r.Timings.RespProc))
-	dst = appendUintField(dst, respElapsedNs, uint64(r.Timings.Elapsed))
 	if r.More {
 		dst = appendBoolField(dst, respMore, true)
 	}
@@ -378,6 +383,15 @@ func appendResponse(dst []byte, r *response) []byte {
 		dst = appendUintField(dst, respLoad, uint64(r.Load))
 	}
 	return dst
+}
+
+// appendTimings appends the five server timing fields, the envelope's tail.
+func appendTimings(dst []byte, t *serverTimings) []byte {
+	dst = appendUintField(dst, respRecvQueueNs, uint64(t.RecvQueue))
+	dst = appendUintField(dst, respAppNs, uint64(t.App))
+	dst = appendUintField(dst, respSendQueueNs, uint64(t.SendQueue))
+	dst = appendUintField(dst, respProcNs, uint64(t.RespProc))
+	return appendUintField(dst, respElapsedNs, uint64(t.Elapsed))
 }
 
 // parseResponseInto decodes buf into r. r.Payload and r.Message's backing

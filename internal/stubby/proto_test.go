@@ -108,6 +108,53 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 		rout.Load != resp.Load || rout.Timings != resp.Timings {
 		t.Fatalf("response round trip mismatch: %+v != %+v", rout, resp)
 	}
+
+	// The server marshals the body once, stamps the timings afterwards and
+	// appends them: the two halves must make the same envelope.
+	stamped := resp
+	stamped.Timings = serverTimings{}
+	split := appendResponseBody(nil, &stamped)
+	stamped.Timings = resp.Timings
+	if split = appendTimings(split, &stamped.Timings); !bytes.Equal(split, rbuf) {
+		t.Errorf("body then timings differs from appendResponse\n got %x\nwant %x", split, rbuf)
+	}
+}
+
+// TestResponseOldFieldOrderParses feeds the parser an envelope laid out as
+// peers built before the timings moved to the tail emit it — the timings in
+// field-number order, ahead of more, bulk_size and load: the parser goes by
+// tag, so both layouts must decode to the same response.
+func TestResponseOldFieldOrderParses(t *testing.T) {
+	want := response{
+		Code:       trace.NoResource,
+		Message:    "queue full",
+		Payload:    []byte("partial"),
+		Compressed: true,
+		More:       true,
+		Timings:    serverTimings{RecvQueue: 11, App: 22, SendQueue: 33, RespProc: 44, Elapsed: 150},
+		BulkSize:   1 << 20,
+		Load:       7,
+	}
+	old := appendUintField(nil, respCode, uint64(want.Code))
+	old = appendStringField(old, respMessage, want.Message)
+	old = appendBytesField(old, respPayload, want.Payload)
+	old = appendBoolField(old, respCompressed, true)
+	old = appendTimings(old, &want.Timings)
+	old = appendBoolField(old, respMore, true)
+	old = appendUintField(old, respBulkSize, want.BulkSize)
+	old = appendUintField(old, respLoad, uint64(want.Load))
+	if bytes.Equal(old, appendResponse(nil, &want)) {
+		t.Fatal("the old layout and the current one are the same bytes: the test checks nothing")
+	}
+	var got response
+	if err := parseResponseInto(&got, old); err != nil {
+		t.Fatal(err)
+	}
+	if got.Code != want.Code || got.Message != want.Message || !bytes.Equal(got.Payload, want.Payload) ||
+		got.Compressed != want.Compressed || got.More != want.More || got.Timings != want.Timings ||
+		got.BulkSize != want.BulkSize || got.Load != want.Load {
+		t.Fatalf("old-order envelope decoded to %+v, want %+v", got, want)
+	}
 }
 
 func TestParseTruncatedEnvelope(t *testing.T) {

@@ -79,12 +79,13 @@ type serverCall struct {
 type serverConn struct {
 	tr     *transport
 	sendQ  chan *serverResponse
+	turn   sendTurn[*serverResponse]
 	closed chan struct{}
 	once   sync.Once
+	owed   atomic.Int32 // unary calls queued or running: responses still to come (see handle)
 
-	// gate is the adaptive-compression decision state, owned by this
-	// connection's writeLoop goroutine; nil when adaptive compression is
-	// off.
+	// gate is the adaptive-compression decision state, guarded by turn;
+	// nil when adaptive compression is off.
 	gate *compressGate
 
 	cancelMu sync.Mutex
@@ -285,75 +286,24 @@ type serverBulk struct {
 	readStart time.Time
 }
 
-// readLoop pulls frames off one connection and enqueues requests. It owns
-// bulkIn, the bulk-lane request assemblies, so chunk reassembly takes no
-// locks; live streams get their chunks delivered directly (deliverChunk
-// never blocks — credit windows bound the queued bytes — so one stalled
-// stream cannot head-of-line-block the connection).
+// readLoop pulls frames off one connection and enqueues requests: it runs
+// the transport's receive loop with dispatchServerFrame over bulkIn, the
+// bulk-lane request assemblies, which only dispatchServerFrame touches — so
+// chunk reassembly takes no locks; live streams get their chunks delivered
+// directly (deliverChunk never blocks — credit windows bound the queued
+// bytes — so one stalled stream cannot head-of-line-block the connection).
 func (s *Server) readLoop(sc *serverConn) {
 	defer s.conns.Done()
 	defer sc.tr.stopCodec()
 	defer sc.shutdown()
 	defer sc.failStreams()
 	bulkIn := make(map[uint64]*serverBulk)
-	defer func() {
-		for _, b := range bulkIn {
-			wire.PutBuf(b.env)
-			wire.PutBuf(b.data)
-		}
-	}()
-	if sc.tr.codec != nil {
-		s.readLoopPipelined(sc, bulkIn)
-		return
-	}
-	for {
-		m, err := sc.tr.recv()
-		if err != nil {
-			// EOF, a closed socket, or a connection-level failure;
-			// nothing to salvage either way.
-			return
-		}
-		if !s.dispatchServerFrame(sc, m, bulkIn) {
-			return
-		}
-	}
-}
-
-// readLoopPipelined is readLoop's frame dispatcher when the connection has
-// a codec pool: a pump goroutine reads ahead and submits large frames for
-// concurrent decryption while this goroutine harvests completed opens in
-// arrival order and dispatches them. After a failure it keeps draining the
-// pump's channel (harvesting and releasing buffers) so the pump never
-// blocks on a full channel.
-func (s *Server) readLoopPipelined(sc *serverConn, bulkIn map[uint64]*serverBulk) {
-	items := make(chan recvItem, recvPipelineDepth)
-	s.conns.Add(1)
-	go func() {
-		defer s.conns.Done()
-		_ = sc.tr.recvPump(items)
-		close(items)
-	}()
-	failed := false
-	for it := range items {
-		if it.job != nil {
-			out, err := sc.tr.finishOpen(it.job)
-			if err != nil {
-				if !failed {
-					sc.shutdown()
-					failed = true
-				}
-				continue
-			}
-			it.msg.plain = out
-		}
-		if failed {
-			wire.PutBuf(it.msg.plain)
-			continue
-		}
-		if !s.dispatchServerFrame(sc, it.msg, bulkIn) {
-			sc.shutdown()
-			failed = true
-		}
+	// EOF, a closed socket, a connection-level failure or a dispatch stop
+	// (shutdown, GoAway); nothing to salvage either way.
+	_ = sc.tr.recvLoop(func(m recvMsg) bool { return s.dispatchServerFrame(sc, m, bulkIn) })
+	for _, b := range bulkIn {
+		wire.PutBuf(b.env)
+		wire.PutBuf(b.data)
 	}
 }
 
@@ -439,6 +389,9 @@ func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg, bulkIn map[uint6
 // enqueue admits one decoded call to the receive queue; false means the
 // server is shutting down and the read loop should exit.
 func (s *Server) enqueue(call *serverCall) bool {
+	if call.stream == nil {
+		call.conn.owed.Add(1)
+	}
 	select {
 	case s.recvQ <- call:
 		return true
@@ -456,6 +409,7 @@ func (s *Server) enqueue(call *serverCall) bool {
 			call.stream.terminate(Errorf(trace.NoResource, "server receive queue full"), true)
 		} else {
 			s.reject(call.conn, call.streamID, trace.NoResource, "server receive queue full")
+			call.conn.owed.Add(-1)
 		}
 		wire.PutBuf(call.raw)
 		wire.PutBuf(call.bulkData)
@@ -588,14 +542,41 @@ func (s *Server) Load() int {
 	return len(s.recvQ) + int(s.inflight.Load())
 }
 
+// handle serves one queued call and sends its response. On an idle
+// connection a small response leaves right here, on the worker — the turn
+// is free and nothing is queued, so the hand-off to writeLoop would only
+// add a wake-up; otherwise it queues behind what is already waiting. With
+// other calls of the connection queued or running (owed) it queues too:
+// their responses are about to follow, and writeLoop puts them in one write.
 func (s *Server) handle(call *serverCall) {
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+	sr := s.serve(call)
+	s.inflight.Add(-1)
+	sc := call.conn
+	last := call.stream != nil || sc.owed.Add(-1) == 0
+	if sr == nil {
+		return
+	}
+	if last && len(sr.resp.Payload) <= codecInlineMax && len(sc.sendQ) == 0 && sc.turn.tryLock() {
+		s.prepareResponse(sc, sr)
+		s.flushResponses(sc)
+		sc.turn.unlock()
+		return
+	}
+	select {
+	case sc.sendQ <- sr:
+	case <-sc.closed:
+	}
+}
+
+// serve runs one call up to its response, nil when it already answered
+// (reject, stream) or must not answer (injected drop).
+func (s *Server) serve(call *serverCall) *serverResponse {
 	if call.stream != nil {
 		// Stream open: fault injection covers unary calls only; streams
 		// pass through (they are outside the paper's sampled RPC classes).
 		s.handleBidi(call)
-		return
+		return nil
 	}
 	req := &call.req
 	s.mu.RLock()
@@ -611,7 +592,7 @@ func (s *Server) handle(call *serverCall) {
 		s.reject(call.conn, call.streamID, trace.Internal, err.Error())
 		wire.PutBuf(call.raw)
 		wire.PutBuf(call.bulkData)
-		return
+		return nil
 	}
 	payload := req.Payload
 	if call.bulkData != nil {
@@ -623,7 +604,7 @@ func (s *Server) handle(call *serverCall) {
 		if err != nil {
 			s.reject(call.conn, call.streamID, trace.Internal, "decompress: "+err.Error())
 			wire.PutBuf(call.raw)
-			return
+			return nil
 		}
 	}
 	// The paper counts decrypt+parse inside ServerRecvQueue (§3.1); decode
@@ -645,13 +626,13 @@ func (s *Server) handle(call *serverCall) {
 			s.reject(call.conn, call.streamID, dec.Reject, "fault injection: rejected")
 			wire.PutBuf(call.raw)
 			wire.PutBuf(call.bulkData)
-			return
+			return nil
 		}
 		if dec.Drop {
 			// The response vanishes; the client's deadline expires.
 			wire.PutBuf(call.raw)
 			wire.PutBuf(call.bulkData)
-			return
+			return nil
 		}
 		if dec.Corrupt {
 			faultplane.CorruptPayload(payload)
@@ -736,10 +717,7 @@ func (s *Server) handle(call *serverCall) {
 		sr.resp.Message = st.Message
 		sr.resp.Payload = nil
 	}
-	select {
-	case call.conn.sendQ <- sr:
-	case <-call.conn.closed:
-	}
+	return sr
 }
 
 func ctxErrToStatus(err error) error {
@@ -753,28 +731,26 @@ func ctxErrToStatus(err error) error {
 // encrypt, write — the server side of RespProcStack. Like the client's
 // sendLoop it is a batching drain: it blocks on the first queued response,
 // drains further pending responses non-blockingly up to sendBatchBytes,
-// and flushes the whole batch with a single write.
+// and flushes the whole batch with a single write. It holds the turn from
+// dequeue to flush.
 func (s *Server) writeLoop(sc *serverConn) {
 	defer s.conns.Done()
-	batch := make([]*serverResponse, 0, 32)
-	envs := make([][]byte, 0, 32)
-	var scr sealScratch
 	for {
 		select {
 		case sr := <-sc.sendQ:
-			batch, envs = batch[:0], envs[:0]
-			size := 0
-			batch, envs, size = s.prepareResponse(sc, sr, batch, envs, size)
+			sc.turn.lock()
+			s.prepareResponse(sc, sr)
 		drain:
-			for size < sendBatchBytes {
+			for sc.turn.size < sendBatchBytes {
 				select {
 				case next := <-sc.sendQ:
-					batch, envs, size = s.prepareResponse(sc, next, batch, envs, size)
+					s.prepareResponse(sc, next)
 				default:
 					break drain
 				}
 			}
-			s.flushResponses(sc, batch, envs, &scr)
+			s.flushResponses(sc)
+			sc.turn.unlock()
 		case <-sc.closed:
 			return
 		}
@@ -782,11 +758,12 @@ func (s *Server) writeLoop(sc *serverConn) {
 }
 
 // prepareResponse compresses and marshals one queued response into a
-// pooled envelope, appending it to the batch. Payloads at or past the
-// bulk threshold switch to the bulk lane: the envelope carries only the
+// pooled envelope, appending it to the turn's batch. Payloads at or past
+// the bulk threshold switch to the bulk lane: the envelope carries only the
 // size, and the payload leaves as chunk frames sealed straight from the
-// handler's buffer — no copy into the envelope, no compression.
-func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse, batch []*serverResponse, envs [][]byte, size int) ([]*serverResponse, [][]byte, int) {
+// handler's buffer — no copy into the envelope, no compression. Caller
+// holds the turn.
+func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	procStart := time.Now()
 	resp := &sr.resp
 	if th := s.opts.BulkThreshold; th > 0 && len(resp.Payload) >= th && len(resp.Payload) <= wire.MaxFrameSize {
@@ -813,94 +790,42 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse, batch []*se
 	// Piggyback the current load estimate so clients balance on
 	// near-real-time signals without a separate control RPC.
 	resp.Load = uint32(s.Load())
-	// Marshal once to measure RespProc including serialization; the
-	// timing fields are filled before the final marshal so RespProc is
-	// a lower bound measured up to the write.
-	env := appendResponse(wire.GetBuf(len(resp.Payload)+envelopeOverhead), resp)
+	// The timing fields go last, after everything else is marshalled, so
+	// RespProc covers serialization: a lower bound measured up to the write.
+	env := appendResponseBody(wire.GetBuf(len(resp.Payload)+len(resp.Message)+envelopeOverhead), resp)
 	resp.Timings.RespProc = time.Since(procStart)
 	resp.Timings.Elapsed = time.Since(sr.readDone)
-	env = appendResponse(env[:0], resp)
+	env = appendTimings(env, &resp.Timings)
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
-		wire.PutBuf(env)
-		wire.PutBuf(sr.reqBuf)
-		wire.PutBuf(sr.reqBulk)
-		return batch, envs, size // oversize: drop; the client's deadline expires
+		// Too large for one frame (and the bulk lane is off or was not
+		// taken): the call ends coded now, not at the client's deadline.
+		*resp = response{Code: trace.NoResource, Message: "response exceeds maximum frame size",
+			Timings: resp.Timings, Load: resp.Load}
+		env = appendResponse(env[:0], resp)
 	}
-	return append(batch, sr), append(envs, env), size + len(env) + len(sr.bulkOut)
+	sc.turn.add(sr, env, len(env)+len(sr.bulkOut))
 }
 
-// flushResponses seals every prepared envelope into the transport's write
-// buffer, flushes them with a single write, and releases the pooled
-// request and response buffers. A failed write is not reported here — the
-// connection's read loop observes the socket error and tears down.
-func (s *Server) flushResponses(sc *serverConn, batch []*serverResponse, envs [][]byte, scr *sealScratch) {
-	if len(batch) == 0 {
-		return
-	}
-	// Pipelining phase: large bulk payloads are chunked and handed to the
-	// codec pool before the send lock is taken, so workers seal them while
-	// this goroutine seals the small envelopes inline. Harvest below is
-	// in submit order, preserving frame order on the wire.
-	p := sc.tr.codec
-	pipelined := false
-	if p != nil {
-		scr.jobs, scr.n = scr.jobs[:0], scr.n[:0]
-		if p.enter() {
-			pipelined = true
-			for _, sr := range batch {
-				k := 0
-				if sr.bulk && len(sr.bulkOut) > codecInlineMax {
-					before := len(scr.jobs)
-					scr.jobs = p.submitSealChunks(scr.jobs, sr.streamID, sr.bulkOut, 0)
-					k = len(scr.jobs) - before
-				}
-				scr.n = append(scr.n, k)
-			}
-		}
-	}
-	sc.tr.lockSend()
-	var err error
-	ji := 0
-	for i, sr := range batch {
-		k := 0
-		if pipelined {
-			k = scr.n[i]
-		}
-		if sr.bulk {
-			// Envelope first, then the payload chunks on the same stream —
-			// all in this batch's single vectored write. Bulk-unary chunks
-			// are exempt from stream credit: the request bounded them.
-			if err == nil {
-				err = sc.tr.appendLocked(wire.FrameBulkResponse, sr.streamID, envs[i])
-			}
-			if k > 0 {
-				// Harvest even after an earlier error: every submitted job
-				// must be awaited and its buffer released.
-				if herr := sc.tr.appendSealedLocked(sr.streamID, scr.jobs[ji:ji+k], err != nil); err == nil {
-					err = herr
-				}
-				ji += k
-			} else if err == nil {
-				err = sc.tr.appendChunkedLocked(sr.streamID, sr.bulkOut, 0)
-			}
-			continue
-		}
-		if err == nil {
-			err = sc.tr.appendLocked(wire.FrameResponse, sr.streamID, envs[i])
-		}
-	}
-	if err == nil {
-		_ = sc.tr.flushLocked()
-	}
-	sc.tr.unlockSend()
-	if pipelined {
-		p.exit()
-	}
-	for i, sr := range batch {
-		wire.PutBuf(envs[i])
+// flushResponses sends the turn's batch (sendTurn.flush) and releases the
+// pooled request and response buffers. A failed write is not reported here
+// — the connection's read loop observes the socket error and tears down.
+// Caller holds the turn.
+func (s *Server) flushResponses(sc *serverConn) {
+	t := &sc.turn
+	_ = t.flush(sc.tr, time.Time{})
+	for i, sr := range t.batch {
+		wire.PutBuf(t.envs[i])
 		wire.PutBuf(sr.reqBuf)
 		wire.PutBuf(sr.reqBulk)
 	}
+}
+
+// frame implements outbound.
+func (sr *serverResponse) frame() (typ byte, streamID uint64, bulk []byte) {
+	if sr.bulk {
+		return wire.FrameBulkResponse, sr.streamID, sr.bulkOut
+	}
+	return wire.FrameResponse, sr.streamID, nil
 }
 
 // Close stops accepting, closes all listeners, and releases the worker

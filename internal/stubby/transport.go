@@ -1,9 +1,13 @@
 package stubby
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"rpcscale/internal/sanitize"
 	"rpcscale/internal/secure"
@@ -46,10 +50,16 @@ type transport struct {
 	// aad is scratch for the chunk flags byte sealed as additional
 	// authenticated data; sendMu serializes access.
 	aad [1]byte
+	// writeBy records that the conn has a write deadline armed (see
+	// flushLocked); sendMu serializes access.
+	writeBy bool
 
 	recvMu  sync.Mutex
 	recvKey *secure.Session
 	reader  *wire.Reader
+	// handedOff counts frames the receive pump has passed to its dispatcher
+	// goroutine that are not yet dispatched (see recvLoop).
+	handedOff atomic.Int32
 }
 
 // Chunk flags: the single clear-text byte leading every FrameStreamChunk
@@ -114,6 +124,130 @@ func (t *transport) unlockSend() {
 		sanitize.LockReleased(sanitize.RankTransportSend)
 	}
 	t.sendMu.Unlock()
+}
+
+// sendTurn is a connection's turn lock and the batching state it guards.
+// Whoever holds it is the connection's one sender for that turn: the drain
+// loop (client sendLoop, server writeLoop) from dequeue to flush, or — on
+// an idle connection — a goroutine dispatching its own small frame
+// directly. The holder also owns the connection's adaptive-compression
+// gate. T is the queued item type.
+type sendTurn[T outbound] struct {
+	mu    sync.Mutex // rank sanitize.RankSendTurn
+	batch []T
+	envs  [][]byte    // pooled envelopes, parallel to batch
+	size  int         // bytes the batch will put on the wire so far
+	jobs  []*codecJob // the batch's submitted seal jobs, in order
+	n     []int       // per-entry job count (0: that entry stayed inline)
+}
+
+// lock takes the turn and starts an empty batch; tryLock does so only if
+// the turn is free.
+func (t *sendTurn[T]) lock() {
+	t.mu.Lock()
+	t.taken()
+}
+
+func (t *sendTurn[T]) tryLock() bool {
+	ok := t.mu.TryLock()
+	if ok {
+		t.taken()
+	}
+	return ok
+}
+
+func (t *sendTurn[T]) taken() {
+	if sanitize.Enabled {
+		sanitize.LockAcquired(sanitize.RankSendTurn, "stubby.sendTurn.mu")
+	}
+	t.batch, t.envs, t.size = t.batch[:0], t.envs[:0], 0
+}
+
+// add appends one prepared entry: the item, its envelope, and the bytes it
+// will put on the wire.
+func (t *sendTurn[T]) add(item T, env []byte, wireBytes int) {
+	t.batch, t.envs, t.size = append(t.batch, item), append(t.envs, env), t.size+wireBytes
+}
+
+func (t *sendTurn[T]) unlock() {
+	if sanitize.Enabled {
+		sanitize.LockReleased(sanitize.RankSendTurn)
+	}
+	t.mu.Unlock()
+}
+
+// outbound is a batch entry: frame says what it puts on the wire — an
+// envelope frame of type typ (0: nothing, the entry was abandoned) and, on
+// the bulk lane, the payload that follows it as chunk frames.
+type outbound interface {
+	frame() (typ byte, streamID uint64, bulk []byte)
+}
+
+// flush seals the batch's envelopes into tr's write buffer and flushes
+// them with a single write (by: write deadline, zero for none). With a
+// codec pool attached, large bulk payloads are handed to the workers
+// before the send lock is taken, so they are sealed while this goroutine
+// seals the envelopes inline; harvesting the jobs in submission order
+// under the send lock keeps the envelope-before-chunks frame order the
+// bulk protocol requires. Caller holds the turn.
+func (t *sendTurn[T]) flush(tr *transport, by time.Time) error {
+	p := tr.codec
+	pipelined := false
+	if p != nil {
+		t.jobs, t.n = t.jobs[:0], t.n[:0]
+		if p.enter() {
+			pipelined = true
+			for _, it := range t.batch {
+				k := 0
+				if _, streamID, bulk := it.frame(); len(bulk) > codecInlineMax {
+					before := len(t.jobs)
+					t.jobs = p.submitSealChunks(t.jobs, streamID, bulk, 0)
+					k = len(t.jobs) - before
+				}
+				t.n = append(t.n, k)
+			}
+		}
+	}
+	tr.lockSend()
+	var err error
+	ji := 0
+	for i, it := range t.batch {
+		typ, streamID, bulk := it.frame()
+		if typ == 0 {
+			continue // submitted no jobs either
+		}
+		if err == nil {
+			err = tr.appendLocked(typ, streamID, t.envs[i])
+		}
+		if typ != wire.FrameBulkRequest && typ != wire.FrameBulkResponse {
+			continue
+		}
+		// The payload chunks follow the envelope on the same stream, all in
+		// this batch's single vectored write. Bulk-unary chunks are exempt
+		// from stream credit: the call's other direction bounds them.
+		k := 0
+		if pipelined {
+			k = t.n[i]
+		}
+		if k > 0 {
+			// Jobs must be harvested even after an error so their buffers
+			// return to the pool.
+			if herr := tr.appendSealedLocked(streamID, t.jobs[ji:ji+k], err != nil); err == nil {
+				err = herr
+			}
+			ji += k
+		} else if err == nil {
+			err = tr.appendChunkedLocked(streamID, bulk, 0)
+		}
+	}
+	if err == nil {
+		err = tr.flushLocked(by)
+	}
+	tr.unlockSend()
+	if pipelined {
+		p.exit()
+	}
+	return err
 }
 
 // appendLocked seals payload directly into the write buffer as one frame,
@@ -213,9 +347,25 @@ func (t *transport) appendSealedLocked(streamID uint64, jobs []*codecJob, discar
 // vectored) write. Caller must hold the send lock: sendMu exists to
 // serialize frame writes on the shared conn, and holding it across the
 // flush is the point.
-func (t *transport) flushLocked() error {
-	return t.writer.Flush()
+//
+// A non-zero by is a write deadline, for a caller that writes on its own
+// goroutine and must not stay parked past its call's deadline; the next
+// flush disarms it. If it passes before the first byte leaves, the frames
+// are dropped, the stream is intact and the error is errWriteExpired; any
+// other error may have torn the stream and the caller must fail the conn.
+func (t *transport) flushLocked(by time.Time) error {
+	if t.writeBy || !by.IsZero() {
+		t.writeBy = !by.IsZero()
+		_ = t.conn.SetWriteDeadline(by) // a conn without deadlines writes unguarded, as the loops do
+	}
+	err := t.writer.Flush()
+	if err != nil && !t.writer.Torn() && errors.Is(err, os.ErrDeadlineExceeded) {
+		return errWriteExpired
+	}
+	return err
 }
+
+var errWriteExpired = fmt.Errorf("stubby: write not started: %w", os.ErrDeadlineExceeded)
 
 // send encrypts payload and writes one frame with a single Write. Safe
 // for concurrent use.
@@ -225,7 +375,7 @@ func (t *transport) send(frameType byte, streamID uint64, payload []byte) error 
 	if err := t.appendLocked(frameType, streamID, payload); err != nil {
 		return err
 	}
-	return t.flushLocked()
+	return t.flushLocked(time.Time{})
 }
 
 // sendChunks seals data as one stream message (one or more chunk frames,
@@ -240,7 +390,7 @@ func (t *transport) sendChunks(streamID uint64, data []byte, endFlags byte) erro
 		t.lockSend()
 		err := t.appendSealedLocked(streamID, jobs, false)
 		if err == nil {
-			err = t.flushLocked()
+			err = t.flushLocked(time.Time{})
 		}
 		t.unlockSend()
 		p.exit()
@@ -251,7 +401,7 @@ func (t *transport) sendChunks(streamID uint64, data []byte, endFlags byte) erro
 	if err := t.appendChunkedLocked(streamID, data, endFlags); err != nil {
 		return err
 	}
-	return t.flushLocked()
+	return t.flushLocked(time.Time{})
 }
 
 // sendHalfClose emits the bare end-of-direction marker (no message).
@@ -261,7 +411,7 @@ func (t *transport) sendHalfClose(streamID uint64) error {
 	if err := t.appendChunkLocked(streamID, chunkEndStream, nil); err != nil {
 		return err
 	}
-	return t.flushLocked()
+	return t.flushLocked(time.Time{})
 }
 
 // sendReset aborts a stream in both directions: the payload is the sealed
@@ -288,41 +438,7 @@ type recvMsg struct {
 	plain []byte
 }
 
-// recv reads and decrypts the next frame. Only one goroutine may call
-// recv.
-func (t *transport) recv() (recvMsg, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if sanitize.Enabled {
-		sanitize.LockAcquired(sanitize.RankTransportRecv, "stubby.transport.recvMu")
-		defer sanitize.LockReleased(sanitize.RankTransportRecv)
-	}
-	//rpclint:ignore lockheld recvMu serializes reads of the shared frame reader; holding it across the read is the point
-	f, err := t.reader.ReadFrame()
-	if err != nil {
-		return recvMsg{}, err
-	}
-	m := recvMsg{typ: f.Type, streamID: f.StreamID}
-	sealed := f.Payload
-	var aad []byte
-	if f.Type == wire.FrameStreamChunk {
-		if len(sealed) < 1 {
-			return recvMsg{}, secure.ErrDecrypt
-		}
-		m.flags = sealed[0]
-		aad, sealed = f.Payload[:1], sealed[1:]
-	}
-	buf := wire.GetBuf(len(sealed))
-	plain, err := t.recvKey.OpenAppendAAD(buf, sealed, aad)
-	if err != nil {
-		wire.PutBuf(buf)
-		return recvMsg{}, err
-	}
-	m.plain = plain
-	return m, nil
-}
-
-// recvItem is one inbound frame moving through the pipelined open path:
+// recvItem is one inbound frame handed from the pump to the dispatcher:
 // either already decrypted (job == nil, msg.plain set) or pending on the
 // codec workers (msg carries the frame metadata; harvest the plaintext
 // with finishOpen).
@@ -335,28 +451,83 @@ type recvItem struct {
 // dispatching loop, and with it the sealed-copy memory pinned in flight.
 const recvPipelineDepth = 16
 
-// recvPump reads frames and feeds items until the connection fails,
-// returning the terminal error: small frames are opened inline, large
-// ones are copied out and submitted to the codec pool so decryption
-// overlaps the read-ahead. Exactly one goroutine runs the pump, and the
-// consumer must harvest every item it receives — even when tearing down —
-// so job buffers stay accounted.
-func (t *transport) recvPump(items chan<- recvItem) error {
+// recvLoop is the connection's one receive loop — the pump. It reads
+// frames on the calling goroutine and passes each to dispatch, which takes
+// ownership of m.plain and is never run concurrently with itself, until
+// the connection fails or dispatch returns false (ErrUnavailable), and
+// returns the error that ended it.
+//
+// Without a codec pool the pump opens and dispatches everything. With one,
+// large frames are copied out and submitted to the workers so decryption
+// overlaps the read-ahead, and a dispatcher goroutine harvests them in
+// arrival order. A frame the pump opened inline it still dispatches itself
+// when nothing it handed to the dispatcher is undelivered: handedOff drops
+// only after dispatch has returned, so frame order and the single-threaded
+// ownership of dispatch's state both hold.
+func (t *transport) recvLoop(dispatch func(recvMsg) bool) (err error) {
 	p := t.codec
-	if !p.enter() {
-		return ErrUnavailable // pool already closing: connection is going down
-	}
-	defer p.exit()
-	for {
-		m, j, err := t.recvStep(p)
-		if err != nil {
-			return err
+	var items chan recvItem
+	if p != nil {
+		if !p.enter() {
+			return ErrUnavailable // pool already closing: connection is going down
 		}
+		defer p.exit()
+		items = make(chan recvItem, recvPipelineDepth)
+		done := make(chan error)
+		go func() { done <- t.dispatchItems(items, dispatch) }()
+		// Runs before p.exit: every job is harvested inside the cycle.
+		defer func() {
+			close(items)
+			if derr := <-done; derr != nil {
+				err = derr // the read error was only the close that forced the pump out
+			}
+		}()
+	}
+	for {
+		m, j, rerr := t.recvStep(p)
+		if rerr != nil {
+			return rerr
+		}
+		if j == nil && t.handedOff.Load() == 0 {
+			if !dispatch(m) {
+				return ErrUnavailable
+			}
+			continue
+		}
+		t.handedOff.Add(1)
 		items <- recvItem{msg: m, job: j}
 	}
 }
 
-// recvStep reads and routes one frame under recvMu for the pump.
+// dispatchItems is the dispatcher goroutine of a pipelined recvLoop. After
+// an open error (which it returns) or a dispatch stop it closes the conn —
+// the pump only exits on a read error — and keeps harvesting what the pump
+// still emits, so the pump never wedges and no pooled buffer is lost.
+func (t *transport) dispatchItems(items <-chan recvItem, dispatch func(recvMsg) bool) (err error) {
+	stopped := false
+	for it := range items {
+		m := it.msg
+		var oerr error
+		if it.job != nil {
+			m.plain, oerr = t.finishOpen(it.job)
+		}
+		switch {
+		case stopped:
+			wire.PutBuf(m.plain)
+		case oerr != nil || !dispatch(m):
+			// handedOff stays non-zero from here on, so the pump
+			// dispatches nothing past the stop.
+			stopped, err = true, oerr
+			t.close()
+		default:
+			t.handedOff.Add(-1)
+		}
+	}
+	return err
+}
+
+// recvStep reads and routes one frame under recvMu for the pump: opened
+// inline, or — large, and with a pool — submitted to the codec workers.
 func (t *transport) recvStep(p *codecPool) (recvMsg, *codecJob, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
@@ -379,7 +550,7 @@ func (t *transport) recvStep(p *codecPool) (recvMsg, *codecJob, error) {
 		m.flags = sealed[0]
 		aad, sealed = f.Payload[:1], sealed[1:]
 	}
-	if len(sealed) > codecInlineMax {
+	if p != nil && len(sealed) > codecInlineMax {
 		// ReadFrame's payload is only valid until the next read: copy the
 		// sealed bytes into a pooled buffer the job owns, and let a codec
 		// worker decrypt while this loop reads ahead.

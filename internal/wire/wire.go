@@ -280,6 +280,8 @@ type Writer struct {
 	onFlush func(segs [][]byte)
 	// flushSegs is the reusable slice passed to onFlush.
 	flushSegs [][]byte
+	// torn records that the last Flush failed part-way (see Torn).
+	torn bool
 }
 
 // vecSeg records one by-reference payload: the batch-buffer length at the
@@ -368,9 +370,12 @@ func (fw *Writer) Flush() error {
 	if len(fw.buf) == 0 && len(fw.segs) == 0 {
 		return nil
 	}
+	var n int64
 	var err error
 	if len(fw.segs) == 0 {
-		_, err = fw.w.Write(fw.buf)
+		var w int
+		w, err = fw.w.Write(fw.buf)
+		n = int64(w)
 	} else {
 		vec := fw.vec[:0]
 		prev := 0
@@ -392,7 +397,7 @@ func (fw *Writer) Flush() error {
 		// still holds the full header over the same backing array, so the
 		// cleanup below restores and clears it.
 		fw.vec = vec
-		_, err = fw.vec.WriteTo(fw.w)
+		n, err = fw.vec.WriteTo(fw.w)
 		fw.vec = vec
 		for i := range fw.vec {
 			fw.vec[i] = nil
@@ -416,8 +421,16 @@ func (fw *Writer) Flush() error {
 	} else {
 		fw.buf = fw.buf[:0]
 	}
+	fw.torn = err != nil && n > 0
 	return err
 }
+
+// Torn reports whether the last Flush failed after some of its bytes were
+// written: the peer then holds a truncated frame and the stream cannot
+// carry another. A Flush that failed before its first byte (a write
+// deadline that had already passed, say) dropped its frames whole and left
+// the stream intact.
+func (fw *Writer) Torn() bool { return fw.torn }
 
 // WriteFrame appends one frame and flushes it: header and payload leave
 // in one write.
