@@ -53,7 +53,7 @@ func fixture(b *testing.B) (*sim.Topology, *fleet.Catalog, *workload.Dataset) {
 
 func BenchmarkFig01Growth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		db := monarch.New(24*time.Hour, 0)
+		db := monarch.NewDB(monarch.WithWindow(24 * time.Hour))
 		if err := workload.DeclareMetrics(db); err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkFig17Exogenous(b *testing.B) {
 func BenchmarkFig18Diurnal(b *testing.B) {
 	topo, cat, _ := fixture(b)
 	for i := 0; i < b.N; i++ {
-		db := monarch.New(30*time.Minute, 0)
+		db := monarch.NewDB(monarch.WithWindow(30 * time.Minute))
 		if err := workload.DeclareMetrics(db); err != nil {
 			b.Fatal(err)
 		}
@@ -701,9 +701,9 @@ func BenchmarkStubbyStream(b *testing.B) {
 	opts := stubby.Options{Workers: 8}
 	srv := stubby.NewServer(opts)
 	chunk := make([]byte, 32*1024)
-	srv.RegisterStream("bench/Read", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	srv.RegisterBidi("bench/Read", func(ctx context.Context, st *stubby.Stream) error {
 		for i := 0; i < 64; i++ {
-			if err := send(chunk); err != nil {
+			if err := st.Send(chunk); err != nil {
 				return err
 			}
 		}
@@ -723,8 +723,11 @@ func BenchmarkStubbyStream(b *testing.B) {
 	b.SetBytes(64 * 32 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := ch.CallStream(context.Background(), "bench/Read", nil)
+		st, err := ch.OpenStream(context.Background(), "bench/Read")
 		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.CloseSend(); err != nil {
 			b.Fatal(err)
 		}
 		for {
@@ -733,6 +736,7 @@ func BenchmarkStubbyStream(b *testing.B) {
 				break
 			}
 		}
+		st.Close()
 	}
 }
 

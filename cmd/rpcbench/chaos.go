@@ -98,14 +98,13 @@ func chaosSchedule(seed uint64, calls int) faultplane.Config {
 // chaosObserver counts retries for one worker. Retry callbacks run
 // synchronously on the worker's goroutine, so plain ints suffice.
 type chaosObserver struct {
+	stubby.NopObserver
 	retries    uint64
 	suppressed uint64
 }
 
-func (o *chaosObserver) RetryAttempt(string)                                                { o.retries++ }
-func (o *chaosObserver) RetrySuppressed(string)                                             { o.suppressed++ }
-func (o *chaosObserver) BreakerTransition(string, stubby.BreakerState, stubby.BreakerState) {}
-func (o *chaosObserver) CallShed(string)                                                    {}
+func (o *chaosObserver) RetryAttempt(string)    { o.retries++ }
+func (o *chaosObserver) RetrySuppressed(string) { o.suppressed++ }
 
 // workerTally accumulates one worker's deterministic outcome counts.
 type workerTally struct {
@@ -227,9 +226,9 @@ func runChaos(cfg chaosConfig) (*chaosResult, error) {
 			policy.MaxBackoff = 8 * time.Millisecond
 			policy.Budget = budget
 			ch, derr := stubby.Dial(l.Addr().String(), "chaos", stubby.Options{
-				Faults:     inj,
-				Retry:      &policy,
-				Robustness: obs,
+				Faults:   inj,
+				Retry:    &policy,
+				Observer: obs,
 			})
 			if derr != nil {
 				errs <- derr

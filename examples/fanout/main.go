@@ -20,7 +20,7 @@ import (
 const shards = 12
 
 func main() {
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	opts := stubby.Options{Collector: col, Workers: 32}
 
 	// Storage leaf: a slow lookup the shards depend on.

@@ -61,8 +61,13 @@ func (r *replica) write(ctx context.Context, payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// readStream streams the requested block range back chunk by chunk.
-func (r *replica) readStream(ctx context.Context, payload []byte, send func([]byte) error) error {
+// readStream streams the requested block range back chunk by chunk; the
+// stream's first message is the request.
+func (r *replica) readStream(ctx context.Context, st *stubby.Stream) error {
+	payload, err := st.Recv()
+	if err != nil {
+		return stubby.Errorf(trace.InvalidArgument, "no read request: %v", err)
+	}
 	req, err := codec.Unmarshal(readReq, payload)
 	if err != nil {
 		return stubby.Errorf(trace.InvalidArgument, "bad read: %v", err)
@@ -75,7 +80,7 @@ func (r *replica) readStream(ctx context.Context, payload []byte, send func([]by
 		if !ok {
 			return stubby.Errorf(trace.EntityNotFound, "block %d missing on %s", b, r.name)
 		}
-		if err := send(block); err != nil {
+		if err := st.Send(block); err != nil {
 			return err
 		}
 	}
@@ -87,7 +92,7 @@ func startReplica(name string, opts stubby.Options) (string, func(), error) {
 	rep := &replica{name: name, data: make(map[uint64][]byte)}
 	srv := stubby.NewServer(opts)
 	srv.Register("networkdisk/Write", rep.write)
-	srv.RegisterStream("networkdisk/ReadStream", rep.readStream)
+	srv.RegisterBidi("networkdisk/ReadStream", rep.readStream)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
@@ -99,8 +104,9 @@ func startReplica(name string, opts stubby.Options) (string, func(), error) {
 // diskClient is the coordinator-side library: quorum writes, streamed
 // reads, pooled connections with retry.
 type diskClient struct {
-	pools []*stubby.Pool
-	call  []stubby.CallFunc // retry-wrapped unary path per replica
+	pools   []*stubby.Pool
+	call    []stubby.CallFunc // retry-wrapped unary path per replica
+	streams []*stubby.Channel // one channel per replica for streamed reads
 }
 
 func dialDisk(addrs []string, opts stubby.Options) (*diskClient, error) {
@@ -111,6 +117,11 @@ func dialDisk(addrs []string, opts stubby.Options) (*diskClient, error) {
 			return nil, err
 		}
 		c.pools = append(c.pools, pool)
+		ch, err := stubby.Dial(addr, "disk-"+addr, opts)
+		if err != nil {
+			return nil, err
+		}
+		c.streams = append(c.streams, ch)
 		retry := stubby.WithRetry(stubby.DefaultRetryPolicy())
 		member := pool
 		c.call = append(c.call, func(ctx context.Context, method string, p []byte) ([]byte, error) {
@@ -125,6 +136,9 @@ func dialDisk(addrs []string, opts stubby.Options) (*diskClient, error) {
 func (c *diskClient) close() {
 	for _, p := range c.pools {
 		p.Close()
+	}
+	for _, ch := range c.streams {
+		ch.Close()
 	}
 }
 
@@ -167,9 +181,17 @@ func (c *diskClient) readFile(ctx context.Context, replicaIdx int, first, count 
 	if err != nil {
 		return nil, err
 	}
-	// Streaming goes through a raw channel of the chosen replica's pool.
-	stream, err := c.pools[replicaIdx].CallStreamAny(ctx, "networkdisk/ReadStream", payload)
+	// Streaming goes through the chosen replica's own channel: the request
+	// is the stream's one outbound message, then the blocks come back.
+	stream, err := c.streams[replicaIdx].OpenStream(ctx, "networkdisk/ReadStream")
 	if err != nil {
+		return nil, err
+	}
+	defer stream.Close()
+	if err := stream.Send(payload); err != nil {
+		return nil, err
+	}
+	if err := stream.CloseSend(); err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer

@@ -35,7 +35,7 @@ func studiedMethods() []string {
 }
 
 func TestGrowthAnalysis(t *testing.T) {
-	db := monarch.New(24*time.Hour, 0)
+	db := monarch.NewDB(monarch.WithWindow(24 * time.Hour))
 	if err := workload.DeclareMetrics(db); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestGrowthAnalysis(t *testing.T) {
 		t.Error("render missing header")
 	}
 
-	if _, err := GrowthAnalysis(monarch.New(0, 0)); err == nil {
+	if _, err := GrowthAnalysis(monarch.NewDB()); err == nil {
 		t.Error("empty DB should error")
 	}
 }
@@ -365,7 +365,7 @@ func TestExogenousAnalysis(t *testing.T) {
 }
 
 func TestDiurnalAnalysis(t *testing.T) {
-	db := monarch.New(30*time.Minute, 0)
+	db := monarch.NewDB(monarch.WithWindow(30 * time.Minute))
 	if err := workload.DeclareMetrics(db); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func goldenWorld(t *testing.T, methods int) (*fleet.Catalog, *sim.Topology, Repo
 	t.Helper()
 	topo := sim.NewTopology(sim.DefaultTopology())
 	cat := fleet.New(fleet.Config{Methods: methods, Clusters: len(topo.Clusters), Seed: 9})
-	db := monarch.New(24*time.Hour, 0)
+	db := monarch.NewDB(monarch.WithWindow(24 * time.Hour))
 	if err := workload.DeclareMetrics(db); err != nil {
 		t.Fatal(err)
 	}

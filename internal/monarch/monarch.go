@@ -176,15 +176,6 @@ func NewDB(opts ...Option) *DB {
 	return db
 }
 
-// New returns a DB with the given alignment window and retention. Zero
-// values select the paper's defaults.
-//
-// Deprecated: use NewDB with WithWindow and WithRetention; the positional
-// form survives for existing callers.
-func New(window, retention time.Duration) *DB {
-	return NewDB(WithWindow(window), WithRetention(retention))
-}
-
 // Window returns the alignment grid.
 func (db *DB) Window() time.Duration { return db.window }
 

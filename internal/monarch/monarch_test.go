@@ -13,7 +13,7 @@ var t0 = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 
 func newTestDB(t *testing.T) *DB {
 	t.Helper()
-	db := New(30*time.Minute, 700*24*time.Hour)
+	db := NewDB(WithWindow(30*time.Minute), WithRetention(700*24*time.Hour))
 	for m, k := range map[string]Kind{
 		"rpc/count":   Counter,
 		"cpu/util":    Gauge,
@@ -151,7 +151,7 @@ func TestQueryTimeRange(t *testing.T) {
 }
 
 func TestRetentionEviction(t *testing.T) {
-	db := New(30*time.Minute, 10*24*time.Hour)
+	db := NewDB(WithWindow(30*time.Minute), WithRetention(10*24*time.Hour))
 	_ = db.Declare("m", Counter)
 	labels := Labels{"c": "x"}
 	_ = db.Write("m", labels, t0, 1)

@@ -53,14 +53,14 @@ type methodComp struct {
 // turn (sendTurn), so decisions take no lock of their own on the hot
 // path. A nil gate compresses everything (the non-adaptive default).
 type compressGate struct {
-	obs   DataPlaneObserver
+	obs   Observer
 	stats *compressor.Stats
 	m     map[string]*methodComp
 }
 
 // newCompressGate returns a gate, or nil when adaptive compression is
 // off (and the stack behaves exactly as before).
-func newCompressGate(enabled bool, obs DataPlaneObserver, stats *compressor.Stats) *compressGate {
+func newCompressGate(enabled bool, obs Observer, stats *compressor.Stats) *compressGate {
 	if !enabled {
 		return nil
 	}

@@ -63,8 +63,8 @@ func TestExportedBoundariesReturnStatusErrors(t *testing.T) {
 			_, err := dead.CallHedged(bg, "svc/Echo", nil, time.Millisecond)
 			return err
 		}},
-		{"CallStream/closed-channel", trace.Unavailable, func() error {
-			_, err := dead.CallStream(bg, "svc/Echo", nil)
+		{"OpenStream/closed-channel", trace.Unavailable, func() error {
+			_, err := dead.OpenStream(bg, "svc/Echo")
 			return err
 		}},
 		{"Ping/closed-channel", trace.Unavailable, func() error {
@@ -87,10 +87,6 @@ func TestExportedBoundariesReturnStatusErrors(t *testing.T) {
 		}},
 		{"Pool.CallHedged/after-close", trace.Unavailable, func() error {
 			_, err := deadPool.CallHedged(bg, "svc/Echo", nil, time.Millisecond)
-			return err
-		}},
-		{"Pool.CallStreamAny/after-close", trace.Unavailable, func() error {
-			_, err := deadPool.CallStreamAny(bg, "svc/Echo", nil)
 			return err
 		}},
 		{"Pool.Ping/after-close", trace.Unavailable, func() error {

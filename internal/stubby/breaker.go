@@ -94,7 +94,7 @@ var ErrCircuitOpen = &Status{Code: trace.Unavailable, Message: "circuit breaker 
 // calls for. It is safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
-	obs RobustnessObserver
+	obs Observer
 
 	mu      sync.Mutex
 	methods map[string]*methodBreaker
@@ -110,7 +110,7 @@ type methodBreaker struct {
 
 // NewBreaker returns a breaker; obs (optional) observes state
 // transitions.
-func NewBreaker(cfg BreakerConfig, obs RobustnessObserver) *Breaker {
+func NewBreaker(cfg BreakerConfig, obs Observer) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), obs: obs, methods: make(map[string]*methodBreaker)}
 }
 

@@ -1,0 +1,218 @@
+package stubby
+
+// The one size rule of the bulk lane's inbound half (conn.chunk), stated
+// for both ends against a peer that lies: neither the size an envelope
+// declares nor the bytes its chunks add up to may cost the receiver more
+// than wire.MaxFrameSize of memory, an oversize transfer ends that one call
+// coded, and the connection carries on.
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"rpcscale/internal/leakcheck"
+	"rpcscale/internal/trace"
+	"rpcscale/internal/wire"
+)
+
+// rawPeer is the other end of a connection, speaking frames through a
+// transport of its own: whatever a hostile peer could put on the wire.
+type rawPeer struct {
+	t  *testing.T
+	tr *transport
+}
+
+func newRawPeer(t *testing.T, nc net.Conn, dirSend, dirRecv string) *rawPeer {
+	tr, err := newTransport(nc, defaultSecret, dirSend, dirRecv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rawPeer{t: t, tr: tr}
+}
+
+// chunk sends one chunk frame with exactly these flags.
+func (p *rawPeer) chunk(id uint64, flags byte, data []byte) error {
+	p.tr.lockSend()
+	return p.tr.flushUnlock(p.tr.appendChunkLocked(id, flags, data))
+}
+
+// transfer sends a bulk transfer the way the table describes it: the
+// envelope, then every chunk, only the last one marked final.
+func (p *rawPeer) transfer(typ byte, id uint64, env []byte, chunks [][]byte) error {
+	if err := p.tr.send(typ, id, env); err != nil {
+		return err
+	}
+	for i, c := range chunks {
+		var flags byte
+		if i == len(chunks)-1 {
+			flags = chunkEndMsg
+		}
+		if err := p.chunk(id, flags, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serveResponses plays a server: "bulk/Get" is answered with the transfer
+// under test, anything else is echoed. It returns when the connection ends.
+func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
+	for {
+		m, _, err := p.tr.recvStep(nil)
+		if err != nil {
+			return
+		}
+		if m.typ != wire.FrameRequest {
+			wire.PutBuf(m.plain)
+			continue
+		}
+		req, err := parseRequest(m.plain)
+		if err != nil {
+			p.t.Errorf("peer: request: %v", err)
+			return
+		}
+		if req.Method == "bulk/Get" {
+			env := appendResponse(nil, &response{BulkSize: declared})
+			err = p.transfer(wire.FrameBulkResponse, m.streamID, env, chunks)
+		} else {
+			err = p.tr.send(wire.FrameResponse, m.streamID, appendResponse(nil, &response{Payload: req.Payload}))
+		}
+		wire.PutBuf(m.plain)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// awaitResponse reads until the response to stream id arrives.
+func (p *rawPeer) awaitResponse(id uint64) response {
+	for {
+		m, _, err := p.tr.recvStep(nil)
+		if err != nil {
+			p.t.Fatalf("peer: waiting for response %d: %v", id, err)
+		}
+		if m.typ == wire.FrameResponse && m.streamID == id {
+			var resp response
+			if err := parseResponseInto(&resp, m.plain); err != nil {
+				p.t.Fatal(err)
+			}
+			resp.Payload = append([]byte(nil), resp.Payload...)
+			wire.PutBuf(m.plain)
+			return resp
+		}
+		wire.PutBuf(m.plain)
+	}
+}
+
+func TestBulkSizeRuleBothEnds(t *testing.T) {
+	big := make([]byte, 4<<20)
+	var past [][]byte // adds up to 4 MiB more than a frame may carry
+	for len(past)*len(big) <= wire.MaxFrameSize {
+		past = append(past, big)
+	}
+	cases := []struct {
+		name     string
+		declared uint64
+		chunks   [][]byte
+		over     bool
+	}{
+		// At the parent the client sized its buffer from this number and the
+		// process died of it: fatal error: runtime: out of memory.
+		{"declares 32 TiB, sends 16 B", 1 << 45, [][]byte{[]byte("12345678"), []byte("abcdefgh")}, false},
+		// One more chunk after the one that overflows: it must be dropped.
+		{"declares 1 KiB, sends 68 MiB", 1 << 10, append(past, []byte("tail")), true},
+	}
+	for _, tc := range cases {
+		want := bytes.Join(tc.chunks, nil)
+		t.Run("response: "+tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			outstanding := poolBalance()
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				nc, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer nc.Close()
+				newRawPeer(t, nc, "s2c", "c2s").serveResponses(tc.declared, tc.chunks)
+			}()
+			ch, err := Dial(l.Addr().String(), "liar", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			out, err := ch.Call(ctx, "bulk/Get", []byte("x"))
+			if tc.over {
+				if Code(err) != trace.Internal || !strings.Contains(err.Error(), "bulk response exceeds maximum size") {
+					t.Fatalf("oversize response: got %d bytes, err %v", len(out), err)
+				}
+			} else if err != nil || !bytes.Equal(out, want) {
+				t.Fatalf("got %d bytes, err %v; want the %d sent", len(out), err, len(want))
+			}
+			FreeResponse(out)
+			// The connection, and every other call on it, is unaffected.
+			if out, err := ch.Call(ctx, "svc/Echo", []byte("still here")); err != nil || string(out) != "still here" {
+				t.Fatalf("call after the transfer: %q, %v", out, err)
+			}
+			ch.Close()
+			<-served
+			if n := outstanding(); n != 0 {
+				t.Errorf("%d pooled buffers outstanding", n)
+			}
+		})
+		t.Run("request: "+tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			outstanding := poolBalance()
+			srv := NewServer(Options{})
+			srv.Register("svc/Echo", echoHandler)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(l)
+			defer srv.Close()
+			nc, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			peer := newRawPeer(t, nc, "c2s", "s2c")
+			env := appendRequest(nil, &request{Method: "svc/Echo", BulkSize: tc.declared, Deadline: time.Minute})
+			if err := peer.transfer(wire.FrameBulkRequest, 1, env, tc.chunks); err != nil {
+				t.Fatal(err)
+			}
+			resp := peer.awaitResponse(1)
+			if tc.over {
+				if resp.Code != trace.InvalidArgument || !strings.Contains(resp.Message, "bulk request exceeds maximum size") {
+					t.Fatalf("oversize request: code %v, %q", resp.Code, resp.Message)
+				}
+			} else if resp.Code != trace.OK || !bytes.Equal(resp.Payload, want) {
+				t.Fatalf("code %v %q, %d bytes echoed; want the %d sent", resp.Code, resp.Message, len(resp.Payload), len(want))
+			}
+			// The connection is unaffected.
+			env = appendRequest(nil, &request{Method: "svc/Echo", Payload: []byte("still here"), Deadline: time.Minute})
+			if err := peer.tr.send(wire.FrameRequest, 3, env); err != nil {
+				t.Fatal(err)
+			}
+			if resp := peer.awaitResponse(3); resp.Code != trace.OK || string(resp.Payload) != "still here" {
+				t.Fatalf("call after the transfer: code %v, %q", resp.Code, resp.Payload)
+			}
+			nc.Close()
+			srv.Close()
+			if n := outstanding(); n != 0 {
+				t.Errorf("%d pooled buffers outstanding", n)
+			}
+		})
+	}
+}

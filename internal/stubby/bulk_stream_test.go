@@ -476,14 +476,14 @@ func TestChunkFrameTruncation(t *testing.T) {
 // and malformed resets still terminate with a usable status.
 func TestStreamControlParserRobustness(t *testing.T) {
 	for _, grant := range [][]byte{nil, {}, {0x80}, {0x80, 0x80, 0x80}, {0x00}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}} {
-		st := newStream(nil, 1, 64)
+		st := newStream(nil, &streamTable{}, 1, 64)
 		st.grantFromPeer(grant)
 		if err := st.sendWin.take(64, context.Background()); err != nil {
 			t.Fatalf("grant %x corrupted the window: %v", grant, err)
 		}
 	}
 	for _, reset := range [][]byte{nil, {}, {0x80}, {0x05}, append([]byte{0x07}, "boom"...), bytes.Repeat([]byte{0xAA}, 64)} {
-		st := newStream(nil, 1, 64)
+		st := newStream(nil, &streamTable{}, 1, 64)
 		st.resetFromPeer(reset)
 		_, err := st.Recv()
 		if err == nil || err == io.EOF {
@@ -503,7 +503,7 @@ func FuzzStreamControlParsers(f *testing.F) {
 	f.Add([]byte{}, []byte{}, byte(0xFF), []byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF}, []byte{0x00}, byte(chunkStatus|chunkEndMsg), bytes.Repeat([]byte{1}, 300))
 	f.Fuzz(func(t *testing.T, reset, grant []byte, flags byte, chunk []byte) {
-		st := newStream(nil, 1, 1<<20)
+		st := newStream(nil, &streamTable{}, 1, 1<<20)
 		st.grantFromPeer(grant)
 		data := append(wire.GetBuf(len(chunk)), chunk...)
 		st.deliverChunk(flags, data)

@@ -16,18 +16,16 @@ import (
 	"rpcscale/internal/wire"
 )
 
-// Channel is a client connection to one server: it owns a send queue
-// drained by a sender goroutine (ClientSendQueue), a reader goroutine
-// that dispatches responses to waiting calls (ClientRecvQueue), and the
-// per-call instrumentation that assembles the nine-component breakdown.
+// Channel is a client's logical connection to one server: one connection,
+// or Options.ConnStripes of them dialed together (DESIGN.md §16), behind
+// one closed/err/fail/Close. It owns what spans connections — the retry and
+// breaker layers, ping, and the per-call instrumentation that assembles the
+// nine-component breakdown; each clientConn owns its socket's send queue
+// (ClientSendQueue), receive loop (ClientRecvQueue) and pending calls.
 type Channel struct {
 	opts          Options
 	serverCluster string
-	tr            *transport
 	comp          *compressor.Compressor
-	// gate is the adaptive-compression decision state, guarded by turn; nil
-	// when Options.AdaptiveCompression is off.
-	gate *compressGate
 	// epoch anchors the channel's monotonic per-call timestamps: every
 	// instrumentation point records time.Since(epoch) nanoseconds in an
 	// atomic int64 instead of boxing a *time.Time per event.
@@ -39,8 +37,28 @@ type Channel struct {
 	invoke  CallFunc
 	breaker *Breaker
 
-	sendQ      chan *clientCall
-	turn       sendTurn[*clientCall]
+	// conns are the channel's connections. Unary envelope traffic and ping
+	// stay on conns[0]; bulk calls and streams round-robin across all of
+	// them, each riding one connection for its whole life, so its frames
+	// stay ordered on one socket. Any connection's death fails the channel.
+	conns   []*clientConn
+	pickCtr atomic.Uint32
+
+	pingMu sync.Mutex
+	pingCh chan time.Time
+
+	closed   chan struct{}
+	failOnce sync.Once
+	err      atomic.Pointer[channelError] // error that killed the channel
+}
+
+// clientConn is one connection of a Channel: the shared connection core
+// plus the calls awaiting a response on it. The field order is measured,
+// not tidy: with ch ahead of conn, fleet_mix lost 4 % of its ops_per_s
+// (DESIGN.md §16).
+type clientConn struct {
+	conn[*clientCall]
+	ch         *Channel
 	nextStream atomic.Uint64
 
 	// serverLoad caches the most recent load report the server piggybacked
@@ -50,26 +68,8 @@ type Channel struct {
 
 	mu      sync.Mutex
 	pending map[uint64]*clientCall
-	streams map[uint64]*Stream
 
-	pingMu   sync.Mutex
-	pingCh   chan time.Time
-	lastPing time.Time
-
-	closed    chan struct{}
-	closeOnce sync.Once
-	err       atomic.Pointer[channelError] // error that killed the channel
-	loops     sync.WaitGroup
-
-	// Connection striping (DESIGN.md §16): when Dial opened K stripes,
-	// stripes lists them all (this channel is stripes[0]) and bulk calls
-	// and streams round-robin across them with per-call affinity. Unary
-	// envelope traffic stays on stripe 0. onFail, when set, replaces
-	// failLocal so any stripe's death condemns the whole striped channel.
-	stripes    []*Channel
-	stripeCtr  atomic.Uint32
-	stripeOnce sync.Once
-	onFail     func(error)
+	loops sync.WaitGroup
 }
 
 // clientCall tracks one in-flight RPC. Timestamps are nanoseconds since
@@ -112,15 +112,6 @@ type callResult struct {
 	netErr error
 }
 
-// clientBulk assembles one bulk-lane response: the envelope arrives as a
-// FrameBulkResponse, the payload as chunk frames on the same stream ID.
-type clientBulk struct {
-	resp response
-	//rpclint:owns pooled chunk assembly; handed to the caller via
-	// deliverBulk, who releases it with FreeResponse.
-	data []byte
-}
-
 // sinceEpoch returns the channel-relative monotonic timestamp, always > 0
 // so 0 can mean "not recorded".
 func (c *Channel) sinceEpoch() int64 { return int64(time.Since(c.epoch)) + 1 }
@@ -130,139 +121,86 @@ func (c *Channel) sinceEpoch() int64 { return int64(time.Since(c.epoch)) + 1 }
 // the handshake). With Options.ConnStripes > 1 it opens that many
 // connections and stripes bulk calls and streams across them.
 func Dial(addr, serverCluster string, opts Options) (*Channel, error) {
-	if opts.ConnStripes > 1 {
-		return dialStriped(addr, serverCluster, opts)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		// Status-code the failure: a refused/unroutable backend is the
-		// same Unavailable the paper's taxonomy records for dead peers.
-		return nil, Errorf(trace.Unavailable, "dial %s: %v", addr, err)
-	}
-	return NewChannel(conn, serverCluster, opts)
-}
-
-// dialStriped opens Options.ConnStripes connections to addr and welds
-// them into one logical channel: stripes[0] (the returned channel)
-// carries all unary envelope traffic and the robustness layers; bulk
-// calls and streams round-robin across every stripe. Any stripe failure
-// fails them all — the striped channel is one logical connection.
-func dialStriped(addr, serverCluster string, opts Options) (*Channel, error) {
-	n := opts.ConnStripes
-	chans := make([]*Channel, 0, n)
-	teardown := func() {
-		for _, s := range chans {
-			s.failLocal(ErrUnavailable)
-			s.tr.close()
-			s.tr.stopCodec()
-		}
-	}
+	n := max(opts.ConnStripes, 1)
+	ncs := make([]net.Conn, 0, n)
 	for i := 0; i < n; i++ {
-		conn, err := net.Dial("tcp", addr)
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
-			teardown()
-			return nil, Errorf(trace.Unavailable, "dial %s (stripe %d): %v", addr, i, err)
+			for _, nc := range ncs {
+				nc.Close()
+			}
+			// Status-code the failure: a refused/unroutable backend is the
+			// same Unavailable the paper's taxonomy records for dead peers.
+			return nil, Errorf(trace.Unavailable, "dial %s: %v", addr, err)
 		}
-		so := opts
-		if i > 0 {
-			// The robustness layers wrap the parent's invoke chain; extra
-			// stripes are pure data-plane connections.
-			so.Retry, so.Breaker = nil, nil
-		}
-		s, err := newChannelNoLoops(conn, serverCluster, so.withDefaults())
-		if err != nil {
-			teardown()
-			return nil, err
-		}
-		chans = append(chans, s)
+		ncs = append(ncs, nc)
 	}
-	parent := chans[0]
-	parent.stripes = chans
-	for _, s := range chans {
-		s.onFail = parent.stripeFail
-	}
-	for _, s := range chans {
-		s.start()
-	}
-	return parent, nil
-}
-
-// stripeFail condemns every stripe of a striped channel exactly once.
-func (c *Channel) stripeFail(err error) {
-	c.stripeOnce.Do(func() {
-		for _, s := range c.stripes {
-			s.failLocal(err)
-		}
-	})
-}
-
-// stripeFor picks the stripe one call or stream rides: unary envelope
-// traffic keeps stripe 0, bulk transfers and streams round-robin. The
-// whole call/stream stays on its stripe (per-call affinity), so frame
-// order within it is preserved.
-func (c *Channel) stripeFor(bulk bool) *Channel {
-	if !bulk || len(c.stripes) == 0 {
-		return c
-	}
-	return c.stripes[int(c.stripeCtr.Add(1))%len(c.stripes)]
+	return newChannel(ncs, serverCluster, opts.withDefaults())
 }
 
 // NewChannel builds a channel over an existing connection (e.g. net.Pipe
 // in tests). Options.ConnStripes is ignored here: a channel built over
 // one existing conn cannot dial more.
 func NewChannel(conn net.Conn, serverCluster string, opts Options) (*Channel, error) {
-	c, err := newChannelNoLoops(conn, serverCluster, opts.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	c.start()
-	return c, nil
+	return newChannel([]net.Conn{conn}, serverCluster, opts.withDefaults())
 }
 
-// newChannelNoLoops builds a channel without starting its goroutines, so
-// a striped dial can finish wiring cross-stripe state first. o must
-// already have defaults applied.
-func newChannelNoLoops(conn net.Conn, serverCluster string, o Options) (*Channel, error) {
-	tr, err := newTransport(conn, o.Secret, "c2s", "s2c", o.EncryptionStats)
-	if err != nil {
-		conn.Close()
-		return nil, Errorf(trace.Internal, "transport setup: %v", err)
-	}
-	tr.startCodec(codecWorkerCount(o.CodecWorkers), o.DataPlane)
+// newChannel builds a channel over ncs, which it owns from here on, and
+// starts each connection's loops. o must already have defaults applied.
+func newChannel(ncs []net.Conn, serverCluster string, o Options) (*Channel, error) {
 	c := &Channel{
 		opts:          o,
 		serverCluster: serverCluster,
-		tr:            tr,
 		comp:          compressor.New(o.Compression, o.CompressorStats),
 		epoch:         time.Now(),
-		sendQ:         make(chan *clientCall, o.SendQueueLen),
-		pending:       make(map[uint64]*clientCall),
 		closed:        make(chan struct{}),
 	}
-	c.gate = newCompressGate(o.AdaptiveCompression && o.Compression != compressor.None,
-		o.DataPlane, c.comp.Stats())
+	for i, nc := range ncs {
+		cc := &clientConn{ch: c, pending: make(map[uint64]*clientCall)}
+		if err := cc.init(nc, &c.opts, c.comp, "c2s", "s2c"); err != nil {
+			for _, nc := range ncs[i+1:] {
+				nc.Close()
+			}
+			c.Close() // nothing started yet: closes the sockets, stops the codec workers
+			return nil, err
+		}
+		c.conns = append(c.conns, cc)
+	}
 	c.invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
 		return c.call(ctx, method, payload, false)
 	}
 	if o.Retry != nil {
-		policy, obs, inner := *o.Retry, o.Robustness, c.invoke
+		policy, obs, inner := *o.Retry, o.Observer, c.invoke
 		c.invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
 			return retryCall(ctx, method, payload, policy, obs, inner)
 		}
 	}
 	if o.Breaker != nil {
 		// Breaker outside retry: an open circuit spends no attempts.
-		c.breaker = NewBreaker(*o.Breaker, o.Robustness)
+		c.breaker = NewBreaker(*o.Breaker, o.Observer)
 		c.invoke = c.breaker.Wrap(c.invoke)
+	}
+	for _, cc := range c.conns {
+		cc.loops.Add(2)
+		go func() {
+			defer cc.loops.Done()
+			cc.sendLoop(cc.prepareCall, func() { cc.endTurn(time.Time{}) })
+		}()
+		go func() {
+			defer cc.loops.Done()
+			c.fail(cc.recvLoop(cc.dispatchFrame))
+		}()
 	}
 	return c, nil
 }
 
-// start launches the channel's connection goroutines.
-func (c *Channel) start() {
-	c.loops.Add(2)
-	go c.sendLoop()
-	go c.readLoop()
+// pick selects the connection one call or stream rides: unary envelope
+// traffic keeps conns[0], bulk transfers and streams round-robin.
+func (c *Channel) pick(bulk bool) *clientConn {
+	if !bulk {
+		return c.conns[0]
+	}
+	return c.conns[int(c.pickCtr.Add(1))%len(c.conns)]
 }
 
 // Call issues a unary RPC and blocks for the response, the context's
@@ -283,16 +221,7 @@ func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts 
 func (c *Channel) Breaker() *Breaker { return c.breaker }
 
 func (c *Channel) call(ctx context.Context, method string, payload []byte, hedged bool) ([]byte, error) {
-	// Resolve tracing state: child span of the caller, or a new root.
-	parent, ok := TraceFromContext(ctx)
-	tc := TraceContext{SpanID: nextSpanID()}
-	var parentSpan trace.SpanID
-	if ok {
-		tc.TraceID = parent.TraceID
-		parentSpan = parent.SpanID
-	} else {
-		tc.TraceID = nextTraceID()
-	}
+	tc, parentSpan := childTrace(ctx)
 
 	// Identify the attempt for the fault plane and server-side retry
 	// accounting: the driver-assigned call ID (if any) plus the retry
@@ -362,40 +291,39 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		enqueuedNs: c.sinceEpoch(),
 		resultCh:   make(chan *callResult, 1),
 	}
-	// Stripe affinity: the whole call — envelope, chunks, response — rides
-	// one stripe, so its frames stay ordered on one socket.
-	sc := c.stripeFor(call.bulk)
-	streamID := sc.nextStream.Add(1)
+	// The whole call — envelope, chunks, response — rides one connection.
+	cc := c.pick(call.bulk)
+	streamID := cc.nextStream.Add(1)
 	call.streamID = streamID
 
-	sc.mu.Lock()
+	cc.mu.Lock()
 	select {
-	case <-sc.closed:
-		sc.mu.Unlock()
+	case <-c.closed:
+		cc.mu.Unlock()
 		return nil, c.finish(nil, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 	default:
 	}
-	sc.pending[streamID] = call
-	sc.mu.Unlock()
+	cc.pending[streamID] = call
+	cc.mu.Unlock()
 
 	if !call.bulk && len(payload) <= codecInlineMax && (ctx.Done() == nil || !ctxDeadline.IsZero()) &&
-		len(sc.sendQ) == 0 && sc.turn.tryLock() {
+		len(cc.sendQ) == 0 && cc.turn.tryLock() {
 		// Idle connection, small frame: take the send side's turn here, no
 		// hand-off to sendLoop. The write carries the caller's deadline so
 		// a stalled peer cannot park it past that; a caller that can be
 		// cancelled but set no deadline queues, to stay cancellable.
-		sc.prepareCall(call)
-		sc.endTurn(ctxDeadline)
+		cc.prepareCall(call)
+		cc.endTurn(ctxDeadline)
 	} else {
 		// Enqueue onto the send queue; a full queue is back-pressure, so
 		// we block until space, cancellation, or channel death.
 		select {
-		case sc.sendQ <- call:
+		case cc.sendQ <- call:
 		case <-ctx.Done():
-			sc.abandon(call)
+			cc.abandon(call)
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
-		case <-sc.closed:
-			sc.abandon(call)
+		case <-c.closed:
+			cc.abandon(call)
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 		}
 	}
@@ -404,7 +332,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 	case res := <-call.resultCh:
 		rcvdNs := c.sinceEpoch()
 		if res.netErr != nil {
-			sc.abandon(call) // failed by the send side, which leaves pending to the caller
+			cc.abandon(call) // failed by the send side, which leaves pending to the caller
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 		}
 		resp := &res.resp
@@ -427,7 +355,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 				return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Internal, hedged)
 			}
 		}
-		if c.opts.Collector != nil || c.opts.Telemetry != nil {
+		if c.opts.Collector != nil || c.opts.Observer != nil {
 			c.emit(c.buildSpan(call, method, tc, parentSpan, payload, out, resp, res.rxAtNs, rcvdNs, hedged))
 		}
 		if resp.Code != trace.OK {
@@ -435,11 +363,11 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		}
 		return out, nil
 	case <-ctx.Done():
-		sc.abandon(call)
-		sc.cancelRemote(streamID)
+		cc.abandon(call)
+		cc.cancelRemote(streamID)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
-	case <-sc.closed:
-		sc.abandon(call)
+	case <-c.closed:
+		cc.abandon(call)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 	}
 }
@@ -493,7 +421,7 @@ func cancelCode(ctx context.Context) trace.ErrorCode {
 // abandon removes a pending call so a late response is dropped, and
 // reclaims a response that beat it: deliver hands results over under c.mu,
 // so one is either in resultCh by now or will never be.
-func (c *Channel) abandon(call *clientCall) {
+func (c *clientConn) abandon(call *clientCall) {
 	c.mu.Lock()
 	delete(c.pending, call.streamID)
 	c.mu.Unlock()
@@ -508,7 +436,7 @@ func (c *Channel) abandon(call *clientCall) {
 // with none (cancelled, duplicate, already failed by the send side) it
 // releases the buffer. The hand-over happens under c.mu so it cannot
 // interleave with abandon.
-func (c *Channel) deliver(streamID uint64, res *callResult) {
+func (c *clientConn) deliver(streamID uint64, res *callResult) {
 	c.mu.Lock()
 	call := c.pending[streamID]
 	delete(c.pending, streamID)
@@ -529,15 +457,17 @@ func (c *Channel) deliver(streamID uint64, res *callResult) {
 // rides the send queue behind the request it cancels, so a caller whose
 // deadline has passed never touches a possibly stalled socket; a full
 // queue drops it, and the deadline the request carried ends the handler.
-func (c *Channel) cancelRemote(streamID uint64) {
+func (c *clientConn) cancelRemote(streamID uint64) {
 	select {
 	case c.sendQ <- &clientCall{streamID: streamID, cancel: true}:
 	default:
 	}
 }
 
-// finish emits an error span and returns the matching error.
-func (c *Channel) finish(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) error {
+// newSpan starts a call's span: its identity, sizes and outcome, and the
+// two components the client's send side stamps (call is nil when the call
+// never got that far).
+func (c *Channel) newSpan(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) *trace.Span {
 	span := &trace.Span{
 		TraceID:       tc.TraceID,
 		SpanID:        tc.SpanID,
@@ -559,35 +489,26 @@ func (c *Channel) finish(call *clientCall, method string, tc TraceContext, paren
 			}
 		}
 	}
-	c.emit(span)
-	switch code {
-	case trace.OK:
-		return nil
-	case trace.Cancelled:
-		return ErrCancelled
-	case trace.DeadlineExceeded:
-		return ErrDeadlineExceeded
-	case trace.Unavailable:
+	return span
+}
+
+// finish emits an error span and returns the matching error.
+func (c *Channel) finish(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) error {
+	c.emit(c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, code, hedged))
+	if code == trace.Unavailable {
 		if ce := c.err.Load(); ce != nil && ce.err != nil {
 			return &Status{Code: trace.Unavailable, Message: ce.err.Error()}
 		}
 		return ErrUnavailable
-	default:
-		return &Status{Code: code, Message: code.String()}
 	}
+	return codeToError(code)
 }
 
 // buildSpan assembles the full nine-component breakdown from client
 // timestamps and the server-reported timings.
 func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, resp *response, rxAtNs, rcvdNs int64, hedged bool) *trace.Span {
-	var b trace.Breakdown
-	deq, sent := call.deqNs.Load(), call.sentNs.Load()
-	if deq != 0 {
-		b[trace.ClientSendQueue] = time.Duration(deq - call.enqueuedNs)
-		if sent != 0 {
-			b[trace.ReqProcStack] = time.Duration(sent - deq)
-		}
-	}
+	span := c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, resp.Code, hedged)
+	b := &span.Breakdown
 	b[trace.ServerRecvQueue] = resp.Timings.RecvQueue
 	b[trace.ServerApp] = resp.Timings.App
 	b[trace.ServerSendQueue] = resp.Timings.SendQueue
@@ -598,7 +519,7 @@ func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, pa
 	// the response arriving, minus the server's residence time. Split it
 	// between the directions in proportion to bytes moved.
 	var wireTotal time.Duration
-	if sent != 0 {
+	if sent := call.sentNs.Load(); sent != 0 {
 		wireTotal = time.Duration(rxAtNs-sent) - resp.Timings.Elapsed
 	}
 	if wireTotal < 0 {
@@ -611,31 +532,16 @@ func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, pa
 	reqFrac := reqB / (reqB + respB)
 	b[trace.ReqNetworkWire] = time.Duration(float64(wireTotal) * reqFrac)
 	b[trace.RespNetworkWire] = wireTotal - b[trace.ReqNetworkWire]
-
-	return &trace.Span{
-		TraceID:       tc.TraceID,
-		SpanID:        tc.SpanID,
-		ParentID:      parentSpan,
-		Method:        method,
-		Service:       ServiceOf(method),
-		ClientCluster: c.opts.ClusterName,
-		ServerCluster: c.serverCluster,
-		Breakdown:     b,
-		RequestBytes:  int64(len(reqPayload)),
-		ResponseBytes: int64(len(respPayload)),
-		Err:           resp.Code,
-		Hedged:        hedged,
-	}
+	return span
 }
 
-func (c *Channel) emit(span *trace.Span) error {
+func (c *Channel) emit(span *trace.Span) {
 	if c.opts.Collector != nil {
 		c.opts.Collector.Collect(span)
 	}
-	if c.opts.Telemetry != nil {
-		c.opts.Telemetry.Observe(span)
+	if c.opts.Observer != nil {
+		c.opts.Observer.Observe(span)
 	}
-	return nil
 }
 
 // ServiceOf extracts the service name from a fully qualified method
@@ -647,56 +553,22 @@ func ServiceOf(method string) string {
 	return method
 }
 
-// sendBatchBytes bounds how many marshalled request bytes one drain pass
-// of the sendLoop accumulates before flushing, in the style of gRPC's
-// loopyWriter: after blocking on the first queued call, further pending
-// calls are drained non-blockingly and the whole batch leaves in one
-// write, amortizing the syscall across concurrent callers.
-const sendBatchBytes = 128 << 10
-
-// sendLoop drains the send queue: compression, marshalling, encryption,
-// and the write — the client side of ReqProcStack. It holds the turn from
-// dequeue to flush.
-func (c *Channel) sendLoop() {
-	defer c.loops.Done()
-	for {
-		select {
-		case call := <-c.sendQ:
-			c.turn.lock()
-			c.prepareCall(call)
-		drain:
-			for c.turn.size < sendBatchBytes {
-				select {
-				case next := <-c.sendQ:
-					c.prepareCall(next)
-				default:
-					break drain
-				}
-			}
-			c.endTurn(time.Time{})
-		case <-c.closed:
-			return
-		}
-	}
-}
-
 // endTurn flushes the turn's batch (by: write deadline, zero for none) and
 // releases the turn. A failed write kills the channel: the stream may be
 // torn, and a write deadline leaves the conn open.
-func (c *Channel) endTurn(by time.Time) {
+func (c *clientConn) endTurn(by time.Time) {
 	err := c.flushBatch(by)
 	c.turn.unlock()
 	if err != nil {
-		c.fail(err)
-		c.tr.close()
+		c.ch.fail(err)
 	}
 }
 
 // prepareCall stamps the dequeue timestamp and marshals one call's
-// request envelope into a pooled buffer, appending it to the turn's batch.
-// Caller holds the turn.
-func (c *Channel) prepareCall(call *clientCall) {
-	call.deqNs.Store(c.sinceEpoch())
+// request envelope into a pooled buffer, appending it to the turn's batch
+// — the client side of ReqProcStack. Caller holds the turn.
+func (c *clientConn) prepareCall(call *clientCall) {
+	call.deqNs.Store(c.ch.sinceEpoch())
 	if call.dropped {
 		// Fault plane: the request vanishes. The call stays pending until
 		// its deadline expires, exactly like a packet lost past the
@@ -714,7 +586,7 @@ func (c *Channel) prepareCall(call *clientCall) {
 		// is never copied into the envelope — and never compressed; bulk
 		// payloads are past the size where compression pays its cycles.
 		if len(req.Payload) > wire.MaxFrameSize {
-			c.failCall(call, wire.ErrFrameTooLarge)
+			call.fail(wire.ErrFrameTooLarge)
 			return
 		}
 		call.bulkPayload = req.Payload
@@ -724,21 +596,11 @@ func (c *Channel) prepareCall(call *clientCall) {
 		c.turn.add(call, env, len(env)+len(call.bulkPayload))
 		return
 	}
-	if c.opts.Compression != compressor.None && len(req.Payload) >= c.opts.CompressThreshold &&
-		c.gate.shouldCompress(req.Method, req.Payload) {
-		inLen := len(req.Payload)
-		if compressed, err := c.comp.Compress(req.Payload); err == nil {
-			c.gate.observe(req.Method, inLen, len(compressed))
-			if len(compressed) < inLen {
-				req.Payload = compressed
-				req.Compressed = true
-			}
-		}
-	}
+	req.Payload, req.Compressed = c.compress(req.Method, req.Payload)
 	env := appendRequest(wire.GetBuf(len(req.Payload)+len(req.Method)+envelopeOverhead), req)
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
 		wire.PutBuf(env)
-		c.failCall(call, wire.ErrFrameTooLarge)
+		call.fail(wire.ErrFrameTooLarge)
 		return
 	}
 	c.turn.add(call, env, len(env))
@@ -747,7 +609,7 @@ func (c *Channel) prepareCall(call *clientCall) {
 // flushBatch sends the turn's batch (sendTurn.flush), leaving out calls
 // abandoned since they were queued, and stamps or fails every call that
 // went. Caller holds the turn; by is the write deadline (zero: none).
-func (c *Channel) flushBatch(by time.Time) error {
+func (c *clientConn) flushBatch(by time.Time) error {
 	t := &c.turn
 	if len(t.batch) == 0 {
 		return nil
@@ -763,14 +625,14 @@ func (c *Channel) flushBatch(by time.Time) error {
 	if err == errWriteExpired {
 		err = nil // the direct call's own deadline passed, no byte left: its ctx ends it
 	}
-	sentNs := c.sinceEpoch()
+	sentNs := c.ch.sinceEpoch()
 	for i, call := range t.batch {
 		wire.PutBuf(t.envs[i])
 		if call == nil {
 			continue
 		}
 		if err != nil {
-			c.failCall(call, err)
+			call.fail(err)
 		} else {
 			call.sentNs.Store(sentNs)
 		}
@@ -791,34 +653,26 @@ func (call *clientCall) frame() (typ byte, streamID uint64, bulk []byte) {
 	return wire.FrameRequest, call.streamID, nil
 }
 
-func (c *Channel) failCall(call *clientCall, err error) {
+// release implements outbound. A queued call holds no pooled buffer — its
+// envelope is built in its turn — and its caller is watching the channel.
+func (call *clientCall) release() {}
+
+// fail ends the call with a connection-level error, unless a result beat it.
+func (call *clientCall) fail(err error) {
 	select {
 	case call.resultCh <- &callResult{netErr: err}:
 	default:
 	}
 }
 
-// readLoop dispatches incoming frames to waiting calls and streams: it
-// runs the transport's receive loop with dispatchFrame over bulkIn, the
-// bulk-lane response assemblies, which only dispatchFrame touches — so
-// that path takes no locks beyond the pending-map lookup.
-func (c *Channel) readLoop() {
-	defer c.loops.Done()
-	bulkIn := make(map[uint64]*clientBulk)
-	c.fail(c.tr.recvLoop(func(m recvMsg) bool { return c.dispatchFrame(m, bulkIn) }))
-	for _, b := range bulkIn {
-		wire.PutBuf(b.data)
-	}
-}
-
-// dispatchFrame routes one decrypted inbound frame, taking ownership of
-// m.plain. It returns false when the connection must come down (the
-// channel is already failed by then).
-func (c *Channel) dispatchFrame(m recvMsg, bulkIn map[uint64]*clientBulk) bool {
+// dispatchFrame routes one decrypted inbound frame to the waiting call or
+// stream, taking ownership of m.plain. It returns false when the
+// connection must come down (the channel is already failed by then).
+func (c *clientConn) dispatchFrame(m recvMsg) bool {
 	plain := m.plain
 	switch m.typ {
 	case wire.FrameResponse:
-		res := &callResult{buf: plain, rxAtNs: c.sinceEpoch()}
+		res := &callResult{buf: plain, rxAtNs: c.ch.sinceEpoch()}
 		if perr := parseResponseInto(&res.resp, plain); perr != nil {
 			wire.PutBuf(plain)
 			c.deliver(m.streamID, &callResult{netErr: perr})
@@ -831,130 +685,78 @@ func (c *Channel) dispatchFrame(m recvMsg, bulkIn map[uint64]*clientBulk) bool {
 	case wire.FrameBulkResponse:
 		// Envelope of a bulk-lane response: stash it and collect the
 		// payload from the chunk frames that follow.
-		b := &clientBulk{}
-		if perr := parseResponseInto(&b.resp, plain); perr != nil {
-			wire.PutBuf(plain)
-			c.deliver(m.streamID, &callResult{netErr: perr})
-			return true
-		}
+		b := &bulkAsm{}
+		perr := parseResponseInto(&b.resp, plain)
 		// Message was copied out by the parse; nothing aliases plain.
 		b.resp.Payload = nil
 		wire.PutBuf(plain)
-		if b.resp.BulkSize == 0 {
-			c.deliverBulk(m.streamID, b, nil)
-			return true
+		switch {
+		case perr != nil:
+			c.deliver(m.streamID, &callResult{netErr: perr})
+		case b.resp.BulkSize == 0:
+			c.deliverBulk(m.streamID, b)
+		default:
+			b.hint = int(min(b.resp.BulkSize, wire.MaxFrameSize))
+			c.beginBulk(m.streamID, b)
 		}
-		bulkIn[m.streamID] = b
 	case wire.FrameStreamChunk:
-		if st := c.lookupStream(m.streamID); st != nil {
-			st.deliverChunk(m.flags, plain)
-			return true
+		if b, err := c.chunk(m); err != nil {
+			// Coded, and only this call: the connection and its other
+			// calls carry on.
+			resp := response{Code: trace.Internal, Message: "bulk response exceeds maximum size"}
+			c.deliver(m.streamID, &callResult{resp: resp, rxAtNs: c.ch.sinceEpoch()})
+		} else if b != nil {
+			c.deliverBulk(m.streamID, b)
 		}
-		b := bulkIn[m.streamID]
-		if b == nil {
-			wire.PutBuf(plain) // reset or cancelled mid-transfer
-			return true
-		}
-		if b.data == nil && m.flags&chunkEndMsg != 0 {
-			b.data = plain // single-chunk response: zero-copy handoff
-		} else {
-			if b.data == nil {
-				b.data = wire.GetBuf(int(b.resp.BulkSize))
-			}
-			b.data = append(b.data, plain...)
-			wire.PutBuf(plain)
-		}
-		if m.flags&chunkEndMsg != 0 {
-			delete(bulkIn, m.streamID)
-			c.deliverBulk(m.streamID, b, b.data)
-		}
-	case wire.FrameWindowUpdate:
-		if st := c.lookupStream(m.streamID); st != nil {
-			st.grantFromPeer(plain)
-		}
-		wire.PutBuf(plain)
-	case wire.FrameReset:
-		if st := c.lookupStream(m.streamID); st != nil {
-			st.resetFromPeer(plain)
-		}
-		wire.PutBuf(plain)
 	case wire.FramePong:
 		wire.PutBuf(plain)
-		c.pingMu.Lock()
-		ch := c.pingCh
-		c.pingCh = nil
-		c.pingMu.Unlock()
+		c.ch.pingMu.Lock()
+		ch := c.ch.pingCh
+		c.ch.pingCh = nil
+		c.ch.pingMu.Unlock()
 		if ch != nil {
 			ch <- time.Now()
 		}
 	case wire.FrameGoAway:
 		wire.PutBuf(plain)
-		c.fail(ErrUnavailable)
+		c.ch.fail(ErrUnavailable)
 		return false
 	default:
-		wire.PutBuf(plain)
+		c.control(m)
 	}
 	return true
 }
 
-// deliverBulk completes a bulk-lane response: data (the assembly buffer,
-// possibly nil for an empty or error response) transfers to the waiting
-// caller.
-func (c *Channel) deliverBulk(streamID uint64, b *clientBulk, data []byte) {
-	b.resp.Payload = data
+// deliverBulk completes a bulk-lane response: b.data (the assembly buffer,
+// nil for an empty or error response) transfers to the waiting caller.
+func (c *clientConn) deliverBulk(streamID uint64, b *bulkAsm) {
+	b.resp.Payload = b.data
 	c.serverLoad.Store(int64(b.resp.Load))
-	c.deliver(streamID, &callResult{resp: b.resp, buf: data, bulk: true, rxAtNs: c.sinceEpoch()})
+	c.deliver(streamID, &callResult{resp: b.resp, buf: b.data, bulk: true, rxAtNs: c.ch.sinceEpoch()})
 }
 
 // ServerLoad returns the server's most recently reported load estimate
 // (receive-queue depth plus executing handlers), 0 until the first
 // response arrives. It is the piggybacked signal load-aware balancing
-// policies consume. On a striped channel it is the freshest report any
-// stripe has seen — the maximum, since every stripe talks to one server.
+// policies consume: the freshest report any connection has seen — the
+// maximum, since every connection talks to one server.
 func (c *Channel) ServerLoad() int {
-	if len(c.stripes) == 0 {
-		return int(c.serverLoad.Load())
-	}
 	load := int64(0)
-	for _, s := range c.stripes {
-		if l := s.serverLoad.Load(); l > load {
-			load = l
-		}
+	for _, cc := range c.conns {
+		load = max(load, cc.serverLoad.Load())
 	}
 	return int(load)
 }
 
-// InFlight returns how many calls on this channel await a response,
-// summed across stripes.
+// InFlight returns how many calls on this channel await a response.
 func (c *Channel) InFlight() int {
-	if len(c.stripes) == 0 {
-		c.mu.Lock()
-		n := len(c.pending)
-		c.mu.Unlock()
-		return n
-	}
 	n := 0
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		n += len(s.pending)
-		s.mu.Unlock()
+	for _, cc := range c.conns {
+		cc.mu.Lock()
+		n += len(cc.pending)
+		cc.mu.Unlock()
 	}
 	return n
-}
-
-// lookupStream returns the live stream for id, nil if none.
-func (c *Channel) lookupStream(id uint64) *Stream {
-	c.mu.Lock()
-	st := c.streams[id]
-	c.mu.Unlock()
-	return st
-}
-
-// dropStream detaches a stream from the channel's table.
-func (c *Channel) dropStream(id uint64) {
-	c.mu.Lock()
-	delete(c.streams, id)
-	c.mu.Unlock()
 }
 
 // Ping measures transport round-trip time, including encryption but not
@@ -969,7 +771,7 @@ func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
 	c.pingCh = ch
 	c.pingMu.Unlock()
 	start := time.Now()
-	if err := c.tr.send(wire.FramePing, 0, nil); err != nil {
+	if err := c.conns[0].tr.send(wire.FramePing, 0, nil); err != nil {
 		c.pingMu.Lock()
 		c.pingCh = nil
 		c.pingMu.Unlock()
@@ -988,54 +790,38 @@ func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
 	}
 }
 
-// fail kills the channel: all pending and future calls error out. On a
-// striped channel it condemns every stripe — one logical connection.
+// fail kills the channel, once: the first error is the one callers see,
+// every connection comes down, and all pending and future calls and
+// streams error out.
 func (c *Channel) fail(err error) {
-	if c.onFail != nil {
-		c.onFail(err)
-		return
-	}
-	c.failLocal(err)
-}
-
-// failLocal kills this channel (this stripe) only.
-func (c *Channel) failLocal(err error) {
-	c.err.Store(&channelError{err: err})
-	c.closeOnce.Do(func() { close(c.closed) })
-	c.mu.Lock()
-	pending := c.pending
-	c.pending = make(map[uint64]*clientCall)
-	streams := c.streams
-	c.streams = nil
-	c.mu.Unlock()
-	for _, call := range pending {
-		c.failCall(call, err)
-	}
-	for _, st := range streams {
-		st.terminate(ErrUnavailable, false)
-	}
-}
-
-// Close shuts the channel down. Pending calls fail with Unavailable.
-func (c *Channel) Close() error {
-	if len(c.stripes) > 0 {
-		var err error
-		for _, s := range c.stripes {
-			if e := s.closeLocal(); e != nil && err == nil {
-				err = e
+	c.failOnce.Do(func() {
+		c.err.Store(&channelError{err: err})
+		close(c.closed)
+		for _, cc := range c.conns {
+			cc.shutdown()
+			cc.mu.Lock()
+			pending := cc.pending
+			cc.pending = make(map[uint64]*clientCall)
+			cc.mu.Unlock()
+			for _, call := range pending {
+				call.fail(err)
 			}
+			cc.streams.failAll()
 		}
-		return err
-	}
-	return c.closeLocal()
+	})
 }
 
-// closeLocal tears down one channel (one stripe): fail everything, close
-// the conn so the loops unwind, join them, then stop the codec workers.
-func (c *Channel) closeLocal() error {
+// Close shuts the channel down: pending calls fail with Unavailable, every
+// connection's loops are joined and its codec workers stopped.
+func (c *Channel) Close() error {
 	c.fail(ErrUnavailable)
-	err := c.tr.close()
-	c.loops.Wait()
-	c.tr.stopCodec()
+	var err error
+	for _, cc := range c.conns {
+		cc.loops.Wait()
+		cc.tr.stopCodec()
+		if err == nil {
+			err = cc.closeErr
+		}
+	}
 	return err
 }

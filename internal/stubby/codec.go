@@ -96,7 +96,7 @@ type codecPool struct {
 
 	seal *secure.Session
 	open *secure.Session
-	obs  DataPlaneObserver // optional codec-queue telemetry
+	obs  Observer // optional codec-queue telemetry
 
 	mu      sync.Mutex // rank sanitize.RankCodecQueue
 	free    []*codecJob
@@ -107,7 +107,7 @@ type codecPool struct {
 
 // newCodecPool starts workers goroutines sealing with seal and opening
 // with open. obs may be nil.
-func newCodecPool(workers int, seal, open *secure.Session, obs DataPlaneObserver) *codecPool {
+func newCodecPool(workers int, seal, open *secure.Session, obs Observer) *codecPool {
 	p := &codecPool{
 		// Two queued jobs per worker keeps every worker busy while the
 		// submitting loop is itself copying or framing.
@@ -235,32 +235,25 @@ func (p *codecPool) submit(j *codecJob) {
 	p.jobs <- j
 }
 
-// submitSealChunks splits data into bulk chunks (the appendChunkedLocked
-// chunking, including the empty-message chunk) and submits one seal job
-// per chunk, appending the jobs to dst in submission order. The caller
-// must be inside an enter/exit cycle, must keep data alive and unmodified
-// until every job is harvested, and must harvest the jobs in order — the
-// transport's appendSealedLocked does both.
-func (p *codecPool) submitSealChunks(dst []*codecJob, streamID uint64, data []byte, endFlags byte) []*codecJob {
-	_ = streamID // chunks carry no stream state; kept for call-site symmetry
-	for first := true; first || len(data) > 0; first = false {
-		n := len(data)
-		if n > bulkChunkSize {
-			n = bulkChunkSize
-		}
-		var flags byte
-		if n == len(data) {
-			flags = chunkEndMsg | endFlags
-		}
+// submitSealChunks submits one seal job per bulk chunk of data (nextChunk),
+// appending the jobs to dst in submission order. The caller must be inside
+// an enter/exit cycle, must keep data alive and unmodified until every job
+// is harvested, and must harvest the jobs in order — the transport's
+// appendSealedLocked does both.
+func (p *codecPool) submitSealChunks(dst []*codecJob, data []byte, endFlags byte) []*codecJob {
+	for {
+		chunk, rest, flags := nextChunk(data, endFlags)
 		j := p.getJob()
 		j.op = codecSeal
 		j.flags = flags
-		j.in = data[:n]
+		j.in = chunk
 		dst = append(dst, j)
 		p.submit(j)
-		data = data[n:]
+		if flags != 0 {
+			return dst
+		}
+		data = rest
 	}
-	return dst
 }
 
 // codecWorkerCount resolves the Options.CodecWorkers knob: n > 0 forces a

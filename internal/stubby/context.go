@@ -69,6 +69,28 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) {
 	return tc, ok
 }
 
+// childTrace resolves the tracing state of an outgoing call or stream: a
+// child span of the caller's (parent is its span ID), or a new root.
+func childTrace(ctx context.Context) (tc TraceContext, parent trace.SpanID) {
+	tc.SpanID = nextSpanID()
+	if p, ok := TraceFromContext(ctx); ok {
+		tc.TraceID, parent = p.TraceID, p.SpanID
+	} else {
+		tc.TraceID = nextTraceID()
+	}
+	return tc, parent
+}
+
+// requestContext is the context a handler runs under: the caller's trace
+// state, and the deadline the request envelope carried, if any.
+func requestContext(req *request) (context.Context, context.CancelFunc) {
+	ctx := ContextWithTrace(context.Background(), TraceContext{TraceID: req.TraceID, SpanID: req.SpanID})
+	if req.Deadline > 0 {
+		return context.WithTimeout(ctx, req.Deadline)
+	}
+	return context.WithCancel(ctx)
+}
+
 // Process-wide ID allocation. Span IDs are sequential; trace IDs are the
 // mixed output of a counter so that modulo-based head sampling sees a
 // uniform stream.

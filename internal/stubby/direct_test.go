@@ -20,6 +20,7 @@ import (
 
 	"rpcscale/internal/compressor"
 	"rpcscale/internal/leakcheck"
+	"rpcscale/internal/testutil"
 	"rpcscale/internal/trace"
 	"rpcscale/internal/wire"
 )
@@ -301,7 +302,7 @@ func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
 // components sum to the wall time the caller saw, and the two send-queue
 // components — now the time to find the turn free — are not negative.
 func TestDirectPathBreakdownReconciles(t *testing.T) {
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	ch, _ := testSetup(t, Options{Collector: col, Workers: 2}, map[string]Handler{"svc/Echo": echoHandler})
 	payload := make([]byte, 128)
 	const calls = 400
@@ -333,7 +334,10 @@ func TestDirectPathBreakdownReconciles(t *testing.T) {
 		}
 	}
 	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	if med := gaps[calls/2]; med > 50*time.Microsecond {
+	// The size of the gap is a timing: under -race and -tags sanitize the
+	// uninstrumented few microseconds become 50–80 on this box, at the
+	// parent commit as here, so only an uninstrumented build holds it.
+	if med := gaps[calls/2]; med > 50*time.Microsecond && !testutil.Instrumented {
 		t.Errorf("median wall time not covered by the breakdown: %v", med)
 	}
 }
@@ -376,17 +380,6 @@ func TestDeadlineRacingResponseReturnsBuffers(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Error(err)
-	}
-	// Let the server finish the calls their callers gave up on before the
-	// connection goes: a response still queued when it closes drops its
-	// request buffer to the GC (legal, and as before this PR), which is not
-	// the hand-over under test. Nothing queued or running, then one answered
-	// call — its response leaves behind every earlier one.
-	for srv.Load() != 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {
 		t.Error(err)
 	}
 	ch.Close()
@@ -447,5 +440,80 @@ func TestOversizeResponseEndsCoded(t *testing.T) {
 	// The connection is still good.
 	if _, err := ch.Call(context.Background(), "svc/Huge", nil); Code(err) != trace.NoResource {
 		t.Fatalf("second call: %v", err)
+	}
+}
+
+// closeNotifyListener reports, on closed, when the server closes the first
+// connection it accepted — the moment it has seen that connection go down.
+type closeNotifyListener struct {
+	net.Listener
+	closed chan struct{}
+}
+
+type closeNotifyConn struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (l *closeNotifyListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &closeNotifyConn{Conn: nc, closed: l.closed}, nil
+}
+
+func (c *closeNotifyConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCloseWithResponsesOwedReturnsBuffers closes a channel with 64 echo
+// calls in flight — 8 in their handlers, the rest queued behind them — and
+// lets the handlers finish only once the server has seen the connection go
+// down: every response then meets a closed connection, whether it takes the
+// direct path, queues, or was already queued, and each must still give its
+// pooled request buffer back.
+func TestCloseWithResponsesOwedReturnsBuffers(t *testing.T) {
+	leakcheck.Check(t)
+	outstanding := poolBalance()
+	const calls, workers = 64, 8
+	release := make(chan struct{})
+	srv := NewServer(Options{Workers: workers})
+	srv.Register("svc/Echo", func(_ context.Context, p []byte) ([]byte, error) {
+		<-release
+		return p, nil
+	})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &closeNotifyListener{Listener: tcp, closed: make(chan struct{})}
+	go srv.Serve(l)
+	ch, err := Dial(tcp.Addr().String(), "owed", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < calls; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ch.Call(context.Background(), "svc/Echo", make([]byte, 128)); Code(err) != trace.Unavailable {
+				t.Errorf("call on a channel closed under it: %v, want Unavailable", err)
+			}
+		}()
+	}
+	for srv.Load() != calls { // all of them running or queued
+		time.Sleep(time.Millisecond)
+	}
+	ch.Close()
+	wg.Wait()
+	<-l.closed
+	close(release)
+	srv.Close() // joins the workers: every call has been through handle
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after Close", n)
 	}
 }

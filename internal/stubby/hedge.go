@@ -18,6 +18,13 @@ import (
 // its own span, so the cancellation economics are visible in the trace
 // data exactly as they are in production.
 func (c *Channel) CallHedged(ctx context.Context, method string, payload []byte, hedgeDelay time.Duration) ([]byte, error) {
+	return callHedged(ctx, c, c, method, payload, hedgeDelay)
+}
+
+// callHedged runs one hedged call: the primary leg on primary, the hedge
+// leg — if it comes to that — on secondary (the same channel, or another
+// replica's: Pool.CallHedged).
+func callHedged(ctx context.Context, primary, secondary *Channel, method string, payload []byte, hedgeDelay time.Duration) ([]byte, error) {
 	type result struct {
 		payload []byte
 		err     error
@@ -27,7 +34,7 @@ func (c *Channel) CallHedged(ctx context.Context, method string, payload []byte,
 	results := make(chan result, 2)
 
 	go func() {
-		out, err := c.call(primCtx, method, payload, false)
+		out, err := primary.call(primCtx, method, payload, false)
 		results <- result{out, err}
 	}()
 
@@ -41,7 +48,7 @@ func (c *Channel) CallHedged(ctx context.Context, method string, payload []byte,
 		var hctx context.Context
 		hctx, hedgeCancel = context.WithCancel(ctx)
 		go func() {
-			out, err := c.call(hctx, method, payload, true)
+			out, err := secondary.call(hctx, method, payload, true)
 			results <- result{out, err}
 		}()
 	}
@@ -61,11 +68,7 @@ func (c *Channel) CallHedged(ctx context.Context, method string, payload []byte,
 			}
 		case r := <-results:
 			if r.err == nil {
-				// Winner: cancel the other leg and return.
-				cancelPrim()
-				if hedgeCancel != nil {
-					hedgeCancel()
-				}
+				// Winner: the deferred cancels stop the other leg.
 				return r.payload, nil
 			}
 			// A losing leg that was cancelled by us is not the caller's
@@ -76,15 +79,12 @@ func (c *Channel) CallHedged(ctx context.Context, method string, payload []byte,
 				}
 			}
 			errSeen++
+			// A primary that fails before the hedge fired fails fast.
 			expected := 1
 			if hedgeLaunched {
 				expected = 2
 			}
 			if errSeen >= expected {
-				if !hedgeLaunched {
-					// Primary failed before the hedge fired; fail fast.
-					return nil, firstErr
-				}
 				return nil, firstErr
 			}
 		case <-ctx.Done():

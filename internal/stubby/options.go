@@ -9,39 +9,22 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// SpanObserver receives every span the stack produces. It must be safe
-// for concurrent use; the caller may be any client goroutine.
-// *telemetry.Plane is the canonical implementation.
-type SpanObserver interface {
+// Observer receives what the stack reports about itself: every span, the
+// robustness layer's events (retries the budget admitted or refused,
+// circuit-breaker transitions, calls the server shed) and the data plane's
+// (codec-pool activity, adaptive-compression skips). It must be safe for
+// concurrent use; any goroutine of the stack may call it. Embed NopObserver
+// and override what you need; *telemetry.Plane is the canonical
+// implementation.
+type Observer interface {
+	// Observe receives a trace.Span for every completed call.
 	Observe(*trace.Span)
-}
 
-// RobustnessObserver receives the robustness layer's events: retries the
-// budget admitted or refused, circuit-breaker state transitions, and
-// calls the server shed under load. It must be safe for concurrent use;
-// *telemetry.Plane is the canonical implementation (the counters behind
-// rpcbench's chaos report).
-type RobustnessObserver interface {
 	RetryAttempt(method string)
 	RetrySuppressed(method string)
 	BreakerTransition(method string, from, to BreakerState)
 	CallShed(method string)
-}
 
-// NopRobustnessObserver ignores every robustness event. Set it on
-// Options.Robustness to keep telemetry.Plane.Apply from installing the
-// plane there.
-type NopRobustnessObserver struct{}
-
-func (NopRobustnessObserver) RetryAttempt(string)                                  {}
-func (NopRobustnessObserver) RetrySuppressed(string)                               {}
-func (NopRobustnessObserver) BreakerTransition(string, BreakerState, BreakerState) {}
-func (NopRobustnessObserver) CallShed(string)                                      {}
-
-// DataPlaneObserver receives the multi-core data plane's events: codec
-// pool activity and adaptive-compression decisions. It must be safe for
-// concurrent use; *telemetry.Plane is the canonical implementation.
-type DataPlaneObserver interface {
 	// CodecJobEnqueued reports one frame handed to the codec workers and
 	// the number of jobs already queued ahead of it.
 	CodecJobEnqueued(queued int)
@@ -50,6 +33,17 @@ type DataPlaneObserver interface {
 	// spared on.
 	CompressSkipped(method string, bytes int)
 }
+
+// NopObserver ignores every event; embed it to implement Observer.
+type NopObserver struct{}
+
+func (NopObserver) Observe(*trace.Span)                                  {}
+func (NopObserver) RetryAttempt(string)                                  {}
+func (NopObserver) RetrySuppressed(string)                               {}
+func (NopObserver) BreakerTransition(string, BreakerState, BreakerState) {}
+func (NopObserver) CallShed(string)                                      {}
+func (NopObserver) CodecJobEnqueued(int)                                 {}
+func (NopObserver) CompressSkipped(string, int)                          {}
 
 // Options configures a Channel or Server. The zero value is usable; New*
 // functions fill in defaults.
@@ -71,12 +65,14 @@ type Options struct {
 	// side) and every served request (server side). Nil disables tracing.
 	Collector *trace.Collector
 
-	// Telemetry is the observability plane's hook: it receives every
-	// span the stack produces, after the Collector. This is the single
-	// option through which internal/telemetry plugs Monarch export, GWP
-	// cycle attribution, and Dapper span retention into the stack; the
-	// stack itself stays ignorant of those systems. Nil disables it.
-	Telemetry SpanObserver
+	// Observer is the observability plane's hook: it receives every span
+	// the stack produces (after the Collector) and the robustness and
+	// data-plane events. This is the single option through which
+	// internal/telemetry plugs Monarch export, GWP cycle attribution, and
+	// Dapper span retention into the stack; the stack itself stays
+	// ignorant of those systems. Nil disables it — an unobserved call
+	// builds no span (telemetry.Plane.Apply installs the plane here).
+	Observer Observer
 
 	// ClusterName labels spans with the placement of this endpoint.
 	ClusterName string
@@ -119,10 +115,6 @@ type Options struct {
 	// queue-full NoResource rejection applies regardless.
 	ShedThreshold int
 
-	// Robustness observes retry, breaker, and shedding events. Nil
-	// disables (telemetry.Plane.Apply installs itself here).
-	Robustness RobustnessObserver
-
 	// StreamWindow is the initial per-direction credit window of every
 	// stream opened on this endpoint, in bytes: the peer may have at most
 	// this many unconsumed payload bytes in flight per stream, and a
@@ -157,10 +149,6 @@ type Options struct {
 	// bytes plus a windowed observed-ratio estimator) says the payloads
 	// do not compress — the paper's compression tax is pure waste there.
 	AdaptiveCompression bool
-
-	// DataPlane observes codec-pool and adaptive-compression events. Nil
-	// disables (telemetry.Plane.Apply installs itself here).
-	DataPlane DataPlaneObserver
 
 	// PoolPicker, when non-nil, replaces a Pool's round-robin channel
 	// selection: it is called with the live members (never empty, not

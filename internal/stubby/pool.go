@@ -154,66 +154,7 @@ func (p *Pool) CallHedged(ctx context.Context, method string, payload []byte, he
 	if err != nil || secondary == primary {
 		return primary.CallHedged(ctx, method, payload, hedgeDelay)
 	}
-	type result struct {
-		payload []byte
-		err     error
-	}
-	results := make(chan result, 2)
-	primCtx, cancelPrim := context.WithCancel(ctx)
-	defer cancelPrim()
-	go func() {
-		out, err := primary.call(primCtx, method, payload, false)
-		results <- result{out, err}
-	}()
-	timer := time.NewTimer(hedgeDelay)
-	defer timer.Stop()
-	var hedgeCancel context.CancelFunc
-	defer func() {
-		if hedgeCancel != nil {
-			hedgeCancel()
-		}
-	}()
-	hedged := false
-	launchHedge := func() {
-		hedged = true
-		var hctx context.Context
-		hctx, hedgeCancel = context.WithCancel(ctx)
-		go func() {
-			out, err := secondary.call(hctx, method, payload, true)
-			results <- result{out, err}
-		}()
-	}
-	var firstErr error
-	seen := 0
-	for {
-		select {
-		case <-timer.C:
-			if !hedged {
-				launchHedge()
-			}
-		case r := <-results:
-			if r.err == nil {
-				cancelPrim()
-				if hedgeCancel != nil {
-					hedgeCancel()
-				}
-				return r.payload, nil
-			}
-			if firstErr == nil || Code(firstErr) == trace.Cancelled {
-				firstErr = r.err
-			}
-			seen++
-			expected := 1
-			if hedged {
-				expected = 2
-			}
-			if seen >= expected {
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			return nil, codeToError(cancelCode(ctx))
-		}
-	}
+	return callHedged(ctx, primary, secondary, method, payload, hedgeDelay)
 }
 
 // replace drops a dead channel and dials a replacement.
@@ -241,15 +182,6 @@ func (p *Pool) replace(dead *Channel) {
 		p.channels = append(p.channels, ch)
 		p.mu.Unlock()
 	}
-}
-
-// CallStreamAny starts a server-streaming call on one pool member.
-func (p *Pool) CallStreamAny(ctx context.Context, method string, payload []byte) (*ServerStream, error) {
-	ch, err := p.pick()
-	if err != nil {
-		return nil, err
-	}
-	return ch.CallStream(ctx, method, payload)
 }
 
 // Ping measures RTT on one member.

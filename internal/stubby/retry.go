@@ -89,7 +89,7 @@ func WithRetry(policy RetryPolicy) ClientInterceptor {
 
 // WithRetryObserved is WithRetry with retry admissions and budget
 // suppressions reported to obs (nil disables reporting).
-func WithRetryObserved(policy RetryPolicy, obs RobustnessObserver) ClientInterceptor {
+func WithRetryObserved(policy RetryPolicy, obs Observer) ClientInterceptor {
 	return func(ctx context.Context, method string, payload []byte, next CallFunc) ([]byte, error) {
 		return retryCall(ctx, method, payload, policy, obs, next)
 	}
@@ -99,7 +99,7 @@ func WithRetryObserved(policy RetryPolicy, obs RobustnessObserver) ClientInterce
 // channel-integrated form (Options.Retry). Each attempt's number is
 // published in the context so the fault plane can key per-attempt
 // decisions; each outcome feeds the budget when one is configured.
-func retryCall(ctx context.Context, method string, payload []byte, policy RetryPolicy, obs RobustnessObserver, next CallFunc) ([]byte, error) {
+func retryCall(ctx context.Context, method string, payload []byte, policy RetryPolicy, obs Observer, next CallFunc) ([]byte, error) {
 	var lastErr error
 	backoff := policy.BaseBackoff
 	attempts := policy.MaxAttempts

@@ -14,6 +14,7 @@ import (
 
 // recordingObserver tallies robustness events for assertions.
 type recordingObserver struct {
+	NopObserver
 	mu          sync.Mutex
 	retries     int
 	suppressed  int
@@ -248,7 +249,7 @@ func TestLoadShedding(t *testing.T) {
 		Workers:       1,
 		RecvQueueLen:  64,
 		ShedThreshold: 2,
-		Robustness:    obs,
+		Observer:      obs,
 	}
 	ch, _ := testSetup(t, opts, map[string]Handler{
 		"svc/Slow": func(ctx context.Context, p []byte) ([]byte, error) {

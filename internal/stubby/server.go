@@ -51,8 +51,7 @@ type Server struct {
 	lnMu      sync.Mutex
 	listeners map[net.Listener]struct{}
 
-	conns sync.WaitGroup // active connection readers + writers
-	pool  sync.WaitGroup // worker pool
+	pool sync.WaitGroup // worker pool
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -74,32 +73,14 @@ type serverCall struct {
 	readDone time.Time // when the request frame finished arriving
 }
 
-// serverConn is the per-connection state: the transport plus the response
-// send queue drained by a writer goroutine (ServerSendQueue).
+// serverConn is one accepted connection: the shared connection core —
+// whose send queue is ServerSendQueue — plus what only a server keeps.
 type serverConn struct {
-	tr     *transport
-	sendQ  chan *serverResponse
-	turn   sendTurn[*serverResponse]
-	closed chan struct{}
-	once   sync.Once
-	owed   atomic.Int32 // unary calls queued or running: responses still to come (see handle)
-
-	// gate is the adaptive-compression decision state, guarded by turn;
-	// nil when adaptive compression is off.
-	gate *compressGate
+	conn[*serverResponse]
+	owed atomic.Int32 // unary calls queued or running: responses still to come (see handle)
 
 	cancelMu sync.Mutex
 	cancels  map[uint64]context.CancelFunc // in-flight calls by stream ID
-
-	streamMu sync.Mutex
-	streams  map[uint64]*Stream // live bidirectional streams
-}
-
-func (c *serverConn) shutdown() {
-	c.once.Do(func() {
-		close(c.closed)
-		c.tr.close()
-	})
 }
 
 func (c *serverConn) storeCancel(id uint64, cancel context.CancelFunc) {
@@ -123,38 +104,11 @@ func (c *serverConn) cancelStream(id uint64) {
 	}
 }
 
-func (c *serverConn) addStream(id uint64, st *Stream) {
-	c.streamMu.Lock()
-	if c.streams == nil {
-		c.streams = make(map[uint64]*Stream)
-	}
-	c.streams[id] = st
-	c.streamMu.Unlock()
-}
-
-func (c *serverConn) lookupStream(id uint64) *Stream {
-	c.streamMu.Lock()
-	st := c.streams[id]
-	c.streamMu.Unlock()
-	return st
-}
-
-func (c *serverConn) dropStream(id uint64) {
-	c.streamMu.Lock()
-	delete(c.streams, id)
-	c.streamMu.Unlock()
-}
-
-// failStreams terminates every live stream on the connection, used when
-// its read loop exits.
-func (c *serverConn) failStreams() {
-	c.streamMu.Lock()
-	streams := c.streams
-	c.streams = nil
-	c.streamMu.Unlock()
-	for _, st := range streams {
-		st.terminate(ErrUnavailable, false)
-	}
+// release returns the call's pooled buffers: it ends here, unanswered or
+// answered without them.
+func (call *serverCall) release() {
+	wire.PutBuf(call.raw)
+	wire.PutBuf(call.bulkData)
 }
 
 // serverResponse is a response waiting in the send queue.
@@ -253,135 +207,85 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
-		tr, err := newTransport(conn, s.opts.Secret, "s2c", "c2s", s.opts.EncryptionStats)
-		if err != nil {
-			conn.Close()
+		sc := &serverConn{cancels: make(map[uint64]context.CancelFunc)}
+		if sc.init(conn, &s.opts, s.comp, "s2c", "c2s") != nil {
 			continue
 		}
-		tr.startCodec(codecWorkerCount(s.opts.CodecWorkers), s.opts.DataPlane)
-		sc := &serverConn{
-			tr:      tr,
-			sendQ:   make(chan *serverResponse, s.opts.SendQueueLen),
-			cancels: make(map[uint64]context.CancelFunc),
-			closed:  make(chan struct{}),
-			gate: newCompressGate(
-				s.opts.AdaptiveCompression && s.opts.Compression != compressor.None,
-				s.opts.DataPlane, s.comp.Stats()),
-		}
-		s.conns.Add(2)
 		go s.readLoop(sc)
-		go s.writeLoop(sc)
+		go sc.sendLoop(func(sr *serverResponse) { s.prepareResponse(sc, sr) }, func() { s.endTurn(sc) })
 	}
 }
 
-// serverBulk assembles one bulk-lane request: the envelope arrives as a
-// FrameBulkRequest, the payload as chunk frames on the same stream ID.
-type serverBulk struct {
-	//rpclint:owns pooled request envelope; released by assembleBulk on
-	// hand-off or by readLoop teardown.
-	env []byte
-	//rpclint:owns pooled payload assembly; ownership moves to
-	// serverCall.bulkData when the last chunk lands.
-	data      []byte
-	readStart time.Time
-}
-
-// readLoop pulls frames off one connection and enqueues requests: it runs
-// the transport's receive loop with dispatchServerFrame over bulkIn, the
-// bulk-lane request assemblies, which only dispatchServerFrame touches — so
-// chunk reassembly takes no locks; live streams get their chunks delivered
-// directly (deliverChunk never blocks — credit windows bound the queued
-// bytes — so one stalled stream cannot head-of-line-block the connection).
+// readLoop pulls frames off one connection and enqueues requests, until
+// EOF, a closed socket, a connection-level failure or a dispatch stop
+// (shutdown, GoAway) — nothing to salvage either way. Live streams get
+// their chunks delivered directly (deliverChunk never blocks — credit
+// windows bound the queued bytes — so one stalled stream cannot
+// head-of-line-block the connection).
 func (s *Server) readLoop(sc *serverConn) {
-	defer s.conns.Done()
-	defer sc.tr.stopCodec()
-	defer sc.shutdown()
-	defer sc.failStreams()
-	bulkIn := make(map[uint64]*serverBulk)
-	// EOF, a closed socket, a connection-level failure or a dispatch stop
-	// (shutdown, GoAway); nothing to salvage either way.
-	_ = sc.tr.recvLoop(func(m recvMsg) bool { return s.dispatchServerFrame(sc, m, bulkIn) })
-	for _, b := range bulkIn {
-		wire.PutBuf(b.env)
-		wire.PutBuf(b.data)
-	}
+	_ = sc.recvLoop(func(m recvMsg) bool { return s.dispatchServerFrame(sc, m) })
+	sc.streams.failAll()
+	sc.shutdown()
+	sc.tr.stopCodec()
 }
 
-// dispatchServerFrame routes one decoded frame; false means the read loop
-// should exit (shutdown or GoAway).
-func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg, bulkIn map[uint64]*serverBulk) bool {
-	plain := m.plain
+// dispatchServerFrame routes one decoded frame, taking ownership of
+// m.plain; false means the read loop should exit (shutdown or GoAway).
+func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 	switch m.typ {
 	case wire.FrameRequest:
-		if t := s.opts.ShedThreshold; t > 0 && len(s.recvQ) >= t {
-			// Load shedding: past the configured queue depth, new
-			// arrivals would only queue toward deadlines they will
-			// miss, so reject them immediately with Unavailable —
-			// the fail-fast overload posture the paper's §7 retry
-			// analysis assumes servers adopt.
-			s.shed(sc, m.streamID, plain)
-			wire.PutBuf(plain)
+		if s.shed(sc, m.streamID, m.plain, false) {
+			wire.PutBuf(m.plain)
 			return true
 		}
 		call := &serverCall{
 			conn:     sc,
 			streamID: m.streamID,
-			raw:      plain, // pooled; ownership travels with the call
+			raw:      m.plain, // pooled; ownership travels with the call
 			readDone: time.Now(),
 		}
 		return s.enqueue(call)
 	case wire.FrameBulkRequest:
 		// Envelope of a bulk-lane request; the payload follows as
 		// chunks. Queue admission happens when the payload completes.
-		bulkIn[m.streamID] = &serverBulk{env: plain, readStart: time.Now()}
+		sc.beginBulk(m.streamID, &bulkAsm{env: m.plain, at: time.Now()})
 	case wire.FrameStreamOpen:
-		return s.acceptStream(sc, m.streamID, plain)
+		return s.acceptStream(sc, m.streamID, m.plain)
 	case wire.FrameStreamChunk:
-		if b := bulkIn[m.streamID]; b != nil {
-			done, ok := s.assembleBulk(sc, m.streamID, b, m.flags, plain)
-			if done {
-				delete(bulkIn, m.streamID)
-			}
-			return ok
-		}
-		if st := sc.lookupStream(m.streamID); st != nil {
-			st.deliverChunk(m.flags, plain)
+		b, err := sc.chunk(m)
+		if err != nil {
+			// A well-behaved client caps bulk payloads at MaxFrameSize;
+			// this peer did not.
+			s.reject(sc, m.streamID, trace.InvalidArgument, "bulk request exceeds maximum size")
 			return true
 		}
-		wire.PutBuf(plain) // stream already reset or unknown
-	case wire.FrameWindowUpdate:
-		if st := sc.lookupStream(m.streamID); st != nil {
-			st.grantFromPeer(plain)
+		if b == nil {
+			return true
 		}
-		wire.PutBuf(plain)
-	case wire.FrameReset:
-		if b := bulkIn[m.streamID]; b != nil {
-			delete(bulkIn, m.streamID)
-			wire.PutBuf(b.env)
-			wire.PutBuf(b.data)
+		if s.shed(sc, m.streamID, b.env, false) {
+			b.release()
+			return true
 		}
-		if st := sc.lookupStream(m.streamID); st != nil {
-			// Terminating cancels the handler's context promptly and
-			// fails its blocked Sends — the client walked away.
-			st.resetFromPeer(plain)
+		call := &serverCall{
+			conn:     sc,
+			streamID: m.streamID,
+			raw:      b.env,
+			bulkData: b.data,
+			readDone: b.at,
 		}
-		wire.PutBuf(plain)
+		return s.enqueue(call)
 	case wire.FrameCancel:
-		wire.PutBuf(plain)
-		if b := bulkIn[m.streamID]; b != nil {
-			delete(bulkIn, m.streamID)
-			wire.PutBuf(b.env)
-			wire.PutBuf(b.data)
-		}
+		wire.PutBuf(m.plain)
+		sc.dropBulk(m.streamID)
 		sc.cancelStream(m.streamID)
 	case wire.FramePing:
-		wire.PutBuf(plain)
+		wire.PutBuf(m.plain)
 		_ = sc.tr.send(wire.FramePong, m.streamID, nil)
 	case wire.FrameGoAway:
-		wire.PutBuf(plain)
+		wire.PutBuf(m.plain)
 		return false
 	default:
-		wire.PutBuf(plain)
+		sc.control(m)
 	}
 	return true
 }
@@ -396,8 +300,7 @@ func (s *Server) enqueue(call *serverCall) bool {
 	case s.recvQ <- call:
 		return true
 	case <-s.closed:
-		wire.PutBuf(call.raw)
-		wire.PutBuf(call.bulkData)
+		call.release()
 		if call.stream != nil {
 			call.stream.terminate(ErrUnavailable, false)
 		}
@@ -411,8 +314,7 @@ func (s *Server) enqueue(call *serverCall) bool {
 			s.reject(call.conn, call.streamID, trace.NoResource, "server receive queue full")
 			call.conn.owed.Add(-1)
 		}
-		wire.PutBuf(call.raw)
-		wire.PutBuf(call.bulkData)
+		call.release()
 		return true
 	}
 }
@@ -422,22 +324,15 @@ func (s *Server) enqueue(call *serverCall) bool {
 // receive them. Its send window starts at zero; the worker installs the
 // client's declared window after the decode. False means shutdown.
 func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool {
-	if t := s.opts.ShedThreshold; t > 0 && len(s.recvQ) >= t {
-		st := &Status{Code: trace.Unavailable, Message: "server overloaded: load shed"}
-		_ = sc.tr.sendReset(streamID, st)
-		if s.opts.Robustness != nil {
-			method := ""
-			if req, err := parseRequest(env); err == nil {
-				method = req.Method
-			}
-			s.opts.Robustness.CallShed(method)
-		}
+	if s.shed(sc, streamID, env, true) {
 		wire.PutBuf(env)
 		return true
 	}
-	st := newStream(sc.tr, streamID, 0)
-	st.sc = sc
-	sc.addStream(streamID, st)
+	st := newStream(sc.tr, &sc.streams, streamID, 0)
+	if !sc.streams.add(streamID, st) {
+		wire.PutBuf(env)
+		return false
+	}
 	call := &serverCall{
 		conn:     sc,
 		streamID: streamID,
@@ -448,60 +343,31 @@ func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool 
 	return s.enqueue(call)
 }
 
-// assembleBulk folds one chunk into a bulk-lane request assembly. done
-// reports the assembly finished (successfully or not); ok=false means the
-// server is shutting down.
-func (s *Server) assembleBulk(sc *serverConn, streamID uint64, b *serverBulk, flags byte, data []byte) (done, ok bool) {
-	if len(b.data)+len(data) > wire.MaxFrameSize {
-		// A well-behaved client caps bulk payloads at MaxFrameSize; this
-		// peer did not.
-		wire.PutBuf(data)
-		wire.PutBuf(b.env)
-		wire.PutBuf(b.data)
-		s.reject(sc, streamID, trace.InvalidArgument, "bulk request exceeds maximum size")
-		return true, true
+// shed refuses one arrival when the receive queue is at the shedding
+// threshold, and reports whether it did: past that depth new arrivals
+// would only queue toward deadlines they will miss, so they fail at once
+// with Unavailable (a stream open with a reset) — the fail-fast overload
+// posture the paper's §7 retry analysis assumes servers adopt. env, still
+// the caller's, is parsed only on this rare, already-failing path so the
+// shed can be attributed to a method; the request is not decompressed.
+func (s *Server) shed(sc *serverConn, streamID uint64, env []byte, stream bool) bool {
+	if t := s.opts.ShedThreshold; t <= 0 || len(s.recvQ) < t {
+		return false
 	}
-	if b.data == nil && flags&chunkEndMsg != 0 {
-		b.data = data // single-chunk payload: zero-copy handoff
+	st := &Status{Code: trace.Unavailable, Message: "server overloaded: load shed"}
+	if stream {
+		_ = sc.tr.sendReset(streamID, st)
 	} else {
-		if b.data == nil {
-			b.data = wire.GetBuf(2 * len(data))
+		s.reject(sc, streamID, st.Code, st.Message)
+	}
+	if s.opts.Observer != nil {
+		method := ""
+		if req, err := parseRequest(env); err == nil {
+			method = req.Method
 		}
-		b.data = append(b.data, data...)
-		wire.PutBuf(data)
+		s.opts.Observer.CallShed(method)
 	}
-	if flags&chunkEndMsg == 0 {
-		return false, true
-	}
-	if t := s.opts.ShedThreshold; t > 0 && len(s.recvQ) >= t {
-		s.shed(sc, streamID, b.env)
-		wire.PutBuf(b.env)
-		wire.PutBuf(b.data)
-		return true, true
-	}
-	call := &serverCall{
-		conn:     sc,
-		streamID: streamID,
-		raw:      b.env,
-		bulkData: b.data,
-		readDone: b.readStart,
-	}
-	return true, s.enqueue(call)
-}
-
-// shed rejects one request at the shedding threshold. The envelope is
-// parsed only on this (rare, already-failing) path so the shed counter
-// can be attributed to a method; the request is not decompressed.
-func (s *Server) shed(sc *serverConn, streamID uint64, plain []byte) {
-	s.reject(sc, streamID, trace.Unavailable, "server overloaded: load shed")
-	if s.opts.Robustness == nil {
-		return
-	}
-	method := ""
-	if req, err := parseRequest(plain); err == nil {
-		method = req.Method
-	}
-	s.opts.Robustness.CallShed(method)
+	return true
 }
 
 // reject sends an error response without involving the worker pool.
@@ -559,13 +425,18 @@ func (s *Server) handle(call *serverCall) {
 	}
 	if last && len(sr.resp.Payload) <= codecInlineMax && len(sc.sendQ) == 0 && sc.turn.tryLock() {
 		s.prepareResponse(sc, sr)
-		s.flushResponses(sc)
-		sc.turn.unlock()
+		s.endTurn(sc)
 		return
 	}
 	select {
 	case sc.sendQ <- sr:
+		select {
+		case <-sc.closed:
+			sc.drainQueue() // the drain loop may have gone before sr was queued
+		default:
+		}
 	case <-sc.closed:
+		sr.release()
 	}
 }
 
@@ -590,8 +461,7 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 	s.mu.RUnlock()
 	if err != nil {
 		s.reject(call.conn, call.streamID, trace.Internal, err.Error())
-		wire.PutBuf(call.raw)
-		wire.PutBuf(call.bulkData)
+		call.release()
 		return nil
 	}
 	payload := req.Payload
@@ -624,14 +494,12 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 		})
 		if dec.Reject != trace.OK {
 			s.reject(call.conn, call.streamID, dec.Reject, "fault injection: rejected")
-			wire.PutBuf(call.raw)
-			wire.PutBuf(call.bulkData)
+			call.release()
 			return nil
 		}
 		if dec.Drop {
 			// The response vanishes; the client's deadline expires.
-			wire.PutBuf(call.raw)
-			wire.PutBuf(call.bulkData)
+			call.release()
 			return nil
 		}
 		if dec.Corrupt {
@@ -639,16 +507,7 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 		}
 	}
 
-	ctx := ContextWithTrace(context.Background(), TraceContext{
-		TraceID: req.TraceID,
-		SpanID:  req.SpanID,
-	})
-	var cancel context.CancelFunc
-	if req.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := requestContext(req)
 	call.conn.storeCancel(call.streamID, cancel)
 	defer func() {
 		call.conn.deleteCancel(call.streamID)
@@ -727,42 +586,12 @@ func ctxErrToStatus(err error) error {
 	return ErrCancelled
 }
 
-// writeLoop drains one connection's send queue: compress, marshal,
-// encrypt, write — the server side of RespProcStack. Like the client's
-// sendLoop it is a batching drain: it blocks on the first queued response,
-// drains further pending responses non-blockingly up to sendBatchBytes,
-// and flushes the whole batch with a single write. It holds the turn from
-// dequeue to flush.
-func (s *Server) writeLoop(sc *serverConn) {
-	defer s.conns.Done()
-	for {
-		select {
-		case sr := <-sc.sendQ:
-			sc.turn.lock()
-			s.prepareResponse(sc, sr)
-		drain:
-			for sc.turn.size < sendBatchBytes {
-				select {
-				case next := <-sc.sendQ:
-					s.prepareResponse(sc, next)
-				default:
-					break drain
-				}
-			}
-			s.flushResponses(sc)
-			sc.turn.unlock()
-		case <-sc.closed:
-			return
-		}
-	}
-}
-
 // prepareResponse compresses and marshals one queued response into a
-// pooled envelope, appending it to the turn's batch. Payloads at or past
-// the bulk threshold switch to the bulk lane: the envelope carries only the
-// size, and the payload leaves as chunk frames sealed straight from the
-// handler's buffer — no copy into the envelope, no compression. Caller
-// holds the turn.
+// pooled envelope, appending it to the turn's batch — the server side of
+// RespProcStack. Payloads at or past the bulk threshold switch to the bulk
+// lane: the envelope carries only the size, and the payload leaves as chunk
+// frames sealed straight from the handler's buffer — no copy into the
+// envelope, no compression. Caller holds the turn.
 func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	procStart := time.Now()
 	resp := &sr.resp
@@ -771,16 +600,8 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 		sr.bulkOut = resp.Payload
 		resp.BulkSize = uint64(len(resp.Payload))
 		resp.Payload = nil
-	} else if s.opts.Compression != compressor.None && len(resp.Payload) >= s.opts.CompressThreshold &&
-		sc.gate.shouldCompress(sr.method, resp.Payload) {
-		inLen := len(resp.Payload)
-		if compressed, err := s.comp.Compress(resp.Payload); err == nil {
-			sc.gate.observe(sr.method, inLen, len(compressed))
-			if len(compressed) < inLen {
-				resp.Payload = compressed
-				resp.Compressed = true
-			}
-		}
+	} else {
+		resp.Payload, resp.Compressed = sc.compress(sr.method, resp.Payload)
 	}
 	resp.Timings = serverTimings{
 		RecvQueue: sr.recvQueue,
@@ -806,18 +627,18 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	sc.turn.add(sr, env, len(env)+len(sr.bulkOut))
 }
 
-// flushResponses sends the turn's batch (sendTurn.flush) and releases the
-// pooled request and response buffers. A failed write is not reported here
-// — the connection's read loop observes the socket error and tears down.
-// Caller holds the turn.
-func (s *Server) flushResponses(sc *serverConn) {
+// endTurn sends the turn's batch (sendTurn.flush), releases the pooled
+// request and response buffers, and releases the turn. A failed write is
+// not reported here — the connection's read loop observes the socket error
+// and tears down. Caller holds the turn.
+func (s *Server) endTurn(sc *serverConn) {
 	t := &sc.turn
 	_ = t.flush(sc.tr, time.Time{})
 	for i, sr := range t.batch {
 		wire.PutBuf(t.envs[i])
-		wire.PutBuf(sr.reqBuf)
-		wire.PutBuf(sr.reqBulk)
+		sr.release()
 	}
+	t.unlock()
 }
 
 // frame implements outbound.
@@ -826,6 +647,13 @@ func (sr *serverResponse) frame() (typ byte, streamID uint64, bulk []byte) {
 		return wire.FrameBulkResponse, sr.streamID, sr.bulkOut
 	}
 	return wire.FrameResponse, sr.streamID, nil
+}
+
+// release implements outbound: the pooled request buffers ride with the
+// response until it is sealed, or until it is known it never will be.
+func (sr *serverResponse) release() {
+	wire.PutBuf(sr.reqBuf)
+	wire.PutBuf(sr.reqBulk)
 }
 
 // Close stops accepting, closes all listeners, and releases the worker

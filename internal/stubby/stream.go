@@ -37,11 +37,9 @@ type BidiHandler func(ctx context.Context, stream *Stream) error
 // (DESIGN.md §12); callers that retain a message must copy it.
 type Stream struct {
 	tr       *transport
+	table    *streamTable // its connection's stream table, left on terminate
 	streamID uint64
 	maxWin   int64
-
-	c  *Channel    // client end; nil on the server
-	sc *serverConn // server end; nil on the client
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -105,9 +103,10 @@ type inboundMsg struct {
 	charge int64
 }
 
-func newStream(tr *transport, streamID uint64, maxWin int64) *Stream {
+func newStream(tr *transport, table *streamTable, streamID uint64, maxWin int64) *Stream {
 	return &Stream{
 		tr:       tr,
+		table:    table,
 		streamID: streamID,
 		maxWin:   maxWin,
 		sendWin:  newCreditWindow(maxWin),
@@ -129,27 +128,16 @@ func msgCharge(n int) int64 {
 // Recv; CloseSend half-closes the sending direction (the server's Recv
 // then returns io.EOF); Close abandons the stream, resetting it on the
 // server. The stream ends when Recv returns io.EOF (clean final status)
-// or an error. On a striped channel the stream rides one stripe picked
-// round-robin; all its frames stay on that socket.
+// or an error. On a striped channel the stream rides one connection,
+// picked round-robin; all its frames stay on that socket.
 func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
-	return c.stripeFor(true).openStreamLocal(ctx, method, opts...)
-}
-
-// openStreamLocal opens a stream on this channel's own connection.
-func (c *Channel) openStreamLocal(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
 	co := resolveCallOpts(ctx, opts)
 	win := int64(c.opts.StreamWindow)
 	if co.window > 0 {
 		win = int64(co.window)
 	}
 
-	parent, ok := TraceFromContext(ctx)
-	tc := TraceContext{SpanID: nextSpanID()}
-	if ok {
-		tc.TraceID = parent.TraceID
-	} else {
-		tc.TraceID = nextTraceID()
-	}
+	tc, _ := childTrace(ctx)
 	deadline := c.opts.DefaultDeadline
 	if dl, has := ctx.Deadline(); has {
 		deadline = time.Until(dl)
@@ -166,32 +154,22 @@ func (c *Channel) openStreamLocal(ctx context.Context, method string, opts ...Ca
 	}
 	env := appendRequest(wire.GetBuf(len(method)+envelopeOverhead), req)
 
-	streamID := c.nextStream.Add(1)
-	st := newStream(c.tr, streamID, win)
-	st.c = c
+	cc := c.pick(true)
+	streamID := cc.nextStream.Add(1)
+	st := newStream(cc.tr, &cc.streams, streamID, win)
 	st.ctx, st.cancel = context.WithCancel(ctx)
-
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-		c.mu.Unlock()
+	if !cc.streams.add(streamID, st) {
 		st.cancel()
 		wire.PutBuf(env)
 		return nil, ErrUnavailable
-	default:
 	}
-	if c.streams == nil {
-		c.streams = make(map[uint64]*Stream)
-	}
-	c.streams[streamID] = st
-	c.mu.Unlock()
 
 	// Streams bypass the unary send queue: the open frame goes out
 	// immediately (stream setup is not part of the unary queue study).
-	err := c.tr.send(wire.FrameStreamOpen, streamID, env)
+	err := cc.tr.send(wire.FrameStreamOpen, streamID, env)
 	wire.PutBuf(env)
 	if err != nil {
-		c.dropStream(streamID)
+		cc.streams.drop(streamID)
 		st.cancel()
 		return nil, ErrUnavailable
 	}
@@ -356,12 +334,7 @@ func (s *Stream) terminate(err error, notifyPeer bool) {
 		if notifyPeer {
 			_ = s.tr.sendReset(s.streamID, StatusFromError(err))
 		}
-		if s.c != nil {
-			s.c.dropStream(s.streamID)
-		}
-		if s.sc != nil {
-			s.sc.dropStream(s.streamID)
-		}
+		s.table.drop(s.streamID)
 		select {
 		case s.notify <- struct{}{}:
 		default:
@@ -513,19 +486,11 @@ func (s *Server) handleBidi(call *serverCall) {
 	// envelope was decoded; install the client's declared window now.
 	st.sendWin.grant(win)
 
-	ctx := ContextWithTrace(context.Background(), TraceContext{
-		TraceID: req.TraceID,
-		SpanID:  req.SpanID,
-	})
 	// Install the handler context under recvMu so a concurrent terminate
 	// (reset racing the open decode) observes it; if the stream already
 	// died, cancel here since terminate could not.
 	st.lockRecv()
-	if req.Deadline > 0 {
-		st.ctx, st.cancel = context.WithTimeout(ctx, req.Deadline)
-	} else {
-		st.ctx, st.cancel = context.WithCancel(ctx)
-	}
+	st.ctx, st.cancel = requestContext(req)
 	cancel, dead := st.cancel, st.dead
 	st.unlockRecv()
 	if dead {
@@ -571,75 +536,3 @@ func (s *Server) finishBidi(st *Stream, herr error) {
 		st.cur = nil
 	}
 }
-
-// --- Deprecated server-streaming shims ---
-
-// StreamHandler serves a server-streaming method: it sends zero or more
-// messages via send and returns the final status.
-//
-// Deprecated: register a BidiHandler with RegisterBidi; it exposes the
-// stream itself.
-type StreamHandler func(ctx context.Context, payload []byte, send func([]byte) error) error
-
-// RegisterStream installs a server-streaming handler.
-//
-// Deprecated: use RegisterBidi. RegisterStream adapts h onto the bulk
-// lane: the request payload arrives as the stream's first message.
-func (s *Server) RegisterStream(method string, h StreamHandler) {
-	s.RegisterBidi(method, func(ctx context.Context, st *Stream) error {
-		payload, err := st.Recv()
-		if err == io.EOF {
-			payload = nil
-		} else if err != nil {
-			return err
-		}
-		// The handler never Recvs again, so payload (the stream's pooled
-		// current buffer) stays valid for its whole lifetime.
-		return h(ctx, payload, st.Send)
-	})
-}
-
-// ServerStream is the client's view of a server-streaming call.
-//
-// Deprecated: use Stream via Channel.OpenStream.
-type ServerStream struct {
-	st *Stream
-}
-
-// CallStream starts a server-streaming RPC: the payload goes out as the
-// single request message and the send direction half-closes. Read
-// messages with Recv until io.EOF (clean end) or an error; call Close to
-// abandon early.
-//
-// Deprecated: use OpenStream, which exposes the symmetric Stream.
-func (c *Channel) CallStream(ctx context.Context, method string, payload []byte) (*ServerStream, error) {
-	st, err := c.OpenStream(ctx, method)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Send(payload); err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	if err := st.CloseSend(); err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	return &ServerStream{st: st}, nil
-}
-
-// Recv returns the next message. It returns io.EOF after the final status
-// of a clean stream, or the terminal error otherwise. The returned slice
-// is the caller's to keep (unlike Stream.Recv, which reuses its buffer).
-func (ss *ServerStream) Recv() ([]byte, error) {
-	msg, err := ss.st.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), msg...), nil
-}
-
-// Close abandons the stream: the server's handler context is cancelled
-// via a reset frame and further Recv calls return Cancelled (or the
-// terminal state if the stream had already finished).
-func (ss *ServerStream) Close() { _ = ss.st.Close() }

@@ -12,13 +12,45 @@ import (
 	"rpcscale/internal/trace"
 )
 
+// serverStreaming adapts the server-streaming shape these tests exercise
+// onto a BidiHandler: the stream's first message is the request, and the
+// handler only sends from then on.
+func serverStreaming(h func(ctx context.Context, payload []byte, send func([]byte) error) error) BidiHandler {
+	return func(ctx context.Context, st *Stream) error {
+		payload, err := st.Recv()
+		if err != nil && err != io.EOF {
+			return err
+		}
+		// The handler never Recvs again, so payload stays valid.
+		return h(ctx, payload, st.Send)
+	}
+}
+
+// callStream is the client half: open, send the one request message,
+// half-close, and leave the stream for the caller to Recv from.
+func callStream(ctx context.Context, ch *Channel, method string, payload []byte) (*Stream, error) {
+	st, err := ch.OpenStream(ctx, method)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Send(payload); err != nil {
+		st.Close()
+		return nil, err
+	}
+	if err := st.CloseSend(); err != nil {
+		st.Close()
+		return nil, err
+	}
+	return st, nil
+}
+
 // streamSetup starts a server with one streaming handler and returns a
 // connected channel.
-func streamSetup(t *testing.T, method string, h StreamHandler) *Channel {
+func streamSetup(t *testing.T, method string, h func(context.Context, []byte, func([]byte) error) error) *Channel {
 	t.Helper()
 	opts := Options{Workers: 8}
 	srv := NewServer(opts)
-	srv.RegisterStream(method, h)
+	srv.RegisterBidi(method, serverStreaming(h))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +76,7 @@ func TestStreamBasic(t *testing.T) {
 		}
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/List", []byte("item"))
+	st, err := callStream(context.Background(), ch, "svc/List", []byte("item"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +104,7 @@ func TestStreamEmpty(t *testing.T) {
 	ch := streamSetup(t, "svc/Empty", func(ctx context.Context, p []byte, send func([]byte) error) error {
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Empty", nil)
+	st, err := callStream(context.Background(), ch, "svc/Empty", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +120,7 @@ func TestStreamServerError(t *testing.T) {
 		}
 		return Errorf(trace.EntityNotFound, "ran out")
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Fail", nil)
+	st, err := callStream(context.Background(), ch, "svc/Fail", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +151,7 @@ func TestStreamClientClose(t *testing.T) {
 			}
 		}
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Forever", nil)
+	st, err := callStream(context.Background(), ch, "svc/Forever", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +177,7 @@ func TestStreamDeadline(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	st, err := ch.CallStream(ctx, "svc/Slow", nil)
+	st, err := callStream(ctx, ch, "svc/Slow", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +198,7 @@ func TestStreamLargeVolume(t *testing.T) {
 		}
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Bulk", nil)
+	st, err := callStream(context.Background(), ch, "svc/Bulk", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +228,7 @@ func TestStreamChannelCloseFailsStream(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Hang", nil)
+	st, err := callStream(context.Background(), ch, "svc/Hang", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +251,7 @@ func TestStreamChannelCloseFailsStream(t *testing.T) {
 
 func TestStreamUnknownMethod(t *testing.T) {
 	ch, _ := testSetup(t, Options{}, nil) // unary server, no stream handlers
-	st, err := ch.CallStream(context.Background(), "svc/Nope", nil)
+	st, err := callStream(context.Background(), ch, "svc/Nope", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +265,9 @@ func TestStreamAndUnaryCoexist(t *testing.T) {
 	opts := Options{Workers: 8}
 	srv := NewServer(opts)
 	srv.Register("svc/Echo", echoHandler)
-	srv.RegisterStream("svc/Stream", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	srv.RegisterBidi("svc/Stream", serverStreaming(func(ctx context.Context, p []byte, send func([]byte) error) error {
 		return send([]byte("si"))
-	})
+	}))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +291,7 @@ func TestStreamAndUnaryCoexist(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		st, err := ch.CallStream(context.Background(), "svc/Stream", nil)
+		st, err := callStream(context.Background(), ch, "svc/Stream", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +308,7 @@ func TestStreamAndUnaryCoexist(t *testing.T) {
 	}
 }
 
-func TestRegisterStreamConflicts(t *testing.T) {
+func TestRegisterBidiConflicts(t *testing.T) {
 	srv := NewServer(Options{})
 	defer srv.Close()
 	srv.Register("svc/M", echoHandler)
@@ -286,9 +318,9 @@ func TestRegisterStreamConflicts(t *testing.T) {
 				t.Error("stream over unary registration should panic")
 			}
 		}()
-		srv.RegisterStream("svc/M", func(context.Context, []byte, func([]byte) error) error { return nil })
+		srv.RegisterBidi("svc/M", func(context.Context, *Stream) error { return nil })
 	}()
-	srv.RegisterStream("svc/S", func(context.Context, []byte, func([]byte) error) error { return nil })
+	srv.RegisterBidi("svc/S", func(context.Context, *Stream) error { return nil })
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -9,6 +9,7 @@ package stubby
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -66,8 +67,8 @@ func stripedSetup(t *testing.T, stripes int) *Channel {
 // chunks ordered on one connection).
 func TestStripedInterleavedReassembly(t *testing.T) {
 	ch := stripedSetup(t, 3)
-	if len(ch.stripes) != 3 {
-		t.Fatalf("dialed %d stripes, want 3", len(ch.stripes))
+	if len(ch.conns) != 3 {
+		t.Fatalf("dialed %d stripes, want 3", len(ch.conns))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -138,11 +139,18 @@ func TestStripedInterleavedReassembly(t *testing.T) {
 	}
 }
 
-// TestStripedConnTruncationFailsCoded kills one stripe's TCP connection
-// while bulk transfers are mid-flight on all of them: every outstanding
-// and subsequent call must fail with a coded *Status within the deadline
-// — a truncated chunk sequence on one stripe must never strand a caller.
+// TestStripedConnTruncationFailsCoded kills one stripe's TCP connection —
+// each of the three in turn — while bulk transfers are mid-flight on all of
+// them: every outstanding and subsequent call must fail with a coded
+// *Status within the deadline — a truncated chunk sequence on one stripe
+// must never strand a caller.
 func TestStripedConnTruncationFailsCoded(t *testing.T) {
+	for k := 0; k < 3; k++ {
+		t.Run(fmt.Sprintf("stripe%d", k), func(t *testing.T) { stripeKill(t, k) })
+	}
+}
+
+func stripeKill(t *testing.T, k int) {
 	ch := stripedSetup(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -174,7 +182,7 @@ func TestStripedConnTruncationFailsCoded(t *testing.T) {
 	// Let transfers get in flight on every stripe, then cut one stripe's
 	// socket out from under them, truncating its in-flight chunk frames.
 	time.Sleep(50 * time.Millisecond)
-	ch.stripes[1].tr.close()
+	ch.conns[k].shutdown()
 	wg.Wait()
 	close(stop)
 	close(codes)

@@ -180,7 +180,7 @@ func TestCompressionStatsRecorded(t *testing.T) {
 }
 
 func TestTraceSpansEmitted(t *testing.T) {
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	ch, _ := testSetup(t, Options{Collector: col, ClusterName: "client-cl"},
 		map[string]Handler{"svc.S/M": func(ctx context.Context, p []byte) ([]byte, error) {
 			time.Sleep(5 * time.Millisecond) // measurable app time
@@ -221,7 +221,7 @@ func TestTraceSpansEmitted(t *testing.T) {
 }
 
 func TestNestedTracePropagation(t *testing.T) {
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	opts := Options{Collector: col}
 
 	// Backend server.
@@ -287,7 +287,7 @@ func TestNestedTracePropagation(t *testing.T) {
 }
 
 func TestHedgedCallWinner(t *testing.T) {
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	var n int32
 	var mu sync.Mutex
 	ch, _ := testSetup(t, Options{Collector: col}, map[string]Handler{

@@ -24,10 +24,9 @@ import (
 // message, which is what the cycle tax measures, is identical.
 //
 // The send side is a batching drain: frames are sealed directly into the
-// wire.Writer's buffer under sendMu and flushed with one Write. Batching
-// callers (the client sendLoop and server writeLoop) hold the lock across
-// several appendLocked calls and a single flushLocked; one-shot callers
-// use send.
+// wire.Writer's buffer under sendMu and flushed with one Write. A batching
+// caller (sendTurn.flush) holds the lock across several appendLocked calls
+// and a single flushLocked; one-shot callers use send.
 //
 // Bulk-lane chunk frames take the scatter-gather path instead: the chunk
 // is sealed straight from the caller's buffer into a pooled buffer —
@@ -128,10 +127,10 @@ func (t *transport) unlockSend() {
 
 // sendTurn is a connection's turn lock and the batching state it guards.
 // Whoever holds it is the connection's one sender for that turn: the drain
-// loop (client sendLoop, server writeLoop) from dequeue to flush, or — on
-// an idle connection — a goroutine dispatching its own small frame
-// directly. The holder also owns the connection's adaptive-compression
-// gate. T is the queued item type.
+// loop (conn.sendLoop) from dequeue to flush, or — on an idle connection —
+// a goroutine dispatching its own small frame directly. The holder also
+// owns the connection's adaptive-compression gate. T is the queued item
+// type.
 type sendTurn[T outbound] struct {
 	mu    sync.Mutex // rank sanitize.RankSendTurn
 	batch []T
@@ -176,11 +175,14 @@ func (t *sendTurn[T]) unlock() {
 	t.mu.Unlock()
 }
 
-// outbound is a batch entry: frame says what it puts on the wire — an
-// envelope frame of type typ (0: nothing, the entry was abandoned) and, on
-// the bulk lane, the payload that follows it as chunk frames.
+// outbound is a send-queue and batch entry: frame says what it puts on the
+// wire — an envelope frame of type typ (0: nothing, the entry was
+// abandoned) and, on the bulk lane, the payload that follows it as chunk
+// frames; release returns the pooled buffers it holds, when it has been
+// sent or never will be.
 type outbound interface {
 	frame() (typ byte, streamID uint64, bulk []byte)
+	release()
 }
 
 // flush seals the batch's envelopes into tr's write buffer and flushes
@@ -199,9 +201,9 @@ func (t *sendTurn[T]) flush(tr *transport, by time.Time) error {
 			pipelined = true
 			for _, it := range t.batch {
 				k := 0
-				if _, streamID, bulk := it.frame(); len(bulk) > codecInlineMax {
+				if _, _, bulk := it.frame(); len(bulk) > codecInlineMax {
 					before := len(t.jobs)
-					t.jobs = p.submitSealChunks(t.jobs, streamID, bulk, 0)
+					t.jobs = p.submitSealChunks(t.jobs, bulk, 0)
 					k = len(t.jobs) - before
 				}
 				t.n = append(t.n, k)
@@ -278,31 +280,36 @@ func (t *transport) appendChunkLocked(streamID uint64, flags byte, data []byte) 
 	return nil
 }
 
-// appendChunkedLocked splits data into bulk chunks and queues them all,
-// marking the last with endFlags in addition to chunkEndMsg. Caller must
-// hold the send lock. An empty data still produces one (empty) chunk so
-// the message boundary reaches the peer.
+// nextChunk splits the next bulk chunk off data — the one chunk splitter of
+// the bulk lane. The chunk that exhausts data carries chunkEndMsg|endFlags;
+// empty data still yields that one (empty) chunk, so the message boundary
+// reaches the peer.
+func nextChunk(data []byte, endFlags byte) (chunk, rest []byte, flags byte) {
+	n := min(len(data), bulkChunkSize)
+	if n == len(data) {
+		flags = chunkEndMsg | endFlags
+	}
+	return data[:n], data[n:], flags
+}
+
+// appendChunkedLocked queues data as bulk chunks, the last one marked with
+// endFlags. Caller must hold the send lock.
 func (t *transport) appendChunkedLocked(streamID uint64, data []byte, endFlags byte) error {
-	for off := 0; ; {
-		end := off + bulkChunkSize
-		var flags byte
-		if end >= len(data) {
-			end = len(data)
-			flags = chunkEndMsg | endFlags
-		}
-		if err := t.appendChunkLocked(streamID, flags, data[off:end]); err != nil {
+	for {
+		chunk, rest, flags := nextChunk(data, endFlags)
+		if err := t.appendChunkLocked(streamID, flags, chunk); err != nil {
 			return err
 		}
-		if end == len(data) {
+		if flags != 0 {
 			return nil
 		}
-		off = end
+		data = rest
 	}
 }
 
 // startCodec attaches a codec worker pool of the given size (0 leaves
 // the transport fully inline). Call before the connection's loops start.
-func (t *transport) startCodec(workers int, obs DataPlaneObserver) {
+func (t *transport) startCodec(workers int, obs Observer) {
 	if workers > 0 {
 		t.codec = newCodecPool(workers, t.sendKey, t.recvKey, obs)
 	}
@@ -367,15 +374,21 @@ func (t *transport) flushLocked(by time.Time) error {
 
 var errWriteExpired = fmt.Errorf("stubby: write not started: %w", os.ErrDeadlineExceeded)
 
+// flushUnlock ends a one-shot send begun with lockSend: it flushes what
+// was appended, unless appending failed (err), and releases the send lock.
+func (t *transport) flushUnlock(err error) error {
+	if err == nil {
+		err = t.flushLocked(time.Time{})
+	}
+	t.unlockSend()
+	return err
+}
+
 // send encrypts payload and writes one frame with a single Write. Safe
 // for concurrent use.
 func (t *transport) send(frameType byte, streamID uint64, payload []byte) error {
 	t.lockSend()
-	defer t.unlockSend()
-	if err := t.appendLocked(frameType, streamID, payload); err != nil {
-		return err
-	}
-	return t.flushLocked(time.Time{})
+	return t.flushUnlock(t.appendLocked(frameType, streamID, payload))
 }
 
 // sendChunks seals data as one stream message (one or more chunk frames,
@@ -386,32 +399,20 @@ func (t *transport) send(frameType byte, streamID uint64, payload []byte) error 
 func (t *transport) sendChunks(streamID uint64, data []byte, endFlags byte) error {
 	if p := t.codec; p != nil && len(data) > codecInlineMax && p.enter() {
 		var arr [8]*codecJob
-		jobs := p.submitSealChunks(arr[:0], streamID, data, endFlags)
+		jobs := p.submitSealChunks(arr[:0], data, endFlags)
 		t.lockSend()
-		err := t.appendSealedLocked(streamID, jobs, false)
-		if err == nil {
-			err = t.flushLocked(time.Time{})
-		}
-		t.unlockSend()
+		err := t.flushUnlock(t.appendSealedLocked(streamID, jobs, false))
 		p.exit()
 		return err
 	}
 	t.lockSend()
-	defer t.unlockSend()
-	if err := t.appendChunkedLocked(streamID, data, endFlags); err != nil {
-		return err
-	}
-	return t.flushLocked(time.Time{})
+	return t.flushUnlock(t.appendChunkedLocked(streamID, data, endFlags))
 }
 
 // sendHalfClose emits the bare end-of-direction marker (no message).
 func (t *transport) sendHalfClose(streamID uint64) error {
 	t.lockSend()
-	defer t.unlockSend()
-	if err := t.appendChunkLocked(streamID, chunkEndStream, nil); err != nil {
-		return err
-	}
-	return t.flushLocked(time.Time{})
+	return t.flushUnlock(t.appendChunkLocked(streamID, chunkEndStream, nil))
 }
 
 // sendReset aborts a stream in both directions: the payload is the sealed

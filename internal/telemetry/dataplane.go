@@ -1,14 +1,8 @@
 package telemetry
 
-import (
-	"rpcscale/internal/stubby"
-)
-
-// The Plane implements stubby.DataPlaneObserver, so the multi-core data
-// plane (DESIGN.md §16) reports codec-pool utilization and adaptive
-// compression skips into the same Monarch DB as the call metrics.
-// Plane.Apply wires it in.
-var _ stubby.DataPlaneObserver = (*Plane)(nil)
+// The data-plane half of the Plane's stubby.Observer surface: the
+// multi-core data plane (DESIGN.md §16) reports codec-pool utilization and
+// adaptive compression skips into the same Monarch DB as the call metrics.
 
 // CodecJobEnqueued records one seal/open job handed to a connection's
 // codec workers, with the queue depth observed at submit time — the live

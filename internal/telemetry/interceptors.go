@@ -9,24 +9,24 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// Apply returns a copy of opts with the plane plugged in: span export
-// flows through the Telemetry hook, and the stack's compressor and
-// encryption byte accounting land in the plane's counters (which the GWP
-// attribution calibrates against). Fields the caller already set are left
-// alone.
+// The Plane is the stack's Observer: spans (Observe), the robustness
+// layer's events (robustness.go) and the data plane's (dataplane.go) all
+// land in the one Monarch DB.
+var _ stubby.Observer = (*Plane)(nil)
+
+// Apply returns a copy of opts with the plane plugged in as the stack's
+// Observer, and the stack's compressor and encryption byte accounting
+// landing in the plane's counters (which the GWP attribution calibrates
+// against). Fields the caller already set are left alone.
 func (p *Plane) Apply(opts stubby.Options) stubby.Options {
-	opts.Telemetry = p
+	if opts.Observer == nil {
+		opts.Observer = p
+	}
 	if opts.CompressorStats == nil {
 		opts.CompressorStats = p.comp
 	}
 	if opts.EncryptionStats == nil {
 		opts.EncryptionStats = p.enc
-	}
-	if opts.Robustness == nil {
-		opts.Robustness = p
-	}
-	if opts.DataPlane == nil {
-		opts.DataPlane = p
 	}
 	return opts
 }

@@ -4,10 +4,9 @@ import (
 	"rpcscale/internal/stubby"
 )
 
-// The Plane implements stubby.RobustnessObserver, so the stack's retry
-// budget, circuit breakers, and load shedding report into the same
-// Monarch DB as the call metrics. Plane.Apply wires it in.
-var _ stubby.RobustnessObserver = (*Plane)(nil)
+// The robustness half of the Plane's stubby.Observer surface: the stack's
+// retry budget, circuit breakers, and load shedding report into the same
+// Monarch DB as the call metrics.
 
 // RetryAttempt records one retry the stack issued for method.
 func (p *Plane) RetryAttempt(method string) {

@@ -63,17 +63,17 @@ func TestRobustnessMetrics(t *testing.T) {
 	}
 }
 
-// Apply must install the plane as the stack's robustness observer unless
-// the caller provided one.
-func TestApplySetsRobustness(t *testing.T) {
+// Apply must install the plane as the stack's Observer unless the caller
+// provided one.
+func TestApplySetsObserver(t *testing.T) {
 	p := New()
 	opts := p.Apply(stubby.Options{})
-	if opts.Robustness != stubby.RobustnessObserver(p) {
-		t.Fatal("Apply did not install the plane as RobustnessObserver")
+	if opts.Observer != stubby.Observer(p) {
+		t.Fatal("Apply did not install the plane as Observer")
 	}
-	own := &stubby.NopRobustnessObserver{}
-	opts = p.Apply(stubby.Options{Robustness: own})
-	if opts.Robustness != stubby.RobustnessObserver(own) {
-		t.Fatal("Apply overwrote a caller-provided RobustnessObserver")
+	own := &stubby.NopObserver{}
+	opts = p.Apply(stubby.Options{Observer: own})
+	if opts.Observer != stubby.Observer(own) {
+		t.Fatal("Apply overwrote a caller-provided Observer")
 	}
 }

@@ -12,7 +12,7 @@
 //     serialization, RPC library), folding in the stack's compressor and
 //     encryption byte accounting (internal/gwp).
 //
-// A Plane plugs into the stack through the single stubby.Options.Telemetry
+// A Plane plugs into the stack through the single stubby.Options.Observer
 // hook (see Plane.Apply); Plane.Dataset then assembles a workload.Dataset
 // so core.FullReport renders the paper's figure-by-figure analyses over
 // real traffic instead of simulated fleets.
@@ -147,13 +147,13 @@ type Plane struct {
 
 	payloadBytes atomic.Uint64 // all payload bytes observed (split calibration)
 
-	// Robustness totals (the RobustnessObserver surface; see robustness.go).
+	// Robustness totals (Observer's robustness events; see robustness.go).
 	retriesAttempted   atomic.Uint64
 	retriesSuppressed  atomic.Uint64
 	breakerTransitions atomic.Uint64
 	shedCalls          atomic.Uint64
 
-	// Data-plane totals (the DataPlaneObserver surface; see dataplane.go).
+	// Data-plane totals (Observer's data-plane events; see dataplane.go).
 	codecJobs            atomic.Uint64
 	compressSkips        atomic.Uint64
 	compressSkippedBytes atomic.Uint64
@@ -310,7 +310,7 @@ func (p *Plane) Calls() uint64 { return p.col.Seen() }
 func (p *Plane) Errors() uint64 { return p.col.ErrorsSeen() }
 
 // Observe receives one completed span from the stack (the
-// stubby.SpanObserver hook). It attributes the span's cycles across the
+// stubby.Observer hook). It attributes the span's cycles across the
 // GWP taxonomy, folds the call into the Monarch window aggregates, and
 // offers the span to the sampling collector.
 func (p *Plane) Observe(s *trace.Span) {

@@ -60,15 +60,6 @@ func New(opts ...CollectorOption) *Collector {
 	return c
 }
 
-// NewCollector returns a collector that keeps every 1-in-sampleEvery
-// traces, retaining at most capacity spans (0 = unbounded).
-//
-// Deprecated: use New with WithSampleEvery and WithCapacity; the
-// positional form survives for existing callers.
-func NewCollector(sampleEvery uint64, capacity int) *Collector {
-	return New(WithSampleEvery(sampleEvery), WithCapacity(capacity))
-}
-
 // Sampled reports whether spans of the given trace are retained. Callers
 // on the hot path can skip span construction entirely when false.
 func (c *Collector) Sampled(id TraceID) bool {

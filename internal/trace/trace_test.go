@@ -206,7 +206,7 @@ func TestWalkAncestorCounts(t *testing.T) {
 }
 
 func TestCollectorSampling(t *testing.T) {
-	c := NewCollector(10, 0)
+	c := New(WithSampleEvery(10))
 	for id := TraceID(0); id < 100; id++ {
 		c.Collect(&Span{TraceID: id, SpanID: 1})
 	}
@@ -219,7 +219,7 @@ func TestCollectorSampling(t *testing.T) {
 }
 
 func TestCollectorCapacity(t *testing.T) {
-	c := NewCollector(1, 5)
+	c := New(WithCapacity(5))
 	for id := TraceID(0); id < 10; id++ {
 		c.Collect(&Span{TraceID: id, SpanID: 1})
 	}
@@ -232,7 +232,7 @@ func TestCollectorCapacity(t *testing.T) {
 }
 
 func TestCollectorErrorCounting(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := New()
 	c.Collect(&Span{TraceID: 1, SpanID: 1, Err: OK})
 	c.Collect(&Span{TraceID: 2, SpanID: 1, Err: Cancelled})
 	c.Collect(&Span{TraceID: 3, SpanID: 1, Err: EntityNotFound})
@@ -244,7 +244,7 @@ func TestCollectorErrorCounting(t *testing.T) {
 func TestCollectorSeenByCode(t *testing.T) {
 	// Sampling must not affect the per-code counts: sample 1-in-10 but
 	// count every span.
-	c := NewCollector(10, 0)
+	c := New(WithSampleEvery(10))
 	for i := 0; i < 10; i++ {
 		c.Collect(&Span{TraceID: TraceID(i), SpanID: 1, Err: OK})
 	}
@@ -266,7 +266,7 @@ func TestCollectorSeenByCode(t *testing.T) {
 }
 
 func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -284,7 +284,7 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 func TestCollectorReset(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := New()
 	c.Collect(&Span{TraceID: 1, SpanID: 1, Err: Cancelled})
 	c.Reset()
 	if c.Seen() != 0 || c.ErrorsSeen() != 0 || len(c.Spans()) != 0 {
@@ -293,7 +293,7 @@ func TestCollectorReset(t *testing.T) {
 }
 
 func TestCollectorTrees(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := New()
 	for _, s := range buildSpanTree() {
 		c.Collect(s)
 	}

@@ -102,7 +102,7 @@ func TestMaterializedTreeLinks(t *testing.T) {
 	if root == nil {
 		t.Skip("no layer-3 method in test catalog")
 	}
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	var spanCount int
 	for i := 0; i < 20; i++ {
 		gen.Call(root, CallOptions{
@@ -168,7 +168,7 @@ func TestParentAppIncludesChildren(t *testing.T) {
 	if root == nil {
 		t.Skip("no fan-out method")
 	}
-	col := trace.NewCollector(1, 0)
+	col := trace.New()
 	for i := 0; i < 30; i++ {
 		gen.Call(root, CallOptions{
 			At: time.Hour, Materialize: true, MaxDepth: 4, Budget: 200,
@@ -372,7 +372,7 @@ func TestDescendantsWiderThanDeep(t *testing.T) {
 }
 
 func TestGrowthHistory(t *testing.T) {
-	db := monarch.New(24*time.Hour, 800*24*time.Hour)
+	db := monarch.NewDB(monarch.WithWindow(24*time.Hour), monarch.WithRetention(800*24*time.Hour))
 	if err := DeclareMetrics(db); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestGrowthHistory(t *testing.T) {
 }
 
 func TestDiurnalDay(t *testing.T) {
-	db := monarch.New(30*time.Minute, 0)
+	db := monarch.NewDB(monarch.WithWindow(30 * time.Minute))
 	if err := DeclareMetrics(db); err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestExportMethodDistributions(t *testing.T) {
 		Seed: 41, MethodSamples: 10, StudiedSamples: 10,
 		VolumeRoots: 500, Trees: 5, MaxDepth: 3, TreeBudget: 50,
 	})
-	db := monarch.New(30*time.Minute, 0)
+	db := monarch.NewDB(monarch.WithWindow(30 * time.Minute))
 	if err := ExportMethodDistributions(db, ds, Epoch); err != nil {
 		t.Fatal(err)
 	}

@@ -101,14 +101,6 @@ type (
 	// Channel.OpenStream, or thread through a context with
 	// ContextWithCallOptions.
 	CallOption = stubby.CallOption
-	// StreamHandler serves a server-streaming method.
-	//
-	// Deprecated: use BidiHandler with Server.RegisterBidi.
-	StreamHandler = stubby.StreamHandler
-	// ServerStream is the client's view of a server-streaming call.
-	//
-	// Deprecated: use Stream via Channel.OpenStream.
-	ServerStream = stubby.ServerStream
 	// Pool is a client-side channel pool with failover and cross-replica
 	// hedging.
 	Pool = stubby.Pool
@@ -145,9 +137,10 @@ type (
 	BreakerConfig = stubby.BreakerConfig
 	// BreakerState is a circuit breaker's state (closed, open, half-open).
 	BreakerState = stubby.BreakerState
-	// RobustnessObserver receives retry, breaker, and shedding events;
-	// the telemetry Plane implements it.
-	RobustnessObserver = stubby.RobustnessObserver
+	// Observer receives what the stack reports about itself — spans,
+	// retry, breaker and shedding events, data-plane events; the
+	// telemetry Plane implements it.
+	Observer = stubby.Observer
 )
 
 // Circuit-breaker states.
@@ -280,13 +273,6 @@ func WithMonarchWindow(d time.Duration) MonarchOption { return monarch.WithWindo
 // WithMonarchRetention sets a standalone DB's retention horizon.
 func WithMonarchRetention(d time.Duration) MonarchOption { return monarch.WithRetention(d) }
 
-// NewMonarch returns a monitoring DB with the paper's 30-minute window
-// and 700-day retention.
-//
-// Deprecated: use NewMonarchDB; its options make the window and
-// retention explicit.
-func NewMonarch() *MonarchDB { return monarch.NewDB() }
-
 // CollectorOption configures NewSpanCollector.
 type CollectorOption = trace.CollectorOption
 
@@ -298,15 +284,6 @@ func WithCollectorSampleEvery(n uint64) CollectorOption { return trace.WithSampl
 
 // WithCollectorCapacity bounds retained spans (0 = unbounded).
 func WithCollectorCapacity(n int) CollectorOption { return trace.WithCapacity(n) }
-
-// NewCollector returns a span collector keeping 1-in-sampleEvery traces
-// up to capacity spans (0 = unbounded).
-//
-// Deprecated: use NewSpanCollector with WithCollectorSampleEvery and
-// WithCollectorCapacity, which name the magic numbers.
-func NewCollector(sampleEvery uint64, capacity int) *Collector {
-	return trace.NewCollector(sampleEvery, capacity)
-}
 
 // --- The real RPC stack ---
 
@@ -545,26 +522,6 @@ func Dial(addr string, opts ...Option) (*Channel, error) {
 func NewPool(addr string, size int, opts ...Option) (*Pool, error) {
 	c := resolve(opts)
 	return stubby.NewPool(addr, c.serverCluster, size, c.opts)
-}
-
-// NewServerWithOptions starts a server from a bare options struct.
-//
-// Deprecated: use NewServer with functional options; WithStubbyOptions
-// covers fully custom structs.
-func NewServerWithOptions(opts StubbyOptions) *Server { return stubby.NewServer(opts) }
-
-// DialWithOptions connects a channel from a bare options struct.
-//
-// Deprecated: use Dial with functional options.
-func DialWithOptions(addr, serverCluster string, opts StubbyOptions) (*Channel, error) {
-	return stubby.Dial(addr, serverCluster, opts)
-}
-
-// NewPoolWithOptions dials a pool from a bare options struct.
-//
-// Deprecated: use NewPool with functional options.
-func NewPoolWithOptions(addr, serverCluster string, size int, opts StubbyOptions) (*Pool, error) {
-	return stubby.NewPool(addr, serverCluster, size, opts)
 }
 
 // WithRetry returns a client interceptor implementing the policy; apply
