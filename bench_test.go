@@ -33,10 +33,12 @@ var (
 	fxTopo      *sim.Topology
 	fxCat       *fleet.Catalog
 	fxDS        *workload.Dataset
+	fxSink      *core.ReportSink
 	fxLatency   *core.PerMethodResult
 )
 
-// fixture builds the shared dataset once per bench binary run.
+// fixture builds the shared dataset, and the one sink every figure bench
+// queries, once per bench binary run.
 func fixture(b *testing.B) (*sim.Topology, *fleet.Catalog, *workload.Dataset) {
 	b.Helper()
 	fixtureOnce.Do(func() {
@@ -46,9 +48,16 @@ func fixture(b *testing.B) (*sim.Topology, *fleet.Catalog, *workload.Dataset) {
 			Seed: 5, MethodSamples: 110, StudiedSamples: 1000,
 			VolumeRoots: 30000, Trees: 200, MaxDepth: 8, TreeBudget: 1200,
 		})
-		fxLatency = core.LatencyByMethod(fxDS)
+		fxSink = core.SinkFromDataset(fxDS)
+		fxLatency = fxSink.LatencyByMethod()
 	})
 	return fxTopo, fxCat, fxDS
+}
+
+// figSink returns the fixture's accumulated sink.
+func figSink(b *testing.B) *core.ReportSink {
+	fixture(b)
+	return fxSink
 }
 
 func BenchmarkFig01Growth(b *testing.B) {
@@ -71,10 +80,10 @@ func BenchmarkFig01Growth(b *testing.B) {
 }
 
 func BenchmarkFig02LatencyHeatmap(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.LatencyByMethod(ds)
+		res := sink.LatencyByMethod()
 		if i == 0 {
 			a := res.Anchors()
 			b.ReportMetric(a.FracMedianOver10ms*100, "median>=10.7ms-%")
@@ -83,10 +92,10 @@ func BenchmarkFig02LatencyHeatmap(b *testing.B) {
 }
 
 func BenchmarkFig03Popularity(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.PopularityAnalysis(ds, fxLatency)
+		res := sink.PopularityAnalysis(fxLatency)
 		if i == 0 {
 			b.ReportMetric(res.Top10Share*100, "top10-share-%")
 		}
@@ -94,10 +103,10 @@ func BenchmarkFig03Popularity(b *testing.B) {
 }
 
 func BenchmarkFig04Descendants(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TreeShapeAnalysis(ds)
+		res := sink.TreeShapeAnalysis()
 		if i == 0 {
 			b.ReportMetric(res.FracMedianDescUnder13*100, "median-desc<=13-%")
 		}
@@ -105,10 +114,10 @@ func BenchmarkFig04Descendants(b *testing.B) {
 }
 
 func BenchmarkFig05Ancestors(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TreeShapeAnalysis(ds)
+		res := sink.TreeShapeAnalysis()
 		if i == 0 {
 			b.ReportMetric(res.FracAncP99Under10*100, "anc-P99<10-%")
 		}
@@ -116,18 +125,18 @@ func BenchmarkFig05Ancestors(b *testing.B) {
 }
 
 func BenchmarkFig06RequestSize(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RequestSizeByMethod(ds)
+		sink.RequestSizeByMethod()
 	}
 }
 
 func BenchmarkFig07SizeRatio(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SizeRatioByMethod(ds)
+		sink.SizeRatioByMethod()
 	}
 }
 
@@ -135,7 +144,7 @@ func BenchmarkFig08ServiceShares(b *testing.B) {
 	_, _, ds := fixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.ServiceShareAnalysis(ds)
+		res := fxSink.ServiceShares(ds.Profile)
 		if i == 0 {
 			b.ReportMetric(res.Row("networkdisk").CallShare*100, "networkdisk-calls-%")
 		}
@@ -151,10 +160,10 @@ func BenchmarkTab01Services(b *testing.B) {
 }
 
 func BenchmarkFig10LatencyTax(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TaxAnalysis(ds)
+		res := sink.TaxAnalysis()
 		if i == 0 {
 			b.ReportMetric(res.MeanTaxShare*100, "mean-tax-%")
 		}
@@ -162,10 +171,10 @@ func BenchmarkFig10LatencyTax(b *testing.B) {
 }
 
 func BenchmarkFig11TaxRatio(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TaxRatioByMethod(ds)
+		res := sink.TaxRatioByMethod()
 		if i == 0 {
 			b.ReportMetric(res.TopDecileMedian*100, "top-decile-tax-%")
 		}
@@ -173,10 +182,10 @@ func BenchmarkFig11TaxRatio(b *testing.B) {
 }
 
 func BenchmarkFig12NetworkLatency(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TaxComponents(ds)
+		res := sink.TaxComponents()
 		if i == 0 {
 			b.ReportMetric(float64(res.FastHalfWireP99)/1e6, "fast-half-P99-ms")
 		}
@@ -184,10 +193,10 @@ func BenchmarkFig12NetworkLatency(b *testing.B) {
 }
 
 func BenchmarkFig13Queuing(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.TaxComponents(ds)
+		res := sink.TaxComponents()
 		if i == 0 {
 			b.ReportMetric(float64(res.TopQueueP99)/1e6, "top-decile-queue-P99-ms")
 		}
@@ -195,32 +204,32 @@ func BenchmarkFig13Queuing(b *testing.B) {
 }
 
 func BenchmarkFig14ServiceCDF(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range fleet.EightServices() {
-			core.ServiceBreakdown(ds, s.Method)
+			sink.ServiceBreakdown(s.Method)
 		}
 	}
 }
 
 func BenchmarkFig15WhatIf(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	var methods []string
 	for _, s := range fleet.EightServices() {
 		methods = append(methods, s.Method)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.WhatIf(ds, methods)
+		sink.WhatIf(methods)
 	}
 }
 
 func BenchmarkFig16ClusterVariation(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.ClusterVariation(ds, "bigtable/SearchValue", 0)
+		res := sink.ClusterVariation("bigtable/SearchValue", 0)
 		if i == 0 && res.Spread > 0 {
 			b.ReportMetric(res.Spread, "P95-spread-x")
 		}
@@ -228,11 +237,11 @@ func BenchmarkFig16ClusterVariation(b *testing.B) {
 }
 
 func BenchmarkFig17Exogenous(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	methods := []string{"bigtable/SearchValue", "kvstore/Search", "videometadata/GetMetadata"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ExogenousAnalysis(ds, methods)
+		sink.ExogenousAnalysis(methods)
 	}
 }
 
@@ -274,7 +283,7 @@ func BenchmarkFig20CycleTax(b *testing.B) {
 	_, _, ds := fixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.CycleTax(ds)
+		res := core.CycleTaxFromProfile(ds.Profile)
 		if i == 0 {
 			b.ReportMetric(res.TaxShare*100, "cycle-tax-%")
 		}
@@ -282,11 +291,11 @@ func BenchmarkFig20CycleTax(b *testing.B) {
 }
 
 func BenchmarkFig21CPUCycles(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CPUByMethod(ds)
-		core.CPUCorrelationAnalysis(ds)
+		sink.CPUByMethod()
+		sink.CPUCorrelationAnalysis()
 	}
 }
 
@@ -304,10 +313,10 @@ func BenchmarkFig22LoadBalance(b *testing.B) {
 }
 
 func BenchmarkFig23Errors(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.ErrorAnalysis(ds)
+		res := sink.ErrorAnalysis()
 		if i == 0 {
 			b.ReportMetric(res.ErrorRate*100, "error-rate-%")
 		}
@@ -610,7 +619,7 @@ func BenchmarkSpanGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeReconstruction measures Dapper-style tree building.
+// BenchmarkTreeReconstruction measures Dapper-style call-graph building.
 func BenchmarkTreeReconstruction(b *testing.B) {
 	_, _, ds := fixture(b)
 	spans := ds.TreeSpans
@@ -619,8 +628,8 @@ func BenchmarkTreeReconstruction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if trees := trace.BuildTrees(spans); len(trees) == 0 {
-			b.Fatal("no trees")
+		if graphs := trace.BuildGraphs(spans); len(graphs) == 0 {
+			b.Fatal("no graphs")
 		}
 	}
 }
@@ -642,10 +651,10 @@ func BenchmarkAblationColocation(b *testing.B) {
 // BenchmarkOffloadCoverage regenerates the §2.5 Zerializer-style
 // accelerator coverage numbers.
 func BenchmarkOffloadCoverage(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.OffloadCoverage(ds, 1500)
+		res := sink.OffloadCoverage()
 		if i == 0 {
 			b.ReportMetric(res.MessageCoverage*100, "msg-coverage-%")
 			b.ReportMetric(res.ByteCoverage*100, "byte-coverage-%")

@@ -5,15 +5,20 @@
 // Usage:
 //
 //	rpcanalyze [-methods N] [-volume N] [-samples N] [-trees N]
-//	           [-motifs packs] [-seed N] [-days N] [-lb] [-quick] [-stream]
+//	           [-motifs packs] [-seed N] [-days N] [-lb] [-quick]
+//	rpcanalyze -in spans.jsonl [-stream]
 //
 // -quick shrinks everything for a fast smoke run; paper-scale is
 // -methods 10000 -volume 2000000.
 //
-// -stream switches both modes to the single-pass accumulator plane:
-// simulation feeds per-shard accumulators and never materializes the
-// dataset, and -in scans the dump one record at a time, so memory stays
-// bounded regardless of -volume or dump size. The out-of-core workflow is
+// Simulation always streams: shards feed per-shard accumulators and the
+// dataset is never materialized, so memory stays bounded regardless of
+// -volume. -stream matters only with -in, where it picks between two
+// analyses that genuinely differ: without it the dump is loaded whole and
+// its call graphs reconstructed (Figs. 4/5 and the graph-shape figure);
+// with it the dump is scanned one record at a time at bounded memory,
+// which cannot reconstruct graphs and leaves those panels empty. The
+// out-of-core workflow is
 //
 //	fleetgen -volume 2000000 -o - | rpcanalyze -stream -in -
 package main
@@ -50,7 +55,7 @@ func main() {
 		lb         = flag.Bool("lb", true, "run the Fig. 22 load-balance experiment")
 		quick      = flag.Bool("quick", false, "small fast run")
 		in         = flag.String("in", "", "analyze a span dump (fleetgen output, '-' for stdin) instead of simulating")
-		stream     = flag.Bool("stream", false, "single-pass bounded-memory analysis (never materialize the dataset)")
+		stream     = flag.Bool("stream", false, "with -in: scan the dump at bounded memory instead of loading it (no call-graph reconstruction, so Figs. 4/5 stay empty); generation always streams")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -127,18 +132,8 @@ func main() {
 		opts.LoadBalanceSeed = *seed + 13
 	}
 
-	if *stream {
-		// Single pass: shards feed accumulators; no dataset is built. For
-		// a fixed (seed, shards) the output is byte-identical to the
-		// materialized path below.
-		fmt.Fprintf(os.Stderr, "streaming fleet traffic (%d volume samples) through accumulators...\n", *volume)
-		fmt.Print(core.StreamReport(ctx, cat, topo, cfg, opts))
-	} else {
-		fmt.Fprintf(os.Stderr, "simulating fleet traffic (%d volume samples)...\n", *volume)
-		ds := workload.Generate(ctx, cat, topo, cfg)
-		fmt.Fprintf(os.Stderr, "running analyses...\n")
-		fmt.Print(core.FullReport(ds, opts))
-	}
+	fmt.Fprintf(os.Stderr, "streaming fleet traffic (%d volume samples) through accumulators...\n", *volume)
+	fmt.Print(core.StreamReport(ctx, cat, topo, cfg, opts))
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
@@ -149,11 +144,11 @@ func main() {
 // With streaming enabled the dump is scanned one record at a time into a
 // single accumulator set (every span counts toward both the per-method
 // distributions and the volume mix, exactly like the materialized
-// reconstruction), so dumps far larger than memory analyze fine. Tree
+// reconstruction), so dumps far larger than memory analyze fine. Call-graph
 // reconstruction needs all spans at once, so the streaming path leaves
-// the Fig. 4/5 shape panel empty; its output is otherwise the same
-// analysis, though not byte-identical to the materialized dump path,
-// which replays reconstructed trees.
+// the Fig. 4/5 shape panel and the graph summaries empty; its output is
+// otherwise the same analysis, though not byte-identical to the
+// materialized dump path, which replays the reconstructed graphs.
 func analyzeDump(path string, stream bool) {
 	var r io.Reader
 	if path == "-" {
@@ -172,8 +167,8 @@ func analyzeDump(path string, stream bool) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded %d spans, %d methods, %d trees\n",
-			len(ds.VolumeSpans), len(ds.MethodSpans), len(ds.Trees))
+		fmt.Fprintf(os.Stderr, "loaded %d spans, %d methods, %d call graphs\n",
+			len(ds.VolumeSpans), len(ds.MethodSpans), len(ds.GraphStats))
 		fmt.Print(core.FullReport(ds, core.ReportOptions{}))
 		return
 	}
@@ -185,14 +180,7 @@ func analyzeDump(path string, stream bool) {
 		n++
 		sink.MethodSpan(s)
 		sink.VolumeSpan(s)
-		switch {
-		case s.HasCPUSplit():
-			for cat, cycles := range s.CPUByCategory {
-				prof.Record(s.Service, s.Method, gwp.Category(cat), cycles)
-			}
-		case s.CPUCycles > 0:
-			prof.Record(s.Service, s.Method, gwp.Application, s.CPUCycles)
-		}
+		s.RecordCycles(prof)
 		return nil
 	})
 	if err != nil {

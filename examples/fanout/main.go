@@ -120,13 +120,12 @@ func main() {
 
 	// Reconstruct the tree: one root, `shards` children, each with one
 	// storage child — wider than deep, exactly the paper's shape.
-	trees := trace.BuildTrees(col.Spans())
-	for _, tr := range trees {
+	for _, tr := range trace.BuildGraphs(col.Spans()) {
 		if tr.Root.Span.Method != "searchfe/Search" {
 			continue
 		}
 		fmt.Printf("trace tree: %d spans, depth %d, root fan-out %d (wider than deep)\n",
-			tr.Spans, tr.Root.Depth(), len(tr.Root.Children))
+			tr.Spans, tr.Depth(), len(tr.Root.Children))
 		fmt.Printf("  root %s: %v (app %v — includes all nested calls)\n",
 			tr.Root.Span.Method,
 			tr.Root.Span.Latency().Round(time.Microsecond),

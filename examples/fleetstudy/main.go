@@ -18,6 +18,7 @@ import (
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
+	"rpcscale/internal/trace"
 	"rpcscale/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func main() {
 		VolumeRoots: 50000, Trees: 400,
 	})
 	fmt.Fprintf(os.Stderr, "simulated %d volume spans, %d trees\n",
-		len(ds.VolumeSpans), len(ds.Trees))
+		len(ds.VolumeSpans), len(trace.BuildGraphs(ds.TreeSpans)))
 
 	// 4. 700 days of Monarch counters for the growth analysis.
 	db := monarch.NewDB(monarch.WithRetention(710 * 24 * time.Hour))

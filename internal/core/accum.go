@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/sim"
@@ -16,8 +15,8 @@ import (
 // state (log-bucketed histograms, integer sums, a bottom-k sketch, and
 // capped studied-method retention) the moment it is produced. One sink per
 // generation shard, merged in shard-index order, yields results that are
-// byte-identical to materializing the Dataset first and replaying it —
-// which is exactly what the legacy XAnalysis(ds) wrappers now do.
+// byte-identical to materializing the Dataset first and replaying it
+// (SinkFromDataset). Every figure is a method on the sink.
 //
 // A sink is not safe for concurrent use; workload.Run drives each shard's
 // sink from a single goroutine, and Merge is called after all shards
@@ -531,8 +530,8 @@ func mergeShapeSamples(dst, src map[string]*stats.Sample) {
 }
 
 // StudiedSpans returns the retained stratified spans of a studied method,
-// in generation order (identical to Dataset.SpansForMethod for the same
-// run). Non-studied methods return nil.
+// in generation order (a run's Dataset.MethodSpans entry). Non-studied
+// methods return nil.
 func (k *ReportSink) StudiedSpans(method string) []*trace.Span { return k.studied[method] }
 
 // maxReplayShards caps how many per-shard sinks a replay will build.
@@ -622,16 +621,4 @@ func SinkFromDataset(ds *workload.Dataset) *ReportSink {
 		root.Merge(s)
 	}
 	return root
-}
-
-// sinkCache memoizes SinkFromDataset per Dataset so the thin XAnalysis
-// wrappers replay a dataset at most once between them.
-var sinkCache sync.Map // *workload.Dataset -> *ReportSink
-
-func sinkFor(ds *workload.Dataset) *ReportSink {
-	if v, ok := sinkCache.Load(ds); ok {
-		return v.(*ReportSink)
-	}
-	v, _ := sinkCache.LoadOrStore(ds, SinkFromDataset(ds))
-	return v.(*ReportSink)
 }

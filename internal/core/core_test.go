@@ -15,8 +15,8 @@ import (
 	"rpcscale/internal/workload"
 )
 
-// One shared dataset for the whole package: generation dominates test
-// cost and the analyses are read-only.
+// One shared dataset, replayed into one sink, for the whole package:
+// generation dominates test cost and the analyses are read-only.
 var (
 	testTopo = sim.NewTopology(sim.DefaultTopology())
 	testCat  = fleet.New(fleet.Config{Methods: 500, Clusters: len(testTopo.Clusters), Seed: 21})
@@ -24,6 +24,7 @@ var (
 		Seed: 21, MethodSamples: 120, StudiedSamples: 2500,
 		VolumeRoots: 40000, Trees: 300, MaxDepth: 8, TreeBudget: 1500,
 	})
+	testSink = SinkFromDataset(testDS)
 )
 
 func studiedMethods() []string {
@@ -69,7 +70,7 @@ func TestGrowthAnalysis(t *testing.T) {
 }
 
 func TestLatencyByMethod(t *testing.T) {
-	res := LatencyByMethod(testDS)
+	res := testSink.LatencyByMethod()
 	if len(res.Rows) < 400 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -105,8 +106,8 @@ func TestLatencyByMethod(t *testing.T) {
 }
 
 func TestPopularityAnalysis(t *testing.T) {
-	lat := LatencyByMethod(testDS)
-	res := PopularityAnalysis(testDS, lat)
+	lat := testSink.LatencyByMethod()
+	res := testSink.PopularityAnalysis(lat)
 	if math.Abs(res.Top10Share-0.58) > 0.06 {
 		t.Errorf("top-10 share = %.3f, paper 0.58", res.Top10Share)
 	}
@@ -132,7 +133,7 @@ func TestPopularityAnalysis(t *testing.T) {
 }
 
 func TestTreeShapeAnalysis(t *testing.T) {
-	res := TreeShapeAnalysis(testDS)
+	res := testSink.TreeShapeAnalysis()
 	if len(res.Rows) < 300 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -152,9 +153,9 @@ func TestTreeShapeAnalysis(t *testing.T) {
 }
 
 func TestSizeAnalyses(t *testing.T) {
-	req := RequestSizeByMethod(testDS)
-	resp := ResponseSizeByMethod(testDS)
-	ratio := SizeRatioByMethod(testDS)
+	req := testSink.RequestSizeByMethod()
+	resp := testSink.ResponseSizeByMethod()
+	ratio := testSink.SizeRatioByMethod()
 	if len(req.Rows) < 400 || len(resp.Rows) < 400 || len(ratio.Rows) < 400 {
 		t.Fatal("missing rows")
 	}
@@ -180,7 +181,7 @@ func TestSizeAnalyses(t *testing.T) {
 }
 
 func TestServiceShareAnalysis(t *testing.T) {
-	res := ServiceShareAnalysis(testDS)
+	res := testSink.ServiceShares(testDS.Profile)
 	if res.Rows[0].Service != "networkdisk" {
 		t.Errorf("top service = %s", res.Rows[0].Service)
 	}
@@ -212,7 +213,7 @@ func TestServiceShareAnalysis(t *testing.T) {
 }
 
 func TestTaxAnalysis(t *testing.T) {
-	res := TaxAnalysis(testDS)
+	res := testSink.TaxAnalysis()
 	if res.MeanTaxShare <= 0 || res.MeanTaxShare > 0.25 {
 		t.Errorf("mean tax share = %.4f, paper 0.02", res.MeanTaxShare)
 	}
@@ -228,7 +229,7 @@ func TestTaxAnalysis(t *testing.T) {
 }
 
 func TestTaxRatioByMethod(t *testing.T) {
-	res := TaxRatioByMethod(testDS)
+	res := testSink.TaxRatioByMethod()
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -242,7 +243,7 @@ func TestTaxRatioByMethod(t *testing.T) {
 }
 
 func TestTaxComponents(t *testing.T) {
-	res := TaxComponents(testDS)
+	res := testSink.TaxComponents()
 	if res.FastHalfWireP99 <= 0 || res.Slow10pWireP99 < res.FastHalfWireP99 {
 		t.Errorf("wire anchors inverted: %v %v", res.FastHalfWireP99, res.Slow10pWireP99)
 	}
@@ -258,7 +259,7 @@ func TestTaxComponents(t *testing.T) {
 func TestServiceBreakdown(t *testing.T) {
 	checked := 0
 	for _, s := range fleet.EightServices() {
-		res := ServiceBreakdown(testDS, s.Method)
+		res := testSink.ServiceBreakdown(s.Method)
 		if res.Spans < 100 {
 			continue
 		}
@@ -279,18 +280,18 @@ func TestServiceBreakdown(t *testing.T) {
 		t.Fatalf("only %d studied services had enough intra-cluster spans", checked)
 	}
 	// Class behavior: ssdcache is queue-heavy, mlinference app-heavy.
-	ssd := ServiceBreakdown(testDS, "ssdcache/Lookup")
+	ssd := testSink.ServiceBreakdown("ssdcache/Lookup")
 	if ssd.Spans > 100 && DominantGroup(ssd.Dominant) != "queue" {
 		t.Errorf("ssdcache dominant = %s (%s), paper: queue", ssd.Dominant, DominantGroup(ssd.Dominant))
 	}
-	ml := ServiceBreakdown(testDS, "mlinference/Infer")
+	ml := testSink.ServiceBreakdown("mlinference/Infer")
 	if ml.Spans > 100 && DominantGroup(ml.Dominant) != "app" {
 		t.Errorf("mlinference dominant = %s, paper: app", ml.Dominant)
 	}
 }
 
 func TestWhatIf(t *testing.T) {
-	rows := WhatIf(testDS, studiedMethods())
+	rows := testSink.WhatIf(studiedMethods())
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -330,7 +331,7 @@ func TestWhatIf(t *testing.T) {
 }
 
 func TestClusterVariation(t *testing.T) {
-	res := ClusterVariation(testDS, "bigtable/SearchValue", 20)
+	res := testSink.ClusterVariation("bigtable/SearchValue", 20)
 	if len(res.Clusters) < 3 {
 		t.Skipf("only %d clusters with enough spans", len(res.Clusters))
 	}
@@ -346,7 +347,7 @@ func TestClusterVariation(t *testing.T) {
 }
 
 func TestExogenousAnalysis(t *testing.T) {
-	panels := ExogenousAnalysis(testDS, []string{"bigtable/SearchValue", "kvstore/Search", "videometadata/GetMetadata"})
+	panels := testSink.ExogenousAnalysis([]string{"bigtable/SearchValue", "kvstore/Search", "videometadata/GetMetadata"})
 	if len(panels) != 12 {
 		t.Fatalf("panels = %d, want 3 methods x 4 variables", len(panels))
 	}
@@ -438,7 +439,7 @@ func TestCrossClusterAnalysis(t *testing.T) {
 }
 
 func TestCycleTax(t *testing.T) {
-	res := CycleTax(testDS)
+	res := CycleTaxFromProfile(testDS.Profile)
 	if math.Abs(res.TaxShare-0.071) > 0.02 {
 		t.Errorf("cycle tax = %.4f, paper 0.071", res.TaxShare)
 	}
@@ -446,7 +447,7 @@ func TestCycleTax(t *testing.T) {
 }
 
 func TestCPUByMethodAndCorrelations(t *testing.T) {
-	res := CPUByMethod(testDS)
+	res := testSink.CPUByMethod()
 	if len(res.Rows) < 400 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -455,7 +456,7 @@ func TestCPUByMethodAndCorrelations(t *testing.T) {
 	if heavy < 0.6 {
 		t.Errorf("heavy-tail fraction = %.3f", heavy)
 	}
-	corr := CPUCorrelationAnalysis(testDS)
+	corr := testSink.CPUCorrelationAnalysis()
 	if math.Abs(corr.SizeVsCPU) > 0.35 || math.Abs(corr.LatencyVsCPU) > 0.35 {
 		t.Errorf("CPU correlations too strong: size %.3f latency %.3f (paper: none)",
 			corr.SizeVsCPU, corr.LatencyVsCPU)
@@ -463,7 +464,7 @@ func TestCPUByMethodAndCorrelations(t *testing.T) {
 }
 
 func TestErrorAnalysis(t *testing.T) {
-	res := ErrorAnalysis(testDS)
+	res := testSink.ErrorAnalysis()
 	if res.ErrorRate < 0.005 || res.ErrorRate > 0.04 {
 		t.Errorf("error rate = %.4f, paper 0.019", res.ErrorRate)
 	}

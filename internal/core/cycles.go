@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rpcscale/internal/gwp"
-	"rpcscale/internal/workload"
 )
 
 // CycleTaxResult is Fig. 20: the fleet's RPC cycle tax and its category
@@ -15,13 +14,8 @@ type CycleTaxResult struct {
 	ByCat    map[gwp.Category]float64
 }
 
-// CycleTax computes Fig. 20 from a dataset's GWP profile.
-func CycleTax(ds *workload.Dataset) *CycleTaxResult {
-	return CycleTaxFromProfile(ds.Profile)
-}
-
-// CycleTaxFromProfile computes Fig. 20 from a GWP snapshot directly, for
-// callers that never materialize a Dataset.
+// CycleTaxFromProfile computes Fig. 20 from a run's GWP snapshot, which
+// is carried separately from the span stream.
 func CycleTaxFromProfile(prof *gwp.Snapshot) *CycleTaxResult {
 	res := &CycleTaxResult{
 		TaxShare: prof.TaxShare(),

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rpcscale/internal/trace"
-	"rpcscale/internal/workload"
 )
 
 // ErrorRow is one error type's slice of Fig. 23.
@@ -25,12 +24,8 @@ type ErrorResult struct {
 	HedgeCancelShare float64
 }
 
-// ErrorAnalysis computes Fig. 23 over the volume mix.
-func ErrorAnalysis(ds *workload.Dataset) *ErrorResult {
-	return sinkFor(ds).ErrorAnalysis()
-}
-
-// ErrorAnalysis computes Fig. 23 from accumulated per-code counters.
+// ErrorAnalysis computes Fig. 23 from the per-code counters accumulated
+// over the volume mix.
 func (k *ReportSink) ErrorAnalysis() *ErrorResult {
 	res := &ErrorResult{}
 	if k.errCalls > 0 {

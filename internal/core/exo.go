@@ -43,19 +43,10 @@ type ExoPanel struct {
 // are considered (network noise excluded), samples are bucketized by the
 // exogenous value, and the relationship is measured over the per-bucket
 // mean latencies — which is exactly what Fig. 17 plots.
-func ExogenousAnalysis(ds *workload.Dataset, methods []string) []ExoPanel {
-	return exogenousFromObs(ds.ExoByMethod, methods)
-}
-
-// ExogenousAnalysis computes Fig. 17 from accumulated observations.
 func (k *ReportSink) ExogenousAnalysis(methods []string) []ExoPanel {
-	return exogenousFromObs(k.exo, methods)
-}
-
-func exogenousFromObs(obsBy map[string][]workload.ExoObservation, methods []string) []ExoPanel {
 	var panels []ExoPanel
 	for _, method := range methods {
-		obs := obsBy[method]
+		obs := k.exo[method]
 		if len(obs) < 100 {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rpcscale/internal/trace"
-	"rpcscale/internal/workload"
 )
 
 // GraphShapeResult covers the call-graph DAG figures: the graph-size
@@ -53,14 +52,8 @@ type DepthWidthRow struct {
 	Total  uint64
 }
 
-// GraphShapeAnalysis computes the call-graph figures from a materialized
-// Dataset's graph summaries.
-func GraphShapeAnalysis(ds *workload.Dataset) *GraphShapeResult {
-	return sinkFor(ds).GraphShapeAnalysis()
-}
-
 // GraphShapeAnalysis computes the call-graph figures from the graph
-// summaries this sink accumulated while streaming.
+// summaries and span census this sink accumulated.
 func (k *ReportSink) GraphShapeAnalysis() *GraphShapeResult {
 	a := &k.graph
 	res := &GraphShapeResult{

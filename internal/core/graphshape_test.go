@@ -72,7 +72,7 @@ func TestGraphShapeAnalysisNoMotifs(t *testing.T) {
 		Seed: 5, MethodSamples: 10, StudiedSamples: 50,
 		VolumeRoots: 1000, Trees: 40, MaxDepth: 5, TreeBudget: 300,
 	})
-	res := GraphShapeAnalysis(ds)
+	res := SinkFromDataset(ds).GraphShapeAnalysis()
 	if res.Graphs == 0 {
 		t.Fatal("no graphs summarized")
 	}

@@ -30,46 +30,8 @@ type OffloadCoverageResult struct {
 	ByteCoverage float64
 }
 
-// OffloadCoverage computes accelerator coverage over the volume mix. The
-// report's fixed MTU (1500) is served from accumulated counters; other
-// MTUs replay the retained volume spans.
-func OffloadCoverage(ds *workload.Dataset, mtu int64) *OffloadCoverageResult {
-	if mtu <= 0 {
-		mtu = 1500
-	}
-	if mtu == reportMTU {
-		return sinkFor(ds).OffloadCoverage()
-	}
-	res := &OffloadCoverageResult{MTU: mtu}
-	var calls, callsCovered float64
-	var msgs, msgsCovered float64
-	var bytes, coveredBytes float64
-	for _, s := range ds.VolumeSpans {
-		calls++
-		msgs += 2
-		for _, sz := range [2]int64{s.RequestBytes, s.ResponseBytes} {
-			bytes += float64(sz)
-			if sz <= mtu {
-				msgsCovered++
-				coveredBytes += float64(sz)
-			}
-		}
-		if s.RequestBytes <= mtu && s.ResponseBytes <= mtu {
-			callsCovered++
-		}
-	}
-	if calls > 0 {
-		res.CallCoverage = callsCovered / calls
-		res.MessageCoverage = msgsCovered / msgs
-	}
-	if bytes > 0 {
-		res.ByteCoverage = coveredBytes / bytes
-	}
-	return res
-}
-
-// OffloadCoverage computes §2.5 coverage at the report MTU from
-// accumulated counters.
+// OffloadCoverage computes accelerator coverage over the volume mix at the
+// report MTU, from accumulated counters.
 func (k *ReportSink) OffloadCoverage() *OffloadCoverageResult {
 	res := &OffloadCoverageResult{MTU: reportMTU}
 	if k.offCalls > 0 {
@@ -104,14 +66,9 @@ type OptimizationCoverageResult struct {
 	TimeCoverage []float64
 }
 
-// OptimizationCoverage computes coverage for standard program sizes.
-func OptimizationCoverage(ds *workload.Dataset) *OptimizationCoverageResult {
-	return sinkFor(ds).OptimizationCoverage()
-}
-
-// OptimizationCoverage computes the §5.2 table from accumulated
-// per-method volume counters (hedge duplicates excluded at accumulation
-// time).
+// OptimizationCoverage computes the §5.2 table for standard program sizes
+// from accumulated per-method volume counters (hedge duplicates excluded
+// at accumulation time).
 func (k *ReportSink) OptimizationCoverage() *OptimizationCoverageResult {
 	var totalCalls uint64
 	var totalTimeNs int64

@@ -8,7 +8,7 @@ import (
 )
 
 func TestOffloadCoverage(t *testing.T) {
-	res := OffloadCoverage(testDS, 1500)
+	res := testSink.OffloadCoverage()
 	// §2.5: a single-MTU offload accelerates the majority of messages...
 	if res.MessageCoverage < 0.5 {
 		t.Errorf("message coverage = %.3f, want majority", res.MessageCoverage)
@@ -25,14 +25,13 @@ func TestOffloadCoverage(t *testing.T) {
 	if !strings.Contains(res.Render(), "Offload") {
 		t.Error("render broken")
 	}
-	// Default MTU applies.
-	if OffloadCoverage(testDS, 0).MTU != 1500 {
-		t.Error("default MTU not applied")
+	if res.MTU != 1500 {
+		t.Errorf("MTU = %d, want the report's 1500", res.MTU)
 	}
 }
 
 func TestOptimizationCoverage(t *testing.T) {
-	res := OptimizationCoverage(testDS)
+	res := testSink.OptimizationCoverage()
 	if len(res.Ks) != 4 {
 		t.Fatalf("Ks = %v", res.Ks)
 	}
@@ -83,7 +82,7 @@ func TestColocationStudy(t *testing.T) {
 }
 
 func TestRenderHeatmap(t *testing.T) {
-	lat := LatencyByMethod(testDS)
+	lat := testSink.LatencyByMethod()
 	out := lat.RenderHeatmap(48)
 	if !strings.Contains(out, "Heatmap") {
 		t.Fatal("missing header")

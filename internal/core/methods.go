@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rpcscale/internal/stats"
-	"rpcscale/internal/workload"
 )
 
 // MethodDist is one row of a per-method distribution figure: a method and
@@ -78,11 +77,6 @@ func (r *PerMethodResult) FractionOfMethods(pred func(stats.Summary) bool) float
 
 // LatencyByMethod is Fig. 2: per-method RPC completion time, sorted by
 // median.
-func LatencyByMethod(ds *workload.Dataset) *PerMethodResult {
-	return sinkFor(ds).LatencyByMethod()
-}
-
-// LatencyByMethod is Fig. 2 from accumulated state.
 func (k *ReportSink) LatencyByMethod() *PerMethodResult {
 	return k.perMethodResult("RPC completion time", "ns", func(a *methodAccum) *stats.Hist { return a.lat })
 }
@@ -128,43 +122,23 @@ func (r *PerMethodResult) Anchors() LatencyAnchors {
 	return a
 }
 
-// RequestSizeByMethod is Fig. 6a/b.
-func RequestSizeByMethod(ds *workload.Dataset) *PerMethodResult {
-	return sinkFor(ds).RequestSizeByMethod()
-}
-
-// RequestSizeByMethod is Fig. 6a from accumulated state.
+// RequestSizeByMethod is Fig. 6a.
 func (k *ReportSink) RequestSizeByMethod() *PerMethodResult {
 	return k.perMethodResult("request size", "B", func(a *methodAccum) *stats.Hist { return a.req })
 }
 
-// ResponseSizeByMethod complements Fig. 6 (the paper quotes response
-// anchors in the text).
-func ResponseSizeByMethod(ds *workload.Dataset) *PerMethodResult {
-	return sinkFor(ds).ResponseSizeByMethod()
-}
-
-// ResponseSizeByMethod is Fig. 6b from accumulated state.
+// ResponseSizeByMethod is Fig. 6b (the paper quotes response anchors in
+// the text).
 func (k *ReportSink) ResponseSizeByMethod() *PerMethodResult {
 	return k.perMethodResult("response size", "B", func(a *methodAccum) *stats.Hist { return a.resp })
 }
 
 // SizeRatioByMethod is Fig. 7: response/request per call, per method.
-func SizeRatioByMethod(ds *workload.Dataset) *PerMethodResult {
-	return sinkFor(ds).SizeRatioByMethod()
-}
-
-// SizeRatioByMethod is Fig. 7 from accumulated state.
 func (k *ReportSink) SizeRatioByMethod() *PerMethodResult {
 	return k.perMethodResult("response/request ratio", "ratio", func(a *methodAccum) *stats.Hist { return a.ratio })
 }
 
 // CPUByMethod is Fig. 21: per-method normalized CPU cycles.
-func CPUByMethod(ds *workload.Dataset) *PerMethodResult {
-	return sinkFor(ds).CPUByMethod()
-}
-
-// CPUByMethod is Fig. 21 from accumulated state.
 func (k *ReportSink) CPUByMethod() *PerMethodResult {
 	return k.perMethodResult("CPU cost", "cycles", func(a *methodAccum) *stats.Hist { return a.cpu })
 }
@@ -174,11 +148,6 @@ func (k *ReportSink) CPUByMethod() *PerMethodResult {
 type CPUCorrelations struct {
 	SizeVsCPU    float64
 	LatencyVsCPU float64
-}
-
-// CPUCorrelationAnalysis computes rank correlations over the volume mix.
-func CPUCorrelationAnalysis(ds *workload.Dataset) CPUCorrelations {
-	return sinkFor(ds).CPUCorrelationAnalysis()
 }
 
 // CPUCorrelationAnalysis computes rank correlations over the accumulated

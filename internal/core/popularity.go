@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"rpcscale/internal/workload"
 )
 
 // PopularityResult is Fig. 3: method popularity against the
@@ -29,15 +27,10 @@ type MethodShare struct {
 	Share  float64
 }
 
-// PopularityAnalysis computes Fig. 3 from the volume mix. Latency
-// ordering comes from the stratified per-method medians so the result is
-// purely observational (catalog internals are not consulted).
-func PopularityAnalysis(ds *workload.Dataset, latencyOrder *PerMethodResult) *PopularityResult {
-	return sinkFor(ds).PopularityAnalysis(latencyOrder)
-}
-
 // PopularityAnalysis computes Fig. 3 from accumulated volume counts
-// (hedge duplicates excluded at accumulation time).
+// (hedge duplicates excluded at accumulation time). Latency ordering comes
+// from the stratified per-method medians so the result is purely
+// observational (catalog internals are not consulted).
 func (k *ReportSink) PopularityAnalysis(latencyOrder *PerMethodResult) *PopularityResult {
 	var totalCalls uint64
 	var allTimeNs int64

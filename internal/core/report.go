@@ -26,16 +26,13 @@ type ReportOptions struct {
 	DiurnalSamples int
 }
 
-// FullReport runs every analysis of the study over a dataset and renders
-// the complete figure-by-figure report. It is what cmd/rpcanalyze and the
-// fleetstudy example print.
-//
-// Internally the dataset is replayed once through the streaming
-// accumulator plane (see ReportSink); for a fixed (Seed, Shards) pair the
-// output is byte-identical to StreamReport, which never materializes the
-// dataset at all.
+// FullReport renders the complete figure-by-figure report of a
+// materialized dataset: the dataset is replayed once through the
+// accumulators (SinkFromDataset) and rendered from them. For a fixed
+// (Seed, Shards) pair the output is byte-identical to StreamReport, which
+// never materializes the dataset at all.
 func FullReport(ds *workload.Dataset, opts ReportOptions) string {
-	return renderReport(sinkFor(ds), ds.Profile, opts)
+	return ReportFromSink(SinkFromDataset(ds), ds.Profile, opts)
 }
 
 // StreamReport generates the workload and renders the full report without
@@ -54,19 +51,15 @@ func StreamReport(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, c
 	for _, k := range sinks {
 		root.Merge(k)
 	}
-	return renderReport(root, prof, opts)
+	return ReportFromSink(root, prof, opts)
 }
 
-// ReportFromSink renders the report from an externally-driven sink plus
-// a CPU profile snapshot. It is how cmd/rpcanalyze analyzes span dumps
-// out-of-core: scan the dump, feed each span to the sink, then render.
+// ReportFromSink renders the figure-by-figure report from accumulated
+// state plus the run's CPU profile snapshot; every report ends here. A
+// caller may drive the sink itself, which is how cmd/rpcanalyze analyzes
+// span dumps out-of-core: scan the dump, feed each span to the sink, then
+// render.
 func ReportFromSink(sink *ReportSink, prof *gwp.Snapshot, opts ReportOptions) string {
-	return renderReport(sink, prof, opts)
-}
-
-// renderReport renders the figure-by-figure report from accumulated
-// state. Both report paths (materialized and streaming) end here.
-func renderReport(sink *ReportSink, prof *gwp.Snapshot, opts ReportOptions) string {
 	var b strings.Builder
 	line := func(s string) {
 		b.WriteString(s)

@@ -10,7 +10,6 @@ import (
 	"rpcscale/internal/gwp"
 	"rpcscale/internal/stats"
 	"rpcscale/internal/trace"
-	"rpcscale/internal/workload"
 )
 
 // ServiceShareRow is one service's slice of Fig. 8.
@@ -28,12 +27,6 @@ type ServiceShareResult struct {
 	// Top8CallShare is the paper's "top 8 applications account for 60%
 	// of total invocations".
 	Top8CallShare float64
-}
-
-// ServiceShareAnalysis computes Fig. 8 from the volume mix and the GWP
-// profile.
-func ServiceShareAnalysis(ds *workload.Dataset) *ServiceShareResult {
-	return sinkFor(ds).ServiceShares(ds.Profile)
 }
 
 // ServiceShares computes Fig. 8 from accumulated per-service counts
@@ -140,20 +133,10 @@ type ServiceBreakdownResult struct {
 	P95OverMedian float64 // paper: 1.86x - 10.6x
 }
 
-// ServiceBreakdown computes a Fig. 14 panel from intra-cluster spans of
-// the studied method.
-func ServiceBreakdown(ds *workload.Dataset, method string) *ServiceBreakdownResult {
-	return serviceBreakdownFor(method, ds.SpansForMethod(method))
-}
-
-// ServiceBreakdown computes a Fig. 14 panel from the sink's retained
-// studied-method spans.
+// ServiceBreakdown computes a Fig. 14 panel from the intra-cluster spans
+// the sink retained for the studied method.
 func (k *ReportSink) ServiceBreakdown(method string) *ServiceBreakdownResult {
-	return serviceBreakdownFor(method, k.StudiedSpans(method))
-}
-
-func serviceBreakdownFor(method string, methodSpans []*trace.Span) *ServiceBreakdownResult {
-	spans := intraCluster(methodSpans)
+	spans := intraCluster(k.StudiedSpans(method))
 	res := &ServiceBreakdownResult{Method: method, Spans: len(spans)}
 	if len(spans) < 20 {
 		return res
@@ -256,20 +239,11 @@ type WhatIfRow struct {
 	Reduction [trace.NumComponents]float64 // percentage points, 0..100
 }
 
-// WhatIf computes Fig. 15 for the studied methods.
-func WhatIf(ds *workload.Dataset, methods []string) []WhatIfRow {
-	return whatIfFor(methods, ds.SpansForMethod)
-}
-
 // WhatIf computes Fig. 15 from the sink's retained studied-method spans.
 func (k *ReportSink) WhatIf(methods []string) []WhatIfRow {
-	return whatIfFor(methods, k.StudiedSpans)
-}
-
-func whatIfFor(methods []string, spansOf func(string) []*trace.Span) []WhatIfRow {
 	var rows []WhatIfRow
 	for _, method := range methods {
-		spans := intraCluster(spansOf(method))
+		spans := intraCluster(k.StudiedSpans(method))
 		if len(spans) < 50 {
 			rows = append(rows, WhatIfRow{Method: method})
 			continue
@@ -382,23 +356,14 @@ type ClusterVariationResult struct {
 	DominantStable bool
 }
 
-// ClusterVariation computes Fig. 16 for one studied method.
-func ClusterVariation(ds *workload.Dataset, method string, minSpansPerCluster int) *ClusterVariationResult {
-	return clusterVariationFor(method, ds.SpansForMethod(method), minSpansPerCluster)
-}
-
-// ClusterVariation computes Fig. 16 from the sink's retained
-// studied-method spans.
+// ClusterVariation computes Fig. 16 for one studied method from the
+// sink's retained spans.
 func (k *ReportSink) ClusterVariation(method string, minSpansPerCluster int) *ClusterVariationResult {
-	return clusterVariationFor(method, k.StudiedSpans(method), minSpansPerCluster)
-}
-
-func clusterVariationFor(method string, methodSpans []*trace.Span, minSpansPerCluster int) *ClusterVariationResult {
 	if minSpansPerCluster <= 0 {
 		minSpansPerCluster = 30
 	}
 	byCluster := make(map[string][]*trace.Span)
-	for _, s := range intraCluster(methodSpans) {
+	for _, s := range intraCluster(k.StudiedSpans(method)) {
 		byCluster[s.ServerCluster] = append(byCluster[s.ServerCluster], s)
 	}
 	res := &ClusterVariationResult{Method: method}

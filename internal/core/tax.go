@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rpcscale/internal/stats"
-	"rpcscale/internal/workload"
 )
 
 // TaxResult is Fig. 10: fleet-wide RPC latency tax, on average and at the
@@ -33,17 +32,11 @@ type TaxResult struct {
 	Spans        int
 }
 
-// TaxAnalysis computes Fig. 10 over the volume mix. The tail panel
-// (Fig. 10c/d) selects spans at or beyond their *own method's* P95 —
-// "RPCs with P95 tail latency" in the paper's phrasing — rather than a
-// fleet-absolute threshold, which would merely select the slowest
-// methods.
-func TaxAnalysis(ds *workload.Dataset) *TaxResult {
-	return sinkFor(ds).TaxAnalysis()
-}
-
-// TaxAnalysis computes Fig. 10 from accumulated state. The mean panel is
-// a ratio of exact integer nanosecond sums; the tail panel sums the
+// TaxAnalysis computes Fig. 10 over the volume mix. The mean panel is a
+// ratio of exact integer nanosecond sums. The tail panel (Fig. 10c/d)
+// selects spans at or beyond their *own method's* P95 — "RPCs with P95
+// tail latency" in the paper's phrasing — rather than a fleet-absolute
+// threshold, which would merely select the slowest methods: it sums the
 // per-bucket component sums of each method's completion-time histogram at
 // and beyond its P95-rank bucket, the bounded-memory stand-in for
 // selecting raw spans at or beyond the method's exact P95.
@@ -99,11 +92,6 @@ type TaxRatioByMethodResult struct {
 }
 
 // TaxRatioByMethod computes Fig. 11 from stratified samples.
-func TaxRatioByMethod(ds *workload.Dataset) *TaxRatioByMethodResult {
-	return sinkFor(ds).TaxRatioByMethod()
-}
-
-// TaxRatioByMethod computes Fig. 11 from accumulated state.
 func (k *ReportSink) TaxRatioByMethod() *TaxRatioByMethodResult {
 	base := k.perMethodResult("tax ratio", "ratio", func(a *methodAccum) *stats.Hist { return a.taxRatio })
 	res := &TaxRatioByMethodResult{Rows: base.Rows}
@@ -152,12 +140,7 @@ type TaxComponentsResult struct {
 	TopQueueP99       time.Duration // paper: ~611 ms
 }
 
-// TaxComponents computes Figs. 12/13.
-func TaxComponents(ds *workload.Dataset) *TaxComponentsResult {
-	return sinkFor(ds).TaxComponents()
-}
-
-// TaxComponents computes Figs. 12/13 from accumulated state.
+// TaxComponents computes Figs. 12/13 from stratified samples.
 func (k *ReportSink) TaxComponents() *TaxComponentsResult {
 	res := &TaxComponentsResult{
 		WireNet: k.perMethodResult("wire + stack latency", "ns", func(a *methodAccum) *stats.Hist { return a.wireNet }),

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rpcscale/internal/stats"
-	"rpcscale/internal/workload"
 )
 
 // ShapeRow is one method's call-tree shape statistics.
@@ -41,22 +40,12 @@ type TreeShapeResult struct {
 const minShapeSamples = 20
 
 // TreeShapeAnalysis computes Figs. 4/5 from the per-method shape samples
-// a materialized Dataset gathered during generation.
-func TreeShapeAnalysis(ds *workload.Dataset) *TreeShapeResult {
-	return treeShapeFrom(ds.DescendantsByMethod, ds.AncestorsByMethod)
-}
-
-// TreeShapeAnalysis computes Figs. 4/5 from the shape samples this sink
-// accumulated while streaming.
+// this sink accumulated.
 func (k *ReportSink) TreeShapeAnalysis() *TreeShapeResult {
-	return treeShapeFrom(k.desc, k.anc)
-}
-
-func treeShapeFrom(descBy, ancBy map[string]*stats.Sample) *TreeShapeResult {
 	res := &TreeShapeResult{}
-	for _, name := range sortedKeys(descBy) {
-		desc := descBy[name]
-		anc := ancBy[name]
+	for _, name := range sortedKeys(k.desc) {
+		desc := k.desc[name]
+		anc := k.anc[name]
 		if desc == nil || desc.Len() < minShapeSamples {
 			continue
 		}

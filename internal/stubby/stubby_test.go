@@ -268,7 +268,7 @@ func TestNestedTracePropagation(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
-	trees := trace.BuildTrees(spans)
+	trees := trace.BuildGraphs(spans)
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d, want 1 (trace not propagated)", len(trees))
 	}

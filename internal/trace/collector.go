@@ -117,9 +117,6 @@ func (c *Collector) Spans() []*Span {
 	return out
 }
 
-// Trees reconstructs call trees from the retained spans.
-func (c *Collector) Trees() []*Tree { return BuildTrees(c.Spans()) }
-
 // Reset discards retained spans and counters.
 func (c *Collector) Reset() {
 	c.mu.Lock()

@@ -1,10 +1,10 @@
 package trace
 
-// Graph is one reconstructed RPC call graph. Unlike the deprecated Tree,
-// it preserves every in-edge: the primary parent link (ParentID) forms a
-// spanning tree, and LinkedParents add the fan-in edges that make
-// production call graphs DAGs ("Complexity at Scale": shared subtrees
-// reached from multiple parents).
+// Graph is one reconstructed RPC call graph. It preserves every in-edge:
+// the primary parent link (ParentID) forms a spanning tree — the tree the
+// paper's Figs. 4/5 are defined over — and LinkedParents add the fan-in
+// edges that make production call graphs DAGs ("Complexity at Scale":
+// shared subtrees reached from multiple parents).
 type Graph struct {
 	Root  *GraphNode
 	Spans int // nodes in the graph
@@ -24,6 +24,10 @@ type GraphNode struct {
 	// Parents holds every in-edge, primary first. len(Parents) > 1 marks
 	// a shared dependency (a fan-in node).
 	Parents []*GraphNode
+
+	// Descendants is the number of RPCs beneath this node in the spanning
+	// tree (excluding the node itself).
+	Descendants int
 }
 
 // Shared reports whether the node has more than one parent.
@@ -57,41 +61,26 @@ func (g *Graph) SharedNodes() int {
 // depth 0). Depth follows primary edges only, so it is well-defined even
 // when fan-in edges would otherwise create multiple path lengths.
 func (g *Graph) Depth() int {
-	var walk func(n *GraphNode) int
-	walk = func(n *GraphNode) int {
-		max := 0
-		for _, c := range n.Children {
-			if d := walk(c) + 1; d > max {
-				max = d
-			}
+	max := 0
+	g.Walk(func(_ *GraphNode, depth int) {
+		if depth > max {
+			max = depth
 		}
-		return max
-	}
-	if g.Root == nil {
-		return 0
-	}
-	return walk(g.Root)
+	})
+	return max
 }
 
 // Width returns the maximum number of nodes at any single depth of the
 // spanning tree — the "how wide" axis of the depth-vs-width joint
 // distribution.
 func (g *Graph) Width() int {
-	if g.Root == nil {
-		return 0
-	}
 	var counts []int
-	var walk func(n *GraphNode, depth int)
-	walk = func(n *GraphNode, depth int) {
+	g.Walk(func(_ *GraphNode, depth int) {
 		for len(counts) <= depth {
 			counts = append(counts, 0)
 		}
 		counts[depth]++
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(g.Root, 0)
+	})
 	width := 0
 	for _, c := range counts {
 		if c > width {
@@ -118,12 +107,15 @@ func (g *Graph) Walk(fn func(n *GraphNode, depth int)) {
 }
 
 // BuildGraphs reconstructs call graphs from a flat span collection. The
-// primary parent link (ParentID) forms the spanning tree, exactly as
-// BuildTrees does — spans whose primary parent is missing become roots of
-// partial graphs — and every resolvable LinkedParents entry adds a fan-in
-// edge on top. Linked parents that are missing from the collection, would
-// self-loop, duplicate the primary edge, or repeat an already-recorded
-// in-edge are dropped.
+// primary parent link (ParentID) forms the spanning tree, children in
+// insertion order; spans whose primary parent is missing (e.g., dropped by
+// sampling) or is the span itself become roots of partial graphs, which is
+// how Dapper handles incomplete traces. Every resolvable LinkedParents
+// entry adds a fan-in edge on top. Linked parents that are missing from
+// the collection, would self-loop, duplicate the primary edge, or repeat
+// an already-recorded in-edge are dropped. A span repeating an earlier
+// (trace, span) ID is left out, so every node has at most one primary
+// parent and the walk from a root cannot loop.
 func BuildGraphs(spans []*Span) []*Graph {
 	type key struct {
 		t TraceID
@@ -131,11 +123,16 @@ func BuildGraphs(spans []*Span) []*Graph {
 	}
 	nodes := make(map[key]*GraphNode, len(spans))
 	for _, s := range spans {
-		nodes[key{s.TraceID, s.SpanID}] = &GraphNode{Span: s}
+		if k := (key{s.TraceID, s.SpanID}); nodes[k] == nil {
+			nodes[k] = &GraphNode{Span: s}
+		}
 	}
 	var roots []*GraphNode
 	for _, s := range spans {
 		n := nodes[key{s.TraceID, s.SpanID}]
+		if n.Span != s {
+			continue
+		}
 		attached := false
 		if s.ParentID != 0 {
 			if p, ok := nodes[key{s.TraceID, s.ParentID}]; ok && p != n {
@@ -172,12 +169,13 @@ func BuildGraphs(spans []*Span) []*Graph {
 	graphs := make([]*Graph, 0, len(roots))
 	for _, r := range roots {
 		g := &Graph{Root: r, Nodes: make(map[SpanID]*GraphNode)}
-		var collect func(n *GraphNode)
-		collect = func(n *GraphNode) {
+		var collect func(n *GraphNode) int
+		collect = func(n *GraphNode) int {
 			g.Nodes[n.Span.SpanID] = n
 			for _, c := range n.Children {
-				collect(c)
+				n.Descendants += 1 + collect(c)
 			}
+			return n.Descendants
 		}
 		collect(r)
 		g.Spans = len(g.Nodes)

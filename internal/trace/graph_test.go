@@ -17,6 +17,87 @@ func diamondSpans() []*Span {
 	return []*Span{mk(1, 0), mk(2, 1), mk(3, 1), shared}
 }
 
+// buildSpanTree constructs a simple trace: root -> (a, b), a -> (c, d).
+func buildSpanTree() []*Span {
+	return []*Span{
+		{TraceID: 1, SpanID: 1, Method: "root"},
+		{TraceID: 1, SpanID: 2, ParentID: 1, Method: "a"},
+		{TraceID: 1, SpanID: 3, ParentID: 1, Method: "b"},
+		{TraceID: 1, SpanID: 4, ParentID: 2, Method: "c"},
+		{TraceID: 1, SpanID: 5, ParentID: 2, Method: "d"},
+	}
+}
+
+// TestBuildGraphsSpanningTree covers the primary-parent reconstruction:
+// which spans become roots and how large and deep each root's tree is.
+func TestBuildGraphsSpanningTree(t *testing.T) {
+	type want struct {
+		root        string
+		spans, deep int
+	}
+	for _, tc := range []struct {
+		name  string
+		spans []*Span
+		want  []want
+	}{
+		{"basic shape", buildSpanTree(), []want{{"root", 5, 2}}},
+		{"multiple traces", append(buildSpanTree(),
+			&Span{TraceID: 2, SpanID: 1, Method: "other-root"},
+			&Span{TraceID: 2, SpanID: 2, ParentID: 1, Method: "other-child"},
+		), []want{{"root", 5, 2}, {"other-root", 2, 1}}},
+		{"orphan promoted", []*Span{
+			{TraceID: 1, SpanID: 10, ParentID: 99, Method: "orphan"}, // parent missing
+			{TraceID: 1, SpanID: 11, ParentID: 10, Method: "child-of-orphan"},
+		}, []want{{"orphan", 2, 1}}},
+		// A span whose parent ID equals its own span ID must not create a cycle.
+		{"self parent", []*Span{{TraceID: 1, SpanID: 7, ParentID: 7, Method: "self"}},
+			[]want{{"self", 1, 0}}},
+		// Nor may a repeated ID hang a node under its own descendant
+		// (2 -> 3 -> 2): the repeat is left out.
+		{"repeated span ID", []*Span{
+			{TraceID: 1, SpanID: 1, Method: "root"},
+			{TraceID: 1, SpanID: 2, ParentID: 1, Method: "a"},
+			{TraceID: 1, SpanID: 2, ParentID: 3, Method: "a-again"},
+			{TraceID: 1, SpanID: 3, ParentID: 2, Method: "b"},
+		}, []want{{"root", 3, 2}}},
+		// A parent cycle has no root, so it forms no graph.
+		{"parent cycle", []*Span{
+			{TraceID: 1, SpanID: 1, ParentID: 2, Method: "a"},
+			{TraceID: 1, SpanID: 2, ParentID: 1, Method: "b"},
+		}, nil},
+	} {
+		graphs := BuildGraphs(tc.spans)
+		if len(graphs) != len(tc.want) {
+			t.Errorf("%s: got %d graphs, want %d", tc.name, len(graphs), len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			g := graphs[i]
+			got := want{g.Root.Span.Method, g.Spans, g.Depth()}
+			if got != w {
+				t.Errorf("%s: graph %d = %+v, want %+v", tc.name, i, got, w)
+			}
+			if g.Root.Descendants != w.spans-1 {
+				t.Errorf("%s: root descendants = %d, want %d", tc.name, g.Root.Descendants, w.spans-1)
+			}
+		}
+	}
+}
+
+func TestGraphWalkAncestorAndDescendantCounts(t *testing.T) {
+	type counts struct{ ancestors, descendants int }
+	got := map[string]counts{}
+	BuildGraphs(buildSpanTree())[0].Walk(func(n *GraphNode, depth int) {
+		got[n.Span.Method] = counts{depth, n.Descendants}
+	})
+	want := map[string]counts{"root": {0, 4}, "a": {1, 2}, "b": {1, 0}, "c": {2, 0}, "d": {2, 0}}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %+v, want %+v", k, got[k], v)
+		}
+	}
+}
+
 func TestBuildGraphsDiamond(t *testing.T) {
 	graphs := BuildGraphs(diamondSpans())
 	if len(graphs) != 1 {

@@ -1,6 +1,6 @@
 // Package trace implements a Dapper-style distributed tracing substrate:
-// spans carrying the paper's nine-component RPC latency breakdown, trace
-// trees reconstructed from parent links, and a sampling collector.
+// spans carrying the paper's nine-component RPC latency breakdown, call
+// graphs reconstructed from parent links, and a sampling collector.
 //
 // Both data sources feed it: the real RPC stack (internal/stubby) emits
 // spans measured on live TCP connections, and the fleet simulator
@@ -334,94 +334,20 @@ func (s *Span) HasCPUSplit() bool {
 	return false
 }
 
+// RecordCycles attributes the span's CPU cost to p: by category when the
+// span carries the split, otherwise the whole total to gwp.Application,
+// which is what dumps written before the split meant.
+func (s *Span) RecordCycles(p *gwp.Profiler) {
+	switch {
+	case s.HasCPUSplit():
+		for cat, cycles := range s.CPUByCategory {
+			p.Record(s.Service, s.Method, gwp.Category(cat), cycles)
+		}
+	case s.CPUCycles > 0:
+		p.Record(s.Service, s.Method, gwp.Application, s.CPUCycles)
+	}
+}
+
 // SameCluster reports whether client and server were co-located in one
 // cluster — the filter used throughout §3.3.
 func (s *Span) SameCluster() bool { return s.ClientCluster == s.ServerCluster }
-
-// Tree is one reconstructed RPC call tree.
-//
-// Deprecated: production call graphs are DAGs — a shared dependency can
-// be reached from several parents — and Tree drops every in-edge beyond
-// the primary one. Use Graph/BuildGraphs, which preserve LinkedParents;
-// Tree remains for the paper's tree-shape figures (Figs. 4/5), which are
-// defined over the primary-parent spanning tree.
-type Tree struct {
-	Root  *Node
-	Spans int // total spans in the tree
-}
-
-// Node is one RPC within a tree, with links to its children.
-type Node struct {
-	Span     *Span
-	Children []*Node
-}
-
-// Descendants returns the number of RPCs beneath this node (excluding the
-// node itself).
-func (n *Node) Descendants() int {
-	total := 0
-	for _, c := range n.Children {
-		total += 1 + c.Descendants()
-	}
-	return total
-}
-
-// Depth returns the height of the subtree rooted at n (a leaf has depth 0).
-func (n *Node) Depth() int {
-	max := 0
-	for _, c := range n.Children {
-		if d := c.Depth() + 1; d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Walk visits the node and all descendants pre-order, passing the number
-// of ancestors (distance from the walk root).
-func (n *Node) Walk(fn func(node *Node, ancestors int)) {
-	n.walk(fn, 0)
-}
-
-func (n *Node) walk(fn func(node *Node, ancestors int), depth int) {
-	fn(n, depth)
-	for _, c := range n.Children {
-		c.walk(fn, depth+1)
-	}
-}
-
-// BuildTrees reconstructs call trees from a flat span collection. Spans
-// whose parent is missing from the collection (e.g., dropped by sampling)
-// are promoted to roots of their own partial trees, which is how Dapper
-// handles incomplete traces. Children appear in insertion order.
-//
-// Deprecated: BuildTrees follows only primary-parent edges and silently
-// drops LinkedParents, so DAG-shaped traces lose their fan-in structure.
-// Use BuildGraphs for the full call-graph reconstruction; BuildTrees
-// remains the spanning-tree view behind the Figs. 4/5 analyses.
-func BuildTrees(spans []*Span) []*Tree {
-	type key struct {
-		t TraceID
-		s SpanID
-	}
-	nodes := make(map[key]*Node, len(spans))
-	for _, s := range spans {
-		nodes[key{s.TraceID, s.SpanID}] = &Node{Span: s}
-	}
-	var roots []*Node
-	for _, s := range spans {
-		n := nodes[key{s.TraceID, s.SpanID}]
-		if s.ParentID != 0 {
-			if p, ok := nodes[key{s.TraceID, s.ParentID}]; ok && p != n {
-				p.Children = append(p.Children, n)
-				continue
-			}
-		}
-		roots = append(roots, n)
-	}
-	trees := make([]*Tree, 0, len(roots))
-	for _, r := range roots {
-		trees = append(trees, &Tree{Root: r, Spans: 1 + r.Descendants()})
-	}
-	return trees
-}

@@ -125,86 +125,6 @@ func TestErrorCodeStrings(t *testing.T) {
 	}
 }
 
-// buildSpanTree constructs a simple trace: root -> (a, b), a -> (c, d).
-func buildSpanTree() []*Span {
-	return []*Span{
-		{TraceID: 1, SpanID: 1, Method: "root"},
-		{TraceID: 1, SpanID: 2, ParentID: 1, Method: "a"},
-		{TraceID: 1, SpanID: 3, ParentID: 1, Method: "b"},
-		{TraceID: 1, SpanID: 4, ParentID: 2, Method: "c"},
-		{TraceID: 1, SpanID: 5, ParentID: 2, Method: "d"},
-	}
-}
-
-func TestBuildTrees(t *testing.T) {
-	trees := BuildTrees(buildSpanTree())
-	if len(trees) != 1 {
-		t.Fatalf("got %d trees", len(trees))
-	}
-	tr := trees[0]
-	if tr.Spans != 5 {
-		t.Errorf("spans = %d", tr.Spans)
-	}
-	if tr.Root.Span.Method != "root" {
-		t.Errorf("root = %q", tr.Root.Span.Method)
-	}
-	if got := tr.Root.Descendants(); got != 4 {
-		t.Errorf("descendants = %d", got)
-	}
-	if got := tr.Root.Depth(); got != 2 {
-		t.Errorf("depth = %d", got)
-	}
-}
-
-func TestBuildTreesMultipleTraces(t *testing.T) {
-	spans := buildSpanTree()
-	spans = append(spans,
-		&Span{TraceID: 2, SpanID: 1, Method: "other-root"},
-		&Span{TraceID: 2, SpanID: 2, ParentID: 1, Method: "other-child"},
-	)
-	trees := BuildTrees(spans)
-	if len(trees) != 2 {
-		t.Fatalf("got %d trees, want 2", len(trees))
-	}
-}
-
-func TestBuildTreesOrphanPromoted(t *testing.T) {
-	spans := []*Span{
-		{TraceID: 1, SpanID: 10, ParentID: 99, Method: "orphan"}, // parent missing
-		{TraceID: 1, SpanID: 11, ParentID: 10, Method: "child-of-orphan"},
-	}
-	trees := BuildTrees(spans)
-	if len(trees) != 1 {
-		t.Fatalf("got %d trees", len(trees))
-	}
-	if trees[0].Root.Span.Method != "orphan" || trees[0].Spans != 2 {
-		t.Errorf("orphan tree = %+v", trees[0])
-	}
-}
-
-func TestBuildTreesSelfParent(t *testing.T) {
-	// A span whose parent ID equals its own span ID must not create a cycle.
-	spans := []*Span{{TraceID: 1, SpanID: 7, ParentID: 7, Method: "self"}}
-	trees := BuildTrees(spans)
-	if len(trees) != 1 || trees[0].Spans != 1 {
-		t.Fatalf("self-parent handling wrong: %+v", trees)
-	}
-}
-
-func TestWalkAncestorCounts(t *testing.T) {
-	trees := BuildTrees(buildSpanTree())
-	got := map[string]int{}
-	trees[0].Root.Walk(func(n *Node, ancestors int) {
-		got[n.Span.Method] = ancestors
-	})
-	want := map[string]int{"root": 0, "a": 1, "b": 1, "c": 2, "d": 2}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("ancestors[%s] = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
 func TestCollectorSampling(t *testing.T) {
 	c := New(WithSampleEvery(10))
 	for id := TraceID(0); id < 100; id++ {
@@ -292,14 +212,14 @@ func TestCollectorReset(t *testing.T) {
 	}
 }
 
-func TestCollectorTrees(t *testing.T) {
+func TestCollectorSpansRebuildGraph(t *testing.T) {
 	c := New()
 	for _, s := range buildSpanTree() {
 		c.Collect(s)
 	}
-	trees := c.Trees()
-	if len(trees) != 1 || trees[0].Spans != 5 {
-		t.Errorf("trees = %+v", trees)
+	graphs := BuildGraphs(c.Spans())
+	if len(graphs) != 1 || graphs[0].Spans != 5 {
+		t.Errorf("graphs = %+v", graphs)
 	}
 }
 

@@ -109,9 +109,9 @@ type Dataset struct {
 	// hedging-induced cancellations.
 	VolumeSpans []*trace.Span
 
-	// TreeSpans and Trees are the materialized call-tree sample.
+	// TreeSpans is the materialized call-tree sample; trace.BuildGraphs
+	// reconstructs the graphs from it.
 	TreeSpans []*trace.Span
-	Trees     []*trace.Tree
 
 	// DescendantsByMethod / AncestorsByMethod are exact per-method
 	// samples gathered during generation (no materialization needed).
@@ -240,7 +240,6 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 		}
 		ds.GraphStats = append(ds.GraphStats, d.graphs...)
 	}
-	ds.Trees = trace.BuildTrees(ds.TreeSpans)
 	ds.Profile = snap
 	return snap, ds
 }
@@ -379,6 +378,3 @@ func (ds *Dataset) AllSpans() []*trace.Span {
 	}
 	return out
 }
-
-// SpansForMethod returns the stratified spans of one method.
-func (ds *Dataset) SpansForMethod(name string) []*trace.Span { return ds.MethodSpans[name] }

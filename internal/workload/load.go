@@ -16,7 +16,7 @@ import (
 //   - every span is used both for per-method distributions and for the
 //     volume mix (a dump does not distinguish stratified from volume
 //     sampling);
-//   - descendant/ancestor samples come from reconstructed trees, so
+//   - descendant/ancestor samples come from reconstructed call graphs, so
 //     methods that only appear as isolated spans have sparse shape data;
 //   - exogenous observations are absent, so Figs. 17/18 are unavailable.
 //
@@ -37,57 +37,26 @@ func DatasetFromSpans(spans []*trace.Span) *Dataset {
 	prof := gwp.New()
 	for _, s := range spans {
 		ds.MethodSpans[s.Method] = append(ds.MethodSpans[s.Method], s)
-		switch {
-		case s.HasCPUSplit():
-			for cat, cycles := range s.CPUByCategory {
-				prof.Record(s.Service, s.Method, gwp.Category(cat), cycles)
-			}
-		case s.CPUCycles > 0:
-			prof.Record(s.Service, s.Method, gwp.Application, s.CPUCycles)
-		}
+		s.RecordCycles(prof)
 	}
 	ds.Profile = prof.Snapshot()
-	// Graph shapes: rebuild DAGs (primary spanning tree plus linked-parent
-	// in-edges) and summarize each multi-span graph. Isolated spans are
-	// stratified/volume samples in disguise, not one-node graphs, so they
-	// are excluded to keep the size CCDF meaningful.
+	// Rebuild the call graphs (primary spanning tree plus linked-parent
+	// in-edges). Each multi-span graph yields its whole-graph summary and,
+	// from its spanning tree, the tree spans and per-method shape samples.
+	// Isolated spans are stratified/volume samples in disguise, not
+	// one-node graphs: they carry no shape information and would flatten
+	// the size CCDF, so they are excluded.
 	for _, gr := range trace.BuildGraphs(spans) {
 		if gr.Spans < 2 {
 			continue
 		}
 		ds.GraphStats = append(ds.GraphStats, GraphStatOf(gr))
-	}
-	ds.Trees = trace.BuildTrees(spans)
-	for _, tr := range ds.Trees {
-		if tr.Spans < 2 {
-			continue // isolated spans carry no shape information
-		}
-		ds.TreeSpans = appendTreeSpans(ds.TreeSpans, tr.Root)
-		tr.Root.Walk(func(n *trace.Node, ancestors int) {
-			m := n.Span.Method
-			d := ds.DescendantsByMethod[m]
-			if d == nil {
-				d = stats.NewSample(0)
-				ds.DescendantsByMethod[m] = d
-			}
-			d.Add(float64(n.Descendants()))
-			a := ds.AncestorsByMethod[m]
-			if a == nil {
-				a = stats.NewSample(0)
-				ds.AncestorsByMethod[m] = a
-			}
-			a.Add(float64(ancestors))
+		gr.Walk(func(n *trace.GraphNode, ancestors int) {
+			ds.TreeSpans = append(ds.TreeSpans, n.Span)
+			addShape(ds.DescendantsByMethod, ds.AncestorsByMethod, n.Span.Method, n.Descendants, ancestors)
 		})
 	}
 	return ds
-}
-
-func appendTreeSpans(out []*trace.Span, n *trace.Node) []*trace.Span {
-	out = append(out, n.Span)
-	for _, c := range n.Children {
-		out = appendTreeSpans(out, c)
-	}
-	return out
 }
 
 // LoadDataset reads a JSON-lines span dump and rebuilds a Dataset.

@@ -33,7 +33,7 @@ type SpanSink interface {
 	// TreeSpan receives one span of a materialized call tree.
 	TreeSpan(s *trace.Span)
 	// TreeShape receives the (descendants, ancestors) counts of one call
-	// observation — the raw material of the Fig. 5/6 shape analysis.
+	// observation — the raw material of the Figs. 4/5 shape analysis.
 	TreeShape(method string, descendants, ancestors int)
 	// GraphShape receives the whole-graph summary of one root call: node
 	// count, depth/width of the primary spanning tree, fan-in edges, and
@@ -78,18 +78,24 @@ func (d *datasetSink) VolumeSpan(s *trace.Span) { d.volume = append(d.volume, s)
 func (d *datasetSink) TreeSpan(s *trace.Span) { d.treeSpans = append(d.treeSpans, s) }
 
 func (d *datasetSink) TreeShape(method string, descendants, ancestors int) {
-	ds := d.desc[method]
-	if ds == nil {
-		ds = stats.NewSample(0)
-		d.desc[method] = ds
+	addShape(d.desc, d.anc, method, descendants, ancestors)
+}
+
+// addShape appends one call's (descendants, ancestors) counts to its
+// method's Figs. 4/5 samples.
+func addShape(desc, anc map[string]*stats.Sample, method string, descendants, ancestors int) {
+	d := desc[method]
+	if d == nil {
+		d = stats.NewSample(0)
+		desc[method] = d
 	}
-	ds.Add(float64(descendants))
-	as := d.anc[method]
-	if as == nil {
-		as = stats.NewSample(0)
-		d.anc[method] = as
+	d.Add(float64(descendants))
+	a := anc[method]
+	if a == nil {
+		a = stats.NewSample(0)
+		anc[method] = a
 	}
-	as.Add(float64(ancestors))
+	a.Add(float64(ancestors))
 }
 
 func (d *datasetSink) GraphShape(g GraphStat) { d.graphs = append(d.graphs, g) }

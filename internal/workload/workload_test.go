@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -113,7 +114,7 @@ func TestMaterializedTreeLinks(t *testing.T) {
 			},
 		})
 	}
-	trees := trace.BuildTrees(col.Spans())
+	trees := trace.BuildGraphs(col.Spans())
 	if len(trees) != 20 {
 		t.Fatalf("trees = %d, want 20 (children mis-linked?)", len(trees))
 	}
@@ -175,7 +176,7 @@ func TestParentAppIncludesChildren(t *testing.T) {
 			Observe: func(o CallObservation) { col.Collect(o.Span) },
 		})
 	}
-	for _, tr := range trace.BuildTrees(col.Spans()) {
+	for _, tr := range trace.BuildGraphs(col.Spans()) {
 		if tr.Root.Span.Err.IsError() {
 			continue // an erroring parent abandons its children early
 		}
@@ -255,7 +256,7 @@ func TestGenerateDataset(t *testing.T) {
 	if len(ds.VolumeSpans) < 4000 {
 		t.Fatalf("volume spans = %d", len(ds.VolumeSpans))
 	}
-	if len(ds.Trees) == 0 || len(ds.TreeSpans) == 0 {
+	if len(ds.TreeSpans) == 0 || len(trace.BuildGraphs(ds.TreeSpans)) == 0 {
 		t.Fatal("no trees materialized")
 	}
 	if ds.Profile == nil || ds.Profile.Total() == 0 {
@@ -494,7 +495,7 @@ func TestLoadDatasetRoundTrip(t *testing.T) {
 	if len(loaded.VolumeSpans) != len(spans) {
 		t.Fatalf("loaded %d spans, wrote %d", len(loaded.VolumeSpans), len(spans))
 	}
-	if len(loaded.Trees) == 0 {
+	if len(loaded.TreeSpans) == 0 || len(loaded.GraphStats) == 0 {
 		t.Fatal("no trees reconstructed")
 	}
 	if loaded.Profile == nil || loaded.Profile.Total() <= 0 {
@@ -584,5 +585,81 @@ func TestExportMethodDistributions(t *testing.T) {
 	}
 	if merged.Percentile(99) <= merged.Percentile(50) {
 		t.Fatal("merged distribution degenerate")
+	}
+}
+
+// TestDeepChainDumpLoads: a dump is outside input, and a single parent
+// chain is its worst case for any per-node subtree walk. Loading must stay
+// linear in the span count and still count every node's subtree right.
+func TestDeepChainDumpLoads(t *testing.T) {
+	const n = 100000
+	spans := make([]*trace.Span, n)
+	for i := range spans {
+		spans[i] = &trace.Span{TraceID: 1, SpanID: trace.SpanID(i + 1), ParentID: trace.SpanID(i), Method: "chain/Link", Service: "chain"}
+	}
+	start := time.Now()
+	ds := DatasetFromSpans(spans)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("loading a %d-span chain took %v", n, took)
+	}
+	if len(ds.TreeSpans) != n {
+		t.Fatalf("tree spans = %d, want %d", len(ds.TreeSpans), n)
+	}
+	if len(ds.GraphStats) != 1 || ds.GraphStats[0].Spans != n || ds.GraphStats[0].Depth != n-1 {
+		t.Fatalf("graph stats = %+v", ds.GraphStats)
+	}
+	// Span i has n-1-i descendants and i ancestors: each of 0..n-1 once.
+	for what, by := range map[string]map[string]*stats.Sample{
+		"descendants": ds.DescendantsByMethod, "ancestors": ds.AncestorsByMethod,
+	} {
+		s := by["chain/Link"]
+		if s == nil || s.Len() != n {
+			t.Fatalf("%s: sample missing or wrong size", what)
+		}
+		got := append([]float64(nil), s.Values()...)
+		sort.Float64s(got)
+		for i, v := range got {
+			if v != float64(i) {
+				t.Fatalf("%s: sorted sample[%d] = %v, want %d", what, i, v, i)
+			}
+		}
+	}
+}
+
+// TestDumpParentCycles: malformed parent links in a dump must neither
+// hang nor panic the loader. A span that names itself as parent is a root,
+// as is one whose parent is absent; a two-span parent cycle has no root,
+// so it joins no call graph but still counts as volume.
+func TestDumpParentCycles(t *testing.T) {
+	mk := func(id, parent trace.SpanID, method string) *trace.Span {
+		return &trace.Span{TraceID: 1, SpanID: id, ParentID: parent, Method: method, Service: "s"}
+	}
+	spans := []*trace.Span{
+		mk(1, 2, "cycle/A"), mk(2, 1, "cycle/B"),
+		mk(7, 7, "self"), mk(8, 7, "self-child"),
+		mk(10, 99, "orphan"), mk(11, 10, "orphan-child"),
+	}
+	ds := DatasetFromSpans(spans)
+	if len(ds.VolumeSpans) != len(spans) {
+		t.Fatalf("volume spans = %d, want %d", len(ds.VolumeSpans), len(spans))
+	}
+	var roots []string
+	for _, g := range ds.GraphStats {
+		if g.Spans != 2 || g.Depth != 1 {
+			t.Errorf("graph %s: %+v, want 2 spans of depth 1", g.Root, g)
+		}
+		roots = append(roots, g.Root)
+	}
+	if len(roots) != 2 || roots[0] != "self" || roots[1] != "orphan" {
+		t.Fatalf("graph roots = %v, want [self orphan]", roots)
+	}
+	if len(ds.TreeSpans) != 4 {
+		t.Fatalf("tree spans = %d, want 4 (the cycle joins no graph)", len(ds.TreeSpans))
+	}
+	if d := ds.DescendantsByMethod["cycle/A"]; d != nil {
+		t.Error("cycle member has shape samples")
+	}
+	if d := ds.DescendantsByMethod["orphan"]; d == nil || d.Quantile(1) != 1 {
+		t.Error("orphan root should have one descendant")
 	}
 }
