@@ -23,6 +23,7 @@ import (
 	"rpcscale/internal/loadbalance"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
+	"rpcscale/internal/stats"
 	"rpcscale/internal/stubby"
 	"rpcscale/internal/trace"
 	"rpcscale/internal/workload"
@@ -408,31 +409,62 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 	}
 }
 
+// stitchedPayload is n bytes assembled from random fragments of a 2 KiB
+// random dictionary — the structure bench/rpc.go gives fleet_mix's uploads.
+func stitchedPayload(n int) []byte {
+	rng := stats.NewRNG(16).Child("stitched")
+	dict := make([]byte, 2048)
+	for i := range dict {
+		dict[i] = byte(rng.Uint64())
+	}
+	out := make([]byte, 0, n+64)
+	for len(out) < n {
+		off, l := rng.Intn(len(dict)-64), 8+rng.Intn(56)
+		out = append(out, dict[off:off+l]...)
+	}
+	return out[:n]
+}
+
 // BenchmarkAblationCompression measures the cycle-vs-bytes trade of the
-// single largest cycle-tax component (Fig. 20): flate on a compressible
-// 16 KB payload vs pass-through.
+// single largest cycle-tax component (Fig. 20), flate vs pass-through: on
+// dictionary-stitched payloads at the sizes compressed traffic has (the
+// bulk lane takes everything from 16 KiB up, uncompressed), and on the
+// highly regular 16 KiB payload the series started with.
 func BenchmarkAblationCompression(b *testing.B) {
-	payload := make([]byte, 16*1024)
-	for i := range payload {
-		payload[i] = byte(i / 64) // compressible structure
+	regular := make([]byte, 16*1024)
+	for i := range regular {
+		regular[i] = byte(i / 64) // compressible structure
+	}
+	payloads := []struct {
+		name string
+		data []byte
+	}{
+		{"stitched-600B", stitchedPayload(600)},
+		{"stitched-1.5KiB", stitchedPayload(1536)},
+		{"stitched-4KiB", stitchedPayload(4 << 10)},
+		{"regular-16KiB", regular},
 	}
 	for _, algo := range []compressor.Algorithm{compressor.None, compressor.Flate} {
-		b.Run(algo.String(), func(b *testing.B) {
-			c := compressor.New(algo, nil)
-			b.SetBytes(int64(len(payload)))
-			var outLen int
-			for i := 0; i < b.N; i++ {
-				out, err := c.Compress(payload)
-				if err != nil {
-					b.Fatal(err)
+		for _, p := range payloads {
+			b.Run(algo.String()+"/"+p.name, func(b *testing.B) {
+				c := compressor.New(algo, nil)
+				payload := p.data
+				b.SetBytes(int64(len(payload)))
+				b.ReportAllocs()
+				var outLen int
+				for i := 0; i < b.N; i++ {
+					out, err := c.Compress(payload)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Decompress(out); err != nil {
+						b.Fatal(err)
+					}
+					outLen = len(out)
 				}
-				if _, err := c.Decompress(out); err != nil {
-					b.Fatal(err)
-				}
-				outLen = len(out)
-			}
-			b.ReportMetric(float64(outLen)/float64(len(payload)), "ratio")
-		})
+				b.ReportMetric(float64(outLen)/float64(len(payload)), "ratio")
+			})
+		}
 	}
 }
 

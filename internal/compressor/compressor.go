@@ -3,13 +3,25 @@
 // cycle tax (3.1% of all fleet cycles, Fig. 20), so the package meters
 // bytes in/out and an explicit work counter that the GWP profiler uses for
 // attribution.
+//
+// A compressed payload is uvarint(uncompressed length) followed by an
+// RFC 1951 DEFLATE stream. The sender is this package's own single-pass
+// encoder (deflate.go), which only ever writes fixed-Huffman blocks: RPC
+// payloads are small, and on small inputs the per-message cost of building
+// Huffman tables is most of what a general DEFLATE writer spends. The
+// receiver is the standard library's inflater, pooled, which accepts every
+// block type, writes into one buffer sized from the declared length, and
+// refuses a length — declared or actual — over the caller's limit.
 package compressor
 
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -18,8 +30,8 @@ import (
 type Algorithm uint8
 
 // Supported algorithms. None passes payloads through untouched; Flate is
-// DEFLATE at a fast level, standing in for the fleet's production
-// compressors.
+// the length-prefixed fixed-Huffman DEFLATE of the package comment,
+// standing in for the fleet's production compressors.
 const (
 	None Algorithm = iota
 	Flate
@@ -61,11 +73,10 @@ func (s *Stats) Ratio() float64 {
 }
 
 // Compressor compresses and decompresses RPC payloads. It is safe for
-// concurrent use; flate writers are pooled.
+// concurrent use and holds no state but its counters.
 type Compressor struct {
 	algo  Algorithm
 	stats *Stats
-	wpool sync.Pool // *flate.Writer
 }
 
 // New returns a compressor using the given algorithm. stats may be nil.
@@ -73,15 +84,7 @@ func New(algo Algorithm, stats *Stats) *Compressor {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	c := &Compressor{algo: algo, stats: stats}
-	c.wpool.New = func() any {
-		w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-		if err != nil {
-			panic(err) // BestSpeed is always a valid level
-		}
-		return w
-	}
-	return c
+	return &Compressor{algo: algo, stats: stats}
 }
 
 // Algorithm returns the configured algorithm.
@@ -90,44 +93,150 @@ func (c *Compressor) Algorithm() Algorithm { return c.algo }
 // Stats returns the shared counters.
 func (c *Compressor) Stats() *Stats { return c.stats }
 
-// Compress returns the compressed form of payload. With algorithm None the
-// input is returned unchanged (no copy).
-func (c *Compressor) Compress(payload []byte) ([]byte, error) {
-	c.stats.CompressCalls.Add(1)
-	c.stats.BytesIn.Add(uint64(len(payload)))
+// CompressAppend appends the compressed form of src to dst and reports
+// true, or — when that form would not be shorter than src, which it learns
+// without finishing it, or the algorithm is None — returns dst as it was
+// and false: send src as it is. It allocates only if dst lacks
+// len(src)+outputSlack bytes of spare capacity.
+func (c *Compressor) CompressAppend(dst, src []byte) ([]byte, bool) {
 	if c.algo == None {
+		return dst, false
+	}
+	c.stats.CompressCalls.Add(1)
+	c.stats.BytesIn.Add(uint64(len(src)))
+	at := len(dst)
+	dst = growCap(dst, len(src)+outputSlack)
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	limit := len(src) - 1 - (len(dst) - at) // shorter than src, prefix included
+	if n, ok := deflateFixed(dst[len(dst):cap(dst)], src, limit); ok {
+		dst = dst[:len(dst)+n]
+		c.stats.BytesOut.Add(uint64(len(dst) - at))
+		return dst, true
+	}
+	c.stats.BytesOut.Add(uint64(len(src)))
+	return dst[:at], false
+}
+
+// growCap returns dst with at least n bytes of capacity past its length.
+func growCap(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
+// Compress returns the compressed form of payload in a buffer of its own:
+// CompressAppend, and where that declines, the same length prefix over
+// stored (uncompressed) DEFLATE blocks, so that the result always goes
+// through Decompress. With algorithm None the input is returned unchanged
+// (no copy).
+func (c *Compressor) Compress(payload []byte) ([]byte, error) {
+	if c.algo == None {
+		c.stats.CompressCalls.Add(1)
+		c.stats.BytesIn.Add(uint64(len(payload)))
 		c.stats.BytesOut.Add(uint64(len(payload)))
 		return payload, nil
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(payload)/2 + 64)
-	w := c.wpool.Get().(*flate.Writer)
-	w.Reset(&buf)
-	if _, err := w.Write(payload); err != nil {
-		c.wpool.Put(w)
-		return nil, fmt.Errorf("compressor: %w", err)
+	// Room for the stored form, which is also more than CompressAppend needs.
+	const maxStored = 65535
+	out := make([]byte, 0, binary.MaxVarintLen64+len(payload)+5*(len(payload)/maxStored+1))
+	if z, ok := c.CompressAppend(out, payload); ok {
+		return z, nil
 	}
-	if err := w.Close(); err != nil {
-		c.wpool.Put(w)
-		return nil, fmt.Errorf("compressor: %w", err)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	for {
+		n := min(len(payload), maxStored)
+		final := byte(0)
+		if n == len(payload) {
+			final = 1
+		}
+		out = append(out, final, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8)) // BTYPE=00, LEN, NLEN
+		out = append(out, payload[:n]...)
+		if payload = payload[n:]; len(payload) == 0 {
+			return out, nil
+		}
 	}
-	c.wpool.Put(w)
-	out := buf.Bytes()
-	c.stats.BytesOut.Add(uint64(len(out)))
-	return out, nil
 }
 
-// Decompress reverses Compress.
-func (c *Compressor) Decompress(payload []byte) ([]byte, error) {
+// maxExpansion is the most a DEFLATE stream can inflate by: a 258-byte
+// match for a one-bit length code and a one-bit distance code.
+const maxExpansion = 1032
+
+// DecodedLen returns the uncompressed length a compressed payload declares,
+// or an error when it declares none, more than limit, or more than a
+// stream of its size could hold — so what a caller allocates from this
+// number is bounded by both the limit and the bytes the peer really sent.
+func DecodedLen(src []byte, limit int) (int, error) {
+	n, _, err := decodedLen(src, limit)
+	return n, err
+}
+
+// decodedLen is DecodedLen, and where the stream starts.
+func decodedLen(src []byte, limit int) (n, head int, err error) {
+	declared, head := binary.Uvarint(src)
+	switch {
+	case head <= 0:
+		return 0, 0, errors.New("compressor: corrupt payload: no length prefix")
+	case declared > uint64(limit):
+		return 0, 0, fmt.Errorf("compressor: payload declares %d bytes, limit %d", declared, limit)
+	case declared > uint64(len(src)-head)*maxExpansion:
+		return 0, 0, fmt.Errorf("compressor: corrupt payload: %d bytes declared by a %d-byte stream", declared, len(src)-head)
+	}
+	return int(declared), head, nil
+}
+
+// inflater is a reusable DEFLATE decoder reading from its own byte reader,
+// so a decompression allocates neither.
+type inflater struct {
+	src  bytes.Reader
+	r    io.ReadCloser // a flate reader over src; also a flate.Resetter
+	past [1]byte       // where a stream longer than it declared shows
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.r = flate.NewReader(&z.src)
+	return z
+}}
+
+// DecompressAppend appends the uncompressed form of src — a compressed
+// payload from CompressAppend or Compress, whatever this compressor's
+// algorithm: there is one compressed format — to dst. The length src
+// declares must pass DecodedLen and the stream must hold exactly that many
+// bytes; anything else is an error, found without writing past the declared
+// length, and dst comes back as it was. It allocates only if dst lacks the
+// declared length in spare capacity, and then exactly that.
+func (c *Compressor) DecompressAppend(dst, src []byte, limit int) ([]byte, error) {
 	c.stats.DecompressCalls.Add(1)
+	n, head, err := decodedLen(src, limit)
+	if err != nil {
+		return dst, err
+	}
+	at := len(dst)
+	dst = growCap(dst, n)
+	z := inflaters.Get().(*inflater)
+	z.src.Reset(src[head:])
+	err = z.r.(flate.Resetter).Reset(&z.src, nil)
+	if err == nil {
+		_, err = io.ReadFull(z.r, dst[at:at+n])
+	}
+	if err == nil {
+		if k, rerr := z.r.Read(z.past[:]); k != 0 || rerr != io.EOF {
+			err = errors.New("stream runs past the declared length")
+		}
+	}
+	inflaters.Put(z)
+	if err != nil {
+		return dst[:at], fmt.Errorf("compressor: corrupt payload: %w", err)
+	}
+	return dst[:at+n], nil
+}
+
+// Decompress reverses Compress, into a buffer of its own.
+func (c *Compressor) Decompress(payload []byte) ([]byte, error) {
 	if c.algo == None {
+		c.stats.DecompressCalls.Add(1)
 		return payload, nil
 	}
-	r := flate.NewReader(bytes.NewReader(payload))
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("compressor: %w", err)
-	}
-	return out, nil
+	return c.DecompressAppend(nil, payload, math.MaxInt)
 }

@@ -30,7 +30,9 @@ const (
 	ratioScale = 1024
 	// skipRatio is the estimator value (out/in, scaled) above which a
 	// method stops compressing: past ~0.92 the byte savings no longer
-	// buy back the cycles.
+	// buy back the cycles. It was priced against a compressor several
+	// times dearer than today's, and stands as the conservative side of
+	// that trade (DESIGN.md §16, "The adaptive gate's threshold").
 	skipRatio = 940
 	// gateMinTrials is how many observed compressions a method needs
 	// before the estimator may turn it off.

@@ -58,9 +58,9 @@ func (p *rawPeer) transfer(typ byte, id uint64, env []byte, chunks [][]byte) err
 	return nil
 }
 
-// serveResponses plays a server: "bulk/Get" is answered with the transfer
-// under test, anything else is echoed. It returns when the connection ends.
-func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
+// serve plays a server: every request goes to respond, which answers it on
+// the peer's transport. It returns when the connection ends.
+func (p *rawPeer) serve(respond func(id uint64, req *request) error) {
 	for {
 		m, _, err := p.tr.recvStep(nil)
 		if err != nil {
@@ -75,12 +75,7 @@ func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
 			p.t.Errorf("peer: request: %v", err)
 			return
 		}
-		if req.Method == "bulk/Get" {
-			env := appendResponse(nil, &response{BulkSize: declared})
-			err = p.transfer(wire.FrameBulkResponse, m.streamID, env, chunks)
-		} else {
-			err = p.tr.send(wire.FrameResponse, m.streamID, appendResponse(nil, &response{Payload: req.Payload}))
-		}
+		err = respond(m.streamID, req)
 		wire.PutBuf(m.plain)
 		if err != nil {
 			return
@@ -88,14 +83,32 @@ func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
 	}
 }
 
-// awaitResponse reads until the response to stream id arrives.
+// respond sends one response envelope.
+func (p *rawPeer) respond(id uint64, resp *response) error {
+	return p.tr.send(wire.FrameResponse, id, appendResponse(nil, resp))
+}
+
+// serveResponses plays a server: "bulk/Get" is answered with the transfer
+// under test, anything else is echoed.
+func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
+	p.serve(func(id uint64, req *request) error {
+		if req.Method != "bulk/Get" {
+			return p.respond(id, &response{Payload: req.Payload})
+		}
+		env := appendResponse(nil, &response{BulkSize: declared})
+		return p.transfer(wire.FrameBulkResponse, id, env, chunks)
+	})
+}
+
+// awaitResponse reads until the response to stream id arrives; of one that
+// takes the bulk lane it returns the envelope and lets the chunks pass.
 func (p *rawPeer) awaitResponse(id uint64) response {
 	for {
 		m, _, err := p.tr.recvStep(nil)
 		if err != nil {
 			p.t.Fatalf("peer: waiting for response %d: %v", id, err)
 		}
-		if m.typ == wire.FrameResponse && m.streamID == id {
+		if (m.typ == wire.FrameResponse || m.typ == wire.FrameBulkResponse) && m.streamID == id {
 			var resp response
 			if err := parseResponseInto(&resp, m.plain); err != nil {
 				p.t.Fatal(err)

@@ -376,28 +376,16 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 // returned slice outright — and releases the pooled recv buffer backing
 // resp.Payload. resp.Payload must not be used after copyOut returns.
 func (c *Channel) copyOut(resp *response, buf []byte) ([]byte, error) {
-	out := resp.Payload
+	defer wire.PutBuf(buf)
 	if resp.Compressed {
-		dec, err := c.comp.Decompress(out)
-		if err != nil {
-			wire.PutBuf(buf)
-			return nil, err
-		}
-		if len(dec) > 0 && len(out) > 0 && &dec[0] == &out[0] {
-			// Pass-through decompressor: the output still aliases the
-			// pooled buffer, so it needs its own copy.
-			dec = append([]byte(nil), dec...)
-		}
-		wire.PutBuf(buf)
-		return dec, nil
+		// One allocation of exactly the declared size, refused past what
+		// any frame may carry (the bulk lane's rule, conn.chunk).
+		return c.comp.DecompressAppend(nil, resp.Payload, wire.MaxFrameSize)
 	}
-	var cp []byte
-	if out != nil {
-		cp = make([]byte, len(out))
-		copy(cp, out)
+	if resp.Payload == nil {
+		return nil, nil
 	}
-	wire.PutBuf(buf)
-	return cp, nil
+	return append(make([]byte, 0, len(resp.Payload)), resp.Payload...), nil
 }
 
 // FreeResponse hands a response buffer returned by Call back to the data

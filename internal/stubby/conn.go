@@ -22,10 +22,12 @@ type conn[T outbound] struct {
 	tr *transport
 
 	// The compress-or-not decision (compress). gate is nil unless adaptive
-	// compression is on; whoever holds the turn owns it.
+	// compression is on; whoever holds the turn owns it, and zbuf, where
+	// the compressed form sits until the envelope has copied it.
 	comp        *compressor.Compressor
 	compressMin int
 	gate        *compressGate
+	zbuf        []byte
 
 	sendQ chan T
 	turn  sendTurn[T]
@@ -72,22 +74,31 @@ func (c *conn[T]) shutdown() {
 // compress returns what an envelope should carry for payload: the
 // compressed form and true when compression is configured, the payload is
 // large enough, the adaptive gate allows it and the result is smaller;
-// otherwise payload itself. Caller holds the turn.
+// otherwise payload itself. The compressed form lives in the connection's
+// scratch buffer: it is good until the next compress, so the caller
+// marshals it into its envelope before it prepares another item. Caller
+// holds the turn.
 func (c *conn[T]) compress(method string, payload []byte) ([]byte, bool) {
 	if c.comp.Algorithm() == compressor.None || len(payload) < c.compressMin ||
 		!c.gate.shouldCompress(method, payload) {
 		return payload, false
 	}
-	out, err := c.comp.Compress(payload)
-	if err != nil {
+	out, ok := c.comp.CompressAppend(c.zbuf[:0], payload)
+	if cap(out) <= zbufKeep {
+		c.zbuf = out
+	}
+	if !ok {
+		c.gate.observe(method, len(payload), len(payload))
 		return payload, false
 	}
 	c.gate.observe(method, len(payload), len(out))
-	if len(out) >= len(payload) {
-		return payload, false
-	}
 	return out, true
 }
+
+// zbufKeep is the largest scratch buffer a connection holds on to between
+// compressions: past the default bulk threshold, which is as large as an
+// inline payload gets unless the bulk lane is off.
+const zbufKeep = 2 * defaultBulkThreshold
 
 // sendBatchBytes bounds how many marshalled bytes one pass of the drain
 // loop accumulates before flushing, in the style of gRPC's loopyWriter:

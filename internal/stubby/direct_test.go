@@ -257,8 +257,9 @@ func stalledPeer(t *testing.T, size int) {
 // back in the pool afterwards.
 func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
 	outstanding := poolBalance()
+	stats := new(compressor.Stats)
 	opts := Options{Workers: 8, CodecWorkers: 2, Compression: compressor.Flate,
-		CompressThreshold: 512, AdaptiveCompression: true}
+		CompressThreshold: 512, AdaptiveCompression: true, CompressorStats: stats}
 	ch, srv := testSetup(t, opts, map[string]Handler{"svc/Echo": echoHandler})
 	sizes := []int{16, 2 << 10, 8 << 10, 64 << 10}
 	var wg sync.WaitGroup
@@ -292,6 +293,11 @@ func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
 	}
 	ch.Close()
 	srv.Close()
+	// Requests and responses alike: each compressed request was inflated
+	// into a pooled buffer on the server, so the balance covers those.
+	if c, d := stats.CompressCalls.Load(), stats.DecompressCalls.Load(); c == 0 || d == 0 || stats.Skips.Load() == 0 {
+		t.Errorf("%d compressions, %d decompressions, %d skips: the mix missed a path", c, d, stats.Skips.Load())
+	}
 	if n := outstanding(); n != 0 {
 		t.Errorf("%d pooled buffers outstanding after Close", n)
 	}
@@ -474,46 +480,59 @@ func (c *closeNotifyConn) Close() error {
 // lets the handlers finish only once the server has seen the connection go
 // down: every response then meets a closed connection, whether it takes the
 // direct path, queues, or was already queued, and each must still give its
-// pooled request buffer back.
+// pooled request buffers back — the envelope, and for a compressed request
+// the buffer it was inflated into.
 func TestCloseWithResponsesOwedReturnsBuffers(t *testing.T) {
-	leakcheck.Check(t)
-	outstanding := poolBalance()
-	const calls, workers = 64, 8
-	release := make(chan struct{})
-	srv := NewServer(Options{Workers: workers})
-	srv.Register("svc/Echo", func(_ context.Context, p []byte) ([]byte, error) {
-		<-release
-		return p, nil
-	})
-	tcp, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := &closeNotifyListener{Listener: tcp, closed: make(chan struct{})}
-	go srv.Serve(l)
-	ch, err := Dial(tcp.Addr().String(), "owed", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < calls; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := ch.Call(context.Background(), "svc/Echo", make([]byte, 128)); Code(err) != trace.Unavailable {
-				t.Errorf("call on a channel closed under it: %v, want Unavailable", err)
+	for _, tc := range []struct {
+		name string
+		algo compressor.Algorithm
+		size int
+	}{{"plain", compressor.None, 128}, {"compressed", compressor.Flate, 2 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			outstanding := poolBalance()
+			const calls, workers = 64, 8
+			release := make(chan struct{})
+			stats := new(compressor.Stats)
+			srv := NewServer(Options{Workers: workers, CompressorStats: stats})
+			srv.Register("svc/Echo", func(_ context.Context, p []byte) ([]byte, error) {
+				<-release
+				return p, nil
+			})
+			tcp, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	for srv.Load() != calls { // all of them running or queued
-		time.Sleep(time.Millisecond)
-	}
-	ch.Close()
-	wg.Wait()
-	<-l.closed
-	close(release)
-	srv.Close() // joins the workers: every call has been through handle
-	if n := outstanding(); n != 0 {
-		t.Errorf("%d pooled buffers outstanding after Close", n)
+			l := &closeNotifyListener{Listener: tcp, closed: make(chan struct{})}
+			go srv.Serve(l)
+			ch, err := Dial(tcp.Addr().String(), "owed", Options{Compression: tc.algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < calls; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := ch.Call(context.Background(), "svc/Echo", make([]byte, tc.size)); Code(err) != trace.Unavailable {
+						t.Errorf("call on a channel closed under it: %v, want Unavailable", err)
+					}
+				}()
+			}
+			for srv.Load() != calls { // all of them running or queued
+				time.Sleep(time.Millisecond)
+			}
+			ch.Close()
+			wg.Wait()
+			<-l.closed
+			close(release)
+			srv.Close() // joins the workers: every call has been through handle
+			if got := stats.DecompressCalls.Load(); (got != 0) != (tc.algo != compressor.None) {
+				t.Errorf("the server inflated %d requests", got)
+			}
+			if n := outstanding(); n != 0 {
+				t.Errorf("%d pooled buffers outstanding after Close", n)
+			}
+		})
 	}
 }

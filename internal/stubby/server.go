@@ -62,14 +62,17 @@ type Server struct {
 // the call, and the buffer is released only after the response envelope is
 // sealed (the handler's payload — and possibly its response — alias it).
 // A stream open carries the eagerly registered stream; a bulk-lane
-// request carries its reassembled payload in bulkData (also pooled).
+// request carries its reassembled payload in bulkData (also pooled), and so
+// does a compressed one once a worker has inflated it.
 type serverCall struct {
 	conn     *serverConn
 	streamID uint64
-	req      request   // decoded on a worker; Payload aliases raw
-	raw      []byte    // pooled decrypted envelope bytes
-	stream   *Stream   // non-nil: this is a stream open, not a unary call
-	bulkData []byte    // pooled bulk-lane request payload
+	req      request // decoded on a worker; Payload aliases raw
+	raw      []byte  // pooled decrypted envelope bytes
+	stream   *Stream // non-nil: this is a stream open, not a unary call
+	//rpclint:owns pooled request payload, bulk-lane or inflated; released
+	// by release, or rides the response as reqBulk
+	bulkData []byte
 	readDone time.Time // when the request frame finished arriving
 }
 
@@ -119,9 +122,10 @@ type serverResponse struct {
 	method string
 	resp   response
 	reqBuf []byte // pooled request envelope, released after the response seals
-	// reqBulk is the pooled bulk-lane request payload; like reqBuf it is
-	// released only after the response seals (the handler's response may
-	// alias it — echo servers return their input).
+	// reqBulk is the pooled request payload of a bulk-lane or compressed
+	// request; like reqBuf it is released only after the response seals
+	// (the handler's response may alias it — echo servers return their
+	// input).
 	reqBulk []byte
 	// bulk routes the response payload through the bulk lane: bulkOut
 	// leaves as chunk frames after a FrameBulkResponse envelope.
@@ -470,12 +474,20 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 		// compressed, reassembled into its own pooled buffer.
 		payload = call.bulkData
 	} else if req.Compressed {
-		payload, err = s.comp.Decompress(payload)
+		// Inflate into a pooled buffer sized from the declared length —
+		// refused past what any frame may carry, the bulk lane's rule
+		// (conn.chunk) — which then travels in the bulk lane's slot: the
+		// handler's input is released wherever a bulk request's would be.
+		var n int
+		if n, err = compressor.DecodedLen(payload, wire.MaxFrameSize); err == nil {
+			call.bulkData, err = s.comp.DecompressAppend(wire.GetBuf(n), payload, wire.MaxFrameSize)
+		}
 		if err != nil {
-			s.reject(call.conn, call.streamID, trace.Internal, "decompress: "+err.Error())
-			wire.PutBuf(call.raw)
+			s.reject(call.conn, call.streamID, trace.InvalidArgument, "decompress: "+err.Error())
+			call.release()
 			return nil
 		}
+		payload = call.bulkData
 	}
 	// The paper counts decrypt+parse inside ServerRecvQueue (§3.1); decode
 	// happened between readDone and now, so the measurement matches.
