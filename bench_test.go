@@ -409,14 +409,20 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 	}
 }
 
+// randomBytes draws n bytes from rng.
+func randomBytes(rng *stats.RNG, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(rng.Uint64())
+	}
+	return p
+}
+
 // stitchedPayload is n bytes assembled from random fragments of a 2 KiB
 // random dictionary — the structure bench/rpc.go gives fleet_mix's uploads.
 func stitchedPayload(n int) []byte {
 	rng := stats.NewRNG(16).Child("stitched")
-	dict := make([]byte, 2048)
-	for i := range dict {
-		dict[i] = byte(rng.Uint64())
-	}
+	dict := randomBytes(rng, 2048)
 	out := make([]byte, 0, n+64)
 	for len(out) < n {
 		off, l := rng.Intn(len(dict)-64), 8+rng.Intn(56)
@@ -428,13 +434,11 @@ func stitchedPayload(n int) []byte {
 // BenchmarkAblationCompression measures the cycle-vs-bytes trade of the
 // single largest cycle-tax component (Fig. 20), flate vs pass-through: on
 // dictionary-stitched payloads at the sizes compressed traffic has (the
-// bulk lane takes everything from 16 KiB up, uncompressed), and on the
-// highly regular 16 KiB payload the series started with.
+// bulk lane takes everything from 16 KiB up, uncompressed), and on 4 KiB of
+// random bytes, where what flate costs is the encoder's refusal — all that
+// stands between an incompressible method and the compression tax — plus
+// the stored-block wrapper that keeps Compress's output decodable.
 func BenchmarkAblationCompression(b *testing.B) {
-	regular := make([]byte, 16*1024)
-	for i := range regular {
-		regular[i] = byte(i / 64) // compressible structure
-	}
 	payloads := []struct {
 		name string
 		data []byte
@@ -442,7 +446,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 		{"stitched-600B", stitchedPayload(600)},
 		{"stitched-1.5KiB", stitchedPayload(1536)},
 		{"stitched-4KiB", stitchedPayload(4 << 10)},
-		{"regular-16KiB", regular},
+		{"random-4KiB", randomBytes(stats.NewRNG(16).Child("random"), 4<<10)},
 	}
 	for _, algo := range []compressor.Algorithm{compressor.None, compressor.Flate} {
 		for _, p := range payloads {

@@ -61,15 +61,11 @@ func main() {
 		sweep     = flag.Bool("sweep", false, "run the payload sweep (128 B … 1 MiB) across unary/bulk/stream lanes instead")
 		streams   = flag.Int("streams", 4, "sweep: concurrent streams per payload size (0 disables the stream lane)")
 		stripes   = flag.Int("stripes", 1, "TCP connections per channel; bulk calls and streams stripe across them")
-		codecWork = flag.Int("codec-workers", 0, "per-connection seal/open workers (0 = auto from GOMAXPROCS, <0 = inline)")
 	)
 	flag.Parse()
 
 	if *sweep {
-		if err := runSweep(sweepConfig{
-			Conc: *conc, Streams: *streams,
-			Stripes: *stripes, CodecWorkers: *codecWork,
-		}); err != nil {
+		if err := runSweep(sweepConfig{Conc: *conc, Streams: *streams, Stripes: *stripes}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -104,7 +100,6 @@ func main() {
 		rpcscale.WithCluster("loopback"),
 		rpcscale.WithWorkers(*conc),
 		rpcscale.WithConnStripes(*stripes),
-		rpcscale.WithCodecWorkers(*codecWork),
 	}
 	if *compress {
 		stack = append(stack, rpcscale.WithCompression(rpcscale.CompressionFlate, 0))

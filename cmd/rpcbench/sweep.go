@@ -27,11 +27,9 @@ const sweepBudget = 32 << 20
 type sweepConfig struct {
 	Conc    int // concurrent unary callers
 	Streams int // concurrent streams per size; 0 disables the stream lane
-	// Stripes and CodecWorkers are the multi-core data-plane axes
-	// (DESIGN.md §16): TCP connections per channel, and per-connection
-	// seal/open workers (0 = auto, <0 = inline).
-	Stripes      int
-	CodecWorkers int
+	// Stripes is the multi-core data-plane axis (DESIGN.md §16): TCP
+	// connections per channel.
+	Stripes int
 }
 
 func sweepCalls(size int) int {
@@ -50,7 +48,6 @@ func runSweep(cfg sweepConfig) error {
 	opts := []rpcscale.Option{
 		rpcscale.WithWorkers(cfg.Conc),
 		rpcscale.WithConnStripes(cfg.Stripes),
-		rpcscale.WithCodecWorkers(cfg.CodecWorkers),
 	}
 	srv := rpcscale.NewServer(opts...)
 	srv.Register("bench.Sweep/Echo", func(ctx context.Context, p []byte) ([]byte, error) {

@@ -50,16 +50,13 @@ func (a Algorithm) String() string {
 }
 
 // Stats accumulates compression work across a process, mirroring the
-// counters a production RPC stack exports for profiling. Skips and
-// SkippedBytes count payloads an adaptive-compression gate sent
-// uncompressed — cycles the compression tax did not spend.
+// counters a production RPC stack exports for profiling. A payload the
+// encoder refused (CompressAppend false) counts its own size in BytesOut.
 type Stats struct {
 	CompressCalls   atomic.Uint64
 	DecompressCalls atomic.Uint64
 	BytesIn         atomic.Uint64 // uncompressed bytes fed to Compress
 	BytesOut        atomic.Uint64 // compressed bytes produced
-	Skips           atomic.Uint64 // payloads the adaptive gate left uncompressed
-	SkippedBytes    atomic.Uint64 // payload bytes those skips covered
 }
 
 // Ratio returns the aggregate compression ratio (out/in), or 1 when no

@@ -584,7 +584,7 @@ func (c *clientConn) prepareCall(call *clientCall) {
 		c.turn.add(call, env, len(env)+len(call.bulkPayload))
 		return
 	}
-	req.Payload, req.Compressed = c.compress(req.Method, req.Payload)
+	req.Payload, req.Compressed = c.compress(req.Payload)
 	env := appendRequest(wire.GetBuf(len(req.Payload)+len(req.Method)+envelopeOverhead), req)
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
 		wire.PutBuf(env)

@@ -256,27 +256,16 @@ func (p *codecPool) submitSealChunks(dst []*codecJob, data []byte, endFlags byte
 	}
 }
 
-// codecWorkerCount resolves the Options.CodecWorkers knob: n > 0 forces a
-// pool of n, n < 0 forces the inline path, and 0 sizes the pool from
-// GOMAXPROCS — disabled on a single-proc runtime, where hand-off can only
-// lose, and capped so one connection cannot monopolize a large machine.
-func codecWorkerCount(n int) int {
-	switch {
-	case n > 0:
-		return n
-	case n < 0:
+// codecWorkerCount sizes a connection's codec pool from GOMAXPROCS: no
+// pool on a single-proc runtime, where hand-off can only lose, and capped
+// so one connection cannot monopolize a large machine.
+func codecWorkerCount() int {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
 		return 0
-	default:
-		procs := runtime.GOMAXPROCS(0)
-		if procs < 2 {
-			return 0
-		}
-		if procs > maxCodecWorkers {
-			return maxCodecWorkers
-		}
-		return procs
 	}
+	return min(procs, codecPoolMax)
 }
 
-// maxCodecWorkers caps the auto-sized per-connection pool.
-const maxCodecWorkers = 8
+// codecPoolMax caps the per-connection pool.
+const codecPoolMax = 8

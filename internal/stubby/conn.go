@@ -21,12 +21,10 @@ import (
 type conn[T outbound] struct {
 	tr *transport
 
-	// The compress-or-not decision (compress). gate is nil unless adaptive
-	// compression is on; whoever holds the turn owns it, and zbuf, where
-	// the compressed form sits until the envelope has copied it.
+	// The compress-or-not decision (compress). Whoever holds the turn owns
+	// zbuf, where the compressed form sits until the envelope has copied it.
 	comp        *compressor.Compressor
 	compressMin int
-	gate        *compressGate
 	zbuf        []byte
 
 	sendQ chan T
@@ -45,17 +43,16 @@ type conn[T outbound] struct {
 
 // init builds the connection over nc: transport and session keys (dirSend
 // and dirRecv label the key derivation and must be mirrored on the peer),
-// codec workers, compression gate, send queue. On failure nc is closed.
+// codec workers, send queue. On failure nc is closed.
 func (c *conn[T]) init(nc net.Conn, o *Options, comp *compressor.Compressor, dirSend, dirRecv string) error {
 	tr, err := newTransport(nc, o.Secret, dirSend, dirRecv, o.EncryptionStats)
 	if err != nil {
 		nc.Close()
 		return Errorf(trace.Internal, "transport setup: %v", err)
 	}
-	tr.startCodec(codecWorkerCount(o.CodecWorkers), o.Observer)
+	tr.startCodec(codecWorkerCount(), o.Observer)
 	c.tr = tr
 	c.comp, c.compressMin = comp, o.CompressThreshold
-	c.gate = newCompressGate(o.AdaptiveCompression && o.Compression != compressor.None, o.Observer, comp.Stats())
 	c.sendQ = make(chan T, o.SendQueueLen)
 	c.bulkIn = make(map[uint64]*bulkAsm)
 	c.closed = make(chan struct{})
@@ -73,14 +70,13 @@ func (c *conn[T]) shutdown() {
 
 // compress returns what an envelope should carry for payload: the
 // compressed form and true when compression is configured, the payload is
-// large enough, the adaptive gate allows it and the result is smaller;
-// otherwise payload itself. The compressed form lives in the connection's
-// scratch buffer: it is good until the next compress, so the caller
-// marshals it into its envelope before it prepares another item. Caller
-// holds the turn.
-func (c *conn[T]) compress(method string, payload []byte) ([]byte, bool) {
-	if c.comp.Algorithm() == compressor.None || len(payload) < c.compressMin ||
-		!c.gate.shouldCompress(method, payload) {
+// large enough and the result is smaller (the encoder gives up by itself
+// once it cannot shrink its input); otherwise payload itself. The
+// compressed form lives in the connection's scratch buffer: it is good
+// until the next compress, so the caller marshals it into its envelope
+// before it prepares another item. Caller holds the turn.
+func (c *conn[T]) compress(payload []byte) ([]byte, bool) {
+	if c.comp.Algorithm() == compressor.None || len(payload) < c.compressMin {
 		return payload, false
 	}
 	out, ok := c.comp.CompressAppend(c.zbuf[:0], payload)
@@ -88,10 +84,8 @@ func (c *conn[T]) compress(method string, payload []byte) ([]byte, bool) {
 		c.zbuf = out
 	}
 	if !ok {
-		c.gate.observe(method, len(payload), len(payload))
 		return payload, false
 	}
-	c.gate.observe(method, len(payload), len(out))
 	return out, true
 }
 

@@ -17,7 +17,7 @@ import (
 // at or under 15 allocs per call end to end, the floor the ISSUE-10
 // acceptance criteria state, whether it is dispatched directly or through
 // the queues. Small frames must never detour through the codec pool
-// (codecInlineMax gates them), so this holds with workers configured too.
+// (codecInlineMax gates them), so this holds with the pool running too.
 func TestUnaryInlineAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
@@ -26,16 +26,16 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 	// observes server-side worker wakeups that the bench loop amortizes,
 	// so the test budget carries a small fixed headroom over the floor.
 	for _, tc := range []struct {
-		name         string
-		codecWorkers int
-		budget       float64
+		name   string
+		procs  int
+		budget float64
 	}{
-		{"inline", -1, 17},
+		{"inline", 1, 17},
 		{"workers", 2, 22},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: tc.codecWorkers},
-				map[string]Handler{"svc/Echo": echoHandler})
+			withProcs(t, tc.procs)
+			ch, _ := testSetup(t, Options{Workers: 2}, map[string]Handler{"svc/Echo": echoHandler})
 			payload := bytes.Repeat([]byte{0x42}, 128)
 			ctx := context.Background()
 			for i := 0; i < 50; i++ {
@@ -60,7 +60,7 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 }
 
 // TestBulkPipelinedAllocFloor pins the pipelined bulk download path with
-// the codec pool forced on: a 64 KiB response rides the bulk lane, its
+// the codec pool on: a 64 KiB response rides the bulk lane, its
 // chunks are sealed/opened by workers, and the response buffer is recycled
 // with FreeResponse. The documented floor is 30 allocs per call: the
 // inline path's 15 plus the pipelined path's per-chunk job handoffs
@@ -73,7 +73,8 @@ func TestBulkPipelinedAllocFloor(t *testing.T) {
 	}
 	const budget = 30.0
 	blob := make([]byte, 64<<10)
-	ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: 2},
+	withProcs(t, 2)
+	ch, _ := testSetup(t, Options{Workers: 2},
 		map[string]Handler{"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {
 			return blob, nil
 		}})
@@ -105,10 +106,11 @@ func TestBulkPipelinedAllocFloor(t *testing.T) {
 // the pipelined data plane spawned — codec pools on both ends, stripe
 // connections, and the receive pumps — with no goroutine left behind.
 // leakcheck (registered by testSetup) fails the test if anything the
-// forced CodecWorkers/ConnStripes configuration started outlives Close.
+// two-proc, two-stripe configuration started outlives Close.
 func TestCodecWorkerShutdownDrains(t *testing.T) {
 	blob := make([]byte, 128<<10)
-	ch, srv := testSetup(t, Options{Workers: 2, CodecWorkers: 2, ConnStripes: 2},
+	withProcs(t, 2)
+	ch, srv := testSetup(t, Options{Workers: 2, ConnStripes: 2},
 		map[string]Handler{
 			"svc/Echo": echoHandler,
 			"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {

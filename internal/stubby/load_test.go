@@ -107,48 +107,3 @@ func TestPoolLoadEndpoint(t *testing.T) {
 		t.Errorf("idle ServerLoad = %d", got)
 	}
 }
-
-// TestPoolPicker verifies Options.PoolPicker replaces round-robin
-// selection.
-func TestPoolPicker(t *testing.T) {
-	srv := NewServer(Options{})
-	srv.Register("svc/Echo", echoHandler)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	var picked []*Channel
-	var pmu sync.Mutex
-	opts := Options{PoolPicker: func(channels []*Channel) *Channel {
-		pmu.Lock()
-		picked = append(picked, channels[0])
-		pmu.Unlock()
-		return channels[0]
-	}}
-	p, err := NewPool(l.Addr().String(), "test-cluster", 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	for i := 0; i < 6; i++ {
-		if _, err := p.Call(context.Background(), "svc/Echo", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pmu.Lock()
-	defer pmu.Unlock()
-	if len(picked) != 6 {
-		t.Fatalf("picker called %d times, want 6", len(picked))
-	}
-	first := picked[0]
-	for _, ch := range picked {
-		if ch != first {
-			t.Fatal("picker snapshot order changed across calls")
-		}
-	}
-}

@@ -12,10 +12,9 @@ import (
 // Observer receives what the stack reports about itself: every span, the
 // robustness layer's events (retries the budget admitted or refused,
 // circuit-breaker transitions, calls the server shed) and the data plane's
-// (codec-pool activity, adaptive-compression skips). It must be safe for
-// concurrent use; any goroutine of the stack may call it. Embed NopObserver
-// and override what you need; *telemetry.Plane is the canonical
-// implementation.
+// (codec-pool activity). It must be safe for concurrent use; any goroutine
+// of the stack may call it. Embed NopObserver and override what you need;
+// *telemetry.Plane is the canonical implementation.
 type Observer interface {
 	// Observe receives a trace.Span for every completed call.
 	Observe(*trace.Span)
@@ -28,10 +27,6 @@ type Observer interface {
 	// CodecJobEnqueued reports one frame handed to the codec workers and
 	// the number of jobs already queued ahead of it.
 	CodecJobEnqueued(queued int)
-	// CompressSkipped reports a payload the adaptive estimator sent
-	// uncompressed: bytes is the payload size the compression tax was
-	// spared on.
-	CompressSkipped(method string, bytes int)
 }
 
 // NopObserver ignores every event; embed it to implement Observer.
@@ -43,7 +38,6 @@ func (NopObserver) RetrySuppressed(string)                               {}
 func (NopObserver) BreakerTransition(string, BreakerState, BreakerState) {}
 func (NopObserver) CallShed(string)                                      {}
 func (NopObserver) CodecJobEnqueued(int)                                 {}
-func (NopObserver) CompressSkipped(string, int)                          {}
 
 // Options configures a Channel or Server. The zero value is usable; New*
 // functions fill in defaults.
@@ -55,7 +49,8 @@ type Options struct {
 
 	// Compression selects payload compression. Payloads below
 	// CompressThreshold bytes are sent uncompressed regardless, since
-	// small RPCs (the fleet's majority) lose more cycles than bytes.
+	// small RPCs (the fleet's majority) lose more cycles than bytes, and
+	// so is a payload the encoder finds it cannot shrink.
 	Compression       compressor.Algorithm
 	CompressThreshold int
 	CompressorStats   *compressor.Stats
@@ -137,25 +132,6 @@ type Options struct {
 	// connection (the default). NewChannel ignores it: a channel built
 	// over an existing conn cannot dial more.
 	ConnStripes int
-
-	// CodecWorkers sizes the per-connection codec worker pool that seals
-	// and opens large frames off the send/recv loops. 0 (the default)
-	// sizes it from GOMAXPROCS and disables it on a single-proc runtime;
-	// > 0 forces that many workers; < 0 forces the inline path.
-	CodecWorkers int
-
-	// AdaptiveCompression lets the endpoint skip configured compression
-	// per method when live telemetry (an entropy probe on the first
-	// bytes plus a windowed observed-ratio estimator) says the payloads
-	// do not compress — the paper's compression tax is pure waste there.
-	AdaptiveCompression bool
-
-	// PoolPicker, when non-nil, replaces a Pool's round-robin channel
-	// selection: it is called with the live members (never empty, not
-	// retained) and returns the channel for one call. It must be safe for
-	// concurrent use. Channel.InFlight and Channel.ServerLoad are the load
-	// signals a picker typically consults.
-	PoolPicker func(channels []*Channel) *Channel
 }
 
 var defaultSecret = []byte("rpcscale-development-psk")

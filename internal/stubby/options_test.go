@@ -7,15 +7,18 @@ import (
 	"testing"
 	"time"
 
-	"rpcscale/internal/compressor"
 	"rpcscale/internal/trace"
 )
 
-// TestOptionsFieldBudget holds the knob count where this PR left it.
+// TestOptionsFieldBudget holds the knob count, and the number of events an
+// Observer must know, where this PR left them.
 func TestOptionsFieldBudget(t *testing.T) {
-	const budget = 22
+	const budget, events = 19, 6
 	if n := reflect.TypeOf(Options{}).NumField(); n > budget {
 		t.Fatalf("Options has %d fields, budget %d. ROADMAP aim 2: \"a PR that adds a knob must say which existing knob it retires\".", n, budget)
+	}
+	if n := reflect.TypeOf((*Observer)(nil)).Elem().NumMethod(); n > events {
+		t.Fatalf("Observer has %d methods, budget %d", n, events)
 	}
 }
 
@@ -24,20 +27,20 @@ func TestOptionsFieldBudget(t *testing.T) {
 // leaves the rest to NopObserver.
 type pickyObserver struct {
 	NopObserver
-	spans, shed, skips atomic.Int64
+	spans, shed, jobs atomic.Int64
 }
 
-func (o *pickyObserver) Observe(*trace.Span)         { o.spans.Add(1) }
-func (o *pickyObserver) CallShed(string)             { o.shed.Add(1) }
-func (o *pickyObserver) CompressSkipped(string, int) { o.skips.Add(1) }
+func (o *pickyObserver) Observe(*trace.Span)  { o.spans.Add(1) }
+func (o *pickyObserver) CallShed(string)      { o.shed.Add(1) }
+func (o *pickyObserver) CodecJobEnqueued(int) { o.jobs.Add(1) }
 
 // TestOneObserverReceivesEveryKind runs a live client and server with one
 // Options.Observer between them and provokes all three kinds of event.
 func TestOneObserverReceivesEveryKind(t *testing.T) {
 	obs := &pickyObserver{}
 	started, release := make(chan struct{}, 1), make(chan struct{})
-	opts := Options{Observer: obs, Workers: 1, ShedThreshold: 1,
-		Compression: compressor.Flate, CompressThreshold: 512, AdaptiveCompression: true}
+	withProcs(t, 2)
+	opts := Options{Observer: obs, Workers: 1, ShedThreshold: 1}
 	ch, srv := testSetup(t, opts, map[string]Handler{
 		"svc/Echo": echoHandler,
 		"svc/Slow": func(_ context.Context, p []byte) ([]byte, error) {
@@ -49,16 +52,16 @@ func TestOneObserverReceivesEveryKind(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	// A span per call; and 4 KiB with every byte value equally frequent is
-	// what the adaptive gate's entropy probe skips, on both ends.
-	if _, err := ch.Call(ctx, "svc/Echo", patternPayload(4<<10)); err != nil {
+	// A span per call; and an 8 KiB frame is past codecInlineMax, so with
+	// the pool on each end opens it on a worker.
+	if _, err := ch.Call(ctx, "svc/Echo", make([]byte, 8<<10)); err != nil {
 		t.Fatal(err)
 	}
 	if obs.spans.Load() != 1 {
 		t.Errorf("Observe saw %d spans after one call", obs.spans.Load())
 	}
-	if obs.skips.Load() != 2 {
-		t.Errorf("CompressSkipped saw %d skips, want the request's and the response's", obs.skips.Load())
+	if obs.jobs.Load() != 2 {
+		t.Errorf("CodecJobEnqueued saw %d jobs, want the request's open and the response's", obs.jobs.Load())
 	}
 
 	// One call holds the only worker, a second waits in the queue, and the

@@ -2,7 +2,7 @@ package stubby
 
 import (
 	"context"
-
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,28 +58,14 @@ func (p *Pool) Size() int {
 	return len(p.channels)
 }
 
-// pick selects the next channel round-robin, or through Options.PoolPicker
-// when one is configured.
+// pick selects the next channel round-robin.
 func (p *Pool) pick() (*Channel, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed || len(p.channels) == 0 {
-		p.mu.Unlock()
 		return nil, ErrUnavailable
 	}
-	if picker := p.opts.PoolPicker; picker != nil {
-		// Snapshot the members so the picker (user code) runs outside the
-		// pool lock; replace() may mutate the slice concurrently.
-		members := append([]*Channel(nil), p.channels...)
-		p.mu.Unlock()
-		if ch := picker(members); ch != nil {
-			return ch, nil
-		}
-		return members[0], nil
-	}
-	i := int(p.next.Add(1)) % len(p.channels)
-	ch := p.channels[i]
-	p.mu.Unlock()
-	return ch, nil
+	return p.channels[int(p.next.Add(1))%len(p.channels)], nil
 }
 
 // Addr returns the backend address the pool dials.
@@ -122,8 +108,10 @@ func (p *Pool) Load() int {
 }
 
 // Call issues a unary RPC on one pool member. A channel that died is
-// replaced in the background and the call is retried once on another
-// member.
+// replaced — the dial happens here, before the retry — and the call is
+// retried once on another member. An Unavailable reply over a live channel
+// (a shed call, an open breaker, an injected fault) is the call's answer:
+// the connection carries other calls the server has accepted.
 func (p *Pool) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		ch, err := p.pick()
@@ -137,7 +125,12 @@ func (p *Pool) Call(ctx context.Context, method string, payload []byte, opts ...
 		if Code(err) != trace.Unavailable {
 			return nil, err
 		}
-		p.replace(ch)
+		select {
+		case <-ch.closed:
+			p.replace(ch)
+		default:
+			return nil, err
+		}
 	}
 	return nil, ErrUnavailable
 }
@@ -157,19 +150,18 @@ func (p *Pool) CallHedged(ctx context.Context, method string, payload []byte, he
 	return callHedged(ctx, primary, secondary, method, payload, hedgeDelay)
 }
 
-// replace drops a dead channel and dials a replacement.
+// replace drops a dead channel and dials a replacement. Of the calls that
+// saw it die, only the one that removes it dials.
 func (p *Pool) replace(dead *Channel) {
 	p.mu.Lock()
-	for i, ch := range p.channels {
-		if ch == dead {
-			p.channels = append(p.channels[:i], p.channels[i+1:]...)
-			break
-		}
+	i := slices.Index(p.channels, dead)
+	if i >= 0 {
+		p.channels = slices.Delete(p.channels, i, i+1)
 	}
 	closed := p.closed
 	p.mu.Unlock()
 	dead.Close()
-	if closed {
+	if closed || i < 0 {
 		return
 	}
 	if ch, err := Dial(p.addr, p.serverCluster, p.opts); err == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcscale/internal/leakcheck"
 	"rpcscale/internal/trace"
 )
 
@@ -172,6 +173,53 @@ func TestPoolSurvivesChannelDeath(t *testing.T) {
 		if _, err := pool.Call(context.Background(), "svc/Echo", []byte("x")); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
+	}
+}
+
+// TestPoolKeepsChannelOnUnavailableReply sheds ten calls over a pool whose
+// two members each carry a call the server has accepted. A shed call is an
+// Unavailable reply over a healthy connection: the pool must hand it to the
+// caller, not close the member under the accepted call and dial another.
+func TestPoolKeepsChannelOnUnavailableReply(t *testing.T) {
+	leakcheck.Check(t)
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	pool, srv := poolSetup(t, Options{Workers: 1, ShedThreshold: 1}, map[string]Handler{
+		"svc/Slow": func(_ context.Context, p []byte) ([]byte, error) {
+			started <- struct{}{}
+			<-release
+			return p, nil
+		},
+	}, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	// One call holds the only worker, the next waits in the queue; round
+	// robin puts them on different members.
+	accepted := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := pool.Call(ctx, "svc/Slow", nil)
+			accepted <- err
+		}()
+		if i == 0 {
+			<-started
+		}
+	}
+	for srv.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := pool.Call(ctx, "svc/Slow", nil); Code(err) != trace.Unavailable {
+			t.Errorf("call %d past the shedding threshold: %v, want Unavailable", i, err)
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-accepted; err != nil {
+			t.Errorf("a call the server had accepted: %v", err)
+		}
+	}
+	if n := pool.Size(); n != 2 {
+		t.Errorf("pool has %d members after ten shed calls, want the 2 it dialed", n)
 	}
 }
 

@@ -117,11 +117,8 @@ func (call *serverCall) release() {
 // serverResponse is a response waiting in the send queue.
 type serverResponse struct {
 	streamID uint64
-	// method is the interned method name, for the adaptive-compression
-	// gate's per-method estimator.
-	method string
-	resp   response
-	reqBuf []byte // pooled request envelope, released after the response seals
+	resp     response
+	reqBuf   []byte // pooled request envelope, released after the response seals
 	// reqBulk is the pooled request payload of a bulk-lane or compressed
 	// request; like reqBuf it is released only after the response seals
 	// (the handler's response may alias it — echo servers return their
@@ -571,7 +568,6 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 	st := StatusFromError(herr)
 	sr := &serverResponse{
 		streamID: call.streamID,
-		method:   req.Method,
 		// The handler's response may alias the request envelope (echo
 		// servers return their input), so the pooled request buffers ride
 		// along and are released only after the response is sealed.
@@ -613,7 +609,7 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 		resp.BulkSize = uint64(len(resp.Payload))
 		resp.Payload = nil
 	} else {
-		resp.Payload, resp.Compressed = sc.compress(sr.method, resp.Payload)
+		resp.Payload, resp.Compressed = sc.compress(resp.Payload)
 	}
 	resp.Timings = serverTimings{
 		RecvQueue: sr.recvQueue,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,16 @@ func testSetup(t *testing.T, opts Options, handlers map[string]Handler) (*Channe
 		srv.Close()
 	})
 	return ch, srv
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS n, which is what
+// selects a connection's seal/open arm: the codec pool at n >= 2, inline
+// at 1. Call it before the connections are made. The package's tests do not
+// run in parallel, so the setting is the test's own.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func echoHandler(ctx context.Context, payload []byte) ([]byte, error) {
@@ -166,16 +177,30 @@ func TestCompressionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompressionStatsRecorded sends a compressible echo and reads the
+// shared counters: request and response both travelled compressed. The
+// second payload is why nothing stands in front of the encoder: every byte
+// value is equally frequent in it, so an entropy probe on its first bytes
+// calls it incompressible, and the encoder shrinks it more than tenfold.
 func TestCompressionStatsRecorded(t *testing.T) {
-	cs := &compressor.Stats{}
-	opts := Options{Compression: compressor.Flate, CompressThreshold: 64, CompressorStats: cs}
-	big := bytes.Repeat([]byte("abcabcabc "), 500)
-	ch, _ := testSetup(t, opts, map[string]Handler{"svc/Echo": echoHandler})
-	if _, err := ch.Call(context.Background(), "svc/Echo", big); err != nil {
-		t.Fatal(err)
-	}
-	if cs.CompressCalls.Load() == 0 {
-		t.Error("compression not metered")
+	for name, payload := range map[string][]byte{
+		"text":           bytes.Repeat([]byte("abcabcabc "), 500),
+		"flat-histogram": patternPayload(4 << 10),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cs := &compressor.Stats{}
+			opts := Options{Compression: compressor.Flate, CompressThreshold: 64, CompressorStats: cs}
+			ch, _ := testSetup(t, opts, map[string]Handler{"svc/Echo": echoHandler})
+			if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {
+				t.Fatal(err)
+			}
+			if c, d := cs.CompressCalls.Load(), cs.DecompressCalls.Load(); c != 2 || d != 2 {
+				t.Errorf("%d compress calls, %d decompress calls, want 2 and 2", c, d)
+			}
+			if in, out := cs.BytesIn.Load(), cs.BytesOut.Load(); out*10 > in {
+				t.Errorf("%d bytes in, %d out: want at most a tenth", in, out)
+			}
+		})
 	}
 }
 

@@ -129,8 +129,8 @@ func (t *transport) unlockSend() {
 // Whoever holds it is the connection's one sender for that turn: the drain
 // loop (conn.sendLoop) from dequeue to flush, or — on an idle connection —
 // a goroutine dispatching its own small frame directly. The holder also
-// owns the connection's adaptive-compression gate. T is the queued item
-// type.
+// owns the connection's compression scratch buffer (conn.zbuf). T is the
+// queued item type.
 type sendTurn[T outbound] struct {
 	mu    sync.Mutex // rank sanitize.RankSendTurn
 	batch []T

@@ -74,9 +74,6 @@ const (
 	// MetricCodecQueueDepth is the distribution of codec job-queue depth
 	// observed at submit time. Distribution; no labels.
 	MetricCodecQueueDepth = "rpc/codec_queue_depth"
-	// MetricCompressSkipped counts payloads the adaptive compression gate
-	// sent uncompressed. Counter; labels: method.
-	MetricCompressSkipped = "rpc/compress_skipped"
 )
 
 // config collects construction-time settings.
@@ -154,9 +151,7 @@ type Plane struct {
 	shedCalls          atomic.Uint64
 
 	// Data-plane totals (Observer's data-plane events; see dataplane.go).
-	codecJobs            atomic.Uint64
-	compressSkips        atomic.Uint64
-	compressSkippedBytes atomic.Uint64
+	codecJobs atomic.Uint64
 
 	mu   sync.Mutex
 	aggs map[aggKey]*winAgg
@@ -183,7 +178,6 @@ const (
 	kindBreaker
 	kindShed
 	kindCodecJob
-	kindCompressSkip
 )
 
 // winAgg buffers one stream's current window; it is flushed into Monarch
@@ -238,7 +232,6 @@ func newDeclaredDB(window, retention time.Duration) *monarch.DB {
 		MetricShed:               monarch.Counter,
 		MetricCodecJobs:          monarch.Counter,
 		MetricCodecQueueDepth:    monarch.Distribution,
-		MetricCompressSkipped:    monarch.Counter,
 	} {
 		if err := db.Declare(m, k); err != nil {
 			panic(err) // fresh DB; only a telemetry-internal bug can fail
@@ -267,14 +260,10 @@ func (p *Plane) Reset() {
 	p.breakerTransitions.Store(0)
 	p.shedCalls.Store(0)
 	p.codecJobs.Store(0)
-	p.compressSkips.Store(0)
-	p.compressSkippedBytes.Store(0)
 	p.comp.CompressCalls.Store(0)
 	p.comp.DecompressCalls.Store(0)
 	p.comp.BytesIn.Store(0)
 	p.comp.BytesOut.Store(0)
-	p.comp.Skips.Store(0)
-	p.comp.SkippedBytes.Store(0)
 	p.enc.Seals.Store(0)
 	p.enc.Opens.Store(0)
 	p.enc.BytesEncrypted.Store(0)
@@ -497,8 +486,6 @@ func (p *Plane) flushLocked(key aggKey, a *winAgg) {
 			// windowed distribution machinery, different unit.
 			p.writeDist(MetricCodecQueueDepth, nil, a.window, a.lat)
 		}
-	case kindCompressSkip:
-		p.write(MetricCompressSkipped, monarch.Labels{"method": key.method}, a.window, a.count)
 	}
 }
 

@@ -361,14 +361,6 @@ func WithSecret(secret []byte) Option {
 	return func(c *stackConfig) { c.opts.Secret = secret }
 }
 
-// WithPoolPicker replaces a Pool's round-robin channel selection with a
-// custom picker (e.g. least-in-flight). The picker is called with the live
-// members and must be safe for concurrent use; Channel.InFlight and
-// Channel.ServerLoad are the load signals it typically consults.
-func WithPoolPicker(pick func(channels []*Channel) *Channel) Option {
-	return func(c *stackConfig) { c.opts.PoolPicker = pick }
-}
-
 // WithStubbyOptions seeds the configuration from a full options struct;
 // later Options override its fields.
 func WithStubbyOptions(opts StubbyOptions) Option {
@@ -432,22 +424,6 @@ func WithDefaultBulkThreshold(bytes int) Option {
 // connection.
 func WithConnStripes(k int) Option {
 	return func(c *stackConfig) { c.opts.ConnStripes = k }
-}
-
-// WithCodecWorkers sets the per-connection seal/open worker pool size:
-// n > 0 forces a pool of n, n < 0 forces the fully inline data plane,
-// and 0 (the default) sizes the pool from GOMAXPROCS — disabled on a
-// single-proc runtime.
-func WithCodecWorkers(n int) Option {
-	return func(c *stackConfig) { c.opts.CodecWorkers = n }
-}
-
-// WithAdaptiveCompression lets endpoints decide per method whether the
-// configured compression is worth attempting, from an entropy probe on
-// first bytes plus the method's observed compression ratios. No effect
-// without WithCompression.
-func WithAdaptiveCompression(on bool) Option {
-	return func(c *stackConfig) { c.opts.AdaptiveCompression = on }
 }
 
 // --- Per-call options ---
