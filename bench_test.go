@@ -542,8 +542,8 @@ func BenchmarkStubbyUnary(b *testing.B) {
 
 // BenchmarkStubbyUnaryParallel is the client fan-in variant: RunParallel
 // drives concurrent callers over one channel, so a `-cpu 1,2,4` sweep
-// shows how envelope-lane throughput scales with cores once the codec
-// pool and batch writer overlap seal work with the syscall path.
+// shows how envelope-lane throughput scales with cores once callers, the
+// batching drain loops and the server's workers run side by side.
 func BenchmarkStubbyUnaryParallel(b *testing.B) {
 	for _, size := range []int{128, 16 * 1024} {
 		b.Run(byteLabel(size), func(b *testing.B) {

@@ -22,7 +22,5 @@ const (
 	RankStreamRecv    = 20 // stubby.Stream.recvMu: inbound queue and terminal state
 	RankSendTurn      = 25 // stubby.sendTurn.mu: one sender per connection, dequeue to flush
 	RankTransportSend = 30 // stubby.transport.sendMu: frame batching and flush
-	RankTransportRecv = 35 // stubby.transport.recvMu: shared frame reader
-	RankCodecQueue    = 80 // stubby.codecPool.mu: job free list and submitter gate
 	RankBufPool       = 90 // wire size-class pool mutexes: leaf, no calls out
 )

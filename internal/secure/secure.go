@@ -61,6 +61,7 @@ type Session struct {
 // still gets a unique nonce, and the peer recovers it from the message
 // prefix regardless of arrival order. A Worker itself is not safe for
 // concurrent use; give each sealing goroutine its own.
+// Kept only for bench/replay.go, until ROADMAP item 3 moves it off Worker.
 type Worker struct {
 	s     *Session
 	nonce [12]byte

@@ -62,7 +62,7 @@ func (p *rawPeer) transfer(typ byte, id uint64, env []byte, chunks [][]byte) err
 // the peer's transport. It returns when the connection ends.
 func (p *rawPeer) serve(respond func(id uint64, req *request) error) {
 	for {
-		m, _, err := p.tr.recvStep(nil)
+		m, err := p.tr.recv()
 		if err != nil {
 			return
 		}
@@ -104,7 +104,7 @@ func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
 // takes the bulk lane it returns the envelope and lets the chunks pass.
 func (p *rawPeer) awaitResponse(id uint64) response {
 	for {
-		m, _, err := p.tr.recvStep(nil)
+		m, err := p.tr.recv()
 		if err != nil {
 			p.t.Fatalf("peer: waiting for response %d: %v", id, err)
 		}

@@ -453,7 +453,7 @@ func TestChunkFrameTruncation(t *testing.T) {
 			}
 			done <- w.Flush()
 		}()
-		if _, _, err := rt.recvStep(nil); err == nil {
+		if _, err := rt.recv(); err == nil {
 			t.Fatalf("%s: recv accepted a malformed chunk", name)
 		}
 		if err := <-done; err != nil {

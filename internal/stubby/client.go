@@ -68,8 +68,6 @@ type clientConn struct {
 
 	mu      sync.Mutex
 	pending map[uint64]*clientCall
-
-	loops sync.WaitGroup
 }
 
 // clientCall tracks one in-flight RPC. Timestamps are nanoseconds since
@@ -161,7 +159,7 @@ func newChannel(ncs []net.Conn, serverCluster string, o Options) (*Channel, erro
 			for _, nc := range ncs[i+1:] {
 				nc.Close()
 			}
-			c.Close() // nothing started yet: closes the sockets, stops the codec workers
+			c.Close() // nothing started yet: closes the sockets
 			return nil, err
 		}
 		c.conns = append(c.conns, cc)
@@ -181,15 +179,7 @@ func newChannel(ncs []net.Conn, serverCluster string, o Options) (*Channel, erro
 		c.invoke = c.breaker.Wrap(c.invoke)
 	}
 	for _, cc := range c.conns {
-		cc.loops.Add(2)
-		go func() {
-			defer cc.loops.Done()
-			cc.sendLoop(cc.prepareCall, func() { cc.endTurn(time.Time{}) })
-		}()
-		go func() {
-			defer cc.loops.Done()
-			c.fail(cc.recvLoop(cc.dispatchFrame))
-		}()
+		cc.run(cc.prepareCall, func() { cc.endTurn(time.Time{}) }, func() { c.fail(cc.recvLoop(cc.dispatchFrame)) })
 	}
 	return c, nil
 }
@@ -306,7 +296,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 	cc.pending[streamID] = call
 	cc.mu.Unlock()
 
-	if !call.bulk && len(payload) <= codecInlineMax && (ctx.Done() == nil || !ctxDeadline.IsZero()) &&
+	if !call.bulk && len(payload) <= directSendMax && (ctx.Done() == nil || !ctxDeadline.IsZero()) &&
 		len(cc.sendQ) == 0 && cc.turn.tryLock() {
 		// Idle connection, small frame: take the send side's turn here, no
 		// hand-off to sendLoop. The write carries the caller's deadline so
@@ -799,14 +789,13 @@ func (c *Channel) fail(err error) {
 	})
 }
 
-// Close shuts the channel down: pending calls fail with Unavailable, every
-// connection's loops are joined and its codec workers stopped.
+// Close shuts the channel down: pending calls fail with Unavailable and
+// every connection's loops are joined.
 func (c *Channel) Close() error {
 	c.fail(ErrUnavailable)
 	var err error
 	for _, cc := range c.conns {
 		cc.loops.Wait()
-		cc.tr.stopCodec()
 		if err == nil {
 			err = cc.closeErr
 		}

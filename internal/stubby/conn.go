@@ -12,10 +12,10 @@ import (
 )
 
 // conn is the connection core both ends instantiate (DESIGN.md §16): the
-// transport with its codec workers, the compress-or-not decision, the send
-// queue with its turn and one batching drain loop, the stream table, and
-// the inbound half of the bulk lane. A clientConn adds the pending-call
-// table, a serverConn the cancel table and the count of responses owed;
+// transport, the compress-or-not decision, the send queue with its turn and
+// one batching drain loop, the one receive loop, the stream table, and the
+// inbound half of the bulk lane. A clientConn adds the pending-call table,
+// a serverConn the cancel table and the count of responses owed;
 // everything else about moving frames over one socket lives here, once.
 // T is the queued item: *clientCall or *serverResponse.
 type conn[T outbound] struct {
@@ -39,24 +39,39 @@ type conn[T outbound] struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error // what closing the socket returned; read after shutdown
+
+	loops sync.WaitGroup // the connection's send and receive loops
 }
 
 // init builds the connection over nc: transport and session keys (dirSend
-// and dirRecv label the key derivation and must be mirrored on the peer),
-// codec workers, send queue. On failure nc is closed.
+// and dirRecv label the key derivation and must be mirrored on the peer)
+// and send queue. On failure nc is closed.
 func (c *conn[T]) init(nc net.Conn, o *Options, comp *compressor.Compressor, dirSend, dirRecv string) error {
 	tr, err := newTransport(nc, o.Secret, dirSend, dirRecv, o.EncryptionStats)
 	if err != nil {
 		nc.Close()
 		return Errorf(trace.Internal, "transport setup: %v", err)
 	}
-	tr.startCodec(codecWorkerCount(), o.Observer)
 	c.tr = tr
 	c.comp, c.compressMin = comp, o.CompressThreshold
 	c.sendQ = make(chan T, o.SendQueueLen)
 	c.bulkIn = make(map[uint64]*bulkAsm)
 	c.closed = make(chan struct{})
 	return nil
+}
+
+// run starts the connection's two loops, counted in loops: sendLoop over
+// the end's prepare and flush, and the end's receive loop, recv.
+func (c *conn[T]) run(prepare func(T), flush func(), recv func()) {
+	c.loops.Add(2)
+	go func() {
+		defer c.loops.Done()
+		c.sendLoop(prepare, flush)
+	}()
+	go func() {
+		defer c.loops.Done()
+		recv()
+	}()
 }
 
 // shutdown marks the connection closed and closes its socket, which
@@ -144,15 +159,27 @@ func (c *conn[T]) drainQueue() {
 	}
 }
 
-// recvLoop runs the transport's receive loop over dispatch until the
-// connection fails or dispatch returns false, then releases the bulk
-// transfers left half-assembled, and returns the error that ended it.
+// recvLoop is the connection's one receive loop: it reads and opens each
+// frame and passes it to dispatch, which takes ownership of m.plain, until
+// the connection fails or dispatch returns false (ErrUnavailable). Then it
+// releases the bulk transfers left half-assembled and returns the error
+// that ended it. Arrival order is dispatch order, and dispatch's state has
+// one goroutine.
 func (c *conn[T]) recvLoop(dispatch func(recvMsg) bool) error {
-	err := c.tr.recvLoop(dispatch)
-	for id := range c.bulkIn {
-		c.dropBulk(id)
+	defer func() {
+		for id := range c.bulkIn {
+			c.dropBulk(id)
+		}
+	}()
+	for {
+		m, err := c.tr.recv()
+		if err != nil {
+			return err
+		}
+		if !dispatch(m) {
+			return ErrUnavailable
+		}
 	}
-	return err
 }
 
 // bulkAsm is one inbound bulk-lane transfer: the envelope that announced

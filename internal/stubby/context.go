@@ -82,9 +82,10 @@ func childTrace(ctx context.Context) (tc TraceContext, parent trace.SpanID) {
 }
 
 // requestContext is the context a handler runs under: the caller's trace
-// state, and the deadline the request envelope carried, if any.
-func requestContext(req *request) (context.Context, context.CancelFunc) {
-	ctx := ContextWithTrace(context.Background(), TraceContext{TraceID: req.TraceID, SpanID: req.SpanID})
+// state, and the deadline the request envelope carried, if any, under conn,
+// the context of the connection it arrived on, which ends with it.
+func requestContext(conn context.Context, req *request) (context.Context, context.CancelFunc) {
+	ctx := ContextWithTrace(conn, TraceContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	if req.Deadline > 0 {
 		return context.WithTimeout(ctx, req.Deadline)
 	}

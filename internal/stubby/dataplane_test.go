@@ -1,8 +1,8 @@
 package stubby
 
-// Data-plane floors for the multi-core path (DESIGN.md §16): allocation
-// budgets for the inline unary path and the pipelined bulk path, and the
-// codec-worker shutdown drain. The alloc tests are race-gated like
+// Data-plane floors (DESIGN.md §16): allocation budgets for the small
+// unary path and the bulk download path, and the join of every loop a
+// striped channel starts. The alloc tests are race-gated like
 // TestCallAllocBudget — instrumented builds change allocation counts.
 
 import (
@@ -14,10 +14,8 @@ import (
 )
 
 // TestUnaryInlineAllocFloor pins the small unary path: a 128 B echo stays
-// at or under 15 allocs per call end to end, the floor the ISSUE-10
-// acceptance criteria state, whether it is dispatched directly or through
-// the queues. Small frames must never detour through the codec pool
-// (codecInlineMax gates them), so this holds with the pool running too.
+// at or under 15 allocs per call end to end, whether it is dispatched
+// directly or through the queues.
 func TestUnaryInlineAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
@@ -25,55 +23,43 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 	// The per-benchmark floor is 15 allocs/op; AllocsPerRun additionally
 	// observes server-side worker wakeups that the bench loop amortizes,
 	// so the test budget carries a small fixed headroom over the floor.
-	for _, tc := range []struct {
-		name   string
-		procs  int
-		budget float64
-	}{
-		{"inline", 1, 17},
-		{"workers", 2, 22},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			withProcs(t, tc.procs)
-			ch, _ := testSetup(t, Options{Workers: 2}, map[string]Handler{"svc/Echo": echoHandler})
-			payload := bytes.Repeat([]byte{0x42}, 128)
-			ctx := context.Background()
-			for i := 0; i < 50; i++ {
-				if _, err := ch.Call(ctx, "svc/Echo", payload); err != nil {
-					t.Fatal(err)
-				}
+	const budget = 17.0
+	// A 128 B payload rides the inline envelope, not the bulk lane.
+	t.Run("inline", func(t *testing.T) {
+		ch, _ := testSetup(t, Options{Workers: 2}, map[string]Handler{"svc/Echo": echoHandler})
+		payload := bytes.Repeat([]byte{0x42}, 128)
+		ctx := context.Background()
+		for i := 0; i < 50; i++ {
+			if _, err := ch.Call(ctx, "svc/Echo", payload); err != nil {
+				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(300, func() {
-				out, err := ch.Call(ctx, "svc/Echo", payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(out) != len(payload) {
-					t.Fatalf("echo length %d, want %d", len(out), len(payload))
-				}
-			})
-			if allocs > tc.budget {
-				t.Errorf("unary 128B: %.1f allocs/op, budget %.0f", allocs, tc.budget)
+		}
+		allocs := testing.AllocsPerRun(300, func() {
+			out, err := ch.Call(ctx, "svc/Echo", payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != len(payload) {
+				t.Fatalf("echo length %d, want %d", len(out), len(payload))
 			}
 		})
-	}
+		if allocs > budget {
+			t.Errorf("unary 128B: %.1f allocs/op, budget %.0f", allocs, budget)
+		}
+	})
 }
 
-// TestBulkPipelinedAllocFloor pins the pipelined bulk download path with
-// the codec pool on: a 64 KiB response rides the bulk lane, its
-// chunks are sealed/opened by workers, and the response buffer is recycled
-// with FreeResponse. The documented floor is 30 allocs per call: the
-// inline path's 15 plus the pipelined path's per-chunk job handoffs
-// (codec jobs and their done channels recycle through the pool's free
-// list, but pump-side recvItem plumbing and occasional free-list misses
-// cost a bounded handful more).
-func TestBulkPipelinedAllocFloor(t *testing.T) {
+// TestBulkDownloadAllocFloor pins the bulk download path: a 16 B request,
+// a 64 KiB response on the bulk lane, sealed and opened in the connection's
+// loops, and the response buffer recycled with FreeResponse. It measures 15
+// allocs per call, as the small path does; the budget leaves AllocsPerRun
+// the headroom TestUnaryInlineAllocFloor's comment explains.
+func TestBulkDownloadAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
 	}
-	const budget = 30.0
+	const budget = 20.0
 	blob := make([]byte, 64<<10)
-	withProcs(t, 2)
 	ch, _ := testSetup(t, Options{Workers: 2},
 		map[string]Handler{"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {
 			return blob, nil
@@ -98,18 +84,16 @@ func TestBulkPipelinedAllocFloor(t *testing.T) {
 		FreeResponse(out)
 	})
 	if allocs > budget {
-		t.Errorf("pipelined bulk 64KiB: %.1f allocs/op, budget %.0f", allocs, budget)
+		t.Errorf("bulk 64KiB: %.1f allocs/op, budget %.0f", allocs, budget)
 	}
 }
 
-// TestCodecWorkerShutdownDrains proves Channel.Close drains every worker
-// the pipelined data plane spawned — codec pools on both ends, stripe
-// connections, and the receive pumps — with no goroutine left behind.
-// leakcheck (registered by testSetup) fails the test if anything the
-// two-proc, two-stripe configuration started outlives Close.
-func TestCodecWorkerShutdownDrains(t *testing.T) {
+// TestChannelCloseJoinsEveryLoop proves Channel.Close joins every goroutine
+// a striped channel and its server connections started — each stripe's
+// send and receive loops on both ends — with none left behind. leakcheck
+// (registered by testSetup) fails the test if anything outlives Close.
+func TestChannelCloseJoinsEveryLoop(t *testing.T) {
 	blob := make([]byte, 128<<10)
-	withProcs(t, 2)
 	ch, srv := testSetup(t, Options{Workers: 2, ConnStripes: 2},
 		map[string]Handler{
 			"svc/Echo": echoHandler,
@@ -118,7 +102,7 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 			},
 		})
 	ctx := context.Background()
-	// Engage every lane: inline unary, pipelined bulk across stripes.
+	// Engage every lane: small unary, bulk across stripes.
 	for i := 0; i < 8; i++ {
 		if _, err := ch.Call(ctx, "svc/Echo", []byte("ping")); err != nil {
 			t.Fatal(err)
@@ -130,8 +114,7 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 		FreeResponse(out)
 	}
 	// Close explicitly (the cleanup's Close becomes a no-op) and verify
-	// post-close calls fail fast with a coded status instead of hanging
-	// on a dead worker pool.
+	// post-close calls fail fast with a coded status instead of hanging.
 	if err := ch.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +122,6 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 		t.Fatalf("post-close call: err = %v, want %v", err, ErrUnavailable)
 	}
 	srv.Close()
-	// leakcheck's cleanup now snapshots goroutines: codec workers on both
-	// ends, stripe loops, and recv pumps must all have exited.
+	// leakcheck's cleanup now snapshots goroutines: the stripes' loops on
+	// both ends must all have exited.
 }

@@ -44,13 +44,11 @@ func poolBalance() func() int64 {
 	}
 }
 
-// TestStreamOrderAcrossFrameSizes alternates 64 KiB messages (opened on the
-// codec workers, handed to the dispatcher) with 16 B ones (opened inline,
-// dispatched by the pump when it may) on one stream in each direction: a
+// TestStreamOrderAcrossFrameSizes alternates 64 KiB messages (two chunk
+// frames each) with 16 B ones (one) on one stream in each direction: a
 // small frame must never overtake the large one ahead of it.
 func TestStreamOrderAcrossFrameSizes(t *testing.T) {
 	const msgs = 2000
-	withProcs(t, 2)
 	ch := bidiSetup(t, Options{Workers: 2}, "svc/Echo", func(ctx context.Context, st *Stream) error {
 		for {
 			msg, err := st.Recv()
@@ -114,7 +112,6 @@ func TestStreamOrderAcrossFrameSizes(t *testing.T) {
 // way every caller must get its own bytes back.
 func TestSmallReplyBehindBulkReply(t *testing.T) {
 	blob := patternPayload(256 << 10)
-	withProcs(t, 2)
 	ch, _ := testSetup(t, Options{Workers: 4}, map[string]Handler{
 		"svc/Echo": echoHandler,
 		"svc/Get":  func(context.Context, []byte) ([]byte, error) { return blob, nil },
@@ -255,13 +252,12 @@ func stalledPeer(t *testing.T, size int) {
 
 // TestMixedSizesCompressedPoolBalanced drives 64 callers over one
 // connection with payloads on both sides of every threshold the send side
-// has (direct dispatch, inline codec, compression, bulk lane), flate on and
+// has (direct dispatch, compression, bulk lane), flate on and
 // half the payloads ones the encoder refuses: every reply must be byte-exact
 // and every pooled buffer back in the pool afterwards.
 func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
 	outstanding := poolBalance()
 	stats := new(compressor.Stats)
-	withProcs(t, 2)
 	opts := Options{Workers: 8, Compression: compressor.Flate, CompressThreshold: 512, CompressorStats: stats}
 	ch, srv := testSetup(t, opts, map[string]Handler{"svc/Echo": echoHandler})
 	sizes := []int{16, 2 << 10, 8 << 10, 64 << 10}

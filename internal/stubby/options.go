@@ -9,12 +9,12 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// Observer receives what the stack reports about itself: every span, the
-// robustness layer's events (retries the budget admitted or refused,
-// circuit-breaker transitions, calls the server shed) and the data plane's
-// (codec-pool activity). It must be safe for concurrent use; any goroutine
-// of the stack may call it. Embed NopObserver and override what you need;
-// *telemetry.Plane is the canonical implementation.
+// Observer receives what the stack reports about itself: every span and
+// the robustness layer's events (retries the budget admitted or refused,
+// circuit-breaker transitions, calls the server shed). It must be safe for
+// concurrent use; any goroutine of the stack may call it. Embed
+// NopObserver and override what you need; *telemetry.Plane is the
+// canonical implementation.
 type Observer interface {
 	// Observe receives a trace.Span for every completed call.
 	Observe(*trace.Span)
@@ -23,10 +23,6 @@ type Observer interface {
 	RetrySuppressed(method string)
 	BreakerTransition(method string, from, to BreakerState)
 	CallShed(method string)
-
-	// CodecJobEnqueued reports one frame handed to the codec workers and
-	// the number of jobs already queued ahead of it.
-	CodecJobEnqueued(queued int)
 }
 
 // NopObserver ignores every event; embed it to implement Observer.
@@ -37,7 +33,6 @@ func (NopObserver) RetryAttempt(string)                                  {}
 func (NopObserver) RetrySuppressed(string)                               {}
 func (NopObserver) BreakerTransition(string, BreakerState, BreakerState) {}
 func (NopObserver) CallShed(string)                                      {}
-func (NopObserver) CodecJobEnqueued(int)                                 {}
 
 // Options configures a Channel or Server. The zero value is usable; New*
 // functions fill in defaults.
@@ -61,12 +56,12 @@ type Options struct {
 	Collector *trace.Collector
 
 	// Observer is the observability plane's hook: it receives every span
-	// the stack produces (after the Collector) and the robustness and
-	// data-plane events. This is the single option through which
-	// internal/telemetry plugs Monarch export, GWP cycle attribution, and
-	// Dapper span retention into the stack; the stack itself stays
-	// ignorant of those systems. Nil disables it — an unobserved call
-	// builds no span (telemetry.Plane.Apply installs the plane here).
+	// the stack produces (after the Collector) and the robustness events.
+	// This is the single option through which internal/telemetry plugs
+	// Monarch export, GWP cycle attribution, and Dapper span retention
+	// into the stack; the stack itself stays ignorant of those systems.
+	// Nil disables it — an unobserved call builds no span
+	// (telemetry.Plane.Apply installs the plane here).
 	Observer Observer
 
 	// ClusterName labels spans with the placement of this endpoint.

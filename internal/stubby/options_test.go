@@ -13,7 +13,7 @@ import (
 // TestOptionsFieldBudget holds the knob count, and the number of events an
 // Observer must know, where this PR left them.
 func TestOptionsFieldBudget(t *testing.T) {
-	const budget, events = 19, 6
+	const budget, events = 19, 5
 	if n := reflect.TypeOf(Options{}).NumField(); n > budget {
 		t.Fatalf("Options has %d fields, budget %d. ROADMAP aim 2: \"a PR that adds a knob must say which existing knob it retires\".", n, budget)
 	}
@@ -22,25 +22,33 @@ func TestOptionsFieldBudget(t *testing.T) {
 	}
 }
 
-// pickyObserver overrides one method of each kind of event the single
-// Observer carries — a span, a robustness event, a data-plane event — and
-// leaves the rest to NopObserver.
-type pickyObserver struct {
-	NopObserver
-	spans, shed, jobs atomic.Int64
+// countingObserver counts every event the single Observer carries.
+type countingObserver struct {
+	spans, retries, suppressed, transitions, shed atomic.Int64
 }
 
-func (o *pickyObserver) Observe(*trace.Span)  { o.spans.Add(1) }
-func (o *pickyObserver) CallShed(string)      { o.shed.Add(1) }
-func (o *pickyObserver) CodecJobEnqueued(int) { o.jobs.Add(1) }
+func (o *countingObserver) Observe(*trace.Span)    { o.spans.Add(1) }
+func (o *countingObserver) RetryAttempt(string)    { o.retries.Add(1) }
+func (o *countingObserver) RetrySuppressed(string) { o.suppressed.Add(1) }
+func (o *countingObserver) BreakerTransition(string, BreakerState, BreakerState) {
+	o.transitions.Add(1)
+}
+func (o *countingObserver) CallShed(string) { o.shed.Add(1) }
 
 // TestOneObserverReceivesEveryKind runs a live client and server with one
-// Options.Observer between them and provokes all three kinds of event.
+// Options.Observer between them and provokes every event it carries: a
+// span, a shed call, a retry the budget admits, one it refuses, and the
+// circuit breaker opening.
 func TestOneObserverReceivesEveryKind(t *testing.T) {
-	obs := &pickyObserver{}
+	obs := &countingObserver{}
 	started, release := make(chan struct{}, 1), make(chan struct{})
-	withProcs(t, 2)
-	opts := Options{Observer: obs, Workers: 1, ShedThreshold: 1}
+	opts := Options{
+		Observer: obs, Workers: 1, ShedThreshold: 1,
+		// Four tokens: the first failure leaves three, enough for a retry
+		// (more than half); the retry and the next failure leave one.
+		Retry:   &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Budget: NewRetryBudget(4, 0.1)},
+		Breaker: &BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
+	}
 	ch, srv := testSetup(t, opts, map[string]Handler{
 		"svc/Echo": echoHandler,
 		"svc/Slow": func(_ context.Context, p []byte) ([]byte, error) {
@@ -52,20 +60,15 @@ func TestOneObserverReceivesEveryKind(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	// A span per call; and an 8 KiB frame is past codecInlineMax, so with
-	// the pool on each end opens it on a worker.
-	if _, err := ch.Call(ctx, "svc/Echo", make([]byte, 8<<10)); err != nil {
+	if _, err := ch.Call(ctx, "svc/Echo", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if obs.spans.Load() != 1 {
 		t.Errorf("Observe saw %d spans after one call", obs.spans.Load())
 	}
-	if obs.jobs.Load() != 2 {
-		t.Errorf("CodecJobEnqueued saw %d jobs, want the request's open and the response's", obs.jobs.Load())
-	}
 
-	// One call holds the only worker, a second waits in the queue, and the
-	// third finds the queue at the shedding threshold.
+	// One call holds the only worker, a second waits in the queue, and
+	// every later arrival finds the queue at the shedding threshold.
 	slow := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -79,11 +82,25 @@ func TestOneObserverReceivesEveryKind(t *testing.T) {
 	for srv.Load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := ch.Call(ctx, "svc/Slow", nil); Code(err) != trace.Unavailable {
-		t.Errorf("call past the shedding threshold: %v, want Unavailable", err)
+	// The first shed call is retried and shed again; the second's retry is
+	// refused by the budget, and its failure is the breaker's second.
+	for i := 0; i < 2; i++ {
+		if _, err := ch.Call(ctx, "svc/Slow", nil); Code(err) != trace.Unavailable {
+			t.Errorf("call past the shedding threshold: %v, want Unavailable", err)
+		}
 	}
-	if obs.shed.Load() != 1 {
-		t.Errorf("CallShed saw %d sheds, want 1", obs.shed.Load())
+	for name, c := range map[string]struct {
+		got  *atomic.Int64
+		want int64
+	}{
+		"CallShed":          {&obs.shed, 3},
+		"RetryAttempt":      {&obs.retries, 1},
+		"RetrySuppressed":   {&obs.suppressed, 1},
+		"BreakerTransition": {&obs.transitions, 1},
+	} {
+		if n := c.got.Load(); n != c.want {
+			t.Errorf("%s saw %d events, want %d", name, n, c.want)
+		}
 	}
 	close(release)
 	for i := 0; i < 2; i++ {

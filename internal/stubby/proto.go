@@ -3,6 +3,7 @@ package stubby
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"rpcscale/internal/codec"
@@ -96,7 +97,7 @@ type request struct {
 	Attempt uint32
 	// Window, on a stream-open envelope, is the initial per-direction
 	// credit window in bytes (see DESIGN.md §12).
-	Window uint32
+	Window uint64
 	// BulkSize, on a bulk-request envelope, is the total payload size that
 	// follows as stream chunks; the envelope itself carries no payload.
 	BulkSize uint64
@@ -115,7 +116,7 @@ func (r *request) marshalReference() ([]byte, error) {
 	if r.ParentSpan != 0 {
 		m.Set(reqParentSpan, uint64(r.ParentSpan))
 	}
-	if r.Deadline > 0 {
+	if r.Deadline != 0 {
 		m.Set(reqDeadlineNs, uint64(r.Deadline))
 	}
 	if r.Compressed {
@@ -131,7 +132,7 @@ func (r *request) marshalReference() ([]byte, error) {
 		m.Set(reqAttempt, uint64(r.Attempt))
 	}
 	if r.Window != 0 {
-		m.Set(reqWindow, uint64(r.Window))
+		m.Set(reqWindow, r.Window)
 	}
 	if r.BulkSize != 0 {
 		m.Set(reqBulkSize, r.BulkSize)
@@ -184,7 +185,7 @@ func appendRequest(dst []byte, r *request) []byte {
 	if r.ParentSpan != 0 {
 		dst = appendUintField(dst, reqParentSpan, uint64(r.ParentSpan))
 	}
-	if r.Deadline > 0 {
+	if r.Deadline != 0 {
 		dst = appendUintField(dst, reqDeadlineNs, uint64(r.Deadline))
 	}
 	dst = appendBytesField(dst, reqPayload, r.Payload)
@@ -201,7 +202,7 @@ func appendRequest(dst []byte, r *request) []byte {
 		dst = appendUintField(dst, reqAttempt, uint64(r.Attempt))
 	}
 	if r.Window != 0 {
-		dst = appendUintField(dst, reqWindow, uint64(r.Window))
+		dst = appendUintField(dst, reqWindow, r.Window)
 	}
 	if r.BulkSize != 0 {
 		dst = appendUintField(dst, reqBulkSize, r.BulkSize)
@@ -210,6 +211,12 @@ func appendRequest(dst []byte, r *request) []byte {
 }
 
 var errTruncatedEnvelope = errors.New("stubby: truncated envelope")
+
+// errFieldRange refuses an envelope carrying a value its field cannot hold
+// — a response code past uint8, an attempt number past uint32 — rather than
+// decoding a different number: truncated, a response code of 256 would
+// read as OK.
+var errFieldRange = errors.New("stubby: envelope field out of range")
 
 // parseRequestInto decodes buf into r without going through the dynamic
 // codec message. r.Payload aliases buf: the caller owns buf and must keep
@@ -250,9 +257,12 @@ func parseRequestInto(r *request, buf []byte, intern func([]byte) string) error 
 			case reqCallSeq:
 				r.CallSeq = x
 			case reqAttempt:
+				if x > math.MaxUint32 {
+					return errFieldRange
+				}
 				r.Attempt = uint32(x)
 			case reqWindow:
-				r.Window = uint32(x)
+				r.Window = x
 			case reqBulkSize:
 				r.BulkSize = x
 			}
@@ -322,7 +332,7 @@ type response struct {
 	// Load is the server's instantaneous load report (recv-queue depth
 	// plus in-flight handlers) piggybacked on every response, feeding
 	// client-side load-aware balancing (DESIGN.md §13).
-	Load uint32
+	Load uint64
 }
 
 // marshalReference encodes r through the generic codec layer — the
@@ -349,7 +359,7 @@ func (r *response) marshalReference() ([]byte, error) {
 		m.Set(respBulkSize, r.BulkSize)
 	}
 	if r.Load != 0 {
-		m.Set(respLoad, uint64(r.Load))
+		m.Set(respLoad, r.Load)
 	}
 	return codec.Marshal(m)
 }
@@ -380,7 +390,7 @@ func appendResponseBody(dst []byte, r *response) []byte {
 		dst = appendUintField(dst, respBulkSize, r.BulkSize)
 	}
 	if r.Load != 0 {
-		dst = appendUintField(dst, respLoad, uint64(r.Load))
+		dst = appendUintField(dst, respLoad, r.Load)
 	}
 	return dst
 }
@@ -415,6 +425,9 @@ func parseResponseInto(r *response, buf []byte) error {
 			buf = buf[n:]
 			switch num {
 			case respCode:
+				if x > math.MaxUint8 {
+					return errFieldRange
+				}
 				r.Code = trace.ErrorCode(x)
 			case respCompressed:
 				r.Compressed = x != 0
@@ -433,7 +446,7 @@ func parseResponseInto(r *response, buf []byte) error {
 			case respBulkSize:
 				r.BulkSize = x
 			case respLoad:
-				r.Load = uint32(x)
+				r.Load = x
 			}
 		case 2: // length-delimited
 			length, n := wire.Uvarint(buf)

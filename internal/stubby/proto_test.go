@@ -2,9 +2,13 @@ package stubby
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"rpcscale/internal/codec"
 	"rpcscale/internal/trace"
 )
 
@@ -12,7 +16,32 @@ import (
 // byte-identical to the codec-based reference encoders: the fast path is an
 // optimization, not a protocol change.
 func TestEnvelopeFastPathParity(t *testing.T) {
-	requests := []request{
+	for i, r := range parityRequests {
+		want, err := r.marshalReference()
+		if err != nil {
+			t.Fatalf("request %d: reference: %v", i, err)
+		}
+		got := appendRequest(nil, &r)
+		if !bytes.Equal(got, want) {
+			t.Errorf("request %d: appendRequest differs from codec reference\n got %x\nwant %x", i, got, want)
+		}
+	}
+	for i, r := range parityResponses {
+		want, err := r.marshalReference()
+		if err != nil {
+			t.Fatalf("response %d: reference: %v", i, err)
+		}
+		got := appendResponse(nil, &r)
+		if !bytes.Equal(got, want) {
+			t.Errorf("response %d: appendResponse differs from codec reference\n got %x\nwant %x", i, got, want)
+		}
+	}
+}
+
+// parityRequests and parityResponses are the envelopes the parity test
+// encodes both ways, and the fuzz targets' seeds.
+var (
+	parityRequests = []request{
 		{Method: "svc/Echo", TraceID: 1, SpanID: 2, Payload: []byte("hi")},
 		{
 			Method:     "billing.Ledger/Post",
@@ -29,18 +58,7 @@ func TestEnvelopeFastPathParity(t *testing.T) {
 		{Method: "", TraceID: 0, SpanID: 0, Payload: nil},
 		{Method: "m", Payload: []byte{}, CallSeq: 1},
 	}
-	for i, r := range requests {
-		want, err := r.marshalReference()
-		if err != nil {
-			t.Fatalf("request %d: reference: %v", i, err)
-		}
-		got := appendRequest(nil, &r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("request %d: appendRequest differs from codec reference\n got %x\nwant %x", i, got, want)
-		}
-	}
-
-	responses := []response{
+	parityResponses = []response{
 		{Code: trace.OK, Payload: []byte("result")},
 		{
 			Code:       trace.Unavailable,
@@ -54,17 +72,7 @@ func TestEnvelopeFastPathParity(t *testing.T) {
 		{Code: trace.OK, Payload: []byte("loaded"), Load: 37},
 		{},
 	}
-	for i, r := range responses {
-		want, err := r.marshalReference()
-		if err != nil {
-			t.Fatalf("response %d: reference: %v", i, err)
-		}
-		got := appendResponse(nil, &r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("response %d: appendResponse differs from codec reference\n got %x\nwant %x", i, got, want)
-		}
-	}
-}
+)
 
 func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 	in := request{
@@ -125,24 +133,8 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 // field-number order, ahead of more, bulk_size and load: the parser goes by
 // tag, so both layouts must decode to the same response.
 func TestResponseOldFieldOrderParses(t *testing.T) {
-	want := response{
-		Code:       trace.NoResource,
-		Message:    "queue full",
-		Payload:    []byte("partial"),
-		Compressed: true,
-		More:       true,
-		Timings:    serverTimings{RecvQueue: 11, App: 22, SendQueue: 33, RespProc: 44, Elapsed: 150},
-		BulkSize:   1 << 20,
-		Load:       7,
-	}
-	old := appendUintField(nil, respCode, uint64(want.Code))
-	old = appendStringField(old, respMessage, want.Message)
-	old = appendBytesField(old, respPayload, want.Payload)
-	old = appendBoolField(old, respCompressed, true)
-	old = appendTimings(old, &want.Timings)
-	old = appendBoolField(old, respMore, true)
-	old = appendUintField(old, respBulkSize, want.BulkSize)
-	old = appendUintField(old, respLoad, uint64(want.Load))
+	want := oldOrderResponse
+	old := appendOldOrderResponse(nil, &want)
 	if bytes.Equal(old, appendResponse(nil, &want)) {
 		t.Fatal("the old layout and the current one are the same bytes: the test checks nothing")
 	}
@@ -155,6 +147,151 @@ func TestResponseOldFieldOrderParses(t *testing.T) {
 		got.BulkSize != want.BulkSize || got.Load != want.Load {
 		t.Fatalf("old-order envelope decoded to %+v, want %+v", got, want)
 	}
+}
+
+var oldOrderResponse = response{
+	Code:       trace.NoResource,
+	Message:    "queue full",
+	Payload:    []byte("partial"),
+	Compressed: true,
+	More:       true,
+	Timings:    serverTimings{RecvQueue: 11, App: 22, SendQueue: 33, RespProc: 44, Elapsed: 150},
+	BulkSize:   1 << 20,
+	Load:       7,
+}
+
+// appendOldOrderResponse encodes r in the old layout: the timings in
+// field-number order, ahead of more, bulk_size and load.
+func appendOldOrderResponse(dst []byte, r *response) []byte {
+	dst = appendUintField(dst, respCode, uint64(r.Code))
+	dst = appendStringField(dst, respMessage, r.Message)
+	dst = appendBytesField(dst, respPayload, r.Payload)
+	dst = appendBoolField(dst, respCompressed, r.Compressed)
+	dst = appendTimings(dst, &r.Timings)
+	dst = appendBoolField(dst, respMore, r.More)
+	dst = appendUintField(dst, respBulkSize, r.BulkSize)
+	return appendUintField(dst, respLoad, uint64(r.Load))
+}
+
+// FuzzParseRequest feeds parseRequestInto bytes a client controls. No input
+// may panic it; whatever the reference decoder (codec.Unmarshal over
+// requestDesc) accepts, it must decode to the same fields or refuse as out
+// of range a value its field cannot hold; and what it accepts must survive
+// appendRequest and a second parse unchanged.
+func FuzzParseRequest(f *testing.F) {
+	for _, r := range parityRequests {
+		f.Add(appendRequest(nil, &r))
+	}
+	f.Add(appendUintField(nil, reqAttempt, 1<<32))             // past uint32
+	f.Add(appendUintField(nil, reqDeadlineNs, math.MaxUint64)) // a negative time.Duration
+	// Out of range, then repeated in range: the reference keeps the last.
+	f.Add(appendUintField(appendUintField(nil, reqAttempt, 1<<32), reqAttempt, 48))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got request
+		err := parseRequestInto(&got, b, nil)
+		if ref, rerr := codec.Unmarshal(requestDesc, b); rerr == nil {
+			want := request{
+				Method:     ref.GetString(reqMethod),
+				TraceID:    trace.TraceID(ref.GetUint64(reqTraceID)),
+				SpanID:     trace.SpanID(ref.GetUint64(reqSpanID)),
+				ParentSpan: trace.SpanID(ref.GetUint64(reqParentSpan)),
+				Deadline:   time.Duration(ref.GetUint64(reqDeadlineNs)),
+				Payload:    ref.GetBytes(reqPayload),
+				Compressed: ref.GetBool(reqCompressed),
+				Hedged:     ref.GetBool(reqHedged),
+				CallSeq:    ref.GetUint64(reqCallSeq),
+				Attempt:    uint32(ref.GetUint64(reqAttempt)),
+				Window:     ref.GetUint64(reqWindow),
+				BulkSize:   ref.GetUint64(reqBulkSize),
+			}
+			outOfRange := ref.GetUint64(reqAttempt) > math.MaxUint32
+			switch {
+			case outOfRange && !errors.Is(err, errFieldRange):
+				t.Fatalf("a field out of range: got %+v, err %v", got, err)
+			case errors.Is(err, errFieldRange):
+				// Also right for an earlier occurrence of a repeated field,
+				// which the reference overwrites with the last.
+			case err != nil:
+				t.Fatalf("the reference decodes %+v, parseRequestInto fails: %v", want, err)
+			case !sameRequest(got, want):
+				t.Fatalf("parseRequestInto decoded %+v, the reference %+v", got, want)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var again request
+		if err := parseRequestInto(&again, appendRequest(nil, &got), nil); err != nil || !sameRequest(again, got) {
+			t.Fatalf("re-encoded %+v parses to %+v, err %v", got, again, err)
+		}
+	})
+}
+
+// FuzzParseResponse is FuzzParseRequest for the response envelope, which a
+// server controls, seeded with both field orders a peer may send.
+func FuzzParseResponse(f *testing.F) {
+	for _, r := range parityResponses {
+		f.Add(appendResponse(nil, &r))
+	}
+	f.Add(appendOldOrderResponse(nil, &oldOrderResponse))
+	f.Add(appendUintField(nil, respCode, 256))   // past uint8, where it would read as OK
+	f.Add(appendUintField(nil, respLoad, 1<<32)) // decodes whole: Load is a uint64
+	f.Add(appendUintField(appendUintField(nil, respCode, 6235), respCode, 48))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got response
+		err := parseResponseInto(&got, b)
+		if ref, rerr := codec.Unmarshal(responseDesc, b); rerr == nil {
+			want := response{
+				Code:       trace.ErrorCode(ref.GetUint64(respCode)),
+				Message:    ref.GetString(respMessage),
+				Payload:    ref.GetBytes(respPayload),
+				Compressed: ref.GetBool(respCompressed),
+				More:       ref.GetBool(respMore),
+				Timings: serverTimings{
+					RecvQueue: time.Duration(ref.GetUint64(respRecvQueueNs)),
+					App:       time.Duration(ref.GetUint64(respAppNs)),
+					SendQueue: time.Duration(ref.GetUint64(respSendQueueNs)),
+					RespProc:  time.Duration(ref.GetUint64(respProcNs)),
+					Elapsed:   time.Duration(ref.GetUint64(respElapsedNs)),
+				},
+				BulkSize: ref.GetUint64(respBulkSize),
+				Load:     ref.GetUint64(respLoad),
+			}
+			outOfRange := ref.GetUint64(respCode) > math.MaxUint8
+			switch {
+			case outOfRange && !errors.Is(err, errFieldRange):
+				t.Fatalf("a field out of range: got %+v, err %v", got, err)
+			case errors.Is(err, errFieldRange):
+				// Also right for an earlier occurrence of a repeated field,
+				// which the reference overwrites with the last.
+			case err != nil:
+				t.Fatalf("the reference decodes %+v, parseResponseInto fails: %v", want, err)
+			case !sameResponse(got, want):
+				t.Fatalf("parseResponseInto decoded %+v, the reference %+v", got, want)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var again response
+		if err := parseResponseInto(&again, appendResponse(nil, &got)); err != nil || !sameResponse(again, got) {
+			t.Fatalf("re-encoded %+v parses to %+v, err %v", got, again, err)
+		}
+	})
+}
+
+// sameRequest and sameResponse compare envelopes field by field, a nil
+// payload equal to an empty one.
+func sameRequest(a, b request) bool {
+	pa, pb := a.Payload, b.Payload
+	a.Payload, b.Payload = nil, nil
+	return bytes.Equal(pa, pb) && reflect.DeepEqual(a, b)
+}
+
+func sameResponse(a, b response) bool {
+	pa, pb := a.Payload, b.Payload
+	a.Payload, b.Payload = nil, nil
+	return bytes.Equal(pa, pb) && reflect.DeepEqual(a, b)
 }
 
 func TestParseTruncatedEnvelope(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +50,11 @@ type Server struct {
 	// response (DESIGN.md §13) for client-side load-aware balancing.
 	inflight atomic.Int64
 
-	lnMu      sync.Mutex
+	// netMu guards the listeners and the accepted connections, which
+	// Close ends.
+	netMu     sync.Mutex
 	listeners map[net.Listener]struct{}
+	conns     map[*serverConn]struct{}
 
 	pool sync.WaitGroup // worker pool
 
@@ -81,6 +86,11 @@ type serverCall struct {
 type serverConn struct {
 	conn[*serverResponse]
 	owed atomic.Int32 // unary calls queued or running: responses still to come (see handle)
+
+	// ctx is the parent of every handler context on the connection;
+	// readLoop cancels it (gone) once no response can reach the client.
+	ctx  context.Context
+	gone context.CancelFunc
 
 	cancelMu sync.Mutex
 	cancels  map[uint64]context.CancelFunc // in-flight calls by stream ID
@@ -114,8 +124,10 @@ func (call *serverCall) release() {
 	wire.PutBuf(call.bulkData)
 }
 
-// serverResponse is a response waiting in the send queue.
+// serverResponse is a response waiting in the send queue, or with goAway
+// set the closing server's last word on the connection.
 type serverResponse struct {
+	goAway   bool
 	streamID uint64
 	resp     response
 	reqBuf   []byte // pooled request envelope, released after the response seals
@@ -145,6 +157,7 @@ func NewServer(opts Options) *Server {
 		methodNames:  make(map[string]string),
 		recvQ:        make(chan *serverCall, o.RecvQueueLen),
 		listeners:    make(map[net.Listener]struct{}),
+		conns:        make(map[*serverConn]struct{}),
 		closed:       make(chan struct{}),
 	}
 	s.intern = s.internMethod
@@ -193,45 +206,65 @@ func (s *Server) Intercept(i ServerInterceptor) {
 // It always returns a non-nil error; after Close it returns nil-wrapped
 // ErrServerClosed semantics via net.ErrClosed.
 func (s *Server) Serve(l net.Listener) error {
-	s.lnMu.Lock()
-	select {
-	case <-s.closed:
-		s.lnMu.Unlock()
+	s.netMu.Lock()
+	if s.closing() {
+		s.netMu.Unlock()
 		l.Close()
 		return net.ErrClosed
-	default:
 	}
 	s.listeners[l] = struct{}{}
-	s.lnMu.Unlock()
+	s.netMu.Unlock()
 	for {
-		conn, err := l.Accept()
+		nc, err := l.Accept()
 		if err != nil {
 			return err
 		}
 		sc := &serverConn{cancels: make(map[uint64]context.CancelFunc)}
-		if sc.init(conn, &s.opts, s.comp, "s2c", "c2s") != nil {
+		if sc.init(nc, &s.opts, s.comp, "s2c", "c2s") != nil {
 			continue
 		}
-		go s.readLoop(sc)
-		go sc.sendLoop(func(sr *serverResponse) { s.prepareResponse(sc, sr) }, func() { s.endTurn(sc) })
+		if !s.start(sc) {
+			sc.shutdown()
+			return net.ErrClosed
+		}
 	}
 }
 
+// start registers an accepted connection for Close to end and starts its
+// loops, unless the server has closed. Under netMu, so that Close, once it
+// has seen the connection, may wait for them.
+func (s *Server) start(sc *serverConn) bool {
+	s.netMu.Lock()
+	defer s.netMu.Unlock()
+	if s.closing() {
+		return false
+	}
+	s.conns[sc] = struct{}{}
+	sc.ctx, sc.gone = context.WithCancel(context.Background())
+	sc.run(func(sr *serverResponse) { s.prepareResponse(sc, sr) }, func() { s.endTurn(sc) }, func() { s.readLoop(sc) })
+	return true
+}
+
 // readLoop pulls frames off one connection and enqueues requests, until
-// EOF, a closed socket, a connection-level failure or a dispatch stop
-// (shutdown, GoAway) — nothing to salvage either way. Live streams get
-// their chunks delivered directly (deliverChunk never blocks — credit
-// windows bound the queued bytes — so one stalled stream cannot
-// head-of-line-block the connection).
+// EOF, a closed socket, a connection-level failure or the client's GoAway
+// — nothing to salvage either way. Live streams get their chunks delivered
+// directly (deliverChunk never blocks — credit windows bound the queued
+// bytes — so one stalled stream cannot head-of-line-block the connection).
+// Then the connection is gone: its streams fail, its handlers in flight are
+// cancelled, its socket closes.
 func (s *Server) readLoop(sc *serverConn) {
 	_ = sc.recvLoop(func(m recvMsg) bool { return s.dispatchServerFrame(sc, m) })
 	sc.streams.failAll()
+	sc.gone()
 	sc.shutdown()
-	sc.tr.stopCodec()
+	s.netMu.Lock()
+	delete(s.conns, sc)
+	s.netMu.Unlock()
 }
 
 // dispatchServerFrame routes one decoded frame, taking ownership of
-// m.plain; false means the read loop should exit (shutdown or GoAway).
+// m.plain; false means the read loop should exit (GoAway, or the
+// connection has failed).
 func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 	switch m.typ {
 	case wire.FrameRequest:
@@ -239,13 +272,12 @@ func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 			wire.PutBuf(m.plain)
 			return true
 		}
-		call := &serverCall{
+		s.enqueue(&serverCall{
 			conn:     sc,
 			streamID: m.streamID,
 			raw:      m.plain, // pooled; ownership travels with the call
 			readDone: time.Now(),
-		}
-		return s.enqueue(call)
+		})
 	case wire.FrameBulkRequest:
 		// Envelope of a bulk-lane request; the payload follows as
 		// chunks. Queue admission happens when the payload completes.
@@ -267,14 +299,13 @@ func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 			b.release()
 			return true
 		}
-		call := &serverCall{
+		s.enqueue(&serverCall{
 			conn:     sc,
 			streamID: m.streamID,
 			raw:      b.env,
 			bulkData: b.data,
 			readDone: b.at,
-		}
-		return s.enqueue(call)
+		})
 	case wire.FrameCancel:
 		wire.PutBuf(m.plain)
 		sc.dropBulk(m.streamID)
@@ -291,39 +322,48 @@ func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 	return true
 }
 
-// enqueue admits one decoded call to the receive queue; false means the
-// server is shutting down and the read loop should exit.
-func (s *Server) enqueue(call *serverCall) bool {
+// enqueue admits one decoded call to the receive queue, or refuses it — a
+// unary call with a response, a stream with a reset: Unavailable once the
+// server is closing (the connection stays up until Close has sent what it
+// owes), NoResource when the queue is full, the overload behavior the
+// paper's error taxonomy records.
+func (s *Server) enqueue(call *serverCall) {
 	if call.stream == nil {
 		call.conn.owed.Add(1)
 	}
+	code, msg := trace.Unavailable, "server closing"
+	if !s.closing() {
+		select {
+		case s.recvQ <- call:
+			return
+		default:
+			code, msg = trace.NoResource, "server receive queue full"
+		}
+	}
+	if call.stream != nil {
+		call.stream.terminate(&Status{Code: code, Message: msg}, true)
+	} else {
+		call.conn.owed.Add(-1)
+		s.reject(call.conn, call.streamID, code, msg)
+	}
+	call.release()
+}
+
+// closing reports whether Close has begun.
+func (s *Server) closing() bool {
 	select {
-	case s.recvQ <- call:
-		return true
 	case <-s.closed:
-		call.release()
-		if call.stream != nil {
-			call.stream.terminate(ErrUnavailable, false)
-		}
-		return false
-	default:
-		// Receive queue full: shed load with NoResource, the overload
-		// behavior the paper's error taxonomy records.
-		if call.stream != nil {
-			call.stream.terminate(Errorf(trace.NoResource, "server receive queue full"), true)
-		} else {
-			s.reject(call.conn, call.streamID, trace.NoResource, "server receive queue full")
-			call.conn.owed.Add(-1)
-		}
-		call.release()
 		return true
+	default:
+		return false
 	}
 }
 
 // acceptStream registers a new inbound stream eagerly — chunks may arrive
 // before a worker decodes the open envelope, and the stream must exist to
 // receive them. Its send window starts at zero; the worker installs the
-// client's declared window after the decode. False means shutdown.
+// client's declared window after the decode. False means the connection
+// has failed.
 func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool {
 	if s.shed(sc, streamID, env, true) {
 		wire.PutBuf(env)
@@ -334,14 +374,14 @@ func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool 
 		wire.PutBuf(env)
 		return false
 	}
-	call := &serverCall{
+	s.enqueue(&serverCall{
 		conn:     sc,
 		streamID: streamID,
 		raw:      env,
 		stream:   st,
 		readDone: time.Now(),
-	}
-	return s.enqueue(call)
+	})
+	return true
 }
 
 // shed refuses one arrival when the receive queue is at the shedding
@@ -355,18 +395,20 @@ func (s *Server) shed(sc *serverConn, streamID uint64, env []byte, stream bool) 
 	if t := s.opts.ShedThreshold; t <= 0 || len(s.recvQ) < t {
 		return false
 	}
-	st := &Status{Code: trace.Unavailable, Message: "server overloaded: load shed"}
-	if stream {
-		_ = sc.tr.sendReset(streamID, st)
-	} else {
-		s.reject(sc, streamID, st.Code, st.Message)
-	}
+	// Reported before the refusal is sent, so an observer has seen the
+	// shed by the time its caller sees Unavailable.
 	if s.opts.Observer != nil {
 		method := ""
 		if req, err := parseRequest(env); err == nil {
 			method = req.Method
 		}
 		s.opts.Observer.CallShed(method)
+	}
+	st := &Status{Code: trace.Unavailable, Message: "server overloaded: load shed"}
+	if stream {
+		_ = sc.tr.sendReset(streamID, st)
+	} else {
+		s.reject(sc, streamID, st.Code, st.Message)
 	}
 	return true
 }
@@ -424,7 +466,7 @@ func (s *Server) handle(call *serverCall) {
 	if sr == nil {
 		return
 	}
-	if last && len(sr.resp.Payload) <= codecInlineMax && len(sc.sendQ) == 0 && sc.turn.tryLock() {
+	if last && len(sr.resp.Payload) <= directSendMax && len(sc.sendQ) == 0 && sc.turn.tryLock() {
 		s.prepareResponse(sc, sr)
 		s.endTurn(sc)
 		return
@@ -516,7 +558,7 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 		}
 	}
 
-	ctx, cancel := requestContext(req)
+	ctx, cancel := requestContext(call.conn.ctx, req)
 	call.conn.storeCancel(call.streamID, cancel)
 	defer func() {
 		call.conn.deleteCancel(call.streamID)
@@ -601,6 +643,10 @@ func ctxErrToStatus(err error) error {
 // frames sealed straight from the handler's buffer — no copy into the
 // envelope, no compression. Caller holds the turn.
 func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
+	if sr.goAway {
+		sc.turn.add(sr, nil, 0)
+		return
+	}
 	procStart := time.Now()
 	resp := &sr.resp
 	if th := s.opts.BulkThreshold; th > 0 && len(resp.Payload) >= th && len(resp.Payload) <= wire.MaxFrameSize {
@@ -618,7 +664,7 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	}
 	// Piggyback the current load estimate so clients balance on
 	// near-real-time signals without a separate control RPC.
-	resp.Load = uint32(s.Load())
+	resp.Load = uint64(s.Load())
 	// The timing fields go last, after everything else is marshalled, so
 	// RespProc covers serialization: a lower bound measured up to the write.
 	env := appendResponseBody(wire.GetBuf(len(resp.Payload)+len(resp.Message)+envelopeOverhead), resp)
@@ -636,22 +682,31 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 }
 
 // endTurn sends the turn's batch (sendTurn.flush), releases the pooled
-// request and response buffers, and releases the turn. A failed write is
-// not reported here — the connection's read loop observes the socket error
-// and tears down. Caller holds the turn.
+// request and response buffers, and releases the turn; a batch that ended
+// in the closing server's GoAway then shuts the connection. A failed write
+// is not reported here — the connection's read loop observes the socket
+// error and tears down. Caller holds the turn.
 func (s *Server) endTurn(sc *serverConn) {
 	t := &sc.turn
 	_ = t.flush(sc.tr, time.Time{})
+	goAway := false
 	for i, sr := range t.batch {
 		wire.PutBuf(t.envs[i])
 		sr.release()
+		goAway = goAway || sr.goAway
 	}
 	t.unlock()
+	if goAway {
+		sc.shutdown()
+	}
 }
 
 // frame implements outbound.
 func (sr *serverResponse) frame() (typ byte, streamID uint64, bulk []byte) {
-	if sr.bulk {
+	switch {
+	case sr.goAway:
+		return wire.FrameGoAway, 0, nil
+	case sr.bulk:
 		return wire.FrameBulkResponse, sr.streamID, sr.bulkOut
 	}
 	return wire.FrameResponse, sr.streamID, nil
@@ -664,16 +719,41 @@ func (sr *serverResponse) release() {
 	wire.PutBuf(sr.reqBulk)
 }
 
-// Close stops accepting, closes all listeners, and releases the worker
-// pool. In-flight handlers run to completion.
+// Close stops accepting and closes every listener; lets the handlers in
+// flight, and the calls queued for them, run to completion and their
+// responses go out, refusing new requests Unavailable meanwhile; then sends
+// every connection a GoAway, closes it and joins its loops.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		s.lnMu.Lock()
+		s.netMu.Lock()
 		for l := range s.listeners {
 			l.Close()
 		}
-		s.lnMu.Unlock()
+		conns := slices.Collect(maps.Keys(s.conns))
+		s.netMu.Unlock()
 		s.pool.Wait()
+		for _, sc := range conns {
+			// The GoAway queues behind the responses owed; the drain loop
+			// shuts the connection once it has written it (endTurn). The
+			// deadline bounds how long a peer that stopped reading can
+			// hold that up.
+			_ = sc.tr.conn.SetWriteDeadline(time.Now().Add(closeGrace))
+			select {
+			case sc.sendQ <- &serverResponse{goAway: true}:
+			case <-sc.closed:
+			}
+		}
+		for _, sc := range conns {
+			sc.loops.Wait()
+		}
+		// No reader is left: serve what raced the workers' exit into recvQ
+		// — each call finds its connection gone and its context cancelled.
+		s.pool.Add(1)
+		s.worker()
 	})
 }
+
+// closeGrace bounds how long Close waits for a connection's peer to take
+// the responses owed on it and the GoAway.
+const closeGrace = 5 * time.Second

@@ -150,7 +150,7 @@ func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOpt
 		TraceID:  tc.TraceID,
 		SpanID:   tc.SpanID,
 		Deadline: deadline,
-		Window:   uint32(win),
+		Window:   uint64(win),
 	}
 	env := appendRequest(wire.GetBuf(len(method)+envelopeOverhead), req)
 
@@ -490,7 +490,7 @@ func (s *Server) handleBidi(call *serverCall) {
 	// (reset racing the open decode) observes it; if the stream already
 	// died, cancel here since terminate could not.
 	st.lockRecv()
-	st.ctx, st.cancel = requestContext(req)
+	st.ctx, st.cancel = requestContext(call.conn.ctx, req)
 	cancel, dead := st.cancel, st.dead
 	st.unlockRecv()
 	if dead {

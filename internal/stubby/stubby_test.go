@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -39,16 +38,6 @@ func testSetup(t *testing.T, opts Options, handlers map[string]Handler) (*Channe
 		srv.Close()
 	})
 	return ch, srv
-}
-
-// withProcs runs the rest of the test at GOMAXPROCS n, which is what
-// selects a connection's seal/open arm: the codec pool at n >= 2, inline
-// at 1. Call it before the connections are made. The package's tests do not
-// run in parallel, so the setting is the test's own.
-func withProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func echoHandler(ctx context.Context, payload []byte) ([]byte, error) {
@@ -454,6 +443,109 @@ func TestChannelCloseFailsPending(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call not failed by Close")
+	}
+}
+
+// TestServerCloseClosesIdleConnections makes one call and closes the
+// server: the idle channel must see its connection go within a second,
+// because Close takes the server's side of every connection down with it
+// rather than leaving its socket and loops to the client's next send.
+// leakcheck runs with the channel closed only after that.
+func TestServerCloseClosesIdleConnections(t *testing.T) {
+	leakcheck.Check(t)
+	srv := NewServer(Options{})
+	srv.Register("svc/Echo", echoHandler)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	ch, err := Dial(l.Addr().String(), "c", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Call(context.Background(), "svc/Echo", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	select {
+	case <-ch.closed:
+	case <-time.After(time.Second):
+		t.Error("the channel is still open 1 s after its server closed")
+	}
+	t.Cleanup(func() { ch.Close() })
+}
+
+// TestServerCloseDrainsInFlight closes a server while a handler runs: a
+// call arriving meanwhile is refused Unavailable at once, the running call
+// still gets its response, and Close waits for it.
+func TestServerCloseDrainsInFlight(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	ch, srv := testSetup(t, Options{}, map[string]Handler{
+		"svc/Echo": echoHandler,
+		"svc/Slow": func(_ context.Context, p []byte) ([]byte, error) {
+			close(started)
+			<-release
+			return p, nil
+		},
+	})
+	owed := make(chan error, 1)
+	go func() {
+		out, err := ch.Call(context.Background(), "svc/Slow", []byte("owed"))
+		if err == nil && string(out) != "owed" {
+			err = errors.New("wrong reply: " + string(out))
+		}
+		owed <- err
+	}()
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	<-srv.closed
+	if _, err := ch.Call(context.Background(), "svc/Echo", []byte("late")); Code(err) != trace.Unavailable {
+		t.Errorf("call while the server closes: %v, want Unavailable", err)
+	}
+	select {
+	case <-closed:
+		t.Error("Close returned with a handler still running")
+	default:
+	}
+	close(release)
+	if err := <-owed; err != nil {
+		t.Errorf("the call in flight when Close began: %v", err)
+	}
+	<-closed
+}
+
+// TestClientCloseCancelsHandler closes a channel while its call's handler
+// waits on its context: the handler must see the context end within a
+// second of the client going, not at the call's 30 s default deadline.
+func TestClientCloseCancelsHandler(t *testing.T) {
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	ch, _ := testSetup(t, Options{}, map[string]Handler{
+		"svc/Block": func(ctx context.Context, p []byte) ([]byte, error) {
+			close(started)
+			<-ctx.Done()
+			close(cancelled)
+			return nil, ctx.Err()
+		},
+	})
+	res := make(chan error, 1)
+	go func() {
+		_, err := ch.Call(context.Background(), "svc/Block", nil)
+		res <- err
+	}()
+	<-started
+	ch.Close()
+	if err := <-res; Code(err) != trace.Unavailable {
+		t.Errorf("call on a closed channel: %v, want Unavailable", err)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(time.Second):
+		t.Error("the handler's context is still live 1 s after its client closed")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rpcscale/internal/sanitize"
@@ -36,13 +35,6 @@ import (
 type transport struct {
 	conn net.Conn
 
-	// codec, when non-nil, is the connection's seal/open worker pool
-	// (DESIGN.md §16): large frames are ciphered concurrently off the
-	// loops, harvested in submission order so the wire sees the same
-	// frame sequence as the inline path. Set by startCodec before the
-	// connection's loops start; nil means the fully inline data plane.
-	codec *codecPool
-
 	sendMu  sync.Mutex
 	sendKey *secure.Session
 	writer  *wire.Writer
@@ -53,12 +45,9 @@ type transport struct {
 	// flushLocked); sendMu serializes access.
 	writeBy bool
 
-	recvMu  sync.Mutex
+	// The receive side has one goroutine, conn.recvLoop's.
 	recvKey *secure.Session
 	reader  *wire.Reader
-	// handedOff counts frames the receive pump has passed to its dispatcher
-	// goroutine that are not yet dispatched (see recvLoop).
-	handedOff atomic.Int32
 }
 
 // Chunk flags: the single clear-text byte leading every FrameStreamChunk
@@ -134,11 +123,16 @@ func (t *transport) unlockSend() {
 type sendTurn[T outbound] struct {
 	mu    sync.Mutex // rank sanitize.RankSendTurn
 	batch []T
-	envs  [][]byte    // pooled envelopes, parallel to batch
-	size  int         // bytes the batch will put on the wire so far
-	jobs  []*codecJob // the batch's submitted seal jobs, in order
-	n     []int       // per-entry job count (0: that entry stayed inline)
+	envs  [][]byte // pooled envelopes, parallel to batch
+	size  int      // bytes the batch will put on the wire so far
 }
+
+// directSendMax is the largest payload a goroutine sends itself, holding
+// the turn of an idle connection, instead of handing it to the drain loop
+// (DESIGN.md §16, "Idle-path direct dispatch"). Past it a worker or caller
+// would spend its own time sealing bytes while the next call waits for it;
+// the drain loop does that.
+const directSendMax = 4 << 10
 
 // lock takes the turn and starts an empty batch; tryLock does so only if
 // the turn is free.
@@ -186,69 +180,33 @@ type outbound interface {
 }
 
 // flush seals the batch's envelopes into tr's write buffer and flushes
-// them with a single write (by: write deadline, zero for none). With a
-// codec pool attached, large bulk payloads are handed to the workers
-// before the send lock is taken, so they are sealed while this goroutine
-// seals the envelopes inline; harvesting the jobs in submission order
-// under the send lock keeps the envelope-before-chunks frame order the
-// bulk protocol requires. Caller holds the turn.
+// them with a single write (by: write deadline, zero for none). A bulk
+// envelope's payload chunks follow it on the same stream, sealed straight
+// from the item's buffer, all in this one vectored write. Caller holds the
+// turn.
 func (t *sendTurn[T]) flush(tr *transport, by time.Time) error {
-	p := tr.codec
-	pipelined := false
-	if p != nil {
-		t.jobs, t.n = t.jobs[:0], t.n[:0]
-		if p.enter() {
-			pipelined = true
-			for _, it := range t.batch {
-				k := 0
-				if _, _, bulk := it.frame(); len(bulk) > codecInlineMax {
-					before := len(t.jobs)
-					t.jobs = p.submitSealChunks(t.jobs, bulk, 0)
-					k = len(t.jobs) - before
-				}
-				t.n = append(t.n, k)
-			}
-		}
-	}
 	tr.lockSend()
 	var err error
-	ji := 0
 	for i, it := range t.batch {
 		typ, streamID, bulk := it.frame()
 		if typ == 0 {
-			continue // submitted no jobs either
-		}
-		if err == nil {
-			err = tr.appendLocked(typ, streamID, t.envs[i])
-		}
-		if typ != wire.FrameBulkRequest && typ != wire.FrameBulkResponse {
 			continue
 		}
-		// The payload chunks follow the envelope on the same stream, all in
-		// this batch's single vectored write. Bulk-unary chunks are exempt
-		// from stream credit: the call's other direction bounds them.
-		k := 0
-		if pipelined {
-			k = t.n[i]
+		if err = tr.appendLocked(typ, streamID, t.envs[i]); err != nil {
+			break
 		}
-		if k > 0 {
-			// Jobs must be harvested even after an error so their buffers
-			// return to the pool.
-			if herr := tr.appendSealedLocked(streamID, t.jobs[ji:ji+k], err != nil); err == nil {
-				err = herr
+		// Bulk-unary chunks are exempt from stream credit: the call's other
+		// direction bounds them.
+		if typ == wire.FrameBulkRequest || typ == wire.FrameBulkResponse {
+			if err = tr.appendChunkedLocked(streamID, bulk, 0); err != nil {
+				break
 			}
-			ji += k
-		} else if err == nil {
-			err = tr.appendChunkedLocked(streamID, bulk, 0)
 		}
 	}
 	if err == nil {
 		err = tr.flushLocked(by)
 	}
 	tr.unlockSend()
-	if pipelined {
-		p.exit()
-	}
 	return err
 }
 
@@ -280,74 +238,25 @@ func (t *transport) appendChunkLocked(streamID uint64, flags byte, data []byte) 
 	return nil
 }
 
-// nextChunk splits the next bulk chunk off data — the one chunk splitter of
-// the bulk lane. The chunk that exhausts data carries chunkEndMsg|endFlags;
-// empty data still yields that one (empty) chunk, so the message boundary
-// reaches the peer.
-func nextChunk(data []byte, endFlags byte) (chunk, rest []byte, flags byte) {
-	n := min(len(data), bulkChunkSize)
-	if n == len(data) {
-		flags = chunkEndMsg | endFlags
-	}
-	return data[:n], data[n:], flags
-}
-
-// appendChunkedLocked queues data as bulk chunks, the last one marked with
-// endFlags. Caller must hold the send lock.
+// appendChunkedLocked queues data as bulk chunks of up to bulkChunkSize,
+// the last one marked chunkEndMsg|endFlags; empty data still yields that
+// one (empty) chunk, so the message boundary reaches the peer. Caller must
+// hold the send lock.
 func (t *transport) appendChunkedLocked(streamID uint64, data []byte, endFlags byte) error {
 	for {
-		chunk, rest, flags := nextChunk(data, endFlags)
-		if err := t.appendChunkLocked(streamID, flags, chunk); err != nil {
+		n := min(len(data), bulkChunkSize)
+		var flags byte
+		if n == len(data) {
+			flags = chunkEndMsg | endFlags
+		}
+		if err := t.appendChunkLocked(streamID, flags, data[:n]); err != nil {
 			return err
 		}
 		if flags != 0 {
 			return nil
 		}
-		data = rest
+		data = data[n:]
 	}
-}
-
-// startCodec attaches a codec worker pool of the given size (0 leaves
-// the transport fully inline). Call before the connection's loops start.
-func (t *transport) startCodec(workers int, obs Observer) {
-	if workers > 0 {
-		t.codec = newCodecPool(workers, t.sendKey, t.recvKey, obs)
-	}
-}
-
-// stopCodec shuts the worker pool down, waiting for in-flight cycles.
-// Nil-safe and idempotent; call after the connection's loops have exited
-// (or at least after the conn is closed, so the loops are unwinding).
-func (t *transport) stopCodec() {
-	if t.codec != nil {
-		t.codec.close()
-	}
-}
-
-// appendSealedLocked harvests seal jobs in submission order and queues
-// each sealed chunk by reference — the in-order completion point of the
-// pipelined send path. The actual sealing ran (or still runs) on the
-// codec workers; harvesting in order under the send lock makes the wire
-// byte-identical to the inline path. Every job is always harvested and
-// recycled, even after an error or with discard set (the caller's error
-// path); undelivered buffers go back to the pool here.
-func (t *transport) appendSealedLocked(streamID uint64, jobs []*codecJob, discard bool) error {
-	var err error
-	for _, j := range jobs {
-		<-j.done
-		out := j.out
-		j.out = nil
-		t.codec.putJob(j)
-		if discard || err != nil {
-			wire.PutBuf(out)
-			continue
-		}
-		if aerr := t.writer.AppendFrameVec(wire.FrameStreamChunk, streamID, out); aerr != nil {
-			wire.PutBuf(out)
-			err = aerr
-		}
-	}
-	return err
 }
 
 // flushLocked writes every appended frame with a single (possibly
@@ -393,18 +302,8 @@ func (t *transport) send(frameType byte, streamID uint64, payload []byte) error 
 
 // sendChunks seals data as one stream message (one or more chunk frames,
 // the last carrying chunkEndMsg|endFlags) and flushes with one vectored
-// write. Safe for concurrent use. With a codec pool attached, large
-// messages are sealed concurrently by the workers while this goroutine
-// takes the send lock; harvest order preserves chunk order.
+// write. Safe for concurrent use.
 func (t *transport) sendChunks(streamID uint64, data []byte, endFlags byte) error {
-	if p := t.codec; p != nil && len(data) > codecInlineMax && p.enter() {
-		var arr [8]*codecJob
-		jobs := p.submitSealChunks(arr[:0], data, endFlags)
-		t.lockSend()
-		err := t.flushUnlock(t.appendSealedLocked(streamID, jobs, false))
-		p.exit()
-		return err
-	}
 	t.lockSend()
 	return t.flushUnlock(t.appendChunkedLocked(streamID, data, endFlags))
 }
@@ -439,148 +338,32 @@ type recvMsg struct {
 	plain []byte
 }
 
-// recvItem is one inbound frame handed from the pump to the dispatcher:
-// either already decrypted (job == nil, msg.plain set) or pending on the
-// codec workers (msg carries the frame metadata; harvest the plaintext
-// with finishOpen).
-type recvItem struct {
-	msg recvMsg
-	job *codecJob
-}
-
-// recvPipelineDepth bounds how far the receive pump reads ahead of the
-// dispatching loop, and with it the sealed-copy memory pinned in flight.
-const recvPipelineDepth = 16
-
-// recvLoop is the connection's one receive loop — the pump. It reads
-// frames on the calling goroutine and passes each to dispatch, which takes
-// ownership of m.plain and is never run concurrently with itself, until
-// the connection fails or dispatch returns false (ErrUnavailable), and
-// returns the error that ended it.
-//
-// Without a codec pool the pump opens and dispatches everything. With one,
-// large frames are copied out and submitted to the workers so decryption
-// overlaps the read-ahead, and a dispatcher goroutine harvests them in
-// arrival order. A frame the pump opened inline it still dispatches itself
-// when nothing it handed to the dispatcher is undelivered: handedOff drops
-// only after dispatch has returned, so frame order and the single-threaded
-// ownership of dispatch's state both hold.
-func (t *transport) recvLoop(dispatch func(recvMsg) bool) (err error) {
-	p := t.codec
-	var items chan recvItem
-	if p != nil {
-		if !p.enter() {
-			return ErrUnavailable // pool already closing: connection is going down
-		}
-		defer p.exit()
-		items = make(chan recvItem, recvPipelineDepth)
-		done := make(chan error)
-		go func() { done <- t.dispatchItems(items, dispatch) }()
-		// Runs before p.exit: every job is harvested inside the cycle.
-		defer func() {
-			close(items)
-			if derr := <-done; derr != nil {
-				err = derr // the read error was only the close that forced the pump out
-			}
-		}()
-	}
-	for {
-		m, j, rerr := t.recvStep(p)
-		if rerr != nil {
-			return rerr
-		}
-		if j == nil && t.handedOff.Load() == 0 {
-			if !dispatch(m) {
-				return ErrUnavailable
-			}
-			continue
-		}
-		t.handedOff.Add(1)
-		items <- recvItem{msg: m, job: j}
-	}
-}
-
-// dispatchItems is the dispatcher goroutine of a pipelined recvLoop. After
-// an open error (which it returns) or a dispatch stop it closes the conn —
-// the pump only exits on a read error — and keeps harvesting what the pump
-// still emits, so the pump never wedges and no pooled buffer is lost.
-func (t *transport) dispatchItems(items <-chan recvItem, dispatch func(recvMsg) bool) (err error) {
-	stopped := false
-	for it := range items {
-		m := it.msg
-		var oerr error
-		if it.job != nil {
-			m.plain, oerr = t.finishOpen(it.job)
-		}
-		switch {
-		case stopped:
-			wire.PutBuf(m.plain)
-		case oerr != nil || !dispatch(m):
-			// handedOff stays non-zero from here on, so the pump
-			// dispatches nothing past the stop.
-			stopped, err = true, oerr
-			t.close()
-		default:
-			t.handedOff.Add(-1)
-		}
-	}
-	return err
-}
-
-// recvStep reads and routes one frame under recvMu for the pump: opened
-// inline, or — large, and with a pool — submitted to the codec workers.
-func (t *transport) recvStep(p *codecPool) (recvMsg, *codecJob, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if sanitize.Enabled {
-		sanitize.LockAcquired(sanitize.RankTransportRecv, "stubby.transport.recvMu")
-		defer sanitize.LockReleased(sanitize.RankTransportRecv)
-	}
-	//rpclint:ignore lockheld recvMu serializes reads of the shared frame reader; holding it across the read is the point
+// recv reads one frame and opens it into a pooled buffer. Only the
+// connection's receive loop (conn.recvLoop) reads, so the reader and
+// recvKey need no lock.
+func (t *transport) recv() (recvMsg, error) {
 	f, err := t.reader.ReadFrame()
 	if err != nil {
-		return recvMsg{}, nil, err
+		return recvMsg{}, err
 	}
 	m := recvMsg{typ: f.Type, streamID: f.StreamID}
 	sealed := f.Payload
 	var aad []byte
 	if f.Type == wire.FrameStreamChunk {
 		if len(sealed) < 1 {
-			return recvMsg{}, nil, secure.ErrDecrypt
+			return recvMsg{}, secure.ErrDecrypt
 		}
 		m.flags = sealed[0]
 		aad, sealed = f.Payload[:1], sealed[1:]
-	}
-	if p != nil && len(sealed) > codecInlineMax {
-		// ReadFrame's payload is only valid until the next read: copy the
-		// sealed bytes into a pooled buffer the job owns, and let a codec
-		// worker decrypt while this loop reads ahead.
-		j := p.getJob()
-		j.op = codecOpen
-		j.typ = m.typ
-		j.flags = m.flags
-		j.in = append(wire.GetBuf(len(sealed)), sealed...)
-		p.submit(j)
-		return m, j, nil
 	}
 	buf := wire.GetBuf(len(sealed))
 	plain, err := t.recvKey.OpenAppendAAD(buf, sealed, aad)
 	if err != nil {
 		wire.PutBuf(buf)
-		return recvMsg{}, nil, err
+		return recvMsg{}, err
 	}
 	m.plain = plain
-	return m, nil, nil
-}
-
-// finishOpen harvests an open job: the decrypted payload (ownership
-// transfers to the caller) or the decrypt error.
-func (t *transport) finishOpen(j *codecJob) ([]byte, error) {
-	<-j.done
-	out, err := j.out, j.err
-	j.out = nil
-	t.codec.putJob(j)
-	return out, err
+	return m, nil
 }
 
 // close tears down the underlying connection.

@@ -9,9 +9,8 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// The Plane is the stack's Observer: spans (Observe), the robustness
-// layer's events (robustness.go) and the data plane's (dataplane.go) all
-// land in the one Monarch DB.
+// The Plane is the stack's Observer: spans (Observe) and the robustness
+// layer's events (robustness.go) land in the one Monarch DB.
 var _ stubby.Observer = (*Plane)(nil)
 
 // Apply returns a copy of opts with the plane plugged in as the stack's

@@ -68,12 +68,6 @@ const (
 	// MetricShed counts requests the server rejected by load shedding
 	// before they reached the worker pool. Counter; labels: method.
 	MetricShed = "server/shed"
-	// MetricCodecJobs counts seal/open jobs submitted to codec worker
-	// pools (the pipelined data plane, DESIGN.md §16). Counter; no labels.
-	MetricCodecJobs = "rpc/codec_jobs"
-	// MetricCodecQueueDepth is the distribution of codec job-queue depth
-	// observed at submit time. Distribution; no labels.
-	MetricCodecQueueDepth = "rpc/codec_queue_depth"
 )
 
 // config collects construction-time settings.
@@ -150,9 +144,6 @@ type Plane struct {
 	breakerTransitions atomic.Uint64
 	shedCalls          atomic.Uint64
 
-	// Data-plane totals (Observer's data-plane events; see dataplane.go).
-	codecJobs atomic.Uint64
-
 	mu   sync.Mutex
 	aggs map[aggKey]*winAgg
 }
@@ -177,7 +168,6 @@ const (
 	kindRetrySuppressed
 	kindBreaker
 	kindShed
-	kindCodecJob
 )
 
 // winAgg buffers one stream's current window; it is flushed into Monarch
@@ -230,8 +220,6 @@ func newDeclaredDB(window, retention time.Duration) *monarch.DB {
 		MetricRetriesSuppressed:  monarch.Counter,
 		MetricBreakerTransitions: monarch.Counter,
 		MetricShed:               monarch.Counter,
-		MetricCodecJobs:          monarch.Counter,
-		MetricCodecQueueDepth:    monarch.Distribution,
 	} {
 		if err := db.Declare(m, k); err != nil {
 			panic(err) // fresh DB; only a telemetry-internal bug can fail
@@ -259,7 +247,6 @@ func (p *Plane) Reset() {
 	p.retriesSuppressed.Store(0)
 	p.breakerTransitions.Store(0)
 	p.shedCalls.Store(0)
-	p.codecJobs.Store(0)
 	p.comp.CompressCalls.Store(0)
 	p.comp.DecompressCalls.Store(0)
 	p.comp.BytesIn.Store(0)
@@ -297,6 +284,10 @@ func (p *Plane) Calls() uint64 { return p.col.Seen() }
 
 // Errors returns the number of error spans observed.
 func (p *Plane) Errors() uint64 { return p.col.ErrorsSeen() }
+
+// CodecJobs returns 0: the stack seals and opens every frame inline.
+// Kept only for bench/layers.go, until ROADMAP item 3 drops its metric.
+func (p *Plane) CodecJobs() uint64 { return 0 }
 
 // Observe receives one completed span from the stack (the
 // stubby.Observer hook). It attributes the span's cycles across the
@@ -479,13 +470,6 @@ func (p *Plane) flushLocked(key aggKey, a *winAgg) {
 		}, a.window, a.count)
 	case kindShed:
 		p.write(MetricShed, monarch.Labels{"method": key.method}, a.window, a.count)
-	case kindCodecJob:
-		p.write(MetricCodecJobs, nil, a.window, a.count)
-		if a.lat != nil {
-			// The "latency" histogram carries queue depths here; same
-			// windowed distribution machinery, different unit.
-			p.writeDist(MetricCodecQueueDepth, nil, a.window, a.lat)
-		}
 	}
 }
 
