@@ -578,14 +578,14 @@ func BenchmarkStubbyUnaryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStubbyBulkUnaryStriped is the connection-striping variant of
-// the bulk download bench: the channel opens 2 TCP connections and
-// round-robins bulk calls across them (DESIGN.md §16), so the `-cpu`
-// sweep exposes whether a second stripe buys throughput once one
-// connection's seal/open work saturates a core.
-func BenchmarkStubbyBulkUnaryStriped(b *testing.B) {
+// BenchmarkPoolBulkUnary is the multi-connection variant of the bulk
+// download bench: a 2-member Pool round-robins bulk calls across two
+// channels, each its own socket with its own send and receive loops
+// (DESIGN.md §16), so the `-cpu` sweep shows whether a second connection
+// buys throughput once one connection's seal/open work saturates a core.
+func BenchmarkPoolBulkUnary(b *testing.B) {
 	const size = 256 * 1024
-	opts := stubby.Options{Workers: 8, ConnStripes: 2}
+	opts := stubby.Options{Workers: 8}
 	srv := stubby.NewServer(opts)
 	blob := make([]byte, size)
 	srv.Register("bench/Get", func(ctx context.Context, p []byte) ([]byte, error) {
@@ -597,18 +597,18 @@ func BenchmarkStubbyBulkUnaryStriped(b *testing.B) {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	ch, err := stubby.Dial(l.Addr().String(), "bench", opts)
+	pool, err := stubby.NewPool(l.Addr().String(), "bench", 2, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ch.Close()
+	defer pool.Close()
 	req := make([]byte, 16)
 	b.SetBytes(size)
 	b.SetParallelism(16)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			out, err := ch.Call(context.Background(), "bench/Get", req)
+			out, err := pool.Call(context.Background(), "bench/Get", req)
 			if err != nil {
 				b.Fatal(err)
 			}

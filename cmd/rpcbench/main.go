@@ -60,12 +60,11 @@ func main() {
 		budget    = flag.Bool("budget", false, "chaos: cap retry amplification with a retry budget")
 		sweep     = flag.Bool("sweep", false, "run the payload sweep (128 B … 1 MiB) across unary/bulk/stream lanes instead")
 		streams   = flag.Int("streams", 4, "sweep: concurrent streams per payload size (0 disables the stream lane)")
-		stripes   = flag.Int("stripes", 1, "TCP connections per channel; bulk calls and streams stripe across them")
 	)
 	flag.Parse()
 
 	if *sweep {
-		if err := runSweep(sweepConfig{Conc: *conc, Streams: *streams, Stripes: *stripes}); err != nil {
+		if err := runSweep(sweepConfig{Conc: *conc, Streams: *streams}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -99,7 +98,6 @@ func main() {
 		rpcscale.WithTelemetry(plane),
 		rpcscale.WithCluster("loopback"),
 		rpcscale.WithWorkers(*conc),
-		rpcscale.WithConnStripes(*stripes),
 	}
 	if *compress {
 		stack = append(stack, rpcscale.WithCompression(rpcscale.CompressionFlate, 0))

@@ -27,9 +27,6 @@ const sweepBudget = 32 << 20
 type sweepConfig struct {
 	Conc    int // concurrent unary callers
 	Streams int // concurrent streams per size; 0 disables the stream lane
-	// Stripes is the multi-core data-plane axis (DESIGN.md §16): TCP
-	// connections per channel.
-	Stripes int
 }
 
 func sweepCalls(size int) int {
@@ -45,11 +42,7 @@ func sweepCalls(size int) int {
 
 // runSweep measures each lane at each payload size and prints the table.
 func runSweep(cfg sweepConfig) error {
-	opts := []rpcscale.Option{
-		rpcscale.WithWorkers(cfg.Conc),
-		rpcscale.WithConnStripes(cfg.Stripes),
-	}
-	srv := rpcscale.NewServer(opts...)
+	srv := rpcscale.NewServer(rpcscale.WithWorkers(cfg.Conc))
 	srv.Register("bench.Sweep/Echo", func(ctx context.Context, p []byte) ([]byte, error) {
 		return p, nil
 	})
@@ -70,18 +63,14 @@ func runSweep(cfg sweepConfig) error {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	ch, err := rpcscale.Dial(l.Addr().String(), opts...)
+	ch, err := rpcscale.Dial(l.Addr().String())
 	if err != nil {
 		return err
 	}
 	defer ch.Close()
 
-	stripes := cfg.Stripes
-	if stripes < 1 {
-		stripes = 1
-	}
-	fmt.Printf("rpcbench sweep: %d unary callers, %d streams, %d stripe(s), %d MiB per cell\n\n",
-		cfg.Conc, cfg.Streams, stripes, sweepBudget>>20)
+	fmt.Printf("rpcbench sweep: %d unary callers, %d streams, %d MiB per cell\n\n",
+		cfg.Conc, cfg.Streams, sweepBudget>>20)
 	fmt.Printf("  %-10s %14s %14s", "payload", "unary MB/s", "bulk MB/s")
 	if cfg.Streams > 0 {
 		fmt.Printf(" %14s", "stream MB/s")

@@ -41,7 +41,6 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "root seed for catalog and load generation")
 		pool         = flag.Int("pool", 2, "channels per client-server pool")
 		workers      = flag.Int("workers", 0, "server worker goroutines (0 = stubby default)")
-		stripes      = flag.Int("stripes", 1, "TCP connections per client channel (bulk/stream striping)")
 		jsonOut      = flag.String("json", "", "also write the report as JSON to this file (- for stdout)")
 	)
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		Seed:         *seed,
 		PoolSize:     *pool,
 		Workers:      *workers,
-		Stripes:      *stripes,
 	}
 	if *policies != "" {
 		cfg.Policies = strings.Split(*policies, ",")

@@ -7,7 +7,8 @@
 //     replication sub-calls behind the paper's layer-0 fan-outs;
 //   - server-streaming bulk reads: large files stream back in chunks
 //     (the RPC class the paper's sampling excludes, §2.1);
-//   - channel pools and automatic retries from the client library.
+//   - connection pools, for unary calls and streams alike, whose channels
+//     retry transient failures themselves (Options.Retry).
 package main
 
 import (
@@ -101,34 +102,24 @@ func startReplica(name string, opts stubby.Options) (string, func(), error) {
 	return l.Addr().String(), srv.Close, nil
 }
 
-// diskClient is the coordinator-side library: quorum writes, streamed
-// reads, pooled connections with retry.
+// diskClient is the coordinator-side library: quorum writes and streamed
+// reads over one connection pool per replica, whose channels retry
+// transient failures themselves.
 type diskClient struct {
-	pools   []*stubby.Pool
-	call    []stubby.CallFunc // retry-wrapped unary path per replica
-	streams []*stubby.Channel // one channel per replica for streamed reads
+	pools []*stubby.Pool
 }
 
 func dialDisk(addrs []string, opts stubby.Options) (*diskClient, error) {
+	retry := stubby.DefaultRetryPolicy()
+	opts.Retry = &retry
 	c := &diskClient{}
 	for _, addr := range addrs {
 		pool, err := stubby.NewPool(addr, "disk-"+addr, 2, opts)
 		if err != nil {
+			c.close()
 			return nil, err
 		}
 		c.pools = append(c.pools, pool)
-		ch, err := stubby.Dial(addr, "disk-"+addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		c.streams = append(c.streams, ch)
-		retry := stubby.WithRetry(stubby.DefaultRetryPolicy())
-		member := pool
-		c.call = append(c.call, func(ctx context.Context, method string, p []byte) ([]byte, error) {
-			return retry(ctx, method, p, func(ctx context.Context, method string, p []byte) ([]byte, error) {
-				return member.Call(ctx, method, p)
-			})
-		})
 	}
 	return c, nil
 }
@@ -136,9 +127,6 @@ func dialDisk(addrs []string, opts stubby.Options) (*diskClient, error) {
 func (c *diskClient) close() {
 	for _, p := range c.pools {
 		p.Close()
-	}
-	for _, ch := range c.streams {
-		ch.Close()
 	}
 }
 
@@ -150,10 +138,9 @@ func (c *diskClient) writeBlock(ctx context.Context, id uint64, data []byte) err
 		return err
 	}
 	errs := make(chan error, replicas)
-	for i := range c.call {
-		call := c.call[i]
+	for _, pool := range c.pools {
 		go func() {
-			_, err := call(ctx, "networkdisk/Write", payload)
+			_, err := pool.Call(ctx, "networkdisk/Write", payload)
 			errs <- err
 		}()
 	}
@@ -181,9 +168,9 @@ func (c *diskClient) readFile(ctx context.Context, replicaIdx int, first, count 
 	if err != nil {
 		return nil, err
 	}
-	// Streaming goes through the chosen replica's own channel: the request
-	// is the stream's one outbound message, then the blocks come back.
-	stream, err := c.streams[replicaIdx].OpenStream(ctx, "networkdisk/ReadStream")
+	// The stream rides one of the chosen replica's pooled connections: the
+	// request is its one outbound message, then the blocks come back.
+	stream, err := c.pools[replicaIdx].OpenStream(ctx, "networkdisk/ReadStream")
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ const (
 	envTimeScale    = "CLUSTERCTL_TIME_SCALE"
 	envBaseRate     = "CLUSTERCTL_BASE_RATE"
 	envPool         = "CLUSTERCTL_POOL"
-	envStripes      = "CLUSTERCTL_STRIPES"
 )
 
 // ChildConfig is a child role's full configuration, decoded from the
@@ -48,7 +47,6 @@ type ChildConfig struct {
 	TimeScale float64
 	BaseRate  float64
 	PoolSize  int
-	Stripes   int
 }
 
 // IsChild reports whether this process was spawned as a cluster child.
@@ -90,7 +88,6 @@ func childConfigFromEnv() (ChildConfig, error) {
 	parseF64(envTimeScale, &cfg.TimeScale)
 	parseF64(envBaseRate, &cfg.BaseRate)
 	parseInt(envPool, &cfg.PoolSize)
-	parseInt(envStripes, &cfg.Stripes)
 	if v := os.Getenv(envServers); v != "" {
 		cfg.Servers = strings.Split(v, ",")
 	}

@@ -67,7 +67,6 @@ func RunClient(cfg ChildConfig) error {
 	plane := telemetry.New()
 	opts := plane.Apply(stubby.Options{
 		ClusterName: fmt.Sprintf("client-%d", cfg.ClientID),
-		ConnStripes: cfg.Stripes,
 	})
 
 	pools := make([]*stubby.Pool, 0, len(cfg.Servers))

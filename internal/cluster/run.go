@@ -40,7 +40,6 @@ type Config struct {
 	Seed     uint64
 	PoolSize int // channels per client-server pool
 	Workers  int // server worker goroutines (0 = stubby default)
-	Stripes  int // TCP connections per client channel (0/1 = single)
 
 	// Bin is the binary to re-execute for children; empty means
 	// os.Executable().
@@ -273,7 +272,6 @@ func runPhase(ctx context.Context, cfg Config, bin, policy string, addrs []strin
 			fmt.Sprintf("%s=%g", envTimeScale, cfg.TimeScale),
 			fmt.Sprintf("%s=%g", envBaseRate, cfg.BaseRate),
 			fmt.Sprintf("%s=%d", envPool, cfg.PoolSize),
-			fmt.Sprintf("%s=%d", envStripes, cfg.Stripes),
 		}
 		p, err := Spawn(fmt.Sprintf("client-%s-%d", policy, j), bin, nil, env)
 		if err != nil {

@@ -222,11 +222,3 @@ func (b *Breaker) Wrap(next CallFunc) CallFunc {
 		return out, err
 	}
 }
-
-// WithBreaker returns a client interceptor form of the breaker for
-// callers composing chains by hand via Channel.Intercepted.
-func WithBreaker(b *Breaker) ClientInterceptor {
-	return func(ctx context.Context, method string, payload []byte, next CallFunc) ([]byte, error) {
-		return b.Wrap(next)(ctx, method, payload)
-	}
-}

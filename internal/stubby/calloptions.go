@@ -54,8 +54,8 @@ func WithBulkLane(enabled bool) CallOption {
 type callOptsCtxKey struct{}
 
 // ContextWithCallOptions attaches per-call options to a context, for call
-// sites that go through a plain CallFunc (interceptor chains, retry
-// wrappers) rather than Channel.Call's variadic form.
+// sites that go through a plain CallFunc (Channel.Intercepted) rather
+// than Channel.Call's variadic form.
 func ContextWithCallOptions(ctx context.Context, opts ...CallOption) context.Context {
 	co := resolveCallOpts(ctx, opts)
 	return context.WithValue(ctx, callOptsCtxKey{}, co)

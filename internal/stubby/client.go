@@ -16,16 +16,27 @@ import (
 	"rpcscale/internal/wire"
 )
 
-// Channel is a client's logical connection to one server: one connection,
-// or Options.ConnStripes of them dialed together (DESIGN.md §16), behind
-// one closed/err/fail/Close. It owns what spans connections — the retry and
-// breaker layers, ping, and the per-call instrumentation that assembles the
-// nine-component breakdown; each clientConn owns its socket's send queue
-// (ClientSendQueue), receive loop (ClientRecvQueue) and pending calls.
+// Channel is a client's connection to one server (DESIGN.md §16; a Pool
+// holds several). It is the shared connection core — send queue
+// (ClientSendQueue), receive loop (ClientRecvQueue), stream table — plus
+// the calls awaiting a response, the retry and breaker layers, ping, and
+// the per-call instrumentation that assembles the nine-component
+// breakdown. The field order is measured, not tidy: with other fields
+// ahead of conn, fleet_mix lost 4 % of its ops_per_s (DESIGN.md §16).
 type Channel struct {
+	conn[*clientCall]
+	nextStream atomic.Uint64
+
+	// serverLoad caches the most recent load report the server piggybacked
+	// on a response envelope (see DESIGN.md §13); balancing policies read
+	// it through Pool.Load without any extra wire traffic.
+	serverLoad atomic.Int64
+
+	mu      sync.Mutex
+	pending map[uint64]*clientCall
+
 	opts          Options
 	serverCluster string
-	comp          *compressor.Compressor
 	// epoch anchors the channel's monotonic per-call timestamps: every
 	// instrumentation point records time.Since(epoch) nanoseconds in an
 	// atomic int64 instead of boxing a *time.Time per event.
@@ -37,37 +48,10 @@ type Channel struct {
 	invoke  CallFunc
 	breaker *Breaker
 
-	// conns are the channel's connections. Unary envelope traffic and ping
-	// stay on conns[0]; bulk calls and streams round-robin across all of
-	// them, each riding one connection for its whole life, so its frames
-	// stay ordered on one socket. Any connection's death fails the channel.
-	conns   []*clientConn
-	pickCtr atomic.Uint32
-
 	pingMu sync.Mutex
 	pingCh chan time.Time
 
-	closed   chan struct{}
-	failOnce sync.Once
-	err      atomic.Pointer[channelError] // error that killed the channel
-}
-
-// clientConn is one connection of a Channel: the shared connection core
-// plus the calls awaiting a response on it. The field order is measured,
-// not tidy: with ch ahead of conn, fleet_mix lost 4 % of its ops_per_s
-// (DESIGN.md §16).
-type clientConn struct {
-	conn[*clientCall]
-	ch         *Channel
-	nextStream atomic.Uint64
-
-	// serverLoad caches the most recent load report the server piggybacked
-	// on a response envelope (see DESIGN.md §13); balancing policies read
-	// it through Pool.Load without any extra wire traffic.
-	serverLoad atomic.Int64
-
-	mu      sync.Mutex
-	pending map[uint64]*clientCall
+	err atomic.Pointer[channelError] // error that killed the channel
 }
 
 // clientCall tracks one in-flight RPC. Timestamps are nanoseconds since
@@ -116,53 +100,29 @@ func (c *Channel) sinceEpoch() int64 { return int64(time.Since(c.epoch)) + 1 }
 
 // Dial connects to addr over TCP and returns a channel. serverCluster
 // labels spans with the callee's placement (a real stack learns it from
-// the handshake). With Options.ConnStripes > 1 it opens that many
-// connections and stripes bulk calls and streams across them.
+// the handshake).
 func Dial(addr, serverCluster string, opts Options) (*Channel, error) {
-	n := max(opts.ConnStripes, 1)
-	ncs := make([]net.Conn, 0, n)
-	for i := 0; i < n; i++ {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			for _, nc := range ncs {
-				nc.Close()
-			}
-			// Status-code the failure: a refused/unroutable backend is the
-			// same Unavailable the paper's taxonomy records for dead peers.
-			return nil, Errorf(trace.Unavailable, "dial %s: %v", addr, err)
-		}
-		ncs = append(ncs, nc)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		// Status-code the failure: a refused/unroutable backend is the
+		// same Unavailable the paper's taxonomy records for dead peers.
+		return nil, Errorf(trace.Unavailable, "dial %s: %v", addr, err)
 	}
-	return newChannel(ncs, serverCluster, opts.withDefaults())
+	return NewChannel(nc, serverCluster, opts)
 }
 
 // NewChannel builds a channel over an existing connection (e.g. net.Pipe
-// in tests). Options.ConnStripes is ignored here: a channel built over
-// one existing conn cannot dial more.
-func NewChannel(conn net.Conn, serverCluster string, opts Options) (*Channel, error) {
-	return newChannel([]net.Conn{conn}, serverCluster, opts.withDefaults())
-}
-
-// newChannel builds a channel over ncs, which it owns from here on, and
-// starts each connection's loops. o must already have defaults applied.
-func newChannel(ncs []net.Conn, serverCluster string, o Options) (*Channel, error) {
+// in tests), which it owns from here on, and starts its loops.
+func NewChannel(nc net.Conn, serverCluster string, opts Options) (*Channel, error) {
+	o := opts.withDefaults()
 	c := &Channel{
+		pending:       make(map[uint64]*clientCall),
 		opts:          o,
 		serverCluster: serverCluster,
-		comp:          compressor.New(o.Compression, o.CompressorStats),
 		epoch:         time.Now(),
-		closed:        make(chan struct{}),
 	}
-	for i, nc := range ncs {
-		cc := &clientConn{ch: c, pending: make(map[uint64]*clientCall)}
-		if err := cc.init(nc, &c.opts, c.comp, "c2s", "s2c"); err != nil {
-			for _, nc := range ncs[i+1:] {
-				nc.Close()
-			}
-			c.Close() // nothing started yet: closes the sockets
-			return nil, err
-		}
-		c.conns = append(c.conns, cc)
+	if err := c.init(nc, &c.opts, compressor.New(o.Compression, o.CompressorStats), "c2s", "s2c"); err != nil {
+		return nil, err
 	}
 	c.invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
 		return c.call(ctx, method, payload, false)
@@ -178,27 +138,16 @@ func newChannel(ncs []net.Conn, serverCluster string, o Options) (*Channel, erro
 		c.breaker = NewBreaker(*o.Breaker, o.Observer)
 		c.invoke = c.breaker.Wrap(c.invoke)
 	}
-	for _, cc := range c.conns {
-		cc.run(cc.prepareCall, func() { cc.endTurn(time.Time{}) }, func() { c.fail(cc.recvLoop(cc.dispatchFrame)) })
-	}
+	c.run(c.prepareCall, func() { c.endTurn(time.Time{}) }, func() { c.fail(c.recvLoop(c.dispatchFrame)) })
 	return c, nil
-}
-
-// pick selects the connection one call or stream rides: unary envelope
-// traffic keeps conns[0], bulk transfers and streams round-robin.
-func (c *Channel) pick(bulk bool) *clientConn {
-	if !bulk {
-		return c.conns[0]
-	}
-	return c.conns[int(c.pickCtr.Add(1))%len(c.conns)]
 }
 
 // Call issues a unary RPC and blocks for the response, the context's
 // cancellation, or the deadline. When the channel was configured with
 // Options.Retry or Options.Breaker, Call goes through those layers;
-// CallHedged and hand-built interceptor chains bypass them. Per-call
-// options (WithBulkLane, WithBulkThreshold) travel through the context so
-// the CallFunc chain stays oblivious to them.
+// CallHedged bypasses them. Per-call options (WithBulkLane,
+// WithBulkThreshold) travel through the context so the CallFunc chain
+// stays oblivious to them.
 func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
 	if len(opts) > 0 {
 		ctx = ContextWithCallOptions(ctx, opts...)
@@ -281,39 +230,37 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		enqueuedNs: c.sinceEpoch(),
 		resultCh:   make(chan *callResult, 1),
 	}
-	// The whole call — envelope, chunks, response — rides one connection.
-	cc := c.pick(call.bulk)
-	streamID := cc.nextStream.Add(1)
+	streamID := c.nextStream.Add(1)
 	call.streamID = streamID
 
-	cc.mu.Lock()
+	c.mu.Lock()
 	select {
 	case <-c.closed:
-		cc.mu.Unlock()
+		c.mu.Unlock()
 		return nil, c.finish(nil, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 	default:
 	}
-	cc.pending[streamID] = call
-	cc.mu.Unlock()
+	c.pending[streamID] = call
+	c.mu.Unlock()
 
 	if !call.bulk && len(payload) <= directSendMax && (ctx.Done() == nil || !ctxDeadline.IsZero()) &&
-		len(cc.sendQ) == 0 && cc.turn.tryLock() {
+		len(c.sendQ) == 0 && c.turn.tryLock() {
 		// Idle connection, small frame: take the send side's turn here, no
 		// hand-off to sendLoop. The write carries the caller's deadline so
 		// a stalled peer cannot park it past that; a caller that can be
 		// cancelled but set no deadline queues, to stay cancellable.
-		cc.prepareCall(call)
-		cc.endTurn(ctxDeadline)
+		c.prepareCall(call)
+		c.endTurn(ctxDeadline)
 	} else {
 		// Enqueue onto the send queue; a full queue is back-pressure, so
 		// we block until space, cancellation, or channel death.
 		select {
-		case cc.sendQ <- call:
+		case c.sendQ <- call:
 		case <-ctx.Done():
-			cc.abandon(call)
+			c.abandon(call)
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
 		case <-c.closed:
-			cc.abandon(call)
+			c.abandon(call)
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 		}
 	}
@@ -322,7 +269,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 	case res := <-call.resultCh:
 		rcvdNs := c.sinceEpoch()
 		if res.netErr != nil {
-			cc.abandon(call) // failed by the send side, which leaves pending to the caller
+			c.abandon(call) // failed by the send side, which leaves pending to the caller
 			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 		}
 		resp := &res.resp
@@ -353,11 +300,11 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		}
 		return out, nil
 	case <-ctx.Done():
-		cc.abandon(call)
-		cc.cancelRemote(streamID)
+		c.abandon(call)
+		c.cancelRemote(streamID)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, cancelCode(ctx), hedged)
 	case <-c.closed:
-		cc.abandon(call)
+		c.abandon(call)
 		return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
 	}
 }
@@ -399,7 +346,7 @@ func cancelCode(ctx context.Context) trace.ErrorCode {
 // abandon removes a pending call so a late response is dropped, and
 // reclaims a response that beat it: deliver hands results over under c.mu,
 // so one is either in resultCh by now or will never be.
-func (c *clientConn) abandon(call *clientCall) {
+func (c *Channel) abandon(call *clientCall) {
 	c.mu.Lock()
 	delete(c.pending, call.streamID)
 	c.mu.Unlock()
@@ -414,7 +361,7 @@ func (c *clientConn) abandon(call *clientCall) {
 // with none (cancelled, duplicate, already failed by the send side) it
 // releases the buffer. The hand-over happens under c.mu so it cannot
 // interleave with abandon.
-func (c *clientConn) deliver(streamID uint64, res *callResult) {
+func (c *Channel) deliver(streamID uint64, res *callResult) {
 	c.mu.Lock()
 	call := c.pending[streamID]
 	delete(c.pending, streamID)
@@ -435,7 +382,7 @@ func (c *clientConn) deliver(streamID uint64, res *callResult) {
 // rides the send queue behind the request it cancels, so a caller whose
 // deadline has passed never touches a possibly stalled socket; a full
 // queue drops it, and the deadline the request carried ends the handler.
-func (c *clientConn) cancelRemote(streamID uint64) {
+func (c *Channel) cancelRemote(streamID uint64) {
 	select {
 	case c.sendQ <- &clientCall{streamID: streamID, cancel: true}:
 	default:
@@ -534,19 +481,19 @@ func ServiceOf(method string) string {
 // endTurn flushes the turn's batch (by: write deadline, zero for none) and
 // releases the turn. A failed write kills the channel: the stream may be
 // torn, and a write deadline leaves the conn open.
-func (c *clientConn) endTurn(by time.Time) {
+func (c *Channel) endTurn(by time.Time) {
 	err := c.flushBatch(by)
 	c.turn.unlock()
 	if err != nil {
-		c.ch.fail(err)
+		c.fail(err)
 	}
 }
 
 // prepareCall stamps the dequeue timestamp and marshals one call's
 // request envelope into a pooled buffer, appending it to the turn's batch
 // — the client side of ReqProcStack. Caller holds the turn.
-func (c *clientConn) prepareCall(call *clientCall) {
-	call.deqNs.Store(c.ch.sinceEpoch())
+func (c *Channel) prepareCall(call *clientCall) {
+	call.deqNs.Store(c.sinceEpoch())
 	if call.dropped {
 		// Fault plane: the request vanishes. The call stays pending until
 		// its deadline expires, exactly like a packet lost past the
@@ -587,7 +534,7 @@ func (c *clientConn) prepareCall(call *clientCall) {
 // flushBatch sends the turn's batch (sendTurn.flush), leaving out calls
 // abandoned since they were queued, and stamps or fails every call that
 // went. Caller holds the turn; by is the write deadline (zero: none).
-func (c *clientConn) flushBatch(by time.Time) error {
+func (c *Channel) flushBatch(by time.Time) error {
 	t := &c.turn
 	if len(t.batch) == 0 {
 		return nil
@@ -603,7 +550,7 @@ func (c *clientConn) flushBatch(by time.Time) error {
 	if err == errWriteExpired {
 		err = nil // the direct call's own deadline passed, no byte left: its ctx ends it
 	}
-	sentNs := c.ch.sinceEpoch()
+	sentNs := c.sinceEpoch()
 	for i, call := range t.batch {
 		wire.PutBuf(t.envs[i])
 		if call == nil {
@@ -646,11 +593,11 @@ func (call *clientCall) fail(err error) {
 // dispatchFrame routes one decrypted inbound frame to the waiting call or
 // stream, taking ownership of m.plain. It returns false when the
 // connection must come down (the channel is already failed by then).
-func (c *clientConn) dispatchFrame(m recvMsg) bool {
+func (c *Channel) dispatchFrame(m recvMsg) bool {
 	plain := m.plain
 	switch m.typ {
 	case wire.FrameResponse:
-		res := &callResult{buf: plain, rxAtNs: c.ch.sinceEpoch()}
+		res := &callResult{buf: plain, rxAtNs: c.sinceEpoch()}
 		if perr := parseResponseInto(&res.resp, plain); perr != nil {
 			wire.PutBuf(plain)
 			c.deliver(m.streamID, &callResult{netErr: perr})
@@ -682,22 +629,22 @@ func (c *clientConn) dispatchFrame(m recvMsg) bool {
 			// Coded, and only this call: the connection and its other
 			// calls carry on.
 			resp := response{Code: trace.Internal, Message: "bulk response exceeds maximum size"}
-			c.deliver(m.streamID, &callResult{resp: resp, rxAtNs: c.ch.sinceEpoch()})
+			c.deliver(m.streamID, &callResult{resp: resp, rxAtNs: c.sinceEpoch()})
 		} else if b != nil {
 			c.deliverBulk(m.streamID, b)
 		}
 	case wire.FramePong:
 		wire.PutBuf(plain)
-		c.ch.pingMu.Lock()
-		ch := c.ch.pingCh
-		c.ch.pingCh = nil
-		c.ch.pingMu.Unlock()
+		c.pingMu.Lock()
+		ch := c.pingCh
+		c.pingCh = nil
+		c.pingMu.Unlock()
 		if ch != nil {
 			ch <- time.Now()
 		}
 	case wire.FrameGoAway:
 		wire.PutBuf(plain)
-		c.ch.fail(ErrUnavailable)
+		c.fail(ErrUnavailable)
 		return false
 	default:
 		c.control(m)
@@ -707,34 +654,23 @@ func (c *clientConn) dispatchFrame(m recvMsg) bool {
 
 // deliverBulk completes a bulk-lane response: b.data (the assembly buffer,
 // nil for an empty or error response) transfers to the waiting caller.
-func (c *clientConn) deliverBulk(streamID uint64, b *bulkAsm) {
+func (c *Channel) deliverBulk(streamID uint64, b *bulkAsm) {
 	b.resp.Payload = b.data
 	c.serverLoad.Store(int64(b.resp.Load))
-	c.deliver(streamID, &callResult{resp: b.resp, buf: b.data, bulk: true, rxAtNs: c.ch.sinceEpoch()})
+	c.deliver(streamID, &callResult{resp: b.resp, buf: b.data, bulk: true, rxAtNs: c.sinceEpoch()})
 }
 
 // ServerLoad returns the server's most recently reported load estimate
 // (receive-queue depth plus executing handlers), 0 until the first
 // response arrives. It is the piggybacked signal load-aware balancing
-// policies consume: the freshest report any connection has seen — the
-// maximum, since every connection talks to one server.
-func (c *Channel) ServerLoad() int {
-	load := int64(0)
-	for _, cc := range c.conns {
-		load = max(load, cc.serverLoad.Load())
-	}
-	return int(load)
-}
+// policies consume.
+func (c *Channel) ServerLoad() int { return int(c.serverLoad.Load()) }
 
 // InFlight returns how many calls on this channel await a response.
 func (c *Channel) InFlight() int {
-	n := 0
-	for _, cc := range c.conns {
-		cc.mu.Lock()
-		n += len(cc.pending)
-		cc.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }
 
 // Ping measures transport round-trip time, including encryption but not
@@ -749,7 +685,7 @@ func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
 	c.pingCh = ch
 	c.pingMu.Unlock()
 	start := time.Now()
-	if err := c.conns[0].tr.send(wire.FramePing, 0, nil); err != nil {
+	if err := c.tr.send(wire.FramePing, 0, nil); err != nil {
 		c.pingMu.Lock()
 		c.pingCh = nil
 		c.pingMu.Unlock()
@@ -769,36 +705,38 @@ func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
 }
 
 // fail kills the channel, once: the first error is the one callers see,
-// every connection comes down, and all pending and future calls and
-// streams error out.
+// the socket comes down (the connection core's shutdown, under its once),
+// and all pending and future calls and streams error out.
 func (c *Channel) fail(err error) {
-	c.failOnce.Do(func() {
+	c.closeOnce.Do(func() {
 		c.err.Store(&channelError{err: err})
 		close(c.closed)
-		for _, cc := range c.conns {
-			cc.shutdown()
-			cc.mu.Lock()
-			pending := cc.pending
-			cc.pending = make(map[uint64]*clientCall)
-			cc.mu.Unlock()
-			for _, call := range pending {
-				call.fail(err)
-			}
-			cc.streams.failAll()
+		c.closeErr = c.tr.close()
+		c.mu.Lock()
+		pending := c.pending
+		c.pending = make(map[uint64]*clientCall)
+		c.mu.Unlock()
+		for _, call := range pending {
+			call.fail(err)
 		}
+		c.streams.failAll()
 	})
 }
 
+// dead reports whether the channel has failed or been closed.
+func (c *Channel) dead() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
+	}
+}
+
 // Close shuts the channel down: pending calls fail with Unavailable and
-// every connection's loops are joined.
+// the connection's loops are joined.
 func (c *Channel) Close() error {
 	c.fail(ErrUnavailable)
-	var err error
-	for _, cc := range c.conns {
-		cc.loops.Wait()
-		if err == nil {
-			err = cc.closeErr
-		}
-	}
-	return err
+	c.loops.Wait()
+	return c.closeErr
 }

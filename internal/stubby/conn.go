@@ -14,7 +14,7 @@ import (
 // conn is the connection core both ends instantiate (DESIGN.md §16): the
 // transport, the compress-or-not decision, the send queue with its turn and
 // one batching drain loop, the one receive loop, the stream table, and the
-// inbound half of the bulk lane. A clientConn adds the pending-call table,
+// inbound half of the bulk lane. A Channel adds the pending-call table,
 // a serverConn the cancel table and the count of responses owed;
 // everything else about moving frames over one socket lives here, once.
 // T is the queued item: *clientCall or *serverResponse.

@@ -2,7 +2,7 @@ package stubby
 
 // Data-plane floors (DESIGN.md §16): allocation budgets for the small
 // unary path and the bulk download path, and the join of every loop a
-// striped channel starts. The alloc tests are race-gated like
+// channel starts. The alloc tests are race-gated like
 // TestCallAllocBudget — instrumented builds change allocation counts.
 
 import (
@@ -89,12 +89,12 @@ func TestBulkDownloadAllocFloor(t *testing.T) {
 }
 
 // TestChannelCloseJoinsEveryLoop proves Channel.Close joins every goroutine
-// a striped channel and its server connections started — each stripe's
-// send and receive loops on both ends — with none left behind. leakcheck
+// a channel and its server connection started — the send and receive
+// loops on both ends — with none left behind. leakcheck
 // (registered by testSetup) fails the test if anything outlives Close.
 func TestChannelCloseJoinsEveryLoop(t *testing.T) {
 	blob := make([]byte, 128<<10)
-	ch, srv := testSetup(t, Options{Workers: 2, ConnStripes: 2},
+	ch, srv := testSetup(t, Options{Workers: 2},
 		map[string]Handler{
 			"svc/Echo": echoHandler,
 			"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {
@@ -102,7 +102,7 @@ func TestChannelCloseJoinsEveryLoop(t *testing.T) {
 			},
 		})
 	ctx := context.Background()
-	// Engage every lane: small unary, bulk across stripes.
+	// Engage every lane: small unary and bulk.
 	for i := 0; i < 8; i++ {
 		if _, err := ch.Call(ctx, "svc/Echo", []byte("ping")); err != nil {
 			t.Fatal(err)
@@ -122,6 +122,6 @@ func TestChannelCloseJoinsEveryLoop(t *testing.T) {
 		t.Fatalf("post-close call: err = %v, want %v", err, ErrUnavailable)
 	}
 	srv.Close()
-	// leakcheck's cleanup now snapshots goroutines: the stripes' loops on
-	// both ends must all have exited.
+	// leakcheck's cleanup now snapshots goroutines: the loops on both ends
+	// must all have exited.
 }

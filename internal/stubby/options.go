@@ -118,15 +118,6 @@ type Options struct {
 	// 16 KiB default; negative disables the bulk lane. WithBulkThreshold
 	// and WithBulkLane override per call on the client side.
 	BulkThreshold int
-
-	// ConnStripes makes Dial open this many TCP connections and stripe
-	// streams and bulk transfers across them, so one client:server pair
-	// is no longer serialized on a single socket's send/recv loops.
-	// Unary envelope traffic and each individual call or stream keep
-	// per-connection affinity, preserving frame order. 0 and 1 mean one
-	// connection (the default). NewChannel ignores it: a channel built
-	// over an existing conn cannot dial more.
-	ConnStripes int
 }
 
 var defaultSecret = []byte("rpcscale-development-psk")

@@ -10,10 +10,13 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// Pool is a client-side channel pool: N connections to one server with a
-// pick policy per call. Production RPC stacks multiplex heavily but still
-// run several connections per backend to avoid head-of-line blocking on
-// one TCP stream; the pool is also the natural place for subsetting.
+// Pool is a client-side channel pool: N connections to one server, each a
+// Channel, with calls and streams spread across them round-robin.
+// Production RPC stacks multiplex heavily but still run several
+// connections per backend to avoid head-of-line blocking on one TCP
+// stream; the pool is also the natural place for subsetting. A member
+// found dead when it is picked is replaced then and there, whichever
+// method picked it.
 type Pool struct {
 	opts          Options
 	addr          string
@@ -51,21 +54,53 @@ func NewPool(addr, serverCluster string, size int, opts Options) (*Pool, error) 
 	return p, nil
 }
 
-// Size returns the number of live channels.
+// Size returns the number of live members.
 func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.channels)
+	n := 0
+	for _, ch := range p.channels {
+		if !ch.dead() {
+			n++
+		}
+	}
+	return n
 }
 
-// pick selects the next channel round-robin.
-func (p *Pool) pick() (*Channel, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.channels) == 0 {
-		return nil, ErrUnavailable
+// pick returns the member at round-robin position n. A member found dead
+// is dropped and redialed by the caller that finds it, outside the lock;
+// if the redial fails the pool is one member smaller and the member now
+// at position n is tried.
+func (p *Pool) pick(n uint64) (*Channel, error) {
+	for {
+		p.mu.Lock()
+		if p.closed || len(p.channels) == 0 {
+			p.mu.Unlock()
+			return nil, ErrUnavailable
+		}
+		i := int(n % uint64(len(p.channels)))
+		ch := p.channels[i]
+		if !ch.dead() {
+			p.mu.Unlock()
+			return ch, nil
+		}
+		p.channels = slices.Delete(p.channels, i, i+1)
+		p.mu.Unlock()
+		ch.Close()
+		fresh, err := Dial(p.addr, p.serverCluster, p.opts)
+		if err != nil {
+			continue
+		}
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			fresh.Close()
+			return nil, ErrUnavailable
+		}
+		p.channels = append(p.channels, fresh)
+		p.mu.Unlock()
+		return fresh, nil
 	}
-	return p.channels[int(p.next.Add(1))%len(p.channels)], nil
 }
 
 // Addr returns the backend address the pool dials.
@@ -107,78 +142,53 @@ func (p *Pool) Load() int {
 	return p.InFlight() + p.ServerLoad()
 }
 
-// Call issues a unary RPC on one pool member. A channel that died is
-// replaced — the dial happens here, before the retry — and the call is
-// retried once on another member. An Unavailable reply over a live channel
-// (a shed call, an open breaker, an injected fault) is the call's answer:
-// the connection carries other calls the server has accepted.
+// Call issues a unary RPC on the next pool member. If that member dies
+// under the call, the call is retried once on the next; an Unavailable
+// reply over a live channel (a shed call, an open breaker, an injected
+// fault) is the call's answer: the connection carries other calls the
+// server has accepted.
 func (p *Pool) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		ch, err := p.pick()
+	for attempt := 0; ; attempt++ {
+		ch, err := p.pick(p.next.Add(1))
 		if err != nil {
 			return nil, err
 		}
 		out, err := ch.Call(ctx, method, payload, opts...)
-		if err == nil {
-			return out, nil
-		}
-		if Code(err) != trace.Unavailable {
-			return nil, err
-		}
-		select {
-		case <-ch.closed:
-			p.replace(ch)
-		default:
-			return nil, err
+		if err == nil || attempt == 1 || Code(err) != trace.Unavailable || !ch.dead() {
+			return out, err
 		}
 	}
-	return nil, ErrUnavailable
 }
 
-// CallHedged issues a hedged call where the hedge leg goes to a
-// *different* pool member — the cross-replica hedging the paper's §4.4
-// describes (a same-server hedge shares the straggler's fate).
+// CallHedged issues a hedged call whose hedge leg goes to the member after
+// the primary's — the cross-replica hedging the paper's §4.4 describes (a
+// same-server hedge shares the straggler's fate).
 func (p *Pool) CallHedged(ctx context.Context, method string, payload []byte, hedgeDelay time.Duration) ([]byte, error) {
-	primary, err := p.pick()
+	n := p.next.Add(1)
+	primary, err := p.pick(n)
 	if err != nil {
 		return nil, err
 	}
-	secondary, err := p.pick()
+	secondary, err := p.pick(n + 1)
 	if err != nil || secondary == primary {
 		return primary.CallHedged(ctx, method, payload, hedgeDelay)
 	}
 	return callHedged(ctx, primary, secondary, method, payload, hedgeDelay)
 }
 
-// replace drops a dead channel and dials a replacement. Of the calls that
-// saw it die, only the one that removes it dials.
-func (p *Pool) replace(dead *Channel) {
-	p.mu.Lock()
-	i := slices.Index(p.channels, dead)
-	if i >= 0 {
-		p.channels = slices.Delete(p.channels, i, i+1)
+// OpenStream opens a stream on the next pool member, so a pool spreads its
+// streams across its connections the way Call spreads calls.
+func (p *Pool) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
+	ch, err := p.pick(p.next.Add(1))
+	if err != nil {
+		return nil, err
 	}
-	closed := p.closed
-	p.mu.Unlock()
-	dead.Close()
-	if closed || i < 0 {
-		return
-	}
-	if ch, err := Dial(p.addr, p.serverCluster, p.opts); err == nil {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			ch.Close()
-			return
-		}
-		p.channels = append(p.channels, ch)
-		p.mu.Unlock()
-	}
+	return ch.OpenStream(ctx, method, opts...)
 }
 
 // Ping measures RTT on one member.
 func (p *Pool) Ping(ctx context.Context) (time.Duration, error) {
-	ch, err := p.pick()
+	ch, err := p.pick(p.next.Add(1))
 	if err != nil {
 		return 0, err
 	}

@@ -37,7 +37,8 @@ func TestClientInterceptorOrder(t *testing.T) {
 
 func TestRetryTransientFailure(t *testing.T) {
 	var attempts atomic.Int32
-	ch, _ := testSetup(t, Options{}, map[string]Handler{
+	policy := DefaultRetryPolicy()
+	ch, _ := testSetup(t, Options{Retry: &policy}, map[string]Handler{
 		"svc/Flaky": func(ctx context.Context, p []byte) ([]byte, error) {
 			if attempts.Add(1) < 3 {
 				return nil, Errorf(trace.Unavailable, "transient")
@@ -45,8 +46,7 @@ func TestRetryTransientFailure(t *testing.T) {
 			return []byte("ok"), nil
 		},
 	})
-	call := ch.Intercepted(WithRetry(DefaultRetryPolicy()))
-	out, err := call(context.Background(), "svc/Flaky", []byte("x"))
+	out, err := ch.Call(context.Background(), "svc/Flaky", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestRetryTransientFailure(t *testing.T) {
 
 func TestRetryPermanentErrorNotRetried(t *testing.T) {
 	var attempts atomic.Int32
-	ch, _ := testSetup(t, Options{}, map[string]Handler{
+	policy := DefaultRetryPolicy()
+	ch, _ := testSetup(t, Options{Retry: &policy}, map[string]Handler{
 		"svc/Denied": func(ctx context.Context, p []byte) ([]byte, error) {
 			attempts.Add(1)
 			return nil, Errorf(trace.NoPermission, "no")
 		},
 	})
-	call := ch.Intercepted(WithRetry(DefaultRetryPolicy()))
-	_, err := call(context.Background(), "svc/Denied", []byte("x"))
+	_, err := ch.Call(context.Background(), "svc/Denied", []byte("x"))
 	if Code(err) != trace.NoPermission {
 		t.Fatalf("err = %v", err)
 	}
@@ -75,15 +75,14 @@ func TestRetryPermanentErrorNotRetried(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	var attempts atomic.Int32
-	ch, _ := testSetup(t, Options{}, map[string]Handler{
+	policy := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+	ch, _ := testSetup(t, Options{Retry: &policy}, map[string]Handler{
 		"svc/Down": func(ctx context.Context, p []byte) ([]byte, error) {
 			attempts.Add(1)
 			return nil, Errorf(trace.Unavailable, "still down")
 		},
 	})
-	policy := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
-	call := ch.Intercepted(WithRetry(policy))
-	_, err := call(context.Background(), "svc/Down", []byte("x"))
+	_, err := ch.Call(context.Background(), "svc/Down", []byte("x"))
 	if Code(err) != trace.Unavailable {
 		t.Fatalf("err = %v", err)
 	}
@@ -93,17 +92,16 @@ func TestRetryExhaustion(t *testing.T) {
 }
 
 func TestRetryHonorsContextDuringBackoff(t *testing.T) {
-	ch, _ := testSetup(t, Options{}, map[string]Handler{
+	policy := RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Hour}
+	ch, _ := testSetup(t, Options{Retry: &policy}, map[string]Handler{
 		"svc/Down": func(ctx context.Context, p []byte) ([]byte, error) {
 			return nil, Errorf(trace.Unavailable, "down")
 		},
 	})
-	policy := RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Hour}
-	call := ch.Intercepted(WithRetry(policy))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := call(ctx, "svc/Down", []byte("x"))
+	_, err := ch.Call(ctx, "svc/Down", []byte("x"))
 	if err == nil {
 		t.Fatal("expected error")
 	}

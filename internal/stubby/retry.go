@@ -82,23 +82,10 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 	return next
 }
 
-// WithRetry returns a client interceptor implementing the policy.
-func WithRetry(policy RetryPolicy) ClientInterceptor {
-	return WithRetryObserved(policy, nil)
-}
-
-// WithRetryObserved is WithRetry with retry admissions and budget
-// suppressions reported to obs (nil disables reporting).
-func WithRetryObserved(policy RetryPolicy, obs Observer) ClientInterceptor {
-	return func(ctx context.Context, method string, payload []byte, next CallFunc) ([]byte, error) {
-		return retryCall(ctx, method, payload, policy, obs, next)
-	}
-}
-
-// retryCall runs the retry loop shared by the interceptor form and the
-// channel-integrated form (Options.Retry). Each attempt's number is
-// published in the context so the fault plane can key per-attempt
-// decisions; each outcome feeds the budget when one is configured.
+// retryCall runs the retry loop Options.Retry installs on a channel's
+// call path. Each attempt's number is published in the context so the
+// fault plane can key per-attempt decisions; each outcome feeds the
+// budget when one is configured.
 func retryCall(ctx context.Context, method string, payload []byte, policy RetryPolicy, obs Observer, next CallFunc) ([]byte, error) {
 	var lastErr error
 	backoff := policy.BaseBackoff

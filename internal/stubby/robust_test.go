@@ -37,20 +37,18 @@ func (o *recordingObserver) BreakerTransition(method string, from, to BreakerSta
 // drains below half, every further retry is suppressed.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	var attempts atomic.Uint64
-	ch, _ := testSetup(t, Options{}, map[string]Handler{
+	budget := NewRetryBudget(4, 0.1) // retries allowed while tokens > 2
+	obs := &recordingObserver{}
+	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, Budget: budget}
+	ch, _ := testSetup(t, Options{Retry: &policy, Observer: obs}, map[string]Handler{
 		"svc/Fail": func(ctx context.Context, p []byte) ([]byte, error) {
 			attempts.Add(1)
 			return nil, ErrUnavailable
 		},
 	})
 
-	budget := NewRetryBudget(4, 0.1) // retries allowed while tokens > 2
-	obs := &recordingObserver{}
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, Budget: budget}
-	invoke := ch.Intercepted(WithRetryObserved(policy, obs))
-
 	for i := 0; i < 20; i++ {
-		if _, err := invoke(context.Background(), "svc/Fail", nil); err == nil {
+		if _, err := ch.Call(context.Background(), "svc/Fail", nil); err == nil {
 			t.Fatal("expected failure")
 		}
 	}

@@ -128,8 +128,7 @@ func msgCharge(n int) int64 {
 // Recv; CloseSend half-closes the sending direction (the server's Recv
 // then returns io.EOF); Close abandons the stream, resetting it on the
 // server. The stream ends when Recv returns io.EOF (clean final status)
-// or an error. On a striped channel the stream rides one connection,
-// picked round-robin; all its frames stay on that socket.
+// or an error. Pool.OpenStream spreads streams across a pool's members.
 func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
 	co := resolveCallOpts(ctx, opts)
 	win := int64(c.opts.StreamWindow)
@@ -154,11 +153,10 @@ func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOpt
 	}
 	env := appendRequest(wire.GetBuf(len(method)+envelopeOverhead), req)
 
-	cc := c.pick(true)
-	streamID := cc.nextStream.Add(1)
-	st := newStream(cc.tr, &cc.streams, streamID, win)
+	streamID := c.nextStream.Add(1)
+	st := newStream(c.tr, &c.streams, streamID, win)
 	st.ctx, st.cancel = context.WithCancel(ctx)
-	if !cc.streams.add(streamID, st) {
+	if !c.streams.add(streamID, st) {
 		st.cancel()
 		wire.PutBuf(env)
 		return nil, ErrUnavailable
@@ -166,10 +164,10 @@ func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOpt
 
 	// Streams bypass the unary send queue: the open frame goes out
 	// immediately (stream setup is not part of the unary queue study).
-	err := cc.tr.send(wire.FrameStreamOpen, streamID, env)
+	err := c.tr.send(wire.FrameStreamOpen, streamID, env)
 	wire.PutBuf(env)
 	if err != nil {
-		cc.streams.drop(streamID)
+		c.streams.drop(streamID)
 		st.cancel()
 		return nil, ErrUnavailable
 	}

@@ -48,8 +48,8 @@ func (p *Plane) ServerInterceptor(cluster string) stubby.ServerInterceptor {
 // ClientInterceptor returns a client interceptor recording the
 // caller-perceived outcome of each logical call into MetricClientCalls /
 // MetricClientLatency: one sample per Call invocation, however many
-// attempts (retries, hedges) the stack made underneath. Compose it
-// outside WithRetry via Channel.Intercepted.
+// attempts (retries, hedges) the stack made underneath: Channel.Intercepted
+// composes it outside the channel's retry layer (Options.Retry).
 func (p *Plane) ClientInterceptor() stubby.ClientInterceptor {
 	return func(ctx context.Context, method string, payload []byte, next stubby.CallFunc) ([]byte, error) {
 		start := p.now()

@@ -101,12 +101,12 @@ type (
 	// Channel.OpenStream, or thread through a context with
 	// ContextWithCallOptions.
 	CallOption = stubby.CallOption
-	// Pool is a client-side channel pool with failover and cross-replica
-	// hedging.
+	// Pool is a client-side channel pool: calls and streams spread across
+	// several connections, with failover and cross-replica hedging.
 	Pool = stubby.Pool
 	// RetryPolicy configures automatic retries of transient failures.
 	RetryPolicy = stubby.RetryPolicy
-	// ClientInterceptor wraps outgoing calls (see WithRetry).
+	// ClientInterceptor wraps outgoing calls (see Channel.Intercepted).
 	ClientInterceptor = stubby.ClientInterceptor
 	// ServerInterceptor wraps handler invocation on the server.
 	ServerInterceptor = stubby.ServerInterceptor
@@ -376,8 +376,7 @@ func WithFaults(inj *FaultInjector) Option {
 }
 
 // WithRetryPolicy makes dialed channels retry transient failures
-// themselves per the policy, instead of every caller composing WithRetry
-// by hand.
+// themselves per the policy, instead of every caller hand-rolling it.
 func WithRetryPolicy(policy RetryPolicy) Option {
 	return func(c *stackConfig) { c.opts.Retry = &policy }
 }
@@ -416,14 +415,6 @@ func WithDefaultStreamWindow(n int) Option {
 // lane. WithBulkThreshold and WithBulkLane override per call.
 func WithDefaultBulkThreshold(bytes int) Option {
 	return func(c *stackConfig) { c.opts.BulkThreshold = bytes }
-}
-
-// WithConnStripes makes dialed channels open k TCP connections and
-// stripe bulk calls and streams across them with per-call affinity
-// (unary envelope traffic stays on stripe 0). k <= 1 keeps the single
-// connection.
-func WithConnStripes(k int) Option {
-	return func(c *stackConfig) { c.opts.ConnStripes = k }
 }
 
 // --- Per-call options ---
@@ -499,7 +490,3 @@ func NewPool(addr string, size int, opts ...Option) (*Pool, error) {
 	c := resolve(opts)
 	return stubby.NewPool(addr, c.serverCluster, size, c.opts)
 }
-
-// WithRetry returns a client interceptor implementing the policy; apply
-// with Channel.Intercepted.
-func WithRetry(policy RetryPolicy) ClientInterceptor { return stubby.WithRetry(policy) }
