@@ -33,6 +33,18 @@ type ClientResult struct {
 // goroutines — the open loop stays open up to this cap.
 const maxOutstanding = 512
 
+// clientSpanCapacity bounds the spans a client child's plane retains. The
+// child ships only plane.Snapshot, whose counters and Monarch series see
+// every call whatever the span store keeps; an unbounded store would grow
+// with the run and be read by no one.
+const clientSpanCapacity = 1024
+
+// newClientPlane returns the telemetry plane a client child observes its
+// calls with.
+func newClientPlane() *telemetry.Plane {
+	return telemetry.New(telemetry.WithSpanCapacity(clientSpanCapacity))
+}
+
 // clientPayloadCap keeps harness request payloads under the bulk-lane
 // threshold: the policy comparison is about balancing, not bulk transfer.
 const clientPayloadCap = 8 << 10
@@ -64,7 +76,7 @@ func RunClient(cfg ChildConfig) error {
 	}
 
 	cat := fleet.New(fleet.Config{Methods: cfg.Methods, Clusters: 4, Seed: cfg.Seed})
-	plane := telemetry.New()
+	plane := newClientPlane()
 	opts := plane.Apply(stubby.Options{
 		ClusterName: fmt.Sprintf("client-%d", cfg.ClientID),
 	})

@@ -460,12 +460,15 @@ func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, pa
 	return span
 }
 
+// emit hands a finished span to the Observer, then the Collector. The
+// observer goes first because it completes the span (the plane stamps
+// Start and the CPU split), and a collector keeps a copy of what it sees.
 func (c *Channel) emit(span *trace.Span) {
-	if c.opts.Collector != nil {
-		c.opts.Collector.Collect(span)
-	}
 	if c.opts.Observer != nil {
 		c.opts.Observer.Observe(span)
+	}
+	if c.opts.Collector != nil {
+		c.opts.Collector.Collect(span)
 	}
 }
 

@@ -56,7 +56,8 @@ type Options struct {
 	Collector *trace.Collector
 
 	// Observer is the observability plane's hook: it receives every span
-	// the stack produces (after the Collector) and the robustness events.
+	// the stack produces (before the Collector, which stores a copy of the
+	// span as the observer left it) and the robustness events.
 	// This is the single option through which internal/telemetry plugs
 	// Monarch export, GWP cycle attribution, and Dapper span retention
 	// into the stack; the stack itself stays ignorant of those systems.

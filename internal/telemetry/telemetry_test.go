@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -295,5 +296,49 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(report, "EntityNotFound") {
 		t.Error("report error analysis missing the live error code")
+	}
+}
+
+// TestCollectorSeesObservedSpan checks that a span taken by both an
+// Options.Collector and the plane carries, in both stores, the Start and
+// CPU split the plane stamps on it: the stack observes before it collects,
+// and each store keeps its own copy.
+func TestCollectorSeesObservedSpan(t *testing.T) {
+	plane := New()
+	col := trace.New()
+	opts := plane.Apply(stubby.Options{ClusterName: "test-cl", Collector: col})
+	srv := stubby.NewServer(opts)
+	srv.Register("kv.Store/Get", func(ctx context.Context, p []byte) ([]byte, error) { return p, nil })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	ch, err := stubby.Dial(l.Addr().String(), "test-cl", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := ch.Call(context.Background(), "kv.Store/Get", make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fromOpts, fromPlane := col.Spans(), plane.Collector().Spans()
+	if len(fromOpts) != n || len(fromPlane) != n {
+		t.Fatalf("stores hold %d and %d spans, want %d each", len(fromOpts), len(fromPlane), n)
+	}
+	for i := range fromOpts {
+		s := fromOpts[i]
+		if s.Start <= 0 || !s.HasCPUSplit() || s.CPUCycles <= 0 {
+			t.Fatalf("Options.Collector span %d lacks the plane's stamps: Start=%v CPUCycles=%v split=%v",
+				i, s.Start, s.CPUCycles, s.CPUByCategory)
+		}
+		if !reflect.DeepEqual(s, fromPlane[i]) {
+			t.Fatalf("span %d differs between stores:\n%+v\n%+v", i, *s, *fromPlane[i])
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"rpcscale/internal/stats"
+	"rpcscale/internal/gwp"
 )
 
 // Collector gathers spans from concurrently executing RPCs, applying
@@ -12,11 +14,13 @@ import (
 // fully dropped, which is what lets Dapper reconstruct complete trees.
 // It also counts every span it sees (sampled or not) so volume statistics
 // remain exact even at low sampling rates.
+//
+// Retained spans are copied into packed records (see record), so a
+// collector never holds on to the *Span it was given.
 type Collector struct {
 	sampleEvery uint64 // collect traces where id % sampleEvery == 0; 1 = all
 
 	seen     atomic.Uint64 // spans offered
-	sampled  atomic.Uint64 // spans retained
 	errSeen  atomic.Uint64 // error spans offered
 	overflow atomic.Uint64 // spans dropped due to capacity
 
@@ -25,9 +29,42 @@ type Collector struct {
 	// store samples or overflows.
 	byCode [NumErrorCodes]atomic.Uint64
 
-	mu    sync.Mutex
-	spans []*Span
-	cap   int // 0 = unbounded
+	mu       sync.Mutex
+	chunks   [][]record          // retained spans, chunkLen records each
+	n        int                 // records across chunks
+	names    []spanNames         // interned name tuples, indexed by record.name
+	byMethod map[string][]uint32 // Method -> indices into names
+	links    []SpanID            // LinkedParents of every record, end to end
+	cap      int                 // 0 = unbounded
+}
+
+// chunkLen is how many records one chunk holds. A full chunk is never
+// copied again, so the store grows without moving what it already holds.
+const chunkLen = 1024
+
+// record is one retained span. It holds no pointers, so the garbage
+// collector never scans a chunk: the span's strings and tags live once
+// per distinct tuple in Collector.names, and its linked parents in
+// Collector.links[links : links+nLinks].
+type record struct {
+	traceID             TraceID
+	spanID, parentID    SpanID
+	start               time.Duration
+	breakdown           Breakdown
+	reqBytes, respBytes int64
+	cpuCycles           float64
+	cpuByCategory       [gwp.NumCategories]float64
+	name                uint32 // index into Collector.names
+	links, nLinks       uint32
+	err                 ErrorCode
+	hedged              bool
+}
+
+// spanNames is the interned string and tag part of a span.
+type spanNames struct {
+	method, service, client, server string
+	tier                            Tier
+	motif                           Motif
 }
 
 // CollectorOption configures a Collector built with New.
@@ -53,7 +90,7 @@ func WithCapacity(n int) CollectorOption {
 // New returns a collector. With no options it collects every span of
 // every trace, unbounded.
 func New(opts ...CollectorOption) *Collector {
-	c := &Collector{sampleEvery: 1}
+	c := &Collector{sampleEvery: 1, byMethod: make(map[string][]uint32)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -66,7 +103,8 @@ func (c *Collector) Sampled(id TraceID) bool {
 	return uint64(id)%c.sampleEvery == 0
 }
 
-// Collect offers one span. It is safe for concurrent use.
+// Collect offers one span. A retained span is copied; the caller keeps
+// ownership of s. It is safe for concurrent use.
 func (c *Collector) Collect(s *Span) {
 	c.seen.Add(1)
 	if s.Err.IsError() {
@@ -80,12 +118,41 @@ func (c *Collector) Collect(s *Span) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap > 0 && len(c.spans) >= c.cap {
+	if c.cap > 0 && c.n >= c.cap {
 		c.overflow.Add(1)
 		return
 	}
-	c.spans = append(c.spans, s)
-	c.sampled.Add(1)
+	c.push(record{s.TraceID, s.SpanID, s.ParentID, s.Start, s.Breakdown,
+		s.RequestBytes, s.ResponseBytes, s.CPUCycles, s.CPUByCategory, c.intern(s),
+		uint32(len(c.links)), uint32(len(s.LinkedParents)), s.Err, s.Hedged})
+	c.links = append(c.links, s.LinkedParents...)
+}
+
+// push appends r to the store, opening a chunk when the last one is full.
+// The first chunk starts empty and grows by append, so a collector that
+// keeps a handful of spans stays small. Caller holds c.mu.
+func (c *Collector) push(r record) {
+	if c.n%chunkLen == 0 {
+		c.chunks = append(c.chunks, make([]record, 0, min(c.n, chunkLen)))
+	}
+	last := len(c.chunks) - 1
+	c.chunks[last] = append(c.chunks[last], r)
+	c.n++
+}
+
+// intern returns the index of s's name tuple in c.names, adding it on
+// first sight. Caller holds c.mu.
+func (c *Collector) intern(s *Span) uint32 {
+	key := spanNames{s.Method, s.Service, s.ClientCluster, s.ServerCluster, s.Tier, s.Motif}
+	for _, i := range c.byMethod[s.Method] {
+		if c.names[i] == key {
+			return i
+		}
+	}
+	i := uint32(len(c.names))
+	c.names = append(c.names, key)
+	c.byMethod[s.Method] = append(c.byMethod[s.Method], i)
+	return i
 }
 
 // Seen returns the number of spans offered, sampled or not.
@@ -107,111 +174,46 @@ func (c *Collector) SeenByCode() [NumErrorCodes]uint64 {
 	return out
 }
 
-// Spans returns the retained spans. The returned slice is a snapshot;
-// collection may continue concurrently.
+// Spans returns the retained spans in collection order, rebuilt from the
+// store over one backing array per call. They are the caller's: changing
+// one leaves the store as it was, and collection may continue
+// concurrently.
 func (c *Collector) Spans() []*Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Span, len(c.spans))
-	copy(out, c.spans)
+	spans := make([]Span, c.n)
+	links := slices.Clone(c.links)
+	out := make([]*Span, 0, c.n)
+	for _, ch := range c.chunks {
+		for j := range ch {
+			r, s := &ch[j], &spans[len(out)]
+			nm := &c.names[r.name]
+			*s = Span{TraceID: r.traceID, SpanID: r.spanID, ParentID: r.parentID,
+				Method: nm.method, Service: nm.service, Tier: nm.tier, Motif: nm.motif,
+				ClientCluster: nm.client, ServerCluster: nm.server,
+				Start: r.start, Breakdown: r.breakdown,
+				RequestBytes: r.reqBytes, ResponseBytes: r.respBytes,
+				CPUCycles: r.cpuCycles, CPUByCategory: r.cpuByCategory,
+				Err: r.err, Hedged: r.hedged}
+			if end := r.links + r.nLinks; r.nLinks > 0 {
+				s.LinkedParents = links[r.links:end:end]
+			}
+			out = append(out, s)
+		}
+	}
 	return out
 }
 
 // Reset discards retained spans and counters.
 func (c *Collector) Reset() {
 	c.mu.Lock()
-	c.spans = nil
+	c.chunks, c.n, c.names, c.links = nil, 0, nil, nil
+	clear(c.byMethod)
 	c.mu.Unlock()
 	c.seen.Store(0)
-	c.sampled.Store(0)
 	c.errSeen.Store(0)
 	c.overflow.Store(0)
 	for i := range c.byCode {
 		c.byCode[i].Store(0)
 	}
-}
-
-// MethodAggregate accumulates the per-method distributions used by the
-// per-method figures: completion time, tax ratio, component groups,
-// sizes, CPU cost, call volume.
-type MethodAggregate struct {
-	Method string
-
-	Calls  uint64
-	Errors uint64
-
-	Latency  *stats.Hist // completion time, ns
-	Tax      *stats.Hist // tax latency, ns
-	TaxRatio *stats.Sample
-	Queue    *stats.Hist // total queuing, ns
-	WireNet  *stats.Hist // wire + stack combined (Fig. 12's RW+RN), ns
-
-	ReqBytes  *stats.Hist
-	RespBytes *stats.Hist
-	SizeRatio *stats.Sample // response/request
-
-	CPU *stats.Hist // normalized cycles (only annotated spans)
-
-	TotalLatency float64 // sum of completion times, ns (for "total RPC time" shares)
-	TotalBytes   float64 // request + response bytes
-	TotalCPU     float64 // sum of normalized cycles
-}
-
-// NewMethodAggregate returns an empty aggregate for a method.
-func NewMethodAggregate(method string) *MethodAggregate {
-	return &MethodAggregate{
-		Method:    method,
-		Latency:   stats.NewLatencyHist(),
-		Tax:       stats.NewLatencyHist(),
-		TaxRatio:  stats.NewSample(0),
-		Queue:     stats.NewLatencyHist(),
-		WireNet:   stats.NewLatencyHist(),
-		ReqBytes:  stats.NewSizeHist(),
-		RespBytes: stats.NewSizeHist(),
-		SizeRatio: stats.NewSample(0),
-		CPU:       stats.NewHist(1e-6, 1.1),
-	}
-}
-
-// Observe folds one span into the aggregate.
-func (a *MethodAggregate) Observe(s *Span) {
-	a.Calls++
-	if s.Err.IsError() {
-		a.Errors++
-		// The paper excludes the latency of error RPCs from latency
-		// distributions (§2.1) but still counts their volume and cost.
-		a.TotalCPU += s.CPUCycles
-		return
-	}
-	lat := float64(s.Breakdown.Total())
-	a.Latency.Add(lat)
-	a.Tax.Add(float64(s.Breakdown.Tax()))
-	a.TaxRatio.Add(s.Breakdown.TaxRatio())
-	a.Queue.Add(float64(s.Breakdown.Queue()))
-	a.WireNet.Add(float64(s.Breakdown.Wire() + s.Breakdown.Stack()))
-	a.ReqBytes.Add(float64(s.RequestBytes))
-	a.RespBytes.Add(float64(s.ResponseBytes))
-	if s.RequestBytes > 0 {
-		a.SizeRatio.Add(float64(s.ResponseBytes) / float64(s.RequestBytes))
-	}
-	if s.CPUCycles > 0 {
-		a.CPU.Add(s.CPUCycles)
-	}
-	a.TotalLatency += lat
-	a.TotalBytes += float64(s.RequestBytes + s.ResponseBytes)
-	a.TotalCPU += s.CPUCycles
-}
-
-// AggregateByMethod folds spans into per-method aggregates.
-func AggregateByMethod(spans []*Span) map[string]*MethodAggregate {
-	out := make(map[string]*MethodAggregate)
-	for _, s := range spans {
-		a := out[s.Method]
-		if a == nil {
-			a = NewMethodAggregate(s.Method)
-			out[s.Method] = a
-		}
-		a.Observe(s)
-	}
-	return out
 }

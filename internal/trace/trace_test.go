@@ -223,63 +223,6 @@ func TestCollectorSpansRebuildGraph(t *testing.T) {
 	}
 }
 
-func TestMethodAggregateObserve(t *testing.T) {
-	a := NewMethodAggregate("m")
-	var b Breakdown
-	b[ServerApp] = 9 * time.Millisecond
-	b[ReqNetworkWire] = 1 * time.Millisecond
-	a.Observe(&Span{
-		Method: "m", Breakdown: b,
-		RequestBytes: 1000, ResponseBytes: 500, CPUCycles: 0.05,
-	})
-	if a.Calls != 1 || a.Errors != 0 {
-		t.Fatalf("calls=%d errors=%d", a.Calls, a.Errors)
-	}
-	if got := a.Latency.Mean(); math.Abs(got-1e7) > 1e7*0.01 {
-		t.Errorf("latency mean = %v, want ~1e7 ns", got)
-	}
-	if got := a.TaxRatio.Mean(); math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("tax ratio = %v, want 0.1", got)
-	}
-	if got := a.SizeRatio.Mean(); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("size ratio = %v, want 0.5", got)
-	}
-	if a.CPU.Count() != 1 {
-		t.Error("CPU sample not recorded")
-	}
-}
-
-func TestMethodAggregateErrorsExcludedFromLatency(t *testing.T) {
-	a := NewMethodAggregate("m")
-	var b Breakdown
-	b[ServerApp] = time.Second
-	a.Observe(&Span{Method: "m", Breakdown: b, Err: Cancelled, CPUCycles: 0.3})
-	if a.Calls != 1 || a.Errors != 1 {
-		t.Fatalf("calls=%d errors=%d", a.Calls, a.Errors)
-	}
-	if a.Latency.Count() != 0 {
-		t.Error("error span latency should be excluded (paper §2.1)")
-	}
-	if a.TotalCPU != 0.3 {
-		t.Error("error span CPU should still be counted")
-	}
-}
-
-func TestAggregateByMethod(t *testing.T) {
-	spans := []*Span{
-		{Method: "a", Breakdown: mkBreakdown(time.Millisecond)},
-		{Method: "a", Breakdown: mkBreakdown(2 * time.Millisecond)},
-		{Method: "b", Breakdown: mkBreakdown(3 * time.Millisecond)},
-	}
-	aggs := AggregateByMethod(spans)
-	if len(aggs) != 2 {
-		t.Fatalf("methods = %d", len(aggs))
-	}
-	if aggs["a"].Calls != 2 || aggs["b"].Calls != 1 {
-		t.Error("per-method call counts wrong")
-	}
-}
-
 func TestSpanHelpers(t *testing.T) {
 	s := &Span{ClientCluster: "x", ServerCluster: "x"}
 	if !s.SameCluster() {
