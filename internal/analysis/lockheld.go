@@ -219,7 +219,7 @@ func riskyCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	// RPC dispatch is matched by name so that func-typed fields
-	// (interceptor chains) count too.
+	// (a channel's invoke chain) count too.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && RPCCallNames.Has(sel.Sel.Name) {
 		return "RPC dispatch via " + sel.Sel.Name, true
 	}

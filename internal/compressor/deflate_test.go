@@ -55,7 +55,7 @@ var seeds = map[string][]byte{
 	"literals over 143": bytes.Repeat([]byte{144, 200, 255, 143, 0}, 100), // the 9-bit codes
 	"stitched 600 B":    stitched(1, 600),
 	"stitched 4 KiB":    stitched(2, 4<<10),
-	"1 MiB":             stitched(3, 1<<20), // what a channel with BulkThreshold off may carry
+	"1 MiB":             stitched(3, 1<<20), // what a call with the bulk lane off may carry
 }
 
 // inflateStdlib decodes a compressed payload with nothing of this package

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"rpcscale/internal/testutil"
+	"rpcscale/internal/trace"
 )
 
 // TestCallAllocBudget pins the steady-state allocation cost of a full
@@ -39,5 +41,25 @@ func TestCallAllocBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Errorf("loopback call: %.1f allocs/op, budget %.0f", allocs, budget)
+	}
+}
+
+// TestUnobservedFailureBuildsNoSpan calls with an already-expired deadline
+// on a channel with neither Observer nor Collector: the failure path, like
+// the success path, must not build a span nobody receives.
+func TestUnobservedFailureBuildsNoSpan(t *testing.T) {
+	if testutil.Instrumented {
+		t.Skip("allocation counts differ under instrumented builds")
+	}
+	ch, _ := testSetup(t, Options{}, map[string]Handler{"svc/Echo": echoHandler})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ch.Call(ctx, "svc/Echo", nil); Code(err) != trace.DeadlineExceeded {
+			t.Fatalf("got %v, want DeadlineExceeded", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("unobserved expired call: %.1f allocs/op, want at most 1", allocs)
 	}
 }

@@ -10,13 +10,12 @@ import "context"
 // CallOption adjusts one call or stream.
 type CallOption func(*callOpts)
 
-// callOpts is the resolved per-call configuration. Zero values defer to
-// the endpoint's Options.
+// callOpts is the resolved per-call configuration. Zero values select the
+// defaults.
 type callOpts struct {
-	window        int  // stream credit window; 0 = Options.StreamWindow
-	bulkThreshold int  // 0 = Options.BulkThreshold; negative = disabled
-	bulkSet       bool // WithBulkLane was given
-	bulkOn        bool
+	window  int  // stream credit window; 0 = defaultStreamWindow
+	bulkSet bool // WithBulkLane was given
+	bulkOn  bool
 }
 
 // WithStreamWindow sets the stream's per-direction credit window in
@@ -26,17 +25,6 @@ func WithStreamWindow(n int) CallOption {
 	return func(o *callOpts) {
 		if n > 0 {
 			o.window = n
-		}
-	}
-}
-
-// WithBulkThreshold routes this call through the bulk lane if its payload
-// is at least bytes long, overriding Options.BulkThreshold. Negative
-// disables the bulk lane for this call.
-func WithBulkThreshold(bytes int) CallOption {
-	return func(o *callOpts) {
-		if bytes != 0 {
-			o.bulkThreshold = bytes
 		}
 	}
 }
@@ -53,10 +41,8 @@ func WithBulkLane(enabled bool) CallOption {
 
 type callOptsCtxKey struct{}
 
-// ContextWithCallOptions attaches per-call options to a context, for call
-// sites that go through a plain CallFunc (Channel.Intercepted) rather
-// than Channel.Call's variadic form.
-func ContextWithCallOptions(ctx context.Context, opts ...CallOption) context.Context {
+// contextWithCallOptions attaches per-call options to a context.
+func contextWithCallOptions(ctx context.Context, opts ...CallOption) context.Context {
 	co := resolveCallOpts(ctx, opts)
 	return context.WithValue(ctx, callOptsCtxKey{}, co)
 }
@@ -73,16 +59,12 @@ func resolveCallOpts(ctx context.Context, opts []CallOption) *callOpts {
 	return &co
 }
 
-// useBulkLane decides whether one unary call takes the bulk lane: the
-// channel's threshold, overridden per call, with WithBulkLane as a hard
-// switch in either direction.
-func (c *Channel) useBulkLane(co *callOpts, payloadLen int) bool {
-	if co != nil && co.bulkSet {
+// useBulkLane decides whether one unary call takes the bulk lane: payloads
+// at the default threshold do, with WithBulkLane as a hard switch in
+// either direction.
+func useBulkLane(co *callOpts, payloadLen int) bool {
+	if co.bulkSet {
 		return co.bulkOn
 	}
-	th := c.opts.BulkThreshold
-	if co != nil && co.bulkThreshold != 0 {
-		th = co.bulkThreshold
-	}
-	return th > 0 && payloadLen >= th
+	return payloadLen >= defaultBulkThreshold
 }

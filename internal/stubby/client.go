@@ -145,12 +145,11 @@ func NewChannel(nc net.Conn, serverCluster string, opts Options) (*Channel, erro
 // Call issues a unary RPC and blocks for the response, the context's
 // cancellation, or the deadline. When the channel was configured with
 // Options.Retry or Options.Breaker, Call goes through those layers;
-// CallHedged bypasses them. Per-call options (WithBulkLane,
-// WithBulkThreshold) travel through the context so the CallFunc chain
-// stays oblivious to them.
+// CallHedged bypasses them. Per-call options (WithBulkLane) travel
+// through the context so the CallFunc chain stays oblivious to them.
 func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
 	if len(opts) > 0 {
-		ctx = ContextWithCallOptions(ctx, opts...)
+		ctx = contextWithCallOptions(ctx, opts...)
 	}
 	return c.invoke(ctx, method, payload)
 }
@@ -200,7 +199,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 		}
 	}
 
-	deadline := c.opts.DefaultDeadline
+	deadline := defaultDeadline
 	var ctxDeadline time.Time // zero: the caller set none and waits as long as it takes
 	if dl, has := ctx.Deadline(); has {
 		deadline, ctxDeadline = time.Until(dl), dl
@@ -226,7 +225,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 			Attempt:    attempt,
 		},
 		dropped:    dec.Drop,
-		bulk:       c.useBulkLane(resolveCallOpts(ctx, nil), len(payload)),
+		bulk:       useBulkLane(resolveCallOpts(ctx, nil), len(payload)),
 		enqueuedNs: c.sinceEpoch(),
 		resultCh:   make(chan *callResult, 1),
 	}
@@ -292,7 +291,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 				return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Internal, hedged)
 			}
 		}
-		if c.opts.Collector != nil || c.opts.Observer != nil {
+		if c.observed() {
 			c.emit(c.buildSpan(call, method, tc, parentSpan, payload, out, resp, res.rxAtNs, rcvdNs, hedged))
 		}
 		if resp.Code != trace.OK {
@@ -417,9 +416,12 @@ func (c *Channel) newSpan(call *clientCall, method string, tc TraceContext, pare
 	return span
 }
 
-// finish emits an error span and returns the matching error.
+// finish emits an error span, if anyone observes it, and returns the
+// matching error.
 func (c *Channel) finish(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) error {
-	c.emit(c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, code, hedged))
+	if c.observed() {
+		c.emit(c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, code, hedged))
+	}
 	if code == trace.Unavailable {
 		if ce := c.err.Load(); ce != nil && ce.err != nil {
 			return &Status{Code: trace.Unavailable, Message: ce.err.Error()}
@@ -458,6 +460,12 @@ func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, pa
 	b[trace.ReqNetworkWire] = time.Duration(float64(wireTotal) * reqFrac)
 	b[trace.RespNetworkWire] = wireTotal - b[trace.ReqNetworkWire]
 	return span
+}
+
+// observed reports whether a span would reach anyone: an unobserved call
+// builds none.
+func (c *Channel) observed() bool {
+	return c.opts.Observer != nil || c.opts.Collector != nil
 }
 
 // emit hands a finished span to the Observer, then the Collector. The

@@ -433,11 +433,11 @@ func TestExpiredWriteLeavesNothingPending(t *testing.T) {
 }
 
 // TestOversizeResponseEndsCoded has a handler return one byte more than a
-// frame can carry with the bulk lane off: the call must end with a coded
-// status at once, not wait out its deadline.
+// frame can carry, which the bulk lane refuses too: the call must end with
+// a coded status at once, not wait out its deadline.
 func TestOversizeResponseEndsCoded(t *testing.T) {
 	huge := make([]byte, wire.MaxFrameSize+1)
-	ch, _ := testSetup(t, Options{BulkThreshold: -1}, map[string]Handler{
+	ch, _ := testSetup(t, Options{}, map[string]Handler{
 		"svc/Huge": func(context.Context, []byte) ([]byte, error) { return huge, nil },
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -51,8 +51,8 @@ type Options struct {
 	CompressorStats   *compressor.Stats
 	EncryptionStats   *secure.Stats
 
-	// Collector receives a trace.Span for every completed call (client
-	// side) and every served request (server side). Nil disables tracing.
+	// Collector receives a trace.Span for every completed client call.
+	// Servers record no spans. Nil disables tracing.
 	Collector *trace.Collector
 
 	// Observer is the observability plane's hook: it receives every span
@@ -78,9 +78,6 @@ type Options struct {
 	// Workers is the server handler pool size.
 	Workers int
 
-	// DefaultDeadline applies to calls whose context has none.
-	DefaultDeadline time.Duration
-
 	// Faults attaches a deterministic fault injector to this endpoint:
 	// channels consult it with ScopeClient before each attempt, servers
 	// with ScopeServer before each handled request. Nil disables
@@ -105,20 +102,6 @@ type Options struct {
 	// they would miss anyway. 0 disables (the default); the hard
 	// queue-full NoResource rejection applies regardless.
 	ShedThreshold int
-
-	// StreamWindow is the initial per-direction credit window of every
-	// stream opened on this endpoint, in bytes: the peer may have at most
-	// this many unconsumed payload bytes in flight per stream, and a
-	// single stream message may not exceed it. 0 selects the 256 KiB
-	// default; WithStreamWindow overrides per stream.
-	StreamWindow int
-
-	// BulkThreshold routes unary payloads of at least this many bytes
-	// through the zero-copy bulk lane (chunked, scatter-gather writes,
-	// no compression) instead of the inline envelope. 0 selects the
-	// 16 KiB default; negative disables the bulk lane. WithBulkThreshold
-	// and WithBulkLane override per call on the client side.
-	BulkThreshold int
 }
 
 var defaultSecret = []byte("rpcscale-development-psk")
@@ -140,24 +123,23 @@ func (o *Options) withDefaults() Options {
 	if out.Workers == 0 {
 		out.Workers = 8
 	}
-	if out.DefaultDeadline == 0 {
-		out.DefaultDeadline = 30 * time.Second
-	}
-	if out.StreamWindow == 0 {
-		out.StreamWindow = defaultStreamWindow
-	}
-	if out.BulkThreshold == 0 {
-		out.BulkThreshold = defaultBulkThreshold
-	}
 	return out
 }
 
-// defaultStreamWindow is the default per-direction stream credit window:
-// large enough that a steady stream of the fleet's P99-sized messages
-// keeps the pipe full, small enough to bound per-stream receiver memory.
+// defaultDeadline applies to calls and streams whose context has none.
+const defaultDeadline = 30 * time.Second
+
+// defaultStreamWindow is the initial per-direction credit window of every
+// stream, in bytes, unless WithStreamWindow sets another: the peer may
+// have at most this many unconsumed payload bytes in flight per stream,
+// and a single stream message may not exceed it. Large enough that a
+// steady stream of the fleet's P99-sized messages keeps the pipe full,
+// small enough to bound per-stream receiver memory.
 const defaultStreamWindow = 256 << 10
 
-// defaultBulkThreshold is the payload size at which unary calls switch to
-// the bulk lane. 16 KiB sits just above the fleet's P99 request (Fig. 6):
-// the envelope path keeps the common case, the bulk lane takes the tail.
+// defaultBulkThreshold is the payload size at which unary requests and
+// responses switch to the zero-copy bulk lane (chunked, scatter-gather
+// writes, no compression); WithBulkLane overrides it per call. 16 KiB
+// sits just above the fleet's P99 request (Fig. 6): the envelope path
+// keeps the common case, the bulk lane takes the tail.
 const defaultBulkThreshold = 16 << 10

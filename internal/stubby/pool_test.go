@@ -12,29 +12,6 @@ import (
 	"rpcscale/internal/trace"
 )
 
-func TestClientInterceptorOrder(t *testing.T) {
-	ch, _ := testSetup(t, Options{}, map[string]Handler{"svc/Echo": echoHandler})
-	var order []string
-	var mu sync.Mutex
-	mk := func(name string) ClientInterceptor {
-		return func(ctx context.Context, method string, p []byte, next CallFunc) ([]byte, error) {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return next(ctx, method, p)
-		}
-	}
-	call := ch.Intercepted(mk("outer"), mk("inner"))
-	if _, err := call(context.Background(), "svc/Echo", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "outer" || order[1] != "inner" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 func TestRetryTransientFailure(t *testing.T) {
 	var attempts atomic.Int32
 	policy := DefaultRetryPolicy()

@@ -7,27 +7,8 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// ClientInterceptor wraps outgoing calls; interceptors compose
-// outermost-first. The CallFunc performs the actual (or next) call.
-type ClientInterceptor func(ctx context.Context, method string, payload []byte, next CallFunc) ([]byte, error)
-
 // CallFunc is the signature of a unary call.
 type CallFunc func(ctx context.Context, method string, payload []byte) ([]byte, error)
-
-// Intercepted returns a CallFunc that applies the interceptors around the
-// channel's Call, outermost first.
-func (c *Channel) Intercepted(interceptors ...ClientInterceptor) CallFunc {
-	var invoke CallFunc = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
-		return c.Call(ctx, method, payload)
-	}
-	for i := len(interceptors) - 1; i >= 0; i-- {
-		mid, next := interceptors[i], invoke
-		invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
-			return mid(ctx, method, payload, next)
-		}
-	}
-	return invoke
-}
 
 // RetryPolicy configures automatic retries of transient failures.
 // Production Stubby retries Unavailable-class errors with exponential

@@ -22,10 +22,6 @@ import (
 // returns the response payload or an error (ideally a *Status).
 type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 
-// ServerInterceptor wraps handler invocation; interceptors compose
-// outermost-first, mirroring Stubby/gRPC middleware.
-type ServerInterceptor func(ctx context.Context, method string, payload []byte, next Handler) ([]byte, error)
-
 // Server accepts connections and dispatches RPCs to registered handlers
 // through a bounded receive queue and a fixed worker pool — the structure
 // whose queue the paper's ServerRecvQueue component measures.
@@ -37,7 +33,6 @@ type Server struct {
 	handlers     map[string]Handler
 	bidiHandlers map[string]BidiHandler
 	methodNames  map[string]string // interned registered names, keyed by themselves
-	intcpt       []ServerInterceptor
 
 	// intern is internMethod bound once at construction so the per-request
 	// decode path does not allocate a method-value closure.
@@ -192,14 +187,6 @@ func (s *Server) internMethod(b []byte) string {
 		return m
 	}
 	return string(b)
-}
-
-// Intercept appends a server interceptor; later additions run closer to
-// the handler.
-func (s *Server) Intercept(i ServerInterceptor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.intcpt = append(s.intcpt, i)
 }
 
 // Serve accepts connections on l until the server or listener closes.
@@ -496,10 +483,8 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 	s.mu.RLock()
 	err := parseRequestInto(req, call.raw, s.intern)
 	var h Handler
-	var intcpt []ServerInterceptor
 	if err == nil {
 		h = s.handlers[req.Method]
-		intcpt = s.intcpt
 	}
 	s.mu.RUnlock()
 	if err != nil {
@@ -587,14 +572,7 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 	} else if h == nil {
 		herr = Errorf(trace.EntityNotFound, "no handler for method %q", req.Method)
 	} else {
-		invoke := h
-		for i := len(intcpt) - 1; i >= 0; i-- {
-			mid, next := intcpt[i], invoke
-			invoke = func(c context.Context, p []byte) ([]byte, error) {
-				return mid(c, req.Method, p, next)
-			}
-		}
-		out, herr = invoke(ctx, payload)
+		out, herr = h(ctx, payload)
 		if ctxErr := ctx.Err(); herr == nil && ctxErr != nil {
 			herr = ctxErrToStatus(ctxErr)
 		} else if herr != nil && (errors.Is(herr, context.DeadlineExceeded) || errors.Is(herr, context.Canceled)) {
@@ -649,7 +627,7 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	}
 	procStart := time.Now()
 	resp := &sr.resp
-	if th := s.opts.BulkThreshold; th > 0 && len(resp.Payload) >= th && len(resp.Payload) <= wire.MaxFrameSize {
+	if len(resp.Payload) >= defaultBulkThreshold && len(resp.Payload) <= wire.MaxFrameSize {
 		sr.bulk = true
 		sr.bulkOut = resp.Payload
 		resp.BulkSize = uint64(len(resp.Payload))

@@ -131,13 +131,13 @@ func msgCharge(n int) int64 {
 // or an error. Pool.OpenStream spreads streams across a pool's members.
 func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
 	co := resolveCallOpts(ctx, opts)
-	win := int64(c.opts.StreamWindow)
+	win := int64(defaultStreamWindow)
 	if co.window > 0 {
 		win = int64(co.window)
 	}
 
 	tc, _ := childTrace(ctx)
-	deadline := c.opts.DefaultDeadline
+	deadline := defaultDeadline
 	if dl, has := ctx.Deadline(); has {
 		deadline = time.Until(dl)
 	}

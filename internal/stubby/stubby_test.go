@@ -383,45 +383,6 @@ func TestPing(t *testing.T) {
 	}
 }
 
-func TestServerInterceptor(t *testing.T) {
-	var order []string
-	var mu sync.Mutex
-	opts := Options{}
-	srv := NewServer(opts)
-	srv.Intercept(func(ctx context.Context, method string, p []byte, next Handler) ([]byte, error) {
-		mu.Lock()
-		order = append(order, "outer:"+method)
-		mu.Unlock()
-		return next(ctx, p)
-	})
-	srv.Intercept(func(ctx context.Context, method string, p []byte, next Handler) ([]byte, error) {
-		mu.Lock()
-		order = append(order, "inner")
-		mu.Unlock()
-		return next(ctx, p)
-	})
-	srv.Register("svc/M", echoHandler)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Close()
-	ch, err := Dial(l.Addr().String(), "c", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-	if _, err := ch.Call(context.Background(), "svc/M", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "outer:svc/M" || order[1] != "inner" {
-		t.Fatalf("interceptor order = %v", order)
-	}
-}
-
 func TestChannelCloseFailsPending(t *testing.T) {
 	ch, _ := testSetup(t, Options{}, map[string]Handler{
 		"svc/Hang": func(ctx context.Context, p []byte) ([]byte, error) {

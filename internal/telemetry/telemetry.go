@@ -28,6 +28,7 @@ import (
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/secure"
 	"rpcscale/internal/stats"
+	"rpcscale/internal/stubby"
 	"rpcscale/internal/trace"
 )
 
@@ -46,17 +47,6 @@ const (
 	// Distribution; labels: service, method.
 	MetricReqBytes  = "rpc/request_bytes"
 	MetricRespBytes = "rpc/response_bytes"
-	// MetricServerCount / MetricServerApp are the server-side view
-	// recorded by ServerInterceptor: request volume and handler time.
-	// Counter / Distribution; labels: method, cluster.
-	MetricServerCount = "server/requests"
-	MetricServerApp   = "server/app_latency"
-	// MetricClientCalls / MetricClientLatency are the caller-perceived
-	// view recorded by ClientInterceptor: one sample per logical call
-	// (retries and hedges included), as opposed to one span per attempt.
-	// Counter / Distribution; labels: method (+ code on the counter).
-	MetricClientCalls   = "client/calls"
-	MetricClientLatency = "client/latency"
 	// MetricRetries / MetricRetriesSuppressed count retry attempts the
 	// stack issued and retries the budget refused — together the live
 	// retry-amplification accounting. Counter; labels: method.
@@ -149,8 +139,7 @@ type Plane struct {
 }
 
 // aggKey identifies one windowed aggregation stream. kind distinguishes
-// the three recording surfaces (span observer, server interceptor, client
-// interceptor) so their metrics stay separate.
+// spans from each robustness event so their metrics stay separate.
 type aggKey struct {
 	kind    uint8
 	service string
@@ -162,8 +151,6 @@ type aggKey struct {
 
 const (
 	kindRPC uint8 = iota
-	kindServer
-	kindClient
 	kindRetry
 	kindRetrySuppressed
 	kindBreaker
@@ -203,24 +190,23 @@ func New(opts ...Option) *Plane {
 	return p
 }
 
+// declared is every metric the plane writes, with its kind.
+var declared = map[string]monarch.Kind{
+	MetricRPCCount:           monarch.Counter,
+	MetricRPCErrors:          monarch.Counter,
+	MetricLatency:            monarch.Distribution,
+	MetricReqBytes:           monarch.Distribution,
+	MetricRespBytes:          monarch.Distribution,
+	MetricRetries:            monarch.Counter,
+	MetricRetriesSuppressed:  monarch.Counter,
+	MetricBreakerTransitions: monarch.Counter,
+	MetricShed:               monarch.Counter,
+}
+
 // newDeclaredDB builds a Monarch DB with every plane metric declared.
 func newDeclaredDB(window, retention time.Duration) *monarch.DB {
 	db := monarch.NewDB(monarch.WithWindow(window), monarch.WithRetention(retention))
-	for m, k := range map[string]monarch.Kind{
-		MetricRPCCount:           monarch.Counter,
-		MetricRPCErrors:          monarch.Counter,
-		MetricLatency:            monarch.Distribution,
-		MetricReqBytes:           monarch.Distribution,
-		MetricRespBytes:          monarch.Distribution,
-		MetricServerCount:        monarch.Counter,
-		MetricServerApp:          monarch.Distribution,
-		MetricClientCalls:        monarch.Counter,
-		MetricClientLatency:      monarch.Distribution,
-		MetricRetries:            monarch.Counter,
-		MetricRetriesSuppressed:  monarch.Counter,
-		MetricBreakerTransitions: monarch.Counter,
-		MetricShed:               monarch.Counter,
-	} {
+	for m, k := range declared {
 		if err := db.Declare(m, k); err != nil {
 			panic(err) // fresh DB; only a telemetry-internal bug can fail
 		}
@@ -254,6 +240,23 @@ func (p *Plane) Reset() {
 	p.enc.Seals.Store(0)
 	p.enc.Opens.Store(0)
 	p.enc.BytesEncrypted.Store(0)
+}
+
+// Apply returns a copy of opts with the plane plugged in as the stack's
+// Observer, and the stack's compressor and encryption byte accounting
+// landing in the plane's counters (which the GWP attribution calibrates
+// against). Fields the caller already set are left alone.
+func (p *Plane) Apply(opts stubby.Options) stubby.Options {
+	if opts.Observer == nil {
+		opts.Observer = p
+	}
+	if opts.CompressorStats == nil {
+		opts.CompressorStats = p.comp
+	}
+	if opts.EncryptionStats == nil {
+		opts.EncryptionStats = p.enc
+	}
+	return opts
 }
 
 // Monarch returns the plane's monitoring DB with all pending window
@@ -445,19 +448,6 @@ func (p *Plane) flushLocked(key aggKey, a *winAgg) {
 			sizeLabels := monarch.Labels{"service": key.service, "method": key.method}
 			p.writeDist(MetricReqBytes, sizeLabels, a.window, a.req)
 			p.writeDist(MetricRespBytes, sizeLabels, a.window, a.resp)
-		}
-	case kindServer:
-		labels := monarch.Labels{"method": key.method, "cluster": key.server}
-		p.write(MetricServerCount, labels, a.window, a.count)
-		if a.lat != nil {
-			p.writeDist(MetricServerApp, labels, a.window, a.lat)
-		}
-	case kindClient:
-		p.write(MetricClientCalls, monarch.Labels{
-			"method": key.method, "code": key.code.String(),
-		}, a.window, a.count)
-		if a.lat != nil {
-			p.writeDist(MetricClientLatency, monarch.Labels{"method": key.method}, a.window, a.lat)
 		}
 	case kindRetry:
 		p.write(MetricRetries, monarch.Labels{"method": key.method}, a.window, a.count)

@@ -97,19 +97,13 @@ type (
 	// BidiHandler serves a bidirectional streaming method.
 	BidiHandler = stubby.BidiHandler
 	// CallOption adjusts one call or stream (WithBulkLane,
-	// WithBulkThreshold, WithStreamWindow); pass to Channel.Call or
-	// Channel.OpenStream, or thread through a context with
-	// ContextWithCallOptions.
+	// WithStreamWindow); pass to Channel.Call or Channel.OpenStream.
 	CallOption = stubby.CallOption
 	// Pool is a client-side channel pool: calls and streams spread across
 	// several connections, with failover and cross-replica hedging.
 	Pool = stubby.Pool
 	// RetryPolicy configures automatic retries of transient failures.
 	RetryPolicy = stubby.RetryPolicy
-	// ClientInterceptor wraps outgoing calls (see Channel.Intercepted).
-	ClientInterceptor = stubby.ClientInterceptor
-	// ServerInterceptor wraps handler invocation on the server.
-	ServerInterceptor = stubby.ServerInterceptor
 	// Compression selects a payload compression algorithm.
 	Compression = compressor.Algorithm
 )
@@ -242,15 +236,11 @@ type Labels = monarch.Labels
 // Metric names the telemetry plane exports to its Monarch DB; query them
 // with plane.Monarch().Query(metric, labels, from, to).
 const (
-	MetricRPCCount      = telemetry.MetricRPCCount      // Counter: service, method, client, server, code
-	MetricRPCErrors     = telemetry.MetricRPCErrors     // Counter: service, method, code
-	MetricLatency       = telemetry.MetricLatency       // Distribution (ns): service, method, cluster
-	MetricReqBytes      = telemetry.MetricReqBytes      // Distribution: service, method
-	MetricRespBytes     = telemetry.MetricRespBytes     // Distribution: service, method
-	MetricServerCount   = telemetry.MetricServerCount   // Counter: method, cluster
-	MetricServerApp     = telemetry.MetricServerApp     // Distribution (ns): method, cluster
-	MetricClientCalls   = telemetry.MetricClientCalls   // Counter: method, code
-	MetricClientLatency = telemetry.MetricClientLatency // Distribution (ns): method
+	MetricRPCCount  = telemetry.MetricRPCCount  // Counter: service, method, client, server, code
+	MetricRPCErrors = telemetry.MetricRPCErrors // Counter: service, method, code
+	MetricLatency   = telemetry.MetricLatency   // Distribution (ns): service, method, cluster
+	MetricReqBytes  = telemetry.MetricReqBytes  // Distribution: service, method
+	MetricRespBytes = telemetry.MetricRespBytes // Distribution: service, method
 
 	MetricRetries            = telemetry.MetricRetries            // Counter: method
 	MetricRetriesSuppressed  = telemetry.MetricRetriesSuppressed  // Counter: method
@@ -300,9 +290,10 @@ type stackConfig struct {
 // NewPool).
 type Option func(*stackConfig)
 
-// WithTelemetry plugs an observability plane into the endpoint: spans,
-// Monarch series, and GWP cycle attribution for every call flow into
-// plane. On servers it also installs the server-side interceptor.
+// WithTelemetry plugs an observability plane into the endpoint as its
+// Observer: spans, Monarch series, and GWP cycle attribution for every
+// call a channel makes, and the robustness events (retries, breaker
+// transitions, shed requests), flow into plane.
 func WithTelemetry(p *Plane) Option {
 	return func(c *stackConfig) { c.plane = p }
 }
@@ -349,11 +340,6 @@ func WithQueueLens(send, recv int) Option {
 		c.opts.SendQueueLen = send
 		c.opts.RecvQueueLen = recv
 	}
-}
-
-// WithDefaultDeadline applies to calls whose context has no deadline.
-func WithDefaultDeadline(d time.Duration) Option {
-	return func(c *stackConfig) { c.opts.DefaultDeadline = d }
 }
 
 // WithSecret sets the pre-shared transport secret (both ends must agree).
@@ -403,41 +389,17 @@ func WithLoadShedding(threshold int) Option {
 	return func(c *stackConfig) { c.opts.ShedThreshold = threshold }
 }
 
-// WithDefaultStreamWindow sets the endpoint's default per-direction
-// stream credit window in bytes (default 256 KiB); WithStreamWindow
-// overrides per stream.
-func WithDefaultStreamWindow(n int) Option {
-	return func(c *stackConfig) { c.opts.StreamWindow = n }
-}
-
-// WithDefaultBulkThreshold routes unary payloads of at least bytes
-// through the zero-copy bulk lane (default 16 KiB); negative disables the
-// lane. WithBulkThreshold and WithBulkLane override per call.
-func WithDefaultBulkThreshold(bytes int) Option {
-	return func(c *stackConfig) { c.opts.BulkThreshold = bytes }
-}
-
 // --- Per-call options ---
 
 // WithStreamWindow sets one stream's per-direction credit window in
-// bytes. It bounds both the unconsumed bytes the peer may buffer and the
-// size of a single stream message.
+// bytes (default 256 KiB). It bounds both the unconsumed bytes the peer
+// may buffer and the size of a single stream message.
 func WithStreamWindow(n int) CallOption { return stubby.WithStreamWindow(n) }
 
-// WithBulkThreshold routes one call through the bulk lane if its payload
-// is at least bytes long; negative disables the lane for the call.
-func WithBulkThreshold(bytes int) CallOption { return stubby.WithBulkThreshold(bytes) }
-
-// WithBulkLane forces the bulk lane on or off for one call regardless of
-// payload size.
+// WithBulkLane forces the zero-copy bulk lane on or off for one call
+// regardless of payload size; by default payloads of 16 KiB and more
+// take it.
 func WithBulkLane(enabled bool) CallOption { return stubby.WithBulkLane(enabled) }
-
-// ContextWithCallOptions attaches per-call options to a context, for call
-// sites that go through interceptor chains or retry wrappers rather than
-// Channel.Call's variadic form.
-func ContextWithCallOptions(ctx context.Context, opts ...CallOption) context.Context {
-	return stubby.ContextWithCallOptions(ctx, opts...)
-}
 
 // FreeResponse hands a response buffer returned by Call back to the data
 // plane's buffer pool. Bulk-lane responses arrive in a pooled buffer the
@@ -471,12 +433,7 @@ func resolve(opts []Option) stackConfig {
 
 // NewServer starts a real-stack RPC server (see examples/quickstart).
 func NewServer(opts ...Option) *Server {
-	c := resolve(opts)
-	srv := stubby.NewServer(c.opts)
-	if c.plane != nil {
-		srv.Intercept(c.plane.ServerInterceptor(c.opts.ClusterName))
-	}
-	return srv
+	return stubby.NewServer(resolve(opts).opts)
 }
 
 // Dial connects a real-stack client channel to addr.
