@@ -2,29 +2,17 @@
 // locking, ownership, and error-code invariants: the analyzers of
 // internal/analysis (wallclock, rngsource, lockheld, statuserr,
 // sinkobserve, plus the interprocedural bufown, goroleak, and lockorder)
-// over any package pattern.
-//
-// Standalone:
+// over package patterns resolved like the go command's, against the
+// working directory and the build `go vet` reads:
 //
 //	rpclint ./...          # human-readable findings, exit 2 if any
 //	rpclint -json ./...    # machine-readable [{file,line,col,analyzer,message}]
 //
-// As a go vet tool (the unitchecker protocol: -V=full, -flags, and
-// per-package .cfg invocations; the interprocedural analyzers degrade
-// to single-package view there):
-//
-//	go vet -vettool=$(which rpclint) ./...
-//
-// Suppress a finding with a justified directive on the flagged line or
-// the line above:
+// The exit code is 0 when clean, 1 on a load or analysis error, and 2
+// when there are findings. Suppress a finding with a justified directive
+// on the flagged line or the line above:
 //
 //	//rpclint:ignore <analyzer> <reason>
-//
-// A baseline file (standalone mode) mutes known findings so new code is
-// gated without first paying down existing debt:
-//
-//	rpclint -write-baseline -baseline lint.baseline ./...  # record current findings
-//	rpclint -baseline lint.baseline ./...                  # report only new ones
 package main
 
 import (
@@ -32,114 +20,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"rpcscale/internal/analysis"
 )
 
-// version participates in the go command's tool-ID cache key (-V=full);
-// bump it when analyzer behavior changes so cached vet verdicts refresh.
-const version = "rpclint version 2.0.0"
-
-var (
-	jsonOut  = flag.Bool("json", false, "emit findings as JSON")
-	tests    = flag.Bool("tests", false, "also analyze in-package _test.go files (standalone mode)")
-	vFlag    = flag.String("V", "", "print version and exit (go vet protocol)")
-	flagsOut = flag.Bool("flags", false, "print flag schema as JSON and exit (go vet protocol)")
-
-	baselinePath  = flag.String("baseline", "", "suppress findings recorded in this baseline file (standalone mode)")
-	writeBaseline = flag.Bool("write-baseline", false, "write current findings to -baseline instead of reporting them")
-)
-
-func init() {
-	flag.Var(analysis.DeterministicPackages, "wallclock.packages",
-		"comma-separated deterministic packages for the wallclock analyzer")
-	flag.Var(analysis.CryptoRandPackages, "rngsource.cryptopackages",
-		"comma-separated packages allowed to use crypto/rand")
-	flag.Var(analysis.StatusBoundaryPackages, "statuserr.packages",
-		"comma-separated packages whose exported API must return status errors")
-	flag.Var(analysis.LockheldIOPackages, "lockheld.iopackages",
-		"comma-separated packages whose I/O must not run under a held mutex")
-	flag.Var(analysis.RPCCallNames, "lockheld.callnames",
-		"comma-separated method names treated as RPC dispatch by lockheld")
-	flag.Var(analysis.SinkObserveMethods, "sinkobserve.methods",
-		"comma-separated accumulator method names checked for argument retention")
-	flag.Var(analysis.BufownAcquireFuncs, "bufown.acquire",
-		"comma-separated pkg.Func/pkg.Type.Method entries that hand out owned pooled buffers")
-	flag.Var(analysis.BufownReleaseFuncs, "bufown.release",
-		"comma-separated pkg.Func/pkg.Type.Method entries that release pooled buffers")
-	flag.Var(analysis.BufownAliasFuncs, "bufown.alias",
-		"comma-separated pkg.Func/pkg.Type.Method entries whose result aliases their first argument")
-	flag.Var(analysis.GoroleakExitCalls, "goroleak.exitcalls",
-		"comma-separated callee names that bound a goroutine loop from outside")
-}
+var jsonOut = flag.Bool("json", false, "emit findings as JSON")
 
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-
-	if *vFlag != "" {
-		// go vet runs `rpclint -V=full` and keys its action cache on the
-		// output line.
-		fmt.Println(version)
-		return
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	if *flagsOut {
-		printFlagSchema()
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Invoked by `go vet -vettool=rpclint`: one package per .cfg.
-		unitcheck(args[0])
-		return
-	}
-
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	findings, err := runStandalone(args)
+	findings, err := run(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpclint:", err)
 		os.Exit(1)
 	}
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "rpclint: -write-baseline requires -baseline <file>")
-			os.Exit(1)
+	if *jsonOut {
+		// The JSON shape (file/line/col/analyzer/message) is the stable
+		// machine contract for CI annotation tooling.
+		if findings == nil {
+			findings = []analysis.Finding{}
 		}
-		if err := saveBaseline(*baselinePath, findings); err != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "\t")
+		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintln(os.Stderr, "rpclint:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "rpclint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpclint:", err)
-			os.Exit(1)
+	} else {
+		for _, f := range findings {
+			fmt.Println(f)
 		}
-		findings = base.filter(findings)
 	}
-	emit(findings, *jsonOut)
 	if len(findings) > 0 {
 		os.Exit(2)
 	}
 }
 
-func runStandalone(patterns []string) ([]analysis.Finding, error) {
-	cwd, err := os.Getwd()
+func run(patterns []string) ([]analysis.Finding, error) {
+	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		return nil, err
 	}
-	loader, err := analysis.NewLoader(cwd)
-	if err != nil {
-		return nil, err
-	}
-	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		return nil, err
@@ -147,53 +72,8 @@ func runStandalone(patterns []string) ([]analysis.Finding, error) {
 	return analysis.RunAnalyzers(pkgs, analysis.Analyzers())
 }
 
-// emit prints findings in the selected format. The JSON shape
-// (file/line/col/analyzer/message) is the stable machine contract for CI
-// annotation tooling.
-func emit(findings []analysis.Finding, asJSON bool) {
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "rpclint:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-}
-
-// printFlagSchema answers `rpclint -flags`, which the go command uses to
-// learn which flags the tool accepts.
-func printFlagSchema() {
-	type jsonFlag struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	var out []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = b.IsBoolFlag()
-		}
-		out = append(out, jsonFlag{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpclint:", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(append(data, '\n'))
-}
-
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: rpclint [flags] [package pattern ...]\n\nAnalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: rpclint [-json] [package pattern ...]\n\nAnalyzers:\n")
 	for _, a := range analysis.Analyzers() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}

@@ -32,9 +32,7 @@
 //
 // The first five are single-package syntactic/type-based checks; the
 // last three are interprocedural, building per-function summaries
-// (ownership, lock sets) across the whole module. Under `go vet
-// -vettool` the interprocedural analyzers degrade gracefully to the
-// one-package-at-a-time view the unitchecker protocol provides.
+// (ownership, lock sets) across every package of one run.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is hand-rolled on go/ast and go/types:
@@ -56,6 +54,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -82,32 +81,8 @@ type Pass struct {
 	// Mod shares cross-package state (function index, ownership and lock
 	// summaries) between the passes of one RunAnalyzers invocation. The
 	// dataflow analyzers (bufown, goroleak, lockorder) resolve callees and
-	// summaries through it; under `go vet -vettool` the module holds a
-	// single package and they degrade to intra-package precision plus the
-	// seeded seam tables.
+	// summaries through it.
 	Mod *Module
-}
-
-// Module returns the shared module state, building a single-package one
-// on demand so a Pass constructed by hand (tests) still works.
-func (p *Pass) Module() *Module {
-	if p.Mod == nil {
-		p.Mod = &Module{Pkgs: []*Package{{
-			Fset:      p.Fset,
-			Files:     p.Files,
-			Types:     p.Pkg,
-			TypesInfo: p.TypesInfo,
-			PkgPath:   pkgPathOf(p.Pkg),
-		}}}
-	}
-	return p.Mod
-}
-
-func pkgPathOf(p *types.Package) string {
-	if p == nil {
-		return ""
-	}
-	return p.Path()
 }
 
 // Reportf reports a diagnostic at pos.
@@ -135,10 +110,10 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// PackageList is a flag-settable list of package-path patterns. An entry
-// matches an import path if it equals the path, is a path-segment suffix
-// of it ("internal/sim" matches "rpcscale/internal/sim"), or is a parent
-// of it (subpackages match).
+// PackageList is a list of package-path patterns. An entry matches an
+// import path if it equals the path, is a path-segment suffix of it
+// ("internal/sim" matches "rpcscale/internal/sim"), or is a parent of it
+// (subpackages match).
 type PackageList struct {
 	entries []string
 }
@@ -148,15 +123,13 @@ func NewPackageList(entries ...string) *PackageList {
 	return &PackageList{entries: entries}
 }
 
-// String implements flag.Value.
+// String returns the entries comma-separated, as analyzer docs show them.
 func (p *PackageList) String() string {
-	if p == nil {
-		return ""
-	}
 	return strings.Join(p.entries, ",")
 }
 
-// Set implements flag.Value: a comma-separated list replaces the default.
+// Set replaces the entries with a comma-separated list; tests use it to
+// point an analyzer at fixture packages.
 func (p *PackageList) Set(s string) error {
 	p.entries = nil
 	for _, e := range strings.Split(s, ",") {
@@ -167,7 +140,8 @@ func (p *PackageList) Set(s string) error {
 	return nil
 }
 
-// Entries returns a copy of the current pattern list.
+// Entries returns a copy of the current pattern list, so a test that
+// Sets the list can restore it.
 func (p *PackageList) Entries() []string {
 	return append([]string(nil), p.entries...)
 }
@@ -184,7 +158,7 @@ func (p *PackageList) Match(path string) bool {
 	return false
 }
 
-// FuncList is a flag-settable list of function patterns. An entry is
+// FuncList is a list of function patterns. An entry is
 // "pkg.Func" or "pkg.Type.Method", where pkg matches an import path by
 // equality or path-segment suffix ("wire.GetBuf" matches both
 // "rpcscale/internal/wire" and a fixture package named "wire"), and the
@@ -198,23 +172,9 @@ func NewFuncList(entries ...string) *FuncList {
 	return &FuncList{entries: entries}
 }
 
-// String implements flag.Value.
+// String returns the entries comma-separated, as analyzer docs show them.
 func (l *FuncList) String() string {
-	if l == nil {
-		return ""
-	}
 	return strings.Join(l.entries, ",")
-}
-
-// Set implements flag.Value: a comma-separated list replaces the default.
-func (l *FuncList) Set(s string) error {
-	l.entries = nil
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			l.entries = append(l.entries, e)
-		}
-	}
-	return nil
 }
 
 // Match reports whether fn matches any entry.
@@ -258,7 +218,7 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// StringSet is a flag-settable set of names.
+// StringSet is a set of names.
 type StringSet struct {
 	names map[string]bool
 }
@@ -272,33 +232,15 @@ func NewStringSet(names ...string) *StringSet {
 	return s
 }
 
-// String implements flag.Value.
+// String returns the names sorted and comma-separated, as analyzer docs
+// show them.
 func (s *StringSet) String() string {
-	if s == nil {
-		return ""
-	}
 	names := make([]string, 0, len(s.names))
 	for n := range s.names {
 		names = append(names, n)
 	}
-	// Deterministic order for -help output.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	return strings.Join(names, ",")
-}
-
-// Set implements flag.Value: a comma-separated list replaces the default.
-func (s *StringSet) Set(v string) error {
-	s.names = make(map[string]bool)
-	for _, n := range strings.Split(v, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			s.names[n] = true
-		}
-	}
-	return nil
 }
 
 // Has reports membership.

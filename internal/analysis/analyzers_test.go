@@ -9,7 +9,7 @@ import (
 	"rpcscale/internal/analysis/analysistest"
 )
 
-// overrideList points a flag-settable package list at fixture import
+// overrideList points a package list at fixture import
 // paths for one test, restoring the real configuration afterwards.
 func overrideList(t *testing.T, list *analysis.PackageList, entries string) {
 	t.Helper()

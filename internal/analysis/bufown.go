@@ -9,16 +9,14 @@ import (
 )
 
 // BufownAcquireFuncs are the pool seams whose result is an owned buffer.
-// Settable via -bufown.acquire.
 var BufownAcquireFuncs = NewFuncList("wire.GetBuf")
 
 // BufownReleaseFuncs recycle their first argument; the caller must not
-// touch the buffer afterwards. Settable via -bufown.release.
+// touch the buffer afterwards.
 var BufownReleaseFuncs = NewFuncList("wire.PutBuf", "stubby.FreeResponse")
 
 // BufownAliasFuncs return a buffer that aliases their first argument
 // (append-style seal/open in place), so ownership flows through them.
-// Settable via -bufown.alias.
 var BufownAliasFuncs = NewFuncList(
 	"secure.Session.OpenAppend", "secure.Session.OpenAppendAAD",
 	"secure.Session.SealAppend", "secure.Session.SealAppendAAD",
@@ -39,8 +37,8 @@ var BufownAliasFuncs = NewFuncList(
 //
 // Summaries are inferred module-wide (alias-through returns,
 // unconditional releases of parameters) and seeded for the known wire
-// and secure seams, so the analysis stays useful per-package under
-// `go vet -vettool`.
+// and secure seams: wire.GetBuf and wire.PutBuf wrap a sync.Pool, whose
+// ownership no summary can infer.
 var BufownAnalyzer = &Analyzer{
 	Name: "bufown",
 	Doc: "track pool-owned buffers (" + BufownAcquireFuncs.String() + ") through assignments and " +
@@ -289,7 +287,7 @@ func funcDisplay(fn *types.Func) string {
 }
 
 func runBufown(pass *Pass) error {
-	facts := pass.Module().ownership()
+	facts := pass.Mod.ownership()
 	emitFor(pass, facts.ann.reports)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -8,7 +8,7 @@ import (
 
 // GoroleakExitCalls are callee names that bound a goroutine loop from
 // the outside: blocking reads that return an error when the peer or
-// owner closes the underlying resource. Settable via -goroleak.exitcalls.
+// owner closes the underlying resource.
 var GoroleakExitCalls = NewStringSet(
 	"Accept", "Copy", "Next", "Read", "ReadByte", "ReadFrame", "ReadFull",
 	"Recv", "Scan", "Wait", "recv",
@@ -34,7 +34,7 @@ var GoroleakAnalyzer = &Analyzer{
 }
 
 func runGoroleak(pass *Pass) error {
-	idx := pass.Module().Index()
+	idx := pass.Mod.Index()
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)

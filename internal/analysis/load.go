@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -18,39 +19,34 @@ import (
 type Package struct {
 	// PkgPath is the import path ("rpcscale/internal/sim"; for
 	// GOPATH-style fixture roots, the path relative to the root).
-	PkgPath string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	// TypesInfo holds resolved uses/defs/types for Files. Type errors do
-	// not abort loading — analyzers degrade to whatever was resolved —
-	// but are retained in TypeErrors.
-	TypesInfo  *types.Info
-	TypeErrors []error
+	PkgPath   string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	TypesInfo *types.Info
 }
 
 // Loader parses and type-checks packages without the go command or any
-// external dependency. Module-local imports are resolved by the loader
-// itself (recursively, from source); everything else goes through the
-// standard library's source importer, which reads GOROOT — so loading
-// works offline and without export data.
+// external dependency. It reads the files `go build` and `go vet` would
+// compile (build constraints evaluated against go/build's default
+// context), and a package that does not type-check is a load error.
+// Module-local imports are resolved by the loader itself (recursively,
+// from source); everything else goes through the standard library's
+// source importer, which reads GOROOT — so loading works offline and
+// without export data.
 type Loader struct {
-	// Root is the directory patterns are resolved against: a module root
+	// root is the directory import paths map under: a module root
 	// (go.mod present) or a GOPATH-style src directory for test fixtures.
-	Root string
-	// ModPath is the module path from go.mod, or "" for a GOPATH-style
+	root string
+	// modPath is the module path from go.mod, or "" for a GOPATH-style
 	// root, where import paths are root-relative directories.
-	ModPath string
-	// IncludeTests adds in-package _test.go files of the requested
-	// packages (external _test packages are never loaded).
-	IncludeTests bool
+	modPath string
+	// dir is the directory relative patterns ("./...") resolve against.
+	dir string
 
 	fset  *token.FileSet
 	std   types.ImporterFrom
 	cache map[string]*loadResult
-	// roots marks the packages requested via patterns (as opposed to
-	// dependencies pulled in by imports); only roots get test files.
-	roots map[string]bool
 }
 
 type loadResult struct {
@@ -58,9 +54,10 @@ type loadResult struct {
 	err error
 }
 
-// NewLoader builds a loader rooted at dir. If dir (or an ancestor)
-// contains a go.mod, the module root and path are used; otherwise dir is
-// treated as a GOPATH-style source root.
+// NewLoader builds a loader for the module enclosing dir (the nearest
+// ancestor with a go.mod; without one, dir is treated as a GOPATH-style
+// source root). Relative patterns resolve against dir, as the go
+// command's do against the working directory.
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -70,7 +67,7 @@ func NewLoader(dir string) (*Loader, error) {
 	if root == "" {
 		root, modPath = abs, ""
 	}
-	return newLoader(root, modPath)
+	return newLoader(root, modPath, abs)
 }
 
 // NewSourceLoader builds a loader that treats dir itself as a
@@ -83,10 +80,10 @@ func NewSourceLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLoader(abs, "")
+	return newLoader(abs, "", abs)
 }
 
-func newLoader(root, modPath string) (*Loader, error) {
+func newLoader(root, modPath, dir string) (*Loader, error) {
 	fset := token.NewFileSet()
 	// The source importer type-checks GOROOT packages from source; with
 	// cgo disabled it selects the pure-Go files, which is all the
@@ -98,12 +95,12 @@ func newLoader(root, modPath string) (*Loader, error) {
 		return nil, fmt.Errorf("analysis: source importer unavailable")
 	}
 	return &Loader{
-		Root:    root,
-		ModPath: modPath,
+		root:    root,
+		modPath: modPath,
+		dir:     dir,
 		fset:    fset,
 		std:     std,
 		cache:   make(map[string]*loadResult),
-		roots:   make(map[string]bool),
 	}, nil
 }
 
@@ -129,25 +126,33 @@ func findModule(dir string) (root, modPath string) {
 	}
 }
 
-// Load resolves patterns ("./...", "./internal/stubby", "internal/sim")
-// to package directories under Root and returns them type-checked, in
-// deterministic (import path) order.
+// Load resolves patterns to packages and returns them type-checked, in
+// deterministic (import path) order. A pattern is a directory relative
+// to the loader's directory ("./internal/stubby", "."), an absolute
+// directory, or an import path ("rpcscale/internal/sim"); a "/..."
+// suffix adds every package beneath it. A pattern that matches no
+// package is an error, as is a package that does not type-check.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.expand(patterns)
-	if err != nil {
-		return nil, err
-	}
-	for _, dir := range dirs {
-		l.roots[l.importPath(dir)] = true
-	}
+	seen := make(map[string]bool)
 	var pkgs []*Package
-	for _, dir := range dirs {
-		path := l.importPath(dir)
-		res := l.load(path, dir)
-		if res.err != nil {
-			return nil, fmt.Errorf("%s: %w", path, res.err)
+	for _, pat := range patterns {
+		dirs, err := l.expand(pat)
+		if err != nil {
+			return nil, err
 		}
-		if res.pkg != nil {
+		if len(dirs) == 0 {
+			return nil, fmt.Errorf("pattern %q matched no packages", pat)
+		}
+		for _, dir := range dirs {
+			path := l.importPath(dir)
+			if seen[path] {
+				continue
+			}
+			seen[path] = true
+			res := l.load(path, dir)
+			if res.err != nil {
+				return nil, fmt.Errorf("%s: %w", path, res.err)
+			}
 			pkgs = append(pkgs, res.pkg)
 		}
 	}
@@ -155,112 +160,117 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// expand turns patterns into package directories (directories containing
-// at least one non-test .go file).
-func (l *Loader) expand(patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] && hasGoFiles(dir) {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
+// expand resolves one pattern to the package directories it names under
+// root: directories with at least one buildable non-test .go file.
+func (l *Loader) expand(pat string) ([]string, error) {
+	base, recursive := strings.CutSuffix(pat, "/...")
+	var dir string
+	switch {
+	case filepath.IsAbs(base):
+		dir = base
+	case build.IsLocalImport(base):
+		dir = filepath.Join(l.dir, base)
+	default:
+		dir = l.dirFor(base)
 	}
-	for _, pat := range patterns {
-		recursive := false
-		if strings.HasSuffix(pat, "/...") {
-			recursive = true
-			pat = strings.TrimSuffix(pat, "/...")
-		} else if pat == "..." {
-			recursive, pat = true, "."
-		}
-		dir := pat
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(l.Root, pat)
-		}
-		if !recursive {
-			add(dir)
-			continue
-		}
-		err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			add(p)
-			return nil
-		})
-		if err != nil {
+	if rel, err := filepath.Rel(l.root, dir); dir == "" || err != nil ||
+		rel == ".." || strings.HasPrefix(rel, "../") {
+		return nil, nil // not under root: no package of this module
+	}
+	if !recursive {
+		names, err := goFiles(dir)
+		if len(names) == 0 {
 			return nil, err
 		}
+		return []string{dir}, nil
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	var dirs []string
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if p != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		names, err := goFiles(p)
+		if len(names) > 0 {
+			dirs = append(dirs, p)
+		}
+		return err
+	})
+	return dirs, err
 }
 
-func hasGoFiles(dir string) bool {
+// goFiles lists, in name order, the non-test .go files of dir that
+// go/build's default context selects — the files `go build` and `go vet`
+// compile. A directory that does not exist holds none.
+func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
-			return true
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", dir, err) // err names the file
+		}
+		if ok {
+			names = append(names, name)
 		}
 	}
-	return false
+	return names, nil
 }
 
-// importPath maps a package directory under Root to its import path.
+// importPath maps a package directory under root to its import path.
 func (l *Loader) importPath(dir string) string {
-	rel, err := filepath.Rel(l.Root, dir)
+	rel, err := filepath.Rel(l.root, dir)
 	if err != nil || rel == "." {
 		rel = ""
 	}
 	rel = filepath.ToSlash(rel)
 	switch {
-	case l.ModPath == "":
+	case l.modPath == "":
 		return rel
 	case rel == "":
-		return l.ModPath
+		return l.modPath
 	default:
-		return l.ModPath + "/" + rel
+		return l.modPath + "/" + rel
 	}
 }
 
-// dirFor maps an import path back to a directory under Root, or "" when
+// dirFor maps an import path to its directory under root, or "" when
 // the path is not local.
 func (l *Loader) dirFor(path string) string {
-	if l.ModPath == "" {
-		// GOPATH-style root: every single- or multi-segment path is a
-		// candidate directory.
-		dir := filepath.Join(l.Root, filepath.FromSlash(path))
-		if hasGoFiles(dir) {
+	if l.modPath == "" {
+		// GOPATH-style root: a path is local when it names a directory.
+		dir := filepath.Join(l.root, filepath.FromSlash(path))
+		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
 			return dir
 		}
 		return ""
 	}
-	if path == l.ModPath {
-		return l.Root
+	if path == l.modPath {
+		return l.root
 	}
-	if after, ok := strings.CutPrefix(path, l.ModPath+"/"); ok {
-		return filepath.Join(l.Root, filepath.FromSlash(after))
+	if after, ok := strings.CutPrefix(path, l.modPath+"/"); ok {
+		return filepath.Join(l.root, filepath.FromSlash(after))
 	}
 	return ""
 }
 
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.Root, 0)
+	return l.ImportFrom(path, l.root, 0)
 }
 
 // ImportFrom implements types.ImporterFrom: module-local paths load from
@@ -291,37 +301,19 @@ func (l *Loader) load(path, dir string) *loadResult {
 }
 
 func (l *Loader) check(path, dir string) *loadResult {
-	ents, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return &loadResult{err: err}
 	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !(l.IncludeTests && l.roots[path]) {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var files []*ast.File
-	var pkgName string
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return &loadResult{err: err}
 		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name != pkgName && f.Name.Name != pkgName+"_test" {
-			continue // ignore stray-package files (e.g. main in a lib dir)
-		}
-		if f.Name.Name != pkgName {
-			continue // external test package files
+		if len(files) > 0 && f.Name.Name != files[0].Name.Name {
+			return &loadResult{err: fmt.Errorf("found packages %s and %s in %s",
+				files[0].Name.Name, f.Name.Name, dir)}
 		}
 		files = append(files, f)
 	}
@@ -334,21 +326,18 @@ func (l *Loader) check(path, dir string) *loadResult {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
+	// With no Error callback the checker stops at, and returns, the first
+	// type error.
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.fset, files, info)
-	if tpkg == nil {
+	if err != nil {
 		return &loadResult{err: err}
 	}
 	return &loadResult{pkg: &Package{
-		PkgPath:    path,
-		Fset:       l.fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-		TypeErrors: typeErrs,
+		PkgPath:   path,
+		Fset:      l.fset,
+		Files:     files,
+		Types:     tpkg,
+		TypesInfo: info,
 	}}
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // LockheldIOPackages lists the packages whose I/O entry points must not
-// be reached while a mutex is held. Settable via -lockheld.iopackages.
+// be reached while a mutex is held.
 var LockheldIOPackages = NewPackageList(
 	"net",
 	"rpcscale/internal/wire",
 )
 
 // RPCCallNames are the method names treated as RPC issue/dispatch points
-// by lockheld. Settable via -lockheld.callnames.
+// by lockheld.
 var RPCCallNames = NewStringSet("Invoke", "Call", "CallHedged")
 
 // LockheldAnalyzer flags blocking operations — channel sends/receives,

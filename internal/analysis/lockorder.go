@@ -47,7 +47,7 @@ type lockCallSite struct {
 }
 
 func runLockorder(pass *Pass) error {
-	emitFor(pass, pass.Module().lockorder().reports)
+	emitFor(pass, pass.Mod.lockorder().reports)
 	return nil
 }
 

@@ -7,10 +7,7 @@ import (
 
 // Module is the cross-package state shared by every pass of one
 // RunAnalyzers invocation: the loaded packages plus lazily built
-// interprocedural facts. Standalone `rpclint ./...` loads the whole
-// module here; under the go vet unitchecker protocol the module holds a
-// single package, and the dataflow analyzers fall back to the seeded
-// seam tables for anything out of view.
+// interprocedural facts. `rpclint ./...` loads the whole module here.
 type Module struct {
 	Pkgs []*Package
 

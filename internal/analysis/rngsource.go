@@ -8,7 +8,6 @@ import (
 // CryptoRandPackages lists the packages allowed to touch crypto/rand.
 // Everything else derives randomness from the threaded seed so runs
 // replay; key material generation is internal/secure's job alone.
-// Settable via -rngsource.cryptopackages.
 var CryptoRandPackages = NewPackageList(
 	"rpcscale/internal/secure",
 )

@@ -9,7 +9,7 @@ import (
 // SinkObserveMethods are the streaming-accumulator method names whose
 // implementations must fold their argument into bounded state without
 // retaining it: the workload.SpanSink interface plus the telemetry/trace
-// Observe hooks. Settable via -sinkobserve.methods.
+// Observe hooks.
 var SinkObserveMethods = NewStringSet(
 	"Observe",
 	"MethodSpan",

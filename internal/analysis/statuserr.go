@@ -8,7 +8,7 @@ import (
 // StatusBoundaryPackages lists the packages whose exported API is an RPC
 // boundary: every error they return must be a canonical status error so
 // trace.Collector.SeenByCode classifies the failure instead of lumping it
-// into Internal. Settable via -statuserr.packages.
+// into Internal.
 var StatusBoundaryPackages = NewPackageList(
 	"rpcscale/internal/stubby",
 )

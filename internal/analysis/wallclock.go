@@ -9,7 +9,7 @@ import (
 // function of their inputs and seed: the simulation, the figure
 // accumulators, the generator, the fault plane, and the statistics
 // kernels. Golden tests replay these byte-for-byte, which a single wall
-// clock read would break. Settable via -wallclock.packages.
+// clock read would break.
 var DeterministicPackages = NewPackageList(
 	"rpcscale/internal/sim",
 	"rpcscale/internal/core",
