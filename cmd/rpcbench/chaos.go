@@ -9,8 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"rpcscale"
-
 	"rpcscale/internal/faultplane"
 	"rpcscale/internal/stubby"
 	"rpcscale/internal/trace"
@@ -170,16 +168,13 @@ func (r *chaosResult) Amplification(phase int) float64 {
 // runChaos executes the chaos scenario. The report is deterministic:
 // same config (and, when Conc > 1, Budget off) => identical string.
 func runChaos(cfg chaosConfig) (*chaosResult, error) {
-	if cfg.Conc < 1 {
-		cfg.Conc = 1
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 40 * time.Millisecond
 	}
 	per := cfg.Calls / cfg.Conc
 	total := per * cfg.Conc // drive a whole number of calls per worker
 
-	inj := rpcscale.NewFaultInjector(chaosSchedule(cfg.Seed, total))
+	inj := faultplane.New(chaosSchedule(cfg.Seed, total))
 
 	srv := stubby.NewServer(stubby.Options{})
 	srv.Register(chaosMethod, func(ctx context.Context, p []byte) ([]byte, error) {
@@ -197,9 +192,9 @@ func runChaos(cfg chaosConfig) (*chaosResult, error) {
 
 	// One budget shared across workers, as a pool would share it: the
 	// amplification cap covers the aggregate stream.
-	var budget *rpcscale.RetryBudget
+	var budget *stubby.RetryBudget
 	if cfg.Budget {
-		budget = rpcscale.NewRetryBudget(10, 0.1)
+		budget = stubby.NewRetryBudget(10, 0.1)
 	}
 
 	payload := chaosPayload(cfg.Payload)
@@ -220,7 +215,7 @@ func runChaos(cfg chaosConfig) (*chaosResult, error) {
 	for w := 0; w < cfg.Conc; w++ {
 		go func(w int) {
 			obs := &chaosObserver{}
-			policy := rpcscale.DefaultRetryPolicy()
+			policy := stubby.DefaultRetryPolicy()
 			policy.MaxAttempts = 4
 			policy.BaseBackoff = time.Millisecond
 			policy.MaxBackoff = 8 * time.Millisecond
@@ -241,7 +236,7 @@ func runChaos(cfg chaosConfig) (*chaosResult, error) {
 				ph := phaseOf(id)
 				beforeRetries, beforeSupp := obs.retries, obs.suppressed
 				ctx, cancel := context.WithTimeout(
-					rpcscale.ContextWithCallID(context.Background(), id), cfg.Deadline)
+					stubby.ContextWithCallID(context.Background(), id), cfg.Deadline)
 				_, cerr := ch.Call(ctx, chaosMethod, payload)
 				cancel()
 				code := trace.OK
@@ -286,7 +281,7 @@ func runChaos(cfg chaosConfig) (*chaosResult, error) {
 }
 
 // chaosReport renders the deterministic section.
-func chaosReport(cfg chaosConfig, total int, inj *rpcscale.FaultInjector, m *workerTally, budget *rpcscale.RetryBudget) string {
+func chaosReport(cfg chaosConfig, total int, inj *faultplane.Injector, m *workerTally, budget *stubby.RetryBudget) string {
 	var b strings.Builder
 	budgetLabel := "off"
 	if budget != nil {

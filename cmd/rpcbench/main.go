@@ -40,9 +40,12 @@ import (
 	"syscall"
 	"time"
 
-	"rpcscale"
-
+	"rpcscale/internal/compressor"
+	"rpcscale/internal/core"
+	"rpcscale/internal/monarch"
 	"rpcscale/internal/stats"
+	"rpcscale/internal/stubby"
+	"rpcscale/internal/telemetry"
 	"rpcscale/internal/trace"
 )
 
@@ -62,6 +65,10 @@ func main() {
 		streams   = flag.Int("streams", 4, "sweep: concurrent streams per payload size (0 disables the stream lane)")
 	)
 	flag.Parse()
+	if *conc < 1 {
+		fmt.Fprintln(os.Stderr, "rpcbench: -conc must be at least 1")
+		os.Exit(2)
+	}
 
 	if *sweep {
 		if err := runSweep(sweepConfig{Conc: *conc, Streams: *streams}); err != nil {
@@ -92,29 +99,23 @@ func main() {
 
 	// One plane observes both ends: spans, Monarch series, and GWP cycle
 	// attribution for every call flow through it.
-	plane := rpcscale.NewTelemetry(rpcscale.WithSampleEvery(*sample))
-
-	stack := []rpcscale.Option{
-		rpcscale.WithTelemetry(plane),
-		rpcscale.WithCluster("loopback"),
-		rpcscale.WithWorkers(*conc),
-	}
+	plane := telemetry.New(telemetry.WithSampleEvery(*sample))
+	opts := stubby.Options{ClusterName: "loopback", Workers: *conc}
 	if *compress {
-		stack = append(stack, rpcscale.WithCompression(rpcscale.CompressionFlate, 0))
+		opts.Compression = compressor.Flate
 	}
+	opts = plane.Apply(opts)
 
-	srv := rpcscale.NewServer(stack...)
-	var calls uint64
-	var callMu sync.Mutex
+	srv := stubby.NewServer(opts)
+	var rngMu sync.Mutex
 	// Error injection draws from a rand seeded by -seed (never the global
 	// source) so a fixed seed fails the same calls run after run.
 	rng := rand.New(rand.NewPCG(*seed, 0))
 	srv.Register("bench.Echo/Echo", func(ctx context.Context, p []byte) ([]byte, error) {
 		if *errorRate > 0 {
-			callMu.Lock()
-			calls++
+			rngMu.Lock()
 			fail := rng.Float64() < *errorRate
-			callMu.Unlock()
+			rngMu.Unlock()
 			if fail {
 				return nil, errors.New("injected failure")
 			}
@@ -132,7 +133,7 @@ func main() {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	ch, err := rpcscale.Dial(l.Addr().String(), stack...)
+	ch, err := stubby.Dial(l.Addr().String(), "loopback", opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -160,12 +161,11 @@ func main() {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	per := *n / *conc
 	for w := 0; w < *conc; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
+			for range callsFor(w, *n, *conc) {
 				if ctx.Err() != nil {
 					return
 				}
@@ -202,7 +202,17 @@ func main() {
 	// simulator (diurnal, cross-cluster, load-balance) are skipped because
 	// no Generator is supplied; span-derived figures run on real traffic.
 	ds := plane.Dataset()
-	fmt.Print(rpcscale.Report(ds, rpcscale.ReportOptions{DB: plane.Monarch()}))
+	fmt.Print(core.FullReport(ds, core.ReportOptions{DB: plane.Monarch()}))
+}
+
+// callsFor is how many of n calls caller w of conc drives: an even
+// split whose first n%conc callers make one call more, so that exactly n
+// calls run.
+func callsFor(w, n, conc int) int {
+	if w < n%conc {
+		return n/conc + 1
+	}
+	return n / conc
 }
 
 // componentTable prints the measured nine-component breakdown (the
@@ -250,14 +260,14 @@ func componentTable(spans []*trace.Span) {
 
 // monarchSummary queries the plane's Monarch DB per method and prints
 // window-aligned counts and latency percentiles.
-func monarchSummary(plane *rpcscale.Plane) {
+func monarchSummary(plane *telemetry.Plane) {
 	db := plane.Monarch()
 	now := time.Now()
 	from := now.Add(-24 * time.Hour)
 	fmt.Printf("  Monarch series (window %v):\n", db.Window())
 	fmt.Printf("  %-24s %10s %8s %12s %12s %12s\n",
 		"method", "calls", "errors", "P50", "P99", "windows")
-	counts := db.Query(rpcscale.MetricRPCCount, nil, from, now)
+	counts := db.Query(telemetry.MetricRPCCount, nil, from, now)
 	byMethod := map[string]float64{}
 	windows := map[string]int{}
 	for _, s := range counts {
@@ -270,7 +280,7 @@ func monarchSummary(plane *rpcscale.Plane) {
 		}
 	}
 	errs := map[string]float64{}
-	for _, s := range db.Query(rpcscale.MetricRPCErrors, nil, from, now) {
+	for _, s := range db.Query(telemetry.MetricRPCErrors, nil, from, now) {
 		for _, pt := range s.Points {
 			errs[s.Labels["method"]] += pt.Value
 		}
@@ -282,7 +292,7 @@ func monarchSummary(plane *rpcscale.Plane) {
 	sort.Slice(methods, func(a, b int) bool { return byMethod[methods[a]] > byMethod[methods[b]] })
 	for _, m := range methods {
 		lat := stats.NewLatencyHist()
-		for _, s := range db.Query(rpcscale.MetricLatency, rpcscale.Labels{"method": m}, from, now) {
+		for _, s := range db.Query(telemetry.MetricLatency, monarch.Labels{"method": m}, from, now) {
 			for _, pt := range s.Points {
 				if pt.Dist != nil {
 					lat.Merge(pt.Dist)

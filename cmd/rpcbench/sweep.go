@@ -14,7 +14,7 @@ import (
 	"sync"
 	"time"
 
-	"rpcscale"
+	"rpcscale/internal/stubby"
 )
 
 // sweepSizes spans the paper's payload range: the 128 B mice through the
@@ -42,11 +42,11 @@ func sweepCalls(size int) int {
 
 // runSweep measures each lane at each payload size and prints the table.
 func runSweep(cfg sweepConfig) error {
-	srv := rpcscale.NewServer(rpcscale.WithWorkers(cfg.Conc))
+	srv := stubby.NewServer(stubby.Options{Workers: cfg.Conc})
 	srv.Register("bench.Sweep/Echo", func(ctx context.Context, p []byte) ([]byte, error) {
 		return p, nil
 	})
-	srv.RegisterBidi("bench.Sweep/Pump", func(ctx context.Context, st *rpcscale.Stream) error {
+	srv.RegisterBidi("bench.Sweep/Pump", func(ctx context.Context, st *stubby.Stream) error {
 		for {
 			msg, err := st.Recv()
 			if err != nil {
@@ -63,7 +63,7 @@ func runSweep(cfg sweepConfig) error {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	ch, err := rpcscale.Dial(l.Addr().String())
+	ch, err := stubby.Dial(l.Addr().String(), "", stubby.Options{})
 	if err != nil {
 		return err
 	}
@@ -84,11 +84,11 @@ func runSweep(cfg sweepConfig) error {
 		}
 		calls := sweepCalls(size)
 
-		unary, err := sweepUnary(ch, payload, calls, cfg.Conc, rpcscale.WithBulkLane(false))
+		unary, err := sweepUnary(ch, payload, calls, cfg.Conc, stubby.WithBulkLane(false))
 		if err != nil {
 			return fmt.Errorf("unary %s: %w", sizeLabel(size), err)
 		}
-		bulk, err := sweepUnary(ch, payload, calls, cfg.Conc, rpcscale.WithBulkLane(true))
+		bulk, err := sweepUnary(ch, payload, calls, cfg.Conc, stubby.WithBulkLane(true))
 		if err != nil {
 			return fmt.Errorf("bulk %s: %w", sizeLabel(size), err)
 		}
@@ -108,20 +108,16 @@ func runSweep(cfg sweepConfig) error {
 
 // sweepUnary drives calls echo round trips with conc concurrent callers
 // on the given lane and returns one-way payload MB/s.
-func sweepUnary(ch *rpcscale.Channel, payload []byte, calls, conc int, lane rpcscale.CallOption) (float64, error) {
+func sweepUnary(ch *stubby.Channel, payload []byte, calls, conc int, lane stubby.CallOption) (float64, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	start := time.Now()
-	per := calls / conc
-	if per == 0 {
-		per = 1
-	}
 	for w := 0; w < conc; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
+			for range callsFor(w, calls, conc) {
 				out, err := ch.Call(context.Background(), "bench.Sweep/Echo", payload, lane)
 				if err != nil {
 					mu.Lock()
@@ -131,7 +127,7 @@ func sweepUnary(ch *rpcscale.Channel, payload []byte, calls, conc int, lane rpcs
 					mu.Unlock()
 					return
 				}
-				rpcscale.FreeResponse(out)
+				stubby.FreeResponse(out)
 			}
 		}()
 	}
@@ -140,20 +136,16 @@ func sweepUnary(ch *rpcscale.Channel, payload []byte, calls, conc int, lane rpcs
 		return 0, firstErr
 	}
 	elapsed := time.Since(start).Seconds()
-	return float64(per*conc) * float64(len(payload)) / elapsed / 1e6, nil
+	return float64(calls) * float64(len(payload)) / elapsed / 1e6, nil
 }
 
 // sweepStreams ping-pongs items across n concurrent streams on the one
 // connection and returns aggregate one-way MB/s.
-func sweepStreams(ch *rpcscale.Channel, payload []byte, items, n int) (float64, error) {
+func sweepStreams(ch *stubby.Channel, payload []byte, items, n int) (float64, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	start := time.Now()
-	per := items / n
-	if per == 0 {
-		per = 1
-	}
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func() {
@@ -172,13 +164,13 @@ func sweepStreams(ch *rpcscale.Channel, payload []byte, items, n int) (float64, 
 				win = 256 << 10
 			}
 			st, err := ch.OpenStream(context.Background(), "bench.Sweep/Pump",
-				rpcscale.WithStreamWindow(win))
+				stubby.WithStreamWindow(win))
 			if err != nil {
 				fail(err)
 				return
 			}
 			defer st.Close()
-			for i := 0; i < per; i++ {
+			for range callsFor(w, items, n) {
 				if err := st.Send(payload); err != nil {
 					fail(err)
 					return
@@ -195,7 +187,7 @@ func sweepStreams(ch *rpcscale.Channel, payload []byte, items, n int) (float64, 
 		return 0, firstErr
 	}
 	elapsed := time.Since(start).Seconds()
-	return float64(per*n) * float64(len(payload)) / elapsed / 1e6, nil
+	return float64(items) * float64(len(payload)) / elapsed / 1e6, nil
 }
 
 func sizeLabel(n int) string {

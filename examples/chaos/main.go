@@ -1,8 +1,8 @@
-// Chaos: the robustness layer end to end through the public facade — a
-// deterministic fault injector on both endpoints, a retry policy with a
-// budget capping amplification, a circuit breaker, server-side load
-// shedding, and the telemetry plane counting every retry, suppression,
-// breaker transition, and shed call.
+// Chaos: the robustness layer end to end, configured through
+// stubby.Options — a deterministic fault injector on the client, a retry
+// policy with a budget capping amplification, a circuit breaker,
+// server-side load shedding, and the telemetry plane counting every
+// retry, suppression, breaker transition, and shed call.
 //
 // The injector is seeded: run the example twice and the injected fault
 // pattern (and so the error mix) is identical. That is the point — a
@@ -16,29 +16,30 @@ import (
 	"net"
 	"time"
 
-	"rpcscale"
+	"rpcscale/internal/faultplane"
+	"rpcscale/internal/stubby"
+	"rpcscale/internal/telemetry"
 )
 
 func main() {
-	plane := rpcscale.NewTelemetry()
+	plane := telemetry.New()
 
 	// A seeded fault schedule: a 10% reject floor plus a burst of heavier
 	// rejects over calls 200-400 (windows count call IDs, not wall time,
 	// so the schedule replays exactly).
-	inj := rpcscale.NewFaultInjector(rpcscale.FaultConfig{
+	inj := faultplane.New(faultplane.Config{
 		Seed:  7,
-		Rules: []rpcscale.FaultRule{{RejectRate: 0.10}},
-		Incidents: []rpcscale.FaultIncident{{
+		Rules: []faultplane.Rule{{RejectRate: 0.10}},
+		Incidents: []faultplane.Incident{{
 			Name: "burst", From: 200, To: 400,
-			Rules: []rpcscale.FaultRule{{RejectRate: 0.50}},
+			Rules: []faultplane.Rule{{RejectRate: 0.50}},
 		}},
 	})
 
-	srv := rpcscale.NewServer(
-		rpcscale.WithTelemetry(plane),
-		rpcscale.WithCluster("chaos-example"),
-		rpcscale.WithLoadShedding(512),
-	)
+	srv := stubby.NewServer(plane.Apply(stubby.Options{
+		ClusterName:   "chaos-example",
+		ShedThreshold: 512,
+	}))
 	srv.Register("demo.Store/Get", func(ctx context.Context, p []byte) ([]byte, error) {
 		return p, nil
 	})
@@ -52,18 +53,18 @@ func main() {
 	// The client channel carries the whole robustness kit: the injector
 	// (client scope), automatic retries under a shared budget, and a
 	// circuit breaker. The plane observes all of it.
-	budget := rpcscale.NewRetryBudget(10, 0.1)
-	ch, err := rpcscale.Dial(l.Addr().String(),
-		rpcscale.WithTelemetry(plane),
-		rpcscale.WithCluster("chaos-example"),
-		rpcscale.WithFaults(inj),
-		rpcscale.WithRetryPolicy(rpcscale.DefaultRetryPolicy()),
-		rpcscale.WithRetryBudget(budget),
-		rpcscale.WithCircuitBreaker(rpcscale.BreakerConfig{
+	budget := stubby.NewRetryBudget(10, 0.1)
+	retry := stubby.DefaultRetryPolicy()
+	retry.Budget = budget
+	ch, err := stubby.Dial(l.Addr().String(), "chaos-example", plane.Apply(stubby.Options{
+		ClusterName: "chaos-example",
+		Faults:      inj,
+		Retry:       &retry,
+		Breaker: &stubby.BreakerConfig{
 			FailureThreshold: 25,
 			Cooldown:         50 * time.Millisecond,
-		}),
-	)
+		},
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 		// The call ID keys the injector's decisions: same seed + same IDs
 		// = same faults, every run.
 		ctx, cancel := context.WithTimeout(
-			rpcscale.ContextWithCallID(context.Background(), uint64(i)), time.Second)
+			stubby.ContextWithCallID(context.Background(), uint64(i)), time.Second)
 		_, err := ch.Call(ctx, "demo.Store/Get", []byte("key"))
 		cancel()
 		if err != nil {
@@ -96,10 +97,10 @@ func main() {
 	db := plane.Monarch()
 	now := time.Now()
 	var retries float64
-	for _, s := range db.Query(rpcscale.MetricRetries, nil, now.Add(-time.Hour), now.Add(time.Hour)) {
+	for _, s := range db.Query(telemetry.MetricRetries, nil, now.Add(-time.Hour), now.Add(time.Hour)) {
 		for _, pt := range s.Points {
 			retries += pt.Value
 		}
 	}
-	fmt.Printf("monarch %s: %.0f\n", rpcscale.MetricRetries, retries)
+	fmt.Printf("monarch %s: %.0f\n", telemetry.MetricRetries, retries)
 }

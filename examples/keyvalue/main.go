@@ -18,10 +18,10 @@ import (
 	"sync"
 	"time"
 
-	"rpcscale"
-
 	"rpcscale/internal/codec"
+	"rpcscale/internal/monarch"
 	"rpcscale/internal/stubby"
+	"rpcscale/internal/telemetry"
 	"rpcscale/internal/trace"
 )
 
@@ -89,15 +89,11 @@ func (kv *kvServer) set(ctx context.Context, payload []byte) ([]byte, error) {
 func main() {
 	// One telemetry plane observes both endpoints: spans, Monarch series,
 	// and GWP attribution for every call, including hedged duplicates.
-	plane := rpcscale.NewTelemetry()
-	opts := []rpcscale.Option{
-		rpcscale.WithTelemetry(plane),
-		rpcscale.WithCluster("kv-demo"),
-		rpcscale.WithWorkers(16),
-	}
+	plane := telemetry.New()
+	opts := plane.Apply(stubby.Options{ClusterName: "kv-demo", Workers: 16})
 
 	kv := &kvServer{data: make(map[string][]byte), slowEvery: 20}
-	srv := rpcscale.NewServer(opts...)
+	srv := stubby.NewServer(opts)
 	srv.Register("kvstore/Get", kv.get)
 	srv.Register("kvstore/Set", kv.set)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -107,7 +103,7 @@ func main() {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	ch, err := rpcscale.Dial(l.Addr().String(), opts...)
+	ch, err := stubby.Dial(l.Addr().String(), "kv-demo", opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +171,7 @@ func main() {
 
 	// The same story from Monarch: error counts per code, per method.
 	db := plane.Monarch()
-	for _, s := range db.Query(rpcscale.MetricRPCErrors, rpcscale.Labels{"method": "kvstore/Get"},
+	for _, s := range db.Query(telemetry.MetricRPCErrors, monarch.Labels{"method": "kvstore/Get"},
 		time.Now().Add(-time.Hour), time.Now()) {
 		var n float64
 		for _, pt := range s.Points {

@@ -3,9 +3,9 @@
 // nine-component latency breakdown (the paper's Fig. 9 anatomy).
 //
 // The telemetry plane is the five-line version of the paper's whole
-// observability story: one NewTelemetry call plus one WithTelemetry
-// option per endpoint gives Monarch time series, Dapper spans, and GWP
-// cycle attribution for every call.
+// observability story: one telemetry.New call plus one Plane.Apply over
+// the endpoints' stubby.Options gives Monarch time series, Dapper spans,
+// and GWP cycle attribution for every call.
 package main
 
 import (
@@ -15,22 +15,19 @@ import (
 	"net"
 	"time"
 
-	"rpcscale"
-
 	"rpcscale/internal/gwp"
+	"rpcscale/internal/stubby"
+	"rpcscale/internal/telemetry"
 	"rpcscale/internal/trace"
 )
 
 func main() {
 	// The plane observes every call of every endpoint it is plugged into.
-	plane := rpcscale.NewTelemetry()
-	opts := []rpcscale.Option{
-		rpcscale.WithTelemetry(plane),
-		rpcscale.WithCluster("quickstart"),
-	}
+	plane := telemetry.New()
+	opts := plane.Apply(stubby.Options{ClusterName: "quickstart"})
 
 	// Server side: register a handler and serve on loopback.
-	srv := rpcscale.NewServer(opts...)
+	srv := stubby.NewServer(opts)
 	srv.Register("greeter.Greeter/Hello", func(ctx context.Context, payload []byte) ([]byte, error) {
 		time.Sleep(2 * time.Millisecond) // pretend to work
 		return []byte("hello, " + string(payload)), nil
@@ -43,7 +40,7 @@ func main() {
 	defer srv.Close()
 
 	// Client side: dial and call.
-	ch, err := rpcscale.Dial(l.Addr().String(), opts...)
+	ch, err := stubby.Dial(l.Addr().String(), "quickstart", opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func main() {
 
 	// Monarch's view: the same call as a windowed latency series.
 	db := plane.Monarch()
-	for _, s := range db.Query(rpcscale.MetricLatency, nil, time.Now().Add(-time.Hour), time.Now()) {
+	for _, s := range db.Query(telemetry.MetricLatency, nil, time.Now().Add(-time.Hour), time.Now()) {
 		if d := s.Last().Dist; d != nil {
 			fmt.Printf("\nmonarch %s{method=%s}: %d calls, P50 %v\n",
 				s.Metric, s.Labels["method"], d.Count(),

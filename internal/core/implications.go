@@ -99,8 +99,10 @@ func (k *ReportSink) OptimizationCoverage() *OptimizationCoverageResult {
 			c += sorted[i].v
 			t += k.vol[sorted[i].m].timeNs
 		}
-		res.CallCoverage = append(res.CallCoverage, float64(c)/float64(totalCalls))
-		res.TimeCoverage = append(res.TimeCoverage, float64(t)/float64(totalTimeNs))
+		// An empty sink (every span sampled out) has c = t = 0 over a
+		// zero total: the max reads that as 0 %, not NaN.
+		res.CallCoverage = append(res.CallCoverage, float64(c)/float64(max(totalCalls, 1)))
+		res.TimeCoverage = append(res.TimeCoverage, float64(t)/float64(max(totalTimeNs, 1)))
 	}
 	return res
 }

@@ -60,6 +60,20 @@ func TestOptimizationCoverage(t *testing.T) {
 	_ = res.Render()
 }
 
+// An empty sink (a run whose every span was sampled out) covers nothing:
+// the table reads 0 %, not NaN.
+func TestOptimizationCoverageEmpty(t *testing.T) {
+	res := NewReportSink().OptimizationCoverage()
+	for i := range res.Ks {
+		if res.CallCoverage[i] != 0 || res.TimeCoverage[i] != 0 {
+			t.Errorf("top-%d coverage = %v calls, %v time; want 0", res.Ks[i], res.CallCoverage[i], res.TimeCoverage[i])
+		}
+	}
+	if strings.Contains(res.Render(), "NaN") {
+		t.Errorf("empty coverage renders NaN:\n%s", res.Render())
+	}
+}
+
 func TestColocationStudy(t *testing.T) {
 	res := ColocationStudy(func() *workload.Generator {
 		return workload.NewGenerator(testCat, testTopo, nil, 77)

@@ -23,9 +23,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the test-scale configuration.
-func DefaultConfig() Config { return Config{Methods: 1000, Clusters: 36, Seed: 1} }
-
 // Catalog is the synthetic fleet: methods indexed by latency rank, their
 // services, the popularity sampler, and the error mix.
 type Catalog struct {

@@ -8,9 +8,7 @@ import (
 
 func driverCatalog(t *testing.T) *Catalog {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Methods = 200
-	return New(cfg)
+	return New(Config{Methods: 200, Clusters: 36, Seed: 1})
 }
 
 func TestDriverDeterministic(t *testing.T) {

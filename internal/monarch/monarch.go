@@ -368,33 +368,3 @@ func MergeDistAcross(series []Series) *stats.Hist {
 	}
 	return merged
 }
-
-// Downsample re-buckets a scalar series onto a coarser grid (e.g. daily),
-// summing counters or averaging gauges according to kind.
-func Downsample(s Series, grid time.Duration, kind Kind) Series {
-	type agg struct {
-		sum float64
-		n   int
-	}
-	byTime := make(map[time.Time]*agg)
-	for _, p := range s.Points {
-		t := p.At.Truncate(grid)
-		a := byTime[t]
-		if a == nil {
-			a = &agg{}
-			byTime[t] = a
-		}
-		a.sum += p.Value
-		a.n++
-	}
-	out := Series{Metric: s.Metric, Labels: s.Labels}
-	for at, a := range byTime {
-		v := a.sum
-		if kind == Gauge && a.n > 0 {
-			v = a.sum / float64(a.n)
-		}
-		out.Points = append(out.Points, Point{At: at, Value: v})
-	}
-	sort.Slice(out.Points, func(i, j int) bool { return out.Points[i].At.Before(out.Points[j].At) })
-	return out
-}

@@ -1,7 +1,6 @@
 package monarch
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -221,24 +220,6 @@ func TestMergeDistAcross(t *testing.T) {
 	})
 	if merged.Count() != 2 {
 		t.Errorf("merged count = %d", merged.Count())
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	var s Series
-	for h := 0; h < 48; h++ {
-		s.Points = append(s.Points, Point{At: t0.Add(time.Duration(h) * time.Hour), Value: 1})
-	}
-	daily := Downsample(s, 24*time.Hour, Counter)
-	if len(daily.Points) != 2 {
-		t.Fatalf("daily points = %d", len(daily.Points))
-	}
-	if daily.Points[0].Value != 24 {
-		t.Errorf("daily sum = %v", daily.Points[0].Value)
-	}
-	avg := Downsample(s, 24*time.Hour, Gauge)
-	if math.Abs(avg.Points[0].Value-1) > 1e-9 {
-		t.Errorf("daily avg = %v", avg.Points[0].Value)
 	}
 }
 

@@ -54,7 +54,7 @@ func (c *conn[T]) init(nc net.Conn, o *Options, comp *compressor.Compressor, dir
 	}
 	c.tr = tr
 	c.comp, c.compressMin = comp, o.CompressThreshold
-	c.sendQ = make(chan T, o.SendQueueLen)
+	c.sendQ = make(chan T, queueLen)
 	c.bulkIn = make(map[uint64]*bulkAsm)
 	c.closed = make(chan struct{})
 	return nil

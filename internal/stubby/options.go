@@ -68,13 +68,6 @@ type Options struct {
 	// ClusterName labels spans with the placement of this endpoint.
 	ClusterName string
 
-	// SendQueueLen and RecvQueueLen bound the client send queue and the
-	// server receive queue. Queue depth is where the paper's queuing
-	// latency lives; undersized queues convert queuing into NoResource
-	// errors, as in production overload.
-	SendQueueLen int
-	RecvQueueLen int
-
 	// Workers is the server handler pool size.
 	Workers int
 
@@ -114,17 +107,17 @@ func (o *Options) withDefaults() Options {
 	if out.CompressThreshold == 0 {
 		out.CompressThreshold = 512
 	}
-	if out.SendQueueLen == 0 {
-		out.SendQueueLen = 1024
-	}
-	if out.RecvQueueLen == 0 {
-		out.RecvQueueLen = 1024
-	}
 	if out.Workers == 0 {
 		out.Workers = 8
 	}
 	return out
 }
+
+// queueLen bounds every connection's send queue and the server receive
+// queue. Queue depth is where the paper's queuing latency lives; a full
+// send queue is back-pressure on the caller, a full receive queue turns
+// queuing into NoResource errors, as in production overload.
+const queueLen = 1024
 
 // defaultDeadline applies to calls and streams whose context has none.
 const defaultDeadline = 30 * time.Second

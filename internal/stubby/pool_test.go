@@ -289,10 +289,11 @@ func TestServerAbruptCloseFailsPending(t *testing.T) {
 }
 
 func TestServerOverloadShedsLoad(t *testing.T) {
-	// One worker, tiny receive queue: a burst must produce NoResource
-	// rejections (the §4.4 "no resource" class), not deadlock.
+	// One worker and a burst larger than the receive queue: the overflow
+	// must come back as NoResource rejections (the §4.4 "no resource"
+	// class), not deadlock.
 	release := make(chan struct{})
-	opts := Options{Workers: 1, RecvQueueLen: 1, SendQueueLen: 64}
+	opts := Options{Workers: 1}
 	srv := NewServer(opts)
 	srv.Register("svc/Slow", func(ctx context.Context, p []byte) ([]byte, error) {
 		<-release
@@ -304,32 +305,37 @@ func TestServerOverloadShedsLoad(t *testing.T) {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, which waits for the handler
 	ch, err := Dial(l.Addr().String(), "x", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
 
-	const burst = 16
+	const burst = queueLen + 64
 	errs := make(chan error, burst)
 	for i := 0; i < burst; i++ {
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			_, err := ch.Call(ctx, "svc/Slow", []byte("x"))
 			errs <- err
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-	shed := 0
-	for i := 0; i < burst; i++ {
-		if err := <-errs; err != nil && Code(err) == trace.NoResource {
-			shed++
+	// The worker holds at most one call and the queue queueLen more, so
+	// at least the last burst-queueLen-1 arrivals are refused while the
+	// handler is still blocked.
+	for i := 0; i < burst-queueLen-1; i++ {
+		if err := <-errs; Code(err) != trace.NoResource {
+			t.Fatalf("call before release: %v, want NoResource", err)
 		}
 	}
-	if shed == 0 {
-		t.Fatal("overload produced no NoResource rejections")
+	unblock()
+	for i := burst - queueLen - 1; i < burst; i++ {
+		if err := <-errs; err != nil && Code(err) != trace.NoResource {
+			t.Errorf("call after release: %v", err)
+		}
 	}
 }
 

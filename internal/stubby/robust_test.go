@@ -245,7 +245,6 @@ func TestLoadShedding(t *testing.T) {
 	release := make(chan struct{})
 	opts := Options{
 		Workers:       1,
-		RecvQueueLen:  64,
 		ShedThreshold: 2,
 		Observer:      obs,
 	}

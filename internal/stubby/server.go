@@ -150,7 +150,7 @@ func NewServer(opts Options) *Server {
 		handlers:     make(map[string]Handler),
 		bidiHandlers: make(map[string]BidiHandler),
 		methodNames:  make(map[string]string),
-		recvQ:        make(chan *serverCall, o.RecvQueueLen),
+		recvQ:        make(chan *serverCall, queueLen),
 		listeners:    make(map[net.Listener]struct{}),
 		conns:        make(map[*serverConn]struct{}),
 		closed:       make(chan struct{}),

@@ -62,8 +62,6 @@ const (
 
 // config collects construction-time settings.
 type config struct {
-	window      time.Duration
-	retention   time.Duration
 	sampleEvery uint64
 	capacity    int
 	now         func() time.Time
@@ -71,26 +69,6 @@ type config struct {
 
 // Option configures a Plane built with New.
 type Option func(*config)
-
-// WithWindow sets the Monarch alignment window (default: the paper's 30
-// minutes). Non-positive values keep the default.
-func WithWindow(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.window = d
-		}
-	}
-}
-
-// WithRetention sets the Monarch retention horizon (default: the paper's
-// 700 days). Non-positive values keep the default.
-func WithRetention(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.retention = d
-		}
-	}
-}
 
 // WithSampleEvery keeps 1-in-n traces in the span store (head-based, by
 // trace ID, as Dapper samples). Monarch series and GWP attribution still
@@ -175,7 +153,7 @@ func New(opts ...Option) *Plane {
 		o(&cfg)
 	}
 	p := &Plane{
-		db:   newDeclaredDB(cfg.window, cfg.retention),
+		db:   newDeclaredDB(),
 		prof: gwp.New(),
 		col: trace.New(
 			trace.WithSampleEvery(cfg.sampleEvery),
@@ -203,9 +181,10 @@ var declared = map[string]monarch.Kind{
 	MetricShed:               monarch.Counter,
 }
 
-// newDeclaredDB builds a Monarch DB with every plane metric declared.
-func newDeclaredDB(window, retention time.Duration) *monarch.DB {
-	db := monarch.NewDB(monarch.WithWindow(window), monarch.WithRetention(retention))
+// newDeclaredDB builds a Monarch DB on the paper's 30-minute window and
+// 700-day retention with every plane metric declared.
+func newDeclaredDB() *monarch.DB {
+	db := monarch.NewDB()
 	for m, k := range declared {
 		if err := db.Declare(m, k); err != nil {
 			panic(err) // fresh DB; only a telemetry-internal bug can fail
@@ -223,7 +202,7 @@ func newDeclaredDB(window, retention time.Duration) *monarch.DB {
 func (p *Plane) Reset() {
 	p.mu.Lock()
 	p.aggs = make(map[aggKey]*winAgg)
-	p.db = newDeclaredDB(p.db.Window(), p.db.Retention())
+	p.db = newDeclaredDB()
 	p.start = p.now()
 	p.mu.Unlock()
 	p.col.Reset()

@@ -113,7 +113,7 @@ func TestEveryDeclaredMetricIsWritten(t *testing.T) {
 func TestWindowAlignment(t *testing.T) {
 	base := time.Unix(0, 0).Add(1000 * time.Hour)
 	clk := &fakeClock{at: base.Add(29 * time.Minute)}
-	p := New(WithClock(clk.now), WithWindow(30*time.Minute))
+	p := New(WithClock(clk.now)) // the paper's 30-minute windows
 
 	p.Observe(span("svc/Get", time.Millisecond)) // lands in window [base, base+30m)
 	clk.at = base.Add(31 * time.Minute)

@@ -142,35 +142,3 @@ func WriteDiurnalDay(db *monarch.DB, gen *Generator, method string, cluster *sim
 type errNoMethod string
 
 func (e errNoMethod) Error() string { return "workload: unknown method " + string(e) }
-
-// MetricLatencyDist is the per-method completion-time distribution metric
-// (Monarch's distribution-valued points, the representation the paper's
-// per-method figures are computed from in production).
-const MetricLatencyDist = "method/latency_dist"
-
-// ExportMethodDistributions writes each method's completion-time
-// histogram into Monarch as one distribution point per method at the
-// given time. Queries can then merge across methods or windows with
-// monarch.MergeDistAcross — the production path for Figs. 2/12/13.
-func ExportMethodDistributions(db *monarch.DB, ds *Dataset, at time.Time) error {
-	if err := db.Declare(MetricLatencyDist, monarch.Distribution); err != nil {
-		return err
-	}
-	for method, spans := range ds.MethodSpans {
-		h := stats.NewLatencyHist()
-		for _, s := range spans {
-			if s.Err.IsError() {
-				continue
-			}
-			h.Add(float64(s.Breakdown.Total()))
-		}
-		if h.Count() == 0 {
-			continue
-		}
-		labels := monarch.Labels{"method": method}
-		if err := db.WriteDist(MetricLatencyDist, labels, at, h); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -563,31 +563,6 @@ func TestColocateBoostReducesCrossRate(t *testing.T) {
 	}
 }
 
-func TestExportMethodDistributions(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
-		Seed: 41, MethodSamples: 10, StudiedSamples: 10,
-		VolumeRoots: 500, Trees: 5, MaxDepth: 3, TreeBudget: 50,
-	})
-	db := monarch.NewDB(monarch.WithWindow(30 * time.Minute))
-	if err := ExportMethodDistributions(db, ds, Epoch); err != nil {
-		t.Fatal(err)
-	}
-	// Per-method query returns that method's distribution.
-	series := db.Query(MetricLatencyDist, monarch.Labels{"method": "networkdisk/Write"}, time.Time{}, time.Time{})
-	if len(series) != 1 || series[0].Points[0].Dist.Count() == 0 {
-		t.Fatalf("missing distribution for networkdisk/Write: %+v", series)
-	}
-	// Fleet-wide merge across all methods reconstructs the full mix.
-	all := db.Query(MetricLatencyDist, nil, time.Time{}, time.Time{})
-	merged := monarch.MergeDistAcross(all)
-	if merged == nil || merged.Count() < uint64(len(testCat.Methods)*5) {
-		t.Fatalf("merged count = %v", merged)
-	}
-	if merged.Percentile(99) <= merged.Percentile(50) {
-		t.Fatal("merged distribution degenerate")
-	}
-}
-
 // TestDeepChainDumpLoads: a dump is outside input, and a single parent
 // chain is its worst case for any per-node subtree walk. Loading must stay
 // linear in the span count and still count every node's subtree right.
