@@ -9,20 +9,18 @@
 // encoder (deflate.go), which only ever writes fixed-Huffman blocks: RPC
 // payloads are small, and on small inputs the per-message cost of building
 // Huffman tables is most of what a general DEFLATE writer spends. The
-// receiver is the standard library's inflater, pooled, which accepts every
-// block type, writes into one buffer sized from the declared length, and
-// refuses a length — declared or actual — over the caller's limit.
+// receiver writes into one buffer sized from the declared length and
+// refuses a length — declared or actual — over the caller's limit. It
+// decodes the one block the encoder writes itself (inflate.go), straight
+// from the payload, and hands any other stream, which a conforming peer
+// may send, to the standard library's inflater, pooled.
 package compressor
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -182,20 +180,6 @@ func decodedLen(src []byte, limit int) (n, head int, err error) {
 	return int(declared), head, nil
 }
 
-// inflater is a reusable DEFLATE decoder reading from its own byte reader,
-// so a decompression allocates neither.
-type inflater struct {
-	src  bytes.Reader
-	r    io.ReadCloser // a flate reader over src; also a flate.Resetter
-	past [1]byte       // where a stream longer than it declared shows
-}
-
-var inflaters = sync.Pool{New: func() any {
-	z := new(inflater)
-	z.r = flate.NewReader(&z.src)
-	return z
-}}
-
 // DecompressAppend appends the uncompressed form of src — a compressed
 // payload from CompressAppend or Compress, whatever this compressor's
 // algorithm: there is one compressed format — to dst. The length src
@@ -211,18 +195,11 @@ func (c *Compressor) DecompressAppend(dst, src []byte, limit int) ([]byte, error
 	}
 	at := len(dst)
 	dst = growCap(dst, n)
-	z := inflaters.Get().(*inflater)
-	z.src.Reset(src[head:])
-	err = z.r.(flate.Resetter).Reset(&z.src, nil)
-	if err == nil {
-		_, err = io.ReadFull(z.r, dst[at:at+n])
+	if z := src[head:]; fixedFinal(z) {
+		err = inflateFixed(dst[at:at+n], z)
+	} else {
+		err = inflateAny(dst[at:at+n], z)
 	}
-	if err == nil {
-		if k, rerr := z.r.Read(z.past[:]); k != 0 || rerr != io.EOF {
-			err = errors.New("stream runs past the declared length")
-		}
-	}
-	inflaters.Put(z)
 	if err != nil {
 		return dst[:at], fmt.Errorf("compressor: corrupt payload: %w", err)
 	}

@@ -38,33 +38,42 @@ var (
 	distRev [30]uint8                // a distance code's 5 bits, reversed
 )
 
-func init() {
-	// litLen packs literal/length symbol sym of the fixed code.
-	litLen := func(sym int) (code uint32, n uint) {
-		switch {
-		case sym < 144:
-			return uint32(bits.Reverse8(uint8(0x30 + sym))), 8
-		case sym < 256:
-			return uint32(bits.Reverse16(uint16(0x190+sym-144)) >> 7), 9
-		case sym < 280:
-			return uint32(bits.Reverse8(uint8(sym-256)) >> 1), 7
-		default:
-			return uint32(bits.Reverse8(uint8(0xC0 + sym - 280))), 8
-		}
+// litLen is literal/length symbol sym (0 to 287) of the fixed code: its
+// Huffman code bit-reversed, as the stream carries it, and its length.
+// The encoder's tables and the decoder's (inflate.go) both come from here.
+func litLen(sym int) (code uint32, n uint) {
+	switch {
+	case sym < 144:
+		return uint32(bits.Reverse8(uint8(0x30 + sym))), 8
+	case sym < 256:
+		return uint32(bits.Reverse16(uint16(0x190+sym-144)) >> 7), 9
+	case sym < 280:
+		return uint32(bits.Reverse8(uint8(sym-256)) >> 1), 7
+	default:
+		return uint32(bits.Reverse8(uint8(0xC0 + sym - 280))), 8
 	}
+}
+
+// lengthCode is the symbol for a match of length m+3 and the number of
+// extra bits after it, which carry the low bits of m.
+func lengthCode(m int) (sym int, extra uint) {
+	switch {
+	case m == maxMatch-3:
+		return 285, 0
+	case m >= 8:
+		extra = uint(bits.Len(uint(m))) - 3
+		return 257 + 4*int(extra) + 4 + (m>>extra)&3, extra
+	}
+	return 257 + m, 0
+}
+
+func init() {
 	for b := range litSym {
 		code, n := litLen(b)
 		litSym[b] = uint16(code<<4 | uint32(n))
 	}
 	for m := range lenSym { // m = length-3
-		sym, extra := 257+m, uint(0)
-		switch {
-		case m == maxMatch-3:
-			sym = 285
-		case m >= 8:
-			extra = uint(bits.Len(uint(m))) - 3
-			sym = 257 + 4*int(extra) + 4 + (m>>extra)&3
-		}
+		sym, extra := lengthCode(m)
 		code, n := litLen(sym)
 		code |= uint32(m) & (1<<extra - 1) << n
 		lenSym[m] = code<<4 | uint32(n+extra)
