@@ -187,10 +187,12 @@ type svcAccum struct {
 // plus, per histogram bucket, exact nanosecond sums of (total, wire,
 // stack, queue) conditioned on the span landing in that bucket. The tail
 // panel then sums the buckets at or beyond the method's P95 rank — the
-// streaming replacement for retaining raw per-method samples.
+// streaming replacement for retaining raw per-method samples. Like the
+// histogram's counts, buckets starts at the first used bucket, off.
 type taxAccum struct {
 	hist    *stats.Hist
 	under   [4]int64
+	off     int
 	buckets [][4]int64
 }
 
@@ -203,10 +205,10 @@ func (t *taxAccum) observe(tot, wire, stack, queue int64) {
 	t.hist.Add(float64(tot))
 	sums := &t.under
 	if b >= 0 {
-		for len(t.buckets) <= b {
-			t.buckets = append(t.buckets, [4]int64{})
+		if b < t.off || b >= t.off+len(t.buckets) {
+			t.buckets, t.off = stats.Widen(t.buckets, t.off, b, b+1)
 		}
-		sums = &t.buckets[b]
+		sums = &t.buckets[b-t.off]
 	}
 	sums[0] += tot
 	sums[1] += wire
@@ -219,12 +221,12 @@ func (t *taxAccum) merge(o *taxAccum) {
 	for i := range t.under {
 		t.under[i] += o.under[i]
 	}
-	for len(t.buckets) < len(o.buckets) {
-		t.buckets = append(t.buckets, [4]int64{})
+	if len(o.buckets) > 0 {
+		t.buckets, t.off = stats.Widen(t.buckets, t.off, o.off, o.off+len(o.buckets))
 	}
 	for b := range o.buckets {
 		for i := range o.buckets[b] {
-			t.buckets[b][i] += o.buckets[b][i]
+			t.buckets[o.off-t.off+b][i] += o.buckets[b][i]
 		}
 	}
 }
@@ -236,9 +238,8 @@ func (t *taxAccum) tail(q float64) [4]int64 {
 	if b < 0 {
 		// The rank falls in the underflow bucket: every span qualifies.
 		out = t.under
-		b = 0
 	}
-	for i := b; i < len(t.buckets); i++ {
+	for i := max(b-t.off, 0); i < len(t.buckets); i++ {
 		for j := range out {
 			out[j] += t.buckets[i][j]
 		}

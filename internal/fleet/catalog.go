@@ -446,7 +446,7 @@ func localityFor(class ServiceClass, rng *stats.RNG) float64 {
 func (c *Catalog) service(name string, class ServiceClass) *Service {
 	svc := c.Services[name]
 	if svc == nil {
-		svc = &Service{Name: name, Class: class}
+		svc = &Service{Name: name, Class: class, Sidecar: name + "/sidecar"}
 		c.Services[name] = svc
 	}
 	return svc

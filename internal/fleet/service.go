@@ -50,6 +50,7 @@ type Service struct {
 	Name    string
 	Class   ServiceClass
 	Methods []*Method
+	Sidecar string // method name of the service's mesh proxy hop
 }
 
 // StudiedService is one row of the paper's Table 1: the eight production

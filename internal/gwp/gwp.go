@@ -50,7 +50,7 @@ type Profiler struct {
 	mu       sync.Mutex
 	byCat    [NumCategories]float64
 	bySvc    map[string]*ServiceProfile
-	byMethod map[string]float64 // total cycles per method (all categories)
+	byMethod map[string]*float64 // total cycles per method (all categories)
 }
 
 // ServiceProfile is the per-service cycle attribution.
@@ -72,25 +72,52 @@ func (p *ServiceProfile) Total() float64 {
 func New() *Profiler {
 	return &Profiler{
 		bySvc:    make(map[string]*ServiceProfile),
-		byMethod: make(map[string]float64),
+		byMethod: make(map[string]*float64),
 	}
 }
 
-// Record attributes cycles to a (service, method, category) triple.
-func (p *Profiler) Record(service, method string, cat Category, cycles float64) {
-	if cycles <= 0 {
-		return
-	}
+// Record attributes one call's cycles, by category, to a (service,
+// method) pair. Categories with cycles <= 0 are skipped, and a call with
+// none above 0 creates no entry. The rest are added in category order to
+// the fleet, service and method totals, so a call recorded here sums
+// exactly as recording its categories one by one would.
+func (p *Profiler) Record(service, method string, cycles *[NumCategories]float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.byCat[cat] += cycles
-	sp := p.bySvc[service]
-	if sp == nil {
-		sp = &ServiceProfile{Service: service}
-		p.bySvc[service] = sp
+	var sp *ServiceProfile
+	var mt *float64
+	for cat, c := range cycles {
+		if c <= 0 {
+			continue
+		}
+		if sp == nil {
+			sp, mt = p.service(service), p.method(method)
+		}
+		p.byCat[cat] += c
+		sp.ByCat[cat] += c
+		*mt += c
 	}
-	sp.ByCat[cat] += cycles
-	p.byMethod[method] += cycles
+}
+
+// service returns the service's entry, creating it if needed; p.mu is held.
+func (p *Profiler) service(name string) *ServiceProfile {
+	sp := p.bySvc[name]
+	if sp == nil {
+		sp = &ServiceProfile{Service: name}
+		p.bySvc[name] = sp
+	}
+	return sp
+}
+
+// method returns the method's running total, creating it if needed; p.mu
+// is held.
+func (p *Profiler) method(name string) *float64 {
+	mt := p.byMethod[name]
+	if mt == nil {
+		mt = new(float64)
+		p.byMethod[name] = mt
+	}
+	return mt
 }
 
 // Merge folds all cycles recorded in other into p. Each (service,
@@ -116,7 +143,7 @@ func (p *Profiler) Merge(other *Profiler) {
 	}
 	byMethod := make(map[string]float64, len(other.byMethod))
 	for m, v := range other.byMethod {
-		byMethod[m] = v
+		byMethod[m] = *v
 	}
 	other.mu.Unlock()
 
@@ -126,17 +153,13 @@ func (p *Profiler) Merge(other *Profiler) {
 		p.byCat[c] += v
 	}
 	for name, osp := range bySvc {
-		sp := p.bySvc[name]
-		if sp == nil {
-			sp = &ServiceProfile{Service: name}
-			p.bySvc[name] = sp
-		}
+		sp := p.service(name)
 		for c, v := range osp.ByCat {
 			sp.ByCat[c] += v
 		}
 	}
 	for m, v := range byMethod {
-		p.byMethod[m] += v
+		*p.method(m) += v
 	}
 }
 
@@ -184,7 +207,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 	defer p.mu.Unlock()
 	snap := &Snapshot{ByCat: p.byCat, ByMethod: make(map[string]float64, len(p.byMethod))}
 	for m, v := range p.byMethod {
-		snap.ByMethod[m] = v
+		snap.ByMethod[m] = *v
 	}
 	for _, sp := range p.bySvc {
 		cp := *sp
@@ -206,5 +229,5 @@ func (p *Profiler) Reset() {
 	defer p.mu.Unlock()
 	p.byCat = [NumCategories]float64{}
 	p.bySvc = make(map[string]*ServiceProfile)
-	p.byMethod = make(map[string]float64)
+	p.byMethod = make(map[string]*float64)
 }

@@ -15,12 +15,20 @@ import (
 // Hist is the distribution value type stored in Monarch time-series points
 // and is the working representation for every per-method analysis. The
 // zero value is not usable; construct with NewHist or NewLatencyHist.
+//
+// Bucket b covers [min*growth^b, min*growth^(b+1)). counts stores only the
+// buckets from the first used one to the last: counts[i] is bucket off+i.
+// A per-method histogram holds a handful of values hundreds of buckets
+// above min, so the leading zeros are never stored. Every index a Hist
+// takes or returns (BucketIndex, RankBucket) is the absolute bucket b, and
+// Export writes counts from bucket 0.
 type Hist struct {
 	min    float64 // lower bound of bucket 0
 	growth float64 // geometric bucket growth factor
 	logG   float64 // cached log(growth)
 
-	counts  []uint64 // counts[i] covers [min*growth^i, min*growth^(i+1))
+	off     int      // absolute bucket of counts[0]
+	counts  []uint64 // counts[i] covers bucket off+i
 	under   uint64   // values below min
 	total   uint64
 	sum     float64
@@ -81,13 +89,38 @@ func (h *Hist) AddN(v float64, n uint64) {
 		h.under += n
 		return
 	}
-	b := h.bucket(v)
-	if b >= len(h.counts) {
-		grown := make([]uint64, b+1)
-		copy(grown, h.counts)
-		h.counts = grown
+	b := h.bucket(v) - h.off
+	if uint(b) >= uint(len(h.counts)) {
+		b = h.widen(b + h.off)
 	}
 	h.counts[b] += n
+}
+
+// widen extends counts to cover absolute bucket b and returns b's index
+// in counts. It is kept out of AddN so the in-range case stays small.
+func (h *Hist) widen(b int) int {
+	h.counts, h.off = Widen(h.counts, h.off, b, b+1)
+	return b - h.off
+}
+
+// Widen returns s, which holds the elements of absolute indices
+// [off, off+len(s)), laid out to hold [lo, hi) as well, and the absolute
+// index of its first element. An empty s starts at lo. Added elements are
+// zero; s's array is reused when it only grows upward within capacity.
+func Widen[T any](s []T, off, lo, hi int) ([]T, int) {
+	if len(s) == 0 {
+		off = lo
+	}
+	lo, hi = min(lo, off), max(hi, off+len(s))
+	if lo == off && hi-lo <= cap(s) {
+		n := len(s)
+		s = s[:hi-lo]
+		clear(s[n:])
+		return s, lo
+	}
+	grown := make([]T, hi-lo)
+	copy(grown[off-lo:], s)
+	return grown, lo
 }
 
 // Merge adds all observations recorded in other into h. The histograms must
@@ -99,13 +132,12 @@ func (h *Hist) Merge(other *Hist) {
 	if h.min != other.min || h.growth != other.growth {
 		panic("stats: merging histograms with different shapes")
 	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	if len(other.counts) > 0 {
+		h.counts, h.off = Widen(h.counts, h.off, other.off, other.off+len(other.counts))
+		d := other.off - h.off
+		for i, c := range other.counts {
+			h.counts[d+i] += c
+		}
 	}
 	h.under += other.under
 	h.total += other.total
@@ -183,7 +215,7 @@ func (h *Hist) Quantile(q float64) float64 {
 			continue
 		}
 		if seen+c >= rank {
-			lo := h.min * math.Pow(h.growth, float64(i))
+			lo := h.min * math.Pow(h.growth, float64(h.off+i))
 			hi := lo * h.growth
 			// Interpolate geometrically within the bucket.
 			frac := float64(rank-seen) / float64(c)
@@ -244,11 +276,11 @@ func (h *Hist) RankBucket(q float64) int {
 			continue
 		}
 		if seen+c >= rank {
-			return i
+			return h.off + i
 		}
 		seen += c
 	}
-	return len(h.counts) - 1
+	return h.off + len(h.counts) - 1
 }
 
 // CountAbove returns how many observations fall in buckets whose lower
@@ -260,9 +292,8 @@ func (h *Hist) CountAbove(v float64) uint64 {
 	if v <= h.min {
 		return h.total - h.under
 	}
-	b := h.bucket(v)
 	var n uint64
-	for i := b; i < len(h.counts); i++ {
+	for i := max(h.bucket(v)-h.off, 0); i < len(h.counts); i++ {
 		n += h.counts[i]
 	}
 	return n
@@ -287,7 +318,7 @@ func (h *Hist) Buckets(fn func(lo, hi float64, count uint64)) {
 		if c == 0 {
 			continue
 		}
-		lo := h.min * math.Pow(h.growth, float64(i))
+		lo := h.min * math.Pow(h.growth, float64(h.off+i))
 		fn(lo, lo*h.growth, c)
 	}
 }
@@ -308,16 +339,22 @@ type HistDump struct {
 	MinSeen float64  `json:"min_seen"` // +Inf is encoded as 0 with Total==Under
 }
 
-// Export returns a serializable copy of the histogram's full state.
+// Export returns a serializable copy of the histogram's full state. Counts
+// starts at bucket 0, leading zeros included.
 func (h *Hist) Export() HistDump {
 	minSeen := h.minSeen
 	if math.IsInf(minSeen, 1) {
 		minSeen = 0 // JSON cannot carry +Inf; Import restores it
 	}
+	var counts []uint64
+	if len(h.counts) > 0 {
+		counts = make([]uint64, h.off+len(h.counts))
+		copy(counts[h.off:], h.counts)
+	}
 	return HistDump{
 		Min:     h.min,
 		Growth:  h.growth,
-		Counts:  append([]uint64(nil), h.counts...),
+		Counts:  counts,
 		Under:   h.under,
 		Total:   h.total,
 		Sum:     h.sum,
@@ -334,7 +371,12 @@ func Import(d HistDump) *Hist {
 		return NewLatencyHist()
 	}
 	h := NewHist(d.Min, d.Growth)
-	h.counts = append([]uint64(nil), d.Counts...)
+	// Drop the leading zeros, keeping the last bucket so a re-export has
+	// the dump's length.
+	for h.off < len(d.Counts)-1 && d.Counts[h.off] == 0 {
+		h.off++
+	}
+	h.counts = append([]uint64(nil), d.Counts[h.off:]...)
 	h.under = d.Under
 	h.total = d.Total
 	h.sum = d.Sum
@@ -403,7 +445,7 @@ func (h *Hist) QuantileOf(v float64) float64 {
 	if !(v > 0) || v < h.min {
 		return float64(h.under) / (2 * float64(h.total))
 	}
-	b := h.bucket(v)
+	b := h.bucket(v) - h.off
 	seen := h.under
 	for i, c := range h.counts {
 		if i >= b {

@@ -294,9 +294,7 @@ func (p *Plane) Observe(s *trace.Span) {
 		}
 		s.CPUCycles = total
 	}
-	for cat, cycles := range s.CPUByCategory {
-		p.prof.Record(s.Service, s.Method, gwp.Category(cat), cycles)
-	}
+	p.prof.Record(s.Service, s.Method, &s.CPUByCategory)
 
 	key := aggKey{
 		kind:    kindRPC,

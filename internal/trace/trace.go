@@ -340,11 +340,11 @@ func (s *Span) HasCPUSplit() bool {
 func (s *Span) RecordCycles(p *gwp.Profiler) {
 	switch {
 	case s.HasCPUSplit():
-		for cat, cycles := range s.CPUByCategory {
-			p.Record(s.Service, s.Method, gwp.Category(cat), cycles)
-		}
+		p.Record(s.Service, s.Method, &s.CPUByCategory)
 	case s.CPUCycles > 0:
-		p.Record(s.Service, s.Method, gwp.Application, s.CPUCycles)
+		var app [gwp.NumCategories]float64
+		app[gwp.Application] = s.CPUCycles
+		p.Record(s.Service, s.Method, &app)
 	}
 }
 

@@ -59,15 +59,40 @@ type Generator struct {
 	sharedNodes int
 	shared      map[*fleet.Method]*sharedEntry
 	pending     []CallObservation
+
+	// exoMemo holds the last ExoModel.At result per cluster, indexed by
+	// Cluster.Index. Every call in a graph shares one time, so a graph
+	// computes each cluster's state once.
+	exoMemo []exoEntry
+}
+
+// exoEntry is one cluster's memoised exogenous state.
+type exoEntry struct {
+	model *sim.ExoModel
+	at    time.Duration
+	exo   sim.Exo
+}
+
+// exoAt returns c.Exo.At(at) through the memo. At is pure, so a hit
+// returns exactly what the call would.
+func (g *Generator) exoAt(c *sim.Cluster, at time.Duration) sim.Exo {
+	if uint(c.Index) >= uint(len(g.exoMemo)) {
+		return c.Exo.At(at)
+	}
+	e := &g.exoMemo[c.Index]
+	if e.model != c.Exo || e.at != at {
+		*e = exoEntry{c.Exo, at, c.Exo.At(at)}
+	}
+	return e.exo
 }
 
 // sharedEntry tracks one shared dependency within the graph being
-// generated: the span (once built), in-edges recorded before it exists,
-// and how many extra parents reached it.
+// generated: the span (once built), its fan-in edges, and how many extra
+// parents reached it.
 type sharedEntry struct {
 	primary trace.SpanID   // the spanning-tree parent
 	span    *trace.Span    // nil until built, or when not materializing
-	extra   []trace.SpanID // in-edges recorded before the span exists
+	extra   []trace.SpanID // fan-in edges; the span's LinkedParents once built
 	links   int            // extra in-edges gained so far
 	motif   trace.Motif    // motif the node was first generated with
 }
@@ -79,11 +104,7 @@ func (e *sharedEntry) hasEdge(p trace.SpanID) bool {
 	if p == e.primary {
 		return true
 	}
-	edges := e.extra
-	if e.span != nil {
-		edges = e.span.LinkedParents
-	}
-	for _, q := range edges {
+	for _, q := range e.extra {
 		if q == p {
 			return true
 		}
@@ -141,6 +162,7 @@ func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profile
 		nonCancel:     nonCancel,
 		ColocateBoost: 0.75,
 		idBase:        uint64(shard) << 48,
+		exoMemo:       make([]exoEntry, len(topo.Clusters)),
 	}
 }
 
@@ -340,8 +362,8 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 	default:
 		server = g.pickServer(m, client, false, !isRoot)
 	}
-	exo := server.Exo.At(at)
-	clientExo := client.Exo.At(at)
+	exo := g.exoAt(server, at)
+	clientExo := g.exoAt(client, at)
 
 	req, resp := m.SampleSizes(rng)
 	spanID := g.newSpanID() // allocated before recursion so children can link
@@ -499,27 +521,29 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		gwp.Serialization: tax * serShare,
 		gwp.RPCLibrary:    tax * libShare,
 	}
-	for cat, cycles := range byCat {
-		g.Prof.Record(m.Service.Name, m.Name, gwp.Category(cat), cycles)
-	}
+	g.Prof.Record(m.Service.Name, m.Name, &byCat)
 
-	span := &trace.Span{
-		TraceID:       tid,
-		SpanID:        spanID,
-		ParentID:      parent,
-		Method:        m.Name,
-		Service:       m.Service.Name,
-		ClientCluster: client.Name,
-		ServerCluster: server.Name,
-		Start:         at,
-		Breakdown:     b,
-		RequestBytes:  req,
-		ResponseBytes: resp,
-		CPUCycles:     appCPU + tax,
-		CPUByCategory: byCat,
-		Err:           code,
-		Tier:          m.Tier,
-		Motif:         motif,
+	// The span is built only when someone observes it.
+	var span *trace.Span
+	if opts.Observe != nil && (opts.Materialize || isRoot) {
+		span = &trace.Span{
+			TraceID:       tid,
+			SpanID:        spanID,
+			ParentID:      parent,
+			Method:        m.Name,
+			Service:       m.Service.Name,
+			ClientCluster: client.Name,
+			ServerCluster: server.Name,
+			Start:         at,
+			Breakdown:     b,
+			RequestBytes:  req,
+			ResponseBytes: resp,
+			CPUCycles:     appCPU + tax,
+			CPUByCategory: byCat,
+			Err:           code,
+			Tier:          m.Tier,
+			Motif:         motif,
+		}
 	}
 
 	// Hedging: some calls are issued twice; when the loser's
@@ -539,8 +563,8 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		dup.CPUCycles = span.CPUCycles * dupCPU
 		for cat := range dup.CPUByCategory {
 			dup.CPUByCategory[cat] = span.CPUByCategory[cat] * dupCPU
-			g.Prof.Record(m.Service.Name, m.Name, gwp.Category(cat), dup.CPUByCategory[cat])
 		}
+		g.Prof.Record(m.Service.Name, m.Name, &dup.CPUByCategory)
 		opts.Observe(CallObservation{
 			Span: &dup, Method: m, Server: server, Client: client, Exo: exo,
 			Descendants: 0, Ancestors: depth + 1,
@@ -548,16 +572,14 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 	}
 
 	rct := b.Total()
-	if sharedE != nil {
+	if sharedE != nil && span != nil {
 		sharedE.span = span
-		if len(sharedE.extra) > 0 {
-			span.LinkedParents = sharedE.extra
-		}
+		span.LinkedParents = sharedE.extra
 		if sharedE.links > 0 {
 			span.Motif = trace.MotifFanIn
 		}
 	}
-	if opts.Observe != nil && (opts.Materialize || isRoot) {
+	if span != nil {
 		obs := CallObservation{
 			Span: span, Method: m, Server: server, Client: client, Exo: exo,
 			Descendants: nodes - 1, Ancestors: depth,
@@ -596,11 +618,10 @@ func (g *Generator) genChild(child *fleet.Method, client *sim.Cluster, at time.D
 				}
 				g.motifCount[trace.MotifFanIn]++
 			}
+			e.extra = append(e.extra, parent)
 			if e.span != nil {
-				e.span.LinkedParents = append(e.span.LinkedParents, parent)
+				e.span.LinkedParents = e.extra
 				e.span.Motif = trace.MotifFanIn
-			} else {
-				e.extra = append(e.extra, parent)
 			}
 			return callResult{}
 		}
@@ -623,7 +644,7 @@ func (g *Generator) genSidecar(m *fleet.Method, client *sim.Cluster, at time.Dur
 	sidecarID := g.newSpanID()
 	cr := g.genCall(m, client, at, depth+1, budget, tid, sidecarID, opts, false, trace.MotifNone)
 
-	exo := client.Exo.At(at)
+	exo := g.exoAt(client, at)
 	req, resp := m.SampleSizes(rng)
 	// Loopback hop: tiny fixed stack and wire costs plus a light queue on
 	// the proxy, with the proxied call riding inside the handler time.
@@ -642,28 +663,30 @@ func (g *Generator) genSidecar(m *fleet.Method, client *sim.Cluster, at time.Dur
 	// floor ~0.016): a forwarding hop burns roughly half a minimal
 	// handler plus a per-byte copy term, all RPC-stack work.
 	proxyCPU := 0.008 + 1e-6*float64(req+resp)
-	g.Prof.Record(m.Service.Name, m.Service.Name+"/sidecar", gwp.Networking, proxyCPU)
+	var cycles [gwp.NumCategories]float64
+	cycles[gwp.Networking] = proxyCPU
+	g.Prof.Record(m.Service.Name, m.Service.Sidecar, &cycles)
 
-	span := &trace.Span{
-		TraceID:       tid,
-		SpanID:        sidecarID,
-		ParentID:      parent,
-		Method:        m.Service.Name + "/sidecar",
-		Service:       m.Service.Name,
-		ClientCluster: client.Name,
-		ServerCluster: client.Name,
-		Start:         at,
-		Breakdown:     b,
-		RequestBytes:  req,
-		ResponseBytes: resp,
-		CPUCycles:     proxyCPU,
-		Tier:          trace.TierStateless,
-		Motif:         trace.MotifSidecar,
-	}
-	span.CPUByCategory[gwp.Networking] = proxyCPU
 	if opts.Observe != nil && opts.Materialize {
 		opts.Observe(CallObservation{
-			Span: span, Method: m, Server: client, Client: client, Exo: exo,
+			Span: &trace.Span{
+				TraceID:       tid,
+				SpanID:        sidecarID,
+				ParentID:      parent,
+				Method:        m.Service.Sidecar,
+				Service:       m.Service.Name,
+				ClientCluster: client.Name,
+				ServerCluster: client.Name,
+				Start:         at,
+				Breakdown:     b,
+				RequestBytes:  req,
+				ResponseBytes: resp,
+				CPUCycles:     proxyCPU,
+				CPUByCategory: cycles,
+				Tier:          trace.TierStateless,
+				Motif:         trace.MotifSidecar,
+			},
+			Method: m, Server: client, Client: client, Exo: exo,
 			Descendants: cr.nodes, Ancestors: depth,
 		})
 	}
@@ -688,14 +711,15 @@ func (g *Generator) genReplica(m *fleet.Method, primary *sim.Cluster, at time.Du
 			}
 		}
 	}
-	exo := target.Exo.At(at)
+	exo := g.exoAt(target, at)
+	primaryExo := g.exoAt(primary, at)
 	req, _ := m.SampleSizes(rng)
 	resp := int64(64) // replica ack
 	app := time.Duration(float64(m.SampleAppTime(rng)) * 0.5 * target.SpeedFactor * exo.SlowdownFactor())
 
 	var b trace.Breakdown
 	b[trace.ServerApp] = app
-	b[trace.ClientSendQueue] = sim.QueueWait(rng, 20*time.Microsecond, primary.Exo.At(at).CPUUtil*0.6, primary.Exo.At(at))
+	b[trace.ClientSendQueue] = sim.QueueWait(rng, 20*time.Microsecond, primaryExo.CPUUtil*0.6, primaryExo)
 	b[trace.ServerRecvQueue] = sim.QueueWait(rng, 30*time.Microsecond, exo.CPUUtil, exo)
 	b[trace.ServerSendQueue] = sim.QueueWait(rng, 30*time.Microsecond, exo.CPUUtil*0.5, exo)
 	b[trace.ClientRecvQueue] = 2 * time.Microsecond
@@ -706,28 +730,31 @@ func (g *Generator) genReplica(m *fleet.Method, primary *sim.Cluster, at time.Du
 	b[trace.RespNetworkWire] = g.Topo.WireOneWay(rng, target, primary, resp, netUtil)
 
 	appCPU := m.CPUCost.Sample(rng) * 0.5
-	g.Prof.Record(m.Service.Name, m.Name, gwp.Application, appCPU)
+	var cycles [gwp.NumCategories]float64
+	cycles[gwp.Application] = appCPU
+	g.Prof.Record(m.Service.Name, m.Name, &cycles)
 
-	span := &trace.Span{
-		TraceID:       tid,
-		SpanID:        g.newSpanID(),
-		ParentID:      parent,
-		Method:        m.Name,
-		Service:       m.Service.Name,
-		ClientCluster: primary.Name,
-		ServerCluster: target.Name,
-		Start:         at,
-		Breakdown:     b,
-		RequestBytes:  req,
-		ResponseBytes: resp,
-		CPUCycles:     appCPU,
-		Tier:          m.Tier,
-		Motif:         trace.MotifReplica,
-	}
-	span.CPUByCategory[gwp.Application] = appCPU
+	spanID := g.newSpanID()
 	if opts.Observe != nil && opts.Materialize {
 		opts.Observe(CallObservation{
-			Span: span, Method: m, Server: target, Client: primary, Exo: exo,
+			Span: &trace.Span{
+				TraceID:       tid,
+				SpanID:        spanID,
+				ParentID:      parent,
+				Method:        m.Name,
+				Service:       m.Service.Name,
+				ClientCluster: primary.Name,
+				ServerCluster: target.Name,
+				Start:         at,
+				Breakdown:     b,
+				RequestBytes:  req,
+				ResponseBytes: resp,
+				CPUCycles:     appCPU,
+				CPUByCategory: cycles,
+				Tier:          m.Tier,
+				Motif:         trace.MotifReplica,
+			},
+			Method: m, Server: target, Client: primary, Exo: exo,
 			Descendants: 0, Ancestors: depth,
 		})
 	}
