@@ -4,10 +4,12 @@
 // cmd/rpcanalyze -in.
 //
 // Spans stream from the generation shards straight to the writer: the
-// dataset is never materialized, so memory stays bounded no matter how
-// large -volume is. Records interleave across shards (dump order varies
-// run to run) but the set of records is deterministic for a fixed seed;
-// sort or replay through rpcanalyze -stream, which is order-insensitive.
+// dataset is never materialized, so memory stays bounded by one call tree
+// per shard no matter how large -volume is. Each trace's spans are
+// adjacent (a materialized tree is written whole once it is generated);
+// traces interleave across shards, so record order varies run to run, but
+// the set of records is deterministic for a fixed seed, and so is the
+// report rpcanalyze -in replays from it.
 //
 // Usage:
 //
@@ -18,12 +20,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rpcscale/internal/fleet"
@@ -32,48 +33,77 @@ import (
 	"rpcscale/internal/workload"
 )
 
-// streamSink streams every span to a SpanWriter as shards produce them.
-// One instance is shared by all shards: the writer serializes records,
-// and the only other state is atomic. The first write error is kept and
-// reported after the run (sink callbacks cannot return errors).
-type streamSink struct {
+// shardSink writes one generation shard's spans to the shared writer.
+// Stratified and volume samples are one-span traces and go out as they
+// come; a materialized tree's spans are held until its GraphShape and
+// written with one Write, so every trace's spans are adjacent in the dump
+// (the contract workload.Replay reads it by). The first write error is
+// kept and reported after the run (sink callbacks cannot return errors).
+type shardSink struct {
 	w     *trace.SpanWriter
-	roots atomic.Uint64
-	fanIn atomic.Uint64 // fan-in edges across all graphs
-	motif atomic.Uint64 // motif-tagged nodes across all graphs
-
-	mu  sync.Mutex
-	err error
+	tree  []*trace.Span // the open materialized tree
+	roots uint64
+	fanIn uint64 // fan-in edges across the shard's graphs
+	motif uint64 // motif-tagged nodes across the shard's graphs
+	err   error
 }
 
-func (s *streamSink) write(sp *trace.Span) {
-	if err := s.w.Write(sp); err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
+func (s *shardSink) write(spans ...*trace.Span) {
+	if err := s.w.Write(spans...); err != nil && s.err == nil {
+		s.err = err
 	}
 }
 
-func (s *streamSink) MethodSpan(sp *trace.Span) { s.write(sp) }
-func (s *streamSink) VolumeSpan(sp *trace.Span) { s.write(sp) }
-func (s *streamSink) TreeSpan(sp *trace.Span) {
+func (s *shardSink) MethodSpan(sp *trace.Span) { s.write(sp) }
+func (s *shardSink) VolumeSpan(sp *trace.Span) { s.write(sp) }
+func (s *shardSink) TreeSpan(sp *trace.Span) {
 	if sp.ParentID == 0 {
-		s.roots.Add(1)
+		s.roots++
 	}
-	s.write(sp)
+	//rpclint:ignore sinkobserve holding the open tree until its GraphShape is this sink's contract; bounded by one tree per shard
+	s.tree = append(s.tree, sp)
 }
-func (s *streamSink) TreeShape(string, int, int) {}
-func (s *streamSink) GraphShape(g workload.GraphStat) {
-	s.fanIn.Add(uint64(g.FanInEdges))
-	var nodes uint64
+func (s *shardSink) TreeShape(string, int, int) {}
+func (s *shardSink) GraphShape(g workload.GraphStat) {
+	if len(s.tree) > 0 {
+		s.write(s.tree...)
+		s.tree = s.tree[:0]
+	}
+	s.fanIn += uint64(g.FanInEdges)
 	for m := 1; m < trace.NumMotifs; m++ {
-		nodes += uint64(g.Motifs[m])
+		s.motif += uint64(g.Motifs[m])
 	}
-	s.motif.Add(nodes)
 }
-func (s *streamSink) ExoSample(string, *trace.Span, sim.Exo) {}
+func (s *shardSink) ExoSample(string, *trace.Span, sim.Exo) {}
+
+// dumpTotals is what a generation run wrote.
+type dumpTotals struct {
+	spans, roots, fanIn, motif uint64
+}
+
+// generate runs the sharded generation and writes every span to w as a
+// JSON-lines dump, one sink per shard.
+func generate(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg workload.RunConfig, w io.Writer) (dumpTotals, error) {
+	sw := trace.NewSpanWriter(w)
+	var sinks []*shardSink
+	workload.Run(ctx, cat, topo, cfg, func(int) workload.SpanSink {
+		k := &shardSink{w: sw}
+		sinks = append(sinks, k)
+		return k
+	})
+	err := sw.Flush()
+	var t dumpTotals
+	for _, k := range sinks {
+		if k.err != nil && err == nil {
+			err = k.err
+		}
+		t.roots += k.roots
+		t.fanIn += k.fanIn
+		t.motif += k.motif
+	}
+	t.spans = sw.Count()
+	return t, err
+}
 
 func main() {
 	var (
@@ -135,25 +165,21 @@ func main() {
 	}
 
 	start := time.Now()
-	sink := &streamSink{w: trace.NewSpanWriter(w)}
-	workload.Run(ctx, cat, topo, workload.RunConfig{
+	tot, err := generate(ctx, cat, topo, workload.RunConfig{
 		Seed:          *seed,
 		MethodSamples: *samples,
 		VolumeRoots:   *volume,
 		Trees:         *trees,
-	}, func(int) workload.SpanSink { return sink })
-	if err := sink.w.Flush(); err != nil && sink.err == nil {
-		sink.err = err
-	}
-	if sink.err != nil {
-		fatal(sink.err)
+	}, w)
+	if err != nil {
+		fatal(err)
 	}
 	elapsed := time.Since(start)
-	rate := float64(sink.w.Count()) / elapsed.Seconds()
+	rate := float64(tot.spans) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "wrote %d spans (%d trees, %d methods) in %v\n",
-		sink.w.Count(), sink.roots.Load(), len(cat.Methods), elapsed.Round(time.Millisecond))
+		tot.spans, tot.roots, len(cat.Methods), elapsed.Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "rate: spans_per_sec=%.0f fanin_edges=%d motif_nodes=%d\n",
-		rate, sink.fanIn.Load(), sink.motif.Load())
+		rate, tot.fanIn, tot.motif)
 
 	if *memstats {
 		var m runtime.MemStats

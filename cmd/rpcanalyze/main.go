@@ -6,21 +6,18 @@
 //
 //	rpcanalyze [-methods N] [-volume N] [-samples N] [-trees N]
 //	           [-motifs packs] [-seed N] [-days N] [-lb] [-quick]
-//	rpcanalyze -in spans.jsonl [-stream]
+//	rpcanalyze -in spans.jsonl
 //
 // -quick shrinks everything for a fast smoke run; paper-scale is
 // -methods 10000 -volume 2000000.
 //
-// Simulation always streams: shards feed per-shard accumulators and the
-// dataset is never materialized, so memory stays bounded regardless of
-// -volume. -stream matters only with -in, where it picks between two
-// analyses that genuinely differ: without it the dump is loaded whole and
-// its call graphs reconstructed (Figs. 4/5 and the graph-shape figure);
-// with it the dump is scanned one record at a time at bounded memory,
-// which cannot reconstruct graphs and leaves those panels empty. The
-// out-of-core workflow is
+// Both modes stream: simulation shards feed per-shard accumulators, and
+// -in replays the dump one record at a time through the same per-shard
+// accumulators, rebuilding each trace's call graph as its spans end
+// (Figs. 4/5 and the graph-shape figure). Neither materializes the
+// dataset, so memory stays bounded regardless of volume:
 //
-//	fleetgen -volume 2000000 -o - | rpcanalyze -stream -in -
+//	fleetgen -volume 2000000 -o - | rpcanalyze -in -
 package main
 
 import (
@@ -36,10 +33,8 @@ import (
 
 	"rpcscale/internal/core"
 	"rpcscale/internal/fleet"
-	"rpcscale/internal/gwp"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
-	"rpcscale/internal/trace"
 	"rpcscale/internal/workload"
 )
 
@@ -55,7 +50,6 @@ func main() {
 		lb         = flag.Bool("lb", true, "run the Fig. 22 load-balance experiment")
 		quick      = flag.Bool("quick", false, "small fast run")
 		in         = flag.String("in", "", "analyze a span dump (fleetgen output, '-' for stdin) instead of simulating")
-		stream     = flag.Bool("stream", false, "with -in: scan the dump at bounded memory instead of loading it (no call-graph reconstruction, so Figs. 4/5 stay empty); generation always streams")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -75,7 +69,7 @@ func main() {
 	defer writeMemProfile(*memprofile)
 
 	if *in != "" {
-		analyzeDump(*in, *stream)
+		analyzeDump(*in)
 		return
 	}
 
@@ -139,17 +133,12 @@ func main() {
 
 // analyzeDump runs the span-level analyses over a fleetgen dump. Figures
 // that need the simulator (17-19, 22) or Monarch history (1, 18) are
-// skipped; everything span-derived is reproduced from the file.
-//
-// With streaming enabled the dump is scanned one record at a time into a
-// single accumulator set (every span counts toward both the per-method
-// distributions and the volume mix, exactly like the materialized
-// reconstruction), so dumps far larger than memory analyze fine. Call-graph
-// reconstruction needs all spans at once, so the streaming path leaves
-// the Fig. 4/5 shape panel and the graph summaries empty; its output is
-// otherwise the same analysis, though not byte-identical to the
-// materialized dump path, which replays the reconstructed graphs.
-func analyzeDump(path string, stream bool) {
+// skipped; everything span-derived is reproduced from the file, which
+// workload.Replay reads one record at a time (so dumps far larger than
+// memory analyze fine): every span counts toward both the per-method
+// distributions and the volume mix, and each trace's call graphs are
+// rebuilt when its adjacent spans end.
+func analyzeDump(path string) {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -161,36 +150,13 @@ func analyzeDump(path string, stream bool) {
 		defer f.Close()
 		r = f
 	}
-
-	if !stream {
-		ds, err := workload.LoadDataset(r)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loaded %d spans, %d methods, %d call graphs\n",
-			len(ds.VolumeSpans), len(ds.MethodSpans), len(ds.GraphStats))
-		fmt.Print(core.FullReport(ds, core.ReportOptions{}))
-		return
-	}
-
-	sink := core.NewReportSink()
-	prof := gwp.New()
-	var n uint64
-	err := trace.ScanSpans(r, func(s *trace.Span) error {
-		n++
-		sink.MethodSpan(s)
-		sink.VolumeSpan(s)
-		s.RecordCycles(prof)
-		return nil
-	})
+	var sinks core.ShardSinks
+	prof, err := workload.Replay(r, sinks.New)
 	if err != nil {
 		fatal(err)
 	}
-	if n == 0 {
-		fatal(fmt.Errorf("rpcanalyze: span dump is empty"))
-	}
-	fmt.Fprintf(os.Stderr, "scanned %d spans out-of-core\n", n)
-	fmt.Print(core.ReportFromSink(sink, prof.Snapshot(), core.ReportOptions{}))
+	fmt.Fprintf(os.Stderr, "replayed the dump through %d shard sinks\n", len(sinks))
+	fmt.Print(core.ReportFromSink(sinks.Merged(), prof, core.ReportOptions{}))
 }
 
 func writeMemProfile(path string) {

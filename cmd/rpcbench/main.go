@@ -47,6 +47,7 @@ import (
 	"rpcscale/internal/stubby"
 	"rpcscale/internal/telemetry"
 	"rpcscale/internal/trace"
+	"rpcscale/internal/workload"
 )
 
 func main() {
@@ -198,11 +199,14 @@ func main() {
 	// service owner would dashboard.
 	monarchSummary(plane)
 
-	// The study report over the live dataset. Sections that need the
-	// simulator (diurnal, cross-cluster, load-balance) are skipped because
-	// no Generator is supplied; span-derived figures run on real traffic.
-	ds := plane.Dataset()
-	fmt.Print(core.FullReport(ds, core.ReportOptions{DB: plane.Monarch()}))
+	// The study report over the live traffic: the traced spans replay like
+	// a span dump, and Fig. 20 reads the plane's profile, which counted
+	// unsampled calls too. Sections that need the simulator (diurnal,
+	// cross-cluster, load-balance) are skipped because no Generator is
+	// supplied; span-derived figures run on real traffic.
+	var sinks core.ShardSinks
+	workload.ReplaySpans(spans, sinks.New)
+	fmt.Print(core.ReportFromSink(sinks.Merged(), plane.Profiler().Snapshot(), core.ReportOptions{DB: plane.Monarch()}))
 }
 
 // callsFor is how many of n calls caller w of conc drives: an even

@@ -145,9 +145,9 @@ func printTree(spans []*trace.Span, id trace.TraceID) {
 		return
 	}
 	for _, g := range trace.BuildGraphs(subset) {
-		if g.FanInEdges() > 0 {
+		if st := g.Stat(); st.FanInEdges > 0 {
 			fmt.Printf("graph: %d spans, %d fan-in edges, depth %d, width %d\n",
-				g.Spans, g.FanInEdges(), g.Depth(), g.Width())
+				st.Spans, st.FanInEdges, st.Depth, st.Width)
 		}
 		var walk func(n *trace.GraphNode, indent string)
 		walk = func(n *trace.GraphNode, indent string) {

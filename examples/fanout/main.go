@@ -125,7 +125,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("trace tree: %d spans, depth %d, root fan-out %d (wider than deep)\n",
-			tr.Spans, tr.Depth(), len(tr.Root.Children))
+			tr.Spans, tr.Stat().Depth, len(tr.Root.Children))
 		fmt.Printf("  root %s: %v (app %v — includes all nested calls)\n",
 			tr.Root.Span.Method,
 			tr.Root.Span.Latency().Round(time.Microsecond),

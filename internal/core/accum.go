@@ -419,18 +419,7 @@ func widthBucket(w int) int {
 
 // TreeShape folds one call observation's shape (workload.SpanSink).
 func (k *ReportSink) TreeShape(method string, descendants, ancestors int) {
-	d := k.desc[method]
-	if d == nil {
-		d = stats.NewSample(0)
-		k.desc[method] = d
-	}
-	d.Add(float64(descendants))
-	a := k.anc[method]
-	if a == nil {
-		a = stats.NewSample(0)
-		k.anc[method] = a
-	}
-	a.Add(float64(ancestors))
+	workload.AddShape(k.desc, k.anc, method, descendants, ancestors)
 }
 
 // ExoSample folds one studied-method exogenous pairing (workload.SpanSink).
@@ -509,25 +498,12 @@ func (k *ReportSink) Merge(o *ReportSink) {
 
 	k.corr.Merge(o.corr)
 
-	mergeShapeSamples(k.desc, o.desc)
-	mergeShapeSamples(k.anc, o.anc)
+	workload.MergeSamples(k.desc, o.desc)
+	workload.MergeSamples(k.anc, o.anc)
 	for name, obs := range o.exo {
 		k.exo[name] = append(k.exo[name], obs...)
 	}
 	k.graph.merge(&o.graph)
-}
-
-func mergeShapeSamples(dst, src map[string]*stats.Sample) {
-	for name, s := range src {
-		d := dst[name]
-		if d == nil {
-			d = stats.NewSample(s.Len())
-			dst[name] = d
-		}
-		for _, v := range s.Values() {
-			d.Add(v)
-		}
-	}
 }
 
 // StudiedSpans returns the retained stratified spans of a studied method,
@@ -535,26 +511,19 @@ func mergeShapeSamples(dst, src map[string]*stats.Sample) {
 // methods return nil.
 func (k *ReportSink) StudiedSpans(method string) []*trace.Span { return k.studied[method] }
 
-// maxReplayShards caps how many per-shard sinks a replay will build.
-// Generator span IDs carry the shard index in their top 16 bits; dumps
-// from foreign tools may not, and fall back to a single sink.
-const maxReplayShards = 1 << 12
-
 // SinkFromDataset replays a materialized Dataset through per-shard
 // ReportSinks and merges them in shard-index order — the same routing,
 // per-shard observation order, and merge fold the streaming path uses, so
 // every accumulated quantity (floating-point sums included) is
 // bit-identical to a streaming run with the same (Seed, Shards).
 //
-// Spans are routed by the shard index embedded in their SpanID's top 16
-// bits; trace IDs are hashed and carry no shard information.
+// Spans are routed by the shard index their SpanID carries
+// (workload.ShardOf); trace IDs are hashed and carry no shard information.
 func SinkFromDataset(ds *workload.Dataset) *ReportSink {
 	shards := 1
 	note := func(spans []*trace.Span) {
 		for _, s := range spans {
-			if n := int(uint64(s.SpanID)>>48) + 1; n > shards {
-				shards = n
-			}
+			shards = max(shards, workload.ShardOf(s.SpanID)+1)
 		}
 	}
 	for _, spans := range ds.MethodSpans {
@@ -562,15 +531,6 @@ func SinkFromDataset(ds *workload.Dataset) *ReportSink {
 	}
 	note(ds.VolumeSpans)
 	note(ds.TreeSpans)
-	if shards > maxReplayShards {
-		shards = 1
-	}
-	shardOf := func(s *trace.Span) int {
-		if shards == 1 {
-			return 0
-		}
-		return int(uint64(s.SpanID) >> 48)
-	}
 
 	sinks := make([]*ReportSink, shards)
 	for i := range sinks {
@@ -578,14 +538,14 @@ func SinkFromDataset(ds *workload.Dataset) *ReportSink {
 	}
 	for _, name := range sortedKeys(ds.MethodSpans) {
 		for _, s := range ds.MethodSpans[name] {
-			sinks[shardOf(s)].MethodSpan(s)
+			sinks[workload.ShardOf(s.SpanID)].MethodSpan(s)
 		}
 	}
 	for _, s := range ds.VolumeSpans {
-		sinks[shardOf(s)].VolumeSpan(s)
+		sinks[workload.ShardOf(s.SpanID)].VolumeSpan(s)
 	}
 	for _, s := range ds.TreeSpans {
-		sinks[shardOf(s)].TreeSpan(s)
+		sinks[workload.ShardOf(s.SpanID)].TreeSpan(s)
 	}
 	// Graph summaries are plain integer-count values, so (like shape
 	// samples below) their accumulation is invariant to sink assignment;

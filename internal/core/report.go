@@ -41,24 +41,37 @@ func FullReport(ds *workload.Dataset, opts ReportOptions) string {
 // merged accumulators. Memory stays bounded by the accumulator state (plus
 // the eight studied methods' retained spans) regardless of VolumeRoots.
 func StreamReport(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg workload.RunConfig, opts ReportOptions) string {
-	sinks := make([]*ReportSink, 0, 16)
-	prof, _ := workload.Run(ctx, cat, topo, cfg, func(shard int) workload.SpanSink {
-		k := NewReportSink()
-		sinks = append(sinks, k)
-		return k
-	})
+	var sinks ShardSinks
+	prof, _ := workload.Run(ctx, cat, topo, cfg, sinks.New)
+	return ReportFromSink(sinks.Merged(), prof, opts)
+}
+
+// ShardSinks holds one ReportSink per shard of a workload.Run or
+// workload.Replay: pass its New method as the sink factory, and fold the
+// shards with Merged once the run returns.
+type ShardSinks []*ReportSink
+
+// New builds the next shard's sink (the factory of Run and Replay, which
+// call it for shards 0, 1, ... in order).
+func (s *ShardSinks) New(int) workload.SpanSink {
+	k := NewReportSink()
+	*s = append(*s, k)
+	return k
+}
+
+// Merged folds the shards' sinks in shard-index order.
+func (s ShardSinks) Merged() *ReportSink {
 	root := NewReportSink()
-	for _, k := range sinks {
+	for _, k := range s {
 		root.Merge(k)
 	}
-	return ReportFromSink(root, prof, opts)
+	return root
 }
 
 // ReportFromSink renders the figure-by-figure report from accumulated
 // state plus the run's CPU profile snapshot; every report ends here. A
-// caller may drive the sink itself, which is how cmd/rpcanalyze analyzes
-// span dumps out-of-core: scan the dump, feed each span to the sink, then
-// render.
+// span dump renders the same way: workload.Replay feeds it to ShardSinks,
+// which is how cmd/rpcanalyze -in analyzes a dump out-of-core.
 func ReportFromSink(sink *ReportSink, prof *gwp.Snapshot, opts ReportOptions) string {
 	var b strings.Builder
 	line := func(s string) {

@@ -24,12 +24,14 @@ type BottomKItem struct {
 	Vals [3]float64
 }
 
-// NewBottomK returns a sketch retaining at most k items.
+// NewBottomK returns a sketch retaining at most k items. Its buffer is
+// allocated by the first Offer (2k items) or Merge that brings an item, so
+// a sketch that never sees one costs a few words.
 func NewBottomK(k int) *BottomK {
 	if k <= 0 {
 		panic("stats: bottom-k capacity must be positive")
 	}
-	return &BottomK{k: k, items: make([]BottomKItem, 0, 2*k)}
+	return &BottomK{k: k}
 }
 
 // Mix64 is a SplitMix64-style finalizer suitable for deriving BottomK
@@ -48,6 +50,9 @@ func Mix64(x uint64) uint64 {
 // amortized O(log k) cost per offer.
 func (b *BottomK) Offer(key, tie uint64, vals [3]float64) {
 	b.seen++
+	if b.items == nil {
+		b.items = make([]BottomKItem, 0, 2*b.k)
+	}
 	b.items = append(b.items, BottomKItem{Key: key, Tie: tie, Vals: vals})
 	if len(b.items) >= 2*b.k {
 		b.prune()

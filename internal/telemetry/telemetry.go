@@ -13,9 +13,12 @@
 //     encryption byte accounting (internal/gwp).
 //
 // A Plane plugs into the stack through the single stubby.Options.Observer
-// hook (see Plane.Apply); Plane.Dataset then assembles a workload.Dataset
-// so core.FullReport renders the paper's figure-by-figure analyses over
-// real traffic instead of simulated fleets.
+// hook (see Plane.Apply). Its retained spans replay through the offline
+// analysis like a span dump (workload.ReplaySpans into core.ShardSinks),
+// and core.ReportFromSink renders the paper's figure-by-figure analyses
+// over real traffic with the plane's own profile, which saw every call,
+// not just the sampled ones, so Fig. 20's cycle tax is exact even under
+// span sampling.
 package telemetry
 
 import (
@@ -386,7 +389,7 @@ func (p *Plane) window(key aggKey, now time.Time) *winAgg {
 }
 
 // Flush pushes every pending window aggregate into the Monarch DB. It is
-// called automatically when a window rolls over and by Monarch/Dataset;
+// called automatically when a window rolls over and by Monarch;
 // call it directly before ad-hoc queries mid-window.
 func (p *Plane) Flush() {
 	p.mu.Lock()

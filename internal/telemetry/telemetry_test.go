@@ -13,6 +13,7 @@ import (
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/stubby"
 	"rpcscale/internal/trace"
+	"rpcscale/internal/workload"
 )
 
 // fakeClock is a settable clock for deterministic window tests.
@@ -206,7 +207,7 @@ func TestReset(t *testing.T) {
 
 // TestLoopbackRoundTrip drives real traffic through the stack with the
 // plane plugged in and checks every leg: spans, Monarch series, GWP
-// attribution, and the Dataset -> FullReport round trip.
+// attribution, and the span replay -> report round trip.
 func TestLoopbackRoundTrip(t *testing.T) {
 	plane := New()
 	opts := plane.Apply(stubby.Options{ClusterName: "test-cl", Workers: 4})
@@ -273,15 +274,14 @@ func TestLoopbackRoundTrip(t *testing.T) {
 		t.Fatal("no tax cycles attributed from live traffic")
 	}
 
-	// The dataset round trip: live traffic renders the full report.
-	ds := plane.Dataset()
-	if len(ds.VolumeSpans) == 0 {
-		t.Fatal("dataset has no spans")
+	// The replay round trip: live traffic renders the full report.
+	spans := plane.Collector().Spans()
+	if len(spans) == 0 {
+		t.Fatal("plane retained no spans")
 	}
-	if ds.Profile == nil || ds.Profile.Total() <= 0 {
-		t.Fatal("dataset carries no CPU profile")
-	}
-	report := core.FullReport(ds, core.ReportOptions{DB: db})
+	var sinks core.ShardSinks
+	workload.ReplaySpans(spans, sinks.New)
+	report := core.ReportFromSink(sinks.Merged(), snap, core.ReportOptions{DB: db})
 	for _, want := range []string{
 		"RPC completion time", // Fig. 2
 		"request size",        // Fig. 6

@@ -33,61 +33,59 @@ type GraphNode struct {
 // Shared reports whether the node has more than one parent.
 func (n *GraphNode) Shared() bool { return len(n.Parents) > 1 }
 
-// FanInEdges returns the number of extra in-edges across the graph: the
-// count of (parent, child) links beyond the spanning tree. A tree-shaped
-// graph returns 0.
-func (g *Graph) FanInEdges() int {
-	edges := 0
-	for _, n := range g.Nodes {
-		if len(n.Parents) > 1 {
-			edges += len(n.Parents) - 1
-		}
-	}
-	return edges
+// GraphStat summarizes the shape of one call graph: the raw material of
+// the graph-shape figures (size CCDF, depth-vs-width joint distribution,
+// motif frequency). It is a plain value — integer counts only — so
+// accumulating GraphStats is invariant to shard routing and fold order,
+// which is what keeps the streaming and materialized reports
+// byte-identical. The generator accounts it in flight; Graph.Stat reads it
+// off a rebuilt graph.
+type GraphStat struct {
+	// Root is the graph's entry method.
+	Root string
+	// Spans is the number of nodes in the graph (shared dependencies
+	// count once however many parents reach them).
+	Spans int
+	// Depth is the height of the primary-parent spanning tree (0 for a
+	// single node).
+	Depth int
+	// Width is the maximum node count at any single primary depth.
+	Width int
+	// FanInEdges counts in-edges beyond the spanning tree (0 for trees).
+	FanInEdges int
+	// SharedNodes counts nodes with more than one parent.
+	SharedNodes int
+	// Motifs counts nodes by motif kind (index Motif; index 0 is unused —
+	// plain calls are Spans minus the rest).
+	Motifs [NumMotifs]uint32
 }
 
-// SharedNodes returns how many nodes have more than one parent.
-func (g *Graph) SharedNodes() int {
-	shared := 0
-	for _, n := range g.Nodes {
+// Stat summarizes the graph in one walk of its spanning tree, which
+// visits every node once. Depth and Width follow primary edges only, so
+// they are well-defined even when fan-in edges would otherwise create
+// multiple path lengths.
+func (g *Graph) Stat() GraphStat {
+	st := GraphStat{Spans: g.Spans}
+	if g.Root != nil {
+		st.Root = g.Root.Span.Method
+	}
+	var perDepth []int
+	g.Walk(func(n *GraphNode, depth int) {
+		if depth == len(perDepth) {
+			perDepth = append(perDepth, 0)
+			st.Depth = depth
+		}
+		perDepth[depth]++
+		st.Width = max(st.Width, perDepth[depth])
 		if n.Shared() {
-			shared++
+			st.FanInEdges += len(n.Parents) - 1
+			st.SharedNodes++
 		}
-	}
-	return shared
-}
-
-// Depth returns the height of the spanning tree (a single-node graph has
-// depth 0). Depth follows primary edges only, so it is well-defined even
-// when fan-in edges would otherwise create multiple path lengths.
-func (g *Graph) Depth() int {
-	max := 0
-	g.Walk(func(_ *GraphNode, depth int) {
-		if depth > max {
-			max = depth
+		if m := n.Span.Motif; m != MotifNone && int(m) < NumMotifs {
+			st.Motifs[m]++
 		}
 	})
-	return max
-}
-
-// Width returns the maximum number of nodes at any single depth of the
-// spanning tree — the "how wide" axis of the depth-vs-width joint
-// distribution.
-func (g *Graph) Width() int {
-	var counts []int
-	g.Walk(func(_ *GraphNode, depth int) {
-		for len(counts) <= depth {
-			counts = append(counts, 0)
-		}
-		counts[depth]++
-	})
-	width := 0
-	for _, c := range counts {
-		if c > width {
-			width = c
-		}
-	}
-	return width
+	return st
 }
 
 // Walk visits every node of the spanning tree pre-order with its primary

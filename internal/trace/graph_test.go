@@ -73,7 +73,7 @@ func TestBuildGraphsSpanningTree(t *testing.T) {
 		}
 		for i, w := range tc.want {
 			g := graphs[i]
-			got := want{g.Root.Span.Method, g.Spans, g.Depth()}
+			got := want{g.Root.Span.Method, g.Spans, g.Stat().Depth}
 			if got != w {
 				t.Errorf("%s: graph %d = %+v, want %+v", tc.name, i, got, w)
 			}
@@ -107,16 +107,16 @@ func TestBuildGraphsDiamond(t *testing.T) {
 	if g.Spans != 4 {
 		t.Errorf("Spans = %d, want 4", g.Spans)
 	}
-	if got := g.FanInEdges(); got != 1 {
+	if got := g.Stat().FanInEdges; got != 1 {
 		t.Errorf("FanInEdges = %d, want 1", got)
 	}
-	if got := g.SharedNodes(); got != 1 {
+	if got := g.Stat().SharedNodes; got != 1 {
 		t.Errorf("SharedNodes = %d, want 1", got)
 	}
-	if got := g.Depth(); got != 2 {
+	if got := g.Stat().Depth; got != 2 {
 		t.Errorf("Depth = %d, want 2", got)
 	}
-	if got := g.Width(); got != 2 {
+	if got := g.Stat().Width; got != 2 {
 		t.Errorf("Width = %d, want 2", got)
 	}
 	shared := g.Nodes[4]
@@ -141,7 +141,7 @@ func TestBuildGraphsDropsBogusLinks(t *testing.T) {
 	// Missing target, self-loop, and duplicate-of-primary must all drop.
 	spans[3].LinkedParents = []SpanID{999, 4, 2, 3, 3}
 	g := BuildGraphs(spans)[0]
-	if got := g.FanInEdges(); got != 1 {
+	if got := g.Stat().FanInEdges; got != 1 {
 		t.Errorf("FanInEdges = %d, want 1 (bogus links dropped)", got)
 	}
 }
@@ -150,9 +150,9 @@ func TestBuildGraphsTreeDegeneratesToZeroFanIn(t *testing.T) {
 	spans := diamondSpans()
 	spans[3].LinkedParents = nil
 	g := BuildGraphs(spans)[0]
-	if g.FanInEdges() != 0 || g.SharedNodes() != 0 {
+	if g.Stat().FanInEdges != 0 || g.Stat().SharedNodes != 0 {
 		t.Errorf("tree-shaped graph reports fan-in: edges=%d shared=%d",
-			g.FanInEdges(), g.SharedNodes())
+			g.Stat().FanInEdges, g.Stat().SharedNodes)
 	}
 }
 

@@ -155,8 +155,14 @@ func WriteSpans(w io.Writer, spans []*Span) error {
 // SpanWriter streams spans to an underlying writer as JSON lines. It is
 // safe for concurrent use, so generation shards can write spans as they
 // produce them without materializing the dataset first. Interleaving
-// across concurrent writers is arbitrary, but each record is written
-// atomically, so the dump content is well-formed regardless of schedule.
+// across concurrent writers is arbitrary, but each Write call's records
+// land together, in order.
+//
+// A dump's contract with its readers: the spans of one trace are adjacent
+// (cmd/fleetgen writes each trace with one Write call), which is what lets
+// a replay rebuild every call graph as soon as its trace ends
+// (workload.Replay). Dumps that break it still parse; a trace split across
+// the dump is rebuilt as fragments.
 type SpanWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -170,14 +176,16 @@ func NewSpanWriter(w io.Writer) *SpanWriter {
 	return &SpanWriter{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Write encodes one span.
-func (w *SpanWriter) Write(s *Span) error {
+// Write encodes spans as adjacent records.
+func (w *SpanWriter) Write(spans ...*Span) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.enc.Encode(ToRecord(s)); err != nil {
-		return fmt.Errorf("trace: encoding span: %w", err)
+	for _, s := range spans {
+		if err := w.enc.Encode(ToRecord(s)); err != nil {
+			return fmt.Errorf("trace: encoding span: %w", err)
+		}
+		w.n++
 	}
-	w.n++
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -90,26 +89,19 @@ func TestGraphStatWithinBudget(t *testing.T) {
 
 func TestMotifDumpRoundTrip(t *testing.T) {
 	ds := Generate(context.Background(), motifCat(), testTopo, dagCfg)
-	var buf bytes.Buffer
-	if err := trace.WriteSpans(&buf, ds.AllSpans()); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.GraphStats) == 0 {
+	loaded, _ := replayDump(t, ds.AllSpans())
+	if len(loaded.graphs) == 0 {
 		t.Fatal("no graph summaries reconstructed from dump")
 	}
 	var fanIn int
-	for _, g := range loaded.GraphStats {
+	for _, g := range loaded.graphs {
 		fanIn += g.FanInEdges
 	}
 	if fanIn == 0 {
 		t.Error("reconstructed graphs lost their fan-in edges")
 	}
 	var linked, tagged bool
-	for _, s := range loaded.VolumeSpans {
+	for _, s := range loaded.volume {
 		if len(s.LinkedParents) > 0 {
 			linked = true
 		}

@@ -187,13 +187,11 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 			dsSinks[shard] = newDatasetSink()
 			parts = append(parts, dsSinks[shard])
 		}
-		switch len(parts) {
-		case 0:
-			sinks[shard] = nopSink{}
-		case 1:
+		// An empty tee discards the stream (a Run with neither sinks nor
+		// retention still exercises the generator and fills the profile).
+		sinks[shard] = parts
+		if len(parts) == 1 {
 			sinks[shard] = parts[0]
-		default:
-			sinks[shard] = parts
 		}
 		profs[shard] = gwp.New()
 	}
@@ -233,8 +231,8 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 		}
 		ds.VolumeSpans = append(ds.VolumeSpans, d.volume...)
 		ds.TreeSpans = append(ds.TreeSpans, d.treeSpans...)
-		mergeSamples(ds.DescendantsByMethod, d.desc)
-		mergeSamples(ds.AncestorsByMethod, d.anc)
+		MergeSamples(ds.DescendantsByMethod, d.desc)
+		MergeSamples(ds.AncestorsByMethod, d.anc)
 		for name, obs := range d.exo {
 			ds.ExoByMethod[name] = append(ds.ExoByMethod[name], obs...)
 		}
@@ -244,7 +242,9 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 	return snap, ds
 }
 
-func mergeSamples(dst, src map[string]*stats.Sample) {
+// MergeSamples appends each of src's samples to dst's sample of the same
+// name, creating it when dst has none.
+func MergeSamples(dst, src map[string]*stats.Sample) {
 	for name, s := range src {
 		d := dst[name]
 		if d == nil {

@@ -37,7 +37,7 @@ type Generator struct {
 	nextTrace  uint64
 	nextSpanID uint64
 
-	// idBase namespaces trace/span IDs per shard (see NewGeneratorShard).
+	// idBase namespaces trace/span IDs per shard (shardIDBase).
 	idBase uint64
 
 	// ColocateBoost is how strongly the cluster manager co-locates
@@ -161,7 +161,7 @@ func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profile
 		rng:           stats.NewRNG(seed).Child(fmt.Sprintf("workload-%d", shard)),
 		nonCancel:     nonCancel,
 		ColocateBoost: 0.75,
-		idBase:        uint64(shard) << 48,
+		idBase:        shardIDBase(shard),
 		exoMemo:       make([]exoEntry, len(topo.Clusters)),
 	}
 }

@@ -45,6 +45,11 @@ type SpanSink interface {
 	ExoSample(method string, s *trace.Span, exo sim.Exo)
 }
 
+// GraphStat is one call graph's whole-graph summary, the value
+// SpanSink.GraphShape carries (trace.GraphStat; a replay reads it off the
+// rebuilt graph with trace.Graph.Stat).
+type GraphStat = trace.GraphStat
+
 // datasetSink buffers one shard's stream into Dataset-shaped state; it is
 // how Generate retains full spans on top of Run.
 type datasetSink struct {
@@ -78,12 +83,12 @@ func (d *datasetSink) VolumeSpan(s *trace.Span) { d.volume = append(d.volume, s)
 func (d *datasetSink) TreeSpan(s *trace.Span) { d.treeSpans = append(d.treeSpans, s) }
 
 func (d *datasetSink) TreeShape(method string, descendants, ancestors int) {
-	addShape(d.desc, d.anc, method, descendants, ancestors)
+	AddShape(d.desc, d.anc, method, descendants, ancestors)
 }
 
-// addShape appends one call's (descendants, ancestors) counts to its
-// method's Figs. 4/5 samples.
-func addShape(desc, anc map[string]*stats.Sample, method string, descendants, ancestors int) {
+// AddShape appends one call's (descendants, ancestors) counts to its
+// method's Figs. 4/5 samples in desc and anc.
+func AddShape(desc, anc map[string]*stats.Sample, method string, descendants, ancestors int) {
 	d := desc[method]
 	if d == nil {
 		d = stats.NewSample(0)
@@ -143,14 +148,3 @@ func (t teeSink) ExoSample(method string, s *trace.Span, exo sim.Exo) {
 		sk.ExoSample(method, s, exo)
 	}
 }
-
-// nopSink discards the stream (a Run with neither sinks nor retention
-// still exercises the generator and produces a CPU profile).
-type nopSink struct{}
-
-func (nopSink) MethodSpan(*trace.Span)                 {}
-func (nopSink) VolumeSpan(*trace.Span)                 {}
-func (nopSink) TreeSpan(*trace.Span)                   {}
-func (nopSink) TreeShape(string, int, int)             {}
-func (nopSink) GraphShape(GraphStat)                   {}
-func (nopSink) ExoSample(string, *trace.Span, sim.Exo) {}

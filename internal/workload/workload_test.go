@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rpcscale/internal/fleet"
+	"rpcscale/internal/gwp"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
 	"rpcscale/internal/stats"
@@ -478,31 +479,53 @@ func TestQueueHeavyServiceShape(t *testing.T) {
 	}
 }
 
-func TestLoadDatasetRoundTrip(t *testing.T) {
+// replayDump replays a dump through one datasetSink that every shard
+// shares, so its fields hold everything the replay fed.
+func replayDump(t *testing.T, spans []*trace.Span) (*datasetSink, *gwp.Snapshot) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteSpans(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	d := newDatasetSink()
+	prof, err := Replay(&buf, func(int) SpanSink { return d })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, prof
+}
+
+func TestReplayRoundTrip(t *testing.T) {
 	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
 		Seed: 31, MethodSamples: 10, StudiedSamples: 10,
 		VolumeRoots: 2000, Trees: 40, MaxDepth: 5, TreeBudget: 200,
 	})
-	var buf bytes.Buffer
 	spans := ds.AllSpans()
-	if err := trace.WriteSpans(&buf, spans); err != nil {
-		t.Fatal(err)
+	d, prof := replayDump(t, spans)
+	if len(d.volume) != len(spans) {
+		t.Fatalf("replayed %d spans, wrote %d", len(d.volume), len(spans))
 	}
-	loaded, err := LoadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
+	// Every materialized tree of two or more spans comes back whole.
+	perTrace := make(map[trace.TraceID]int)
+	for _, s := range ds.TreeSpans {
+		perTrace[s.TraceID]++
 	}
-	if len(loaded.VolumeSpans) != len(spans) {
-		t.Fatalf("loaded %d spans, wrote %d", len(loaded.VolumeSpans), len(spans))
+	var wantSpans, wantGraphs int
+	for _, n := range perTrace {
+		if n >= 2 {
+			wantSpans += n
+			wantGraphs++
+		}
 	}
-	if len(loaded.TreeSpans) == 0 || len(loaded.GraphStats) == 0 {
-		t.Fatal("no trees reconstructed")
+	if wantGraphs == 0 || len(d.treeSpans) != wantSpans || len(d.graphs) != wantGraphs {
+		t.Fatalf("rebuilt %d tree spans in %d graphs, want %d in %d",
+			len(d.treeSpans), len(d.graphs), wantSpans, wantGraphs)
 	}
-	if loaded.Profile == nil || loaded.Profile.Total() <= 0 {
+	if prof == nil || prof.Total() <= 0 {
 		t.Fatal("no profile synthesized")
 	}
 	// Per-method grouping preserved.
-	for name, spans := range loaded.MethodSpans {
+	for name, spans := range d.methodSpans {
 		for _, s := range spans {
 			if s.Method != name {
 				t.Fatalf("span %s grouped under %s", s.Method, name)
@@ -510,13 +533,13 @@ func TestLoadDatasetRoundTrip(t *testing.T) {
 		}
 	}
 	// Shape samples exist for multi-span trees.
-	if len(loaded.DescendantsByMethod) == 0 {
+	if len(d.desc) == 0 {
 		t.Fatal("no shape samples reconstructed")
 	}
 }
 
-func TestLoadDatasetEmpty(t *testing.T) {
-	if _, err := LoadDataset(bytes.NewReader(nil)); err == nil {
+func TestReplayEmpty(t *testing.T) {
+	if _, err := Replay(bytes.NewReader(nil), func(int) SpanSink { return teeSink{} }); err == nil {
 		t.Fatal("empty dump should error")
 	}
 }
@@ -563,6 +586,13 @@ func TestColocateBoostReducesCrossRate(t *testing.T) {
 	}
 }
 
+// replaySpans replays in-memory spans through one shared datasetSink.
+func replaySpans(spans []*trace.Span) *datasetSink {
+	d := newDatasetSink()
+	ReplaySpans(spans, func(int) SpanSink { return d })
+	return d
+}
+
 // TestDeepChainDumpLoads: a dump is outside input, and a single parent
 // chain is its worst case for any per-node subtree walk. Loading must stay
 // linear in the span count and still count every node's subtree right.
@@ -573,19 +603,19 @@ func TestDeepChainDumpLoads(t *testing.T) {
 		spans[i] = &trace.Span{TraceID: 1, SpanID: trace.SpanID(i + 1), ParentID: trace.SpanID(i), Method: "chain/Link", Service: "chain"}
 	}
 	start := time.Now()
-	ds := DatasetFromSpans(spans)
+	ds := replaySpans(spans)
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("loading a %d-span chain took %v", n, took)
 	}
-	if len(ds.TreeSpans) != n {
-		t.Fatalf("tree spans = %d, want %d", len(ds.TreeSpans), n)
+	if len(ds.treeSpans) != n {
+		t.Fatalf("tree spans = %d, want %d", len(ds.treeSpans), n)
 	}
-	if len(ds.GraphStats) != 1 || ds.GraphStats[0].Spans != n || ds.GraphStats[0].Depth != n-1 {
-		t.Fatalf("graph stats = %+v", ds.GraphStats)
+	if len(ds.graphs) != 1 || ds.graphs[0].Spans != n || ds.graphs[0].Depth != n-1 || ds.graphs[0].Width != 1 {
+		t.Fatalf("graph stats = %+v", ds.graphs)
 	}
 	// Span i has n-1-i descendants and i ancestors: each of 0..n-1 once.
 	for what, by := range map[string]map[string]*stats.Sample{
-		"descendants": ds.DescendantsByMethod, "ancestors": ds.AncestorsByMethod,
+		"descendants": ds.desc, "ancestors": ds.anc,
 	} {
 		s := by["chain/Link"]
 		if s == nil || s.Len() != n {
@@ -614,12 +644,12 @@ func TestDumpParentCycles(t *testing.T) {
 		mk(7, 7, "self"), mk(8, 7, "self-child"),
 		mk(10, 99, "orphan"), mk(11, 10, "orphan-child"),
 	}
-	ds := DatasetFromSpans(spans)
-	if len(ds.VolumeSpans) != len(spans) {
-		t.Fatalf("volume spans = %d, want %d", len(ds.VolumeSpans), len(spans))
+	ds := replaySpans(spans)
+	if len(ds.volume) != len(spans) {
+		t.Fatalf("volume spans = %d, want %d", len(ds.volume), len(spans))
 	}
 	var roots []string
-	for _, g := range ds.GraphStats {
+	for _, g := range ds.graphs {
 		if g.Spans != 2 || g.Depth != 1 {
 			t.Errorf("graph %s: %+v, want 2 spans of depth 1", g.Root, g)
 		}
@@ -628,13 +658,13 @@ func TestDumpParentCycles(t *testing.T) {
 	if len(roots) != 2 || roots[0] != "self" || roots[1] != "orphan" {
 		t.Fatalf("graph roots = %v, want [self orphan]", roots)
 	}
-	if len(ds.TreeSpans) != 4 {
-		t.Fatalf("tree spans = %d, want 4 (the cycle joins no graph)", len(ds.TreeSpans))
+	if len(ds.treeSpans) != 4 {
+		t.Fatalf("tree spans = %d, want 4 (the cycle joins no graph)", len(ds.treeSpans))
 	}
-	if d := ds.DescendantsByMethod["cycle/A"]; d != nil {
+	if d := ds.desc["cycle/A"]; d != nil {
 		t.Error("cycle member has shape samples")
 	}
-	if d := ds.DescendantsByMethod["orphan"]; d == nil || d.Quantile(1) != 1 {
+	if d := ds.desc["orphan"]; d == nil || d.Quantile(1) != 1 {
 		t.Error("orphan root should have one descendant")
 	}
 }
