@@ -4,8 +4,9 @@
 // load-balancing policies on live traffic. It renders the paper's
 // Fig. 13–15 per-policy load-imbalance table plus calls/s and p50/p99.
 //
-// The parent re-executes itself for each child role (CLUSTERCTL_* env
-// selects it); see internal/cluster and DESIGN.md §13 for the protocol.
+// The parent re-executes itself for each child role (the CLUSTERCTL_CONFIG
+// environment variable carries it); see internal/cluster and DESIGN.md §13
+// for the protocol.
 package main
 
 import (

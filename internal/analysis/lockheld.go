@@ -218,8 +218,8 @@ func riskyCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 			return pkg + "." + fn.Name() + " I/O", true
 		}
 	}
-	// RPC dispatch is matched by name so that func-typed fields
-	// (a channel's invoke chain) count too.
+	// RPC dispatch is matched by name so that calls through func-typed
+	// fields count too.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && RPCCallNames.Has(sel.Sel.Name) {
 		return "RPC dispatch via " + sel.Sel.Name, true
 	}

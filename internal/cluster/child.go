@@ -1,34 +1,21 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 )
 
-// Environment keys of the child protocol. The parent re-executes its own
-// binary with these set; flags never reach the child, so any binary that
-// calls RunChildIfSpawned early in main (cmd/rpccluster, the test binary)
-// can host a role.
-const (
-	envRole         = "CLUSTERCTL_ROLE"
-	envSeed         = "CLUSTERCTL_SEED"
-	envMethods      = "CLUSTERCTL_METHODS"
-	envWorkers      = "CLUSTERCTL_WORKERS"
-	envAppTimeScale = "CLUSTERCTL_APPTIME_SCALE"
-	envServers      = "CLUSTERCTL_SERVERS"
-	envPolicy       = "CLUSTERCTL_POLICY"
-	envClientID     = "CLUSTERCTL_CLIENT_ID"
-	envDuration     = "CLUSTERCTL_DURATION"
-	envTimeScale    = "CLUSTERCTL_TIME_SCALE"
-	envBaseRate     = "CLUSTERCTL_BASE_RATE"
-	envPool         = "CLUSTERCTL_POOL"
-)
+// envConfig is the child protocol's one environment key: the parent
+// re-executes its own binary with the child's ChildConfig in it as JSON,
+// the encoding the RESULT line uses too. Flags never reach the child, so
+// any binary that calls RunChild early in main when IsChild holds
+// (cmd/rpccluster, the test binary) can host a role.
+const envConfig = "CLUSTERCTL_CONFIG"
 
-// ChildConfig is a child role's full configuration, decoded from the
-// CLUSTERCTL_* environment.
+// ChildConfig is a child role's full configuration, the JSON value of
+// CLUSTERCTL_CONFIG.
 type ChildConfig struct {
 	Role         string
 	Seed         uint64
@@ -50,55 +37,24 @@ type ChildConfig struct {
 }
 
 // IsChild reports whether this process was spawned as a cluster child.
-func IsChild() bool { return os.Getenv(envRole) != "" }
+func IsChild() bool { return os.Getenv(envConfig) != "" }
 
-// childConfigFromEnv decodes the CLUSTERCTL_* environment.
+// spawnChild starts bin as the child cfg describes (Spawn).
+func spawnChild(name, bin string, cfg ChildConfig) (*Proc, error) {
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding %s config: %w", name, err)
+	}
+	return Spawn(name, bin, nil, []string{envConfig + "=" + string(b)})
+}
+
+// childConfigFromEnv decodes CLUSTERCTL_CONFIG.
 func childConfigFromEnv() (ChildConfig, error) {
-	cfg := ChildConfig{Role: os.Getenv(envRole)}
-	var err error
-	parseU64 := func(key string, dst *uint64) {
-		if v := os.Getenv(key); v != "" && err == nil {
-			*dst, err = strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("cluster: %s=%q: %w", key, v, err)
-			}
-		}
+	var cfg ChildConfig
+	if err := json.Unmarshal([]byte(os.Getenv(envConfig)), &cfg); err != nil {
+		return cfg, fmt.Errorf("cluster: %s: %w", envConfig, err)
 	}
-	parseInt := func(key string, dst *int) {
-		if v := os.Getenv(key); v != "" && err == nil {
-			*dst, err = strconv.Atoi(v)
-			if err != nil {
-				err = fmt.Errorf("cluster: %s=%q: %w", key, v, err)
-			}
-		}
-	}
-	parseF64 := func(key string, dst *float64) {
-		if v := os.Getenv(key); v != "" && err == nil {
-			*dst, err = strconv.ParseFloat(v, 64)
-			if err != nil {
-				err = fmt.Errorf("cluster: %s=%q: %w", key, v, err)
-			}
-		}
-	}
-	parseU64(envSeed, &cfg.Seed)
-	parseInt(envMethods, &cfg.Methods)
-	parseInt(envWorkers, &cfg.Workers)
-	parseF64(envAppTimeScale, &cfg.AppTimeScale)
-	parseInt(envClientID, &cfg.ClientID)
-	parseF64(envTimeScale, &cfg.TimeScale)
-	parseF64(envBaseRate, &cfg.BaseRate)
-	parseInt(envPool, &cfg.PoolSize)
-	if v := os.Getenv(envServers); v != "" {
-		cfg.Servers = strings.Split(v, ",")
-	}
-	cfg.Policy = os.Getenv(envPolicy)
-	if v := os.Getenv(envDuration); v != "" && err == nil {
-		cfg.Duration, err = time.ParseDuration(v)
-		if err != nil {
-			err = fmt.Errorf("cluster: %s=%q: %w", envDuration, v, err)
-		}
-	}
-	return cfg, err
+	return cfg, nil
 }
 
 // RunChild dispatches the child role selected by the environment and

@@ -30,19 +30,18 @@ func testBin(t *testing.T) string {
 }
 
 // TestSupervisorPropagatesChildFailure spawns a child with a malformed
-// environment and checks the run fails with the child's exit code
-// surfaced (satellite: a crashing child must fail the run).
+// config and checks the run fails with the child's exit code surfaced: a
+// crashing child must fail the run.
 func TestSupervisorPropagatesChildFailure(t *testing.T) {
 	leakcheck.Check(t)
 	p, err := Spawn("broken", testBin(t), nil, []string{
-		envRole + "=client",
-		envDuration + "=bogus", // unparseable → child exits 2
+		envConfig + `={"Role":"client","Duration":"bogus"}`, // unparseable → child exits 2
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Wait(); err == nil {
-		t.Fatal("child with malformed env exited 0")
+		t.Fatal("child with malformed config exited 0")
 	}
 	if code := p.ExitCode(); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
@@ -57,7 +56,7 @@ func TestSupervisorPropagatesChildFailure(t *testing.T) {
 // TestSupervisorUnknownRole checks the role-dispatch failure path (exit 1).
 func TestSupervisorUnknownRole(t *testing.T) {
 	leakcheck.Check(t)
-	p, err := Spawn("mystery", testBin(t), nil, []string{envRole + "=gateway"})
+	p, err := Spawn("mystery", testBin(t), nil, []string{envConfig + `={"Role":"gateway"}`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +71,7 @@ func TestSupervisorUnknownRole(t *testing.T) {
 // clean exit with a RESULT line.
 func TestServerReadyAndDrain(t *testing.T) {
 	leakcheck.Check(t)
-	p, err := Spawn("server-0", testBin(t), nil, []string{
-		envRole + "=server",
-		envSeed + "=7",
-	})
+	p, err := spawnChild("server-0", testBin(t), ChildConfig{Role: "server", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

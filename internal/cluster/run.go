@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"rpcscale/internal/stats"
@@ -141,15 +140,14 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		}
 	}()
 	for i := 0; i < cfg.Servers; i++ {
-		env := []string{
-			envRole + "=server",
-			fmt.Sprintf("%s=%d", envSeed, cfg.Seed),
-			fmt.Sprintf("%s=%d", envMethods, cfg.Methods),
-			fmt.Sprintf("%s=%d", envWorkers, cfg.Workers),
-			fmt.Sprintf("%s=%g", envAppTimeScale, cfg.AppTimeScale),
-			fmt.Sprintf("%s=%d", envClientID, i),
-		}
-		p, err := Spawn(fmt.Sprintf("server-%d", i), bin, nil, env)
+		p, err := spawnChild(fmt.Sprintf("server-%d", i), bin, ChildConfig{
+			Role:         "server",
+			Seed:         cfg.Seed,
+			Methods:      cfg.Methods,
+			Workers:      cfg.Workers,
+			AppTimeScale: cfg.AppTimeScale,
+			ClientID:     i,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -261,19 +259,18 @@ func runPhase(ctx context.Context, cfg Config, bin, policy string, addrs []strin
 		}
 	}()
 	for j := 0; j < cfg.Clients; j++ {
-		env := []string{
-			envRole + "=client",
-			fmt.Sprintf("%s=%d", envSeed, cfg.Seed),
-			fmt.Sprintf("%s=%d", envMethods, cfg.Methods),
-			fmt.Sprintf("%s=%d", envClientID, j),
-			envServers + "=" + strings.Join(addrs, ","),
-			envPolicy + "=" + policy,
-			envDuration + "=" + cfg.Duration.String(),
-			fmt.Sprintf("%s=%g", envTimeScale, cfg.TimeScale),
-			fmt.Sprintf("%s=%g", envBaseRate, cfg.BaseRate),
-			fmt.Sprintf("%s=%d", envPool, cfg.PoolSize),
-		}
-		p, err := Spawn(fmt.Sprintf("client-%s-%d", policy, j), bin, nil, env)
+		p, err := spawnChild(fmt.Sprintf("client-%s-%d", policy, j), bin, ChildConfig{
+			Role:      "client",
+			Seed:      cfg.Seed,
+			Methods:   cfg.Methods,
+			ClientID:  j,
+			Servers:   addrs,
+			Policy:    policy,
+			Duration:  cfg.Duration,
+			TimeScale: cfg.TimeScale,
+			BaseRate:  cfg.BaseRate,
+			PoolSize:  cfg.PoolSize,
+		})
 		if err != nil {
 			return nil, err
 		}

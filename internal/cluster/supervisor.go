@@ -6,7 +6,8 @@
 // discrete-event simulator.
 //
 // Topology and protocol (DESIGN.md §13): the parent re-executes its own
-// binary with CLUSTERCTL_* environment variables selecting a child role.
+// binary with the child's role and configuration as JSON in the
+// CLUSTERCTL_CONFIG environment variable.
 // Children speak a line protocol on stdout — "CLUSTERCTL READY addr=..."
 // after binding, "CLUSTERCTL RESULT <json>" on completion — and treat
 // SIGTERM or stdin EOF as the drain signal, so an orphaned child exits as

@@ -127,65 +127,3 @@ func TestBucketizeEdgeCases(t *testing.T) {
 		t.Errorf("constant-x bucketize = %v %v", c, m)
 	}
 }
-
-func TestReservoirExactUnderCapacity(t *testing.T) {
-	r := NewReservoir(100, NewRNG(13))
-	for i := 0; i < 50; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != 50 || len(r.Values()) != 50 {
-		t.Fatalf("seen=%d len=%d", r.Seen(), len(r.Values()))
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of the first 1000 values should survive with p = cap/1000.
-	const trials = 300
-	const capN = 50
-	const stream = 1000
-	hitsFirst := 0
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir(capN, NewRNG(uint64(trial)))
-		for i := 0; i < stream; i++ {
-			r.Add(float64(i))
-		}
-		for _, v := range r.Values() {
-			if v == 0 {
-				hitsFirst++
-			}
-		}
-	}
-	got := float64(hitsFirst) / trials
-	want := float64(capN) / stream
-	if math.Abs(got-want) > 0.03 {
-		t.Errorf("retention of first element = %v, want ~%v", got, want)
-	}
-}
-
-func TestItemReservoir(t *testing.T) {
-	type trace struct{ id int }
-	r := NewItemReservoir[trace](10, NewRNG(14))
-	for i := 0; i < 1000; i++ {
-		r.Add(trace{id: i})
-	}
-	if len(r.Items()) != 10 {
-		t.Fatalf("len = %d", len(r.Items()))
-	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirSampleConversion(t *testing.T) {
-	r := NewReservoir(10, NewRNG(15))
-	for i := 1; i <= 5; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Sample()
-	if s.Len() != 5 {
-		t.Fatalf("sample len = %d", s.Len())
-	}
-	if got := s.Quantile(1); got != 5 {
-		t.Errorf("max = %v", got)
-	}
-}

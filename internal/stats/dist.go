@@ -45,21 +45,6 @@ func LogNormalFromMedianP99(median, p99 float64) LogNormal {
 	return LogNormal{Mu: mu, Sigma: sigma}
 }
 
-// LogNormalFromQuantiles fits a lognormal through two arbitrary quantile
-// anchors (q1, v1) and (q2, v2) with q1 < q2 and v1 <= v2.
-func LogNormalFromQuantiles(q1, v1, q2, v2 float64) LogNormal {
-	if v1 <= 0 || v2 < v1 || q2 <= q1 {
-		panic(fmt.Sprintf("stats: bad lognormal quantile anchors (%v,%v) (%v,%v)", q1, v1, q2, v2))
-	}
-	z1, z2 := NormQuantile(q1), NormQuantile(q2)
-	sigma := (math.Log(v2) - math.Log(v1)) / (z2 - z1)
-	if sigma < 1e-9 {
-		sigma = 1e-9
-	}
-	mu := math.Log(v1) - sigma*z1
-	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
 // Sample draws a lognormal variate.
 func (ln LogNormal) Sample(r *RNG) float64 {
 	return math.Exp(ln.Mu + ln.Sigma*r.NormFloat64())

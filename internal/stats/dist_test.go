@@ -30,21 +30,10 @@ func TestLogNormalFromMedianP99(t *testing.T) {
 	}
 }
 
-func TestLogNormalFromQuantiles(t *testing.T) {
-	ln := LogNormalFromQuantiles(0.1, 100, 0.9, 10000)
-	if got := ln.Quantile(0.1); math.Abs(got-100)/100 > 1e-6 {
-		t.Errorf("Q10 = %v, want 100", got)
-	}
-	if got := ln.Quantile(0.9); math.Abs(got-10000)/10000 > 1e-6 {
-		t.Errorf("Q90 = %v, want 10000", got)
-	}
-}
-
 func TestLogNormalBadAnchorsPanic(t *testing.T) {
 	for _, fn := range []func(){
 		func() { LogNormalFromMedianP99(-1, 5) },
 		func() { LogNormalFromMedianP99(10, 5) },
-		func() { LogNormalFromQuantiles(0.9, 1, 0.1, 2) },
 	} {
 		func() {
 			defer func() {

@@ -308,21 +308,6 @@ func (h *Hist) Fraction(v float64) float64 {
 	return 1 - float64(above)/float64(h.total)
 }
 
-// Buckets calls fn for every non-empty bucket with its bounds and count,
-// in increasing value order. Used by renderers and by Monarch encoding.
-func (h *Hist) Buckets(fn func(lo, hi float64, count uint64)) {
-	if h.under > 0 {
-		fn(0, h.min, h.under)
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo := h.min * math.Pow(h.growth, float64(h.off+i))
-		fn(lo, lo*h.growth, c)
-	}
-}
-
 // HistDump is the serializable form of a Hist: everything needed to
 // reconstruct the histogram in another process, JSON-tagged so
 // cross-process telemetry merges (the cluster harness's child → parent
@@ -433,30 +418,6 @@ func (h *Hist) Summarize() Summary {
 		P999:  h.Percentile(99.9),
 		Max:   h.Max(),
 	}
-}
-
-// QuantileOf returns the empirical quantile of v: the fraction of samples
-// strictly below v's bucket plus half of v's own bucket. Useful for
-// locating a value inside a distribution (e.g., tail classification).
-func (h *Hist) QuantileOf(v float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if !(v > 0) || v < h.min {
-		return float64(h.under) / (2 * float64(h.total))
-	}
-	b := h.bucket(v) - h.off
-	seen := h.under
-	for i, c := range h.counts {
-		if i >= b {
-			if i == b {
-				seen += c / 2
-			}
-			break
-		}
-		seen += c
-	}
-	return float64(seen) / float64(h.total)
 }
 
 // Sample holds raw observations and computes exact quantiles. It is used

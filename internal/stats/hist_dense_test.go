@@ -150,37 +150,6 @@ func (h *denseHist) Fraction(v float64) float64 {
 	return 1 - float64(h.CountAbove(v))/float64(h.total)
 }
 
-func (h *denseHist) QuantileOf(v float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if !(v > 0) || v < h.min {
-		return float64(h.under) / (2 * float64(h.total))
-	}
-	b := h.bucket(v)
-	seen := h.under
-	for i := 0; i < len(h.counts) && i <= b; i++ {
-		if i == b {
-			seen += h.counts[i] / 2
-		} else {
-			seen += h.counts[i]
-		}
-	}
-	return float64(seen) / float64(h.total)
-}
-
-func (h *denseHist) Buckets(fn func(lo, hi float64, count uint64)) {
-	if h.under > 0 {
-		fn(0, h.min, h.under)
-	}
-	for i, c := range h.counts {
-		if c > 0 {
-			lo := h.min * math.Pow(h.growth, float64(i))
-			fn(lo, lo*h.growth, c)
-		}
-	}
-}
-
 func (h *denseHist) Export() HistDump {
 	minSeen := h.minSeen
 	if math.IsInf(minSeen, 1) {
@@ -201,11 +170,6 @@ func denseImport(d HistDump) *denseHist {
 		h.minSeen = d.MinSeen
 	}
 	return h
-}
-
-type bucketRow struct {
-	lo, hi float64
-	count  uint64
 }
 
 var denseQGrid = []float64{-0.5, 0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1, 1.5}
@@ -232,7 +196,7 @@ func sameAsDense(t *testing.T, h *Hist, d *denseHist, probes []float64) {
 			t.Fatalf("BucketIndex(%v) = %v, dense %v", v, got, want)
 		}
 		if math.IsNaN(v) {
-			continue // CountAbove, Fraction and QuantileOf take a value, not NaN
+			continue // CountAbove and Fraction take a value, not NaN
 		}
 		if got, want := h.CountAbove(v), d.CountAbove(v); got != want {
 			t.Fatalf("CountAbove(%v) = %v, dense %v", v, got, want)
@@ -240,15 +204,6 @@ func sameAsDense(t *testing.T, h *Hist, d *denseHist, probes []float64) {
 		if got, want := h.Fraction(v), d.Fraction(v); got != want {
 			t.Fatalf("Fraction(%v) = %v, dense %v", v, got, want)
 		}
-		if got, want := h.QuantileOf(v), d.QuantileOf(v); got != want {
-			t.Fatalf("QuantileOf(%v) = %v, dense %v", v, got, want)
-		}
-	}
-	var got, want []bucketRow
-	h.Buckets(func(lo, hi float64, c uint64) { got = append(got, bucketRow{lo, hi, c}) })
-	d.Buckets(func(lo, hi float64, c uint64) { want = append(want, bucketRow{lo, hi, c}) })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Buckets = %v, dense %v", got, want)
 	}
 	if ge, we := h.Export(), d.Export(); !reflect.DeepEqual(ge, we) {
 		t.Fatalf("Export = %+v, dense %+v", ge, we)

@@ -212,42 +212,6 @@ func TestHistReset(t *testing.T) {
 	}
 }
 
-func TestHistBucketsIteration(t *testing.T) {
-	h := NewHist(1, 2) // coarse buckets for an easy check
-	h.Add(1.5)
-	h.Add(3)
-	h.Add(0.1) // underflow
-	var total uint64
-	var nBuckets int
-	h.Buckets(func(lo, hi float64, count uint64) {
-		if hi <= lo {
-			t.Errorf("bucket hi %v <= lo %v", hi, lo)
-		}
-		total += count
-		nBuckets++
-	})
-	if total != 3 {
-		t.Errorf("bucket total = %d, want 3", total)
-	}
-	if nBuckets != 3 {
-		t.Errorf("bucket count = %d, want 3 (underflow + 2)", nBuckets)
-	}
-}
-
-func TestHistQuantileOf(t *testing.T) {
-	h := NewHist(1, DefaultGrowth)
-	for i := 1; i <= 1000; i++ {
-		h.Add(float64(i))
-	}
-	q := h.QuantileOf(500)
-	if q < 0.4 || q > 0.6 {
-		t.Errorf("QuantileOf(500) = %v, want ~0.5", q)
-	}
-	if q := h.QuantileOf(0.5); q > 0.01 {
-		t.Errorf("QuantileOf(below min) = %v, want ~0", q)
-	}
-}
-
 func TestHistSummarizeOrdering(t *testing.T) {
 	rng := NewRNG(7)
 	h := NewLatencyHist()

@@ -1,7 +1,6 @@
 package stubby
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -88,8 +87,8 @@ var ErrCircuitOpen = &Status{Code: trace.Unavailable, Message: "circuit breaker 
 
 // Breaker is a per-method circuit breaker: each method tracked by one
 // Breaker trips independently, since production incidents are usually
-// method- or service-scoped, not channel-scoped. Create one Breaker per
-// channel (stubby does this when Options.Breaker is set) to get the
+// method- or service-scoped, not channel-scoped. Every channel with
+// Options.Breaker set has its own (Channel.Breaker), which gives the
 // per-(channel, method) granularity the paper's managed-RPC framing
 // calls for. It is safe for concurrent use.
 type Breaker struct {
@@ -108,9 +107,9 @@ type methodBreaker struct {
 	probing   bool      // a half-open probe is in flight
 }
 
-// NewBreaker returns a breaker; obs (optional) observes state
+// newBreaker returns a breaker; obs (optional) observes state
 // transitions.
-func NewBreaker(cfg BreakerConfig, obs Observer) *Breaker {
+func newBreaker(cfg BreakerConfig, obs Observer) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), obs: obs, methods: make(map[string]*methodBreaker)}
 }
 
@@ -124,9 +123,9 @@ func (b *Breaker) State(method string) BreakerState {
 	return BreakerClosed
 }
 
-// Allow reports whether a call to method may proceed; when it returns
-// false the caller should fail fast with ErrCircuitOpen.
-func (b *Breaker) Allow(method string) bool {
+// allow reports whether a call to method may proceed; when it returns
+// false the caller fails fast with ErrCircuitOpen.
+func (b *Breaker) allow(method string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	m := b.method(method)
@@ -150,8 +149,8 @@ func (b *Breaker) Allow(method string) bool {
 	}
 }
 
-// Record feeds one call outcome for method into the breaker.
-func (b *Breaker) Record(method string, err error) {
+// record feeds one call outcome for method into the breaker.
+func (b *Breaker) record(method string, err error) {
 	code := Code(err)
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -205,20 +204,5 @@ func (b *Breaker) transition(method string, m *methodBreaker, to BreakerState) {
 	m.state = to
 	if b.obs != nil {
 		b.obs.BreakerTransition(method, from, to)
-	}
-}
-
-// Wrap returns a CallFunc that applies the breaker around next: an open
-// circuit fails fast with ErrCircuitOpen and every completed call's
-// outcome is recorded. The breaker sits outside the retry layer so an
-// open circuit spends no attempts at all — failing fast is the point.
-func (b *Breaker) Wrap(next CallFunc) CallFunc {
-	return func(ctx context.Context, method string, payload []byte) ([]byte, error) {
-		if !b.Allow(method) {
-			return nil, ErrCircuitOpen
-		}
-		out, err := next(ctx, method, payload)
-		b.Record(method, err)
-		return out, err
 	}
 }

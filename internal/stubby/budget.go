@@ -1,9 +1,6 @@
 package stubby
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // RetryBudget is a token bucket capping retry amplification, the
 // mechanism gRPC calls retry throttling. Unbounded retries convert a
@@ -27,9 +24,6 @@ type RetryBudget struct {
 	tokens float64
 	max    float64
 	credit float64
-
-	attempted  atomic.Uint64
-	suppressed atomic.Uint64
 }
 
 // NewRetryBudget returns a budget holding maxTokens (the burst
@@ -45,8 +39,8 @@ func NewRetryBudget(maxTokens, successCredit float64) *RetryBudget {
 	return &RetryBudget{tokens: maxTokens, max: maxTokens, credit: successCredit}
 }
 
-// OnOutcome feeds one attempt outcome into the bucket.
-func (b *RetryBudget) OnOutcome(failed bool) {
+// onOutcome feeds one attempt outcome into the bucket.
+func (b *RetryBudget) onOutcome(failed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if failed {
@@ -62,18 +56,11 @@ func (b *RetryBudget) OnOutcome(failed bool) {
 	}
 }
 
-// AllowRetry reports whether a retry may be attempted now, recording the
-// verdict in the attempted/suppressed counters.
-func (b *RetryBudget) AllowRetry() bool {
+// allowRetry reports whether a retry may be attempted now.
+func (b *RetryBudget) allowRetry() bool {
 	b.mu.Lock()
-	ok := b.tokens > b.max/2
-	b.mu.Unlock()
-	if ok {
-		b.attempted.Add(1)
-	} else {
-		b.suppressed.Add(1)
-	}
-	return ok
+	defer b.mu.Unlock()
+	return b.tokens > b.max/2
 }
 
 // Tokens returns the current token level.
@@ -82,12 +69,6 @@ func (b *RetryBudget) Tokens() float64 {
 	defer b.mu.Unlock()
 	return b.tokens
 }
-
-// Attempted returns how many retries the budget has admitted.
-func (b *RetryBudget) Attempted() uint64 { return b.attempted.Load() }
-
-// Suppressed returns how many retries the budget has refused.
-func (b *RetryBudget) Suppressed() uint64 { return b.suppressed.Load() }
 
 // Cap returns the sustained retry-amplification bound the budget
 // enforces: attempts per logical call approach at most 1+SuccessCredit

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcscale/internal/faultplane"
 	"rpcscale/internal/leakcheck"
 	"rpcscale/internal/secure"
 	"rpcscale/internal/testutil"
@@ -118,11 +119,45 @@ func TestBulkLaneCallOptions(t *testing.T) {
 			t.Fatalf("%s: echo mismatch", tc.name)
 		}
 	}
-	// Options already in the context reach the call the same way.
-	ctx := contextWithCallOptions(context.Background(), WithBulkLane(true))
-	got, err := ch.Call(ctx, "bulk/Echo", small)
+
+	// A retry carries the call's options. The client-scope fault plane
+	// rejects the first attempt before it seals anything; the second must
+	// still take the bulk lane: an envelope and a chunk, two seals, where
+	// the inline envelope is one.
+	const method = "bulk/Echo"
+	mkInjector := func(seed uint64) *faultplane.Injector {
+		return faultplane.New(faultplane.Config{
+			Seed:  seed,
+			Rules: []faultplane.Rule{{Methods: method, RejectRate: 0.5}},
+		})
+	}
+	seed := findSeed(t, func(s uint64) bool {
+		inj := mkInjector(s)
+		d0 := inj.Decide(faultplane.ScopeClient, method, faultplane.Key{Seq: 0, Have: true, Attempt: 0})
+		d1 := inj.Decide(faultplane.ScopeClient, method, faultplane.Key{Seq: 0, Have: true, Attempt: 1})
+		return d0.Reject != trace.OK && d1.Reject == trace.OK
+	})
+	srv := NewServer(Options{})
+	srv.Register(method, func(ctx context.Context, p []byte) ([]byte, error) { return p, nil })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	var seals secure.Stats
+	retry := RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
+	retried, err := Dial(l.Addr().String(), "bulk-test", Options{Faults: mkInjector(seed), Retry: &retry, EncryptionStats: &seals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer retried.Close()
+	got, err := retried.Call(ContextWithCallID(context.Background(), 0), method, small, WithBulkLane(true))
 	if err != nil || !bytes.Equal(got, small) {
-		t.Fatalf("context options: %v", err)
+		t.Fatalf("retried call: %v", err)
+	}
+	if n := seals.Seals.Load(); n != 2 {
+		t.Fatalf("retried call sealed %d frames, want 2 (bulk envelope + chunk)", n)
 	}
 }
 

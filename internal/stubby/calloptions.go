@@ -1,11 +1,7 @@
 package stubby
 
-import "context"
-
-// Per-call options for unary calls and streams. They thread through the
-// context so the CallFunc signature — which the retry, hedging, and
-// breaker layers compose over — stays unchanged: Channel.Call folds its
-// variadic options into the context before entering the invoke chain.
+// Per-call options for unary calls and streams. Channel.Call resolves them
+// once and hands the result to every attempt it makes.
 
 // CallOption adjusts one call or stream.
 type CallOption func(*callOpts)
@@ -39,31 +35,20 @@ func WithBulkLane(enabled bool) CallOption {
 	}
 }
 
-type callOptsCtxKey struct{}
-
-// contextWithCallOptions attaches per-call options to a context.
-func contextWithCallOptions(ctx context.Context, opts ...CallOption) context.Context {
-	co := resolveCallOpts(ctx, opts)
-	return context.WithValue(ctx, callOptsCtxKey{}, co)
-}
-
-// resolveCallOpts folds opts over any options already in ctx.
-func resolveCallOpts(ctx context.Context, opts []CallOption) *callOpts {
-	var co callOpts
-	if prev, ok := ctx.Value(callOptsCtxKey{}).(*callOpts); ok {
-		co = *prev
-	}
+// resolveCallOpts folds opts into one configuration.
+func resolveCallOpts(opts []CallOption) *callOpts {
+	co := new(callOpts)
 	for _, o := range opts {
-		o(&co)
+		o(co)
 	}
-	return &co
+	return co
 }
 
 // useBulkLane decides whether one unary call takes the bulk lane: payloads
 // at the default threshold do, with WithBulkLane as a hard switch in
-// either direction.
+// either direction. co is nil when the call has no options.
 func useBulkLane(co *callOpts, payloadLen int) bool {
-	if co.bulkSet {
+	if co != nil && co.bulkSet {
 		return co.bulkOn
 	}
 	return payloadLen >= defaultBulkThreshold

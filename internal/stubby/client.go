@@ -19,8 +19,8 @@ import (
 // Channel is a client's connection to one server (DESIGN.md §16; a Pool
 // holds several). It is the shared connection core — send queue
 // (ClientSendQueue), receive loop (ClientRecvQueue), stream table — plus
-// the calls awaiting a response, the retry and breaker layers, ping, and
-// the per-call instrumentation that assembles the nine-component
+// the calls awaiting a response, the retry and breaker policy, and the
+// per-call instrumentation that assembles the nine-component
 // breakdown. The field order is measured, not tidy: with other fields
 // ahead of conn, fleet_mix lost 4 % of its ops_per_s (DESIGN.md §16).
 type Channel struct {
@@ -42,14 +42,7 @@ type Channel struct {
 	// atomic int64 instead of boxing a *time.Time per event.
 	epoch time.Time
 
-	// invoke is the configured call path: the raw attempt wrapped by the
-	// retry layer (Options.Retry) and the circuit breaker
-	// (Options.Breaker), when enabled. Call goes through it.
-	invoke  CallFunc
-	breaker *Breaker
-
-	pingMu sync.Mutex
-	pingCh chan time.Time
+	breaker *Breaker // nil unless Options.Breaker is set
 
 	err atomic.Pointer[channelError] // error that killed the channel
 }
@@ -124,51 +117,56 @@ func NewChannel(nc net.Conn, serverCluster string, opts Options) (*Channel, erro
 	if err := c.init(nc, &c.opts, compressor.New(o.Compression, o.CompressorStats), "c2s", "s2c"); err != nil {
 		return nil, err
 	}
-	c.invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
-		return c.call(ctx, method, payload, false)
-	}
 	if o.Retry != nil {
-		policy, obs, inner := *o.Retry, o.Observer, c.invoke
-		c.invoke = func(ctx context.Context, method string, payload []byte) ([]byte, error) {
-			return retryCall(ctx, method, payload, policy, obs, inner)
-		}
+		policy := *o.Retry // the channel keeps the policy it was built with
+		c.opts.Retry = &policy
 	}
 	if o.Breaker != nil {
-		// Breaker outside retry: an open circuit spends no attempts.
-		c.breaker = NewBreaker(*o.Breaker, o.Observer)
-		c.invoke = c.breaker.Wrap(c.invoke)
+		c.breaker = newBreaker(*o.Breaker, o.Observer)
 	}
 	c.run(c.prepareCall, func() { c.endTurn(time.Time{}) }, func() { c.fail(c.recvLoop(c.dispatchFrame)) })
 	return c, nil
 }
 
 // Call issues a unary RPC and blocks for the response, the context's
-// cancellation, or the deadline. When the channel was configured with
-// Options.Retry or Options.Breaker, Call goes through those layers;
-// CallHedged bypasses them. Per-call options (WithBulkLane) travel
-// through the context so the CallFunc chain stays oblivious to them.
+// cancellation, or the deadline. The channel applies its own policy around
+// the attempts: with Options.Breaker an open circuit fails the call fast
+// with ErrCircuitOpen, spending no attempt, and the breaker records the
+// call's one outcome; with Options.Retry transient failures are retried,
+// every attempt under the same per-call options. CallHedged bypasses both.
 func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
-	if len(opts) > 0 {
-		ctx = contextWithCallOptions(ctx, opts...)
+	if c.breaker != nil && !c.breaker.allow(method) {
+		return nil, ErrCircuitOpen
 	}
-	return c.invoke(ctx, method, payload)
+	var co *callOpts
+	if len(opts) > 0 {
+		co = resolveCallOpts(opts)
+	}
+	var out []byte
+	var err error
+	if c.opts.Retry != nil {
+		out, err = c.callRetried(ctx, method, payload, co)
+	} else {
+		out, err = c.call(ctx, method, payload, co, 0)
+	}
+	if c.breaker != nil {
+		c.breaker.record(method, err)
+	}
+	return out, err
 }
 
 // Breaker returns the channel's circuit breaker, nil unless
 // Options.Breaker was set.
 func (c *Channel) Breaker() *Breaker { return c.breaker }
 
-func (c *Channel) call(ctx context.Context, method string, payload []byte, hedged bool) ([]byte, error) {
+// call makes one attempt of a unary call. co holds the per-call options
+// (nil: none). attempt identifies the attempt for the fault plane and
+// server-side retry accounting, together with the driver-assigned call ID
+// (if any): the retry attempt number, with hedgeAttemptBit set on a hedged
+// leg so it draws independent fault decisions.
+func (c *Channel) call(ctx context.Context, method string, payload []byte, co *callOpts, attempt uint32) ([]byte, error) {
 	tc, parentSpan := childTrace(ctx)
-
-	// Identify the attempt for the fault plane and server-side retry
-	// accounting: the driver-assigned call ID (if any) plus the retry
-	// attempt number, with hedged legs marked so they draw independent
-	// fault decisions.
-	attempt := attemptFromContext(ctx)
-	if hedged {
-		attempt |= hedgeAttemptBit
-	}
+	hedged := attempt&hedgeAttemptBit != 0
 	callID, haveID := CallIDFromContext(ctx)
 
 	var dec faultplane.Decision
@@ -225,7 +223,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, hedge
 			Attempt:    attempt,
 		},
 		dropped:    dec.Drop,
-		bulk:       useBulkLane(resolveCallOpts(ctx, nil), len(payload)),
+		bulk:       useBulkLane(co, len(payload)),
 		enqueuedNs: c.sinceEpoch(),
 		resultCh:   make(chan *callResult, 1),
 	}
@@ -644,15 +642,6 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		} else if b != nil {
 			c.deliverBulk(m.streamID, b)
 		}
-	case wire.FramePong:
-		wire.PutBuf(plain)
-		c.pingMu.Lock()
-		ch := c.pingCh
-		c.pingCh = nil
-		c.pingMu.Unlock()
-		if ch != nil {
-			ch <- time.Now()
-		}
 	case wire.FrameGoAway:
 		wire.PutBuf(plain)
 		c.fail(ErrUnavailable)
@@ -682,37 +671,6 @@ func (c *Channel) InFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
-}
-
-// Ping measures transport round-trip time, including encryption but not
-// queuing or handlers.
-func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
-	ch := make(chan time.Time, 1)
-	c.pingMu.Lock()
-	if c.pingCh != nil {
-		c.pingMu.Unlock()
-		return 0, Errorf(trace.NoResource, "ping already in flight")
-	}
-	c.pingCh = ch
-	c.pingMu.Unlock()
-	start := time.Now()
-	if err := c.tr.send(wire.FramePing, 0, nil); err != nil {
-		c.pingMu.Lock()
-		c.pingCh = nil
-		c.pingMu.Unlock()
-		return 0, Errorf(trace.Unavailable, "ping send: %v", err)
-	}
-	select {
-	case end := <-ch:
-		return end.Sub(start), nil
-	case <-ctx.Done():
-		c.pingMu.Lock()
-		c.pingCh = nil
-		c.pingMu.Unlock()
-		return 0, codeToError(cancelCode(ctx))
-	case <-c.closed:
-		return 0, ErrUnavailable
-	}
 }
 
 // fail kills the channel, once: the first error is the one callers see,

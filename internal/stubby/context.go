@@ -18,12 +18,8 @@ type TraceContext struct {
 
 type traceCtxKey struct{}
 
-// callIDCtxKey carries the logical call ID a driver assigned to this
-// call; attemptCtxKey carries the retry attempt number.
-type (
-	callIDCtxKey  struct{}
-	attemptCtxKey struct{}
-)
+// callIDCtxKey carries the logical call ID a driver assigned to this call.
+type callIDCtxKey struct{}
 
 // ContextWithCallID tags a context with a driver-assigned logical call
 // ID. The ID travels in the request envelope and keys the fault plane's
@@ -39,19 +35,6 @@ func ContextWithCallID(ctx context.Context, id uint64) context.Context {
 func CallIDFromContext(ctx context.Context) (uint64, bool) {
 	id, ok := ctx.Value(callIDCtxKey{}).(uint64)
 	return id, ok
-}
-
-// contextWithAttempt records the retry attempt number (0 = first try);
-// the retry layer sets it so the fault plane can key per-attempt
-// decisions.
-func contextWithAttempt(ctx context.Context, attempt uint32) context.Context {
-	return context.WithValue(ctx, attemptCtxKey{}, attempt)
-}
-
-// attemptFromContext extracts the retry attempt number (0 when unset).
-func attemptFromContext(ctx context.Context) uint32 {
-	a, _ := ctx.Value(attemptCtxKey{}).(uint32)
-	return a
 }
 
 // hedgeAttemptBit marks a hedged leg's attempt key so primary and hedge

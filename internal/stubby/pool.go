@@ -186,15 +186,6 @@ func (p *Pool) OpenStream(ctx context.Context, method string, opts ...CallOption
 	return ch.OpenStream(ctx, method, opts...)
 }
 
-// Ping measures RTT on one member.
-func (p *Pool) Ping(ctx context.Context) (time.Duration, error) {
-	ch, err := p.pick(p.next.Add(1))
-	if err != nil {
-		return 0, err
-	}
-	return ch.Ping(ctx)
-}
-
 // Close shuts down every member.
 func (p *Pool) Close() {
 	p.mu.Lock()

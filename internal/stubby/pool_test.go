@@ -231,17 +231,6 @@ func TestPoolCallAfterClose(t *testing.T) {
 	if _, err := pool.Call(context.Background(), "svc/Echo", []byte("x")); Code(err) != trace.Unavailable {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := pool.Ping(context.Background()); Code(err) != trace.Unavailable {
-		t.Fatalf("ping err = %v", err)
-	}
-}
-
-func TestPoolPing(t *testing.T) {
-	pool, _ := poolSetup(t, Options{}, nil, 2)
-	rtt, err := pool.Ping(context.Background())
-	if err != nil || rtt <= 0 {
-		t.Fatalf("rtt=%v err=%v", rtt, err)
-	}
 }
 
 func TestPoolDialFailure(t *testing.T) {

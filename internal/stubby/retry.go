@@ -7,9 +7,6 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// CallFunc is the signature of a unary call.
-type CallFunc func(ctx context.Context, method string, payload []byte) ([]byte, error)
-
 // RetryPolicy configures automatic retries of transient failures.
 // Production Stubby retries Unavailable-class errors with exponential
 // backoff; errors like NoPermission or InvalidArgument are permanent and
@@ -63,17 +60,14 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 	return next
 }
 
-// retryCall runs the retry loop Options.Retry installs on a channel's
-// call path. Each attempt's number is published in the context so the
-// fault plane can key per-attempt decisions; each outcome feeds the
-// budget when one is configured.
-func retryCall(ctx context.Context, method string, payload []byte, policy RetryPolicy, obs Observer, next CallFunc) ([]byte, error) {
+// callRetried runs the Options.Retry loop around c.call. Each attempt's
+// number keys the fault plane's per-attempt decisions; each outcome feeds
+// the budget when one is configured.
+func (c *Channel) callRetried(ctx context.Context, method string, payload []byte, co *callOpts) ([]byte, error) {
+	policy, obs := c.opts.Retry, c.opts.Observer
 	var lastErr error
 	backoff := policy.BaseBackoff
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(policy.MaxAttempts, 1)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			select {
@@ -83,9 +77,9 @@ func retryCall(ctx context.Context, method string, payload []byte, policy RetryP
 			}
 			backoff = nextBackoff(backoff, policy.MaxBackoff)
 		}
-		out, err := next(contextWithAttempt(ctx, uint32(attempt)), method, payload)
+		out, err := c.call(ctx, method, payload, co, uint32(attempt))
 		if policy.Budget != nil {
-			policy.Budget.OnOutcome(err != nil)
+			policy.Budget.onOutcome(err != nil)
 		}
 		if err == nil {
 			return out, nil
@@ -97,7 +91,7 @@ func retryCall(ctx context.Context, method string, payload []byte, policy RetryP
 		if attempt+1 >= attempts {
 			break
 		}
-		if policy.Budget != nil && !policy.Budget.AllowRetry() {
+		if policy.Budget != nil && !policy.Budget.allowRetry() {
 			if obs != nil {
 				obs.RetrySuppressed(method)
 			}

@@ -54,20 +54,16 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	// Every failure costs one token: the 4-token budget admits at most 2
 	// retries (4 -> 3 -> 2, then tokens ≤ max/2) and suppresses the rest.
-	if budget.Attempted() > 2 {
-		t.Fatalf("budget admitted %d retries, want <= 2", budget.Attempted())
-	}
-	if budget.Suppressed() == 0 {
-		t.Fatal("budget suppressed no retries under sustained failure")
-	}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if obs.retries != int(budget.Attempted()) || obs.suppressed != int(budget.Suppressed()) {
-		t.Fatalf("observer (retries=%d suppressed=%d) disagrees with budget (%d, %d)",
-			obs.retries, obs.suppressed, budget.Attempted(), budget.Suppressed())
+	if obs.retries > 2 {
+		t.Fatalf("budget admitted %d retries, want <= 2", obs.retries)
 	}
-	if got := attempts.Load(); got != 20+budget.Attempted() {
-		t.Fatalf("backend saw %d attempts, want %d", got, 20+budget.Attempted())
+	if obs.suppressed == 0 {
+		t.Fatal("budget suppressed no retries under sustained failure")
+	}
+	if got := attempts.Load(); got != 20+uint64(obs.retries) {
+		t.Fatalf("backend saw %d attempts, want %d", got, 20+obs.retries)
 	}
 }
 
@@ -76,15 +72,15 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestRetryBudgetRefund(t *testing.T) {
 	b := NewRetryBudget(4, 0.5)
 	for i := 0; i < 10; i++ {
-		b.OnOutcome(true) // drain well past half
+		b.onOutcome(true) // drain well past half
 	}
-	if b.AllowRetry() {
+	if b.allowRetry() {
 		t.Fatal("drained budget should refuse retries")
 	}
 	for i := 0; i < 5; i++ {
-		b.OnOutcome(false) // 5 successes * 0.5 = 2.5 tokens > max/2
+		b.onOutcome(false) // 5 successes * 0.5 = 2.5 tokens > max/2
 	}
-	if !b.AllowRetry() {
+	if !b.allowRetry() {
 		t.Fatal("refunded budget should admit a retry")
 	}
 	if b.Cap() != 1.5 {
@@ -120,7 +116,7 @@ func TestBackoffCap(t *testing.T) {
 func TestBreakerCycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	obs := &recordingObserver{}
-	b := NewBreaker(BreakerConfig{
+	b := newBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         time.Second,
 		HalfOpenProbes:   2,
@@ -130,55 +126,55 @@ func TestBreakerCycle(t *testing.T) {
 
 	// Closed: failures below threshold keep it closed; a success resets.
 	for i := 0; i < 2; i++ {
-		b.Record(m, ErrUnavailable)
+		b.record(m, ErrUnavailable)
 	}
-	b.Record(m, nil)
+	b.record(m, nil)
 	if b.State(m) != BreakerClosed {
 		t.Fatalf("state after reset = %v", b.State(m))
 	}
 
 	// Threshold consecutive failures open the circuit.
 	for i := 0; i < 3; i++ {
-		if !b.Allow(m) {
+		if !b.allow(m) {
 			t.Fatal("closed breaker refused a call")
 		}
-		b.Record(m, ErrUnavailable)
+		b.record(m, ErrUnavailable)
 	}
 	if b.State(m) != BreakerOpen {
 		t.Fatalf("state after %d failures = %v", 3, b.State(m))
 	}
-	if b.Allow(m) {
+	if b.allow(m) {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 
 	// Cooldown elapses: one half-open probe at a time.
 	now = now.Add(time.Second)
-	if !b.Allow(m) {
+	if !b.allow(m) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
 	if b.State(m) != BreakerHalfOpen {
 		t.Fatalf("state during probe = %v", b.State(m))
 	}
-	if b.Allow(m) {
+	if b.allow(m) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 
 	// Probe fails: back to open, cooldown restarts.
-	b.Record(m, ErrUnavailable)
+	b.record(m, ErrUnavailable)
 	if b.State(m) != BreakerOpen {
 		t.Fatalf("state after failed probe = %v", b.State(m))
 	}
-	if b.Allow(m) {
+	if b.allow(m) {
 		t.Fatal("re-opened breaker admitted a call")
 	}
 
 	// Second cooldown: two successful probes close it.
 	now = now.Add(time.Second)
 	for i := 0; i < 2; i++ {
-		if !b.Allow(m) {
+		if !b.allow(m) {
 			t.Fatalf("probe %d refused", i)
 		}
-		b.Record(m, nil)
+		b.record(m, nil)
 	}
 	if b.State(m) != BreakerClosed {
 		t.Fatalf("state after successful probes = %v", b.State(m))
@@ -202,9 +198,9 @@ func TestBreakerCycle(t *testing.T) {
 
 // Permanent errors (not in TripCodes) must not trip the breaker.
 func TestBreakerIgnoresPermanentErrors(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2}, nil)
+	b := newBreaker(BreakerConfig{FailureThreshold: 2}, nil)
 	for i := 0; i < 10; i++ {
-		b.Record("m", &Status{Code: trace.InvalidArgument, Message: "bad"})
+		b.record("m", &Status{Code: trace.InvalidArgument, Message: "bad"})
 	}
 	if b.State("m") != BreakerClosed {
 		t.Fatalf("breaker tripped on permanent errors: %v", b.State("m"))
@@ -233,6 +229,45 @@ func TestChannelIntegratedBreaker(t *testing.T) {
 	}
 	if got := handled.Load(); got != 3 {
 		t.Fatalf("backend saw %d calls after trip, want 3", got)
+	}
+}
+
+// The breaker sits outside the retry loop: it records one outcome per
+// logical call, however many attempts that call made, and once open it
+// fails a call before any attempt reaches the backend.
+func TestBreakerOutsideRetry(t *testing.T) {
+	var handled atomic.Uint64
+	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond}
+	opts := Options{
+		Retry:   &policy,
+		Breaker: &BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
+	}
+	ch, _ := testSetup(t, opts, map[string]Handler{
+		"svc/Fail": func(ctx context.Context, p []byte) ([]byte, error) {
+			handled.Add(1)
+			return nil, ErrUnavailable
+		},
+	})
+	call := func() error {
+		_, err := ch.Call(context.Background(), "svc/Fail", nil)
+		return err
+	}
+	for i, want := range []BreakerState{BreakerClosed, BreakerOpen} {
+		if Code(call()) != trace.Unavailable {
+			t.Fatalf("call %d: want Unavailable", i)
+		}
+		if got := handled.Load(); got != uint64(3*(i+1)) {
+			t.Fatalf("after call %d the backend saw %d attempts, want %d", i, got, 3*(i+1))
+		}
+		if got := ch.Breaker().State("svc/Fail"); got != want {
+			t.Fatalf("after call %d the breaker is %v, want %v", i, got, want)
+		}
+	}
+	if err := call(); err != ErrCircuitOpen {
+		t.Fatalf("open breaker: got %v, want ErrCircuitOpen", err)
+	}
+	if got := handled.Load(); got != 6 {
+		t.Fatalf("open breaker let the backend see %d attempts, want 6", got)
 	}
 }
 

@@ -297,9 +297,6 @@ func (s *Server) dispatchServerFrame(sc *serverConn, m recvMsg) bool {
 		wire.PutBuf(m.plain)
 		sc.dropBulk(m.streamID)
 		sc.cancelStream(m.streamID)
-	case wire.FramePing:
-		wire.PutBuf(m.plain)
-		_ = sc.tr.send(wire.FramePong, m.streamID, nil)
 	case wire.FrameGoAway:
 		wire.PutBuf(m.plain)
 		return false

@@ -130,7 +130,7 @@ func msgCharge(n int) int64 {
 // server. The stream ends when Recv returns io.EOF (clean final status)
 // or an error. Pool.OpenStream spreads streams across a pool's members.
 func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
-	co := resolveCallOpts(ctx, opts)
+	co := resolveCallOpts(opts)
 	win := int64(defaultStreamWindow)
 	if co.window > 0 {
 		win = int64(co.window)

@@ -12,6 +12,7 @@ import (
 	"rpcscale/internal/compressor"
 	"rpcscale/internal/leakcheck"
 	"rpcscale/internal/trace"
+	"rpcscale/internal/wire"
 )
 
 // testSetup starts a server on a loopback listener, registers the given
@@ -372,15 +373,86 @@ func TestHedgedCallBothFail(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	ch, _ := testSetup(t, Options{}, nil)
-	rtt, err := ch.Ping(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt <= 0 || rtt > time.Second {
-		t.Fatalf("rtt = %v", rtt)
-	}
+// TestRetiredFrameTagsDropped: tags 0x04 and 0x05 (once ping and pong)
+// still parse, and either end drops such a frame from a raw peer, returns
+// its buffer, and serves the next call on the connection.
+func TestRetiredFrameTagsDropped(t *testing.T) {
+	retired := []byte{0x04, 0x05}
+	t.Run("client", func(t *testing.T) {
+		leakcheck.Check(t)
+		outstanding := poolBalance()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			peer := newRawPeer(t, nc, "s2c", "c2s")
+			for _, typ := range retired {
+				if err := peer.tr.send(typ, 0, []byte("retired")); err != nil {
+					t.Errorf("peer: %v", err)
+					return
+				}
+			}
+			peer.serve(func(id uint64, req *request) error {
+				return peer.respond(id, &response{Payload: req.Payload})
+			})
+		}()
+		ch, err := Dial(l.Addr().String(), "raw", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := ch.Call(context.Background(), "svc/Echo", []byte("after")); err != nil || string(out) != "after" {
+			t.Fatalf("call after retired frames: %q, %v", out, err)
+		}
+		ch.Close()
+		<-served
+		if n := outstanding(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		leakcheck.Check(t)
+		outstanding := poolBalance()
+		srv := NewServer(Options{})
+		srv.Register("svc/Echo", echoHandler)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(l)
+		defer srv.Close()
+		nc, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		peer := newRawPeer(t, nc, "c2s", "s2c")
+		for _, typ := range retired {
+			if err := peer.tr.send(typ, 0, []byte("retired")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env := appendRequest(nil, &request{Method: "svc/Echo", Payload: []byte("after"), Deadline: time.Minute})
+		if err := peer.tr.send(wire.FrameRequest, 1, env); err != nil {
+			t.Fatal(err)
+		}
+		if resp := peer.awaitResponse(1); resp.Code != trace.OK || string(resp.Payload) != "after" {
+			t.Fatalf("call after retired frames: code %v, %q", resp.Code, resp.Payload)
+		}
+		nc.Close()
+		srv.Close()
+		if n := outstanding(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	})
 }
 
 func TestChannelCloseFailsPending(t *testing.T) {

@@ -39,7 +39,7 @@ func TestWriterCoalescesBatchIntoOneWrite(t *testing.T) {
 		bytes.Repeat([]byte{3}, 5),
 	}
 	for i, p := range payloads {
-		if err := w.AppendFrame(&Frame{Type: FrameRequest, StreamID: uint64(i + 1), Payload: p}); err != nil {
+		if err := appendFrame(w, &Frame{Type: FrameRequest, StreamID: uint64(i + 1), Payload: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,15 +71,16 @@ func TestWriterSingleFrameAllocBudget(t *testing.T) {
 	w := NewWriter(io.Discard)
 	payload := make([]byte, 1024)
 	f := &Frame{Type: FrameRequest, StreamID: 7, Payload: payload}
-	// Warm the batch buffer so the measurement reflects steady state.
-	if err := w.WriteFrame(f); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := w.WriteFrame(f); err != nil {
+	write := func() {
+		if err := appendFrame(w, f); err != nil {
 			t.Fatal(err)
 		}
-	})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm the batch buffer so the measurement reflects steady state
+	allocs := testing.AllocsPerRun(200, write)
 	if allocs > 1 {
 		t.Errorf("steady-state single-frame write: %.1f allocs/op, want <= 1", allocs)
 	}
@@ -129,7 +130,7 @@ func TestReaderCoalescesHeaderReads(t *testing.T) {
 	const frames = 100
 	payload := bytes.Repeat([]byte{0xab}, 16)
 	for i := 0; i < frames; i++ {
-		if err := WriteFrame(&stream, &Frame{Type: FramePing, StreamID: uint64(i), Payload: payload}); err != nil {
+		if err := writeFrame(&stream, &Frame{Type: FrameRequest, StreamID: uint64(i), Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,11 +149,11 @@ func TestReaderCoalescesHeaderReads(t *testing.T) {
 func TestReaderReleasesOversizedScratch(t *testing.T) {
 	big := bytes.Repeat([]byte{0x5c}, maxRetainedScratch+4096)
 	var stream bytes.Buffer
-	if err := WriteFrame(&stream, &Frame{Type: FrameRequest, StreamID: 1, Payload: big}); err != nil {
+	if err := writeFrame(&stream, &Frame{Type: FrameRequest, StreamID: 1, Payload: big}); err != nil {
 		t.Fatal(err)
 	}
 	small := []byte("small")
-	if err := WriteFrame(&stream, &Frame{Type: FrameRequest, StreamID: 2, Payload: small}); err != nil {
+	if err := writeFrame(&stream, &Frame{Type: FrameRequest, StreamID: 2, Payload: small}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&stream)
@@ -181,7 +182,10 @@ func TestReaderReleasesOversizedScratch(t *testing.T) {
 func TestWriterReleasesOversizedBatchBuffer(t *testing.T) {
 	w := NewWriter(io.Discard)
 	big := make([]byte, maxRetainedWriteBuf+4096)
-	if err := w.WriteFrame(&Frame{Type: FrameRequest, StreamID: 1, Payload: big}); err != nil {
+	if err := appendFrame(w, &Frame{Type: FrameRequest, StreamID: 1, Payload: big}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if cap(w.buf) > maxRetainedWriteBuf {

@@ -14,16 +14,15 @@ import (
 )
 
 // Frame type tags carried in the frame header. The RPC stack multiplexes
-// requests, responses, cancellations, and health pings over one
-// connection; the bulk lane adds stream-open, chunk, and flow-control
-// frames so many concurrent streams share the connection without
-// head-of-line blocking at the framing layer.
+// requests, responses, and cancellations over one connection; the bulk
+// lane adds stream-open, chunk, and flow-control frames so many concurrent
+// streams share the connection without head-of-line blocking at the
+// framing layer. Tags 0x04 and 0x05 are retired: a reader still accepts
+// them, and the RPC stack drops them unread.
 const (
 	FrameRequest  = 0x01
 	FrameResponse = 0x02
 	FrameCancel   = 0x03
-	FramePing     = 0x04
-	FramePong     = 0x05
 	FrameGoAway   = 0x06
 
 	// Bulk-lane frames (see DESIGN.md §12).
@@ -69,41 +68,12 @@ var ErrBadFrameType = errors.New("wire: unknown frame type")
 var errVarintOverflow = errors.New("wire: varint overflows 64 bits")
 
 // Frame is one unit of transmission: a type tag, a stream (call) ID used to
-// multiplex concurrent RPCs over a connection, and an opaque payload.
+// multiplex concurrent RPCs over a connection, and an opaque payload. On
+// the wire it is 1 byte type | uvarint stream id | uvarint length | payload.
 type Frame struct {
 	Type     byte
 	StreamID uint64
 	Payload  []byte
-}
-
-// frame header layout: 1 byte type | uvarint stream id | uvarint length.
-const maxHeaderSize = 1 + binary.MaxVarintLen64 + binary.MaxVarintLen64
-
-// AppendFrame serializes f onto buf and returns the extended slice.
-func AppendFrame(buf []byte, f *Frame) []byte {
-	buf = append(buf, f.Type)
-	buf = binary.AppendUvarint(buf, f.StreamID)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Payload)))
-	return append(buf, f.Payload...)
-}
-
-// WriteFrame writes one frame to w as two writes (header, payload). The
-// data plane uses Writer instead, which coalesces header and payload —
-// and batches of frames — into single writes; WriteFrame remains for
-// one-shot and test use.
-func WriteFrame(w io.Writer, f *Frame) error {
-	if len(f.Payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	hdr := make([]byte, 0, maxHeaderSize)
-	hdr = append(hdr, f.Type)
-	hdr = binary.AppendUvarint(hdr, f.StreamID)
-	hdr = binary.AppendUvarint(hdr, uint64(len(f.Payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(f.Payload)
-	return err
 }
 
 // readBufSize is the Reader's read-ahead window. 128 KB covers the vast
@@ -296,15 +266,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, buf: make([]byte, 0, 4096)}
 }
 
-// AppendFrame serializes f into the batch buffer without flushing.
-func (fw *Writer) AppendFrame(f *Frame) error {
-	if len(f.Payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	fw.buf = AppendFrame(fw.buf, f)
-	return nil
-}
-
 // BeginFrame appends a header for a frame whose payload is exactly
 // payloadLen bytes and returns the batch buffer for the caller to append
 // the payload onto — e.g. sealing ciphertext directly into place with no
@@ -350,16 +311,6 @@ func (fw *Writer) AppendFrameVec(frameType byte, streamID uint64, payload []byte
 // by-reference segments, receiving the segment payloads in queue order.
 // The transport uses it to recycle pooled chunk buffers once written.
 func (fw *Writer) SetFlushHook(fn func(segs [][]byte)) { fw.onFlush = fn }
-
-// Buffered returns the number of bytes waiting to be flushed, including
-// by-reference segments.
-func (fw *Writer) Buffered() int {
-	n := len(fw.buf)
-	for _, s := range fw.segs {
-		n += len(s.payload)
-	}
-	return n
-}
 
 // Flush writes every buffered frame. With no by-reference segments this
 // is a single Write; with segments it builds a scatter-gather list
@@ -431,15 +382,6 @@ func (fw *Writer) Flush() error {
 // deadline that had already passed, say) dropped its frames whole and left
 // the stream intact.
 func (fw *Writer) Torn() bool { return fw.torn }
-
-// WriteFrame appends one frame and flushes it: header and payload leave
-// in one write.
-func (fw *Writer) WriteFrame(f *Frame) error {
-	if err := fw.AppendFrame(f); err != nil {
-		return err
-	}
-	return fw.Flush()
-}
 
 // AppendUvarint appends x to buf as an unsigned varint.
 func AppendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(buf, x) }

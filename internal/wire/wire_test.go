@@ -8,18 +8,37 @@ import (
 	"testing/quick"
 )
 
+// appendFrame queues f on fw the way the data plane does: the payload is
+// appended in place between BeginFrame and EndFrame.
+func appendFrame(fw *Writer, f *Frame) error {
+	buf, err := fw.BeginFrame(f.Type, f.StreamID, len(f.Payload))
+	if err != nil {
+		return err
+	}
+	return fw.EndFrame(append(buf, f.Payload...))
+}
+
+// writeFrame writes one frame to w through a fresh Writer.
+func writeFrame(w io.Writer, f *Frame) error {
+	fw := NewWriter(w)
+	if err := appendFrame(fw, f); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	frames := []*Frame{
 		{Type: FrameRequest, StreamID: 1, Payload: []byte("hello")},
 		{Type: FrameResponse, StreamID: 1, Payload: []byte("world")},
 		{Type: FrameCancel, StreamID: 99, Payload: nil},
-		{Type: FramePing, StreamID: 0, Payload: []byte{0}},
+		{Type: FrameWindowUpdate, StreamID: 0, Payload: []byte{0}},
 		{Type: FrameGoAway, StreamID: 1 << 62, Payload: bytes.Repeat([]byte{0xAB}, 10000)},
 	}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := writeFrame(&buf, f); err != nil {
+			t.Fatalf("writeFrame: %v", err)
 		}
 	}
 	r := NewReader(&buf)
@@ -39,10 +58,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(streamID uint64, payload []byte, typeSel uint8) bool {
-		ft := byte(typeSel%6) + FrameRequest
+		ft := byte(typeSel%maxFrameType) + FrameRequest
 		var buf bytes.Buffer
 		in := &Frame{Type: ft, StreamID: streamID, Payload: payload}
-		if err := WriteFrame(&buf, in); err != nil {
+		if err := writeFrame(&buf, in); err != nil {
 			return false
 		}
 		out, err := NewReader(&buf).ReadFrame()
@@ -57,21 +76,30 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAppendFrameMatchesWriteFrame(t *testing.T) {
-	f := &Frame{Type: FrameResponse, StreamID: 7, Payload: []byte("abc")}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+// TestAppendFrameVecMatchesBeginFrame: a frame queued by reference must
+// reach the wire as the same bytes as one appended in place.
+func TestAppendFrameVecMatchesBeginFrame(t *testing.T) {
+	f := &Frame{Type: FrameStreamChunk, StreamID: 7, Payload: []byte("abc")}
+	var inPlace bytes.Buffer
+	if err := writeFrame(&inPlace, f); err != nil {
 		t.Fatal(err)
 	}
-	appended := AppendFrame(nil, f)
-	if !bytes.Equal(buf.Bytes(), appended) {
-		t.Fatalf("WriteFrame %x != AppendFrame %x", buf.Bytes(), appended)
+	var byRef bytes.Buffer
+	fw := NewWriter(&byRef)
+	if err := fw.AppendFrameVec(f.Type, f.StreamID, f.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inPlace.Bytes(), byRef.Bytes()) {
+		t.Fatalf("BeginFrame %x != AppendFrameVec %x", inPlace.Bytes(), byRef.Bytes())
 	}
 }
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Type: FrameRequest, StreamID: 3, Payload: []byte("truncate me")}); err != nil {
+	if err := writeFrame(&buf, &Frame{Type: FrameRequest, StreamID: 3, Payload: []byte("truncate me")}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -108,17 +136,18 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 
 	// Writing an oversize frame is also rejected up front.
-	w := &Frame{Type: FrameRequest, Payload: make([]byte, 1)}
-	w.Payload = w.Payload[:0]
-	if err := WriteFrame(io.Discard, &Frame{Type: FrameRequest, Payload: make([]byte, 0)}); err != nil {
+	if _, err := NewWriter(io.Discard).BeginFrame(FrameRequest, 1, MaxFrameSize+1); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("BeginFrame: got %v, want ErrFrameTooLarge", err)
+	}
+	if err := writeFrame(io.Discard, &Frame{Type: FrameRequest}); err != nil {
 		t.Fatalf("empty frame: %v", err)
 	}
 }
 
 func TestReaderPayloadReuse(t *testing.T) {
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, &Frame{Type: FrameRequest, StreamID: 1, Payload: []byte("first")})
-	_ = WriteFrame(&buf, &Frame{Type: FrameRequest, StreamID: 2, Payload: []byte("secnd")})
+	_ = writeFrame(&buf, &Frame{Type: FrameRequest, StreamID: 1, Payload: []byte("first")})
+	_ = writeFrame(&buf, &Frame{Type: FrameRequest, StreamID: 2, Payload: []byte("secnd")})
 	r := NewReader(&buf)
 	f1, err := r.ReadFrame()
 	if err != nil {
@@ -157,7 +186,7 @@ func TestReadFrameFromChunkedReader(t *testing.T) {
 	// A reader that returns one byte at a time exercises partial reads.
 	var buf bytes.Buffer
 	want := &Frame{Type: FrameResponse, StreamID: 42, Payload: []byte("chunked payload")}
-	_ = WriteFrame(&buf, want)
+	_ = writeFrame(&buf, want)
 	r := NewReader(iotest{r: &buf})
 	got, err := r.ReadFrame()
 	if err != nil {

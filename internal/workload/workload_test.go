@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -535,6 +536,89 @@ func TestReplayRoundTrip(t *testing.T) {
 	// Shape samples exist for multi-span trees.
 	if len(d.desc) == 0 {
 		t.Fatal("no shape samples reconstructed")
+	}
+}
+
+// shardSink records the IDs of the spans a replay routed to it; the rest
+// of SpanSink is the empty tee's no-op.
+type shardSink struct {
+	teeSink
+	method, volume []trace.SpanID
+}
+
+func (k *shardSink) MethodSpan(s *trace.Span) { k.method = append(k.method, s.SpanID) }
+func (k *shardSink) VolumeSpan(s *trace.Span) { k.volume = append(k.volume, s.SpanID) }
+
+// TestReplayRoutesByShard: every span reaches the sink and the profiler of
+// the shard its ID names. The cycles are chosen so that the summation order
+// shows in the profile: shard 0's one 1e16-cycle span absorbs each 1-cycle
+// span added to it singly, while shard 1's thousand sum to 1000 first.
+func TestReplayRoutesByShard(t *testing.T) {
+	var spans []*trace.Span
+	add := func(shard int, cycles float64) {
+		n := uint64(len(spans)) + 1
+		spans = append(spans, &trace.Span{
+			TraceID: trace.TraceID(n), SpanID: trace.SpanID(shardIDBase(shard) + n),
+			Service: "svc", Method: "svc/M", CPUCycles: cycles,
+		})
+	}
+	add(0, 1e16)
+	for i := 0; i < 1000; i++ {
+		add(1, 1)
+	}
+	add(2, 3)
+	add(3, 5)
+	add(1, 1)
+
+	// The reference merges per-shard profiles in shard order, as Run does.
+	profs := []*gwp.Profiler{gwp.New(), gwp.New(), gwp.New(), gwp.New()}
+	one := gwp.New()
+	for _, s := range spans {
+		s.RecordCycles(profs[ShardOf(s.SpanID)])
+		s.RecordCycles(one)
+	}
+	ref := gwp.New()
+	for _, p := range profs {
+		ref.Merge(p)
+	}
+	want := ref.Snapshot()
+	if one.Snapshot().Total() == want.Total() {
+		t.Fatal("test setup: one profiler sums the cycles as the shards do")
+	}
+
+	var buf bytes.Buffer
+	if err := trace.WriteSpans(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	var sinks []*shardSink
+	got, err := Replay(&buf, func(shard int) SpanSink {
+		if shard != len(sinks) {
+			t.Fatalf("factory called for shard %d after %d shards", shard, len(sinks))
+		}
+		sinks = append(sinks, &shardSink{})
+		return sinks[shard]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sinks) != len(profs) {
+		t.Fatalf("replay built %d sinks, want %d", len(sinks), len(profs))
+	}
+	for i, k := range sinks {
+		var ids []trace.SpanID
+		for _, s := range spans {
+			if ShardOf(s.SpanID) == i {
+				ids = append(ids, s.SpanID)
+			}
+		}
+		if !reflect.DeepEqual(k.method, ids) || !reflect.DeepEqual(k.volume, ids) {
+			t.Fatalf("shard %d sink saw %d method and %d volume spans, want its %d",
+				i, len(k.method), len(k.volume), len(ids))
+		}
+	}
+	if got.ByCat != want.ByCat || !reflect.DeepEqual(got.ByMethod, want.ByMethod) ||
+		!reflect.DeepEqual(got.Services, want.Services) {
+		t.Fatalf("replayed profile totals %v, per-shard merge %v", got.Total(), want.Total())
 	}
 }
 
