@@ -20,6 +20,7 @@ import (
 	"rpcscale/internal/compressor"
 	"rpcscale/internal/core"
 	"rpcscale/internal/fleet"
+	"rpcscale/internal/gwp"
 	"rpcscale/internal/loadbalance"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
@@ -34,22 +35,26 @@ var (
 	fxTopo      *sim.Topology
 	fxCat       *fleet.Catalog
 	fxDS        *workload.Dataset
+	fxProf      *gwp.Snapshot
 	fxSink      *core.ReportSink
 	fxLatency   *core.PerMethodResult
 )
 
-// fixture builds the shared dataset, and the one sink every figure bench
-// queries, once per bench binary run.
+// fixture generates the shared run once per bench binary run: its
+// retained spans, its profile, and the one sink every figure bench
+// queries.
 func fixture(b *testing.B) (*sim.Topology, *fleet.Catalog, *workload.Dataset) {
 	b.Helper()
 	fixtureOnce.Do(func() {
 		fxTopo = sim.NewTopology(sim.DefaultTopology())
 		fxCat = fleet.New(fleet.Config{Methods: 600, Clusters: len(fxTopo.Clusters), Seed: 5})
-		fxDS = workload.Generate(context.Background(), fxCat, fxTopo, workload.RunConfig{
+		var sinks core.ShardSinks
+		fxProf, fxDS = workload.Run(context.Background(), fxCat, fxTopo, workload.RunConfig{
 			Seed: 5, MethodSamples: 110, StudiedSamples: 1000,
 			VolumeRoots: 30000, Trees: 200, MaxDepth: 8, TreeBudget: 1200,
-		})
-		fxSink = core.SinkFromDataset(fxDS)
+			RetainSpans: true,
+		}, sinks.New)
+		fxSink = sinks.Merged()
 		fxLatency = fxSink.LatencyByMethod()
 	})
 	return fxTopo, fxCat, fxDS
@@ -142,10 +147,10 @@ func BenchmarkFig07SizeRatio(b *testing.B) {
 }
 
 func BenchmarkFig08ServiceShares(b *testing.B) {
-	_, _, ds := fixture(b)
+	sink := figSink(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fxSink.ServiceShares(ds.Profile)
+		res := sink.ServiceShares(fxProf)
 		if i == 0 {
 			b.ReportMetric(res.Row("networkdisk").CallShare*100, "networkdisk-calls-%")
 		}
@@ -281,10 +286,10 @@ func BenchmarkFig19CrossCluster(b *testing.B) {
 }
 
 func BenchmarkFig20CycleTax(b *testing.B) {
-	_, _, ds := fixture(b)
+	fixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.CycleTaxFromProfile(ds.Profile)
+		res := core.CycleTaxFromProfile(fxProf)
 		if i == 0 {
 			b.ReportMetric(res.TaxShare*100, "cycle-tax-%")
 		}
@@ -722,20 +727,6 @@ func BenchmarkAccumObserve(b *testing.B) {
 		j++
 		if j == len(spans) {
 			j = 0
-		}
-	}
-}
-
-// BenchmarkAccumReplay measures replaying the materialized dataset
-// through per-shard accumulators and merging them in shard order — the
-// one-time cost FullReport pays before rendering.
-func BenchmarkAccumReplay(b *testing.B) {
-	_, _, ds := fixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.SinkFromDataset(ds) == nil {
-			b.Fatal("nil sink")
 		}
 	}
 }

@@ -69,8 +69,12 @@ func TestDumpTracesAdjacent(t *testing.T) {
 		t.Fatalf("read %d records, generate reported %d", n, tot.spans)
 	}
 
-	ds := workload.Generate(context.Background(), newCat(), topo, cfg)
-	generated := ds.AllSpans()
+	cfg.RetainSpans = true
+	_, ds := workload.Run(context.Background(), newCat(), topo, cfg, nil)
+	generated := append(ds.VolumeSpans, ds.TreeSpans...)
+	for _, spans := range ds.MethodSpans {
+		generated = append(generated, spans...)
+	}
 	if len(generated) != len(written) {
 		t.Fatalf("wrote %d spans, generated %d", len(written), len(generated))
 	}

@@ -1,8 +1,8 @@
 // Fanout: a partition/aggregate search application — the architecture the
 // paper identifies behind the fleet's "wider than deep" call trees
 // (§2.4). A frontend fans a query out to many shard servers in parallel,
-// each shard optionally consults a storage leaf, and the trace collector
-// reassembles the whole tree from propagated trace context.
+// each shard optionally consults a storage leaf, and the telemetry plane's
+// span store reassembles the whole tree from propagated trace context.
 package main
 
 import (
@@ -14,14 +14,15 @@ import (
 	"time"
 
 	"rpcscale/internal/stubby"
+	"rpcscale/internal/telemetry"
 	"rpcscale/internal/trace"
 )
 
 const shards = 12
 
 func main() {
-	col := trace.New()
-	opts := stubby.Options{Collector: col, Workers: 32}
+	plane := telemetry.New()
+	opts := plane.Apply(stubby.Options{Workers: 32})
 
 	// Storage leaf: a slow lookup the shards depend on.
 	leafSrv := stubby.NewServer(opts)
@@ -120,7 +121,7 @@ func main() {
 
 	// Reconstruct the tree: one root, `shards` children, each with one
 	// storage child — wider than deep, exactly the paper's shape.
-	for _, tr := range trace.BuildGraphs(col.Spans()) {
+	for _, tr := range trace.BuildGraphs(plane.Collector().Spans()) {
 		if tr.Root.Span.Method != "searchfe/Search" {
 			continue
 		}

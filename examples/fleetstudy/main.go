@@ -4,7 +4,7 @@
 //
 // This is the example to read to understand how the pieces compose:
 //
-//	sim.Topology  +  fleet.Catalog  ->  workload.Generate  ->  core.*
+//	sim.Topology  +  fleet.Catalog  ->  workload.Run  ->  core.ReportSink
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
-	"rpcscale/internal/trace"
 	"rpcscale/internal/workload"
 )
 
@@ -34,15 +33,7 @@ func main() {
 		len(cat.Methods), len(cat.Services),
 		cat.TopByPopularity(1)[0].Name, cat.TopByPopularity(1)[0].Popularity*100)
 
-	// 3. Simulate: spans, call trees, CPU profiles.
-	ds := workload.Generate(context.Background(), cat, topo, workload.RunConfig{
-		Seed: 7, MethodSamples: 110, StudiedSamples: 1200,
-		VolumeRoots: 50000, Trees: 400,
-	})
-	fmt.Fprintf(os.Stderr, "simulated %d volume spans, %d trees\n",
-		len(ds.VolumeSpans), len(trace.BuildGraphs(ds.TreeSpans)))
-
-	// 4. 700 days of Monarch counters for the growth analysis.
+	// 3. 700 days of Monarch counters for the growth analysis.
 	db := monarch.NewDB(monarch.WithRetention(710 * 24 * time.Hour))
 	if err := workload.DeclareMetrics(db); err != nil {
 		log.Fatal(err)
@@ -51,9 +42,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. Every figure of the paper.
+	// 4. Simulate spans, call trees and CPU profiles, streaming each
+	// shard into its own report sink, then render every figure of the
+	// paper from the merged sinks.
 	gen := workload.NewGenerator(cat, topo, nil, 99)
-	fmt.Print(core.FullReport(ds, core.ReportOptions{
+	cfg := workload.RunConfig{
+		Seed: 7, MethodSamples: 110, StudiedSamples: 1200,
+		VolumeRoots: 50000, Trees: 400,
+	}
+	fmt.Print(core.StreamReport(context.Background(), cat, topo, cfg, core.ReportOptions{
 		DB:              db,
 		Generator:       gen,
 		LoadBalanceSeed: 5,

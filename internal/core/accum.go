@@ -14,9 +14,9 @@ import (
 // report: a workload.SpanSink that folds each span into bounded per-figure
 // state (log-bucketed histograms, integer sums, a bottom-k sketch, and
 // capped studied-method retention) the moment it is produced. One sink per
-// generation shard, merged in shard-index order, yields results that are
-// byte-identical to materializing the Dataset first and replaying it
-// (SinkFromDataset). Every figure is a method on the sink.
+// shard of a workload.Run or workload.Replay, merged in shard-index order
+// (ShardSinks), yields results that are reproducible for a fixed (Seed,
+// Shards) pair. Every figure is a method on the sink.
 //
 // A sink is not safe for concurrent use; workload.Run drives each shard's
 // sink from a single goroutine, and Merge is called after all shards
@@ -507,79 +507,6 @@ func (k *ReportSink) Merge(o *ReportSink) {
 }
 
 // StudiedSpans returns the retained stratified spans of a studied method,
-// in generation order (a run's Dataset.MethodSpans entry). Non-studied
+// in shard order and, within a shard, in generation order. Non-studied
 // methods return nil.
 func (k *ReportSink) StudiedSpans(method string) []*trace.Span { return k.studied[method] }
-
-// SinkFromDataset replays a materialized Dataset through per-shard
-// ReportSinks and merges them in shard-index order — the same routing,
-// per-shard observation order, and merge fold the streaming path uses, so
-// every accumulated quantity (floating-point sums included) is
-// bit-identical to a streaming run with the same (Seed, Shards).
-//
-// Spans are routed by the shard index their SpanID carries
-// (workload.ShardOf); trace IDs are hashed and carry no shard information.
-func SinkFromDataset(ds *workload.Dataset) *ReportSink {
-	shards := 1
-	note := func(spans []*trace.Span) {
-		for _, s := range spans {
-			shards = max(shards, workload.ShardOf(s.SpanID)+1)
-		}
-	}
-	for _, spans := range ds.MethodSpans {
-		note(spans)
-	}
-	note(ds.VolumeSpans)
-	note(ds.TreeSpans)
-
-	sinks := make([]*ReportSink, shards)
-	for i := range sinks {
-		sinks[i] = NewReportSink()
-	}
-	for _, name := range sortedKeys(ds.MethodSpans) {
-		for _, s := range ds.MethodSpans[name] {
-			sinks[workload.ShardOf(s.SpanID)].MethodSpan(s)
-		}
-	}
-	for _, s := range ds.VolumeSpans {
-		sinks[workload.ShardOf(s.SpanID)].VolumeSpan(s)
-	}
-	for _, s := range ds.TreeSpans {
-		sinks[workload.ShardOf(s.SpanID)].TreeSpan(s)
-	}
-	// Graph summaries are plain integer-count values, so (like shape
-	// samples below) their accumulation is invariant to sink assignment;
-	// the whole set goes through the first sink.
-	for _, g := range ds.GraphStats {
-		sinks[0].GraphShape(g)
-	}
-	// Shape samples and exogenous observations carry no shard marker, but
-	// their analyses are invariant to how they are split across sinks
-	// (quantiles over the merged multiset, per-method list appends), so
-	// the whole set goes through the first sink.
-	for _, name := range sortedKeys(ds.DescendantsByMethod) {
-		dv := ds.DescendantsByMethod[name].Values()
-		var av []float64
-		if a := ds.AncestorsByMethod[name]; a != nil {
-			av = a.Values()
-		}
-		for i, d := range dv {
-			anc := 0.0
-			if i < len(av) {
-				anc = av[i]
-			}
-			sinks[0].TreeShape(name, int(d), int(anc))
-		}
-	}
-	for _, name := range sortedKeys(ds.ExoByMethod) {
-		for _, o := range ds.ExoByMethod[name] {
-			sinks[0].ExoSample(name, o.Span, o.Exo)
-		}
-	}
-
-	root := sinks[0]
-	for _, s := range sinks[1:] {
-		root.Merge(s)
-	}
-	return root
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rpcscale/internal/fleet"
+	"rpcscale/internal/gwp"
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/sim"
 	"rpcscale/internal/stats"
@@ -15,17 +16,24 @@ import (
 	"rpcscale/internal/workload"
 )
 
-// One shared dataset, replayed into one sink, for the whole package:
+// One shared run, streamed into one merged sink, for the whole package:
 // generation dominates test cost and the analyses are read-only.
 var (
-	testTopo = sim.NewTopology(sim.DefaultTopology())
-	testCat  = fleet.New(fleet.Config{Methods: 500, Clusters: len(testTopo.Clusters), Seed: 21})
-	testDS   = workload.Generate(context.Background(), testCat, testTopo, workload.RunConfig{
+	testTopo           = sim.NewTopology(sim.DefaultTopology())
+	testCat            = fleet.New(fleet.Config{Methods: 500, Clusters: len(testTopo.Clusters), Seed: 21})
+	testSink, testProf = runSink(testCat, testTopo, workload.RunConfig{
 		Seed: 21, MethodSamples: 120, StudiedSamples: 2500,
 		VolumeRoots: 40000, Trees: 300, MaxDepth: 8, TreeBudget: 1500,
 	})
-	testSink = SinkFromDataset(testDS)
 )
+
+// runSink streams a run through per-shard report sinks and returns them
+// merged, with the run's CPU profile.
+func runSink(cat *fleet.Catalog, topo *sim.Topology, cfg workload.RunConfig) (*ReportSink, *gwp.Snapshot) {
+	var sinks ShardSinks
+	prof, _ := workload.Run(context.Background(), cat, topo, cfg, sinks.New)
+	return sinks.Merged(), prof
+}
 
 func studiedMethods() []string {
 	var out []string
@@ -181,7 +189,7 @@ func TestSizeAnalyses(t *testing.T) {
 }
 
 func TestServiceShareAnalysis(t *testing.T) {
-	res := testSink.ServiceShares(testDS.Profile)
+	res := testSink.ServiceShares(testProf)
 	if res.Rows[0].Service != "networkdisk" {
 		t.Errorf("top service = %s", res.Rows[0].Service)
 	}
@@ -439,7 +447,7 @@ func TestCrossClusterAnalysis(t *testing.T) {
 }
 
 func TestCycleTax(t *testing.T) {
-	res := CycleTaxFromProfile(testDS.Profile)
+	res := CycleTaxFromProfile(testProf)
 	if math.Abs(res.TaxShare-0.071) > 0.02 {
 		t.Errorf("cycle tax = %.4f, paper 0.071", res.TaxShare)
 	}

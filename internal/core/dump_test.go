@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"runtime"
 	"testing"
-	"time"
 
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/sim"
@@ -34,10 +33,11 @@ func dumpSpans(t *testing.T) []*trace.Span {
 		t.Fatal(err)
 	}
 	fleet.ApplyMotifs(cat, packs, 9)
-	ds := workload.Generate(context.Background(), cat, topo, workload.RunConfig{
+	_, ds := workload.Run(context.Background(), cat, topo, workload.RunConfig{
 		Seed: 5, MethodSamples: 40, StudiedSamples: 300,
 		VolumeRoots: 6000, Trees: 100, MaxDepth: 6, TreeBudget: 600, Shards: 4,
-	})
+		RetainSpans: true,
+	}, nil)
 	var spans []*trace.Span
 	for _, name := range sortedKeys(ds.MethodSpans) {
 		spans = append(spans, ds.MethodSpans[name]...)
@@ -125,61 +125,22 @@ func TestForeignShardIndexAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 64 << 20
-	for _, tc := range []struct {
-		name string
-		run  func() *ReportSink
-	}{
-		{"Replay", func() *ReportSink {
-			var sinks ShardSinks
-			if _, err := workload.Replay(bytes.NewReader(dump.Bytes()), sinks.New); err != nil {
-				t.Fatal(err)
-			}
-			if len(sinks) != 4096 {
-				t.Fatalf("replay built %d sinks, want 4096", len(sinks))
-			}
-			return sinks.Merged()
-		}},
-		{"SinkFromDataset", func() *ReportSink {
-			return SinkFromDataset(&workload.Dataset{VolumeSpans: spans})
-		}},
-	} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		sink := tc.run()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-			t.Errorf("%s allocated %d MB, want < %d", tc.name, got>>20, budget>>20)
-		}
-		if sink.errCalls != 2 {
-			t.Errorf("%s counted %d spans, want 2", tc.name, sink.errCalls)
-		}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var sinks ShardSinks
+	if _, err := workload.Replay(&dump, sinks.New); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFullReportDoesNotRetainDataset: rendering a dataset must not keep it
-// reachable once the caller lets go of it.
-func TestFullReportDoesNotRetainDataset(t *testing.T) {
-	collected := make(chan struct{})
-	func() {
-		topo := sim.NewTopology(sim.DefaultTopology())
-		cat := fleet.New(fleet.Config{Methods: 60, Clusters: len(topo.Clusters), Seed: 3})
-		ds := workload.Generate(context.Background(), cat, topo, workload.RunConfig{
-			Seed: 3, MethodSamples: 5, StudiedSamples: 20,
-			VolumeRoots: 200, Trees: 5, MaxDepth: 4, TreeBudget: 100,
-		})
-		runtime.SetFinalizer(ds, func(*workload.Dataset) { close(collected) })
-		if FullReport(ds, ReportOptions{}) == "" {
-			t.Fatal("empty report")
-		}
-	}()
-	for i := 0; i < 5; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(50 * time.Millisecond): // finalizers run on their own goroutine
-		}
+	if len(sinks) != 4096 {
+		t.Fatalf("replay built %d sinks, want 4096", len(sinks))
 	}
-	t.Fatal("dataset still reachable after FullReport returned")
+	sink := sinks.Merged()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("replay allocated %d MB, want < %d", got>>20, budget>>20)
+	}
+	if sink.errCalls != 2 {
+		t.Errorf("replay counted %d spans, want 2", sink.errCalls)
+	}
 }

@@ -120,9 +120,11 @@ func TestRenderHeatmap(t *testing.T) {
 	}
 }
 
+// TestFullReport renders the whole figure-by-figure report from the shared
+// sink, with and without the optional sections.
 func TestFullReport(t *testing.T) {
 	gen := workload.NewGenerator(testCat, testTopo, nil, 88)
-	out := FullReport(testDS, ReportOptions{Generator: gen})
+	out := ReportFromSink(testSink, testProf, ReportOptions{Generator: gen})
 	for _, want := range []string{
 		"Fig.2 anchors", "Fig.3", "Fig.4/5", "Fig.8", "Table 1",
 		"Fig.10", "Fig.11", "Fig.12", "Fig.14", "Fig.15", "Fig.16",
@@ -135,7 +137,7 @@ func TestFullReport(t *testing.T) {
 	}
 	// Without a generator or DB, the optional sections are skipped but
 	// the report still renders.
-	out2 := FullReport(testDS, ReportOptions{})
+	out2 := ReportFromSink(testSink, testProf, ReportOptions{})
 	if strings.Contains(out2, "Fig.19") {
 		t.Error("Fig.19 should require a generator")
 	}

@@ -26,20 +26,11 @@ type ReportOptions struct {
 	DiurnalSamples int
 }
 
-// FullReport renders the complete figure-by-figure report of a
-// materialized dataset: the dataset is replayed once through the
-// accumulators (SinkFromDataset) and rendered from them. For a fixed
-// (Seed, Shards) pair the output is byte-identical to StreamReport, which
-// never materializes the dataset at all.
-func FullReport(ds *workload.Dataset, opts ReportOptions) string {
-	return ReportFromSink(SinkFromDataset(ds), ds.Profile, opts)
-}
-
-// StreamReport generates the workload and renders the full report without
-// ever materializing a Dataset: each shard feeds its own ReportSink, the
-// sinks merge in shard-index order, and the figures render from the
-// merged accumulators. Memory stays bounded by the accumulator state (plus
-// the eight studied methods' retained spans) regardless of VolumeRoots.
+// StreamReport generates the workload and renders the full report: each
+// shard of workload.Run feeds its own ReportSink, the sinks merge in
+// shard-index order, and the figures render from the merged
+// accumulators. Memory stays bounded by the accumulator state (plus the
+// eight studied methods' retained spans) regardless of VolumeRoots.
 func StreamReport(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg workload.RunConfig, opts ReportOptions) string {
 	var sinks ShardSinks
 	prof, _ := workload.Run(ctx, cat, topo, cfg, sinks.New)

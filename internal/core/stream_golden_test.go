@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -12,15 +14,14 @@ import (
 	"rpcscale/internal/workload"
 )
 
-// goldenWorld builds a fresh catalog/topology pair plus report options
-// with their own Monarch DB and generator. Each report path gets its own
-// world: the generator-driven figures (18, 19, co-location) consume RNG
-// state and write to the DB, so sharing them across paths would make the
-// second report see different state.
-func goldenWorld(t *testing.T, methods int) (*fleet.Catalog, *sim.Topology, ReportOptions) {
+// goldenWorld builds a 400-method catalog/topology pair plus report
+// options with their own Monarch DB and generator. A world renders one
+// report: the generator-driven figures (18, 19, co-location) consume RNG
+// state and write to the DB, so a second report would see different state.
+func goldenWorld(t *testing.T) (*fleet.Catalog, *sim.Topology, ReportOptions) {
 	t.Helper()
 	topo := sim.NewTopology(sim.DefaultTopology())
-	cat := fleet.New(fleet.Config{Methods: methods, Clusters: len(topo.Clusters), Seed: 9})
+	cat := fleet.New(fleet.Config{Methods: 400, Clusters: len(topo.Clusters), Seed: 9})
 	db := monarch.NewDB(monarch.WithWindow(24 * time.Hour))
 	if err := workload.DeclareMetrics(db); err != nil {
 		t.Fatal(err)
@@ -35,50 +36,46 @@ func goldenWorld(t *testing.T, methods int) (*fleet.Catalog, *sim.Topology, Repo
 	}
 }
 
-func firstDiff(t *testing.T, a, b string) {
-	t.Helper()
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
-	}
-	for i := 0; i < n; i++ {
-		if al[i] != bl[i] {
-			t.Fatalf("reports diverge at line %d:\n  full:   %q\n  stream: %q", i+1, al[i], bl[i])
-		}
-	}
-	t.Fatalf("reports diverge in length: %d vs %d lines", len(al), len(bl))
+// sha256Hex returns the hex SHA-256 of a report.
+func sha256Hex(report string) string {
+	sum := sha256.Sum256([]byte(report))
+	return hex.EncodeToString(sum[:])
+}
+
+// Pins of the streaming report at DefaultRun with goldenWorld's options,
+// and at TestStreamReportShardDeterminism's configuration per shard
+// count. Each was computed at commit 3cbc8f4, where the materialized path
+// (workload.Generate into FullReport, since deleted) rendered the same
+// bytes; the digests are now the reference the streaming path is held to.
+const defaultRunReportSHA256 = "d8192fa5b0fae656adca8b485514d4ae85f9acee451c0feeb8ae0ed5e7413276"
+
+var shardReportSHA256 = map[int]string{
+	1: "57e26a62474cf61034a58745a514af956b27cb48caf47d69fbb4d6ab360eb343",
+	4: "7f29644e3eceee7b50bdeb529272d0d7b8743fa9b031d431d4bb95075dad68b4",
+	8: "8c814b76b04631408f85f911db03218891cc34a141abeda0157d727b94bfe47e",
 }
 
 // The tentpole guarantee: the streaming report — per-shard accumulators
-// merged in shard order, no Dataset ever materialized — is byte-identical
-// to materializing the Dataset and replaying it through FullReport, at
-// the default run configuration's seed.
+// merged in shard order, no span retained — renders the bytes the
+// materialized path rendered at the default run configuration's seed.
 func TestStreamReportMatchesFullReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-report golden comparison is slow")
 	}
-	cfg := workload.DefaultRun()
-	ctx := context.Background()
-
-	cat, topo, opts := goldenWorld(t, 400)
-	full := FullReport(workload.Generate(ctx, cat, topo, cfg), opts)
-
-	cat2, topo2, opts2 := goldenWorld(t, 400)
-	stream := StreamReport(ctx, cat2, topo2, cfg, opts2)
-
-	if full != stream {
-		firstDiff(t, full, stream)
+	cat, topo, opts := goldenWorld(t)
+	stream := StreamReport(context.Background(), cat, topo, workload.DefaultRun(), opts)
+	if got := sha256Hex(stream); got != defaultRunReportSHA256 {
+		t.Fatalf("report SHA-256 = %s, want %s", got, defaultRunReportSHA256)
 	}
-	if !strings.Contains(full, "Fig.23") || !strings.Contains(full, "Fig.2 anchors") {
+	if !strings.Contains(stream, "Fig.23") || !strings.Contains(stream, "Fig.2 anchors") {
 		t.Fatal("golden report is missing expected figures")
 	}
 }
 
 // For every shard count the streaming path must be (a) reproducible and
-// (b) byte-identical to the materialized path at that same shard count —
-// the merge is a deterministic fold over shard-index order, never over
-// goroutine completion order.
+// (b) the pinned report for that shard count — the merge is a
+// deterministic fold over shard-index order, never over goroutine
+// completion order.
 func TestStreamReportShardDeterminism(t *testing.T) {
 	ctx := context.Background()
 	cfg := workload.RunConfig{
@@ -95,9 +92,8 @@ func TestStreamReportShardDeterminism(t *testing.T) {
 		if first != second {
 			t.Fatalf("shards=%d: streaming report not reproducible", shards)
 		}
-		full := FullReport(workload.Generate(ctx, cat, topo, cfg), ReportOptions{})
-		if full != first {
-			firstDiff(t, full, first)
+		if got, want := sha256Hex(first), shardReportSHA256[shards]; got != want {
+			t.Fatalf("shards=%d: report SHA-256 = %s, want %s", shards, got, want)
 		}
 	}
 }

@@ -23,11 +23,11 @@ var dagCfg = RunConfig{
 }
 
 func TestNoMotifRunStaysTreeShaped(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, dagCfg)
-	if len(ds.GraphStats) == 0 {
+	rec, _, _ := record(context.Background(), testCat, dagCfg)
+	if len(rec.graphs) == 0 {
 		t.Fatal("no graph summaries emitted")
 	}
-	for _, g := range ds.GraphStats {
+	for _, g := range rec.graphs {
 		if g.FanInEdges != 0 || g.SharedNodes != 0 {
 			t.Fatalf("no-motif graph %s has fan-in: %+v", g.Root, g)
 		}
@@ -37,7 +37,7 @@ func TestNoMotifRunStaysTreeShaped(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range ds.AllSpans() {
+	for _, s := range rec.spans() {
 		if len(s.LinkedParents) != 0 || s.Motif != trace.MotifNone {
 			t.Fatalf("no-motif span %s/%s carries DAG fields", s.Service, s.Method)
 		}
@@ -45,13 +45,13 @@ func TestNoMotifRunStaysTreeShaped(t *testing.T) {
 }
 
 func TestMotifRunDeterministic(t *testing.T) {
-	a := Generate(context.Background(), motifCat(), testTopo, dagCfg)
-	b := Generate(context.Background(), motifCat(), testTopo, dagCfg)
-	if !reflect.DeepEqual(a.GraphStats, b.GraphStats) {
+	a, _, _ := record(context.Background(), motifCat(), dagCfg)
+	b, _, _ := record(context.Background(), motifCat(), dagCfg)
+	if !reflect.DeepEqual(a.graphs, b.graphs) {
 		t.Fatal("graph summaries differ between identical runs")
 	}
 	var fanIn, motifs int
-	for _, g := range a.GraphStats {
+	for _, g := range a.graphs {
 		fanIn += g.FanInEdges
 		for m, n := range g.Motifs {
 			if trace.Motif(m) != trace.MotifNone {
@@ -68,8 +68,8 @@ func TestMotifRunDeterministic(t *testing.T) {
 }
 
 func TestGraphStatWithinBudget(t *testing.T) {
-	ds := Generate(context.Background(), motifCat(), testTopo, dagCfg)
-	for _, g := range ds.GraphStats {
+	rec, _, _ := record(context.Background(), motifCat(), dagCfg)
+	for _, g := range rec.graphs {
 		if g.Spans < 1 {
 			t.Fatalf("graph %s has %d spans", g.Root, g.Spans)
 		}
@@ -88,8 +88,8 @@ func TestGraphStatWithinBudget(t *testing.T) {
 }
 
 func TestMotifDumpRoundTrip(t *testing.T) {
-	ds := Generate(context.Background(), motifCat(), testTopo, dagCfg)
-	loaded, _ := replayDump(t, ds.AllSpans())
+	rec, _, _ := record(context.Background(), motifCat(), dagCfg)
+	loaded, _ := replayDump(t, rec.spans())
 	if len(loaded.graphs) == 0 {
 		t.Fatal("no graph summaries reconstructed from dump")
 	}

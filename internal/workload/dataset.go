@@ -39,9 +39,9 @@ type RunConfig struct {
 	Shards int
 
 	// RetainSpans makes Run buffer every generated span into a Dataset
-	// on top of streaming it to the caller's sinks. Generate forces it;
-	// pure streaming consumers leave it false and run at bounded memory
-	// regardless of the configured volume.
+	// on top of streaming it to the caller's sinks; pure streaming
+	// consumers leave it false and run at bounded memory regardless of
+	// the configured volume.
 	RetainSpans bool
 }
 
@@ -94,12 +94,10 @@ type ExoObservation struct {
 	Exo  sim.Exo
 }
 
-// Dataset is everything one generation run produces. All downstream
-// analyses (internal/core) consume Datasets.
+// Dataset holds the spans a run retains (RunConfig.RetainSpans). Every
+// figure comes from a SpanSink fed by Run; a Dataset is for callers that
+// want the spans themselves.
 type Dataset struct {
-	Cat  *fleet.Catalog
-	Topo *sim.Topology
-
 	// MethodSpans holds the stratified per-method samples, keyed by
 	// method name. Client/server placement follows each method's
 	// locality model; times are uniform over 24h.
@@ -112,36 +110,6 @@ type Dataset struct {
 	// TreeSpans is the materialized call-tree sample; trace.BuildGraphs
 	// reconstructs the graphs from it.
 	TreeSpans []*trace.Span
-
-	// DescendantsByMethod / AncestorsByMethod are exact per-method
-	// samples gathered during generation (no materialization needed).
-	DescendantsByMethod map[string]*stats.Sample
-	AncestorsByMethod   map[string]*stats.Sample
-
-	// ExoByMethod holds studied-method spans paired with cluster state.
-	ExoByMethod map[string][]ExoObservation
-
-	// GraphStats summarizes every fully-generated call graph (stratified
-	// and materialized roots; depth-truncated volume roots are excluded).
-	GraphStats []GraphStat
-
-	// Profile is the GWP cycle attribution accumulated over the run.
-	Profile *gwp.Snapshot
-}
-
-// Generate runs the full pipeline and materializes everything into a
-// Dataset. It is Run with span retention forced on and no caller sinks:
-// the buffered path that existing figure analyses and tests consume.
-//
-// Cancelling ctx stops every shard at its next sample boundary; the
-// partial dataset accumulated so far is still returned (and is still
-// deterministic up to the truncation point), so long runs can be
-// interrupted without losing everything.
-func Generate(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunConfig) *Dataset {
-	cfg = cfg.withDefaults()
-	cfg.RetainSpans = true
-	_, ds := Run(ctx, cat, topo, cfg, nil)
-	return ds
 }
 
 // Run executes the generation pipeline, sharded across cfg.Shards
@@ -157,10 +125,14 @@ func Generate(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg R
 // into a private profiler, and profilers (like any caller-side shard
 // accumulators) are merged in shard-index order.
 //
+// Cancelling ctx stops every shard at its next sample boundary; what was
+// generated so far has already reached the sinks (and is still
+// deterministic up to the truncation point).
+//
 // The returned Dataset is nil unless cfg.RetainSpans is set, in which
-// case every span is additionally buffered Dataset-style (this is what
-// Generate does). With RetainSpans off, memory stays bounded by the
-// sinks' own state however large the configured volume is.
+// case every span is additionally buffered into it. With RetainSpans
+// off, memory stays bounded by the sinks' own state however large the
+// configured volume is.
 func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunConfig, factory func(shard int) SpanSink) (*gwp.Snapshot, *Dataset) {
 	cfg = cfg.withDefaults()
 
@@ -217,28 +189,14 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 	if !cfg.RetainSpans {
 		return snap, nil
 	}
-	ds := &Dataset{
-		Cat:                 cat,
-		Topo:                topo,
-		MethodSpans:         make(map[string][]*trace.Span, len(cat.Methods)),
-		DescendantsByMethod: make(map[string]*stats.Sample),
-		AncestorsByMethod:   make(map[string]*stats.Sample),
-		ExoByMethod:         make(map[string][]ExoObservation),
-	}
+	ds := &Dataset{MethodSpans: make(map[string][]*trace.Span, len(cat.Methods))}
 	for _, d := range dsSinks {
 		for name, spans := range d.methodSpans {
 			ds.MethodSpans[name] = append(ds.MethodSpans[name], spans...)
 		}
 		ds.VolumeSpans = append(ds.VolumeSpans, d.volume...)
 		ds.TreeSpans = append(ds.TreeSpans, d.treeSpans...)
-		MergeSamples(ds.DescendantsByMethod, d.desc)
-		MergeSamples(ds.AncestorsByMethod, d.anc)
-		for name, obs := range d.exo {
-			ds.ExoByMethod[name] = append(ds.ExoByMethod[name], obs...)
-		}
-		ds.GraphStats = append(ds.GraphStats, d.graphs...)
 	}
-	ds.Profile = snap
 	return snap, ds
 }
 
@@ -358,23 +316,6 @@ func entryMethods(cat *fleet.Catalog) []*fleet.Method {
 	sort.Slice(out, func(i, j int) bool { return out[i].Popularity > out[j].Popularity })
 	if len(out) > 200 {
 		out = out[:200]
-	}
-	return out
-}
-
-// AllSpans returns the union of every span set (for fleet-wide error and
-// byte accounting that wants maximum sample volume). The returned slice
-// is freshly allocated on every call — it copies nothing but the span
-// pointers, and callers may reorder or truncate it freely — so streaming
-// consumers that only need to visit each span once should prefer feeding
-// a SpanSink via Run instead of paying for the union.
-func (ds *Dataset) AllSpans() []*trace.Span {
-	out := make([]*trace.Span, 0,
-		len(ds.VolumeSpans)+len(ds.TreeSpans)+len(ds.MethodSpans)*8)
-	out = append(out, ds.VolumeSpans...)
-	out = append(out, ds.TreeSpans...)
-	for _, spans := range ds.MethodSpans {
-		out = append(out, spans...)
 	}
 	return out
 }

@@ -6,19 +6,17 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// SpanSink receives a generation shard's output as it is produced,
-// instead of buffering it into a Dataset first. This is the streaming
-// analog of the paper's pipelines: Dapper aggregates its samples in
-// flight rather than materializing them, so the observation plane runs at
-// bounded memory no matter the stream volume.
+// SpanSink receives a generation shard's output as it is produced. This
+// is the streaming analog of the paper's pipelines: Dapper aggregates its
+// samples in flight rather than materializing them, so the observation
+// plane runs at bounded memory no matter the stream volume.
 //
 // Run gives each shard its own sink (built by a per-shard factory), calls
 // it from that shard's goroutine only, and leaves merging to the caller,
 // who folds the shard sinks together in shard-index order. Because each
 // shard's stream depends only on its own derived seed and the merge order
 // is fixed, any sink whose Merge is a deterministic fold produces results
-// that are reproducible for a fixed (Seed, Shards) pair — and identical
-// to feeding the materialized Dataset through the same accumulator.
+// that are reproducible for a fixed (Seed, Shards) pair.
 //
 // Within one shard the emission order is fixed: stratified per-method
 // samples first (MethodSpan, then TreeShape, then ExoSample for studied
@@ -50,25 +48,16 @@ type SpanSink interface {
 // rebuilt graph with trace.Graph.Stat).
 type GraphStat = trace.GraphStat
 
-// datasetSink buffers one shard's stream into Dataset-shaped state; it is
-// how Generate retains full spans on top of Run.
+// datasetSink buffers one shard's spans for a Dataset; it is how Run
+// retains them (RunConfig.RetainSpans) on top of the caller's sinks.
 type datasetSink struct {
 	methodSpans map[string][]*trace.Span
 	volume      []*trace.Span
 	treeSpans   []*trace.Span
-	desc        map[string]*stats.Sample
-	anc         map[string]*stats.Sample
-	exo         map[string][]ExoObservation
-	graphs      []GraphStat
 }
 
 func newDatasetSink() *datasetSink {
-	return &datasetSink{
-		methodSpans: make(map[string][]*trace.Span),
-		desc:        make(map[string]*stats.Sample),
-		anc:         make(map[string]*stats.Sample),
-		exo:         make(map[string][]ExoObservation),
-	}
+	return &datasetSink{methodSpans: make(map[string][]*trace.Span)}
 }
 
 func (d *datasetSink) MethodSpan(s *trace.Span) {
@@ -82,9 +71,11 @@ func (d *datasetSink) VolumeSpan(s *trace.Span) { d.volume = append(d.volume, s)
 //rpclint:ignore sinkobserve datasetSink is the retention sink: buffering spans into the Dataset is its contract
 func (d *datasetSink) TreeSpan(s *trace.Span) { d.treeSpans = append(d.treeSpans, s) }
 
-func (d *datasetSink) TreeShape(method string, descendants, ancestors int) {
-	AddShape(d.desc, d.anc, method, descendants, ancestors)
-}
+// A Dataset keeps spans only; shapes and exogenous samples are for the
+// caller's sinks.
+func (d *datasetSink) TreeShape(string, int, int)             {}
+func (d *datasetSink) GraphShape(GraphStat)                   {}
+func (d *datasetSink) ExoSample(string, *trace.Span, sim.Exo) {}
 
 // AddShape appends one call's (descendants, ancestors) counts to its
 // method's Figs. 4/5 samples in desc and anc.
@@ -101,13 +92,6 @@ func AddShape(desc, anc map[string]*stats.Sample, method string, descendants, an
 		anc[method] = a
 	}
 	a.Add(float64(ancestors))
-}
-
-func (d *datasetSink) GraphShape(g GraphStat) { d.graphs = append(d.graphs, g) }
-
-func (d *datasetSink) ExoSample(method string, s *trace.Span, exo sim.Exo) {
-	//rpclint:ignore sinkobserve datasetSink is the retention sink: buffering spans into the Dataset is its contract
-	d.exo[method] = append(d.exo[method], ExoObservation{Span: s, Exo: exo})
 }
 
 // teeSink fans one shard's stream out to several sinks in order.

@@ -24,6 +24,77 @@ var (
 
 func newGen(seed uint64) *Generator { return NewGenerator(testCat, testTopo, nil, seed) }
 
+// recordSink keeps everything a stream carries: the spans, as the
+// retention sink does, and the shape, graph and exogenous samples it
+// drops.
+type recordSink struct {
+	datasetSink
+	desc, anc map[string]*stats.Sample
+	exo       map[string][]ExoObservation
+	graphs    []GraphStat
+}
+
+func newRecordSink() *recordSink {
+	return &recordSink{
+		datasetSink: *newDatasetSink(),
+		desc:        make(map[string]*stats.Sample),
+		anc:         make(map[string]*stats.Sample),
+		exo:         make(map[string][]ExoObservation),
+	}
+}
+
+func (r *recordSink) TreeShape(method string, descendants, ancestors int) {
+	AddShape(r.desc, r.anc, method, descendants, ancestors)
+}
+
+func (r *recordSink) GraphShape(g GraphStat) { r.graphs = append(r.graphs, g) }
+
+func (r *recordSink) ExoSample(method string, s *trace.Span, exo sim.Exo) {
+	r.exo[method] = append(r.exo[method], ExoObservation{Span: s, Exo: exo})
+}
+
+// merge appends o's stream to r's.
+func (r *recordSink) merge(o *recordSink) {
+	for name, spans := range o.methodSpans {
+		r.methodSpans[name] = append(r.methodSpans[name], spans...)
+	}
+	r.volume = append(r.volume, o.volume...)
+	r.treeSpans = append(r.treeSpans, o.treeSpans...)
+	MergeSamples(r.desc, o.desc)
+	MergeSamples(r.anc, o.anc)
+	for name, obs := range o.exo {
+		r.exo[name] = append(r.exo[name], obs...)
+	}
+	r.graphs = append(r.graphs, o.graphs...)
+}
+
+// spans returns every recorded span: the volume mix, the trees, then the
+// stratified samples.
+func (r *recordSink) spans() []*trace.Span {
+	out := append(append([]*trace.Span(nil), r.volume...), r.treeSpans...)
+	for _, spans := range r.methodSpans {
+		out = append(out, spans...)
+	}
+	return out
+}
+
+// record runs cfg on cat into one recordSink per shard and returns them
+// merged in shard order, with the run's profile and its Dataset (nil
+// unless cfg.RetainSpans).
+func record(ctx context.Context, cat *fleet.Catalog, cfg RunConfig) (*recordSink, *gwp.Snapshot, *Dataset) {
+	var shards []*recordSink
+	prof, ds := Run(ctx, cat, testTopo, cfg, func(int) SpanSink {
+		r := newRecordSink()
+		shards = append(shards, r)
+		return r
+	})
+	rec := newRecordSink()
+	for _, r := range shards {
+		rec.merge(r)
+	}
+	return rec, prof, ds
+}
+
 func TestCallProducesCompleteSpan(t *testing.T) {
 	gen := newGen(1)
 	m := testCat.MethodByName("networkdisk/Write")
@@ -231,11 +302,11 @@ func TestGenerateCancellation(t *testing.T) {
 		Seed: 1, MethodSamples: 50, StudiedSamples: 100,
 		VolumeRoots: 200000, Trees: 500, MaxDepth: 6, TreeBudget: 400,
 	}
-	ds := Generate(ctx, testCat, testTopo, cfg)
-	if got := len(ds.VolumeSpans); got >= cfg.VolumeRoots/10 {
+	rec, _, _ := record(ctx, testCat, cfg)
+	if got := len(rec.volume); got >= cfg.VolumeRoots/10 {
 		t.Fatalf("cancelled run produced %d of %d volume spans — cancellation did not stop the shards", got, cfg.VolumeRoots)
 	}
-	for _, s := range ds.VolumeSpans {
+	for _, s := range rec.volume {
 		if s.Method == "" {
 			t.Fatal("partial dataset contains an unfinished span")
 		}
@@ -243,9 +314,10 @@ func TestGenerateCancellation(t *testing.T) {
 }
 
 func TestGenerateDataset(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	rec, prof, ds := record(context.Background(), testCat, RunConfig{
 		Seed: 1, MethodSamples: 30, StudiedSamples: 100,
 		VolumeRoots: 4000, Trees: 60, MaxDepth: 6, TreeBudget: 400,
+		RetainSpans: true,
 	})
 	if len(ds.MethodSpans) != len(testCat.Methods) {
 		t.Fatalf("method span sets = %d", len(ds.MethodSpans))
@@ -261,7 +333,13 @@ func TestGenerateDataset(t *testing.T) {
 	if len(ds.TreeSpans) == 0 || len(trace.BuildGraphs(ds.TreeSpans)) == 0 {
 		t.Fatal("no trees materialized")
 	}
-	if ds.Profile == nil || ds.Profile.Total() == 0 {
+	// The Dataset retains exactly the spans the caller's sinks saw, in
+	// shard order.
+	if !reflect.DeepEqual(ds.MethodSpans, rec.methodSpans) || !reflect.DeepEqual(ds.VolumeSpans, rec.volume) ||
+		!reflect.DeepEqual(ds.TreeSpans, rec.treeSpans) {
+		t.Fatal("retained spans differ from the streamed ones")
+	}
+	if prof == nil || prof.Total() == 0 {
 		t.Fatal("no CPU profile")
 	}
 	// Studied methods have boosted samples and exo observations.
@@ -269,21 +347,22 @@ func TestGenerateDataset(t *testing.T) {
 		if len(ds.MethodSpans[s.Method]) < 100 {
 			t.Errorf("studied %s has %d samples", s.Method, len(ds.MethodSpans[s.Method]))
 		}
-		if len(ds.ExoByMethod[s.Method]) == 0 {
+		if len(rec.exo[s.Method]) == 0 {
 			t.Errorf("no exo observations for %s", s.Method)
 		}
 	}
 	// Shape samples exist for every method.
-	if len(ds.DescendantsByMethod) < len(testCat.Methods) {
-		t.Errorf("descendant samples only for %d methods", len(ds.DescendantsByMethod))
+	if len(rec.desc) < len(testCat.Methods) {
+		t.Errorf("descendant samples only for %d methods", len(rec.desc))
 	}
 }
 
 func TestVolumeMixMatchesPopularity(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	_, ds := Run(context.Background(), testCat, testTopo, RunConfig{
 		Seed: 2, MethodSamples: 5, StudiedSamples: 5,
 		VolumeRoots: 30000, Trees: 10, MaxDepth: 3, TreeBudget: 100,
-	})
+		RetainSpans: true,
+	}, nil)
 	counts := make(map[string]int)
 	total := 0
 	for _, s := range ds.VolumeSpans {
@@ -301,10 +380,11 @@ func TestVolumeMixMatchesPopularity(t *testing.T) {
 }
 
 func TestErrorMixInVolume(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	_, ds := Run(context.Background(), testCat, testTopo, RunConfig{
 		Seed: 3, MethodSamples: 5, StudiedSamples: 5,
 		VolumeRoots: 60000, Trees: 10, MaxDepth: 3, TreeBudget: 100,
-	})
+		RetainSpans: true,
+	}, nil)
 	var errs, cancelled, total int
 	for _, s := range ds.VolumeSpans {
 		total++
@@ -326,11 +406,10 @@ func TestErrorMixInVolume(t *testing.T) {
 }
 
 func TestCycleTaxShares(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	p, _ := Run(context.Background(), testCat, testTopo, RunConfig{
 		Seed: 4, MethodSamples: 10, StudiedSamples: 10,
 		VolumeRoots: 10000, Trees: 20, MaxDepth: 4, TreeBudget: 200,
-	})
-	p := ds.Profile
+	}, nil)
 	if got := p.TaxShare(); got < 0.05 || got > 0.10 {
 		t.Errorf("cycle tax share = %.4f, want ~0.071", got)
 	}
@@ -345,13 +424,13 @@ func TestCycleTaxShares(t *testing.T) {
 }
 
 func TestDescendantsWiderThanDeep(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	rec, _, _ := record(context.Background(), testCat, RunConfig{
 		Seed: 5, MethodSamples: 40, StudiedSamples: 40,
 		VolumeRoots: 2000, Trees: 150, MaxDepth: 8, TreeBudget: 2000,
 	})
 	// Ancestors are bounded (trees are shallow)...
 	var maxAnc float64
-	for _, s := range ds.AncestorsByMethod {
+	for _, s := range rec.anc {
 		if v := s.Quantile(1); v > maxAnc {
 			maxAnc = v
 		}
@@ -362,7 +441,7 @@ func TestDescendantsWiderThanDeep(t *testing.T) {
 	// ...while descendants are heavy-tailed: some method's P99 must be
 	// far above the fleet median (wider than deep).
 	var medians, p99s stats.Sample
-	for _, s := range ds.DescendantsByMethod {
+	for _, s := range rec.desc {
 		medians.Add(s.Quantile(0.5))
 		p99s.Add(s.Quantile(0.99))
 	}
@@ -480,15 +559,15 @@ func TestQueueHeavyServiceShape(t *testing.T) {
 	}
 }
 
-// replayDump replays a dump through one datasetSink that every shard
+// replayDump replays a dump through one recordSink that every shard
 // shares, so its fields hold everything the replay fed.
-func replayDump(t *testing.T, spans []*trace.Span) (*datasetSink, *gwp.Snapshot) {
+func replayDump(t *testing.T, spans []*trace.Span) (*recordSink, *gwp.Snapshot) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteSpans(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
-	d := newDatasetSink()
+	d := newRecordSink()
 	prof, err := Replay(&buf, func(int) SpanSink { return d })
 	if err != nil {
 		t.Fatal(err)
@@ -497,18 +576,18 @@ func replayDump(t *testing.T, spans []*trace.Span) (*datasetSink, *gwp.Snapshot)
 }
 
 func TestReplayRoundTrip(t *testing.T) {
-	ds := Generate(context.Background(), testCat, testTopo, RunConfig{
+	rec, _, _ := record(context.Background(), testCat, RunConfig{
 		Seed: 31, MethodSamples: 10, StudiedSamples: 10,
 		VolumeRoots: 2000, Trees: 40, MaxDepth: 5, TreeBudget: 200,
 	})
-	spans := ds.AllSpans()
+	spans := rec.spans()
 	d, prof := replayDump(t, spans)
 	if len(d.volume) != len(spans) {
 		t.Fatalf("replayed %d spans, wrote %d", len(d.volume), len(spans))
 	}
 	// Every materialized tree of two or more spans comes back whole.
 	perTrace := make(map[trace.TraceID]int)
-	for _, s := range ds.TreeSpans {
+	for _, s := range rec.treeSpans {
 		perTrace[s.TraceID]++
 	}
 	var wantSpans, wantGraphs int
@@ -670,9 +749,9 @@ func TestColocateBoostReducesCrossRate(t *testing.T) {
 	}
 }
 
-// replaySpans replays in-memory spans through one shared datasetSink.
-func replaySpans(spans []*trace.Span) *datasetSink {
-	d := newDatasetSink()
+// replaySpans replays in-memory spans through one shared recordSink.
+func replaySpans(spans []*trace.Span) *recordSink {
+	d := newRecordSink()
 	ReplaySpans(spans, func(int) SpanSink { return d })
 	return d
 }
