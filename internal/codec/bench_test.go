@@ -6,26 +6,24 @@ var benchDesc = MustDescriptor("Bench",
 	Field{Number: 1, Name: "id", Type: TypeUint64},
 	Field{Number: 2, Name: "name", Type: TypeString},
 	Field{Number: 3, Name: "payload", Type: TypeBytes},
-	Field{Number: 4, Name: "score", Type: TypeDouble},
-	Field{Number: 5, Name: "tags", Type: TypeUint64, Repeated: true},
+	Field{Number: 4, Name: "flag", Type: TypeBool},
 )
 
 func benchMessage() *Message {
-	m := NewMessage(benchDesc).
+	return NewMessage(benchDesc).
 		Set(1, uint64(123456)).
 		Set(2, "bench message with a medium-length name").
 		Set(3, make([]byte, 1024)).
-		Set(4, 3.14159)
-	for i := 0; i < 8; i++ {
-		m.Append(5, uint64(i*7))
-	}
-	return m
+		Set(4, true)
 }
 
 func BenchmarkMarshal(b *testing.B) {
 	m := benchMessage()
-	size := Size(m)
-	b.SetBytes(int64(size))
+	buf, err := Marshal(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Marshal(m); err != nil {
@@ -44,16 +42,6 @@ func BenchmarkUnmarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(benchDesc, buf); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSize(b *testing.B) {
-	m := benchMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if Size(m) == 0 {
-			b.Fatal("zero size")
 		}
 	}
 }

@@ -3,14 +3,14 @@
 // buffers, driven by message descriptors rather than generated code.
 //
 // The paper attributes 1.2% of all fleet CPU cycles to serialization
-// (Fig. 20); this package meters the bytes it produces and the work it
-// performs so the GWP profiler can attribute cycles the same way.
+// (Fig. 20). The codec carries the four singular field kinds the stack
+// encodes — uint64, bool, string and bytes — and is the reference stubby's
+// hand-written envelope coder is checked against.
 package codec
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rpcscale/internal/wire"
 )
@@ -21,16 +21,14 @@ type FieldType uint8
 // Supported field types.
 const (
 	TypeUint64 FieldType = iota
-	TypeInt64
-	TypeDouble
 	TypeBool
 	TypeString
 	TypeBytes
-	TypeMessage // nested message
 )
 
 // wire types, protobuf-style: 0 = varint, 1 = 64-bit fixed, 2 = length-
-// delimited.
+// delimited. No field kind encodes as fixed64; Unmarshal still skips such
+// unknown fields.
 const (
 	wtVarint  = 0
 	wtFixed64 = 1
@@ -38,24 +36,17 @@ const (
 )
 
 func (t FieldType) wireType() uint64 {
-	switch t {
-	case TypeUint64, TypeInt64, TypeBool:
+	if t == TypeUint64 || t == TypeBool {
 		return wtVarint
-	case TypeDouble:
-		return wtFixed64
-	default:
-		return wtBytes
 	}
+	return wtBytes
 }
 
 // Field describes one field of a message type.
 type Field struct {
-	Number   uint64 // tag number, >= 1, unique within the message
-	Name     string
-	Type     FieldType
-	Repeated bool
-	// Msg is the descriptor for TypeMessage fields.
-	Msg *Descriptor
+	Number uint64 // tag number, >= 1, unique within the message
+	Name   string
+	Type   FieldType
 }
 
 // Descriptor describes a message type: an ordered list of fields. It plays
@@ -77,9 +68,6 @@ func NewDescriptor(name string, fields ...Field) (*Descriptor, error) {
 		if _, dup := d.byNum[f.Number]; dup {
 			return nil, fmt.Errorf("codec: %s has duplicate field number %d", name, f.Number)
 		}
-		if f.Type == TypeMessage && f.Msg == nil {
-			return nil, fmt.Errorf("codec: %s.%s is a message field without a descriptor", name, f.Name)
-		}
 		d.byNum[f.Number] = f
 	}
 	return d, nil
@@ -98,9 +86,8 @@ func MustDescriptor(name string, fields ...Field) *Descriptor {
 // FieldByNumber returns the field with the given tag, or nil.
 func (d *Descriptor) FieldByNumber(n uint64) *Field { return d.byNum[n] }
 
-// Message is a dynamic message: field number -> value(s). Values are
-// uint64, int64, float64, bool, string, []byte, or *Message according to
-// the descriptor; repeated fields hold slices of those.
+// Message is a dynamic message: field number -> value. Values are uint64,
+// bool, string or []byte according to the descriptor.
 type Message struct {
 	Desc   *Descriptor
 	fields map[uint64]any
@@ -119,26 +106,8 @@ func (m *Message) Set(num uint64, v any) *Message {
 	if f == nil {
 		panic(fmt.Sprintf("codec: %s has no field %d", m.Desc.Name, num))
 	}
-	if f.Repeated {
-		panic(fmt.Sprintf("codec: %s.%s is repeated; use Append", m.Desc.Name, f.Name))
-	}
 	checkType(f, v)
 	m.fields[num] = v
-	return m
-}
-
-// Append adds a value to a repeated field.
-func (m *Message) Append(num uint64, v any) *Message {
-	f := m.Desc.FieldByNumber(num)
-	if f == nil {
-		panic(fmt.Sprintf("codec: %s has no field %d", m.Desc.Name, num))
-	}
-	if !f.Repeated {
-		panic(fmt.Sprintf("codec: %s.%s is singular; use Set", m.Desc.Name, f.Name))
-	}
-	checkType(f, v)
-	cur, _ := m.fields[num].([]any)
-	m.fields[num] = append(cur, v)
 	return m
 }
 
@@ -147,49 +116,21 @@ func checkType(f *Field, v any) {
 	switch f.Type {
 	case TypeUint64:
 		_, ok = v.(uint64)
-	case TypeInt64:
-		_, ok = v.(int64)
-	case TypeDouble:
-		_, ok = v.(float64)
 	case TypeBool:
 		_, ok = v.(bool)
 	case TypeString:
 		_, ok = v.(string)
 	case TypeBytes:
 		_, ok = v.([]byte)
-	case TypeMessage:
-		_, ok = v.(*Message)
 	}
 	if !ok {
 		panic(fmt.Sprintf("codec: field %s has type %d, got %T", f.Name, f.Type, v))
 	}
 }
 
-// Get returns a singular field value and whether it was set.
-func (m *Message) Get(num uint64) (any, bool) {
-	v, ok := m.fields[num]
-	return v, ok
-}
-
 // GetUint64 returns the field value or 0.
 func (m *Message) GetUint64(num uint64) uint64 {
 	if v, ok := m.fields[num].(uint64); ok {
-		return v
-	}
-	return 0
-}
-
-// GetInt64 returns the field value or 0.
-func (m *Message) GetInt64(num uint64) int64 {
-	if v, ok := m.fields[num].(int64); ok {
-		return v
-	}
-	return 0
-}
-
-// GetDouble returns the field value or 0.
-func (m *Message) GetDouble(num uint64) float64 {
-	if v, ok := m.fields[num].(float64); ok {
 		return v
 	}
 	return 0
@@ -219,73 +160,30 @@ func (m *Message) GetBytes(num uint64) []byte {
 	return nil
 }
 
-// GetMessage returns a nested message or nil.
-func (m *Message) GetMessage(num uint64) *Message {
-	if v, ok := m.fields[num].(*Message); ok {
-		return v
-	}
-	return nil
-}
-
-// GetRepeated returns the values of a repeated field (possibly nil).
-func (m *Message) GetRepeated(num uint64) []any {
-	v, _ := m.fields[num].([]any)
-	return v
-}
-
-// Len returns the number of set fields.
-func (m *Message) Len() int { return len(m.fields) }
-
-// Marshal encodes the message.
+// Marshal encodes the message. Fields go out in descriptor order, so the
+// output is deterministic.
 func Marshal(m *Message) ([]byte, error) {
-	return appendMessage(nil, m)
-}
-
-func appendMessage(buf []byte, m *Message) ([]byte, error) {
-	// Encode fields in descriptor order for deterministic output.
+	var buf []byte
 	for i := range m.Desc.Fields {
 		f := &m.Desc.Fields[i]
-		v, ok := m.fields[f.Number]
-		if !ok {
-			continue
-		}
-		if f.Repeated {
-			for _, item := range v.([]any) {
-				var err error
-				buf, err = appendField(buf, f, item)
-				if err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		var err error
-		buf, err = appendField(buf, f, v)
-		if err != nil {
-			return nil, err
+		if v, ok := m.fields[f.Number]; ok {
+			buf = appendField(buf, f, v)
 		}
 	}
 	return buf, nil
 }
 
-func appendField(buf []byte, f *Field, v any) ([]byte, error) {
-	key := f.Number<<3 | f.Type.wireType()
-	buf = wire.AppendUvarint(buf, key)
+func appendField(buf []byte, f *Field, v any) []byte {
+	buf = wire.AppendUvarint(buf, f.Number<<3|f.Type.wireType())
 	switch f.Type {
 	case TypeUint64:
 		buf = wire.AppendUvarint(buf, v.(uint64))
-	case TypeInt64:
-		buf = wire.AppendVarint(buf, v.(int64))
 	case TypeBool:
 		b := uint64(0)
 		if v.(bool) {
 			b = 1
 		}
 		buf = wire.AppendUvarint(buf, b)
-	case TypeDouble:
-		bits := math.Float64bits(v.(float64))
-		buf = append(buf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
 	case TypeString:
 		s := v.(string)
 		buf = wire.AppendUvarint(buf, uint64(len(s)))
@@ -294,24 +192,17 @@ func appendField(buf []byte, f *Field, v any) ([]byte, error) {
 		b := v.([]byte)
 		buf = wire.AppendUvarint(buf, uint64(len(b)))
 		buf = append(buf, b...)
-	case TypeMessage:
-		sub, err := appendMessage(nil, v.(*Message))
-		if err != nil {
-			return nil, err
-		}
-		buf = wire.AppendUvarint(buf, uint64(len(sub)))
-		buf = append(buf, sub...)
-	default:
-		return nil, fmt.Errorf("codec: unsupported field type %d", f.Type)
 	}
-	return buf, nil
+	return buf
 }
 
 // ErrTruncated reports a message that ends mid-field.
 var ErrTruncated = errors.New("codec: truncated message")
 
-// Unmarshal decodes buf into a new message of type d. Unknown fields are
-// skipped (forward compatibility), mirroring protobuf semantics.
+// Unmarshal decodes buf into a new message of type d. Unknown fields of
+// every wire type are skipped (forward compatibility), mirroring protobuf
+// semantics; a known field arriving with the wrong wire type is refused.
+// A field that appears more than once keeps its last value.
 func Unmarshal(d *Descriptor, buf []byte) (*Message, error) {
 	m := NewMessage(d)
 	for len(buf) > 0 {
@@ -320,8 +211,11 @@ func Unmarshal(d *Descriptor, buf []byte) (*Message, error) {
 			return nil, ErrTruncated
 		}
 		buf = buf[n:]
-		num, wt := key>>3, key&0x7
-		f := d.FieldByNumber(num)
+		f := d.FieldByNumber(key >> 3)
+		wt := key & 0x7
+		if f != nil && wt != f.Type.wireType() {
+			return nil, fmt.Errorf("codec: field %s: wire type mismatch", f.Name)
+		}
 		var v any
 		switch wt {
 		case wtVarint:
@@ -330,32 +224,18 @@ func Unmarshal(d *Descriptor, buf []byte) (*Message, error) {
 				return nil, ErrTruncated
 			}
 			buf = buf[n:]
-			if f != nil {
-				switch f.Type {
-				case TypeUint64:
-					v = x
-				case TypeInt64:
-					// Re-decode as zig-zag: we encoded with AppendVarint.
-					v = int64(x>>1) ^ -int64(x&1)
-				case TypeBool:
-					v = x != 0
-				default:
-					return nil, fmt.Errorf("codec: field %s: wire type mismatch", f.Name)
-				}
+			switch {
+			case f == nil:
+			case f.Type == TypeBool:
+				v = x != 0
+			default:
+				v = x
 			}
 		case wtFixed64:
 			if len(buf) < 8 {
 				return nil, ErrTruncated
 			}
-			bits := uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-				uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56
 			buf = buf[8:]
-			if f != nil {
-				if f.Type != TypeDouble {
-					return nil, fmt.Errorf("codec: field %s: wire type mismatch", f.Name)
-				}
-				v = math.Float64frombits(bits)
-			}
 		case wtBytes:
 			length, n := wire.Uvarint(buf)
 			if n <= 0 || uint64(len(buf)-n) < length {
@@ -363,78 +243,19 @@ func Unmarshal(d *Descriptor, buf []byte) (*Message, error) {
 			}
 			payload := buf[n : n+int(length)]
 			buf = buf[n+int(length):]
-			if f != nil {
-				switch f.Type {
-				case TypeString:
-					v = string(payload)
-				case TypeBytes:
-					v = append([]byte(nil), payload...)
-				case TypeMessage:
-					sub, err := Unmarshal(f.Msg, payload)
-					if err != nil {
-						return nil, err
-					}
-					v = sub
-				default:
-					return nil, fmt.Errorf("codec: field %s: wire type mismatch", f.Name)
-				}
+			switch {
+			case f == nil:
+			case f.Type == TypeString:
+				v = string(payload)
+			default:
+				v = append([]byte(nil), payload...)
 			}
 		default:
 			return nil, fmt.Errorf("codec: unknown wire type %d", wt)
 		}
-		if f == nil || v == nil {
-			continue // unknown field skipped
-		}
-		if f.Repeated {
-			m.Append(num, v)
-		} else {
-			m.Set(num, v)
+		if f != nil {
+			m.fields[f.Number] = v
 		}
 	}
 	return m, nil
-}
-
-// Size returns the encoded size of m without allocating the encoding.
-func Size(m *Message) int {
-	size := 0
-	for i := range m.Desc.Fields {
-		f := &m.Desc.Fields[i]
-		v, ok := m.fields[f.Number]
-		if !ok {
-			continue
-		}
-		if f.Repeated {
-			for _, item := range v.([]any) {
-				size += fieldSize(f, item)
-			}
-		} else {
-			size += fieldSize(f, v)
-		}
-	}
-	return size
-}
-
-func fieldSize(f *Field, v any) int {
-	key := wire.SizeUvarint(f.Number<<3 | f.Type.wireType())
-	switch f.Type {
-	case TypeUint64:
-		return key + wire.SizeUvarint(v.(uint64))
-	case TypeInt64:
-		x := v.(int64)
-		return key + wire.SizeUvarint(uint64(x<<1)^uint64(x>>63))
-	case TypeBool:
-		return key + 1
-	case TypeDouble:
-		return key + 8
-	case TypeString:
-		n := len(v.(string))
-		return key + wire.SizeUvarint(uint64(n)) + n
-	case TypeBytes:
-		n := len(v.([]byte))
-		return key + wire.SizeUvarint(uint64(n)) + n
-	case TypeMessage:
-		n := Size(v.(*Message))
-		return key + wire.SizeUvarint(uint64(n)) + n
-	}
-	return 0
 }

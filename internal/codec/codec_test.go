@@ -2,66 +2,40 @@ package codec
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"testing/quick"
+
+	"rpcscale/internal/wire"
 )
 
 func testDescriptor(t *testing.T) *Descriptor {
 	t.Helper()
-	inner := MustDescriptor("Inner",
-		Field{Number: 1, Name: "id", Type: TypeUint64},
-		Field{Number: 2, Name: "tag", Type: TypeString},
-	)
 	return MustDescriptor("Outer",
 		Field{Number: 1, Name: "u", Type: TypeUint64},
-		Field{Number: 2, Name: "i", Type: TypeInt64},
-		Field{Number: 3, Name: "d", Type: TypeDouble},
 		Field{Number: 4, Name: "b", Type: TypeBool},
 		Field{Number: 5, Name: "s", Type: TypeString},
 		Field{Number: 6, Name: "raw", Type: TypeBytes},
-		Field{Number: 7, Name: "inner", Type: TypeMessage, Msg: inner},
-		Field{Number: 8, Name: "list", Type: TypeUint64, Repeated: true},
-		Field{Number: 9, Name: "msgs", Type: TypeMessage, Msg: inner, Repeated: true},
 	)
 }
 
 func TestMarshalUnmarshalAllTypes(t *testing.T) {
 	d := testDescriptor(t)
-	inner := NewMessage(d.FieldByNumber(7).Msg).Set(1, uint64(5)).Set(2, "five")
 	m := NewMessage(d).
 		Set(1, uint64(42)).
-		Set(2, int64(-7)).
-		Set(3, 3.14159).
 		Set(4, true).
 		Set(5, "hello world").
-		Set(6, []byte{1, 2, 3}).
-		Set(7, inner).
-		Append(8, uint64(10)).
-		Append(8, uint64(20))
-	m.Append(9, NewMessage(d.FieldByNumber(7).Msg).Set(1, uint64(1)))
-	m.Append(9, NewMessage(d.FieldByNumber(7).Msg).Set(1, uint64(2)))
+		Set(6, []byte{1, 2, 3})
 
 	buf, err := Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Size(m); got != len(buf) {
-		t.Errorf("Size = %d, encoded = %d", got, len(buf))
-	}
-
 	out, err := Unmarshal(d, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.GetUint64(1) != 42 {
 		t.Errorf("u = %d", out.GetUint64(1))
-	}
-	if out.GetInt64(2) != -7 {
-		t.Errorf("i = %d", out.GetInt64(2))
-	}
-	if math.Abs(out.GetDouble(3)-3.14159) > 1e-12 {
-		t.Errorf("d = %v", out.GetDouble(3))
 	}
 	if !out.GetBool(4) {
 		t.Error("b = false")
@@ -71,17 +45,6 @@ func TestMarshalUnmarshalAllTypes(t *testing.T) {
 	}
 	if !bytes.Equal(out.GetBytes(6), []byte{1, 2, 3}) {
 		t.Errorf("raw = %v", out.GetBytes(6))
-	}
-	if in := out.GetMessage(7); in == nil || in.GetUint64(1) != 5 || in.GetString(2) != "five" {
-		t.Errorf("inner = %+v", in)
-	}
-	list := out.GetRepeated(8)
-	if len(list) != 2 || list[0].(uint64) != 10 || list[1].(uint64) != 20 {
-		t.Errorf("list = %v", list)
-	}
-	msgs := out.GetRepeated(9)
-	if len(msgs) != 2 || msgs[1].(*Message).GetUint64(1) != 2 {
-		t.Errorf("msgs = %v", msgs)
 	}
 }
 
@@ -99,39 +62,44 @@ func TestEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Errorf("decoded empty message has %d fields", out.Len())
+	if len(out.fields) != 0 {
+		t.Errorf("decoded empty message has %d fields", len(out.fields))
 	}
 }
 
+// Unknown fields of every wire type are skipped, fixed64 included, though
+// no field kind encodes as fixed64.
 func TestUnknownFieldsSkipped(t *testing.T) {
 	// Encode with a wide descriptor, decode with a narrow one.
 	wide := MustDescriptor("Wide",
 		Field{Number: 1, Name: "keep", Type: TypeUint64},
 		Field{Number: 2, Name: "dropV", Type: TypeUint64},
 		Field{Number: 3, Name: "dropS", Type: TypeString},
-		Field{Number: 4, Name: "dropD", Type: TypeDouble},
 	)
 	narrow := MustDescriptor("Narrow",
 		Field{Number: 1, Name: "keep", Type: TypeUint64},
 	)
-	m := NewMessage(wide).Set(1, uint64(1)).Set(2, uint64(2)).Set(3, "x").Set(4, 1.5)
-	buf, err := Marshal(m)
+	buf, err := Marshal(NewMessage(wide).Set(1, uint64(1)).Set(2, uint64(2)).Set(3, "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf = wire.AppendUvarint(buf, 4<<3|wtFixed64)
+	buf = append(buf, 1, 2, 3, 4, 5, 6, 7, 8)
 	out, err := Unmarshal(narrow, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.GetUint64(1) != 1 || out.Len() != 1 {
+	if out.GetUint64(1) != 1 || len(out.fields) != 1 {
 		t.Errorf("decoded %+v", out)
+	}
+	if _, err := Unmarshal(narrow, buf[:len(buf)-1]); err != ErrTruncated {
+		t.Errorf("fixed64 field cut short: err %v, want ErrTruncated", err)
 	}
 }
 
 func TestTruncatedInput(t *testing.T) {
 	d := testDescriptor(t)
-	m := NewMessage(d).Set(5, "some string data").Set(3, 2.5)
+	m := NewMessage(d).Set(5, "some string data").Set(1, uint64(1)<<40)
 	buf, _ := Marshal(m)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := Unmarshal(d, buf[:cut]); err == nil {
@@ -147,6 +115,8 @@ func TestTruncatedInput(t *testing.T) {
 	}
 }
 
+// A known field arriving with a wire type other than its kind's is
+// refused, not skipped.
 func TestWireTypeMismatch(t *testing.T) {
 	// Field 1 encoded as varint but declared as string in the decoder.
 	enc := MustDescriptor("E", Field{Number: 1, Name: "v", Type: TypeUint64})
@@ -154,6 +124,11 @@ func TestWireTypeMismatch(t *testing.T) {
 	buf, _ := Marshal(NewMessage(enc).Set(1, uint64(9)))
 	if _, err := Unmarshal(dec, buf); err == nil {
 		t.Error("expected wire type mismatch error")
+	}
+	// Field 1 as fixed64, which no kind encodes.
+	fixed := append(wire.AppendUvarint(nil, 1<<3|wtFixed64), 1, 2, 3, 4, 5, 6, 7, 8)
+	if _, err := Unmarshal(enc, fixed); err == nil {
+		t.Error("expected wire type mismatch error for a fixed64 field")
 	}
 }
 
@@ -166,21 +141,16 @@ func TestDescriptorValidation(t *testing.T) {
 		Field{Number: 1, Name: "b", Type: TypeUint64}); err == nil {
 		t.Error("duplicate field numbers should be rejected")
 	}
-	if _, err := NewDescriptor("Bad", Field{Number: 1, Name: "m", Type: TypeMessage}); err == nil {
-		t.Error("message field without descriptor should be rejected")
-	}
 }
 
 func TestSetValidation(t *testing.T) {
 	d := testDescriptor(t)
 	m := NewMessage(d)
 	for _, fn := range []func(){
-		func() { m.Set(999, uint64(1)) },     // unknown field
-		func() { m.Set(1, "not a uint") },    // type mismatch
-		func() { m.Set(8, uint64(1)) },       // repeated via Set
-		func() { m.Append(1, uint64(1)) },    // singular via Append
-		func() { m.Append(999, uint64(1)) },  // unknown repeated
-		func() { m.Append(8, "wrong type") }, // repeated type mismatch
+		func() { m.Set(999, uint64(1)) },  // unknown field
+		func() { m.Set(1, "not a uint") }, // type mismatch
+		func() { m.Set(4, uint64(1)) },    // bool field given a uint64
+		func() { m.Set(6, "not bytes") },  // bytes field given a string
 	} {
 		func() {
 			defer func() {
@@ -196,20 +166,16 @@ func TestSetValidation(t *testing.T) {
 func TestGettersZeroValues(t *testing.T) {
 	d := testDescriptor(t)
 	m := NewMessage(d)
-	if m.GetUint64(1) != 0 || m.GetInt64(2) != 0 || m.GetDouble(3) != 0 ||
-		m.GetBool(4) || m.GetString(5) != "" || m.GetBytes(6) != nil ||
-		m.GetMessage(7) != nil || m.GetRepeated(8) != nil {
+	if m.GetUint64(1) != 0 || m.GetBool(4) || m.GetString(5) != "" || m.GetBytes(6) != nil {
 		t.Error("unset getters should return zero values")
-	}
-	if _, ok := m.Get(1); ok {
-		t.Error("Get on unset field should report !ok")
 	}
 }
 
-func TestZigZagNegativeRoundTrip(t *testing.T) {
-	d := MustDescriptor("Z", Field{Number: 1, Name: "i", Type: TypeInt64})
-	f := func(x int64) bool {
-		buf, err := Marshal(NewMessage(d).Set(1, x))
+// Every value of the four kinds survives Marshal and Unmarshal.
+func TestRoundTripProperty(t *testing.T) {
+	d := testDescriptor(t)
+	f := func(u uint64, b bool, s string, raw []byte) bool {
+		buf, err := Marshal(NewMessage(d).Set(1, u).Set(4, b).Set(5, s).Set(6, raw))
 		if err != nil {
 			return false
 		}
@@ -217,7 +183,8 @@ func TestZigZagNegativeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return out.GetInt64(1) == x
+		return out.GetUint64(1) == u && out.GetBool(4) == b && out.GetString(5) == s &&
+			bytes.Equal(out.GetBytes(6), raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -233,62 +200,6 @@ func TestMarshalDeterministic(t *testing.T) {
 	b, _ := Marshal(build())
 	if !bytes.Equal(a, b) {
 		t.Error("marshal output not deterministic")
-	}
-}
-
-func TestSizeMatchesEncodingProperty(t *testing.T) {
-	d := testDescriptor(t)
-	f := func(u uint64, i int64, s string, raw []byte, b bool) bool {
-		m := NewMessage(d).Set(1, u).Set(2, i).Set(5, s).Set(4, b)
-		if raw != nil {
-			m.Set(6, raw)
-		}
-		buf, err := Marshal(m)
-		if err != nil {
-			return false
-		}
-		return Size(m) == len(buf)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDeepNesting(t *testing.T) {
-	leaf := MustDescriptor("Leaf", Field{Number: 1, Name: "v", Type: TypeUint64})
-	d := leaf
-	// Build a 20-deep recursive descriptor chain.
-	for i := 0; i < 20; i++ {
-		d = MustDescriptor("Node",
-			Field{Number: 1, Name: "child", Type: TypeMessage, Msg: d},
-		)
-	}
-	// And a 20-deep message.
-	m := NewMessage(leaf).Set(1, uint64(7))
-	desc := leaf
-	for i := 0; i < 20; i++ {
-		parentDesc := MustDescriptor("Node",
-			Field{Number: 1, Name: "child", Type: TypeMessage, Msg: desc},
-		)
-		m = NewMessage(parentDesc).Set(1, m)
-		desc = parentDesc
-	}
-	buf, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(desc, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		out = out.GetMessage(1)
-		if out == nil {
-			t.Fatalf("nesting lost at depth %d", i)
-		}
-	}
-	if out.GetUint64(1) != 7 {
-		t.Errorf("leaf value = %d", out.GetUint64(1))
 	}
 }
 

@@ -38,16 +38,10 @@ type BreakerConfig struct {
 	// FailureThreshold is the consecutive-failure count that opens the
 	// circuit (default 5).
 	FailureThreshold int
-	// Cooldown is how long an open circuit waits before admitting
-	// half-open probes (default 1s).
+	// Cooldown is how long an open circuit waits before admitting a
+	// half-open probe (default 1s). One successful probe closes the
+	// circuit again; a failed one reopens it.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// circuit again (default 1).
-	HalfOpenProbes int
-	// TripCodes lists the error codes that count as failures. Nil
-	// selects the overload set: Unavailable, NoResource,
-	// DeadlineExceeded.
-	TripCodes []trace.ErrorCode
 
 	// now substitutes the clock in tests.
 	now func() time.Time
@@ -60,25 +54,16 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	return c
 }
 
-func (c *BreakerConfig) trips(code trace.ErrorCode) bool {
-	if c.TripCodes == nil {
-		return code == trace.Unavailable || code == trace.NoResource || code == trace.DeadlineExceeded
-	}
-	for _, t := range c.TripCodes {
-		if t == code {
-			return true
-		}
-	}
-	return false
+// trips reports whether code counts as a failure: the overload set,
+// Unavailable, NoResource and DeadlineExceeded.
+func trips(code trace.ErrorCode) bool {
+	return code == trace.Unavailable || code == trace.NoResource || code == trace.DeadlineExceeded
 }
 
 // ErrCircuitOpen is returned (wrapped in a *Status) when the breaker
@@ -100,11 +85,10 @@ type Breaker struct {
 }
 
 type methodBreaker struct {
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	openedAt  time.Time // when the circuit last opened
-	probing   bool      // a half-open probe is in flight
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the circuit last opened
+	probing  bool      // a half-open probe is in flight
 }
 
 // newBreaker returns a breaker; obs (optional) observes state
@@ -137,7 +121,6 @@ func (b *Breaker) allow(method string) bool {
 			return false
 		}
 		b.transition(method, m, BreakerHalfOpen)
-		m.successes = 0
 		m.probing = true
 		return true
 	default: // BreakerHalfOpen
@@ -155,7 +138,7 @@ func (b *Breaker) record(method string, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	m := b.method(method)
-	failed := err != nil && b.cfg.trips(code)
+	failed := err != nil && trips(code)
 	switch m.state {
 	case BreakerClosed:
 		if !failed {
@@ -173,14 +156,10 @@ func (b *Breaker) record(method string, err error) {
 		if failed {
 			b.transition(method, m, BreakerOpen)
 			m.openedAt = b.cfg.now()
-			m.successes = 0
 			return
 		}
-		m.successes++
-		if m.successes >= b.cfg.HalfOpenProbes {
-			b.transition(method, m, BreakerClosed)
-			m.failures = 0
-		}
+		b.transition(method, m, BreakerClosed)
+		m.failures = 0
 	case BreakerOpen:
 		// A straggler from before the trip; the cooldown clock stands.
 	}

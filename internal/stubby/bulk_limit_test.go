@@ -229,3 +229,153 @@ func TestBulkSizeRuleBothEnds(t *testing.T) {
 		})
 	}
 }
+
+// awaitStreamEnd reads until a reset for stream id arrives and returns its
+// code, failing if the response to stream stop comes first: the frames of
+// one connection are handled in order, so a reply to a call sent after the
+// chunks proves they were taken without a reset.
+func (p *rawPeer) awaitStreamEnd(id, stop uint64) trace.ErrorCode {
+	for {
+		m, err := p.tr.recv()
+		if err != nil {
+			p.t.Fatalf("peer: waiting for the reset of stream %d: %v", id, err)
+		}
+		switch {
+		case m.typ == wire.FrameReset && m.streamID == id:
+			code, _ := wire.Uvarint(m.plain)
+			wire.PutBuf(m.plain)
+			return trace.ErrorCode(code)
+		case m.typ == wire.FrameResponse && m.streamID == stop:
+			wire.PutBuf(m.plain)
+			return trace.OK
+		}
+		wire.PutBuf(m.plain)
+	}
+}
+
+// A stream's receiver holds no more than the window it granted. A peer
+// that fills the window exactly keeps its stream; one more byte without
+// credit ends that stream with an InvalidArgument reset and returns its
+// buffers, and the connection carries on.
+func TestStreamReceiverHoldsItsWindow(t *testing.T) {
+	leakcheck.Check(t)
+	outstanding := poolBalance()
+	srv := NewServer(Options{})
+	srv.Register("svc/Echo", echoHandler)
+	srv.RegisterBidi("svc/Sink", func(ctx context.Context, st *Stream) error {
+		<-ctx.Done() // never calls Recv: nothing is granted back
+		return ctx.Err()
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	peer := newRawPeer(t, nc, "c2s", "s2c")
+	echo := func(id uint64) {
+		env := appendRequest(nil, &request{Method: "svc/Echo", Payload: []byte("ping"), Deadline: time.Minute})
+		if err := peer.tr.send(wire.FrameRequest, id, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	const window = 256 << 10
+	open := appendRequest(nil, &request{Method: "svc/Sink", Window: window, Deadline: time.Minute})
+	if err := peer.tr.send(wire.FrameStreamOpen, 1, open); err != nil {
+		t.Fatal(err)
+	}
+	for sent := 0; sent < window; sent += bulkChunkSize {
+		if err := peer.chunk(1, chunkEndMsg, make([]byte, bulkChunkSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	echo(3)
+	if code := peer.awaitStreamEnd(1, 3); code != trace.OK {
+		t.Fatalf("a stream that kept to its window was reset: %v", code)
+	}
+
+	// Past the window. Without the bound the server queued all of it: a
+	// 96 MiB flood grew its heap by 98 MiB.
+	big := make([]byte, 1<<20)
+	for i := 0; i < 4; i++ {
+		if err := peer.chunk(1, chunkEndMsg, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	echo(5)
+	if code := peer.awaitStreamEnd(1, 5); code != trace.InvalidArgument {
+		t.Fatalf("stream sent past its window ended %v, want an InvalidArgument reset", code)
+	}
+	if resp := peer.awaitResponse(5); resp.Code != trace.OK || string(resp.Payload) != "ping" {
+		t.Fatalf("call after the reset: code %v, %q", resp.Code, resp.Payload)
+	}
+	nc.Close()
+	srv.Close()
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding", n)
+	}
+}
+
+// The final status chunk is exempt from credit, so it gets a bound of its
+// own: a status envelope past maxStatusEnvelope ends the stream
+// InvalidArgument on the client, and its buffers come back.
+func TestStreamStatusChunkBounded(t *testing.T) {
+	leakcheck.Check(t)
+	outstanding := poolBalance()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		peer := newRawPeer(t, nc, "s2c", "c2s")
+		for {
+			m, err := peer.tr.recv()
+			if err != nil {
+				return
+			}
+			wire.PutBuf(m.plain)
+			if m.typ == wire.FrameStreamOpen {
+				env := appendResponse(nil, &response{Code: trace.Internal, Message: strings.Repeat("x", maxStatusEnvelope)})
+				if peer.chunk(m.streamID, chunkStatus|chunkEndMsg|chunkEndStream, env) != nil {
+					return
+				}
+			}
+		}
+	}()
+	ch, err := Dial(l.Addr().String(), "liar", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := ch.OpenStream(ctx, "svc/Status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); Code(err) != trace.InvalidArgument {
+		t.Fatalf("oversize status: Recv ended %v, want InvalidArgument", Code(err))
+	}
+	st.Close()
+	ch.Close()
+	<-served
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding", n)
+	}
+}

@@ -25,9 +25,10 @@ func WithStreamWindow(n int) CallOption {
 	}
 }
 
-// WithBulkLane forces the bulk lane on or off for this call regardless of
-// payload size: on routes any payload through it, off keeps the inline
-// envelope path even for large payloads.
+// WithBulkLane forces the bulk lane on or off for this call's request
+// regardless of payload size: on routes any request payload through it,
+// off keeps the inline envelope path even for a large one. It does not
+// reach the response: the server picks the reply's lane by its size alone.
 func WithBulkLane(enabled bool) CallOption {
 	return func(o *callOpts) {
 		o.bulkSet = true
@@ -44,9 +45,9 @@ func resolveCallOpts(opts []CallOption) *callOpts {
 	return co
 }
 
-// useBulkLane decides whether one unary call takes the bulk lane: payloads
-// at the default threshold do, with WithBulkLane as a hard switch in
-// either direction. co is nil when the call has no options.
+// useBulkLane decides whether one unary call's request takes the bulk
+// lane: payloads at the default threshold do, with WithBulkLane as a hard
+// switch in either direction. co is nil when the call has no options.
 func useBulkLane(co *callOpts, payloadLen int) bool {
 	if co != nil && co.bulkSet {
 		return co.bulkOn

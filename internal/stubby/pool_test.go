@@ -88,13 +88,9 @@ func TestRetryHonorsContextDuringBackoff(t *testing.T) {
 }
 
 func TestRetryableCodesCustom(t *testing.T) {
-	p := RetryPolicy{RetryableCodes: []trace.ErrorCode{trace.Internal}}
-	if !p.retryable(trace.Internal) || p.retryable(trace.Unavailable) {
-		t.Fatal("custom retryable set not honored")
-	}
-	d := RetryPolicy{}
-	if !d.retryable(trace.Unavailable) || !d.retryable(trace.NoResource) || d.retryable(trace.NoPermission) {
-		t.Fatal("default retryable set wrong")
+	if !retryable(trace.Unavailable) || !retryable(trace.NoResource) ||
+		retryable(trace.NoPermission) || retryable(trace.DeadlineExceeded) {
+		t.Fatal("retryable set wrong")
 	}
 }
 
@@ -266,14 +262,27 @@ func TestServerAbruptCloseFailsPending(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 	l.Close()
-	srv.Close() // kills connections; client must see Unavailable
+	// The handler waits on its context, which only Close can end: Close
+	// must cancel it once closeGrace has passed, well before the call's
+	// 30 s default deadline would.
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	limit := time.After(closeGrace + 2*time.Second)
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("expected failure after server close")
+		if c := Code(err); c != trace.Unavailable && c != trace.Cancelled {
+			t.Fatalf("pending call ended %v (%v), want Unavailable or Cancelled", c, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending call hung after server death")
+	case <-limit:
+		t.Fatal("pending call still open past the close grace period")
+	}
+	select {
+	case <-closed:
+	case <-limit:
+		t.Fatal("Close still waiting past the close grace period")
 	}
 }
 

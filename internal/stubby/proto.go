@@ -31,7 +31,9 @@ const (
 	reqBulkSize   = 12
 )
 
-// Response envelope field numbers.
+// Response envelope field numbers. Tag 10, once a server-stream "more"
+// flag, stays unassigned: a peer that still sends it is skipped as an
+// unknown field.
 const (
 	respCode        = 1
 	respMessage     = 2
@@ -42,7 +44,6 @@ const (
 	respSendQueueNs = 7
 	respProcNs      = 8
 	respElapsedNs   = 9
-	respMore        = 10
 	respBulkSize    = 11
 	respLoad        = 12
 )
@@ -67,7 +68,6 @@ var responseDesc = codec.MustDescriptor("stubby.Response",
 	codec.Field{Number: respMessage, Name: "message", Type: codec.TypeString},
 	codec.Field{Number: respPayload, Name: "payload", Type: codec.TypeBytes},
 	codec.Field{Number: respCompressed, Name: "compressed", Type: codec.TypeBool},
-	codec.Field{Number: respMore, Name: "more", Type: codec.TypeBool},
 	codec.Field{Number: respBulkSize, Name: "bulk_size", Type: codec.TypeUint64},
 	codec.Field{Number: respLoad, Name: "load", Type: codec.TypeUint64},
 	// The timings are encoded last (descriptor order is encode order) so
@@ -321,11 +321,7 @@ type response struct {
 	Message    string
 	Payload    []byte
 	Compressed bool
-	// More marks an intermediate item of a server stream; the final
-	// message of a stream (and every unary response) has More = false
-	// and carries the server timings.
-	More    bool
-	Timings serverTimings
+	Timings    serverTimings
 	// BulkSize, on a bulk-response envelope, is the total payload size
 	// that follows as stream chunks (the envelope carries no payload).
 	BulkSize uint64
@@ -346,9 +342,6 @@ func (r *response) marshalReference() ([]byte, error) {
 	}
 	if r.Compressed {
 		m.Set(respCompressed, true)
-	}
-	if r.More {
-		m.Set(respMore, true)
 	}
 	m.Set(respRecvQueueNs, uint64(r.Timings.RecvQueue)).
 		Set(respAppNs, uint64(r.Timings.App)).
@@ -382,9 +375,6 @@ func appendResponseBody(dst []byte, r *response) []byte {
 	dst = appendBytesField(dst, respPayload, r.Payload)
 	if r.Compressed {
 		dst = appendBoolField(dst, respCompressed, true)
-	}
-	if r.More {
-		dst = appendBoolField(dst, respMore, true)
 	}
 	if r.BulkSize != 0 {
 		dst = appendUintField(dst, respBulkSize, r.BulkSize)
@@ -431,8 +421,6 @@ func parseResponseInto(r *response, buf []byte) error {
 				r.Code = trace.ErrorCode(x)
 			case respCompressed:
 				r.Compressed = x != 0
-			case respMore:
-				r.More = x != 0
 			case respRecvQueueNs:
 				r.Timings.RecvQueue = time.Duration(x)
 			case respAppNs:

@@ -68,7 +68,7 @@ var (
 				RecvQueue: 100, App: 200, SendQueue: 300, RespProc: 400, Elapsed: 1000,
 			},
 		},
-		{Code: trace.OK, Payload: bytes.Repeat([]byte{9}, 2048), More: true},
+		{Code: trace.OK, Payload: bytes.Repeat([]byte{9}, 2048)},
 		{Code: trace.OK, Payload: []byte("loaded"), Load: 37},
 		{},
 	}
@@ -102,7 +102,6 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 		Code:    trace.DeadlineExceeded,
 		Message: "too slow",
 		Payload: []byte("partial"),
-		More:    true,
 		Timings: serverTimings{RecvQueue: 1, App: 2, SendQueue: 3, RespProc: 4, Elapsed: 10},
 		Load:    12,
 	}
@@ -112,7 +111,7 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rout.Code != resp.Code || rout.Message != resp.Message ||
-		!bytes.Equal(rout.Payload, resp.Payload) || rout.More != resp.More ||
+		!bytes.Equal(rout.Payload, resp.Payload) ||
 		rout.Load != resp.Load || rout.Timings != resp.Timings {
 		t.Fatalf("response round trip mismatch: %+v != %+v", rout, resp)
 	}
@@ -130,8 +129,9 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 
 // TestResponseOldFieldOrderParses feeds the parser an envelope laid out as
 // peers built before the timings moved to the tail emit it — the timings in
-// field-number order, ahead of more, bulk_size and load: the parser goes by
-// tag, so both layouts must decode to the same response.
+// field-number order, ahead of the retired more flag (tag 10), bulk_size and
+// load: the parser goes by tag and skips tag 10 as unknown, so both layouts
+// must decode to the same response.
 func TestResponseOldFieldOrderParses(t *testing.T) {
 	want := oldOrderResponse
 	old := appendOldOrderResponse(nil, &want)
@@ -143,7 +143,7 @@ func TestResponseOldFieldOrderParses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Code != want.Code || got.Message != want.Message || !bytes.Equal(got.Payload, want.Payload) ||
-		got.Compressed != want.Compressed || got.More != want.More || got.Timings != want.Timings ||
+		got.Compressed != want.Compressed || got.Timings != want.Timings ||
 		got.BulkSize != want.BulkSize || got.Load != want.Load {
 		t.Fatalf("old-order envelope decoded to %+v, want %+v", got, want)
 	}
@@ -154,11 +154,14 @@ var oldOrderResponse = response{
 	Message:    "queue full",
 	Payload:    []byte("partial"),
 	Compressed: true,
-	More:       true,
 	Timings:    serverTimings{RecvQueue: 11, App: 22, SendQueue: 33, RespProc: 44, Elapsed: 150},
 	BulkSize:   1 << 20,
 	Load:       7,
 }
+
+// oldMoreTag is the retired server-stream "more" flag, which peers of the
+// old layout still send.
+const oldMoreTag = 10
 
 // appendOldOrderResponse encodes r in the old layout: the timings in
 // field-number order, ahead of more, bulk_size and load.
@@ -168,7 +171,7 @@ func appendOldOrderResponse(dst []byte, r *response) []byte {
 	dst = appendBytesField(dst, respPayload, r.Payload)
 	dst = appendBoolField(dst, respCompressed, r.Compressed)
 	dst = appendTimings(dst, &r.Timings)
-	dst = appendBoolField(dst, respMore, r.More)
+	dst = appendBoolField(dst, oldMoreTag, true)
 	dst = appendUintField(dst, respBulkSize, r.BulkSize)
 	return appendUintField(dst, respLoad, uint64(r.Load))
 }
@@ -246,7 +249,6 @@ func FuzzParseResponse(f *testing.F) {
 				Message:    ref.GetString(respMessage),
 				Payload:    ref.GetBytes(respPayload),
 				Compressed: ref.GetBool(respCompressed),
-				More:       ref.GetBool(respMore),
 				Timings: serverTimings{
 					RecvQueue: time.Duration(ref.GetUint64(respRecvQueueNs)),
 					App:       time.Duration(ref.GetUint64(respAppNs)),

@@ -10,7 +10,8 @@ import (
 // RetryPolicy configures automatic retries of transient failures.
 // Production Stubby retries Unavailable-class errors with exponential
 // backoff; errors like NoPermission or InvalidArgument are permanent and
-// never retried.
+// never retried. The transient set is Unavailable and NoResource;
+// DeadlineExceeded is excluded, since the deadline is gone.
 type RetryPolicy struct {
 	// MaxAttempts bounds total tries (including the first). <=1 disables.
 	MaxAttempts int
@@ -18,10 +19,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the delay.
 	MaxBackoff time.Duration
-	// RetryableCodes lists the codes worth retrying. Nil selects the
-	// default transient set (Unavailable, NoResource, DeadlineExceeded
-	// excluded — the deadline is gone).
-	RetryableCodes []trace.ErrorCode
 	// Budget, when non-nil, caps retry amplification: every attempt
 	// outcome feeds the token bucket and a retry is only issued while
 	// the budget allows it. Share one budget across the channels of a
@@ -38,16 +35,9 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-func (p RetryPolicy) retryable(code trace.ErrorCode) bool {
-	if p.RetryableCodes == nil {
-		return code == trace.Unavailable || code == trace.NoResource
-	}
-	for _, c := range p.RetryableCodes {
-		if c == code {
-			return true
-		}
-	}
-	return false
+// retryable reports whether code is in the transient set worth retrying.
+func retryable(code trace.ErrorCode) bool {
+	return code == trace.Unavailable || code == trace.NoResource
 }
 
 // nextBackoff advances an exponential backoff: the delay doubles per
@@ -85,7 +75,7 @@ func (c *Channel) callRetried(ctx context.Context, method string, payload []byte
 			return out, nil
 		}
 		lastErr = err
-		if !policy.retryable(Code(err)) {
+		if !retryable(Code(err)) {
 			return nil, err
 		}
 		if attempt+1 >= attempts {

@@ -119,7 +119,6 @@ func TestBreakerCycle(t *testing.T) {
 	b := newBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         time.Second,
-		HalfOpenProbes:   2,
 		now:              func() time.Time { return now },
 	}, obs)
 	const m = "svc/M"
@@ -168,16 +167,14 @@ func TestBreakerCycle(t *testing.T) {
 		t.Fatal("re-opened breaker admitted a call")
 	}
 
-	// Second cooldown: two successful probes close it.
+	// Second cooldown: one successful probe closes it.
 	now = now.Add(time.Second)
-	for i := 0; i < 2; i++ {
-		if !b.allow(m) {
-			t.Fatalf("probe %d refused", i)
-		}
-		b.record(m, nil)
+	if !b.allow(m) {
+		t.Fatal("probe refused")
 	}
+	b.record(m, nil)
 	if b.State(m) != BreakerClosed {
-		t.Fatalf("state after successful probes = %v", b.State(m))
+		t.Fatalf("state after a successful probe = %v", b.State(m))
 	}
 
 	obs.mu.Lock()
@@ -196,7 +193,7 @@ func TestBreakerCycle(t *testing.T) {
 	}
 }
 
-// Permanent errors (not in TripCodes) must not trip the breaker.
+// Permanent errors (outside the overload set) must not trip the breaker.
 func TestBreakerIgnoresPermanentErrors(t *testing.T) {
 	b := newBreaker(BreakerConfig{FailureThreshold: 2}, nil)
 	for i := 0; i < 10; i++ {

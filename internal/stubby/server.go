@@ -61,7 +61,8 @@ type Server struct {
 // accumulated so far. raw is a pooled recv buffer: ownership travels with
 // the call, and the buffer is released only after the response envelope is
 // sealed (the handler's payload — and possibly its response — alias it).
-// A stream open carries the eagerly registered stream; a bulk-lane
+// A stream open carries the eagerly registered stream and its envelope,
+// already decoded into req (acceptStream), and no raw buffer; a bulk-lane
 // request carries its reassembled payload in bulkData (also pooled), and so
 // does a compressed one once a worker has inflated it.
 type serverCall struct {
@@ -343,25 +344,39 @@ func (s *Server) closing() bool {
 	}
 }
 
-// acceptStream registers a new inbound stream eagerly — chunks may arrive
-// before a worker decodes the open envelope, and the stream must exist to
-// receive them. Its send window starts at zero; the worker installs the
-// client's declared window after the decode. False means the connection
-// has failed.
+// acceptStream decodes a stream-open envelope and registers the stream
+// eagerly, with the window the client declared in both directions — chunks
+// may arrive before a worker picks the open up, and the stream must exist,
+// and know how much it may buffer, to receive them. The envelope carries
+// no payload, so the decode on the read loop is cheap. False means the
+// connection has failed.
 func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool {
 	if s.shed(sc, streamID, env, true) {
 		wire.PutBuf(env)
 		return true
 	}
-	st := newStream(sc.tr, &sc.streams, streamID, 0)
+	var req request
+	s.mu.RLock()
+	err := parseRequestInto(&req, env, s.intern)
+	s.mu.RUnlock()
+	wire.PutBuf(env)
+	req.Payload = nil // an open carries none; drop any alias into env
+	if err != nil {
+		_ = sc.tr.sendReset(streamID, &Status{Code: trace.Internal, Message: "stream open: " + err.Error()})
+		return true
+	}
+	win := int64(req.Window)
+	if win <= 0 {
+		win = defaultStreamWindow
+	}
+	st := newStream(sc.tr, &sc.streams, streamID, win)
 	if !sc.streams.add(streamID, st) {
-		wire.PutBuf(env)
 		return false
 	}
 	s.enqueue(&serverCall{
 		conn:     sc,
 		streamID: streamID,
-		raw:      env,
+		req:      req,
 		stream:   st,
 		readDone: time.Now(),
 	})
@@ -696,8 +711,10 @@ func (sr *serverResponse) release() {
 
 // Close stops accepting and closes every listener; lets the handlers in
 // flight, and the calls queued for them, run to completion and their
-// responses go out, refusing new requests Unavailable meanwhile; then sends
-// every connection a GoAway, closes it and joins its loops.
+// responses go out, refusing new requests Unavailable meanwhile — for at
+// most closeGrace, after which it cancels every handler's context and
+// waits for the handlers to return; then sends every connection a GoAway,
+// closes it and joins its loops.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
@@ -707,7 +724,16 @@ func (s *Server) Close() {
 		}
 		conns := slices.Collect(maps.Keys(s.conns))
 		s.netMu.Unlock()
+		// A handler waiting on its context would hold the drain until its
+		// deadline: past closeGrace, cancel them all. Their responses still
+		// go out, coded Cancelled.
+		cancelHandlers := time.AfterFunc(closeGrace, func() {
+			for _, sc := range conns {
+				sc.gone()
+			}
+		})
 		s.pool.Wait()
+		cancelHandlers.Stop()
 		for _, sc := range conns {
 			// The GoAway queues behind the responses owed; the drain loop
 			// shuts the connection once it has written it (endTurn). The
@@ -729,6 +755,7 @@ func (s *Server) Close() {
 	})
 }
 
-// closeGrace bounds how long Close waits for a connection's peer to take
-// the responses owed on it and the GoAway.
+// closeGrace bounds how long Close lets handlers in flight run before it
+// cancels them, and how long it waits for a connection's peer to take the
+// responses owed on it and the GoAway.
 const closeGrace = 5 * time.Second

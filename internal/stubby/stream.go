@@ -52,11 +52,14 @@ type Stream struct {
 	sendClosed bool
 
 	// Inbound side. The connection's read loop appends assembled messages
-	// to inq and never blocks on a slow consumer — queued bytes are
-	// bounded by the credit window, which is only replenished on Recv.
+	// to inq and never blocks on a slow consumer. held is the credit the
+	// queued messages were charged; with the message being assembled it
+	// may not pass maxWin, the window this end granted (deliverChunk), so
+	// a peer that sends without credit loses the stream, not our memory.
 	recvMu  sync.Mutex
 	inq     []inboundMsg
 	inqHead int
+	held    int64
 	term    error // terminal status; nil with termSet means clean EOF
 	termSet bool
 	dead    bool // fully torn down: late deliveries are dropped
@@ -252,6 +255,7 @@ func (s *Stream) Recv() ([]byte, error) {
 			m := s.inq[s.inqHead]
 			s.inq[s.inqHead] = inboundMsg{}
 			s.inqHead++
+			s.held -= m.charge
 			if s.inqHead == len(s.inq) {
 				s.inq, s.inqHead = s.inq[:0], 0
 			}
@@ -316,7 +320,7 @@ func (s *Stream) terminate(err error, notifyPeer bool) {
 			wire.PutBuf(s.inq[i].data)
 			s.inq[i] = inboundMsg{}
 		}
-		s.inq, s.inqHead = nil, 0
+		s.inq, s.inqHead, s.held = nil, 0, 0
 		if s.asm != nil {
 			wire.PutBuf(s.asm)
 			s.asm = nil
@@ -354,12 +358,22 @@ func (s *Stream) finished() bool {
 // connection's read loop calls it; ownership of data (a pooled buffer)
 // transfers here. It never blocks: completed messages queue on inq and
 // the credit window bounds how far a slow consumer can fall behind, so a
-// stalled stream cannot head-of-line-block the connection.
+// stalled stream cannot head-of-line-block the connection. A chunk that
+// would take the unconsumed bytes past that window — the peer sent
+// without credit — ends the stream with an InvalidArgument reset and
+// releases its buffers; the connection and its other streams carry on.
 func (s *Stream) deliverChunk(flags byte, data []byte) {
 	s.lockRecv()
 	if s.dead {
 		s.unlockRecv()
 		wire.PutBuf(data)
+		return
+	}
+	if s.overWindowLocked(flags, len(data)) {
+		s.unlockRecv()
+		wire.PutBuf(data)
+		s.terminate(Errorf(trace.InvalidArgument,
+			"stream peer sent past its %d-byte credit window", s.maxWin), true)
 		return
 	}
 	var msg []byte
@@ -391,7 +405,9 @@ func (s *Stream) deliverChunk(flags byte, data []byte) {
 			s.applyStatusLocked(msg)
 			wire.PutBuf(msg)
 		} else {
-			s.inq = append(s.inq, inboundMsg{data: msg, charge: msgCharge(len(msg))})
+			charge := msgCharge(len(msg))
+			s.inq = append(s.inq, inboundMsg{data: msg, charge: charge})
+			s.held += charge
 		}
 	}
 	if flags&chunkEndStream != 0 && !s.termSet {
@@ -402,6 +418,27 @@ func (s *Stream) deliverChunk(flags byte, data []byte) {
 	case s.notify <- struct{}{}:
 	default:
 	}
+}
+
+// maxStatusEnvelope bounds the final status envelope a stream accepts: it
+// is exempt from credit, and finishBidi keeps it to one chunk.
+const maxStatusEnvelope = bulkChunkSize
+
+// overWindowLocked reports whether a chunk of n bytes with these flags
+// breaks the receive bound: a data chunk may not take the queued charges
+// plus the message being assembled past maxWin, and a status chunk may not
+// make a status envelope larger than maxStatusEnvelope. Caller holds
+// recvMu.
+func (s *Stream) overWindowLocked(flags byte, n int) bool {
+	msg := len(s.asm) + n
+	if flags&chunkStatus != 0 {
+		return msg > maxStatusEnvelope
+	}
+	need := int64(msg)
+	if flags&chunkEndMsg != 0 {
+		need = msgCharge(msg)
+	}
+	return s.held+need > s.maxWin
 }
 
 // applyStatusLocked records the final status carried in a status chunk.
@@ -452,41 +489,20 @@ func (s *Server) RegisterBidi(method string, h BidiHandler) {
 	s.methodNames[method] = method
 }
 
-// handleBidi runs on a worker for a queued stream-open: it decodes the
-// envelope, configures the stream's flow control and deadline, and hands
-// the handler its own goroutine — a blocked stream Send must not pin a
-// worker the unary traffic needs.
+// handleBidi runs on a worker for a queued stream-open, decoded by
+// acceptStream: it sets up the stream's deadline and hands the handler its
+// own goroutine — a blocked stream Send must not pin a worker the unary
+// traffic needs.
 func (s *Server) handleBidi(call *serverCall) {
 	st := call.stream
 	req := &call.req
 	s.mu.RLock()
-	err := parseRequestInto(req, call.raw, s.intern)
-	var bh BidiHandler
-	if err == nil {
-		bh = s.bidiHandlers[req.Method]
-	}
+	bh := s.bidiHandlers[req.Method]
 	s.mu.RUnlock()
-	// The open envelope carries no payload, so nothing aliases it past
-	// the parse.
-	wire.PutBuf(call.raw)
-	call.raw = nil
-	if err != nil {
-		st.terminate(Errorf(trace.Internal, "stream open: %v", err), true)
-		return
-	}
-
-	win := int64(req.Window)
-	if win <= 0 {
-		win = defaultStreamWindow
-	}
-	st.maxWin = win
-	// The stream was registered with a zero send window before the
-	// envelope was decoded; install the client's declared window now.
-	st.sendWin.grant(win)
 
 	// Install the handler context under recvMu so a concurrent terminate
-	// (reset racing the open decode) observes it; if the stream already
-	// died, cancel here since terminate could not.
+	// (a reset racing the open's hand-off to this worker) observes it; if
+	// the stream already died, cancel here since terminate could not.
 	st.lockRecv()
 	st.ctx, st.cancel = requestContext(call.conn.ctx, req)
 	cancel, dead := st.cancel, st.dead
@@ -520,7 +536,8 @@ func (s *Server) finishBidi(st *Stream, herr error) {
 		stat := StatusFromError(herr)
 		resp := response{Code: stat.Code}
 		if stat.Code != trace.OK {
-			resp.Message = stat.Message
+			// Cut to what one status chunk holds (maxStatusEnvelope).
+			resp.Message = stat.Message[:min(len(stat.Message), maxStatusEnvelope-envelopeOverhead)]
 		}
 		env := appendResponse(wire.GetBuf(len(resp.Message)+envelopeOverhead), &resp)
 		// The status chunk is exempt from flow control, like HTTP/2

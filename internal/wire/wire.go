@@ -389,19 +389,3 @@ func AppendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(bu
 // Uvarint decodes an unsigned varint from buf, returning the value and the
 // number of bytes consumed (0 if buf is truncated).
 func Uvarint(buf []byte) (uint64, int) { return binary.Uvarint(buf) }
-
-// AppendVarint appends x using zig-zag encoding.
-func AppendVarint(buf []byte, x int64) []byte { return binary.AppendVarint(buf, x) }
-
-// Varint decodes a zig-zag varint.
-func Varint(buf []byte) (int64, int) { return binary.Varint(buf) }
-
-// SizeUvarint returns the encoded size of x in bytes.
-func SizeUvarint(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
