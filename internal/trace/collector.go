@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,7 @@ import (
 // It also counts every span it sees (sampled or not) so volume statistics
 // remain exact even at low sampling rates.
 //
-// Retained spans are copied into packed records (see record), so a
+// Retained spans are copied into packed records (see appendRecord), so a
 // collector never holds on to the *Span it was given.
 type Collector struct {
 	sampleEvery uint64 // collect traces where id % sampleEvery == 0; 1 = all
@@ -30,35 +32,33 @@ type Collector struct {
 	byCode [NumErrorCodes]atomic.Uint64
 
 	mu       sync.Mutex
-	chunks   [][]record          // retained spans, chunkLen records each
+	chunks   [][]byte            // packed records, end to end; none straddles two chunks
 	n        int                 // records across chunks
-	names    []spanNames         // interned name tuples, indexed by record.name
+	names    []spanNames         // interned name tuples, indexed by a record's name
 	byMethod map[string][]uint32 // Method -> indices into names
 	links    []SpanID            // LinkedParents of every record, end to end
 	cap      int                 // 0 = unbounded
 }
 
-// chunkLen is how many records one chunk holds. A full chunk is never
-// copied again, so the store grows without moving what it already holds.
-const chunkLen = 1024
+// Every chunk after the first is made with chunkBytes of capacity, and a
+// new one is opened when the last has less than maxRecord bytes of room,
+// so a chunk is never copied again once another follows it. The first
+// grows by append, so a collector that keeps a handful of spans stays
+// small. Records hold no pointers, so the garbage collector never scans a
+// chunk, and bytes below a chunk's length are never written again.
+const (
+	chunkBytes = 64 << 10
+	// flags and Err, TraceID, sixteen varints, CPUCycles, the mask and
+	// every category.
+	maxRecord = 2 + 8 + 16*binary.MaxVarintLen64 + 8 + 1 + 8*gwp.NumCategories
+)
 
-// record is one retained span. It holds no pointers, so the garbage
-// collector never scans a chunk: the span's strings and tags live once
-// per distinct tuple in Collector.names, and its linked parents in
-// Collector.links[links : links+nLinks].
-type record struct {
-	traceID             TraceID
-	spanID, parentID    SpanID
-	start               time.Duration
-	breakdown           Breakdown
-	reqBytes, respBytes int64
-	cpuCycles           float64
-	cpuByCategory       [gwp.NumCategories]float64
-	name                uint32 // index into Collector.names
-	links, nLinks       uint32
-	err                 ErrorCode
-	hedged              bool
-}
+// Bits of a record's flags byte.
+const (
+	hasParent    = 1 << iota // ParentID follows SpanID
+	isHedged                 // Span.Hedged
+	cyclesAreSum             // CPUCycles is the in-order sum of CPUByCategory, not stored
+)
 
 // spanNames is the interned string and tag part of a span.
 type spanNames struct {
@@ -122,22 +122,119 @@ func (c *Collector) Collect(s *Span) {
 		c.overflow.Add(1)
 		return
 	}
-	c.push(record{s.TraceID, s.SpanID, s.ParentID, s.Start, s.Breakdown,
-		s.RequestBytes, s.ResponseBytes, s.CPUCycles, s.CPUByCategory, c.intern(s),
-		uint32(len(c.links)), uint32(len(s.LinkedParents)), s.Err, s.Hedged})
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last])+maxRecord > chunkBytes {
+		// The first chunk starts empty; every later one is made whole.
+		c.chunks, last = append(c.chunks, make([]byte, 0, chunkBytes*min(c.n, 1))), last+1
+	}
+	c.chunks[last] = appendRecord(c.chunks[last], s, c.intern(s))
 	c.links = append(c.links, s.LinkedParents...)
+	c.n++
 }
 
-// push appends r to the store, opening a chunk when the last one is full.
-// The first chunk starts empty and grows by append, so a collector that
-// keeps a handful of spans stays small. Caller holds c.mu.
-func (c *Collector) push(r record) {
-	if c.n%chunkLen == 0 {
-		c.chunks = append(c.chunks, make([]record, 0, min(c.n, chunkLen)))
+// appendRecord appends s's packed record to b: the flags byte, Err,
+// TraceID as 8 fixed bytes, SpanID and (when non-zero) ParentID as
+// uvarints, Start, the nine Breakdown components and both sizes as zigzag
+// varints, CPUCycles as 8 bytes unless cyclesAreSum, a mask of the
+// non-zero CPUByCategory entries and each one's 8 bytes, then the name
+// index and the link count as uvarints. Floats are compared and kept by
+// their bits, so -0 and NaN come back as they went in.
+func appendRecord(b []byte, s *Span, name uint32) []byte {
+	var flags, mask byte
+	sum := 0.0
+	for i, v := range s.CPUByCategory {
+		sum += v
+		if math.Float64bits(v) != 0 {
+			mask |= 1 << i
+		}
 	}
-	last := len(c.chunks) - 1
-	c.chunks[last] = append(c.chunks[last], r)
-	c.n++
+	if s.ParentID != 0 {
+		flags |= hasParent
+	}
+	if s.Hedged {
+		flags |= isHedged
+	}
+	if math.Float64bits(sum) == math.Float64bits(s.CPUCycles) {
+		flags |= cyclesAreSum
+	}
+	b = binary.LittleEndian.AppendUint64(append(b, flags, byte(s.Err)), uint64(s.TraceID))
+	b = binary.AppendUvarint(b, uint64(s.SpanID))
+	if flags&hasParent != 0 {
+		b = binary.AppendUvarint(b, uint64(s.ParentID))
+	}
+	b = binary.AppendVarint(b, int64(s.Start))
+	for _, d := range s.Breakdown {
+		b = binary.AppendVarint(b, int64(d))
+	}
+	b = binary.AppendVarint(binary.AppendVarint(b, s.RequestBytes), s.ResponseBytes)
+	if flags&cyclesAreSum == 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.CPUCycles))
+	}
+	b = append(b, mask)
+	for i, v := range s.CPUByCategory {
+		if mask&(1<<i) != 0 {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(name)), uint64(len(s.LinkedParents)))
+}
+
+// recordReader reads a chunk's records front to back.
+type recordReader []byte
+
+func (r *recordReader) fixed() uint64 {
+	v := binary.LittleEndian.Uint64(*r)
+	*r = (*r)[8:]
+	return v
+}
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(*r)
+	*r = (*r)[n:]
+	return v
+}
+
+func (r *recordReader) varint() int64 {
+	u := r.uvarint() // zigzag, as binary.AppendVarint writes it
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// next decodes the record at r's front into s, the inverse of
+// appendRecord; its linked parents are the front of links, and next
+// returns the rest.
+func (r *recordReader) next(s *Span, names []spanNames, links []SpanID) []SpanID {
+	flags := (*r)[0]
+	s.Err, s.Hedged = ErrorCode((*r)[1]), flags&isHedged != 0
+	*r = (*r)[2:]
+	s.TraceID, s.SpanID = TraceID(r.fixed()), SpanID(r.uvarint())
+	if flags&hasParent != 0 {
+		s.ParentID = SpanID(r.uvarint())
+	}
+	s.Start = time.Duration(r.varint())
+	for i := range s.Breakdown {
+		s.Breakdown[i] = time.Duration(r.varint())
+	}
+	s.RequestBytes, s.ResponseBytes = r.varint(), r.varint()
+	if flags&cyclesAreSum == 0 {
+		s.CPUCycles = math.Float64frombits(r.fixed())
+	}
+	mask := (*r)[0]
+	*r = (*r)[1:]
+	for i := range s.CPUByCategory {
+		if mask&(1<<i) != 0 {
+			s.CPUByCategory[i] = math.Float64frombits(r.fixed())
+		}
+		if flags&cyclesAreSum != 0 {
+			s.CPUCycles += s.CPUByCategory[i]
+		}
+	}
+	nm := &names[r.uvarint()]
+	s.Method, s.Service, s.Tier, s.Motif = nm.method, nm.service, nm.tier, nm.motif
+	s.ClientCluster, s.ServerCluster = nm.client, nm.server
+	if k := r.uvarint(); k > 0 {
+		s.LinkedParents, links = links[:k:k], links[k:]
+	}
+	return links
 }
 
 // intern returns the index of s's name tuple in c.names, adding it on
@@ -177,28 +274,20 @@ func (c *Collector) SeenByCode() [NumErrorCodes]uint64 {
 // Spans returns the retained spans in collection order, rebuilt from the
 // store over one backing array per call. They are the caller's: changing
 // one leaves the store as it was, and collection may continue
-// concurrently.
+// concurrently. The lock is held only to copy the store's headers: what
+// lies below a length they captured is never written again, so the
+// records are decoded after it is released.
 func (c *Collector) Spans() []*Span {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	spans := make([]Span, c.n)
-	links := slices.Clone(c.links)
-	out := make([]*Span, 0, c.n)
-	for _, ch := range c.chunks {
-		for j := range ch {
-			r, s := &ch[j], &spans[len(out)]
-			nm := &c.names[r.name]
-			*s = Span{TraceID: r.traceID, SpanID: r.spanID, ParentID: r.parentID,
-				Method: nm.method, Service: nm.service, Tier: nm.tier, Motif: nm.motif,
-				ClientCluster: nm.client, ServerCluster: nm.server,
-				Start: r.start, Breakdown: r.breakdown,
-				RequestBytes: r.reqBytes, ResponseBytes: r.respBytes,
-				CPUCycles: r.cpuCycles, CPUByCategory: r.cpuByCategory,
-				Err: r.err, Hedged: r.hedged}
-			if end := r.links + r.nLinks; r.nLinks > 0 {
-				s.LinkedParents = links[r.links:end:end]
-			}
-			out = append(out, s)
+	chunks, n, names, links := slices.Clone(c.chunks), c.n, c.names, c.links
+	c.mu.Unlock()
+	links = slices.Clone(links)
+	spans, out := make([]Span, n), make([]*Span, n)
+	i := 0
+	for _, ch := range chunks {
+		for r := recordReader(ch); len(r) > 0; i++ {
+			links = r.next(&spans[i], names, links)
+			out[i] = &spans[i]
 		}
 	}
 	return out

@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
+	"time"
+
+	"rpcscale/internal/gwp"
 )
 
 // spanFields is how many fields Span has. record, Collect and Spans carry
@@ -86,27 +90,38 @@ func TestCollectorRoundTripsEveryField(t *testing.T) {
 	}
 }
 
-func TestCollectorRecordHoldsNoPointers(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size > 184 {
-		t.Errorf("record is %d B, want <= 184", size)
+// fleetMixSpan is a span as the telemetry plane retains it in the
+// benchmark's fleet_mix workload: a random trace ID, a root span, nine
+// microsecond-scale components, a 5730 B request with a 16 B reply, and
+// the plane's five-way CPU split (ServerApp, then the stack time by its
+// byte-weighted shares at a 0.4 compressed fraction), whose in-order sum
+// is CPUCycles.
+func fleetMixSpan() *Span {
+	s := &Span{TraceID: 0x9c3f_51e2_07ad_64b8, SpanID: 36732,
+		Method: "svc7.Type/M42", Service: "svc7", ClientCluster: "local", ServerCluster: "local",
+		Start:        7*time.Second + 123456789,
+		Breakdown:    Breakdown{2310, 9870, 14250, 3120, 18400, 1730, 6240, 12980, 4410},
+		RequestBytes: 5730, ResponseBytes: 16,
+		CPUByCategory: [gwp.NumCategories]float64{18400, 11548.151782929619, 2594.6160723567937, 962.3459819108016, 1004.8861628027862},
 	}
-	var walk func(reflect.Type, string)
-	walk = func(ty reflect.Type, path string) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
-			}
-		case reflect.Array:
-			walk(ty.Elem(), path+"[]")
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-		default:
-			t.Errorf("%s is a %s: a chunk holding it would be scanned by the GC", path, ty.Kind())
-		}
+	for _, v := range s.CPUByCategory {
+		s.CPUCycles += v
 	}
-	walk(reflect.TypeOf(record{}), "record")
+	return s
+}
+
+func TestCollectorPacksSpans(t *testing.T) {
+	c := New()
+	var _ [][]byte = c.chunks // records are bytes, which the GC never scans
+	s := fleetMixSpan()
+	c.Collect(s)
+	if size := len(c.chunks[0]); size > 96 {
+		t.Errorf("a fleet_mix span packs into %d B, want <= 96", size)
+	}
+	t.Logf("a fleet_mix span packs into %d B", len(c.chunks[0]))
+	if got := c.Spans(); !reflect.DeepEqual(got[0], s) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", *got[0], *s)
+	}
 }
 
 func TestCollectorCopiesSpans(t *testing.T) {
@@ -127,12 +142,18 @@ func TestCollectorCopiesSpans(t *testing.T) {
 }
 
 func TestCollectorChunksKeepOrder(t *testing.T) {
-	c := New(WithCapacity(2*chunkLen + 3))
-	for i := 0; i < 3*chunkLen; i++ {
+	// Each of these spans packs into 26 bytes, and a chunk holds less
+	// than chunkBytes of records, so the retained ones fill at least three.
+	const retain, dropped = 3 * chunkBytes / 26, 1000
+	c := New(WithCapacity(retain))
+	for i := 0; i < retain+dropped; i++ {
 		c.Collect(&Span{TraceID: TraceID(i), Method: fmt.Sprintf("m%d", i%7), LinkedParents: []SpanID{SpanID(i)}})
 	}
+	if len(c.chunks) < 3 {
+		t.Fatalf("%d spans filled %d chunks, want >= 3", retain, len(c.chunks))
+	}
 	got := c.Spans()
-	if len(got) != 2*chunkLen+3 || c.Overflow() != chunkLen-3 {
+	if len(got) != retain || c.Overflow() != dropped {
 		t.Fatalf("retained %d, overflow %d", len(got), c.Overflow())
 	}
 	for i, s := range got {
@@ -196,4 +217,95 @@ func BenchmarkCollect(b *testing.B) {
 		}
 		c.Collect(spans[i%len(spans)])
 	}
+}
+
+// fuzzSpans reads spans from data until it runs out; bytes past its end
+// read as zero. Each span takes a control byte, its Err, Tier and Motif
+// bytes as they are (in range or not), then 8-byte little-endian words:
+// TraceID, SpanID, ParentID, Start, the nine components, both sizes,
+// CPUCycles, the categories and its linked parents. Control bit 0 makes
+// CPUCycles the in-order sum of the categories, bit 1 sets Hedged, bits
+// 2-3 pick one of four name tuples, and the high nibble mod 9 is the link
+// count.
+func fuzzSpans(data []byte) []*Span {
+	var out []*Span
+	next := func(n int) []byte {
+		b := make([]byte, n)
+		data = data[copy(b, data):]
+		return b
+	}
+	word := func() uint64 { return binary.LittleEndian.Uint64(next(8)) }
+	names := [4][3]string{{"", "", ""}, {"svc.A/Get", "svc", "cl0"}, {"svc.A/Put", "svc", "cl1"}, {"svc.A/Get", "svc", "cl2"}}
+	for len(data) > 0 {
+		h := next(4)
+		nm := names[h[0]>>2&3]
+		s := &Span{Err: ErrorCode(h[1]), Tier: Tier(h[2]), Motif: Motif(h[3]), Hedged: h[0]&2 != 0,
+			Method: nm[0], Service: nm[1], ClientCluster: nm[2], ServerCluster: nm[2],
+			TraceID: TraceID(word()), SpanID: SpanID(word()), ParentID: SpanID(word()), Start: time.Duration(word())}
+		for i := range s.Breakdown {
+			s.Breakdown[i] = time.Duration(word())
+		}
+		s.RequestBytes, s.ResponseBytes = int64(word()), int64(word())
+		s.CPUCycles = math.Float64frombits(word())
+		sum := 0.0
+		for i := range s.CPUByCategory {
+			s.CPUByCategory[i] = math.Float64frombits(word())
+			sum += s.CPUByCategory[i]
+		}
+		if h[0]&1 != 0 {
+			s.CPUCycles = sum
+		}
+		for k := h[0] >> 4 % 9; k > 0; k-- {
+			s.LinkedParents = append(s.LinkedParents, SpanID(word()))
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// sameSpan is reflect.DeepEqual with floats compared by their bits, so a
+// NaN or a -0 must come back exactly as it went in.
+func sameSpan(a, b *Span) bool {
+	bits := func(s *Span) (out [1 + gwp.NumCategories]uint64) {
+		out[0] = math.Float64bits(s.CPUCycles)
+		for i, v := range s.CPUByCategory {
+			out[i+1] = math.Float64bits(v)
+		}
+		return out
+	}
+	x, y := *a, *b
+	x.CPUCycles, x.CPUByCategory = 0, [gwp.NumCategories]float64{}
+	y.CPUCycles, y.CPUByCategory = 0, [gwp.NumCategories]float64{}
+	return bits(a) == bits(b) && reflect.DeepEqual(x, y)
+}
+
+// FuzzCollectorRoundTrip: whatever the span, Spans returns it exactly as
+// Collect was given it. A non-zero fill first collects fleet_mix spans
+// until the first chunk has less than maxRecord+fill bytes of room, so
+// the spans from data cross into the second chunk. The checked-in corpus
+// holds a fleet_mix span, extreme and negative integers, NaN, -0 and ±Inf
+// floats with CPUCycles both equal and unequal to the category sum, zero
+// and non-zero parents, 0 to 8 linked parents, and out-of-range Err, Tier
+// and Motif bytes.
+func FuzzCollectorRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, fill uint8, data []byte) {
+		c, filled := New(), 0
+		for fill > 0 && (len(c.chunks) == 0 || len(c.chunks[0])+maxRecord+int(fill) <= chunkBytes) {
+			c.Collect(fleetMixSpan())
+			filled++
+		}
+		want := fuzzSpans(data)
+		for _, s := range want {
+			c.Collect(cloneSpan(s))
+		}
+		got := c.Spans()
+		if len(got) != filled+len(want) {
+			t.Fatalf("got %d spans, want %d", len(got), filled+len(want))
+		}
+		for i, s := range want {
+			if !sameSpan(got[filled+i], s) {
+				t.Fatalf("span %d:\n got %+v\nwant %+v", i, *got[filled+i], *s)
+			}
+		}
+	})
 }
