@@ -151,11 +151,15 @@ func analyzeDump(path string) {
 		r = f
 	}
 	var sinks core.ShardSinks
-	prof, err := workload.Replay(r, sinks.New)
+	shards := 0
+	prof, err := workload.Replay(r, func(i int) workload.SpanSink {
+		shards++
+		return sinks.New(i)
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "replayed the dump through %d shard sinks\n", len(sinks))
+	fmt.Fprintf(os.Stderr, "replayed the dump through %d shard sinks\n", shards)
 	fmt.Print(core.ReportFromSink(sinks.Merged(), prof, core.ReportOptions{}))
 }
 

@@ -124,8 +124,9 @@ func (a *graphAccum) merge(o *graphAccum) {
 const reportMTU = 1500
 
 // corrSubsample bounds the Fig. 21 correlation state. 16Ki points keep
-// Spearman estimates within a couple hundredths of the full-stream value
-// while the sketch stays a fixed few hundred KiB at any volume.
+// Spearman estimates within a couple hundredths of the full-stream value;
+// the sketch's buffer grows with the spans a shard offers and stops at 2k
+// items (1.57 MB) at any volume.
 const corrSubsample = 1 << 14
 
 // methodAccum is the per-method stratified-sample state: one histogram
@@ -432,6 +433,10 @@ func (k *ReportSink) ExoSample(method string, s *trace.Span, exo sim.Exo) {
 // (per method, service, or error code) and combined with one addition per
 // key per merge, so merging a fixed sequence of sinks — shards in index
 // order — is a deterministic fold regardless of map iteration order.
+//
+// Merge hands o's state to k rather than copying it: k may adopt o's
+// accumulators, so o is reset to an empty sink, independent of k, and a
+// caller that keeps its shard list no longer keeps the merged state alive.
 func (k *ReportSink) Merge(o *ReportSink) {
 	if o == nil {
 		return
@@ -504,6 +509,7 @@ func (k *ReportSink) Merge(o *ReportSink) {
 		k.exo[name] = append(k.exo[name], obs...)
 	}
 	k.graph.merge(&o.graph)
+	*o = *NewReportSink()
 }
 
 // StudiedSpans returns the retained stratified spans of a studied method,

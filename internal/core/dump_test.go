@@ -114,7 +114,9 @@ func TestDumpInterleavedShards(t *testing.T) {
 }
 
 // TestForeignShardIndexAllocation: a span ID whose top bits read as shard
-// 4095 makes a replay build 4096 per-shard sinks, which must stay cheap.
+// 4095 makes a replay index its sinks up to 4095 but build only the two the
+// dump names. The replay allocates 1.2 MB, most of it the dump reader's
+// 1 MiB buffer.
 func TestForeignShardIndexAllocation(t *testing.T) {
 	spans := []*trace.Span{
 		{TraceID: 1, SpanID: 1, Method: "a/M", Service: "a"},
@@ -124,7 +126,7 @@ func TestForeignShardIndexAllocation(t *testing.T) {
 	if err := trace.WriteSpans(&dump, spans); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 64 << 20
+	const budget = 2 << 20
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -132,13 +134,19 @@ func TestForeignShardIndexAllocation(t *testing.T) {
 	if _, err := workload.Replay(&dump, sinks.New); err != nil {
 		t.Fatal(err)
 	}
-	if len(sinks) != 4096 {
-		t.Fatalf("replay built %d sinks, want 4096", len(sinks))
+	built := 0
+	for _, k := range sinks {
+		if k != nil {
+			built++
+		}
+	}
+	if len(sinks) != 4096 || built != 2 {
+		t.Fatalf("replay built %d sinks over %d indices, want 2 over 4096", built, len(sinks))
 	}
 	sink := sinks.Merged()
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-		t.Errorf("replay allocated %d MB, want < %d", got>>20, budget>>20)
+		t.Errorf("replay allocated %d B, want < %d", got, budget)
 	}
 	if sink.errCalls != 2 {
 		t.Errorf("replay counted %d spans, want 2", sink.errCalls)

@@ -38,19 +38,23 @@ func StreamReport(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, c
 }
 
 // ShardSinks holds one ReportSink per shard of a workload.Run or
-// workload.Replay: pass its New method as the sink factory, and fold the
+// workload.Replay, indexed by shard (nil where a replay's dump names no
+// such shard): pass its New method as the sink factory, and fold the
 // shards with Merged once the run returns.
 type ShardSinks []*ReportSink
 
-// New builds the next shard's sink (the factory of Run and Replay, which
-// call it for shards 0, 1, ... in order).
-func (s *ShardSinks) New(int) workload.SpanSink {
+// New builds shard i's sink (the factory of Run and Replay).
+func (s *ShardSinks) New(i int) workload.SpanSink {
 	k := NewReportSink()
-	*s = append(*s, k)
+	if i >= len(*s) {
+		*s = append(*s, make(ShardSinks, i+1-len(*s))...)
+	}
+	(*s)[i] = k
 	return k
 }
 
-// Merged folds the shards' sinks in shard-index order.
+// Merged folds the shards' sinks in shard-index order into a new sink,
+// leaving each shard empty (ReportSink.Merge).
 func (s ShardSinks) Merged() *ReportSink {
 	root := NewReportSink()
 	for _, k := range s {

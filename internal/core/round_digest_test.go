@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"rpcscale/internal/fleet"
@@ -58,6 +59,51 @@ func TestStreamRoundDigestUnchanged(t *testing.T) {
 	got := hex.EncodeToString(sum[:])
 	if got != streamRoundSHA256 || spans != streamRoundSpans {
 		t.Fatalf("round: %d spans, report SHA-256 %s; want %d spans, %s", spans, got, streamRoundSpans, streamRoundSHA256)
+	}
+}
+
+// TestMergeHandsOverShard: Merge hands a shard's state to the root. Feeding
+// the merged shard afterwards leaves the root equal, field for field, to a
+// root that merged an identical shard nobody fed, and ShardSinks.Merged
+// leaves every shard an empty sink.
+func TestMergeHandsOverShard(t *testing.T) {
+	topo := sim.NewTopology(sim.TopologyConfig{Regions: 2, DatacentersPer: 1, ClustersPerDC: 2, MachinesPerCluster: 4, Seed: 1})
+	cat := fleet.New(fleet.Config{Methods: 60, Clusters: len(topo.Clusters), Seed: 1})
+	cfg := workload.RunConfig{Seed: 3, Shards: 2, MethodSamples: 3, StudiedSamples: 10, VolumeRoots: 500, Trees: 5, RetainSpans: true}
+	run := func() (ShardSinks, *workload.Dataset) {
+		var sinks ShardSinks
+		_, ds := workload.Run(context.Background(), cat, topo, cfg, sinks.New)
+		return sinks, ds
+	}
+	fed, ds := run()
+	kept, _ := run()
+	root, want := NewReportSink(), NewReportSink()
+	root.Merge(fed[0])
+	want.Merge(kept[0])
+
+	shard := fed[0]
+	var spans []*trace.Span
+	for _, m := range ds.MethodSpans {
+		spans = append(spans, m...)
+	}
+	spans = append(append(spans, ds.VolumeSpans...), ds.TreeSpans...)
+	for _, s := range spans {
+		shard.MethodSpan(s)
+		shard.VolumeSpan(s)
+		shard.TreeSpan(s)
+		shard.TreeShape(s.Method, 1, 1)
+		shard.GraphShape(workload.GraphStat{Spans: 2, Depth: 1, Width: 1})
+		shard.ExoSample(s.Method, s, sim.Exo{})
+	}
+	if !reflect.DeepEqual(root, want) {
+		t.Fatal("feeding a merged shard changed the root it was merged into")
+	}
+
+	kept.Merged()
+	for i, k := range kept {
+		if !reflect.DeepEqual(k, NewReportSink()) {
+			t.Errorf("shard %d holds state after Merged", i)
+		}
 	}
 }
 

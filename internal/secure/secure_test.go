@@ -138,3 +138,51 @@ func TestStatsCounting(t *testing.T) {
 		t.Errorf("bytes = %d", stats.BytesEncrypted.Load())
 	}
 }
+
+// FuzzOpenMutated: a peer controls every byte Open reads. A message that
+// SealAppendAAD produced and that was then altered (a byte flipped, cut
+// short, extended, or opened with other AAD) fails with ErrDecrypt,
+// returns no plaintext, leaves none in dst's spare capacity, and does not
+// panic. op picks the alteration; pos and val place and shape it. The
+// seeds in testdata are TestTamperDetected's flips, TestShortCiphertext's
+// short messages, an extension and two AAD changes.
+func FuzzOpenMutated(f *testing.F) {
+	s, err := NewSession(DeriveKey([]byte("fuzz"), "c2s"), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, plaintext, aad []byte, op byte, pos uint16, val byte) {
+		msg := s.SealAppendAAD(nil, plaintext, aad)
+		if out, err := s.OpenAppendAAD(nil, msg, aad); err != nil || !bytes.Equal(out, plaintext) {
+			t.Fatalf("unaltered message: %v", err)
+		}
+		flip := max(val, 1)
+		openAAD := aad
+		switch op % 4 {
+		case 0:
+			msg[int(pos)%len(msg)] ^= flip
+		case 1:
+			msg = msg[:int(pos)%len(msg)]
+		case 2:
+			msg = append(msg, bytes.Repeat([]byte{val}, 1+int(pos)%64)...)
+		case 3:
+			openAAD = append([]byte(nil), aad...)
+			if len(aad) == 0 {
+				openAAD = []byte{val}
+			} else {
+				openAAD[int(pos)%len(aad)] ^= flip
+			}
+		}
+		const mark = 0xA5
+		dst := bytes.Repeat([]byte{mark}, 8+len(msg))[:8]
+		out, err := s.OpenAppendAAD(dst, msg, openAAD)
+		if !errors.Is(err, ErrDecrypt) || out != nil {
+			t.Fatalf("altered message (op %d): %q, %v; want nil, ErrDecrypt", op%4, out, err)
+		}
+		for i, b := range dst[:cap(dst)] {
+			if b != mark && (i < len(dst) || b != 0) {
+				t.Fatalf("dst byte %d is %#x after a failed open", i, b)
+			}
+		}
+	})
+}

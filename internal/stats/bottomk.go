@@ -24,9 +24,10 @@ type BottomKItem struct {
 	Vals [3]float64
 }
 
-// NewBottomK returns a sketch retaining at most k items. Its buffer is
-// allocated by the first Offer (2k items) or Merge that brings an item, so
-// a sketch that never sees one costs a few words.
+// NewBottomK returns a sketch retaining at most k items. Its buffer grows
+// with the items it holds, doubling up to the 2k at which it is pruned, so
+// a sketch that sees n < k items holds at most max(2n, 8) and one that
+// never sees an item costs a few words.
 func NewBottomK(k int) *BottomK {
 	if k <= 0 {
 		panic("stats: bottom-k capacity must be positive")
@@ -47,11 +48,12 @@ func Mix64(x uint64) uint64 {
 
 // Offer records one item. Items that cannot be among the k smallest are
 // discarded lazily: the buffer is pruned whenever it reaches 2k, keeping
-// amortized O(log k) cost per offer.
+// amortized O(log k) cost per offer. The buffer grows by doubling but
+// never past 2k, where plain append would round a long stream's buffer up.
 func (b *BottomK) Offer(key, tie uint64, vals [3]float64) {
 	b.seen++
-	if b.items == nil {
-		b.items = make([]BottomKItem, 0, 2*b.k)
+	if len(b.items) == cap(b.items) {
+		b.items = append(make([]BottomKItem, 0, min(max(2*cap(b.items), 8), 2*b.k)), b.items...)
 	}
 	b.items = append(b.items, BottomKItem{Key: key, Tie: tie, Vals: vals})
 	if len(b.items) >= 2*b.k {
@@ -65,11 +67,10 @@ func (b *BottomK) Merge(other *BottomK) {
 	if other == nil {
 		return
 	}
-	b.seen += other.seen
-	b.items = append(b.items, other.items...)
-	if len(b.items) > b.k {
-		b.prune()
+	for _, it := range other.items {
+		b.Offer(it.Key, it.Tie, it.Vals)
 	}
+	b.seen += other.seen - uint64(len(other.items)) // Offer counted the items
 }
 
 // prune sorts the buffer and keeps only the k smallest items. Discarded

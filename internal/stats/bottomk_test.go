@@ -80,6 +80,70 @@ func TestBottomKFewerThanK(t *testing.T) {
 	}
 }
 
+// TestBottomKSizes: at every stream length around the prune points, Offer
+// and Merge retain the k smallest (Key, Tie) pairs, and the buffer holds
+// no more than the items it has seen call for: at most max(2n, 8) while
+// n < k, and never more than 2k.
+func TestBottomKSizes(t *testing.T) {
+	const k = 64
+	for _, n := range []int{0, 1, k - 1, k, 2*k - 1, 2 * k, 5 * k} {
+		items := make([]BottomKItem, n)
+		for i := range items {
+			items[i] = BottomKItem{Key: Mix64(uint64(i)), Tie: uint64(i), Vals: [3]float64{float64(i)}}
+		}
+		want := append([]BottomKItem(nil), items...)
+		sortBottomK(want)
+		want = want[:min(n, k)]
+
+		capOK := func(b *BottomK, seen int) bool {
+			if seen < k && cap(b.items) > max(2*seen, 8) {
+				return false
+			}
+			return cap(b.items) <= 2*k
+		}
+		check := func(how string, b *BottomK) {
+			t.Helper()
+			if !capOK(b, n) {
+				t.Errorf("n=%d %s: cap %d", n, how, cap(b.items))
+			}
+			got := b.Items()
+			if len(got) != len(want) || b.Seen() != uint64(n) {
+				t.Fatalf("n=%d %s: retained %d of %d seen, want %d of %d", n, how, len(got), b.Seen(), len(want), n)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d %s: item %d = %+v, want %+v", n, how, i, got[i], want[i])
+				}
+			}
+		}
+
+		offered := NewBottomK(k)
+		for i, it := range items {
+			offered.Offer(it.Key, it.Tie, it.Vals)
+			if !capOK(offered, i+1) {
+				t.Fatalf("n=%d: cap %d after %d offers", n, cap(offered.items), i+1)
+			}
+		}
+		check("Offer", offered)
+
+		// Merge from one unpruned source, and from three shards.
+		src := NewBottomK(k)
+		parts := []*BottomK{NewBottomK(k), NewBottomK(k), NewBottomK(k)}
+		for i, it := range items {
+			src.Offer(it.Key, it.Tie, it.Vals)
+			parts[i%3].Offer(it.Key, it.Tie, it.Vals)
+		}
+		one := NewBottomK(k)
+		one.Merge(src)
+		check("Merge", one)
+		sharded := NewBottomK(k)
+		for _, p := range parts {
+			sharded.Merge(p)
+		}
+		check("sharded Merge", sharded)
+	}
+}
+
 func TestHistBucketIndex(t *testing.T) {
 	h := NewHist(100, 2)
 	cases := []struct {

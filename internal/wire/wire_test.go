@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -194,4 +195,78 @@ func (i iotest) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return i.r.Read(p)
+}
+
+// FuzzReadFrame: a Reader parses bytes a peer controls. Whatever the
+// bytes, reading them yields frames and then io.EOF at a frame boundary
+// or one of the reader's errors, never a panic, and allocates at most
+// MaxFrameSize plus the read-ahead window beyond the input's own size
+// (and 64 KiB for page rounding and small allocations).
+// The frames read, followed by frames cut from the input, written by a
+// Writer (alternating BeginFrame and AppendFrameVec) come back unchanged
+// through a reader fed one byte per Read. The seeds in testdata cover each
+// of the reader's errors, retired and bulk-lane tags, a non-minimal varint
+// and a truncated frame of the largest size.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(bytes.NewReader(data))
+		var err error
+		for err == nil {
+			_, err = r.ReadFrame()
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(MaxFrameSize+readBufSize+len(data)+64<<10); got > limit {
+			t.Fatalf("reading %d bytes allocated %d B, over %d", len(data), got, limit)
+		}
+		if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrFrameTooLarge &&
+			err != errVarintOverflow && !errors.Is(err, ErrBadFrameType) {
+			t.Fatalf("ReadFrame error %v is none of the reader's", err)
+		}
+
+		var frames []Frame
+		r = NewReader(bytes.NewReader(data))
+		for {
+			fr, err := r.ReadFrame()
+			if err != nil {
+				break
+			}
+			frames = append(frames, Frame{fr.Type, fr.StreamID, bytes.Clone(fr.Payload)})
+		}
+		for rest := data; len(rest) >= 3; {
+			n := min(int(rest[2]), len(rest)-3)
+			frames = append(frames, Frame{FrameRequest + rest[0]%maxFrameType, uint64(rest[1]) << (rest[1] % 57), rest[3 : 3+n]})
+			rest = rest[3+n:]
+		}
+		var wire bytes.Buffer
+		fw := NewWriter(&wire)
+		for i := range frames {
+			fr := &frames[i]
+			if i%2 == 0 {
+				err = appendFrame(fw, fr)
+			} else {
+				err = fw.AppendFrameVec(fr.Type, fr.StreamID, fr.Payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r = NewReader(iotest{r: &wire})
+		for i, want := range frames {
+			got, err := r.ReadFrame()
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(frames), err)
+			}
+			if got.Type != want.Type || got.StreamID != want.StreamID || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("frame %d: got %x/%d/%x, want %x/%d/%x", i, got.Type, got.StreamID, got.Payload, want.Type, want.StreamID, want.Payload)
+			}
+		}
+		if _, err := r.ReadFrame(); err != io.EOF {
+			t.Fatalf("after %d frames: %v, want io.EOF", len(frames), err)
+		}
+	})
 }

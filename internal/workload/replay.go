@@ -10,8 +10,8 @@ import (
 
 // Span IDs carry the generation shard that minted them in their top 16
 // bits (shardIDBase), which is how a replay hands each span back to the
-// sink of the shard that produced it (ShardOf). A replay builds one sink
-// per shard index up to the largest it sees, so the index is capped.
+// sink of the shard that produced it (ShardOf). A replay indexes its sinks
+// by shard, so the index is capped.
 const (
 	shardShift = 48
 	maxShards  = 1 << 12
@@ -33,10 +33,10 @@ func ShardOf(id trace.SpanID) int {
 // Replay is the dump-side twin of Run: it folds a JSON-lines span dump
 // (cmd/fleetgen's output) into per-shard sinks and profilers as it reads
 // it, so a dump of any size replays at memory bounded by the sinks' state
-// and its largest trace. factory is called for shards 0, 1, ... in order
-// as the dump first reaches each index (ShardOf); as after Run, the
-// caller merges its sinks in shard-index order, and the returned profile
-// merges the shards' profilers in that order.
+// and its largest trace. factory is called once for each shard index the
+// dump names (ShardOf), when first reached; as after Run, the caller
+// merges its sinks in shard-index order, and the returned profile merges
+// the shards' profilers in that order.
 //
 // Every span goes to its shard's MethodSpan and VolumeSpan (a dump does
 // not tell stratified from volume samples) and to its shard's profiler.
@@ -74,9 +74,9 @@ func ReplaySpans(spans []*trace.Span, factory func(shard int) SpanSink) *gwp.Sna
 
 type replayer struct {
 	factory func(shard int) SpanSink
-	sinks   []SpanSink
-	profs   []*gwp.Profiler
-	group   []*trace.Span // the open trace's spans
+	sinks   []SpanSink      // by shard index; nil where the dump names none
+	profs   []*gwp.Profiler // likewise
+	group   []*trace.Span   // the open trace's spans
 }
 
 func (rp *replayer) span(s *trace.Span) error {
@@ -84,9 +84,13 @@ func (rp *replayer) span(s *trace.Span) error {
 		rp.flush()
 	}
 	sh := ShardOf(s.SpanID)
-	for len(rp.sinks) <= sh {
-		rp.sinks = append(rp.sinks, rp.factory(len(rp.sinks)))
-		rp.profs = append(rp.profs, gwp.New())
+	if sh >= len(rp.sinks) {
+		rp.sinks = append(rp.sinks, make([]SpanSink, sh+1-len(rp.sinks))...)
+		rp.profs = append(rp.profs, make([]*gwp.Profiler, sh+1-len(rp.profs))...)
+	}
+	if rp.sinks[sh] == nil {
+		rp.sinks[sh] = rp.factory(sh)
+		rp.profs[sh] = gwp.New()
 	}
 	rp.sinks[sh].MethodSpan(s)
 	rp.sinks[sh].VolumeSpan(s)
