@@ -65,10 +65,11 @@ func (s *shardSink) TreeSpan(sp *trace.Span) {
 }
 func (s *shardSink) TreeShape(string, int, int) {}
 func (s *shardSink) GraphShape(g workload.GraphStat) {
-	if len(s.tree) > 0 {
-		s.write(s.tree...)
-		s.tree = s.tree[:0]
+	if len(s.tree) == 0 {
+		return // a stratified sample's graph: only its root is in the dump
 	}
+	s.write(s.tree...)
+	s.tree = s.tree[:0]
 	s.fanIn += uint64(g.FanInEdges)
 	for m := 1; m < trace.NumMotifs; m++ {
 		s.motif += uint64(g.Motifs[m])
@@ -76,7 +77,11 @@ func (s *shardSink) GraphShape(g workload.GraphStat) {
 }
 func (s *shardSink) ExoSample(string, *trace.Span, sim.Exo) {}
 
-// dumpTotals is what a generation run wrote.
+// dumpTotals is what a generation run wrote. fanIn and motif count the
+// fan-in edges and motif-tagged nodes of the materialized trees, the only
+// graphs written whole. The dump's other motif-tagged spans are the
+// trees' hedged duplicates, which copy their original's tag but are not
+// graph nodes.
 type dumpTotals struct {
 	spans, roots, fanIn, motif uint64
 }

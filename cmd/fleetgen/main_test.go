@@ -12,8 +12,10 @@ import (
 )
 
 // TestDumpTracesAdjacent: at 8 shards with every motif pack, no trace ID
-// reappears after its group has ended, and every generated span is
-// written exactly once.
+// reappears after its group has ended, every generated span is written
+// exactly once, and the fan-in edges and motif nodes generate reports are
+// the dump's: its linked parents, and its motif-tagged tree spans that
+// are not hedged duplicates.
 func TestDumpTracesAdjacent(t *testing.T) {
 	topo := sim.NewTopology(sim.DefaultTopology())
 	newCat := func() *fleet.Catalog {
@@ -42,12 +44,13 @@ func TestDumpTracesAdjacent(t *testing.T) {
 		t trace.TraceID
 		s trace.SpanID
 	}
-	written := make(map[id]bool)
+	written := make(map[id]trace.Motif)
 	ended := make(map[trace.TraceID]bool)
 	var open trace.TraceID
-	var n uint64
+	var n, linked uint64
 	err = trace.ScanSpans(&dump, func(s *trace.Span) error {
 		n++
+		linked += uint64(len(s.LinkedParents))
 		if n > 1 && s.TraceID != open {
 			ended[open] = true
 		}
@@ -56,10 +59,10 @@ func TestDumpTracesAdjacent(t *testing.T) {
 		}
 		open = s.TraceID
 		k := id{s.TraceID, s.SpanID}
-		if written[k] {
+		if _, dup := written[k]; dup {
 			t.Fatalf("record %d: span %x/%x written twice", n, s.TraceID, s.SpanID)
 		}
-		written[k] = true
+		written[k] = s.Motif
 		return nil
 	})
 	if err != nil {
@@ -67,6 +70,9 @@ func TestDumpTracesAdjacent(t *testing.T) {
 	}
 	if n != tot.spans {
 		t.Fatalf("read %d records, generate reported %d", n, tot.spans)
+	}
+	if linked != tot.fanIn {
+		t.Fatalf("dump holds %d linked parents, generate reported %d fan-in edges", linked, tot.fanIn)
 	}
 
 	cfg.RetainSpans = true
@@ -79,8 +85,19 @@ func TestDumpTracesAdjacent(t *testing.T) {
 		t.Fatalf("wrote %d spans, generated %d", len(written), len(generated))
 	}
 	for _, s := range generated {
-		if !written[id{s.TraceID, s.SpanID}] {
+		if _, ok := written[id{s.TraceID, s.SpanID}]; !ok {
 			t.Fatalf("generated span %x/%x (%s) is not in the dump", s.TraceID, s.SpanID, s.Method)
 		}
+	}
+	// A tree's hedged-cancellation duplicates copy their original's motif
+	// tag but are not nodes of its graph.
+	var treeMotifs uint64
+	for _, s := range ds.TreeSpans {
+		if written[id{s.TraceID, s.SpanID}] != trace.MotifNone && !s.Hedged {
+			treeMotifs++
+		}
+	}
+	if treeMotifs != tot.motif {
+		t.Fatalf("dump holds %d motif-tagged tree spans, generate reported %d motif nodes", treeMotifs, tot.motif)
 	}
 }

@@ -157,15 +157,6 @@ func (m *Method) PickCallee(rng *stats.RNG) *Method {
 	return m.Callees[rng.Intn(len(m.Callees))]
 }
 
-// SampleError draws the outcome of one call. Cancelled is oversampled for
-// hedged calls; the catalog-level error mix is calibrated in catalog.go.
-func (m *Method) SampleError(rng *stats.RNG, errMix *ErrorMix) trace.ErrorCode {
-	if !rng.Bool(m.ErrorRate) {
-		return trace.OK
-	}
-	return errMix.Sample(rng)
-}
-
 // ErrorMix is the fleet-wide distribution of error types (Fig. 23).
 type ErrorMix struct {
 	codes []trace.ErrorCode

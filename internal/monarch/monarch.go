@@ -179,9 +179,6 @@ func NewDB(opts ...Option) *DB {
 // Window returns the alignment grid.
 func (db *DB) Window() time.Duration { return db.window }
 
-// Retention reports the horizon beyond which points are dropped.
-func (db *DB) Retention() time.Duration { return db.retention }
-
 // Declare registers a metric with its kind. Writing an undeclared metric
 // is an error; redeclaring with a different kind is an error.
 func (db *DB) Declare(metric string, kind Kind) error {

@@ -24,15 +24,6 @@ func (m *Moments) Add(x, y float64) {
 	m.covXYSum += dx * (y - m.meanY)
 }
 
-// N returns the number of pairs.
-func (m *Moments) N() uint64 { return m.n }
-
-// MeanX returns the mean of x.
-func (m *Moments) MeanX() float64 { return m.meanX }
-
-// MeanY returns the mean of y.
-func (m *Moments) MeanY() float64 { return m.meanY }
-
 // VarX returns the population variance of x.
 func (m *Moments) VarX() float64 {
 	if m.n == 0 {
@@ -66,18 +57,6 @@ func (m *Moments) Pearson() float64 {
 	}
 	return m.Cov() / (sx * sy)
 }
-
-// Slope returns the least-squares slope of y on x.
-func (m *Moments) Slope() float64 {
-	vx := m.VarX()
-	if vx == 0 {
-		return 0
-	}
-	return m.Cov() / vx
-}
-
-// Intercept returns the least-squares intercept of y on x.
-func (m *Moments) Intercept() float64 { return m.meanY - m.Slope()*m.meanX }
 
 // Pearson computes the correlation of two equal-length slices. It is a
 // convenience over Moments for batch analyses; it returns 0 when the

@@ -119,30 +119,6 @@ func (e Exponential) Quantile(q float64) float64 { return -e.MeanVal * math.Log(
 // Mean returns MeanVal.
 func (e Exponential) Mean() float64 { return e.MeanVal }
 
-// Constant always returns V. Used for fixed protocol overheads.
-type Constant struct{ V float64 }
-
-// Sample returns V.
-func (c Constant) Sample(*RNG) float64 { return c.V }
-
-// Quantile returns V.
-func (c Constant) Quantile(float64) float64 { return c.V }
-
-// Mean returns V.
-func (c Constant) Mean() float64 { return c.V }
-
-// Uniform is uniform over [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample draws a uniform variate.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Quantile returns the q-quantile.
-func (u Uniform) Quantile(q float64) float64 { return u.Lo + (u.Hi-u.Lo)*q }
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // Shifted adds Offset to every draw of Base; used to give components a
 // floor (e.g., a minimum serialization cost per message).
 type Shifted struct {
@@ -158,21 +134,6 @@ func (s Shifted) Quantile(q float64) float64 { return s.Offset + s.Base.Quantile
 
 // Mean shifts the base mean.
 func (s Shifted) Mean() float64 { return s.Offset + s.Base.Mean() }
-
-// Scaled multiplies every draw of Base by Factor.
-type Scaled struct {
-	Base   Dist
-	Factor float64
-}
-
-// Sample draws from Base and scales.
-func (s Scaled) Sample(r *RNG) float64 { return s.Factor * s.Base.Sample(r) }
-
-// Quantile scales the base quantile.
-func (s Scaled) Quantile(q float64) float64 { return s.Factor * s.Base.Quantile(q) }
-
-// Mean scales the base mean.
-func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
 
 // Mixture draws from one of its components with the given weights. RPC
 // methods in the paper are visibly multi-modal (e.g., cache hit vs. miss,
@@ -286,19 +247,6 @@ func distCDF(d Dist, x float64) float64 {
 			return 0
 		}
 		return 1 - math.Exp(-x/t.MeanVal)
-	case Constant:
-		if x >= t.V {
-			return 1
-		}
-		return 0
-	case Uniform:
-		if x <= t.Lo {
-			return 0
-		}
-		if x >= t.Hi {
-			return 1
-		}
-		return (x - t.Lo) / (t.Hi - t.Lo)
 	case Pareto:
 		if x <= t.Min {
 			return 0
@@ -313,8 +261,6 @@ func distCDF(d Dist, x float64) float64 {
 		return 1 - math.Pow(t.Min/x, t.Alpha)
 	case Shifted:
 		return distCDF(t.Base, x-t.Offset)
-	case Scaled:
-		return distCDF(t.Base, x/t.Factor)
 	default:
 		// Numeric inversion: binary search the quantile function.
 		lo, hi := 0.0, 1.0

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// pointMass is a Dist that always returns its value, a fixture for
+// mixture tests.
+type pointMass float64
+
+func (p pointMass) Sample(*RNG) float64      { return float64(p) }
+func (p pointMass) Quantile(float64) float64 { return float64(p) }
+func (p pointMass) Mean() float64            { return float64(p) }
+
 // sampleQuantile estimates a quantile by drawing n samples.
 func sampleQuantile(d Dist, rng *RNG, n int, q float64) float64 {
 	s := NewSample(n)
@@ -76,7 +84,7 @@ func TestParetoUnboundedMean(t *testing.T) {
 	}
 }
 
-func TestExponentialAndConstantAndUniform(t *testing.T) {
+func TestExponential(t *testing.T) {
 	rng := NewRNG(3)
 	e := Exponential{MeanVal: 50}
 	m := 0.0
@@ -91,25 +99,9 @@ func TestExponentialAndConstantAndUniform(t *testing.T) {
 	if got := e.Quantile(0.5); math.Abs(got-50*math.Ln2)/got > 1e-9 {
 		t.Errorf("exp median = %v", got)
 	}
-
-	c := Constant{V: 7}
-	if c.Sample(rng) != 7 || c.Quantile(0.9) != 7 || c.Mean() != 7 {
-		t.Error("constant distribution misbehaved")
-	}
-
-	u := Uniform{Lo: 10, Hi: 20}
-	for i := 0; i < 1000; i++ {
-		v := u.Sample(rng)
-		if v < 10 || v >= 20 {
-			t.Fatalf("uniform sample %v out of range", v)
-		}
-	}
-	if got := u.Quantile(0.5); got != 15 {
-		t.Errorf("uniform median = %v", got)
-	}
 }
 
-func TestShiftedScaled(t *testing.T) {
+func TestShifted(t *testing.T) {
 	base := Exponential{MeanVal: 10}
 	sh := Shifted{Base: base, Offset: 100}
 	if got := sh.Mean(); math.Abs(got-110) > 1e-9 {
@@ -118,16 +110,12 @@ func TestShiftedScaled(t *testing.T) {
 	if got := sh.Quantile(0.5); got <= 100 {
 		t.Errorf("shifted quantile %v <= offset", got)
 	}
-	sc := Scaled{Base: base, Factor: 3}
-	if got := sc.Mean(); math.Abs(got-30) > 1e-9 {
-		t.Errorf("scaled mean = %v", got)
-	}
 }
 
 func TestMixtureSamplingWeights(t *testing.T) {
 	rng := NewRNG(4)
 	m := NewMixture(
-		[]Dist{Constant{V: 1}, Constant{V: 1000}},
+		[]Dist{pointMass(1), pointMass(1000)},
 		[]float64{0.9, 0.1},
 	)
 	small := 0
@@ -177,7 +165,7 @@ func TestMixtureQuantileNumeric(t *testing.T) {
 }
 
 func TestMixtureMean(t *testing.T) {
-	m := NewMixture([]Dist{Constant{V: 10}, Constant{V: 20}}, []float64{1, 3})
+	m := NewMixture([]Dist{pointMass(10), pointMass(20)}, []float64{1, 3})
 	if got := m.Mean(); math.Abs(got-17.5) > 1e-9 {
 		t.Errorf("mixture mean = %v, want 17.5", got)
 	}
@@ -186,9 +174,9 @@ func TestMixtureMean(t *testing.T) {
 func TestMixtureValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewMixture(nil, nil) },
-		func() { NewMixture([]Dist{Constant{V: 1}}, []float64{-1}) },
-		func() { NewMixture([]Dist{Constant{V: 1}}, []float64{0}) },
-		func() { NewMixture([]Dist{Constant{V: 1}}, []float64{1, 2}) },
+		func() { NewMixture([]Dist{pointMass(1)}, []float64{-1}) },
+		func() { NewMixture([]Dist{pointMass(1)}, []float64{0}) },
+		func() { NewMixture([]Dist{pointMass(1)}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -257,9 +245,7 @@ func TestDistQuantileMonotoneProperty(t *testing.T) {
 		LogNormal{Mu: 10, Sigma: 2},
 		Pareto{Min: 64, Alpha: 1.5, Max: 1e9},
 		Exponential{MeanVal: 123},
-		Uniform{Lo: 5, Hi: 50},
 		Shifted{Base: Exponential{MeanVal: 10}, Offset: 3},
-		Scaled{Base: LogNormal{Mu: 1, Sigma: 1}, Factor: 7},
 	}
 	f := func(a, b float64) bool {
 		qa := math.Mod(math.Abs(a), 1)

@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate for the RPC
 // characterization study: deterministic random number generation,
 // log-bucketed histograms, exact-quantile sample sets, heavy-tailed
-// distribution samplers, reservoir sampling, and correlation measures.
+// distribution samplers, bottom-k sketches, and correlation measures.
 //
 // Everything in this package is deliberately deterministic: the fleet
 // simulator must produce identical datasets for identical seeds so that

@@ -9,9 +9,11 @@ import (
 	"time"
 )
 
-// SpanRecord is the stable JSON-lines serialization of a Span, written by
-// cmd/fleetgen and consumed by cmd/tracequery and cmd/rpcanalyze. It is a
-// plain data shape so external tools (jq, pandas) can use dumps directly.
+// SpanRecord is the stable JSON-lines serialization of a Span, one record
+// per line. cmd/fleetgen writes dumps through SpanWriter; every reader
+// (cmd/tracequery, and cmd/rpcanalyze -in through workload.Replay) decodes
+// them one record at a time through ScanSpans. It is a plain data shape so
+// external tools (jq, pandas) can use dumps directly.
 type SpanRecord struct {
 	TraceID  uint64 `json:"trace_id"`
 	SpanID   uint64 `json:"span_id"`
@@ -221,18 +223,4 @@ func ScanSpans(r io.Reader, fn func(*Span) error) error {
 			return err
 		}
 	}
-}
-
-// ReadSpans parses a JSON-lines span stream into memory. Prefer ScanSpans
-// when the spans can be consumed one at a time.
-func ReadSpans(r io.Reader) ([]*Span, error) {
-	var out []*Span
-	err := ScanSpans(r, func(s *Span) error {
-		out = append(out, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

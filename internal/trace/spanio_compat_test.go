@@ -12,7 +12,7 @@ import (
 const oldFormatLine = `{"trace_id":42,"span_id":7,"parent_id":3,"method":"svc/M","service":"svc","client_cluster":"a","server_cluster":"b","start_ns":5400000000000,"components_ns":[1000000,2000000,3000000,4000000,5000000,6000000,7000000,8000000,9000000],"req_bytes":1234,"resp_bytes":567,"cpu_cycles":0.125}`
 
 func TestOldFormatDumpParses(t *testing.T) {
-	spans, err := ReadSpans(strings.NewReader(oldFormatLine + "\n"))
+	spans, err := readSpans(strings.NewReader(oldFormatLine + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestUnknownTierMotifFallBack(t *testing.T) {
 	// still load, falling back to the zero values.
 	line := strings.Replace(oldFormatLine, `"method"`,
 		`"tier":"quantum","motif":"timewarp","method"`, 1)
-	spans, err := ReadSpans(strings.NewReader(line + "\n"))
+	spans, err := readSpans(strings.NewReader(line + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestReadSpansOversizedRecord(t *testing.T) {
 	if buf.Len() < 2<<20 {
 		t.Fatalf("record only %d bytes; test needs > 1 MiB", buf.Len())
 	}
-	got, err := ReadSpans(&buf)
+	got, err := readSpans(&buf)
 	if err != nil {
 		t.Fatalf("oversized record: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestSpanWriterRoundTrip(t *testing.T) {
 	if w.Count() != 2 {
 		t.Fatalf("count = %d", w.Count())
 	}
-	got, err := ReadSpans(&buf)
+	got, err := readSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

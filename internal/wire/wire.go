@@ -196,6 +196,10 @@ func (fr *Reader) ReadFrame() (*Frame, error) {
 		// Whole payload already buffered: return it in place, no copy.
 		payload = fr.buf[fr.pos : fr.pos+n]
 		fr.pos += n
+	} else if n > readBufSize {
+		if payload, err = fr.readLarge(n); err != nil {
+			return nil, err
+		}
 	} else {
 		if cap(fr.scratch) < n {
 			fr.scratch = make([]byte, n)
@@ -209,6 +213,28 @@ func (fr *Reader) ReadFrame() (*Frame, error) {
 	}
 	fr.frame = Frame{Type: t, StreamID: stream, Payload: payload}
 	return &fr.frame, nil
+}
+
+// readLarge assembles a payload longer than the read-ahead window in the
+// scratch buffer, which grows only as the payload arrives: a full buffer
+// is replaced by one twice its size (at least one window, at most n). A
+// header that declares more than its peer sends thus costs in proportion
+// to what was sent, not the declared length.
+func (fr *Reader) readLarge(n int) ([]byte, error) {
+	p := append(fr.scratch[:0], fr.buf[fr.pos:fr.end]...)
+	fr.pos = fr.end
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = append(make([]byte, 0, min(n, max(2*cap(p), readBufSize))), p...)
+		}
+		m, err := io.ReadFull(fr.r, p[len(p):min(n, cap(p))])
+		p = p[:len(p)+m]
+		if err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	fr.scratch = p
+	return p, nil
 }
 
 func unexpectedEOF(err error) error {

@@ -145,6 +145,24 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
+// TestReadFrameAllocatesWhatArrives: a header that declares MaxFrameSize
+// and is followed by EOF costs about one read-ahead window, not the
+// declared 64 MiB.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hdr := AppendUvarint(AppendUvarint([]byte{FrameRequest}, 1), MaxFrameSize)
+	r := NewReader(bytes.NewReader(hdr))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a bare MaxFrameSize header allocated %d B, want < 1 MiB", got)
+	}
+}
+
 func TestReaderPayloadReuse(t *testing.T) {
 	var buf bytes.Buffer
 	_ = writeFrame(&buf, &Frame{Type: FrameRequest, StreamID: 1, Payload: []byte("first")})
@@ -199,9 +217,11 @@ func (i iotest) Read(p []byte) (int, error) {
 
 // FuzzReadFrame: a Reader parses bytes a peer controls. Whatever the
 // bytes, reading them yields frames and then io.EOF at a frame boundary
-// or one of the reader's errors, never a panic, and allocates at most
-// MaxFrameSize plus the read-ahead window beyond the input's own size
-// (and 64 KiB for page rounding and small allocations).
+// or one of the reader's errors, never a panic, and allocates in
+// proportion to the input, however large its headers claim frames are:
+// at most six times its size plus three read-ahead windows (the reader's
+// own, a small frame's scratch and a large frame's first growth step) and
+// 64 KiB for page rounding and small allocations.
 // The frames read, followed by frames cut from the input, written by a
 // Writer (alternating BeginFrame and AppendFrameVec) come back unchanged
 // through a reader fed one byte per Read. The seeds in testdata cover each
@@ -217,7 +237,7 @@ func FuzzReadFrame(f *testing.F) {
 			_, err = r.ReadFrame()
 		}
 		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(MaxFrameSize+readBufSize+len(data)+64<<10); got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*len(data)+3*readBufSize+64<<10); got > limit {
 			t.Fatalf("reading %d bytes allocated %d B, over %d", len(data), got, limit)
 		}
 		if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrFrameTooLarge &&
