@@ -8,13 +8,7 @@
 //
 //	rpcbench [-n N] [-payload BYTES] [-conc N] [-compress] [-apptime D]
 //	         [-sample N] [-errorrate F] [-full]
-//	rpcbench -sweep [-conc N] [-streams N]
 //	rpcbench -chaos [-seed N] [-budget] [-n N] [-conc N] [-payload BYTES]
-//
-// Sweep mode drives payload sizes from 128 B to 1 MiB through the unary
-// envelope lane, the zero-copy bulk lane, and (with -streams > 0) credit-
-// windowed streams, printing a throughput-vs-payload table in the style
-// of the paper's size figures.
 //
 // Chaos mode replaces the throughput bench with a deterministic
 // fault-injection scenario: a seeded fault schedule (rejects, drops,
@@ -62,21 +56,11 @@ func main() {
 		chaos     = flag.Bool("chaos", false, "run the deterministic fault-injection scenario instead")
 		seed      = flag.Uint64("seed", 42, "fault-schedule / -errorrate injection seed")
 		budget    = flag.Bool("budget", false, "chaos: cap retry amplification with a retry budget")
-		sweep     = flag.Bool("sweep", false, "run the payload sweep (128 B … 1 MiB) across unary/bulk/stream lanes instead")
-		streams   = flag.Int("streams", 4, "sweep: concurrent streams per payload size (0 disables the stream lane)")
 	)
 	flag.Parse()
 	if *conc < 1 {
 		fmt.Fprintln(os.Stderr, "rpcbench: -conc must be at least 1")
 		os.Exit(2)
-	}
-
-	if *sweep {
-		if err := runSweep(sweepConfig{Conc: *conc, Streams: *streams}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *chaos {

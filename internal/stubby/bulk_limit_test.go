@@ -4,12 +4,14 @@ package stubby
 // for both ends against a peer that lies: neither the size an envelope
 // declares nor the bytes its chunks add up to may cost the receiver more
 // than wire.MaxFrameSize of memory, an oversize transfer ends that one call
-// coded, and the connection carries on.
+// coded, and the connection carries on. A declared size reserves at most
+// maxBulkHint before bytes back it.
 
 import (
 	"bytes"
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +90,13 @@ func (p *rawPeer) respond(id uint64, resp *response) error {
 	return p.tr.send(wire.FrameResponse, id, appendResponse(nil, resp))
 }
 
+// Request tags a peer of an older layout may still send: a stream open's
+// credit window and a bulk request's declared size. Both are skipped.
+const (
+	retiredReqWindow   = 11
+	retiredReqBulkSize = 12
+)
+
 // serveResponses plays a server: "bulk/Get" is answered with the transfer
 // under test, anything else is echoed.
 func (p *rawPeer) serveResponses(declared uint64, chunks [][]byte) {
@@ -132,12 +141,14 @@ func TestBulkSizeRuleBothEnds(t *testing.T) {
 		declared uint64
 		chunks   [][]byte
 		over     bool
+		maxAlloc uint64 // bound on the client's allocation for the call; 0 = none
 	}{
-		// At the parent the client sized its buffer from this number and the
-		// process died of it: fatal error: runtime: out of memory.
-		{"declares 32 TiB, sends 16 B", 1 << 45, [][]byte{[]byte("12345678"), []byte("abcdefgh")}, false},
+		// Once the client sized its buffer from this number and the process
+		// died of it: fatal error: runtime: out of memory. Capped at
+		// wire.MaxFrameSize, it still cost 64 MiB for 16 B.
+		{"declares 32 TiB, sends 16 B", 1 << 45, [][]byte{[]byte("12345678"), []byte("abcdefgh")}, false, 2 << 20},
 		// One more chunk after the one that overflows: it must be dropped.
-		{"declares 1 KiB, sends 68 MiB", 1 << 10, append(past, []byte("tail")), true},
+		{"declares 1 KiB, sends 68 MiB", 1 << 10, append(past, []byte("tail")), true, 0},
 	}
 	for _, tc := range cases {
 		want := bytes.Join(tc.chunks, nil)
@@ -165,7 +176,13 @@ func TestBulkSizeRuleBothEnds(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			out, err := ch.Call(ctx, "bulk/Get", []byte("x"))
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; tc.maxAlloc != 0 && alloc >= tc.maxAlloc {
+				t.Errorf("the call allocated %d B for a %d B reply, want < %d", alloc, len(want), tc.maxAlloc)
+			}
 			if tc.over {
 				if Code(err) != trace.Internal || !strings.Contains(err.Error(), "bulk response exceeds maximum size") {
 					t.Fatalf("oversize response: got %d bytes, err %v", len(out), err)
@@ -201,7 +218,10 @@ func TestBulkSizeRuleBothEnds(t *testing.T) {
 			}
 			defer nc.Close()
 			peer := newRawPeer(t, nc, "c2s", "s2c")
-			env := appendRequest(nil, &request{Method: "svc/Echo", BulkSize: tc.declared, Deadline: time.Minute})
+			// The server sizes a request by its chunks alone; a size declared
+			// under the retired tag is skipped.
+			env := appendRequest(nil, &request{Method: "svc/Echo", Deadline: time.Minute})
+			env = appendUintField(env, retiredReqBulkSize, tc.declared)
 			if err := peer.transfer(wire.FrameBulkRequest, 1, env, tc.chunks); err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +273,29 @@ func (p *rawPeer) awaitStreamEnd(id, stop uint64) trace.ErrorCode {
 	}
 }
 
-// A stream's receiver holds no more than the window it granted. A peer
-// that fills the window exactly keeps its stream; one more byte without
-// credit ends that stream with an InvalidArgument reset and returns its
-// buffers, and the connection carries on.
+// A stream's receiver holds no more than the window it granted, which is
+// the protocol's and not the peer's to choose. A peer that fills the window
+// exactly keeps its stream; one more byte without credit ends that stream
+// with an InvalidArgument reset and returns its buffers, and the connection
+// carries on — also when the open declares a larger window under the
+// retired tag.
 func TestStreamReceiverHoldsItsWindow(t *testing.T) {
+	cases := []struct {
+		name     string
+		declared uint64 // window the open declares; 0 = none
+	}{
+		{"declares none", 0},
+		// A server that adopted this window queued the 4 MiB flood below
+		// and answered the echo first; a client that declared it could
+		// park 32 MiB on a stream whose handler never reads.
+		{"declares 64 MiB", 64 << 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { holdsWindow(t, tc.declared) })
+	}
+}
+
+func holdsWindow(t *testing.T, declared uint64) {
 	leakcheck.Check(t)
 	outstanding := poolBalance()
 	srv := NewServer(Options{})
@@ -289,7 +327,10 @@ func TestStreamReceiverHoldsItsWindow(t *testing.T) {
 	}
 
 	const window = 256 << 10
-	open := appendRequest(nil, &request{Method: "svc/Sink", Window: window, Deadline: time.Minute})
+	open := appendRequest(nil, &request{Method: "svc/Sink", Deadline: time.Minute})
+	if declared != 0 {
+		open = appendUintField(open, retiredReqWindow, declared)
+	}
 	if err := peer.tr.send(wire.FrameStreamOpen, 1, open); err != nil {
 		t.Fatal(err)
 	}

@@ -97,34 +97,14 @@ func TestBulkUnaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBulkLaneCallOptions exercises WithBulkLane: forcing small payloads
-// onto the lane and keeping large ones off it must both round-trip.
-func TestBulkLaneCallOptions(t *testing.T) {
-	ch := echoSetup(t, Options{Workers: 4})
-	small, large := patternPayload(256), patternPayload(64<<10)
-	cases := []struct {
-		name    string
-		payload []byte
-		opts    []CallOption
-	}{
-		{"force-on-small", small, []CallOption{WithBulkLane(true)}},
-		{"force-off-large", large, []CallOption{WithBulkLane(false)}},
-	}
-	for _, tc := range cases {
-		got, err := ch.Call(context.Background(), "bulk/Echo", tc.payload, tc.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !bytes.Equal(got, tc.payload) {
-			t.Fatalf("%s: echo mismatch", tc.name)
-		}
-	}
-
-	// A retry carries the call's options. The client-scope fault plane
-	// rejects the first attempt before it seals anything; the second must
-	// still take the bulk lane: an envelope and a chunk, two seals, where
-	// the inline envelope is one.
+// TestBulkLaneRetry: a retried attempt takes the lane its payload's size
+// picks, as the first did. The client-scope fault plane rejects the first
+// attempt before it seals anything; the second must still take the bulk
+// lane: an envelope and a chunk, two seals, where the inline envelope is
+// one.
+func TestBulkLaneRetry(t *testing.T) {
 	const method = "bulk/Echo"
+	payload := patternPayload(bulkThreshold)
 	mkInjector := func(seed uint64) *faultplane.Injector {
 		return faultplane.New(faultplane.Config{
 			Seed:  seed,
@@ -152,8 +132,8 @@ func TestBulkLaneCallOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer retried.Close()
-	got, err := retried.Call(ContextWithCallID(context.Background(), 0), method, small, WithBulkLane(true))
-	if err != nil || !bytes.Equal(got, small) {
+	got, err := retried.Call(ContextWithCallID(context.Background(), 0), method, payload)
+	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("retried call: %v", err)
 	}
 	if n := seals.Seals.Load(); n != 2 {
@@ -207,11 +187,11 @@ func TestOpenStreamBidi(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure verifies credit flow control end to end: with a
-// 4 KiB window and 1 KiB messages, a sender facing a sleeping reader must
-// stall near 4 messages in, then resume as Recv grants credit back.
+// TestStreamBackpressure verifies credit flow control end to end: with the
+// 256 KiB window and 16 KiB messages, a sender facing a sleeping reader
+// must stall near 16 messages in, then resume as Recv grants credit back.
 func TestStreamBackpressure(t *testing.T) {
-	const total, msgSize, window = 64, 1024, 4096
+	const total, msgSize, window = 64, streamWindow / 16, streamWindow
 	var sent atomic.Int64
 	ch := bidiSetup(t, Options{Workers: 4}, "svc/Firehose", func(ctx context.Context, st *Stream) error {
 		msg := patternPayload(msgSize)
@@ -223,7 +203,7 @@ func TestStreamBackpressure(t *testing.T) {
 		}
 		return nil
 	})
-	st, err := ch.OpenStream(context.Background(), "svc/Firehose", WithStreamWindow(window))
+	st, err := ch.OpenStream(context.Background(), "svc/Firehose")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +235,13 @@ func TestStreamBackpressure(t *testing.T) {
 }
 
 // TestStreamNoHeadOfLineBlocking runs a stalled stream and a live stream
-// on one connection: the stalled stream's unconsumed window must not
-// delay the live stream's round trips.
+// on one connection: the stalled stream's unconsumed window (four of its
+// messages) must not delay the live stream's round trips.
 func TestStreamNoHeadOfLineBlocking(t *testing.T) {
 	var stalledSent atomic.Int64
 	srv := NewServer(Options{Workers: 4})
 	srv.RegisterBidi("svc/Stalled", func(ctx context.Context, st *Stream) error {
-		msg := patternPayload(1024)
+		msg := patternPayload(streamWindow / 4)
 		for {
 			if err := st.Send(msg); err != nil {
 				return nil // reset by the client at test end
@@ -297,7 +277,7 @@ func TestStreamNoHeadOfLineBlocking(t *testing.T) {
 		srv.Close()
 	})
 
-	stalled, err := ch.OpenStream(context.Background(), "svc/Stalled", WithStreamWindow(4096))
+	stalled, err := ch.OpenStream(context.Background(), "svc/Stalled")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,18 +327,21 @@ func TestStreamMessageExceedsWindow(t *testing.T) {
 			}
 		}
 	})
-	st, err := ch.OpenStream(context.Background(), "svc/Sink", WithStreamWindow(1024))
+	st, err := ch.OpenStream(context.Background(), "svc/Sink")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	err = st.Send(patternPayload(2048))
+	err = st.Send(patternPayload(streamWindow + 1))
 	if Code(err) != trace.InvalidArgument {
 		t.Fatalf("oversized send: got %v, want InvalidArgument", err)
 	}
-	// The stream itself stays usable for conforming messages.
-	if err := st.Send(patternPayload(512)); err != nil {
-		t.Fatalf("conforming send after oversized: %v", err)
+	// The stream itself stays usable for conforming messages, up to a
+	// whole window.
+	for _, n := range []int{512, streamWindow} {
+		if err := st.Send(patternPayload(n)); err != nil {
+			t.Fatalf("conforming %d-byte send after oversized: %v", n, err)
+		}
 	}
 }
 
@@ -413,7 +396,7 @@ func TestStreamCloseReturnsPooledBuffers(t *testing.T) {
 	gets0, puts0 := wire.PoolCounters()
 	base := gets0 - puts0
 	for i := 0; i < streams; i++ {
-		st, err := ch.OpenStream(context.Background(), "svc/Spray", WithStreamWindow(16<<10))
+		st, err := ch.OpenStream(context.Background(), "svc/Spray")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,14 +490,14 @@ func TestChunkFrameTruncation(t *testing.T) {
 // and malformed resets still terminate with a usable status.
 func TestStreamControlParserRobustness(t *testing.T) {
 	for _, grant := range [][]byte{nil, {}, {0x80}, {0x80, 0x80, 0x80}, {0x00}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}} {
-		st := newStream(nil, &streamTable{}, 1, 64)
+		st := newStream(nil, &streamTable{}, 1)
 		st.grantFromPeer(grant)
-		if err := st.sendWin.take(64, context.Background()); err != nil {
+		if err := st.sendWin.take(streamWindow, context.Background()); err != nil {
 			t.Fatalf("grant %x corrupted the window: %v", grant, err)
 		}
 	}
 	for _, reset := range [][]byte{nil, {}, {0x80}, {0x05}, append([]byte{0x07}, "boom"...), bytes.Repeat([]byte{0xAA}, 64)} {
-		st := newStream(nil, &streamTable{}, 1, 64)
+		st := newStream(nil, &streamTable{}, 1)
 		st.resetFromPeer(reset)
 		_, err := st.Recv()
 		if err == nil || err == io.EOF {
@@ -534,7 +517,7 @@ func FuzzStreamControlParsers(f *testing.F) {
 	f.Add([]byte{}, []byte{}, byte(0xFF), []byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF}, []byte{0x00}, byte(chunkStatus|chunkEndMsg), bytes.Repeat([]byte{1}, 300))
 	f.Fuzz(func(t *testing.T, reset, grant []byte, flags byte, chunk []byte) {
-		st := newStream(nil, &streamTable{}, 1, 1<<20)
+		st := newStream(nil, &streamTable{}, 1)
 		st.grantFromPeer(grant)
 		data := append(wire.GetBuf(len(chunk)), chunk...)
 		st.deliverChunk(flags, data)

@@ -132,22 +132,18 @@ func NewChannel(nc net.Conn, serverCluster string, opts Options) (*Channel, erro
 // cancellation, or the deadline. The channel applies its own policy around
 // the attempts: with Options.Breaker an open circuit fails the call fast
 // with ErrCircuitOpen, spending no attempt, and the breaker records the
-// call's one outcome; with Options.Retry transient failures are retried,
-// every attempt under the same per-call options. CallHedged bypasses both.
-func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
+// call's one outcome; with Options.Retry transient failures are retried.
+// CallHedged bypasses both.
+func (c *Channel) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	if c.breaker != nil && !c.breaker.allow(method) {
 		return nil, ErrCircuitOpen
-	}
-	var co *callOpts
-	if len(opts) > 0 {
-		co = resolveCallOpts(opts)
 	}
 	var out []byte
 	var err error
 	if c.opts.Retry != nil {
-		out, err = c.callRetried(ctx, method, payload, co)
+		out, err = c.callRetried(ctx, method, payload)
 	} else {
-		out, err = c.call(ctx, method, payload, co, 0)
+		out, err = c.call(ctx, method, payload, 0)
 	}
 	if c.breaker != nil {
 		c.breaker.record(method, err)
@@ -159,12 +155,12 @@ func (c *Channel) Call(ctx context.Context, method string, payload []byte, opts 
 // Options.Breaker was set.
 func (c *Channel) Breaker() *Breaker { return c.breaker }
 
-// call makes one attempt of a unary call. co holds the per-call options
-// (nil: none). attempt identifies the attempt for the fault plane and
-// server-side retry accounting, together with the driver-assigned call ID
-// (if any): the retry attempt number, with hedgeAttemptBit set on a hedged
-// leg so it draws independent fault decisions.
-func (c *Channel) call(ctx context.Context, method string, payload []byte, co *callOpts, attempt uint32) ([]byte, error) {
+// call makes one attempt of a unary call. attempt identifies the attempt
+// for the fault plane and server-side retry accounting, together with the
+// driver-assigned call ID (if any): the retry attempt number, with
+// hedgeAttemptBit set on a hedged leg so it draws independent fault
+// decisions.
+func (c *Channel) call(ctx context.Context, method string, payload []byte, attempt uint32) ([]byte, error) {
 	tc, parentSpan := childTrace(ctx)
 	hedged := attempt&hedgeAttemptBit != 0
 	callID, haveID := CallIDFromContext(ctx)
@@ -223,7 +219,7 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, co *c
 			Attempt:    attempt,
 		},
 		dropped:    dec.Drop,
-		bulk:       useBulkLane(co, len(payload)),
+		bulk:       len(payload) >= bulkThreshold,
 		enqueuedNs: c.sinceEpoch(),
 		resultCh:   make(chan *callResult, 1),
 	}
@@ -525,7 +521,6 @@ func (c *Channel) prepareCall(call *clientCall) {
 		}
 		call.bulkPayload = req.Payload
 		req.Payload = nil
-		req.BulkSize = uint64(len(call.bulkPayload))
 		env := appendRequest(wire.GetBuf(len(req.Method)+envelopeOverhead), req)
 		c.turn.add(call, env, len(env)+len(call.bulkPayload))
 		return
@@ -630,7 +625,7 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		case b.resp.BulkSize == 0:
 			c.deliverBulk(m.streamID, b)
 		default:
-			b.hint = int(min(b.resp.BulkSize, wire.MaxFrameSize))
+			b.hint = int(min(b.resp.BulkSize, maxBulkHint))
 			c.beginBulk(m.streamID, b)
 		}
 	case wire.FrameStreamChunk:

@@ -105,9 +105,9 @@ func (c *conn[T]) compress(payload []byte) ([]byte, bool) {
 }
 
 // zbufKeep is the largest scratch buffer a connection holds on to between
-// compressions: past the default bulk threshold, which is as large as an
-// inline payload gets unless the bulk lane is off.
-const zbufKeep = 2 * defaultBulkThreshold
+// compressions: past the bulk threshold, which is as large as an inline
+// payload gets.
+const zbufKeep = 2 * bulkThreshold
 
 // sendBatchBytes bounds how many marshalled bytes one pass of the drain
 // loop accumulates before flushing, in the style of gRPC's loopyWriter:
@@ -182,6 +182,11 @@ func (c *conn[T]) recvLoop(dispatch func(recvMsg) bool) error {
 	}
 }
 
+// maxBulkHint caps the assembly buffer a declared bulk size reserves
+// before the chunks arrive: a size is only a peer's word, so past a few
+// chunks the buffer grows by append as bytes back it.
+const maxBulkHint = 16 * bulkChunkSize
+
 // bulkAsm is one inbound bulk-lane transfer: the envelope that announced
 // it and the payload collected from the chunk frames that follow on the
 // same stream ID.
@@ -194,7 +199,7 @@ type bulkAsm struct {
 	at   time.Time
 	resp response
 	// hint is the payload size the envelope declared, capped at
-	// wire.MaxFrameSize; 0 when not known before the chunks arrive.
+	// maxBulkHint; 0 when not known before the chunks arrive.
 	hint int
 	//rpclint:owns pooled payload assembly; released by release, or handed
 	// on by whoever chunk returned the finished transfer to

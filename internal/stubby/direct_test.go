@@ -282,7 +282,7 @@ func TestMixedSizesCompressedPoolBalanced(t *testing.T) {
 					errs <- fmt.Errorf("caller %d call %d (%d B): got %d B, err %v", c, i, len(req), len(out), err)
 					return
 				}
-				if len(out) >= defaultBulkThreshold {
+				if len(out) >= bulkThreshold {
 					FreeResponse(out) // a bulk-lane reply is a pooled buffer
 				}
 			}

@@ -34,7 +34,7 @@ func callHedged(ctx context.Context, primary, secondary *Channel, method string,
 	results := make(chan result, 2)
 
 	go func() {
-		out, err := primary.call(primCtx, method, payload, nil, 0)
+		out, err := primary.call(primCtx, method, payload, 0)
 		results <- result{out, err}
 	}()
 
@@ -48,7 +48,7 @@ func callHedged(ctx context.Context, primary, secondary *Channel, method string,
 		var hctx context.Context
 		hctx, hedgeCancel = context.WithCancel(ctx)
 		go func() {
-			out, err := secondary.call(hctx, method, payload, nil, hedgeAttemptBit)
+			out, err := secondary.call(hctx, method, payload, hedgeAttemptBit)
 			results <- result{out, err}
 		}()
 	}

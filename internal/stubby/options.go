@@ -122,17 +122,18 @@ const queueLen = 1024
 // defaultDeadline applies to calls and streams whose context has none.
 const defaultDeadline = 30 * time.Second
 
-// defaultStreamWindow is the initial per-direction credit window of every
-// stream, in bytes, unless WithStreamWindow sets another: the peer may
-// have at most this many unconsumed payload bytes in flight per stream,
-// and a single stream message may not exceed it. Large enough that a
-// steady stream of the fleet's P99-sized messages keeps the pipe full,
-// small enough to bound per-stream receiver memory.
-const defaultStreamWindow = 256 << 10
+// streamWindow is the per-direction credit window of every stream, in
+// bytes, a constant of the protocol both ends use: the peer may have at
+// most this many unconsumed payload bytes in flight per stream, and a
+// single stream message may not exceed it. The receiver alone decides it;
+// nothing on the wire can change it. Large enough that a steady stream of
+// the fleet's P99-sized messages keeps the pipe full, small enough to
+// bound per-stream receiver memory.
+const streamWindow = 256 << 10
 
-// defaultBulkThreshold is the payload size at which unary requests and
+// bulkThreshold is the payload size at which unary requests and
 // responses switch to the zero-copy bulk lane (chunked, scatter-gather
-// writes, no compression); WithBulkLane overrides it per call. 16 KiB
-// sits just above the fleet's P99 request (Fig. 6): the envelope path
-// keeps the common case, the bulk lane takes the tail.
-const defaultBulkThreshold = 16 << 10
+// writes, no compression); each end picks its own message's lane by size
+// alone. 16 KiB sits just above the fleet's P99 request (Fig. 6): the
+// envelope path keeps the common case, the bulk lane takes the tail.
+const bulkThreshold = 16 << 10

@@ -147,13 +147,13 @@ func (p *Pool) Load() int {
 // reply over a live channel (a shed call, an open breaker, an injected
 // fault) is the call's answer: the connection carries other calls the
 // server has accepted.
-func (p *Pool) Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error) {
+func (p *Pool) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		ch, err := p.pick(p.next.Add(1))
 		if err != nil {
 			return nil, err
 		}
-		out, err := ch.Call(ctx, method, payload, opts...)
+		out, err := ch.Call(ctx, method, payload)
 		if err == nil || attempt == 1 || Code(err) != trace.Unavailable || !ch.dead() {
 			return out, err
 		}
@@ -178,12 +178,12 @@ func (p *Pool) CallHedged(ctx context.Context, method string, payload []byte, he
 
 // OpenStream opens a stream on the next pool member, so a pool spreads its
 // streams across its connections the way Call spreads calls.
-func (p *Pool) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
+func (p *Pool) OpenStream(ctx context.Context, method string) (*Stream, error) {
 	ch, err := p.pick(p.next.Add(1))
 	if err != nil {
 		return nil, err
 	}
-	return ch.OpenStream(ctx, method, opts...)
+	return ch.OpenStream(ctx, method)
 }
 
 // Close shuts down every member.

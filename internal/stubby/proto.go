@@ -15,7 +15,11 @@ import (
 // stack's own "protos": the request and response envelopes that carry
 // user payloads plus tracing and instrumentation metadata.
 
-// Request envelope field numbers.
+// Request envelope field numbers. Tags 11 and 12, once a stream-open's
+// credit window and a bulk request's declared size, stay unassigned: the
+// window is a protocol constant and the server sizes a bulk request by the
+// bytes that arrive, so a peer that still sends either is skipped as an
+// unknown field.
 const (
 	reqMethod     = 1
 	reqTraceID    = 2
@@ -27,8 +31,6 @@ const (
 	reqHedged     = 8
 	reqCallSeq    = 9
 	reqAttempt    = 10
-	reqWindow     = 11
-	reqBulkSize   = 12
 )
 
 // Response envelope field numbers. Tag 10, once a server-stream "more"
@@ -59,8 +61,6 @@ var requestDesc = codec.MustDescriptor("stubby.Request",
 	codec.Field{Number: reqHedged, Name: "hedged", Type: codec.TypeBool},
 	codec.Field{Number: reqCallSeq, Name: "call_seq", Type: codec.TypeUint64},
 	codec.Field{Number: reqAttempt, Name: "attempt", Type: codec.TypeUint64},
-	codec.Field{Number: reqWindow, Name: "stream_window", Type: codec.TypeUint64},
-	codec.Field{Number: reqBulkSize, Name: "bulk_size", Type: codec.TypeUint64},
 )
 
 var responseDesc = codec.MustDescriptor("stubby.Response",
@@ -95,12 +95,6 @@ type request struct {
 	// decisions and let servers account retry amplification.
 	CallSeq uint64
 	Attempt uint32
-	// Window, on a stream-open envelope, is the initial per-direction
-	// credit window in bytes (see DESIGN.md §12).
-	Window uint64
-	// BulkSize, on a bulk-request envelope, is the total payload size that
-	// follows as stream chunks; the envelope itself carries no payload.
-	BulkSize uint64
 }
 
 // marshalReference encodes r through the generic codec layer. It is the
@@ -130,12 +124,6 @@ func (r *request) marshalReference() ([]byte, error) {
 	}
 	if r.Attempt != 0 {
 		m.Set(reqAttempt, uint64(r.Attempt))
-	}
-	if r.Window != 0 {
-		m.Set(reqWindow, r.Window)
-	}
-	if r.BulkSize != 0 {
-		m.Set(reqBulkSize, r.BulkSize)
 	}
 	return codec.Marshal(m)
 }
@@ -201,12 +189,6 @@ func appendRequest(dst []byte, r *request) []byte {
 	if r.Attempt != 0 {
 		dst = appendUintField(dst, reqAttempt, uint64(r.Attempt))
 	}
-	if r.Window != 0 {
-		dst = appendUintField(dst, reqWindow, r.Window)
-	}
-	if r.BulkSize != 0 {
-		dst = appendUintField(dst, reqBulkSize, r.BulkSize)
-	}
 	return dst
 }
 
@@ -261,10 +243,6 @@ func parseRequestInto(r *request, buf []byte, intern func([]byte) string) error 
 					return errFieldRange
 				}
 				r.Attempt = uint32(x)
-			case reqWindow:
-				r.Window = x
-			case reqBulkSize:
-				r.BulkSize = x
 			}
 		case 2: // length-delimited
 			length, n := wire.Uvarint(buf)

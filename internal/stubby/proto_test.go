@@ -189,6 +189,8 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add(appendUintField(nil, reqDeadlineNs, math.MaxUint64)) // a negative time.Duration
 	// Out of range, then repeated in range: the reference keeps the last.
 	f.Add(appendUintField(appendUintField(nil, reqAttempt, 1<<32), reqAttempt, 48))
+	// The retired window and bulk-size tags, skipped as unknown.
+	f.Add(appendUintField(appendUintField(nil, retiredReqWindow, 64<<20), retiredReqBulkSize, 1<<45))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var got request
 		err := parseRequestInto(&got, b, nil)
@@ -204,8 +206,6 @@ func FuzzParseRequest(f *testing.F) {
 				Hedged:     ref.GetBool(reqHedged),
 				CallSeq:    ref.GetUint64(reqCallSeq),
 				Attempt:    uint32(ref.GetUint64(reqAttempt)),
-				Window:     ref.GetUint64(reqWindow),
-				BulkSize:   ref.GetUint64(reqBulkSize),
 			}
 			outOfRange := ref.GetUint64(reqAttempt) > math.MaxUint32
 			switch {

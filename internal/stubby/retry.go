@@ -53,7 +53,7 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 // callRetried runs the Options.Retry loop around c.call. Each attempt's
 // number keys the fault plane's per-attempt decisions; each outcome feeds
 // the budget when one is configured.
-func (c *Channel) callRetried(ctx context.Context, method string, payload []byte, co *callOpts) ([]byte, error) {
+func (c *Channel) callRetried(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	policy, obs := c.opts.Retry, c.opts.Observer
 	var lastErr error
 	backoff := policy.BaseBackoff
@@ -67,7 +67,7 @@ func (c *Channel) callRetried(ctx context.Context, method string, payload []byte
 			}
 			backoff = nextBackoff(backoff, policy.MaxBackoff)
 		}
-		out, err := c.call(ctx, method, payload, co, uint32(attempt))
+		out, err := c.call(ctx, method, payload, uint32(attempt))
 		if policy.Budget != nil {
 			policy.Budget.onOutcome(err != nil)
 		}

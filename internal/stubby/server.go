@@ -345,9 +345,10 @@ func (s *Server) closing() bool {
 }
 
 // acceptStream decodes a stream-open envelope and registers the stream
-// eagerly, with the window the client declared in both directions — chunks
-// may arrive before a worker picks the open up, and the stream must exist,
-// and know how much it may buffer, to receive them. The envelope carries
+// eagerly — chunks may arrive before a worker picks the open up, and the
+// stream must exist to receive them. Its window in both directions is the
+// protocol's streamWindow: nothing the peer declares sizes what it may
+// make this end buffer. The envelope carries
 // no payload, so the decode on the read loop is cheap. False means the
 // connection has failed.
 func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool {
@@ -365,11 +366,7 @@ func (s *Server) acceptStream(sc *serverConn, streamID uint64, env []byte) bool 
 		_ = sc.tr.sendReset(streamID, &Status{Code: trace.Internal, Message: "stream open: " + err.Error()})
 		return true
 	}
-	win := int64(req.Window)
-	if win <= 0 {
-		win = defaultStreamWindow
-	}
-	st := newStream(sc.tr, &sc.streams, streamID, win)
+	st := newStream(sc.tr, &sc.streams, streamID)
 	if !sc.streams.add(streamID, st) {
 		return false
 	}
@@ -639,7 +636,7 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	}
 	procStart := time.Now()
 	resp := &sr.resp
-	if len(resp.Payload) >= defaultBulkThreshold && len(resp.Payload) <= wire.MaxFrameSize {
+	if len(resp.Payload) >= bulkThreshold && len(resp.Payload) <= wire.MaxFrameSize {
 		sr.bulk = true
 		sr.bulkOut = resp.Payload
 		resp.BulkSize = uint64(len(resp.Payload))
@@ -662,8 +659,8 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	resp.Timings.Elapsed = time.Since(sr.readDone)
 	env = appendTimings(env, &resp.Timings)
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
-		// Too large for one frame (and the bulk lane is off or was not
-		// taken): the call ends coded now, not at the client's deadline.
+		// Too large for one frame, and past what the bulk lane carries:
+		// the call ends coded now, not at the client's deadline.
 		*resp = response{Code: trace.NoResource, Message: "response exceeds maximum frame size",
 			Timings: resp.Timings, Load: resp.Load}
 		env = appendResponse(env[:0], resp)

@@ -39,7 +39,6 @@ type Stream struct {
 	tr       *transport
 	table    *streamTable // its connection's stream table, left on terminate
 	streamID uint64
-	maxWin   int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -54,8 +53,9 @@ type Stream struct {
 	// Inbound side. The connection's read loop appends assembled messages
 	// to inq and never blocks on a slow consumer. held is the credit the
 	// queued messages were charged; with the message being assembled it
-	// may not pass maxWin, the window this end granted (deliverChunk), so
-	// a peer that sends without credit loses the stream, not our memory.
+	// may not pass streamWindow, the window this end granted
+	// (deliverChunk), so a peer that sends without credit loses the
+	// stream, not our memory.
 	recvMu  sync.Mutex
 	inq     []inboundMsg
 	inqHead int
@@ -106,13 +106,12 @@ type inboundMsg struct {
 	charge int64
 }
 
-func newStream(tr *transport, table *streamTable, streamID uint64, maxWin int64) *Stream {
+func newStream(tr *transport, table *streamTable, streamID uint64) *Stream {
 	return &Stream{
 		tr:       tr,
 		table:    table,
 		streamID: streamID,
-		maxWin:   maxWin,
-		sendWin:  newCreditWindow(maxWin),
+		sendWin:  newCreditWindow(streamWindow),
 		notify:   make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -132,13 +131,7 @@ func msgCharge(n int) int64 {
 // then returns io.EOF); Close abandons the stream, resetting it on the
 // server. The stream ends when Recv returns io.EOF (clean final status)
 // or an error. Pool.OpenStream spreads streams across a pool's members.
-func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
-	co := resolveCallOpts(opts)
-	win := int64(defaultStreamWindow)
-	if co.window > 0 {
-		win = int64(co.window)
-	}
-
+func (c *Channel) OpenStream(ctx context.Context, method string) (*Stream, error) {
 	tc, _ := childTrace(ctx)
 	deadline := defaultDeadline
 	if dl, has := ctx.Deadline(); has {
@@ -152,12 +145,11 @@ func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOpt
 		TraceID:  tc.TraceID,
 		SpanID:   tc.SpanID,
 		Deadline: deadline,
-		Window:   uint64(win),
 	}
 	env := appendRequest(wire.GetBuf(len(method)+envelopeOverhead), req)
 
 	streamID := c.nextStream.Add(1)
-	st := newStream(c.tr, &c.streams, streamID, win)
+	st := newStream(c.tr, &c.streams, streamID)
 	st.ctx, st.cancel = context.WithCancel(ctx)
 	if !c.streams.add(streamID, st) {
 		st.cancel()
@@ -189,12 +181,12 @@ func (c *Channel) OpenStream(ctx context.Context, method string, opts ...CallOpt
 // Send transmits one message. It blocks while the peer's credit window is
 // exhausted (the slow-reader backpressure of DESIGN.md §12) and fails if
 // the stream or its context ends first. A message larger than the stream
-// window cannot be sent; raise it with WithStreamWindow.
+// window (256 KiB) cannot be sent.
 func (s *Stream) Send(msg []byte) error {
 	charge := msgCharge(len(msg))
-	if charge > s.maxWin {
+	if charge > streamWindow {
 		return Errorf(trace.InvalidArgument,
-			"stream message of %d bytes exceeds the %d-byte stream window", len(msg), s.maxWin)
+			"stream message of %d bytes exceeds the %d-byte stream window", len(msg), streamWindow)
 	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
@@ -373,7 +365,7 @@ func (s *Stream) deliverChunk(flags byte, data []byte) {
 		s.unlockRecv()
 		wire.PutBuf(data)
 		s.terminate(Errorf(trace.InvalidArgument,
-			"stream peer sent past its %d-byte credit window", s.maxWin), true)
+			"stream peer sent past its %d-byte credit window", streamWindow), true)
 		return
 	}
 	var msg []byte
@@ -426,9 +418,9 @@ const maxStatusEnvelope = bulkChunkSize
 
 // overWindowLocked reports whether a chunk of n bytes with these flags
 // breaks the receive bound: a data chunk may not take the queued charges
-// plus the message being assembled past maxWin, and a status chunk may not
-// make a status envelope larger than maxStatusEnvelope. Caller holds
-// recvMu.
+// plus the message being assembled past streamWindow, and a status chunk
+// may not make a status envelope larger than maxStatusEnvelope. Caller
+// holds recvMu.
 func (s *Stream) overWindowLocked(flags byte, n int) bool {
 	msg := len(s.asm) + n
 	if flags&chunkStatus != 0 {
@@ -438,7 +430,7 @@ func (s *Stream) overWindowLocked(flags byte, n int) bool {
 	if flags&chunkEndMsg != 0 {
 		need = msgCharge(msg)
 	}
-	return s.held+need > s.maxWin
+	return s.held+need > streamWindow
 }
 
 // applyStatusLocked records the final status carried in a status chunk.

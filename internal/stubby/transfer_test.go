@@ -77,8 +77,8 @@ func transferPool(t *testing.T, size int) *Pool {
 
 // caller is what a Channel and a Pool both offer.
 type caller interface {
-	Call(ctx context.Context, method string, payload []byte, opts ...CallOption) ([]byte, error)
-	OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error)
+	Call(ctx context.Context, method string, payload []byte) ([]byte, error)
+	OpenStream(ctx context.Context, method string) (*Stream, error)
 }
 
 // TestInterleavedReassembly drives 6 bulk callers and 3 stream pumps at
@@ -107,7 +107,7 @@ func interleave(t *testing.T, c caller) {
 				payload[i] = byte(i*7 + w*131)
 			}
 			for i := 0; i < 8; i++ {
-				out, err := c.Call(ctx, "xfer/Echo", payload, WithBulkLane(true))
+				out, err := c.Call(ctx, "xfer/Echo", payload)
 				if err != nil {
 					errs <- err
 					return
@@ -225,7 +225,7 @@ func bulkLoad(t *testing.T, c caller, kill func(), stopOnErr bool) []error {
 					return
 				default:
 				}
-				out, err := c.Call(ctx, "xfer/Echo", payload, WithBulkLane(true))
+				out, err := c.Call(ctx, "xfer/Echo", payload)
 				if err == nil {
 					FreeResponse(out)
 					continue
