@@ -16,14 +16,11 @@ import (
 )
 
 // ClientResult is the client child's RESULT payload: issue/error counts,
-// per-backend pick counts, and the full telemetry snapshot the parent
-// merges across processes.
+// its wall time, and the full telemetry snapshot the parent merges across
+// processes.
 type ClientResult struct {
-	Policy      string             `json:"policy"`
-	ClientID    int                `json:"client_id"`
 	Issued      uint64             `json:"issued"`
 	Errors      uint64             `json:"errors"`
-	Picks       map[string]uint64  `json:"picks"`
 	WallSeconds float64            `json:"wall_seconds"`
 	Snapshot    telemetry.Snapshot `json:"snapshot"`
 }
@@ -83,7 +80,6 @@ func RunClient(cfg ChildConfig) error {
 
 	pools := make([]*stubby.Pool, 0, len(cfg.Servers))
 	endpoints := make([]loadbalance.Endpoint, 0, len(cfg.Servers))
-	poolIndex := make(map[*stubby.Pool]int, len(cfg.Servers))
 	for i, addr := range cfg.Servers {
 		p, err := stubby.NewPool(addr, fmt.Sprintf("server-%d", i), cfg.PoolSize, opts)
 		if err != nil {
@@ -94,7 +90,6 @@ func RunClient(cfg ChildConfig) error {
 		}
 		pools = append(pools, p)
 		endpoints = append(endpoints, p)
-		poolIndex[p] = i
 	}
 	defer func() {
 		for _, p := range pools {
@@ -127,7 +122,6 @@ func RunClient(cfg ChildConfig) error {
 	}()
 
 	pickRNG := stats.NewRNG(cfg.Seed).Child(fmt.Sprintf("pick%d", cfg.ClientID))
-	picks := make([]atomic.Uint64, len(pools))
 	var issued, errs atomic.Uint64
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxOutstanding)
@@ -160,14 +154,12 @@ dispatch:
 		}
 
 		pool := policy.Pick(pickRNG, endpoints).(*stubby.Pool)
-		picks[poolIndex[pool]].Add(1)
 		issued.Add(1)
 
 		select {
 		case sem <- struct{}{}:
 		case <-stop:
 			issued.Add(^uint64(0)) // never dispatched
-			picks[poolIndex[pool]].Add(^uint64(0))
 			break dispatch
 		}
 		wg.Add(1)
@@ -183,19 +175,12 @@ dispatch:
 	}
 	wg.Wait()
 
-	res := ClientResult{
-		Policy:      cfg.Policy,
-		ClientID:    cfg.ClientID,
+	out, err := json.Marshal(ClientResult{
 		Issued:      issued.Load(),
 		Errors:      errs.Load(),
-		Picks:       make(map[string]uint64, len(pools)),
 		WallSeconds: time.Since(start).Seconds(),
 		Snapshot:    plane.Snapshot(),
-	}
-	for i, addr := range cfg.Servers {
-		res.Picks[addr] = picks[i].Load()
-	}
-	out, err := json.Marshal(res)
+	})
 	if err != nil {
 		return err
 	}

@@ -27,19 +27,13 @@ const ControlMethod = "cluster.Control/Stats"
 type ServerStats struct {
 	// Served counts data-path calls completed (control calls excluded).
 	Served uint64 `json:"served"`
-	// Load is the server's instantaneous load estimate (queue + in-flight).
-	Load int `json:"load"`
-}
-
-// ServerResult is the server child's RESULT payload.
-type ServerResult struct {
-	Served uint64 `json:"served"`
 }
 
 // RunServer runs the server child role: build the method catalog, register
 // an echo handler for every method plus the control RPC, bind a loopback
 // listener, announce READY, and serve until SIGTERM/SIGINT or stdin EOF —
-// then drain in-flight work and emit RESULT.
+// then drain in-flight work and exit. The parent reads served counts
+// through the control RPC, so a server prints no RESULT.
 func RunServer(cfg ChildConfig) error {
 	cat := fleet.New(fleet.Config{Methods: cfg.Methods, Clusters: 4, Seed: cfg.Seed})
 
@@ -73,7 +67,7 @@ func RunServer(cfg ChildConfig) error {
 		})
 	}
 	srv.Register(ControlMethod, func(ctx context.Context, payload []byte) ([]byte, error) {
-		return json.Marshal(ServerStats{Served: served.Load(), Load: srv.Load()})
+		return json.Marshal(ServerStats{Served: served.Load()})
 	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,11 +83,6 @@ func RunServer(cfg ChildConfig) error {
 
 	// Drain: stop accepting, let in-flight handlers finish.
 	srv.Close()
-	out, err := json.Marshal(ServerResult{Served: served.Load()})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s%s\n", resultPrefix, out)
 	return nil
 }
 

@@ -8,8 +8,9 @@
 // Topology and protocol (DESIGN.md §13): the parent re-executes its own
 // binary with the child's role and configuration as JSON in the
 // CLUSTERCTL_CONFIG environment variable.
-// Children speak a line protocol on stdout — "CLUSTERCTL READY addr=..."
-// after binding, "CLUSTERCTL RESULT <json>" on completion — and treat
+// Children speak a line protocol on stdout — a server's "CLUSTERCTL READY
+// addr=..." after binding, a client's "CLUSTERCTL RESULT <json>" on
+// completion — and treat
 // SIGTERM or stdin EOF as the drain signal, so an orphaned child exits as
 // soon as its parent dies.
 package cluster

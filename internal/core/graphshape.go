@@ -49,7 +49,6 @@ type GraphShapeResult struct {
 type DepthWidthRow struct {
 	Depth  int
 	Widths []uint64 // graphs per log2 width bucket
-	Total  uint64
 }
 
 // GraphShapeAnalysis computes the call-graph figures from the graph
@@ -95,11 +94,7 @@ func (k *ReportSink) GraphShapeAnalysis() *GraphShapeResult {
 	}
 	sort.Ints(depths)
 	for _, d := range depths {
-		row := DepthWidthRow{Depth: d, Widths: byDepth[d]}
-		for _, n := range row.Widths {
-			row.Total += n
-		}
-		res.DepthWidth = append(res.DepthWidth, row)
+		res.DepthWidth = append(res.DepthWidth, DepthWidthRow{Depth: d, Widths: byDepth[d]})
 	}
 	return res
 }

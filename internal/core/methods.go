@@ -13,7 +13,6 @@ import (
 // the percentile summary of one of its per-call quantities.
 type MethodDist struct {
 	Method  string
-	Calls   uint64
 	Summary stats.Summary
 }
 
@@ -31,9 +30,9 @@ type PerMethodResult struct {
 const minSamplesPerMethod = 100
 
 // perMethodResult assembles a per-method figure from one accumulated
-// histogram per method: methods below the sample gate are skipped, each
-// histogram's count is the figure's call count (a value is counted iff it
-// was added), and rows sort by median as in every such paper figure.
+// histogram per method: methods below the sample gate or with no value
+// added are skipped, and rows sort by median as in every such paper
+// figure.
 func (k *ReportSink) perMethodResult(what, unit string, hist func(*methodAccum) *stats.Hist) *PerMethodResult {
 	res := &PerMethodResult{What: what, Unit: unit}
 	for _, name := range sortedKeys(k.methods) {
@@ -45,7 +44,7 @@ func (k *ReportSink) perMethodResult(what, unit string, hist func(*methodAccum) 
 		if h.Count() == 0 {
 			continue
 		}
-		res.Rows = append(res.Rows, MethodDist{Method: name, Calls: h.Count(), Summary: h.Summarize()})
+		res.Rows = append(res.Rows, MethodDist{Method: name, Summary: h.Summarize()})
 	}
 	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Summary.P50 < res.Rows[j].Summary.P50 })
 	return res
@@ -87,7 +86,6 @@ type LatencyAnchors struct {
 	FracMedianOver10ms float64 // paper: 0.90
 	FracP99Over1ms     float64 // paper: 0.995
 	FracP99Over225ms   float64 // paper: 0.50
-	Slow5pP1           time.Duration
 	Slow5pP99          time.Duration
 }
 
@@ -107,16 +105,12 @@ func (r *PerMethodResult) Anchors() LatencyAnchors {
 			return s.P99 >= float64(225*time.Millisecond)
 		}),
 	}
-	// Slowest 5% of methods (by median): their smallest P1 and P99.
+	// Slowest 5% of methods (by median): their median P99.
 	if n := len(r.Rows); n > 0 {
-		cut := n - n/20
-		p1 := stats.NewSample(n / 20)
 		p99 := stats.NewSample(n / 20)
-		for _, row := range r.Rows[cut:] {
-			p1.Add(row.Summary.P1)
+		for _, row := range r.Rows[n-n/20:] {
 			p99.Add(row.Summary.P99)
 		}
-		a.Slow5pP1 = time.Duration(int64(p1.Quantile(0.5)))
 		a.Slow5pP99 = time.Duration(int64(p99.Quantile(0.5)))
 	}
 	return a

@@ -338,11 +338,9 @@ func shortComponent(c trace.Component) string {
 // ClusterBreakdown is one cluster's P95 latency breakdown for a method
 // (one bar of Fig. 16).
 type ClusterBreakdown struct {
-	Cluster    string
-	Spans      int
-	P95        time.Duration
-	Components trace.Breakdown // average over the P95 band
-	Dominant   trace.Component
+	Cluster  string
+	P95      time.Duration
+	Dominant trace.Component // of the average breakdown over the P95 band
 }
 
 // ClusterVariationResult is one studied service's Fig. 16 panel.
@@ -383,11 +381,9 @@ func (k *ReportSink) ClusterVariation(method string, minSpansPerCluster int) *Cl
 		}
 		avg.Scale(len(band))
 		res.Clusters = append(res.Clusters, ClusterBreakdown{
-			Cluster:    cl,
-			Spans:      len(spans),
-			P95:        spans[int(float64(len(spans))*0.95)].Breakdown.Total(),
-			Components: avg,
-			Dominant:   avg.Dominant(),
+			Cluster:  cl,
+			P95:      spans[int(float64(len(spans))*0.95)].Breakdown.Total(),
+			Dominant: avg.Dominant(),
 		})
 	}
 	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i].P95 < res.Clusters[j].P95 })

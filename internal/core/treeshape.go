@@ -10,8 +10,6 @@ import (
 
 // ShapeRow is one method's call-tree shape statistics.
 type ShapeRow struct {
-	Method     string
-	Samples    int
 	DescMedian float64
 	DescP90    float64
 	DescP99    float64
@@ -50,8 +48,6 @@ func (k *ReportSink) TreeShapeAnalysis() *TreeShapeResult {
 			continue
 		}
 		row := ShapeRow{
-			Method:     name,
-			Samples:    desc.Len(),
 			DescMedian: desc.Quantile(0.5),
 			DescP90:    desc.Quantile(0.9),
 			DescP99:    desc.Quantile(0.99),

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rpcscale/internal/stats"
 	"rpcscale/internal/trace"
 )
 
@@ -196,9 +197,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, seqs: make(map[seqKey]*atomic.Uint64)}
 }
 
-// Seed returns the seed the injector was built with.
-func (inj *Injector) Seed() uint64 { return inj.cfg.Seed }
-
 // Decide returns the fault decision for one attempt. Decisions with a
 // populated Key are pure: the same (scope, method, key) always yields
 // the same decision regardless of call order.
@@ -345,15 +343,11 @@ func (r decisionRNG) roll(action int, rate float64) bool {
 	return r.draw(action) < rate
 }
 
-// mix is the SplitMix64 finalizer.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// mix is one SplitMix64 step: the golden-ratio increment, then the
+// finalizer.
+func mix(z uint64) uint64 { return stats.Mix64(z + 0x9e3779b97f4a7c15) }
 
-// hashString is FNV-1a, inlined to keep the package dependency-free.
+// hashString is FNV-1a.
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -24,13 +24,12 @@ type Config struct {
 }
 
 // Catalog is the synthetic fleet: methods indexed by latency rank, their
-// services, the popularity sampler, and the error mix.
+// services, and the popularity sampler.
 type Catalog struct {
 	// Methods is ordered by latency rank (median completion time
 	// ascending), the x-axis ordering of the paper's per-method figures.
 	Methods  []*Method
 	Services map[string]*Service
-	ErrMix   *ErrorMix
 
 	popCum []float64 // cumulative popularity for sampling
 }
@@ -100,7 +99,7 @@ func New(cfg Config) *Catalog {
 		cfg.Clusters = 36
 	}
 	root := stats.NewRNG(cfg.Seed)
-	cat := &Catalog{Services: make(map[string]*Service), ErrMix: DefaultErrorMix()}
+	cat := &Catalog{Services: make(map[string]*Service)}
 
 	n := cfg.Methods
 	specs := namedSpecs()

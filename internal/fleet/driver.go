@@ -95,9 +95,3 @@ func (d *Driver) Next() (m *Method, reqBytes int, gap time.Duration) {
 	}
 	return m, reqBytes, time.Duration(gapSec * float64(time.Second))
 }
-
-// Elapsed returns the driver's virtual wall-time position: the sum of all
-// gaps handed out so far.
-func (d *Driver) Elapsed() time.Duration {
-	return time.Duration(d.now * float64(time.Second))
-}

@@ -348,23 +348,23 @@ func TestFanOutSampling(t *testing.T) {
 }
 
 func TestErrorMix(t *testing.T) {
-	mix := DefaultErrorMix()
-	if got := mix.Share(trace.Cancelled); math.Abs(got-0.45) > 1e-9 {
-		t.Errorf("cancelled share = %v", got)
-	}
-	if got := mix.Share(trace.EntityNotFound); math.Abs(got-0.20) > 1e-9 {
-		t.Errorf("not-found share = %v", got)
-	}
-	if got := mix.Share(trace.OK); got != 0 {
-		t.Errorf("OK share = %v", got)
-	}
+	// Weights are normalized: these are 45%, 20% and 35%.
+	mix := NewErrorMix(
+		[]trace.ErrorCode{trace.Cancelled, trace.EntityNotFound, trace.Internal},
+		[]float64{9, 4, 7},
+	)
 	rng := stats.NewRNG(5)
 	counts := make(map[trace.ErrorCode]int)
 	for i := 0; i < 20000; i++ {
 		counts[mix.Sample(rng)]++
 	}
-	if frac := float64(counts[trace.Cancelled]) / 20000; math.Abs(frac-0.45) > 0.02 {
-		t.Errorf("sampled cancelled = %.3f", frac)
+	for code, want := range map[trace.ErrorCode]float64{trace.Cancelled: 0.45, trace.EntityNotFound: 0.20, trace.Internal: 0.35} {
+		if frac := float64(counts[code]) / 20000; math.Abs(frac-want) > 0.02 {
+			t.Errorf("sampled %v = %.3f, want %.2f", code, frac, want)
+		}
+	}
+	if n := counts[trace.OK]; n != 0 {
+		t.Errorf("sampled OK %d times from a mix without it", n)
 	}
 }
 

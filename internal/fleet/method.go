@@ -157,23 +157,10 @@ func (m *Method) PickCallee(rng *stats.RNG) *Method {
 	return m.Callees[rng.Intn(len(m.Callees))]
 }
 
-// ErrorMix is the fleet-wide distribution of error types (Fig. 23).
+// ErrorMix is a distribution of error types (Fig. 23).
 type ErrorMix struct {
 	codes []trace.ErrorCode
 	cum   []float64
-}
-
-// DefaultErrorMix reproduces the paper's Fig. 23 count shares: Cancelled
-// 45%, EntityNotFound 20%, and the remainder split across resource,
-// permission, deadline, availability, and internal errors.
-func DefaultErrorMix() *ErrorMix {
-	codes := []trace.ErrorCode{
-		trace.Cancelled, trace.EntityNotFound, trace.NoResource,
-		trace.NoPermission, trace.DeadlineExceeded, trace.Unavailable,
-		trace.Internal, trace.InvalidArgument,
-	}
-	weights := []float64{0.45, 0.20, 0.09, 0.08, 0.07, 0.05, 0.04, 0.02}
-	return NewErrorMix(codes, weights)
 }
 
 // NewErrorMix builds a mix from codes and weights (normalized).
@@ -204,16 +191,4 @@ func (e *ErrorMix) Sample(rng *stats.RNG) trace.ErrorCode {
 		}
 	}
 	return e.codes[len(e.codes)-1]
-}
-
-// Share returns the probability of a code in the mix.
-func (e *ErrorMix) Share(code trace.ErrorCode) float64 {
-	prev := 0.0
-	for i, c := range e.codes {
-		if c == code {
-			return e.cum[i] - prev
-		}
-		prev = e.cum[i]
-	}
-	return 0
 }

@@ -56,27 +56,26 @@ type Service struct {
 // StudiedService is one row of the paper's Table 1: the eight production
 // services selected for the in-depth latency analysis.
 type StudiedService struct {
-	Service     string
-	Client      string // typical caller
-	RPCSize     int64  // typical request size, bytes
-	Method      string // the studied method (fully qualified)
-	Description string
-	Class       ServiceClass
+	Service string
+	Client  string // typical caller
+	RPCSize int64  // typical request size, bytes
+	Method  string // the studied method (fully qualified)
+	Class   ServiceClass
 	// Dominant is the latency component category the paper found
 	// dominant: "app", "queue", or "stack" (§3.3.1).
 	Dominant string
 }
 
-// EightServices reproduces Table 1.
+// EightServices reproduces Table 1, each row's description in its comment.
 func EightServices() []StudiedService {
 	return []StudiedService{
-		{"bigtable", "kvstore", 1024, "bigtable/SearchValue", "Search value", Storage, "app"},
-		{"networkdisk", "bigtable", 32 * 1024, "networkdisk/Write", "Read from SSD", Storage, "app"},
-		{"ssdcache", "bigquery", 400, "ssdcache/Lookup", "Look up streaming data", Storage, "queue"},
-		{"videometadata", "videosearch", 32 * 1024, "videometadata/GetMetadata", "Get metadata", Storage, "queue"},
-		{"spanner", "netinfo", 800, "spanner/ReadRows", "Read rows", Storage, "app"},
-		{"f1", "f1", 75, "f1/ProcessPacket", "Process data packet", Compute, "app"},
-		{"mlinference", "mlclient", 512, "mlinference/Infer", "Perform inference", Compute, "app"},
-		{"kvstore", "recommender", 128, "kvstore/Search", "Search value", LatencySensitive, "stack"},
+		{"bigtable", "kvstore", 1024, "bigtable/SearchValue", Storage, "app"},                      // Search value
+		{"networkdisk", "bigtable", 32 * 1024, "networkdisk/Write", Storage, "app"},                // Read from SSD
+		{"ssdcache", "bigquery", 400, "ssdcache/Lookup", Storage, "queue"},                         // Look up streaming data
+		{"videometadata", "videosearch", 32 * 1024, "videometadata/GetMetadata", Storage, "queue"}, // Get metadata
+		{"spanner", "netinfo", 800, "spanner/ReadRows", Storage, "app"},                            // Read rows
+		{"f1", "f1", 75, "f1/ProcessPacket", Compute, "app"},                                       // Process data packet
+		{"mlinference", "mlclient", 512, "mlinference/Infer", Compute, "app"},                      // Perform inference
+		{"kvstore", "recommender", 128, "kvstore/Search", LatencySensitive, "stack"},               // Search value
 	}
 }

@@ -9,7 +9,6 @@ package secure
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -61,7 +60,8 @@ type Session struct {
 // still gets a unique nonce, and the peer recovers it from the message
 // prefix regardless of arrival order. A Worker itself is not safe for
 // concurrent use; give each sealing goroutine its own.
-// Kept only for bench/replay.go, until ROADMAP item 3 moves it off Worker.
+// Kept only for bench/replay.go, until ROADMAP item 1(e) moves it off
+// Worker and item 6 deletes it.
 type Worker struct {
 	s     *Session
 	nonce [12]byte
@@ -81,15 +81,6 @@ func (w *Worker) SealAppendAAD(dst, plaintext, aad []byte) []byte {
 	binary.BigEndian.PutUint64(w.nonce[4:], s.ctr.Add(1))
 	dst = append(dst, w.nonce[:]...)
 	return s.aead.Seal(dst, w.nonce[:], plaintext, aad)
-}
-
-// NewSessionKey returns a fresh random session key.
-func NewSessionKey() ([]byte, error) {
-	key := make([]byte, KeySize)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("secure: generating key: %w", err)
-	}
-	return key, nil
 }
 
 // DeriveKey derives a session key deterministically from a shared secret
@@ -123,15 +114,6 @@ func NewSession(key []byte, stats *Stats) (*Session, error) {
 	return &Session{aead: aead, stats: stats}, nil
 }
 
-// Stats returns the shared counters.
-func (s *Session) Stats() *Stats { return s.stats }
-
-// Seal encrypts plaintext, producing nonce||ciphertext||tag in a fresh
-// buffer. The data plane uses SealAppend with a pooled buffer instead.
-func (s *Session) Seal(plaintext []byte) []byte {
-	return s.SealAppend(make([]byte, 0, len(plaintext)+Overhead), plaintext)
-}
-
 // SealAppend encrypts plaintext and appends nonce||ciphertext||tag to dst,
 // returning the extended slice. When dst has capacity for
 // len(plaintext)+Overhead more bytes, SealAppend does not allocate. dst
@@ -155,16 +137,10 @@ func (s *Session) SealAppendAAD(dst, plaintext, aad []byte) []byte {
 	return s.aead.Seal(dst, s.nonce[:], plaintext, aad)
 }
 
-// Open decrypts a message produced by Seal into a fresh buffer. The data
-// plane uses OpenAppend with a pooled buffer instead.
-func (s *Session) Open(msg []byte) ([]byte, error) {
-	return s.OpenAppend(nil, msg)
-}
-
-// OpenAppend decrypts a message produced by Seal, appending the plaintext
-// to dst and returning the extended slice. When dst has capacity for
-// len(msg)-Overhead more bytes, OpenAppend does not allocate. dst must
-// not overlap msg.
+// OpenAppend decrypts a message produced by SealAppend, appending the
+// plaintext to dst and returning the extended slice. When dst has
+// capacity for len(msg)-Overhead more bytes, OpenAppend does not
+// allocate. dst must not overlap msg.
 func (s *Session) OpenAppend(dst, msg []byte) ([]byte, error) {
 	return s.OpenAppendAAD(dst, msg, nil)
 }

@@ -2,33 +2,43 @@ package secure
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"testing"
 	"testing/quick"
 )
 
-func newTestSession(t *testing.T) *Session {
+// testKey returns a fresh random session key.
+func testKey(t *testing.T) []byte {
 	t.Helper()
-	key, err := NewSessionKey()
-	if err != nil {
+	key := make([]byte, KeySize)
+	if _, err := rand.Read(key); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(key, nil)
+	return key
+}
+
+func newTestSession(t *testing.T) *Session {
+	t.Helper()
+	s, err := NewSession(testKey(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// seal seals plaintext into a fresh buffer.
+func seal(s *Session, plaintext []byte) []byte { return s.SealAppend(nil, plaintext) }
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	s := newTestSession(t)
 	msgs := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("rpc"), 10000)}
 	for _, in := range msgs {
-		ct := s.Seal(in)
+		ct := seal(s, in)
 		if len(ct) != len(in)+Overhead {
 			t.Errorf("overhead mismatch: %d != %d + %d", len(ct), len(in), Overhead)
 		}
-		out, err := s.Open(ct)
+		out, err := s.OpenAppend(nil, ct)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -41,7 +51,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 func TestSealOpenProperty(t *testing.T) {
 	s := newTestSession(t)
 	f := func(payload []byte) bool {
-		out, err := s.Open(s.Seal(payload))
+		out, err := s.OpenAppend(nil, seal(s, payload))
 		return err == nil && bytes.Equal(out, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -51,11 +61,11 @@ func TestSealOpenProperty(t *testing.T) {
 
 func TestTamperDetected(t *testing.T) {
 	s := newTestSession(t)
-	ct := s.Seal([]byte("authentic message"))
+	ct := seal(s, []byte("authentic message"))
 	for i := 0; i < len(ct); i += 7 {
 		bad := append([]byte(nil), ct...)
 		bad[i] ^= 0x01
-		if _, err := s.Open(bad); !errors.Is(err, ErrDecrypt) {
+		if _, err := s.OpenAppend(nil, bad); !errors.Is(err, ErrDecrypt) {
 			t.Fatalf("flip at %d: got %v, want ErrDecrypt", i, err)
 		}
 	}
@@ -63,10 +73,10 @@ func TestTamperDetected(t *testing.T) {
 
 func TestShortCiphertext(t *testing.T) {
 	s := newTestSession(t)
-	if _, err := s.Open([]byte("short")); !errors.Is(err, ErrDecrypt) {
+	if _, err := s.OpenAppend(nil, []byte("short")); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("got %v", err)
 	}
-	if _, err := s.Open(nil); !errors.Is(err, ErrDecrypt) {
+	if _, err := s.OpenAppend(nil, nil); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -75,7 +85,7 @@ func TestNoncesUnique(t *testing.T) {
 	s := newTestSession(t)
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		ct := s.Seal([]byte("same plaintext"))
+		ct := seal(s, []byte("same plaintext"))
 		nonce := string(ct[:12])
 		if seen[nonce] {
 			t.Fatal("nonce reuse detected")
@@ -86,8 +96,8 @@ func TestNoncesUnique(t *testing.T) {
 
 func TestCrossSessionRejected(t *testing.T) {
 	a, b := newTestSession(t), newTestSession(t)
-	ct := a.Seal([]byte("for a only"))
-	if _, err := b.Open(ct); !errors.Is(err, ErrDecrypt) {
+	ct := seal(a, []byte("for a only"))
+	if _, err := b.OpenAppend(nil, ct); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("cross-session open: %v", err)
 	}
 }
@@ -111,7 +121,7 @@ func TestDeriveKeyDeterministicAndDirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := s.Open(s.Seal([]byte("ok"))); err != nil || string(out) != "ok" {
+	if out, err := s.OpenAppend(nil, seal(s, []byte("ok"))); err != nil || string(out) != "ok" {
 		t.Error("derived-key session round trip failed")
 	}
 }
@@ -124,13 +134,12 @@ func TestBadKeySize(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	stats := &Stats{}
-	key, _ := NewSessionKey()
-	s, err := NewSession(key, stats)
+	s, err := NewSession(testKey(t), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := s.Seal(make([]byte, 100))
-	_, _ = s.Open(ct)
+	ct := seal(s, make([]byte, 100))
+	_, _ = s.OpenAppend(nil, ct)
 	if stats.Seals.Load() != 1 || stats.Opens.Load() != 1 {
 		t.Errorf("seals=%d opens=%d", stats.Seals.Load(), stats.Opens.Load())
 	}

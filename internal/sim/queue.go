@@ -73,12 +73,9 @@ type Server struct {
 	busy  int
 	queue []*Job
 
-	// Accounting.
-	served    uint64
-	busyTime  time.Duration
-	lastBusy  time.Duration
-	maxQueue  int
-	totalWait time.Duration
+	// Accounting for Utilization.
+	busyTime time.Duration
+	lastBusy time.Duration
 }
 
 // NewServer returns a server with the given concurrent capacity.
@@ -97,22 +94,17 @@ func (s *Server) Submit(j *Job) {
 		return
 	}
 	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
-	}
 }
 
 func (s *Server) start(j *Job) {
 	now := s.engine.Now()
 	wait := now - j.enqueued
-	s.totalWait += wait
 	if s.busy == 0 {
 		s.lastBusy = now
 	}
 	s.busy++
 	s.engine.After(j.Service, func() {
 		s.busy--
-		s.served++
 		if s.busy == 0 {
 			s.busyTime += s.engine.Now() - s.lastBusy
 		}
@@ -141,30 +133,10 @@ func (s *Server) dispatch() {
 	s.start(j)
 }
 
-// QueueLen returns the current queue depth.
-func (s *Server) QueueLen() int { return len(s.queue) }
-
-// InFlight returns how many jobs are executing.
-func (s *Server) InFlight() int { return s.busy }
-
 // Load returns the server's instantaneous load estimate — queue depth
 // plus executing jobs. It implements loadbalance.Endpoint, so balancing
 // policies pick over simulated machines and live pools alike.
 func (s *Server) Load() int { return len(s.queue) + s.busy }
-
-// Served returns the number of completed jobs.
-func (s *Server) Served() uint64 { return s.served }
-
-// MaxQueue returns the high-water queue depth.
-func (s *Server) MaxQueue() int { return s.maxQueue }
-
-// MeanWait returns the average queue wait of completed jobs.
-func (s *Server) MeanWait() time.Duration {
-	if s.served == 0 {
-		return 0
-	}
-	return s.totalWait / time.Duration(s.served)
-}
 
 // Utilization returns the fraction of elapsed time the server was busy.
 // Valid after the run completes (while idle).

@@ -286,8 +286,8 @@ func TestServerFIFOAndUtilization(t *testing.T) {
 		s.Submit(&Job{Service: 10 * time.Millisecond, Done: func(w time.Duration) { waits = append(waits, w) }})
 	}
 	e.Run()
-	if s.Served() != 3 {
-		t.Fatalf("served = %d", s.Served())
+	if len(waits) != 3 {
+		t.Fatalf("served = %d", len(waits))
 	}
 	if waits[0] != 0 || waits[1] != 10*time.Millisecond || waits[2] != 20*time.Millisecond {
 		t.Errorf("waits = %v", waits)
@@ -339,18 +339,19 @@ func TestServerCapacityParallelism(t *testing.T) {
 func TestServerQueueStats(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "m0", 1, FIFO)
+	var total time.Duration
 	for i := 0; i < 5; i++ {
-		s.Submit(&Job{Service: time.Millisecond})
+		s.Submit(&Job{Service: time.Millisecond, Done: func(w time.Duration) { total += w }})
 	}
-	if s.QueueLen() != 4 || s.InFlight() != 1 {
-		t.Errorf("qlen=%d inflight=%d", s.QueueLen(), s.InFlight())
+	if s.Load() != 5 {
+		t.Errorf("load = %d, want 4 queued + 1 running", s.Load())
 	}
 	e.Run()
-	if s.MaxQueue() != 4 {
-		t.Errorf("max queue = %d", s.MaxQueue())
+	if s.Load() != 0 {
+		t.Errorf("load = %d after the run", s.Load())
 	}
-	if s.MeanWait() != 2*time.Millisecond {
-		t.Errorf("mean wait = %v, want 2ms", s.MeanWait())
+	if total/5 != 2*time.Millisecond {
+		t.Errorf("mean wait = %v, want 2ms", total/5)
 	}
 }
 
@@ -415,7 +416,7 @@ func TestServerConservationProperty(t *testing.T) {
 			}
 		}
 		e.Run()
-		return done == n && srv.Served() == uint64(n) && srv.QueueLen() == 0 && srv.InFlight() == 0
+		return done == n && srv.Load() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -12,7 +12,6 @@ import "sort"
 // identical results regardless of how the stream was partitioned.
 type BottomK struct {
 	k     int
-	seen  uint64
 	items []BottomKItem
 }
 
@@ -35,23 +34,11 @@ func NewBottomK(k int) *BottomK {
 	return &BottomK{k: k}
 }
 
-// Mix64 is a SplitMix64-style finalizer suitable for deriving BottomK
-// keys from structured identifiers (trace and span IDs).
-func Mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Offer records one item. Items that cannot be among the k smallest are
 // discarded lazily: the buffer is pruned whenever it reaches 2k, keeping
 // amortized O(log k) cost per offer. The buffer grows by doubling but
 // never past 2k, where plain append would round a long stream's buffer up.
 func (b *BottomK) Offer(key, tie uint64, vals [3]float64) {
-	b.seen++
 	if len(b.items) == cap(b.items) {
 		b.items = append(make([]BottomKItem, 0, min(max(2*cap(b.items), 8), 2*b.k)), b.items...)
 	}
@@ -70,7 +57,6 @@ func (b *BottomK) Merge(other *BottomK) {
 	for _, it := range other.items {
 		b.Offer(it.Key, it.Tie, it.Vals)
 	}
-	b.seen += other.seen - uint64(len(other.items)) // Offer counted the items
 }
 
 // prune sorts the buffer and keeps only the k smallest items. Discarded
@@ -82,9 +68,6 @@ func (b *BottomK) prune() {
 		b.items = b.items[:b.k]
 	}
 }
-
-// Seen returns how many items were offered in total.
-func (b *BottomK) Seen() uint64 { return b.seen }
 
 // Items returns the retained items sorted ascending by (Key, Tie). The
 // returned slice aliases the sketch; callers must not modify it.

@@ -31,8 +31,6 @@ type Hist struct {
 	counts  []uint64 // counts[i] covers bucket off+i
 	under   uint64   // values below min
 	total   uint64
-	sum     float64
-	sumSq   float64
 	maxSeen float64
 	minSeen float64
 }
@@ -77,8 +75,6 @@ func (h *Hist) AddN(v float64, n uint64) {
 		h.under += n
 		return
 	}
-	h.sum += v * float64(n)
-	h.sumSq += v * v * float64(n)
 	if v > h.maxSeen {
 		h.maxSeen = v
 	}
@@ -141,8 +137,6 @@ func (h *Hist) Merge(other *Hist) {
 	}
 	h.under += other.under
 	h.total += other.total
-	h.sum += other.sum
-	h.sumSq += other.sumSq
 	if other.maxSeen > h.maxSeen {
 		h.maxSeen = other.maxSeen
 	}
@@ -154,39 +148,8 @@ func (h *Hist) Merge(other *Hist) {
 // Count returns the total number of observations.
 func (h *Hist) Count() uint64 { return h.total }
 
-// Sum returns the sum of all positive observations.
-func (h *Hist) Sum() float64 { return h.sum }
-
-// Mean returns the arithmetic mean of positive observations, or 0 when
-// there are none.
-func (h *Hist) Mean() float64 {
-	n := h.total - h.under
-	if n == 0 {
-		return 0
-	}
-	return h.sum / float64(n)
-}
-
-// Stddev returns the (population) standard deviation of positive
-// observations.
-func (h *Hist) Stddev() float64 {
-	n := float64(h.total - h.under)
-	if n < 1 {
-		return 0
-	}
-	m := h.sum / n
-	v := h.sumSq/n - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Max returns the largest observation seen (exact, not bucketed).
 func (h *Hist) Max() float64 { return h.maxSeen }
-
-// Min returns the smallest positive observation seen, or +Inf when empty.
-func (h *Hist) Min() float64 { return h.minSeen }
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) using
 // within-bucket geometric interpolation. Underflow observations are treated
@@ -299,15 +262,6 @@ func (h *Hist) CountAbove(v float64) uint64 {
 	return n
 }
 
-// Fraction returns the fraction of observations at or below v.
-func (h *Hist) Fraction(v float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	above := h.CountAbove(v)
-	return 1 - float64(above)/float64(h.total)
-}
-
 // HistDump is the serializable form of a Hist: everything needed to
 // reconstruct the histogram in another process, JSON-tagged so
 // cross-process telemetry merges (the cluster harness's child → parent
@@ -318,8 +272,6 @@ type HistDump struct {
 	Counts  []uint64 `json:"counts,omitempty"`
 	Under   uint64   `json:"under,omitempty"`
 	Total   uint64   `json:"total"`
-	Sum     float64  `json:"sum"`
-	SumSq   float64  `json:"sum_sq"`
 	MaxSeen float64  `json:"max_seen"`
 	MinSeen float64  `json:"min_seen"` // +Inf is encoded as 0 with Total==Under
 }
@@ -342,8 +294,6 @@ func (h *Hist) Export() HistDump {
 		Counts:  counts,
 		Under:   h.under,
 		Total:   h.total,
-		Sum:     h.sum,
-		SumSq:   h.sumSq,
 		MaxSeen: h.maxSeen,
 		MinSeen: minSeen,
 	}
@@ -364,8 +314,6 @@ func Import(d HistDump) *Hist {
 	h.counts = append([]uint64(nil), d.Counts[h.off:]...)
 	h.under = d.Under
 	h.total = d.Total
-	h.sum = d.Sum
-	h.sumSq = d.SumSq
 	h.maxSeen = d.MaxSeen
 	if d.MinSeen > 0 {
 		h.minSeen = d.MinSeen
@@ -380,22 +328,9 @@ func (h *Hist) Clone() *Hist {
 	return &c
 }
 
-// Reset removes all observations, keeping the bucket shape.
-func (h *Hist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.counts = h.counts[:0]
-	h.under, h.total = 0, 0
-	h.sum, h.sumSq = 0, 0
-	h.maxSeen, h.minSeen = 0, math.Inf(1)
-}
-
 // Summary holds the standard percentile summary reported for each method
 // in the paper's per-method figures.
 type Summary struct {
-	Count             uint64
-	Mean              float64
 	P1, P10, P25, P50 float64
 	P75, P90, P95     float64
 	P99, P999         float64
@@ -405,18 +340,16 @@ type Summary struct {
 // Summarize computes the standard percentile summary.
 func (h *Hist) Summarize() Summary {
 	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P1:    h.Percentile(1),
-		P10:   h.Percentile(10),
-		P25:   h.Percentile(25),
-		P50:   h.Percentile(50),
-		P75:   h.Percentile(75),
-		P90:   h.Percentile(90),
-		P95:   h.Percentile(95),
-		P99:   h.Percentile(99),
-		P999:  h.Percentile(99.9),
-		Max:   h.Max(),
+		P1:   h.Percentile(1),
+		P10:  h.Percentile(10),
+		P25:  h.Percentile(25),
+		P50:  h.Percentile(50),
+		P75:  h.Percentile(75),
+		P90:  h.Percentile(90),
+		P95:  h.Percentile(95),
+		P99:  h.Percentile(99),
+		P999: h.Percentile(99.9),
+		Max:  h.Max(),
 	}
 }
 
@@ -474,28 +407,4 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.vals[len(s.vals)-1]
 	}
 	return s.vals[i]*(1-frac) + s.vals[i+1]*frac
-}
-
-// Percentile is Quantile with p in percent.
-func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Sum returns the total of all observations.
-func (s *Sample) Sum() float64 {
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum
 }

@@ -15,7 +15,6 @@ type denseHist struct {
 
 	counts           []uint64
 	under, total     uint64
-	sum, sumSq       float64
 	maxSeen, minSeen float64
 }
 
@@ -34,8 +33,6 @@ func (h *denseHist) AddN(v float64, n uint64) {
 		h.under += n
 		return
 	}
-	h.sum += v * float64(n)
-	h.sumSq += v * v * float64(n)
 	h.maxSeen = max(h.maxSeen, v)
 	h.minSeen = min(h.minSeen, v)
 	if v < h.min {
@@ -61,14 +58,8 @@ func (h *denseHist) Merge(o *denseHist) {
 	}
 	h.under += o.under
 	h.total += o.total
-	h.sum += o.sum
-	h.sumSq += o.sumSq
 	h.maxSeen = max(h.maxSeen, o.maxSeen)
 	h.minSeen = min(h.minSeen, o.minSeen)
-}
-
-func (h *denseHist) Reset() {
-	*h = denseHist{min: h.min, growth: h.growth, logG: h.logG, minSeen: math.Inf(1)}
 }
 
 func (h *denseHist) Clone() *denseHist {
@@ -143,13 +134,6 @@ func (h *denseHist) CountAbove(v float64) uint64 {
 	return n
 }
 
-func (h *denseHist) Fraction(v float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return 1 - float64(h.CountAbove(v))/float64(h.total)
-}
-
 func (h *denseHist) Export() HistDump {
 	minSeen := h.minSeen
 	if math.IsInf(minSeen, 1) {
@@ -157,7 +141,7 @@ func (h *denseHist) Export() HistDump {
 	}
 	return HistDump{
 		Min: h.min, Growth: h.growth, Counts: append([]uint64(nil), h.counts...),
-		Under: h.under, Total: h.total, Sum: h.sum, SumSq: h.sumSq,
+		Under: h.under, Total: h.total,
 		MaxSeen: h.maxSeen, MinSeen: minSeen,
 	}
 }
@@ -165,7 +149,7 @@ func (h *denseHist) Export() HistDump {
 func denseImport(d HistDump) *denseHist {
 	h := newDense(d.Min, d.Growth)
 	h.counts = append([]uint64(nil), d.Counts...)
-	h.under, h.total, h.sum, h.sumSq, h.maxSeen = d.Under, d.Total, d.Sum, d.SumSq, d.MaxSeen
+	h.under, h.total, h.maxSeen = d.Under, d.Total, d.MaxSeen
 	if d.MinSeen > 0 {
 		h.minSeen = d.MinSeen
 	}
@@ -179,9 +163,9 @@ var denseQGrid = []float64{-0.5, 0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95
 // probe value.
 func sameAsDense(t *testing.T, h *Hist, d *denseHist, probes []float64) {
 	t.Helper()
-	if h.Count() != d.total || h.Sum() != d.sum || h.Max() != d.maxSeen || h.Min() != d.minSeen {
-		t.Fatalf("totals: count %d sum %v max %v min %v; dense %d %v %v %v",
-			h.Count(), h.Sum(), h.Max(), h.Min(), d.total, d.sum, d.maxSeen, d.minSeen)
+	if h.Count() != d.total || h.Max() != d.maxSeen || h.minSeen != d.minSeen {
+		t.Fatalf("totals: count %d max %v min %v; dense %d %v %v",
+			h.Count(), h.Max(), h.minSeen, d.total, d.maxSeen, d.minSeen)
 	}
 	for _, q := range denseQGrid {
 		if got, want := h.Quantile(q), d.Quantile(q); got != want {
@@ -196,13 +180,10 @@ func sameAsDense(t *testing.T, h *Hist, d *denseHist, probes []float64) {
 			t.Fatalf("BucketIndex(%v) = %v, dense %v", v, got, want)
 		}
 		if math.IsNaN(v) {
-			continue // CountAbove and Fraction take a value, not NaN
+			continue // CountAbove takes a value, not NaN
 		}
 		if got, want := h.CountAbove(v), d.CountAbove(v); got != want {
 			t.Fatalf("CountAbove(%v) = %v, dense %v", v, got, want)
-		}
-		if got, want := h.Fraction(v), d.Fraction(v); got != want {
-			t.Fatalf("Fraction(%v) = %v, dense %v", v, got, want)
 		}
 	}
 	if ge, we := h.Export(), d.Export(); !reflect.DeepEqual(ge, we) {
@@ -228,9 +209,9 @@ func fuzzValue(x, y byte) float64 {
 
 // FuzzHistMatchesDense drives two histograms and their dense references
 // through the same operations, three bytes each: add to either (value
-// from two bytes), AddN with n in 0..3, merge either way, reset, clone,
-// and an Export/Import round trip. After every operation both histograms
-// must answer every query as their reference does.
+// from two bytes), AddN with n in 0..3, merge either way, start one over
+// empty, clone, and an Export/Import round trip. After every operation
+// both histograms must answer every query as their reference does.
 func FuzzHistMatchesDense(f *testing.F) {
 	up := []byte{0, 0x60, 10, 0, 0x70, 0, 0, 0x7f, 0xff}          // rising values
 	down := []byte{0, 0x7f, 0xff, 0, 0x70, 0, 0, 0x61, 0}         // each below the first bucket so far
@@ -238,7 +219,7 @@ func FuzzHistMatchesDense(f *testing.F) {
 	f.Add(up)
 	f.Add(down)
 	f.Add(odd)
-	// Disjoint ranges merged both ways, then reuse after a reset.
+	// Disjoint ranges merged both ways, then one started over.
 	f.Add([]byte{0, 0x65, 0, 1, 0x7e, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 0, 0x70, 0x10})
 	// Overlapping ranges, AddN with n of 0 and 3, a clone, and a round trip.
 	f.Add([]byte{0, 0x68, 0, 1, 0x6a, 0, 2, 0x66, 3, 2, 0x66, 0, 4, 0, 0, 6, 0, 0, 7, 1, 0, 0, 0x64, 0})
@@ -267,8 +248,8 @@ func FuzzHistMatchesDense(f *testing.F) {
 				hs[1].Merge(hs[0])
 				ds[1].Merge(ds[0])
 			case 5:
-				hs[i].Reset()
-				ds[i].Reset()
+				hs[i] = NewLatencyHist()
+				ds[i] = newDense(100, DefaultGrowth)
 			case 6:
 				hs[i] = hs[1-i].Clone()
 				ds[i] = ds[1-i].Clone()

@@ -14,8 +14,8 @@ func TestHistEmpty(t *testing.T) {
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
-	if m := h.Mean(); m != 0 {
-		t.Fatalf("empty mean = %v", m)
+	if m := h.Max(); m != 0 {
+		t.Fatalf("empty max = %v", m)
 	}
 }
 
@@ -31,8 +31,8 @@ func TestHistSingleValue(t *testing.T) {
 	if h.Max() != 1e6 {
 		t.Errorf("Max = %v", h.Max())
 	}
-	if h.Min() != 1e6 {
-		t.Errorf("Min = %v", h.Min())
+	if h.minSeen != 1e6 {
+		t.Errorf("min seen = %v", h.minSeen)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestHistMergeMatchesCombined(t *testing.T) {
 			t.Errorf("Quantile(%v): merged %v vs combined %v", q, qa, qb)
 		}
 	}
-	if math.Abs(a.Sum()-both.Sum()) > both.Sum()*1e-12 {
-		t.Errorf("merged sum %v vs %v", a.Sum(), both.Sum())
+	if a.Max() != both.Max() || a.minSeen != both.minSeen {
+		t.Errorf("merged extrema %v..%v vs %v..%v", a.minSeen, a.Max(), both.minSeen, both.Max())
 	}
 }
 
@@ -161,20 +161,7 @@ func TestHistQuantileWithinObservedRange(t *testing.T) {
 	}
 }
 
-func TestHistMeanStddev(t *testing.T) {
-	h := NewHist(1, DefaultGrowth)
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Add(v)
-	}
-	if m := h.Mean(); math.Abs(m-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", m)
-	}
-	if s := h.Stddev(); math.Abs(s-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", s)
-	}
-}
-
-func TestHistCountAboveAndFraction(t *testing.T) {
+func TestHistCountAbove(t *testing.T) {
 	h := NewHist(1, DefaultGrowth)
 	for i := 1; i <= 100; i++ {
 		h.Add(float64(i))
@@ -183,9 +170,8 @@ func TestHistCountAboveAndFraction(t *testing.T) {
 	if above < 45 || above > 55 {
 		t.Errorf("CountAbove(50) = %d, want ~50", above)
 	}
-	fr := h.Fraction(50)
-	if fr < 0.45 || fr > 0.55 {
-		t.Errorf("Fraction(50) = %v, want ~0.5", fr)
+	if all := h.CountAbove(1); all != 100 {
+		t.Errorf("CountAbove(1) = %d, want 100", all)
 	}
 }
 
@@ -196,19 +182,6 @@ func TestHistCloneIndependent(t *testing.T) {
 	c.Add(2000)
 	if h.Count() != 1 || c.Count() != 2 {
 		t.Fatalf("clone not independent: h=%d c=%d", h.Count(), c.Count())
-	}
-}
-
-func TestHistReset(t *testing.T) {
-	h := NewLatencyHist()
-	h.Add(123456)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-	h.Add(1e6)
-	if h.Count() != 1 {
-		t.Fatal("histogram unusable after reset")
 	}
 }
 
@@ -228,9 +201,6 @@ func TestHistSummarizeOrdering(t *testing.T) {
 	if s.Max < s.P999 {
 		t.Errorf("max %v < P999 %v", s.Max, s.P999)
 	}
-	if s.Count != 10000 {
-		t.Errorf("count = %d", s.Count)
-	}
 }
 
 func TestSampleQuantiles(t *testing.T) {
@@ -244,20 +214,14 @@ func TestSampleQuantiles(t *testing.T) {
 	if got := s.Quantile(1); got != 100 {
 		t.Errorf("Q1 = %v", got)
 	}
-	if got := s.Percentile(50); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("P50 = %v, want 50.5", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("mean = %v, want 50.5", got)
-	}
-	if got := s.Sum(); math.Abs(got-5050) > 1e-9 {
-		t.Errorf("sum = %v, want 5050", got)
+	if got := s.Quantile(0.5); math.Abs(got-50.5) > 1e-9 {
+		t.Errorf("Q0.5 = %v, want 50.5", got)
 	}
 }
 
 func TestSampleEmptyAndAfterSortAdd(t *testing.T) {
 	s := NewSample(4)
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 {
+	if s.Quantile(0.5) != 0 || s.Len() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 	s.Add(3)

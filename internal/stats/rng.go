@@ -10,15 +10,23 @@ package stats
 
 import "math"
 
+// Mix64 is the SplitMix64 finalizer: a bijection of the 64-bit words
+// whose every output bit depends on every input bit. It is the one mixer
+// of the module: RNG seeding, BottomK keys from trace and span IDs, trace
+// IDs, and the fault plane's per-call decisions all pass their own
+// counters or identifiers through it.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // splitmix64 advances the given state and returns the next value of the
 // SplitMix64 sequence. It is used both as a seed deriver for child RNGs
 // and as the core mixing function of RNG itself.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(*state)
 }
 
 // RNG is a small, fast, deterministic pseudo-random generator

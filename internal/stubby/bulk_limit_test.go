@@ -90,11 +90,14 @@ func (p *rawPeer) respond(id uint64, resp *response) error {
 	return p.tr.send(wire.FrameResponse, id, appendResponse(nil, resp))
 }
 
-// Request tags a peer of an older layout may still send: a stream open's
-// credit window and a bulk request's declared size. Both are skipped.
+// Request tags a peer of an older layout may still send: the caller's
+// parent span, a hedge flag, a stream open's credit window and a bulk
+// request's declared size. All four are skipped.
 const (
-	retiredReqWindow   = 11
-	retiredReqBulkSize = 12
+	retiredReqParentSpan = 4
+	retiredReqHedged     = 8
+	retiredReqWindow     = 11
+	retiredReqBulkSize   = 12
 )
 
 // serveResponses plays a server: "bulk/Get" is answered with the transfer
@@ -419,4 +422,116 @@ func TestStreamStatusChunkBounded(t *testing.T) {
 	if n := outstanding(); n != 0 {
 		t.Errorf("%d pooled buffers outstanding", n)
 	}
+}
+
+// TestRetiredRequestTagsSkipped sends a request carrying the retired
+// parent-span and hedge tags as the layout that assigned them encoded
+// them: the server skips both and answers as if they were absent.
+func TestRetiredRequestTagsSkipped(t *testing.T) {
+	leakcheck.Check(t)
+	srv := NewServer(Options{})
+	srv.Register("svc/Echo", echoHandler)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	peer := newRawPeer(t, nc, "c2s", "s2c")
+	payload := []byte("retired tags")
+	env := appendRequest(nil, &request{Method: "svc/Echo", TraceID: 5, SpanID: 6, Payload: payload, Deadline: time.Minute})
+	env = appendBoolField(appendUintField(env, retiredReqParentSpan, 0xfeed), retiredReqHedged, true)
+	if err := peer.tr.send(wire.FrameRequest, 1, env); err != nil {
+		t.Fatal(err)
+	}
+	if resp := peer.awaitResponse(1); resp.Code != trace.OK || !bytes.Equal(resp.Payload, payload) {
+		t.Fatalf("code %v %q, payload %q; want %q echoed", resp.Code, resp.Message, resp.Payload, payload)
+	}
+}
+
+// ownBytesRetry retries as DefaultRetryPolicy does, faster: a call that
+// fails on its own bytes must not spend a second attempt.
+var ownBytesRetry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+
+// checkOwnBytesFailure calls method on a live, healthy channel and wants
+// code with no retry attempt, then a plain echo: the failure was the
+// call's, not the connection's.
+func checkOwnBytesFailure(t *testing.T, ch *Channel, obs *countingObserver, method string, payload []byte, want trace.ErrorCode) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := ch.Call(ctx, method, payload); Code(err) != want {
+		t.Fatalf("got %v, want %v", err, want)
+	}
+	if n := obs.retries.Load(); n != 0 {
+		t.Errorf("%d retry attempts, want 0", n)
+	}
+	if out, err := ch.Call(ctx, "svc/Echo", []byte("still here")); err != nil || string(out) != "still here" {
+		t.Fatalf("call after the failure: %q, %v", out, err)
+	}
+}
+
+// TestOversizeRequestEndsInvalidArgument sends a request past
+// wire.MaxFrameSize: it ends InvalidArgument, as the server ends a peer's
+// oversize bulk request, and is not retried.
+func TestOversizeRequestEndsInvalidArgument(t *testing.T) {
+	leakcheck.Check(t)
+	srv := NewServer(Options{})
+	srv.Register("svc/Echo", echoHandler)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	obs := &countingObserver{}
+	ch, err := Dial(l.Addr().String(), "test", Options{Retry: &ownBytesRetry, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	checkOwnBytesFailure(t, ch, obs, "svc/Echo", make([]byte, wire.MaxFrameSize+1), trace.InvalidArgument)
+}
+
+// TestMalformedResponseEndsInternal answers a call with an envelope that
+// does not parse: the call ends Internal, as an oversize response does,
+// and is not retried.
+func TestMalformedResponseEndsInternal(t *testing.T) {
+	leakcheck.Check(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		peer := newRawPeer(t, nc, "s2c", "c2s")
+		peer.serve(func(id uint64, req *request) error {
+			if req.Method == "bad/Envelope" {
+				return peer.tr.send(wire.FrameResponse, id, []byte{0xff})
+			}
+			return peer.respond(id, &response{Payload: req.Payload})
+		})
+	}()
+	obs := &countingObserver{}
+	ch, err := Dial(l.Addr().String(), "liar", Options{Retry: &ownBytesRetry, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ch.Close()
+		<-served
+	}()
+	checkOwnBytesFailure(t, ch, obs, "bad/Envelope", []byte("q"), trace.Internal)
 }

@@ -208,15 +208,13 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, attem
 	}
 	call := &clientCall{
 		req: request{
-			Method:     method,
-			TraceID:    tc.TraceID,
-			SpanID:     tc.SpanID,
-			ParentSpan: parentSpan,
-			Deadline:   deadline,
-			Payload:    payload,
-			Hedged:     hedged,
-			CallSeq:    callSeq,
-			Attempt:    attempt,
+			Method:   method,
+			TraceID:  tc.TraceID,
+			SpanID:   tc.SpanID,
+			Deadline: deadline,
+			Payload:  payload,
+			CallSeq:  callSeq,
+			Attempt:  attempt,
 		},
 		dropped:    dec.Drop,
 		bulk:       len(payload) >= bulkThreshold,
@@ -263,7 +261,11 @@ func (c *Channel) call(ctx context.Context, method string, payload []byte, attem
 		rcvdNs := c.sinceEpoch()
 		if res.netErr != nil {
 			c.abandon(call) // failed by the send side, which leaves pending to the caller
-			return nil, c.finish(call, method, tc, parentSpan, payload, nil, trace.Unavailable, hedged)
+			code := trace.Unavailable
+			if res.netErr == errRequestTooLarge {
+				code = trace.InvalidArgument // the call's own bytes, not the connection
+			}
+			return nil, c.finish(call, method, tc, parentSpan, payload, nil, code, hedged)
 		}
 		resp := &res.resp
 		var out []byte
@@ -494,6 +496,11 @@ func (c *Channel) endTurn(by time.Time) {
 	}
 }
 
+// errRequestTooLarge fails a call whose request is past what a frame may
+// carry. The call ends InvalidArgument, as a server ends a peer's oversize
+// bulk request, and is not retried: another attempt sends the same bytes.
+var errRequestTooLarge = errors.New("stubby: request exceeds maximum frame size")
+
 // prepareCall stamps the dequeue timestamp and marshals one call's
 // request envelope into a pooled buffer, appending it to the turn's batch
 // — the client side of ReqProcStack. Caller holds the turn.
@@ -516,7 +523,7 @@ func (c *Channel) prepareCall(call *clientCall) {
 		// is never copied into the envelope — and never compressed; bulk
 		// payloads are past the size where compression pays its cycles.
 		if len(req.Payload) > wire.MaxFrameSize {
-			call.fail(wire.ErrFrameTooLarge)
+			call.fail(errRequestTooLarge)
 			return
 		}
 		call.bulkPayload = req.Payload
@@ -529,7 +536,7 @@ func (c *Channel) prepareCall(call *clientCall) {
 	env := appendRequest(wire.GetBuf(len(req.Payload)+len(req.Method)+envelopeOverhead), req)
 	if len(env)+secure.Overhead > wire.MaxFrameSize {
 		wire.PutBuf(env)
-		call.fail(wire.ErrFrameTooLarge)
+		call.fail(errRequestTooLarge)
 		return
 	}
 	c.turn.add(call, env, len(env))
@@ -604,7 +611,7 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		res := &callResult{buf: plain, rxAtNs: c.sinceEpoch()}
 		if perr := parseResponseInto(&res.resp, plain); perr != nil {
 			wire.PutBuf(plain)
-			c.deliver(m.streamID, &callResult{netErr: perr})
+			c.deliver(m.streamID, c.malformedResponse())
 			return true
 		}
 		c.serverLoad.Store(int64(res.resp.Load))
@@ -621,7 +628,7 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		wire.PutBuf(plain)
 		switch {
 		case perr != nil:
-			c.deliver(m.streamID, &callResult{netErr: perr})
+			c.deliver(m.streamID, c.malformedResponse())
 		case b.resp.BulkSize == 0:
 			c.deliverBulk(m.streamID, b)
 		default:
@@ -645,6 +652,15 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		c.control(m)
 	}
 	return true
+}
+
+// malformedResponse ends the one call whose response envelope does not
+// parse, coded Internal like a response past its size or a failed inflate:
+// the connection and its other calls carry on, and a retry would read the
+// same server's bytes.
+func (c *Channel) malformedResponse() *callResult {
+	resp := response{Code: trace.Internal, Message: "malformed response envelope"}
+	return &callResult{resp: resp, rxAtNs: c.sinceEpoch()}
 }
 
 // deliverBulk completes a bulk-lane response: b.data (the assembly buffer,

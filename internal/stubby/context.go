@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"rpcscale/internal/stats"
 	"rpcscale/internal/trace"
 )
 
@@ -88,10 +89,5 @@ func nextSpanID() trace.SpanID { return trace.SpanID(spanCounter.Add(1)) }
 
 // nextTraceID allocates a well-mixed unique trace ID.
 func nextTraceID() trace.TraceID {
-	x := traceCounter.Add(1)
-	// SplitMix64 finalizer for dispersion.
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return trace.TraceID(x ^ (x >> 31))
+	return trace.TraceID(stats.Mix64(traceCounter.Add(1) + 0x9e3779b97f4a7c15))
 }

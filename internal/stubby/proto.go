@@ -15,20 +15,20 @@ import (
 // stack's own "protos": the request and response envelopes that carry
 // user payloads plus tracing and instrumentation metadata.
 
-// Request envelope field numbers. Tags 11 and 12, once a stream-open's
-// credit window and a bulk request's declared size, stay unassigned: the
-// window is a protocol constant and the server sizes a bulk request by the
-// bytes that arrive, so a peer that still sends either is skipped as an
-// unknown field.
+// Request envelope field numbers. Tags 4 and 8, once the caller's parent
+// span and a hedge flag, stay unassigned: no server read either (the hedge
+// bit rides in the attempt number). Tags 11 and 12, once a stream-open's
+// credit window and a bulk request's declared size, stay unassigned too:
+// the window is a protocol constant and the server sizes a bulk request by
+// the bytes that arrive. A peer that still sends any of them is skipped as
+// an unknown field.
 const (
 	reqMethod     = 1
 	reqTraceID    = 2
 	reqSpanID     = 3
-	reqParentSpan = 4
 	reqDeadlineNs = 5
 	reqPayload    = 6
 	reqCompressed = 7
-	reqHedged     = 8
 	reqCallSeq    = 9
 	reqAttempt    = 10
 )
@@ -54,11 +54,9 @@ var requestDesc = codec.MustDescriptor("stubby.Request",
 	codec.Field{Number: reqMethod, Name: "method", Type: codec.TypeString},
 	codec.Field{Number: reqTraceID, Name: "trace_id", Type: codec.TypeUint64},
 	codec.Field{Number: reqSpanID, Name: "span_id", Type: codec.TypeUint64},
-	codec.Field{Number: reqParentSpan, Name: "parent_span_id", Type: codec.TypeUint64},
 	codec.Field{Number: reqDeadlineNs, Name: "deadline_ns", Type: codec.TypeUint64},
 	codec.Field{Number: reqPayload, Name: "payload", Type: codec.TypeBytes},
 	codec.Field{Number: reqCompressed, Name: "compressed", Type: codec.TypeBool},
-	codec.Field{Number: reqHedged, Name: "hedged", Type: codec.TypeBool},
 	codec.Field{Number: reqCallSeq, Name: "call_seq", Type: codec.TypeUint64},
 	codec.Field{Number: reqAttempt, Name: "attempt", Type: codec.TypeUint64},
 )
@@ -84,11 +82,9 @@ type request struct {
 	Method     string
 	TraceID    trace.TraceID
 	SpanID     trace.SpanID
-	ParentSpan trace.SpanID
 	Deadline   time.Duration // 0 = none; nanoseconds relative to epoch
 	Payload    []byte
 	Compressed bool
-	Hedged     bool
 	// CallSeq carries the caller's logical call ID plus one (0 = no ID
 	// assigned); Attempt is the retry attempt number with the hedge bit.
 	// Together they key the server-side fault plane's deterministic
@@ -107,17 +103,11 @@ func (r *request) marshalReference() ([]byte, error) {
 		Set(reqTraceID, uint64(r.TraceID)).
 		Set(reqSpanID, uint64(r.SpanID)).
 		Set(reqPayload, r.Payload)
-	if r.ParentSpan != 0 {
-		m.Set(reqParentSpan, uint64(r.ParentSpan))
-	}
 	if r.Deadline != 0 {
 		m.Set(reqDeadlineNs, uint64(r.Deadline))
 	}
 	if r.Compressed {
 		m.Set(reqCompressed, true)
-	}
-	if r.Hedged {
-		m.Set(reqHedged, true)
 	}
 	if r.CallSeq != 0 {
 		m.Set(reqCallSeq, r.CallSeq)
@@ -170,18 +160,12 @@ func appendRequest(dst []byte, r *request) []byte {
 	dst = appendStringField(dst, reqMethod, r.Method)
 	dst = appendUintField(dst, reqTraceID, uint64(r.TraceID))
 	dst = appendUintField(dst, reqSpanID, uint64(r.SpanID))
-	if r.ParentSpan != 0 {
-		dst = appendUintField(dst, reqParentSpan, uint64(r.ParentSpan))
-	}
 	if r.Deadline != 0 {
 		dst = appendUintField(dst, reqDeadlineNs, uint64(r.Deadline))
 	}
 	dst = appendBytesField(dst, reqPayload, r.Payload)
 	if r.Compressed {
 		dst = appendBoolField(dst, reqCompressed, true)
-	}
-	if r.Hedged {
-		dst = appendBoolField(dst, reqHedged, true)
 	}
 	if r.CallSeq != 0 {
 		dst = appendUintField(dst, reqCallSeq, r.CallSeq)
@@ -228,14 +212,10 @@ func parseRequestInto(r *request, buf []byte, intern func([]byte) string) error 
 				r.TraceID = trace.TraceID(x)
 			case reqSpanID:
 				r.SpanID = trace.SpanID(x)
-			case reqParentSpan:
-				r.ParentSpan = trace.SpanID(x)
 			case reqDeadlineNs:
 				r.Deadline = time.Duration(x)
 			case reqCompressed:
 				r.Compressed = x != 0
-			case reqHedged:
-				r.Hedged = x != 0
 			case reqCallSeq:
 				r.CallSeq = x
 			case reqAttempt:

@@ -47,11 +47,9 @@ var (
 			Method:     "billing.Ledger/Post",
 			TraceID:    0xdeadbeefcafe,
 			SpanID:     7,
-			ParentSpan: 9,
 			Deadline:   1500 * time.Millisecond,
 			Payload:    bytes.Repeat([]byte{0x42}, 300),
 			Compressed: true,
-			Hedged:     true,
 			CallSeq:    1234,
 			Attempt:    3,
 		},
@@ -76,15 +74,13 @@ var (
 
 func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 	in := request{
-		Method:     "search.Index/Lookup",
-		TraceID:    99,
-		SpanID:     3,
-		ParentSpan: 2,
-		Deadline:   time.Second,
-		Payload:    []byte("query"),
-		Hedged:     true,
-		CallSeq:    55,
-		Attempt:    2,
+		Method:   "search.Index/Lookup",
+		TraceID:  99,
+		SpanID:   3,
+		Deadline: time.Second,
+		Payload:  []byte("query"),
+		CallSeq:  55,
+		Attempt:  2,
 	}
 	buf := appendRequest(nil, &in)
 	var out request
@@ -92,8 +88,7 @@ func TestEnvelopeFastPathRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Method != in.Method || out.TraceID != in.TraceID || out.SpanID != in.SpanID ||
-		out.ParentSpan != in.ParentSpan || out.Deadline != in.Deadline ||
-		!bytes.Equal(out.Payload, in.Payload) || out.Hedged != in.Hedged ||
+		out.Deadline != in.Deadline || !bytes.Equal(out.Payload, in.Payload) ||
 		out.CallSeq != in.CallSeq || out.Attempt != in.Attempt {
 		t.Fatalf("request round trip mismatch: %+v != %+v", out, in)
 	}
@@ -191,6 +186,8 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add(appendUintField(appendUintField(nil, reqAttempt, 1<<32), reqAttempt, 48))
 	// The retired window and bulk-size tags, skipped as unknown.
 	f.Add(appendUintField(appendUintField(nil, retiredReqWindow, 64<<20), retiredReqBulkSize, 1<<45))
+	// The retired parent-span and hedge tags, skipped as unknown.
+	f.Add(appendBoolField(appendUintField(appendRequest(nil, &parityRequests[0]), retiredReqParentSpan, 9), retiredReqHedged, true))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var got request
 		err := parseRequestInto(&got, b, nil)
@@ -199,11 +196,9 @@ func FuzzParseRequest(f *testing.F) {
 				Method:     ref.GetString(reqMethod),
 				TraceID:    trace.TraceID(ref.GetUint64(reqTraceID)),
 				SpanID:     trace.SpanID(ref.GetUint64(reqSpanID)),
-				ParentSpan: trace.SpanID(ref.GetUint64(reqParentSpan)),
 				Deadline:   time.Duration(ref.GetUint64(reqDeadlineNs)),
 				Payload:    ref.GetBytes(reqPayload),
 				Compressed: ref.GetBool(reqCompressed),
-				Hedged:     ref.GetBool(reqHedged),
 				CallSeq:    ref.GetUint64(reqCallSeq),
 				Attempt:    uint32(ref.GetUint64(reqAttempt)),
 			}

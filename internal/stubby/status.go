@@ -61,6 +61,4 @@ var (
 	ErrDeadlineExceeded = &Status{Code: trace.DeadlineExceeded, Message: "deadline exceeded"}
 	// ErrUnavailable reports a closed or failed channel.
 	ErrUnavailable = &Status{Code: trace.Unavailable, Message: "channel unavailable"}
-	// ErrNotFound reports an unknown method or missing entity.
-	ErrNotFound = &Status{Code: trace.EntityNotFound, Message: "not found"}
 )

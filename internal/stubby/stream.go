@@ -291,10 +291,6 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Context returns the stream's context: the OpenStream context on the
-// client, the handler context on the server.
-func (s *Stream) Context() context.Context { return s.ctx }
-
 // terminate tears the stream down once: records the terminal state for
 // Recv (keeping an earlier one), kills the send window, cancels the
 // context, returns pooled buffers, detaches from the owner's stream

@@ -271,7 +271,7 @@ func (p *Plane) Calls() uint64 { return p.col.Seen() }
 func (p *Plane) Errors() uint64 { return p.col.ErrorsSeen() }
 
 // CodecJobs returns 0: the stack seals and opens every frame inline.
-// Kept only for bench/layers.go, until ROADMAP item 3 drops its metric.
+// Kept only for bench/layers.go, until ROADMAP item 1(e) drops its metric.
 func (p *Plane) CodecJobs() uint64 { return 0 }
 
 // Observe receives one completed span from the stack (the

@@ -80,7 +80,7 @@ func TestObserveExportsMonarch(t *testing.T) {
 	}
 
 	sizes := db.Query(MetricReqBytes, nil, from, to)
-	if len(sizes) != 1 || sizes[0].Last().Dist.Mean() != 1000 {
+	if len(sizes) != 1 || sizes[0].Last().Dist.Quantile(0) != 1000 || sizes[0].Last().Dist.Max() != 1000 {
 		t.Fatalf("request size dist wrong: %+v", sizes)
 	}
 }

@@ -41,8 +41,6 @@ func (n *GraphNode) Shared() bool { return len(n.Parents) > 1 }
 // byte-identical. The generator accounts it in flight; Graph.Stat reads it
 // off a rebuilt graph.
 type GraphStat struct {
-	// Root is the graph's entry method.
-	Root string
 	// Spans is the number of nodes in the graph (shared dependencies
 	// count once however many parents reach them).
 	Spans int
@@ -66,9 +64,6 @@ type GraphStat struct {
 // multiple path lengths.
 func (g *Graph) Stat() GraphStat {
 	st := GraphStat{Spans: g.Spans}
-	if g.Root != nil {
-		st.Root = g.Root.Span.Method
-	}
 	var perDepth []int
 	g.Walk(func(n *GraphNode, depth int) {
 		if depth == len(perDepth) {

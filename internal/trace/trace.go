@@ -96,9 +96,6 @@ func (b *Breakdown) Total() time.Duration {
 	return t
 }
 
-// App returns the server application time.
-func (b *Breakdown) App() time.Duration { return b[ServerApp] }
-
 // Tax returns the RPC latency tax: everything except application
 // processing (§3.1 of the paper).
 func (b *Breakdown) Tax() time.Duration { return b.Total() - b[ServerApp] }

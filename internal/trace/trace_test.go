@@ -22,8 +22,8 @@ func TestBreakdownTotals(t *testing.T) {
 	if got, want := b.Total(), 45*time.Millisecond; got != want {
 		t.Errorf("Total = %v, want %v", got, want)
 	}
-	if got, want := b.App(), 5*time.Millisecond; got != want {
-		t.Errorf("App = %v, want %v", got, want)
+	if got, want := b[ServerApp], 5*time.Millisecond; got != want {
+		t.Errorf("ServerApp = %v, want %v", got, want)
 	}
 	if got, want := b.Tax(), 40*time.Millisecond; got != want {
 		t.Errorf("Tax = %v, want %v", got, want)
@@ -54,7 +54,7 @@ func TestBreakdownGroupsPartitionTotal(t *testing.T) {
 			}
 			b[i] = time.Duration(v)
 		}
-		return b.Queue()+b.Stack()+b.Wire()+b.App() == b.Total()
+		return b.Queue()+b.Stack()+b.Wire()+b[ServerApp] == b.Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

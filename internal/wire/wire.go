@@ -28,8 +28,8 @@ const (
 	// Bulk-lane frames (see DESIGN.md §12).
 
 	// FrameStreamOpen opens a bidirectional stream; the payload is a
-	// sealed request envelope carrying the method and the initial
-	// per-direction credit window.
+	// sealed request envelope carrying the method and the deadline. The
+	// credit window is a protocol constant, not declared here.
 	FrameStreamOpen = 0x07
 	// FrameStreamChunk carries one chunk of stream or bulk payload. The
 	// first payload byte is a clear-text flags byte (authenticated as

@@ -27,13 +27,13 @@ func TestNoMotifRunStaysTreeShaped(t *testing.T) {
 	if len(rec.graphs) == 0 {
 		t.Fatal("no graph summaries emitted")
 	}
-	for _, g := range rec.graphs {
+	for i, g := range rec.graphs {
 		if g.FanInEdges != 0 || g.SharedNodes != 0 {
-			t.Fatalf("no-motif graph %s has fan-in: %+v", g.Root, g)
+			t.Fatalf("no-motif graph %d has fan-in: %+v", i, g)
 		}
 		for m, n := range g.Motifs {
 			if trace.Motif(m) != trace.MotifNone && n != 0 {
-				t.Fatalf("no-motif graph %s tagged %d %s nodes", g.Root, n, trace.Motif(m))
+				t.Fatalf("no-motif graph %d tagged %d %s nodes", i, n, trace.Motif(m))
 			}
 		}
 	}
@@ -69,20 +69,20 @@ func TestMotifRunDeterministic(t *testing.T) {
 
 func TestGraphStatWithinBudget(t *testing.T) {
 	rec, _, _ := record(context.Background(), motifCat(), dagCfg)
-	for _, g := range rec.graphs {
+	for i, g := range rec.graphs {
 		if g.Spans < 1 {
-			t.Fatalf("graph %s has %d spans", g.Root, g.Spans)
+			t.Fatalf("graph %d has %d spans", i, g.Spans)
 		}
 		// Sidecar proxies can add a node per edge beyond the budget.
 		if g.Spans > 2*dagCfg.TreeBudget {
-			t.Fatalf("graph %s has %d spans, budget %d", g.Root, g.Spans, dagCfg.TreeBudget)
+			t.Fatalf("graph %d has %d spans, budget %d", i, g.Spans, dagCfg.TreeBudget)
 		}
 		if g.Depth < 0 || g.Width < 1 && g.Spans > 0 {
-			t.Fatalf("graph %s has depth %d width %d", g.Root, g.Depth, g.Width)
+			t.Fatalf("graph %d has depth %d width %d", i, g.Depth, g.Width)
 		}
 		if g.SharedNodes > g.FanInEdges {
-			t.Fatalf("graph %s: %d shared nodes but %d fan-in edges",
-				g.Root, g.SharedNodes, g.FanInEdges)
+			t.Fatalf("graph %d: %d shared nodes but %d fan-in edges",
+				i, g.SharedNodes, g.FanInEdges)
 		}
 	}
 }

@@ -145,7 +145,11 @@ func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profile
 	}
 	// Errors other than Cancelled come from this mix; cancellations are
 	// produced structurally by hedging (§4.4), so excluding them here
-	// avoids double counting. Weights are the Fig. 23 remainder.
+	// avoids double counting. The paper's Fig. 23 count shares are
+	// Cancelled 45%, EntityNotFound 20%, then resource 9%, permission 8%,
+	// deadline 7%, availability 5%, internal 4% and invalid-argument 2%;
+	// these weights are that remainder renormalized without Cancelled,
+	// rounded.
 	nonCancel := fleet.NewErrorMix(
 		[]trace.ErrorCode{
 			trace.EntityNotFound, trace.NoResource, trace.NoPermission,
@@ -169,10 +173,7 @@ func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profile
 // CallObservation reports one generated call to optional hooks.
 type CallObservation struct {
 	Span        *trace.Span // always populated
-	Method      *fleet.Method
-	Server      *sim.Cluster
-	Client      *sim.Cluster
-	Exo         sim.Exo // server cluster state at call time
+	Exo         sim.Exo     // server cluster state at call time
 	Descendants int
 	Ancestors   int
 
@@ -257,7 +258,6 @@ func (g *Generator) Call(m *fleet.Method, opts CallOptions) CallObservation {
 		}
 	}
 	rootObs.Graph = GraphStat{
-		Root:        m.Name,
 		Spans:       res.nodes,
 		Depth:       depth,
 		Width:       width,
@@ -331,11 +331,7 @@ func (g *Generator) pickServer(m *fleet.Method, client *sim.Cluster, sameOnly, n
 
 func (g *Generator) newTraceID() trace.TraceID {
 	g.nextTrace++
-	x := g.idBase | g.nextTrace
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return trace.TraceID(x ^ (x >> 31))
+	return trace.TraceID(stats.Mix64((g.idBase | g.nextTrace) + 0x9e3779b97f4a7c15))
 }
 
 func (g *Generator) newSpanID() trace.SpanID {
@@ -566,7 +562,7 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		}
 		g.Prof.Record(m.Service.Name, m.Name, &dup.CPUByCategory)
 		opts.Observe(CallObservation{
-			Span: &dup, Method: m, Server: server, Client: client, Exo: exo,
+			Span: &dup, Exo: exo,
 			Descendants: 0, Ancestors: depth + 1,
 		})
 	}
@@ -581,7 +577,7 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 	}
 	if span != nil {
 		obs := CallObservation{
-			Span: span, Method: m, Server: server, Client: client, Exo: exo,
+			Span: span, Exo: exo,
 			Descendants: nodes - 1, Ancestors: depth,
 		}
 		if sharedE != nil && !isRoot {
@@ -686,7 +682,7 @@ func (g *Generator) genSidecar(m *fleet.Method, client *sim.Cluster, at time.Dur
 				Tier:          trace.TierStateless,
 				Motif:         trace.MotifSidecar,
 			},
-			Method: m, Server: client, Client: client, Exo: exo,
+			Exo:         exo,
 			Descendants: cr.nodes, Ancestors: depth,
 		})
 	}
@@ -754,7 +750,7 @@ func (g *Generator) genReplica(m *fleet.Method, primary *sim.Cluster, at time.Du
 				Tier:          m.Tier,
 				Motif:         trace.MotifReplica,
 			},
-			Method: m, Server: target, Client: primary, Exo: exo,
+			Exo:         exo,
 			Descendants: 0, Ancestors: depth,
 		})
 	}
@@ -765,12 +761,7 @@ func (g *Generator) genReplica(m *fleet.Method, primary *sim.Cluster, at time.Du
 // identity — no RNG draw — so the same (seed, trace, span) always takes
 // the same branch and graph shapes replay exactly.
 func cacheHitFor(tid trace.TraceID, id trace.SpanID, rate float64) bool {
-	x := uint64(tid) ^ uint64(id)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := stats.Mix64(uint64(tid) ^ uint64(id)*0x9e3779b97f4a7c15)
 	return float64(x>>11)/(1<<53) < rate
 }
 
