@@ -646,18 +646,24 @@ func itoa(n int) string {
 }
 
 // BenchmarkSpanGeneration measures the simulator's span production rate
-// (the cost driver for paper-scale dataset generation).
+// (the cost driver for paper-scale dataset generation): each op is one
+// unmaterialized call graph from a root with a subtree (~90 nodes), and
+// ns/node is the generator's cost per node.
 func BenchmarkSpanGeneration(b *testing.B) {
 	topo, cat, _ := fixture(b)
 	gen := workload.NewGenerator(cat, topo, nil, 23)
-	m := cat.MethodByName("networkdisk/Write")
+	m := cat.MethodByName("videometadata/GetMetadata")
+	nodes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obs := gen.Call(m, workload.CallOptions{At: time.Duration(i) * time.Millisecond})
 		if obs.Span == nil {
 			b.Fatal("no span")
 		}
+		nodes += obs.Graph.Spans
 	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
 
 // BenchmarkTreeReconstruction measures Dapper-style call-graph building.

@@ -320,7 +320,7 @@ func sizeModel(rng *stats.RNG, reqTypical, respTypical int64) (req, resp stats.D
 	build := func(typical int64, tailMax float64) stats.Dist {
 		med := float64(typical)
 		body := stats.LogNormal{Mu: math.Log(med), Sigma: 0.5 + 0.6*rng.Float64()}
-		tail := stats.Pareto{Min: med * 8, Alpha: 1.1, Max: tailMax}
+		tail := stats.NewPareto(med*8, 1.1, tailMax)
 		w := 0.02 + 0.04*rng.Float64()
 		return stats.NewMixture([]stats.Dist{body, tail}, []float64{1 - w, w})
 	}
@@ -513,7 +513,7 @@ func assignLayersAndCallees(methods []*Method, rng *stats.RNG) {
 			m.FanOut = stats.NewMixture(
 				[]stats.Dist{
 					stats.LogNormal{Mu: math.Log(2.5), Sigma: 0.5},
-					stats.Pareto{Min: 8, Alpha: 1.4, Max: 200},
+					stats.NewPareto(8, 1.4, 200),
 				},
 				[]float64{0.93, 0.07},
 			)
@@ -534,7 +534,7 @@ func assignLayersAndCallees(methods []*Method, rng *stats.RNG) {
 				m.FanOut = stats.NewMixture(
 					[]stats.Dist{
 						stats.LogNormal{Mu: math.Log(2.5), Sigma: 0.6},
-						stats.Pareto{Min: 8, Alpha: 1.5, Max: 64},
+						stats.NewPareto(8, 1.5, 64),
 					},
 					[]float64{0.95, 0.05},
 				)
@@ -543,7 +543,7 @@ func assignLayersAndCallees(methods []*Method, rng *stats.RNG) {
 				m.FanOut = stats.NewMixture(
 					[]stats.Dist{
 						stats.LogNormal{Mu: math.Log(medianFan), Sigma: 0.7},
-						stats.Pareto{Min: 40, Alpha: 1.2, Max: 2000},
+						stats.NewPareto(40, 1.2, 2000),
 					},
 					[]float64{0.90, 0.10},
 				)

@@ -82,20 +82,35 @@ func New() *Profiler {
 // the fleet, service and method totals, so a call recorded here sums
 // exactly as recording its categories one by one would.
 func (p *Profiler) Record(service, method string, cycles *[NumCategories]float64) {
+	var s Slot
+	p.RecordSlot(&s, service, method, cycles)
+}
+
+// Slot holds a (service, method) pair's entries in one Profiler, so a
+// caller that records the pair again and again looks its names up once.
+// The zero Slot is unresolved. A slot belongs to the profiler that
+// resolved it, and Reset strands it: resolve a fresh one after a Reset.
+type Slot struct {
+	sp *ServiceProfile
+	mt *float64
+}
+
+// RecordSlot is Record through s, which it resolves on the first positive
+// category, when Record would create the entries: the additions and their
+// order are Record's.
+func (p *Profiler) RecordSlot(s *Slot, service, method string, cycles *[NumCategories]float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var sp *ServiceProfile
-	var mt *float64
 	for cat, c := range cycles {
 		if c <= 0 {
 			continue
 		}
-		if sp == nil {
-			sp, mt = p.service(service), p.method(method)
+		if s.sp == nil {
+			*s = Slot{p.service(service), p.method(method)}
 		}
 		p.byCat[cat] += c
-		sp.ByCat[cat] += c
-		*mt += c
+		s.sp.ByCat[cat] += c
+		*s.mt += c
 	}
 }
 

@@ -102,14 +102,16 @@ func (e Exo) SlowdownFactor() float64 {
 	return cpiTerm * bwTerm
 }
 
+// longWakeup is the delay of a long wakeup: 50 us up to ~10 ms,
+// Pareto-tailed.
+var longWakeup = stats.NewPareto(float64(50*time.Microsecond), 1.5, float64(10*time.Millisecond))
+
 // WakeupDelay samples a scheduling wakeup delay: most wakeups are fast,
 // but a LongWakeupRate fraction exceed 50 us, with a heavy tail — the
 // paper's "long wakeup" exogenous variable made concrete.
 func (e Exo) WakeupDelay(rng *stats.RNG) time.Duration {
 	if rng.Bool(e.LongWakeupRate) {
-		// Long wakeup: 50 us up to ~10 ms, Pareto-tailed.
-		d := stats.Pareto{Min: float64(50 * time.Microsecond), Alpha: 1.5, Max: float64(10 * time.Millisecond)}
-		return time.Duration(d.Sample(rng))
+		return time.Duration(longWakeup.Sample(rng))
 	}
 	return time.Duration(rng.ExpFloat64() * float64(4*time.Microsecond))
 }

@@ -194,6 +194,10 @@ func fiberOneWay(km float64) time.Duration {
 	return time.Duration(km * 4.9 * float64(time.Microsecond))
 }
 
+// congestionSpike is the queuing a congestion spike adds: 5 ms up to
+// 600 ms, Pareto-tailed.
+var congestionSpike = stats.NewPareto(float64(5*time.Millisecond), 1.2, float64(600*time.Millisecond))
+
 // WireOneWay samples the one-way network latency between clusters for a
 // message of size bytes, at background utilization netUtil (0..1):
 // propagation + transmission + congestion-dependent queuing.
@@ -222,8 +226,7 @@ func (t *Topology) WireOneWay(rng *stats.RNG, a, b *Cluster, bytes int64, netUti
 	// Occasional congestion spikes (bursts, retransmits): probability and
 	// magnitude grow with utilization.
 	if rng.Bool(0.002 + 0.02*netUtil) {
-		spike := stats.Pareto{Min: float64(5 * time.Millisecond), Alpha: 1.2, Max: float64(600 * time.Millisecond)}
-		queuing += time.Duration(spike.Sample(rng))
+		queuing += time.Duration(congestionSpike.Sample(rng))
 	}
 	return base + transmit + queuing
 }

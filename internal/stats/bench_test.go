@@ -52,7 +52,7 @@ func BenchmarkLogNormalSample(b *testing.B) {
 func BenchmarkMixtureSample(b *testing.B) {
 	rng := NewRNG(4)
 	m := NewMixture(
-		[]Dist{LogNormal{Mu: 10, Sigma: 1}, LogNormal{Mu: 14, Sigma: 0.6}, Pareto{Min: 1e6, Alpha: 1.2, Max: 1e10}},
+		[]Dist{LogNormal{Mu: 10, Sigma: 1}, LogNormal{Mu: 14, Sigma: 0.6}, NewPareto(1e6, 1.2, 1e10)},
 		[]float64{0.6, 0.35, 0.05},
 	)
 	for i := 0; i < b.N; i++ {
@@ -69,5 +69,20 @@ func BenchmarkZipfSample(b *testing.B) {
 		if z.Sample(rng) < 0 {
 			b.Fatal("bad rank")
 		}
+	}
+}
+
+func BenchmarkNormFloat64(b *testing.B) {
+	rng := NewRNG(6)
+	for b.Loop() {
+		rng.NormFloat64()
+	}
+}
+
+func BenchmarkParetoSample(b *testing.B) {
+	rng := NewRNG(7)
+	p := NewPareto(50e3, 1.5, 10e6)
+	for b.Loop() {
+		p.Sample(rng)
 	}
 }

@@ -87,7 +87,7 @@ func TestSpearmanTies(t *testing.T) {
 
 func TestSpearmanUncorrelatedHeavyTail(t *testing.T) {
 	rng := NewRNG(12)
-	p := Pareto{Min: 1, Alpha: 0.8} // infinite-variance tail
+	p := NewPareto(1, 0.8, 0) // infinite-variance tail
 	xs, ys := make([]float64, 5000), make([]float64, 5000)
 	for i := range xs {
 		xs[i] = p.Sample(rng)

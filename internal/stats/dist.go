@@ -61,50 +61,50 @@ func (ln LogNormal) Mean() float64 {
 }
 
 // Pareto is a bounded Pareto distribution used for heavy-tailed components
-// such as elephant message sizes and expensive-query CPU costs.
+// such as elephant message sizes and expensive-query CPU costs. Build one
+// with NewPareto, which computes the powers every draw needs once.
 type Pareto struct {
-	Min   float64 // scale (left edge)
-	Alpha float64 // shape; smaller alpha = heavier tail
-	Max   float64 // truncation bound (0 = unbounded)
+	min    float64 // scale (left edge)
+	alpha  float64 // shape; smaller alpha = heavier tail
+	max    float64 // truncation bound (0 = unbounded)
+	la, ha float64 // min^alpha and max^alpha when bounded
+}
+
+// NewPareto returns the Pareto distribution with scale min and shape
+// alpha, truncated at max (0 = unbounded).
+func NewPareto(min, alpha, max float64) Pareto {
+	p := Pareto{min: min, alpha: alpha, max: max}
+	if max > min {
+		p.la, p.ha = math.Pow(min, alpha), math.Pow(max, alpha)
+	}
+	return p
 }
 
 // Sample draws a (bounded) Pareto variate by inversion.
-func (p Pareto) Sample(r *RNG) float64 {
-	u := r.Float64()
-	if p.Max > p.Min {
-		// Bounded Pareto inversion.
-		la := math.Pow(p.Min, p.Alpha)
-		ha := math.Pow(p.Max, p.Alpha)
-		return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-	}
-	return p.Min / math.Pow(1-u, 1/p.Alpha)
-}
+func (p Pareto) Sample(r *RNG) float64 { return p.Quantile(r.Float64()) }
 
 // Quantile returns the q-quantile by inversion.
 func (p Pareto) Quantile(q float64) float64 {
-	if p.Max > p.Min {
-		la := math.Pow(p.Min, p.Alpha)
-		ha := math.Pow(p.Max, p.Alpha)
-		return math.Pow(-(q*ha-q*la-ha)/(ha*la), -1/p.Alpha)
+	if p.max > p.min {
+		return math.Pow(-(q*p.ha-q*p.la-p.ha)/(p.ha*p.la), -1/p.alpha)
 	}
-	return p.Min / math.Pow(1-q, 1/p.Alpha)
+	return p.min / math.Pow(1-q, 1/p.alpha)
 }
 
 // Mean returns the distribution mean (+Inf when alpha <= 1 and unbounded).
 func (p Pareto) Mean() float64 {
-	if p.Max > p.Min {
-		a := p.Alpha
+	if p.max > p.min {
+		a := p.alpha
 		if a == 1 {
-			return p.Min * math.Log(p.Max/p.Min) / (1 - p.Min/p.Max)
+			return p.min * math.Log(p.max/p.min) / (1 - p.min/p.max)
 		}
-		la := math.Pow(p.Min, a)
-		return la / (1 - math.Pow(p.Min/p.Max, a)) * a / (a - 1) *
-			(1/math.Pow(p.Min, a-1) - 1/math.Pow(p.Max, a-1))
+		return p.la / (1 - math.Pow(p.min/p.max, a)) * a / (a - 1) *
+			(1/math.Pow(p.min, a-1) - 1/math.Pow(p.max, a-1))
 	}
-	if p.Alpha <= 1 {
+	if p.alpha <= 1 {
 		return math.Inf(1)
 	}
-	return p.Alpha * p.Min / (p.Alpha - 1)
+	return p.alpha * p.min / (p.alpha - 1)
 }
 
 // Exponential has rate 1/MeanVal.
@@ -171,12 +171,18 @@ func NewMixture(components []Dist, weights []float64) *Mixture {
 
 // Sample picks a component by weight and draws from it.
 func (m *Mixture) Sample(r *RNG) float64 {
-	u := r.Float64()
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.Components) {
-		i = len(m.Components) - 1
+	return m.Components[m.pick(r.Float64())].Sample(r)
+}
+
+// pick returns the first component whose cumulative weight reaches u, or
+// the last. A mixture has a handful of components, so a scan beats a
+// binary search.
+func (m *Mixture) pick(u float64) int {
+	i := 0
+	for i < len(m.cum)-1 && m.cum[i] < u {
+		i++
 	}
-	return m.Components[i].Sample(r)
+	return i
 }
 
 // Quantile is computed numerically by bisection on the mixture CDF.
@@ -248,17 +254,16 @@ func distCDF(d Dist, x float64) float64 {
 		}
 		return 1 - math.Exp(-x/t.MeanVal)
 	case Pareto:
-		if x <= t.Min {
+		if x <= t.min {
 			return 0
 		}
-		if t.Max > t.Min {
-			if x >= t.Max {
+		if t.max > t.min {
+			if x >= t.max {
 				return 1
 			}
-			la := math.Pow(t.Min, t.Alpha)
-			return (1 - la*math.Pow(x, -t.Alpha)) / (1 - math.Pow(t.Min/t.Max, t.Alpha))
+			return (1 - t.la*math.Pow(x, -t.alpha)) / (1 - math.Pow(t.min/t.max, t.alpha))
 		}
-		return 1 - math.Pow(t.Min/x, t.Alpha)
+		return 1 - math.Pow(t.min/x, t.alpha)
 	case Shifted:
 		return distCDF(t.Base, x-t.Offset)
 	default:

@@ -55,7 +55,7 @@ func TestLogNormalBadAnchorsPanic(t *testing.T) {
 }
 
 func TestParetoQuantileInversion(t *testing.T) {
-	p := Pareto{Min: 64, Alpha: 1.3, Max: 1 << 28}
+	p := NewPareto(64, 1.3, 1<<28)
 	rng := NewRNG(2)
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		analytic := p.Quantile(q)
@@ -67,18 +67,18 @@ func TestParetoQuantileInversion(t *testing.T) {
 	// Bounds respected.
 	for i := 0; i < 1000; i++ {
 		v := p.Sample(rng)
-		if v < p.Min || v > p.Max {
-			t.Fatalf("sample %v outside [%v,%v]", v, p.Min, p.Max)
+		if v < p.min || v > p.max {
+			t.Fatalf("sample %v outside [%v,%v]", v, p.min, p.max)
 		}
 	}
 }
 
 func TestParetoUnboundedMean(t *testing.T) {
-	p := Pareto{Min: 1, Alpha: 0.9}
+	p := NewPareto(1, 0.9, 0)
 	if !math.IsInf(p.Mean(), 1) {
 		t.Errorf("alpha<1 unbounded mean should be +Inf, got %v", p.Mean())
 	}
-	p2 := Pareto{Min: 2, Alpha: 3}
+	p2 := NewPareto(2, 3, 0)
 	if got, want := p2.Mean(), 3.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("mean = %v, want %v", got, want)
 	}
@@ -243,7 +243,7 @@ func TestZipfShares(t *testing.T) {
 func TestDistQuantileMonotoneProperty(t *testing.T) {
 	dists := []Dist{
 		LogNormal{Mu: 10, Sigma: 2},
-		Pareto{Min: 64, Alpha: 1.5, Max: 1e9},
+		NewPareto(64, 1.5, 1e9),
 		Exponential{MeanVal: 123},
 		Shifted{Base: Exponential{MeanVal: 10}, Offset: 3},
 	}

@@ -41,9 +41,17 @@ type RNG struct {
 	seed uint64 // the original seed, so Child is stable under draws
 }
 
-// NewRNG returns a generator seeded from seed.
+// NewRNG returns a generator seeded from seed. It is small enough to
+// inline, so a generator that never leaves its caller stays on the stack.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{seed: seed}
+	r := new(RNG)
+	r.reseed(seed)
+	return r
+}
+
+// reseed sets r to the start of seed's stream.
+func (r *RNG) reseed(seed uint64) {
+	r.seed = seed
 	state := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&state)
@@ -52,7 +60,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Child derives an independent generator from this generator's seed space
@@ -75,21 +82,31 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
+}
+
+// xoshiro is one xoshiro256** step on a state held in four words: it
+// returns the output and the next state. A sampler that draws several
+// words in a loop keeps the state in locals through it and stores it once.
+func xoshiro(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a uniform value in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -111,13 +128,19 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
+// (Marsaglia) method. It draws the same words as two Float64 calls per
+// try; the state stays in locals across tries and is stored once.
 func (r *RNG) NormFloat64() float64 {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
+		var a, b uint64
+		a, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		b, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		u := 2*unit(a) - 1
+		v := 2*unit(b) - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
+			r.s = [4]uint64{s0, s1, s2, s3}
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}

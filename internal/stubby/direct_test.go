@@ -523,7 +523,7 @@ func TestCloseWithResponsesOwedReturnsBuffers(t *testing.T) {
 					}
 				}()
 			}
-			for srv.Load() != calls { // all of them running or queued
+			for srv.load() != calls { // all of them running or queued
 				time.Sleep(time.Millisecond)
 			}
 			ch.Close()

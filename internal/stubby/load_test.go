@@ -51,7 +51,7 @@ func TestLoadReportPiggyback(t *testing.T) {
 	if got := ch.InFlight(); got < 4 {
 		t.Errorf("InFlight = %d with 4 parked calls", got)
 	}
-	if got := srv.Load(); got < 4 {
+	if got := srv.load(); got < 4 {
 		t.Errorf("server Load = %d with 4 parked handlers", got)
 	}
 

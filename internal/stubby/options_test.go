@@ -79,7 +79,7 @@ func TestOneObserverReceivesEveryKind(t *testing.T) {
 			<-started
 		}
 	}
-	for srv.Load() != 2 {
+	for srv.load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	// The first shed call is retried and shed again; the second's retry is

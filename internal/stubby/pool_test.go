@@ -175,7 +175,7 @@ func TestPoolKeepsChannelOnUnavailableReply(t *testing.T) {
 			<-started
 		}
 	}
-	for srv.Load() != 2 {
+	for srv.load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {

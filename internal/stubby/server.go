@@ -440,10 +440,10 @@ func (s *Server) worker() {
 	}
 }
 
-// Load returns the server's instantaneous load estimate: queued requests
+// load returns the server's instantaneous load estimate: queued requests
 // plus handlers currently executing. It is cheap enough to read on every
 // response and is what the response envelope's load field reports.
-func (s *Server) Load() int {
+func (s *Server) load() int {
 	return len(s.recvQ) + int(s.inflight.Load())
 }
 
@@ -651,7 +651,7 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse) {
 	}
 	// Piggyback the current load estimate so clients balance on
 	// near-real-time signals without a separate control RPC.
-	resp.Load = uint64(s.Load())
+	resp.Load = uint64(s.load())
 	// The timing fields go last, after everything else is marshalled, so
 	// RespProc covers serialization: a lower bound measured up to the write.
 	env := appendResponseBody(wire.GetBuf(len(resp.Payload)+len(resp.Message)+envelopeOverhead), resp)

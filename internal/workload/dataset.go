@@ -168,12 +168,14 @@ func Run(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, cfg RunCon
 		profs[shard] = gwp.New()
 	}
 
+	near := nearestHomes(cat, topo)
 	var wg sync.WaitGroup
 	for shard := 0; shard < cfg.Shards; shard++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			runShard(ctx, cat, topo, profs[shard], cfg, studied, roots, shard, sinks[shard])
+			gen := newGenerator(cat, topo, profs[shard], cfg.Seed, shard, near)
+			runShard(ctx, gen, cfg, studied, roots, shard, sinks[shard])
 		}(shard)
 	}
 	wg.Wait()
@@ -220,7 +222,7 @@ func MergeSamples(dst, src map[string]*stats.Sample) {
 // roots and trees. Each span is handed to the sink the moment it exists.
 // Cancellation is checked between samples, so a shard never tears down a
 // half-generated call tree.
-func runShard(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profiler, cfg RunConfig, studied map[string]bool, roots []*fleet.Method, shard int, sink SpanSink) {
+func runShard(ctx context.Context, gen *Generator, cfg RunConfig, studied map[string]bool, roots []*fleet.Method, shard int, sink SpanSink) {
 	done := ctx.Done()
 	cancelled := func() bool {
 		select {
@@ -230,7 +232,6 @@ func runShard(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, prof 
 			return false
 		}
 	}
-	gen := NewGeneratorShard(cat, topo, prof, cfg.Seed, shard)
 	rng := stats.NewRNG(cfg.Seed).Child(fmt.Sprintf("dataset-%d", shard))
 	share := func(total int) int {
 		n := total / cfg.Shards
@@ -241,7 +242,7 @@ func runShard(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, prof 
 	}
 
 	// --- Stratified per-method samples. ---
-	for _, m := range cat.Methods {
+	for _, m := range gen.Cat.Methods {
 		total := cfg.MethodSamples
 		if studied[m.Name] {
 			total = cfg.StudiedSamples
@@ -268,7 +269,7 @@ func runShard(ctx context.Context, cat *fleet.Catalog, topo *sim.Topology, prof 
 		if cancelled() {
 			return
 		}
-		m := cat.SampleMethod(rng)
+		m := gen.Cat.SampleMethod(rng)
 		at := time.Duration(rng.Float64() * float64(24*time.Hour))
 		// Volume samples skip deep recursion: the popularity model is
 		// already the marginal distribution over all calls, so each

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rpcscale/internal/fleet"
@@ -30,8 +31,8 @@ var Epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 type Generator struct {
 	Cat  *fleet.Catalog
 	Topo *sim.Topology
-	Prof *gwp.Profiler
 
+	prof       *gwp.Profiler
 	rng        *stats.RNG
 	nonCancel  *fleet.ErrorMix
 	nextTrace  uint64
@@ -64,6 +65,28 @@ type Generator struct {
 	// Cluster.Index. Every call in a graph shares one time, so a graph
 	// computes each cluster's state once.
 	exoMemo []exoEntry
+
+	// Per catalog method: slots[m.Index] is the profiler slot m's calls
+	// record into, resolved on first use, and near is the coLocated
+	// table (nearestHomes), which shards of one Run share.
+	slots []gwp.Slot
+	near  []uint8
+}
+
+// inCatalog reports whether m is the catalog method its Index names, so
+// the per-method tables apply to it.
+func (g *Generator) inCatalog(m *fleet.Method) bool {
+	return uint(m.Index) < uint(len(g.slots)) && g.Cat.Methods[m.Index] == m
+}
+
+// record attributes one call's cycles to m, through m's slot when m is
+// in the catalog.
+func (g *Generator) record(m *fleet.Method, cycles *[gwp.NumCategories]float64) {
+	if g.inCatalog(m) {
+		g.prof.RecordSlot(&g.slots[m.Index], m.Service.Name, m.Name, cycles)
+		return
+	}
+	g.prof.Record(m.Service.Name, m.Name, cycles)
 }
 
 // exoEntry is one cluster's memoised exogenous state.
@@ -140,6 +163,12 @@ func NewGenerator(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profiler, se
 // generators can produce spans for one dataset concurrently without ID
 // collisions. Each shard's stream is deterministic in (seed, shard).
 func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profiler, seed uint64, shard int) *Generator {
+	return newGenerator(cat, topo, prof, seed, shard, nearestHomes(cat, topo))
+}
+
+// newGenerator is NewGeneratorShard with the coLocated table built by the
+// caller: nearestHomes(cat, topo) or a table shared with other shards.
+func newGenerator(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profiler, seed uint64, shard int, near []uint8) *Generator {
 	if prof == nil {
 		prof = gwp.New()
 	}
@@ -161,12 +190,14 @@ func NewGeneratorShard(cat *fleet.Catalog, topo *sim.Topology, prof *gwp.Profile
 	return &Generator{
 		Cat:           cat,
 		Topo:          topo,
-		Prof:          prof,
+		prof:          prof,
 		rng:           stats.NewRNG(seed).Child(fmt.Sprintf("workload-%d", shard)),
 		nonCancel:     nonCancel,
 		ColocateBoost: 0.75,
 		idBase:        shardIDBase(shard),
 		exoMemo:       make([]exoEntry, len(topo.Clusters)),
+		slots:         make([]gwp.Slot, len(cat.Methods)),
+		near:          near,
 	}
 }
 
@@ -310,23 +341,56 @@ func (g *Generator) pickServer(m *fleet.Method, client *sim.Cluster, sameOnly, n
 		locality = 1 - (1-locality)*(1-g.ColocateBoost)
 	}
 	if g.rng.Bool(locality) {
-		// Co-located placement: the parent's own cluster when the
-		// method serves there, otherwise the nearest home cluster.
-		for _, h := range m.HomeClusters {
-			if g.Topo.Clusters[h] == client {
-				return client
-			}
-		}
-		best := g.Topo.Clusters[m.HomeClusters[0]]
-		for _, h := range m.HomeClusters[1:] {
-			cand := g.Topo.Clusters[h]
-			if g.Topo.DistanceKm(client, cand) < g.Topo.DistanceKm(client, best) {
-				best = cand
-			}
-		}
-		return best
+		return g.coLocated(m, client)
 	}
 	return g.Topo.Clusters[m.HomeClusters[g.rng.Intn(len(m.HomeClusters))]]
+}
+
+// coLocated returns where a co-located call to m from client is served,
+// from the nearestHomes table when m and client are the catalog's and the
+// topology's.
+func (g *Generator) coLocated(m *fleet.Method, client *sim.Cluster) *sim.Cluster {
+	clusters := g.Topo.Clusters
+	if g.near != nil && g.inCatalog(m) && uint(client.Index) < uint(len(clusters)) && clusters[client.Index] == client {
+		return clusters[g.near[m.Index*len(clusters)+client.Index]-1]
+	}
+	return clusters[nearestHome(g.Topo, m, client)]
+}
+
+// nearestHome returns the index of the cluster a co-located call to m
+// from client is served in: the client's own cluster when the method
+// serves there, otherwise the nearest home cluster (the first listed of
+// equally near ones).
+func nearestHome(topo *sim.Topology, m *fleet.Method, client *sim.Cluster) int {
+	best := m.HomeClusters[0]
+	for _, h := range m.HomeClusters {
+		if topo.Clusters[h] == client {
+			return h
+		}
+		if topo.DistanceKm(client, topo.Clusters[h]) < topo.DistanceKm(client, topo.Clusters[best]) {
+			best = h
+		}
+	}
+	return best
+}
+
+// nearestHomes tabulates nearestHome for every catalog method and cluster:
+// entry [i*len(topo.Clusters)+j] is 1 + nearestHome(cat.Methods[i],
+// topo.Clusters[j]). The answer depends on the pair alone, so one table
+// serves every generator over the catalog and topology. It is nil when
+// cluster indices do not fit a byte.
+func nearestHomes(cat *fleet.Catalog, topo *sim.Topology) []uint8 {
+	n := len(topo.Clusters)
+	if n >= math.MaxUint8 {
+		return nil
+	}
+	near := make([]uint8, len(cat.Methods)*n)
+	for i, m := range cat.Methods {
+		for j, c := range topo.Clusters {
+			near[i*n+j] = uint8(nearestHome(topo, m, c) + 1)
+		}
+	}
+	return near
 }
 
 func (g *Generator) newTraceID() trace.TraceID {
@@ -381,7 +445,8 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 	// calls — the nesting is invisible to the caller — so children run
 	// inside the target and only extend it when a straggler child
 	// outlives it.
-	appTarget := time.Duration(float64(m.SampleAppTime(rng)) * server.SpeedFactor * exo.SlowdownFactor())
+	slowdown := exo.SlowdownFactor()
+	appTarget := time.Duration(float64(m.SampleAppTime(rng)) * server.SpeedFactor * slowdown)
 
 	// Nested calls: children run in parallel with this server as their
 	// client (partition/aggregate), so the slowest child gates the
@@ -480,8 +545,8 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 
 	// RPC processing + network stack: per-call base plus per-byte
 	// serialization/compression/encryption work.
-	b[trace.ReqProcStack] = time.Duration((m.StackBase.Sample(rng) + float64(req)*perByteStack) * exo.SlowdownFactor())
-	b[trace.RespProcStack] = time.Duration((m.StackBase.Sample(rng)*0.8 + float64(resp)*perByteStack) * exo.SlowdownFactor())
+	b[trace.ReqProcStack] = time.Duration((m.StackBase.Sample(rng) + float64(req)*perByteStack) * slowdown)
+	b[trace.RespProcStack] = time.Duration((m.StackBase.Sample(rng)*0.8 + float64(resp)*perByteStack) * slowdown)
 
 	// Network wire both ways; background network load tracks compute
 	// load diurnally.
@@ -517,7 +582,7 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		gwp.Serialization: tax * serShare,
 		gwp.RPCLibrary:    tax * libShare,
 	}
-	g.Prof.Record(m.Service.Name, m.Name, &byCat)
+	g.record(m, &byCat)
 
 	// The span is built only when someone observes it.
 	var span *trace.Span
@@ -560,7 +625,7 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		for cat := range dup.CPUByCategory {
 			dup.CPUByCategory[cat] = span.CPUByCategory[cat] * dupCPU
 		}
-		g.Prof.Record(m.Service.Name, m.Name, &dup.CPUByCategory)
+		g.record(m, &dup.CPUByCategory)
 		opts.Observe(CallObservation{
 			Span: &dup, Exo: exo,
 			Descendants: 0, Ancestors: depth + 1,
@@ -661,7 +726,7 @@ func (g *Generator) genSidecar(m *fleet.Method, client *sim.Cluster, at time.Dur
 	proxyCPU := 0.008 + 1e-6*float64(req+resp)
 	var cycles [gwp.NumCategories]float64
 	cycles[gwp.Networking] = proxyCPU
-	g.Prof.Record(m.Service.Name, m.Service.Sidecar, &cycles)
+	g.prof.Record(m.Service.Name, m.Service.Sidecar, &cycles)
 
 	if opts.Observe != nil && opts.Materialize {
 		opts.Observe(CallObservation{
@@ -728,7 +793,7 @@ func (g *Generator) genReplica(m *fleet.Method, primary *sim.Cluster, at time.Du
 	appCPU := m.CPUCost.Sample(rng) * 0.5
 	var cycles [gwp.NumCategories]float64
 	cycles[gwp.Application] = appCPU
-	g.Prof.Record(m.Service.Name, m.Name, &cycles)
+	g.record(m, &cycles)
 
 	spanID := g.newSpanID()
 	if opts.Observe != nil && opts.Materialize {

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"rpcscale/internal/fleet"
+	"rpcscale/internal/gwp"
 	"rpcscale/internal/sim"
 )
 
@@ -70,5 +72,77 @@ func TestUnmaterializedCallAllocsFlat(t *testing.T) {
 	}
 	if one != many {
 		t.Fatalf("%s: a 1-node call allocates %v objects, a 30-node one %v", m.Name, one, many)
+	}
+}
+
+// refCoLocated is the co-located placement as a scan of the method's home
+// clusters with no table: the client's own cluster when it is one,
+// otherwise the nearest, the first listed winning a tie.
+func refCoLocated(topo *sim.Topology, m *fleet.Method, client *sim.Cluster) *sim.Cluster {
+	for _, h := range m.HomeClusters {
+		if topo.Clusters[h] == client {
+			return client
+		}
+	}
+	best := topo.Clusters[m.HomeClusters[0]]
+	for _, h := range m.HomeClusters[1:] {
+		if cand := topo.Clusters[h]; topo.DistanceKm(client, cand) < topo.DistanceKm(client, best) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// The nearest-home table answers what the scan does for every catalog
+// method and client cluster, and a method outside the catalog or a client
+// of another topology, which it does not hold, still gets the scan's
+// answer.
+func TestCoLocatedMatchesScan(t *testing.T) {
+	gen := newGen(5)
+	cfg := sim.DefaultTopology()
+	cfg.Seed++
+	other := sim.NewTopology(cfg)
+	stranger := *testCat.Methods[7] // same Index, not the catalog's method
+	stranger.HomeClusters = []int{3, 1, 4}
+	methods := append([]*fleet.Method{&stranger}, testCat.Methods...)
+	clients := append([]*sim.Cluster{other.Clusters[0], other.Clusters[5]}, testTopo.Clusters...)
+	for _, m := range methods {
+		for _, c := range clients {
+			if got, want := gen.coLocated(m, c), refCoLocated(testTopo, m, c); got != want {
+				t.Fatalf("coLocated(%s, %s) = %s, scan gives %s", m.Name, c.Name, got.Name, want.Name)
+			}
+		}
+	}
+}
+
+// Recording through the generator's per-method slots leaves the same
+// profile as recording every call by name, bit for bit, and a method
+// outside the catalog that shares a catalog method's Index is attributed
+// to its own name.
+func TestRecordSlotsMatchRecord(t *testing.T) {
+	gen := newGen(6)
+	want := gwp.New()
+	stranger := *testCat.Methods[2]
+	stranger.Name = "stranger/Method"
+	methods := []*fleet.Method{testCat.Methods[2], &stranger, testCat.Methods[9], testCat.Methods[2]}
+	for i := 0; i < 400; i++ {
+		m := methods[i%len(methods)]
+		cycles := [gwp.NumCategories]float64{float64(i%3) * 0.1, 0.3 / float64(i+1), 0, float64(i%5) - 2, 1e-9 * float64(i)}
+		gen.record(m, &cycles)
+		want.Record(m.Service.Name, m.Name, &cycles)
+	}
+	got, exp := gen.prof.Snapshot(), want.Snapshot()
+	if got.ByCat != exp.ByCat || len(got.ByMethod) != len(exp.ByMethod) || len(got.Services) != len(exp.Services) {
+		t.Fatalf("profile differs: %+v against %+v", got, exp)
+	}
+	for name, v := range exp.ByMethod {
+		if got.ByMethod[name] != v {
+			t.Errorf("method %s: %v, want %v", name, got.ByMethod[name], v)
+		}
+	}
+	for i, sp := range exp.Services {
+		if *got.Services[i] != *sp {
+			t.Errorf("service %d: %+v, want %+v", i, *got.Services[i], *sp)
+		}
 	}
 }
