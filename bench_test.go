@@ -787,8 +787,7 @@ func BenchmarkStubbyStream(b *testing.B) {
 // rides back as scatter-gather chunk frames (see DESIGN.md §12). Each
 // response buffer is recycled with FreeResponse so the receive path stays
 // allocation-free, and calls pipeline so the batch writer coalesces
-// frames — the configuration the ≥1 GB/s loopback target in
-// BENCH_stubby.json uses.
+// frames.
 func BenchmarkStubbyBulkUnary(b *testing.B) {
 	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
 		b.Run(byteLabel(size), func(b *testing.B) {
@@ -830,8 +829,7 @@ func BenchmarkStubbyBulkUnary(b *testing.B) {
 
 // BenchmarkStubbyStream100 measures a 100-item bidirectional stream over
 // the symmetric OpenStream API with per-item credit grants; ReportAllocs
-// feeds the stream_allocs_per_op series in BENCH_stubby.json (target:
-// ≤100 allocs for the whole 100-item stream).
+// shows the allocations of the whole 100-item stream.
 func BenchmarkStubbyStream100(b *testing.B) {
 	const items, itemSize = 100, 1024
 	opts := stubby.Options{Workers: 8}

@@ -185,12 +185,13 @@ func main() {
 
 	// The study report over the live traffic: the traced spans replay like
 	// a span dump, and Fig. 20 reads the plane's profile, which counted
-	// unsampled calls too. Sections that need the simulator (diurnal,
-	// cross-cluster, load-balance) are skipped because no Generator is
-	// supplied; span-derived figures run on real traffic.
+	// unsampled calls too. Sections that need a growth history or the
+	// simulator (Fig. 1, diurnal, cross-cluster, load-balance) are left
+	// out: the plane's DB holds no growth series and no Generator is
+	// supplied. Span-derived figures run on real traffic.
 	var sinks core.ShardSinks
 	workload.ReplaySpans(spans, sinks.New)
-	fmt.Print(core.ReportFromSink(sinks.Merged(), plane.Profiler().Snapshot(), core.ReportOptions{DB: plane.Monarch()}))
+	fmt.Print(core.ReportFromSink(sinks.Merged(), plane.Profiler().Snapshot(), core.ReportOptions{}))
 }
 
 // callsFor is how many of n calls caller w of conc drives: an even

@@ -21,11 +21,9 @@ func TestClientPlaneBoundsSpans(t *testing.T) {
 		plane.Observe(s)
 	}
 	snap := plane.Snapshot()
-	if snap.Calls != calls || snap.Errors != calls/10+1 {
-		t.Fatalf("snapshot calls=%d errors=%d, want %d and %d", snap.Calls, snap.Errors, calls, calls/10+1)
-	}
-	if ok, bad := snap.ByCode["OK"], snap.ByCode["Unavailable"]; ok+bad != calls || bad != calls/10+1 {
-		t.Fatalf("by_code = %v", snap.ByCode)
+	const ok = calls - (calls/10 + 1)
+	if n := snap.LatencyHist().Count(); snap.Calls != calls || n != ok {
+		t.Fatalf("snapshot calls=%d latency samples=%d, want %d and %d", snap.Calls, n, calls, ok)
 	}
 	if n := len(plane.Collector().Spans()); n > clientSpanCapacity {
 		t.Fatalf("plane retained %d spans, capacity %d", n, clientSpanCapacity)

@@ -66,9 +66,9 @@ func trips(code trace.ErrorCode) bool {
 	return code == trace.Unavailable || code == trace.NoResource || code == trace.DeadlineExceeded
 }
 
-// ErrCircuitOpen is returned (wrapped in a *Status) when the breaker
+// errCircuitOpen is returned (wrapped in a *Status) when the breaker
 // fails a call fast.
-var ErrCircuitOpen = &Status{Code: trace.Unavailable, Message: "circuit breaker open"}
+var errCircuitOpen = &Status{Code: trace.Unavailable, Message: "circuit breaker open"}
 
 // Breaker is a per-method circuit breaker: each method tracked by one
 // Breaker trips independently, since production incidents are usually
@@ -108,7 +108,7 @@ func (b *Breaker) State(method string) BreakerState {
 }
 
 // allow reports whether a call to method may proceed; when it returns
-// false the caller fails fast with ErrCircuitOpen.
+// false the caller fails fast with errCircuitOpen.
 func (b *Breaker) allow(method string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

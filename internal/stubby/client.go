@@ -131,12 +131,12 @@ func NewChannel(nc net.Conn, serverCluster string, opts Options) (*Channel, erro
 // Call issues a unary RPC and blocks for the response, the context's
 // cancellation, or the deadline. The channel applies its own policy around
 // the attempts: with Options.Breaker an open circuit fails the call fast
-// with ErrCircuitOpen, spending no attempt, and the breaker records the
+// with errCircuitOpen, spending no attempt, and the breaker records the
 // call's one outcome; with Options.Retry transient failures are retried.
 // CallHedged bypasses both.
 func (c *Channel) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	if c.breaker != nil && !c.breaker.allow(method) {
-		return nil, ErrCircuitOpen
+		return nil, errCircuitOpen
 	}
 	var out []byte
 	var err error
@@ -163,7 +163,7 @@ func (c *Channel) Breaker() *Breaker { return c.breaker }
 func (c *Channel) call(ctx context.Context, method string, payload []byte, attempt uint32) ([]byte, error) {
 	tc, parentSpan := childTrace(ctx)
 	hedged := attempt&hedgeAttemptBit != 0
-	callID, haveID := CallIDFromContext(ctx)
+	callID, haveID := callIDFromContext(ctx)
 
 	var dec faultplane.Decision
 	if c.opts.Faults != nil {
@@ -387,13 +387,13 @@ func (c *Channel) cancelRemote(streamID uint64) {
 // newSpan starts a call's span: its identity, sizes and outcome, and the
 // two components the client's send side stamps (call is nil when the call
 // never got that far).
-func (c *Channel) newSpan(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) *trace.Span {
+func (c *Channel) newSpan(call *clientCall, method string, tc traceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) *trace.Span {
 	span := &trace.Span{
 		TraceID:       tc.TraceID,
 		SpanID:        tc.SpanID,
 		ParentID:      parentSpan,
 		Method:        method,
-		Service:       ServiceOf(method),
+		Service:       serviceOf(method),
 		ClientCluster: c.opts.ClusterName,
 		ServerCluster: c.serverCluster,
 		RequestBytes:  int64(len(reqPayload)),
@@ -414,7 +414,7 @@ func (c *Channel) newSpan(call *clientCall, method string, tc TraceContext, pare
 
 // finish emits an error span, if anyone observes it, and returns the
 // matching error.
-func (c *Channel) finish(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) error {
+func (c *Channel) finish(call *clientCall, method string, tc traceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, code trace.ErrorCode, hedged bool) error {
 	if c.observed() {
 		c.emit(c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, code, hedged))
 	}
@@ -422,14 +422,14 @@ func (c *Channel) finish(call *clientCall, method string, tc TraceContext, paren
 		if ce := c.err.Load(); ce != nil && ce.err != nil {
 			return &Status{Code: trace.Unavailable, Message: ce.err.Error()}
 		}
-		return ErrUnavailable
+		return errUnavailable
 	}
 	return codeToError(code)
 }
 
 // buildSpan assembles the full nine-component breakdown from client
 // timestamps and the server-reported timings.
-func (c *Channel) buildSpan(call *clientCall, method string, tc TraceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, resp *response, rxAtNs, rcvdNs int64, hedged bool) *trace.Span {
+func (c *Channel) buildSpan(call *clientCall, method string, tc traceContext, parentSpan trace.SpanID, reqPayload, respPayload []byte, resp *response, rxAtNs, rcvdNs int64, hedged bool) *trace.Span {
 	span := c.newSpan(call, method, tc, parentSpan, reqPayload, respPayload, resp.Code, hedged)
 	b := &span.Breakdown
 	b[trace.ServerRecvQueue] = resp.Timings.RecvQueue
@@ -476,9 +476,9 @@ func (c *Channel) emit(span *trace.Span) {
 	}
 }
 
-// ServiceOf extracts the service name from a fully qualified method
+// serviceOf extracts the service name from a fully qualified method
 // ("service.Type/Method" -> "service").
-func ServiceOf(method string) string {
+func serviceOf(method string) string {
 	if i := strings.IndexAny(method, "./"); i > 0 {
 		return method[:i]
 	}
@@ -646,7 +646,7 @@ func (c *Channel) dispatchFrame(m recvMsg) bool {
 		}
 	case wire.FrameGoAway:
 		wire.PutBuf(plain)
-		c.fail(ErrUnavailable)
+		c.fail(errUnavailable)
 		return false
 	default:
 		c.control(m)
@@ -671,14 +671,14 @@ func (c *Channel) deliverBulk(streamID uint64, b *bulkAsm) {
 	c.deliver(streamID, &callResult{resp: b.resp, buf: b.data, bulk: true, rxAtNs: c.sinceEpoch()})
 }
 
-// ServerLoad returns the server's most recently reported load estimate
+// reportedLoad returns the server's most recently reported load estimate
 // (receive-queue depth plus executing handlers), 0 until the first
 // response arrives. It is the piggybacked signal load-aware balancing
 // policies consume.
-func (c *Channel) ServerLoad() int { return int(c.serverLoad.Load()) }
+func (c *Channel) reportedLoad() int { return int(c.serverLoad.Load()) }
 
-// InFlight returns how many calls on this channel await a response.
-func (c *Channel) InFlight() int {
+// inFlight returns how many calls on this channel await a response.
+func (c *Channel) inFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
@@ -716,7 +716,7 @@ func (c *Channel) dead() bool {
 // Close shuts the channel down: pending calls fail with Unavailable and
 // the connection's loops are joined.
 func (c *Channel) Close() error {
-	c.fail(ErrUnavailable)
+	c.fail(errUnavailable)
 	c.loops.Wait()
 	return c.closeErr
 }

@@ -161,7 +161,7 @@ func (c *conn[T]) drainQueue() {
 
 // recvLoop is the connection's one receive loop: it reads and opens each
 // frame and passes it to dispatch, which takes ownership of m.plain, until
-// the connection fails or dispatch returns false (ErrUnavailable). Then it
+// the connection fails or dispatch returns false (errUnavailable). Then it
 // releases the bulk transfers left half-assembled and returns the error
 // that ended it. Arrival order is dispatch order, and dispatch's state has
 // one goroutine.
@@ -177,7 +177,7 @@ func (c *conn[T]) recvLoop(dispatch func(recvMsg) bool) error {
 			return err
 		}
 		if !dispatch(m) {
-			return ErrUnavailable
+			return errUnavailable
 		}
 	}
 }
@@ -331,6 +331,6 @@ func (t *streamTable) failAll() {
 	t.m, t.dead = nil, true
 	t.mu.Unlock()
 	for _, st := range streams {
-		st.terminate(ErrUnavailable, false)
+		st.terminate(errUnavailable, false)
 	}
 }

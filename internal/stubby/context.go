@@ -8,11 +8,11 @@ import (
 	"rpcscale/internal/trace"
 )
 
-// TraceContext is the tracing state propagated along a call chain: the
+// traceContext is the tracing state propagated along a call chain: the
 // tree-wide trace ID and the span ID of the current RPC. Server handlers
 // receive it in their context; client calls read it to link child spans to
 // their parent, which is how Dapper reconstructs nested call trees.
-type TraceContext struct {
+type traceContext struct {
 	TraceID trace.TraceID
 	SpanID  trace.SpanID
 }
@@ -31,9 +31,9 @@ func ContextWithCallID(ctx context.Context, id uint64) context.Context {
 	return context.WithValue(ctx, callIDCtxKey{}, id)
 }
 
-// CallIDFromContext extracts the logical call ID, reporting whether one
+// callIDFromContext extracts the logical call ID, reporting whether one
 // was assigned.
-func CallIDFromContext(ctx context.Context) (uint64, bool) {
+func callIDFromContext(ctx context.Context) (uint64, bool) {
 	id, ok := ctx.Value(callIDCtxKey{}).(uint64)
 	return id, ok
 }
@@ -42,22 +42,22 @@ func CallIDFromContext(ctx context.Context) (uint64, bool) {
 // draw from independent fault-decision streams.
 const hedgeAttemptBit uint32 = 1 << 31
 
-// ContextWithTrace attaches tracing state to a context.
-func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
+// contextWithTrace attaches tracing state to a context.
+func contextWithTrace(ctx context.Context, tc traceContext) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, tc)
 }
 
-// TraceFromContext extracts tracing state, reporting whether any exists.
-func TraceFromContext(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
+// traceFromContext extracts tracing state, reporting whether any exists.
+func traceFromContext(ctx context.Context) (traceContext, bool) {
+	tc, ok := ctx.Value(traceCtxKey{}).(traceContext)
 	return tc, ok
 }
 
 // childTrace resolves the tracing state of an outgoing call or stream: a
 // child span of the caller's (parent is its span ID), or a new root.
-func childTrace(ctx context.Context) (tc TraceContext, parent trace.SpanID) {
+func childTrace(ctx context.Context) (tc traceContext, parent trace.SpanID) {
 	tc.SpanID = nextSpanID()
-	if p, ok := TraceFromContext(ctx); ok {
+	if p, ok := traceFromContext(ctx); ok {
 		tc.TraceID, parent = p.TraceID, p.SpanID
 	} else {
 		tc.TraceID = nextTraceID()
@@ -69,7 +69,7 @@ func childTrace(ctx context.Context) (tc TraceContext, parent trace.SpanID) {
 // state, and the deadline the request envelope carried, if any, under conn,
 // the context of the connection it arrived on, which ends with it.
 func requestContext(conn context.Context, req *request) (context.Context, context.CancelFunc) {
-	ctx := ContextWithTrace(conn, TraceContext{TraceID: req.TraceID, SpanID: req.SpanID})
+	ctx := contextWithTrace(conn, traceContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	if req.Deadline > 0 {
 		return context.WithTimeout(ctx, req.Deadline)
 	}

@@ -118,8 +118,8 @@ func TestChannelCloseJoinsEveryLoop(t *testing.T) {
 	if err := ch.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Call(ctx, "svc/Echo", []byte("late")); Code(err) != ErrUnavailable.Code {
-		t.Fatalf("post-close call: err = %v, want %v", err, ErrUnavailable)
+	if _, err := ch.Call(ctx, "svc/Echo", []byte("late")); Code(err) != errUnavailable.Code {
+		t.Fatalf("post-close call: err = %v, want %v", err, errUnavailable)
 	}
 	srv.Close()
 	// leakcheck's cleanup now snapshots goroutines: the loops on both ends

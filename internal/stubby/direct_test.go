@@ -424,7 +424,7 @@ func TestExpiredWriteLeavesNothingPending(t *testing.T) {
 	if expired == 0 {
 		t.Fatal("no call expired: the deadlines are too long to exercise the path")
 	}
-	if n := ch.InFlight(); n != 0 {
+	if n := ch.inFlight(); n != 0 {
 		t.Errorf("%d calls still pending after all %d returned (%d expired)", n, 4000, expired)
 	}
 	if _, err := ch.Call(context.Background(), "svc/Echo", payload); err != nil {

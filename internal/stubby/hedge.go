@@ -99,9 +99,9 @@ func codeToError(code trace.ErrorCode) error {
 	case trace.OK:
 		return nil
 	case trace.Cancelled:
-		return ErrCancelled
+		return errCancelled
 	case trace.DeadlineExceeded:
-		return ErrDeadlineExceeded
+		return errDeadlineExceeded
 	default:
 		return &Status{Code: code, Message: code.String()}
 	}

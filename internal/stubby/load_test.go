@@ -27,8 +27,8 @@ func TestLoadReportPiggyback(t *testing.T) {
 		"svc/Echo":  echoHandler,
 	})
 
-	if got := ch.ServerLoad(); got != 0 {
-		t.Fatalf("ServerLoad before any call = %d", got)
+	if got := ch.reportedLoad(); got != 0 {
+		t.Fatalf("reportedLoad before any call = %d", got)
 	}
 
 	// Park 4 calls in handlers.
@@ -48,8 +48,8 @@ func TestLoadReportPiggyback(t *testing.T) {
 		}
 	}
 
-	if got := ch.InFlight(); got < 4 {
-		t.Errorf("InFlight = %d with 4 parked calls", got)
+	if got := ch.inFlight(); got < 4 {
+		t.Errorf("inFlight = %d with 4 parked calls", got)
 	}
 	if got := srv.load(); got < 4 {
 		t.Errorf("server Load = %d with 4 parked handlers", got)
@@ -60,8 +60,8 @@ func TestLoadReportPiggyback(t *testing.T) {
 	if _, err := ch.Call(context.Background(), "svc/Echo", []byte("probe")); err != nil {
 		t.Fatal(err)
 	}
-	if got := ch.ServerLoad(); got < 4 {
-		t.Errorf("ServerLoad after probe = %d, want >= 4", got)
+	if got := ch.reportedLoad(); got < 4 {
+		t.Errorf("reportedLoad after probe = %d, want >= 4", got)
 	}
 
 	close(release)
@@ -97,13 +97,13 @@ func TestPoolLoadEndpoint(t *testing.T) {
 	if _, err := p.Call(context.Background(), "svc/Echo", []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.InFlight(); got != 0 {
-		t.Errorf("InFlight after completed call = %d", got)
+	if got := p.inFlight(); got != 0 {
+		t.Errorf("inFlight after completed call = %d", got)
 	}
-	// ServerLoad reflects whatever the server reported; with an idle
+	// reportedLoad reflects whatever the server reported; with an idle
 	// server it must be small but is allowed to be nonzero (the probe call
 	// itself may have been counted while in a handler).
-	if got := p.ServerLoad(); got > 2 {
-		t.Errorf("idle ServerLoad = %d", got)
+	if got := p.reportedLoad(); got > 2 {
+		t.Errorf("idle reportedLoad = %d", got)
 	}
 }

@@ -2,7 +2,12 @@ package stubby
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +24,54 @@ func TestOptionsFieldBudget(t *testing.T) {
 	}
 	if n := reflect.TypeOf((*Observer)(nil)).Elem().NumMethod(); n > events {
 		t.Fatalf("Observer has %d methods, budget %d", n, events)
+	}
+}
+
+// TestExportedNameBudget holds the package's exported surface at its
+// budget: the exported top-level names of the non-test files, counting
+// funcs, methods, types and each name a const or var declaration binds.
+// ROADMAP aim 2 tracks this count; a change that exports a name says
+// which one it retires, or raises the budget here on purpose.
+func TestExportedNameBudget(t *testing.T) {
+	const budget = 58
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []*ast.Ident
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				ids = append(ids, d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						ids = append(ids, s.Name)
+					case *ast.ValueSpec:
+						ids = append(ids, s.Names...)
+					}
+				}
+			}
+		}
+		for _, id := range ids {
+			if id.IsExported() {
+				exported = append(exported, id.Name)
+			}
+		}
+	}
+	if len(exported) > budget {
+		t.Fatalf("stubby exports %d names, budget %d: %v", len(exported), budget, exported)
 	}
 }
 

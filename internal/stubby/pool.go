@@ -54,8 +54,8 @@ func NewPool(addr, serverCluster string, size int, opts Options) (*Pool, error) 
 	return p, nil
 }
 
-// Size returns the number of live members.
-func (p *Pool) Size() int {
+// size returns the number of live members.
+func (p *Pool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
@@ -76,7 +76,7 @@ func (p *Pool) pick(n uint64) (*Channel, error) {
 		p.mu.Lock()
 		if p.closed || len(p.channels) == 0 {
 			p.mu.Unlock()
-			return nil, ErrUnavailable
+			return nil, errUnavailable
 		}
 		i := int(n % uint64(len(p.channels)))
 		ch := p.channels[i]
@@ -95,7 +95,7 @@ func (p *Pool) pick(n uint64) (*Channel, error) {
 		if p.closed {
 			p.mu.Unlock()
 			fresh.Close()
-			return nil, ErrUnavailable
+			return nil, errUnavailable
 		}
 		p.channels = append(p.channels, fresh)
 		p.mu.Unlock()
@@ -106,29 +106,29 @@ func (p *Pool) pick(n uint64) (*Channel, error) {
 // Addr returns the backend address the pool dials.
 func (p *Pool) Addr() string { return p.addr }
 
-// InFlight returns the number of calls awaiting responses across all
+// inFlight returns the number of calls awaiting responses across all
 // members — the client-side half of the pool's load estimate.
-func (p *Pool) InFlight() int {
+func (p *Pool) inFlight() int {
 	p.mu.Lock()
 	channels := append([]*Channel(nil), p.channels...)
 	p.mu.Unlock()
 	n := 0
 	for _, ch := range channels {
-		n += ch.InFlight()
+		n += ch.inFlight()
 	}
 	return n
 }
 
-// ServerLoad returns the backend's most recently piggybacked load report:
+// reportedLoad returns the backend's most recently piggybacked load report:
 // the maximum across members, since each channel's copy goes stale
 // independently and the freshest pessimistic signal balances best.
-func (p *Pool) ServerLoad() int {
+func (p *Pool) reportedLoad() int {
 	p.mu.Lock()
 	channels := append([]*Channel(nil), p.channels...)
 	p.mu.Unlock()
 	load := 0
 	for _, ch := range channels {
-		if l := ch.ServerLoad(); l > load {
+		if l := ch.reportedLoad(); l > load {
 			load = l
 		}
 	}
@@ -139,7 +139,7 @@ func (p *Pool) ServerLoad() int {
 // piggybacked report. It implements the loadbalance.Endpoint interface, so
 // the same policies that balance simulated machines balance live pools.
 func (p *Pool) Load() int {
-	return p.InFlight() + p.ServerLoad()
+	return p.inFlight() + p.reportedLoad()
 }
 
 // Call issues a unary RPC on the next pool member. If that member dies

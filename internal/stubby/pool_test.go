@@ -118,8 +118,8 @@ func poolSetup(t *testing.T, opts Options, handlers map[string]Handler, size int
 
 func TestPoolBasicCalls(t *testing.T) {
 	pool, _ := poolSetup(t, Options{}, map[string]Handler{"svc/Echo": echoHandler}, 4)
-	if pool.Size() != 4 {
-		t.Fatalf("size = %d", pool.Size())
+	if pool.size() != 4 {
+		t.Fatalf("size = %d", pool.size())
 	}
 	for i := 0; i < 20; i++ {
 		out, err := pool.Call(context.Background(), "svc/Echo", []byte("hi"))
@@ -189,7 +189,7 @@ func TestPoolKeepsChannelOnUnavailableReply(t *testing.T) {
 			t.Errorf("a call the server had accepted: %v", err)
 		}
 	}
-	if n := pool.Size(); n != 2 {
+	if n := pool.size(); n != 2 {
 		t.Errorf("pool has %d members after ten shed calls, want the 2 it dialed", n)
 	}
 }

@@ -43,7 +43,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	ch, _ := testSetup(t, Options{Retry: &policy, Observer: obs}, map[string]Handler{
 		"svc/Fail": func(ctx context.Context, p []byte) ([]byte, error) {
 			attempts.Add(1)
-			return nil, ErrUnavailable
+			return nil, errUnavailable
 		},
 	})
 
@@ -125,7 +125,7 @@ func TestBreakerCycle(t *testing.T) {
 
 	// Closed: failures below threshold keep it closed; a success resets.
 	for i := 0; i < 2; i++ {
-		b.record(m, ErrUnavailable)
+		b.record(m, errUnavailable)
 	}
 	b.record(m, nil)
 	if b.State(m) != BreakerClosed {
@@ -137,7 +137,7 @@ func TestBreakerCycle(t *testing.T) {
 		if !b.allow(m) {
 			t.Fatal("closed breaker refused a call")
 		}
-		b.record(m, ErrUnavailable)
+		b.record(m, errUnavailable)
 	}
 	if b.State(m) != BreakerOpen {
 		t.Fatalf("state after %d failures = %v", 3, b.State(m))
@@ -159,7 +159,7 @@ func TestBreakerCycle(t *testing.T) {
 	}
 
 	// Probe fails: back to open, cooldown restarts.
-	b.record(m, ErrUnavailable)
+	b.record(m, errUnavailable)
 	if b.State(m) != BreakerOpen {
 		t.Fatalf("state after failed probe = %v", b.State(m))
 	}
@@ -213,7 +213,7 @@ func TestChannelIntegratedBreaker(t *testing.T) {
 	ch, _ := testSetup(t, opts, map[string]Handler{
 		"svc/Fail": func(ctx context.Context, p []byte) ([]byte, error) {
 			handled.Add(1)
-			return nil, ErrUnavailable
+			return nil, errUnavailable
 		},
 	})
 	for i := 0; i < 10; i++ {
@@ -242,7 +242,7 @@ func TestBreakerOutsideRetry(t *testing.T) {
 	ch, _ := testSetup(t, opts, map[string]Handler{
 		"svc/Fail": func(ctx context.Context, p []byte) ([]byte, error) {
 			handled.Add(1)
-			return nil, ErrUnavailable
+			return nil, errUnavailable
 		},
 	})
 	call := func() error {
@@ -260,8 +260,8 @@ func TestBreakerOutsideRetry(t *testing.T) {
 			t.Fatalf("after call %d the breaker is %v, want %v", i, got, want)
 		}
 	}
-	if err := call(); err != ErrCircuitOpen {
-		t.Fatalf("open breaker: got %v, want ErrCircuitOpen", err)
+	if err := call(); err != errCircuitOpen {
+		t.Fatalf("open breaker: got %v, want errCircuitOpen", err)
 	}
 	if got := handled.Load(); got != 6 {
 		t.Fatalf("open breaker let the backend see %d attempts, want 6", got)

@@ -618,9 +618,9 @@ func (s *Server) serve(call *serverCall) *serverResponse {
 
 func ctxErrToStatus(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return ErrDeadlineExceeded
+		return errDeadlineExceeded
 	}
-	return ErrCancelled
+	return errCancelled
 }
 
 // prepareResponse compresses and marshals one queued response into a

@@ -54,11 +54,11 @@ func Code(err error) trace.ErrorCode { return StatusFromError(err).Code }
 
 // Convenience sentinels for common failures.
 var (
-	// ErrCancelled reports a call cancelled by the caller (including a
+	// errCancelled reports a call cancelled by the caller (including a
 	// losing hedge leg).
-	ErrCancelled = &Status{Code: trace.Cancelled, Message: "call cancelled"}
-	// ErrDeadlineExceeded reports a call that outlived its deadline.
-	ErrDeadlineExceeded = &Status{Code: trace.DeadlineExceeded, Message: "deadline exceeded"}
-	// ErrUnavailable reports a closed or failed channel.
-	ErrUnavailable = &Status{Code: trace.Unavailable, Message: "channel unavailable"}
+	errCancelled = &Status{Code: trace.Cancelled, Message: "call cancelled"}
+	// errDeadlineExceeded reports a call that outlived its deadline.
+	errDeadlineExceeded = &Status{Code: trace.DeadlineExceeded, Message: "deadline exceeded"}
+	// errUnavailable reports a closed or failed channel.
+	errUnavailable = &Status{Code: trace.Unavailable, Message: "channel unavailable"}
 )

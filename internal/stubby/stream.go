@@ -138,7 +138,7 @@ func (c *Channel) OpenStream(ctx context.Context, method string) (*Stream, error
 		deadline = time.Until(dl)
 	}
 	if deadline <= 0 {
-		return nil, ErrDeadlineExceeded
+		return nil, errDeadlineExceeded
 	}
 	req := &request{
 		Method:   method,
@@ -154,7 +154,7 @@ func (c *Channel) OpenStream(ctx context.Context, method string) (*Stream, error
 	if !c.streams.add(streamID, st) {
 		st.cancel()
 		wire.PutBuf(env)
-		return nil, ErrUnavailable
+		return nil, errUnavailable
 	}
 
 	// Streams bypass the unary send queue: the open frame goes out
@@ -164,7 +164,7 @@ func (c *Channel) OpenStream(ctx context.Context, method string) (*Stream, error
 	if err != nil {
 		c.streams.drop(streamID)
 		st.cancel()
-		return nil, ErrUnavailable
+		return nil, errUnavailable
 	}
 
 	// Relay caller cancellation to the server as a reset.
@@ -201,7 +201,7 @@ func (s *Stream) Send(msg []byte) error {
 		return err
 	}
 	if err := s.tr.sendChunks(s.streamID, msg, 0); err != nil {
-		return ErrUnavailable
+		return errUnavailable
 	}
 	return nil
 }
@@ -225,7 +225,7 @@ func (s *Stream) CloseSend() error {
 	default:
 	}
 	if err := s.tr.sendHalfClose(s.streamID); err != nil {
-		return ErrUnavailable
+		return errUnavailable
 	}
 	return nil
 }
@@ -283,7 +283,7 @@ func (s *Stream) sendGrant(n int64) {
 // fails its blocked Sends. Close releases every pooled buffer this end
 // holds, including the one handed out by the last Recv.
 func (s *Stream) Close() error {
-	s.terminate(ErrCancelled, true)
+	s.terminate(errCancelled, true)
 	if s.cur != nil {
 		wire.PutBuf(s.cur)
 		s.cur = nil

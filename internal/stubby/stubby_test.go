@@ -598,8 +598,8 @@ func TestServiceOf(t *testing.T) {
 		"bare":                   "bare",
 	}
 	for in, want := range cases {
-		if got := ServiceOf(in); got != want {
-			t.Errorf("ServiceOf(%q) = %q, want %q", in, got, want)
+		if got := serviceOf(in); got != want {
+			t.Errorf("serviceOf(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

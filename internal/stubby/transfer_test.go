@@ -191,7 +191,7 @@ func TestConnTruncationFailsCoded(t *testing.T) {
 				t.Fatalf("call %d after the load: %v", i, err)
 			}
 		}
-		if n := pool.Size(); n != 3 {
+		if n := pool.size(); n != 3 {
 			t.Fatalf("pool has %d live members, want 3", n)
 		}
 	})
@@ -309,7 +309,7 @@ func TestPoolCallHedgedReplacesDeadMember(t *testing.T) {
 		if failed > 0 {
 			t.Errorf("member %d closed: %d of 100 hedged calls failed", victim, failed)
 		}
-		if n := pool.Size(); n != 2 {
+		if n := pool.size(); n != 2 {
 			t.Errorf("member %d closed: pool has %d live members, want 2", victim, n)
 		}
 	}

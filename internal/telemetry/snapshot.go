@@ -5,22 +5,16 @@ import (
 
 	"rpcscale/internal/monarch"
 	"rpcscale/internal/stats"
-	"rpcscale/internal/trace"
 )
 
-// Snapshot is a compact, JSON-serializable summary of everything one
-// Plane observed: call and error volume, the outcome-code mix, and the
-// merged latency distribution. It is the unit of cross-process telemetry
-// transfer — each cluster-harness child serializes a Snapshot over its
-// result pipe, and the parent merges them with MergeSnapshots to render
-// fleet-wide numbers from real traffic.
+// Snapshot is a compact, JSON-serializable summary of what one Plane
+// observed: the call volume and the merged latency distribution. It is
+// the unit of cross-process telemetry transfer — each cluster-harness
+// child serializes a Snapshot over its result pipe, and the parent merges
+// them with MergeSnapshots to render fleet-wide latency from real traffic.
 type Snapshot struct {
-	// Calls and Errors count spans observed (sampled or not).
-	Calls  uint64 `json:"calls"`
-	Errors uint64 `json:"errors"`
-	// ByCode is the outcome mix, keyed by trace.ErrorCode name; zero
-	// counts are omitted.
-	ByCode map[string]uint64 `json:"by_code,omitempty"`
+	// Calls counts spans observed (sampled or not).
+	Calls uint64 `json:"calls"`
 	// Latency is the merged rpc/latency distribution (ns) across every
 	// (service, method, cluster) stream the plane recorded.
 	Latency stats.HistDump `json:"latency"`
@@ -30,16 +24,7 @@ type Snapshot struct {
 // histogram merges every rpc/latency stream in the Monarch DB, so it
 // covers all methods and clusters this plane observed.
 func (p *Plane) Snapshot() Snapshot {
-	s := Snapshot{
-		Calls:  p.Calls(),
-		Errors: p.Errors(),
-		ByCode: make(map[string]uint64),
-	}
-	for code, n := range p.col.SeenByCode() {
-		if n > 0 {
-			s.ByCode[trace.ErrorCode(code).String()] = n
-		}
-	}
+	s := Snapshot{Calls: p.Calls()}
 	lat := monarch.MergeDistAcross(p.Monarch().Query(MetricLatency, nil, time.Time{}, time.Time{}))
 	if lat == nil {
 		lat = stats.NewLatencyHist()
@@ -54,18 +39,14 @@ func (s *Snapshot) LatencyHist() *stats.Hist {
 }
 
 // MergeSnapshots folds per-process snapshots into one fleet-wide view:
-// counts add, code mixes add, and latency histograms merge (they share
-// the NewLatencyHist shape).
+// counts add and latency histograms merge (they share the NewLatencyHist
+// shape).
 func MergeSnapshots(snaps []Snapshot) Snapshot {
-	out := Snapshot{ByCode: make(map[string]uint64)}
+	var out Snapshot
 	lat := stats.NewLatencyHist()
 	for i := range snaps {
 		s := &snaps[i]
 		out.Calls += s.Calls
-		out.Errors += s.Errors
-		for code, n := range s.ByCode {
-			out.ByCode[code] += n
-		}
 		lat.Merge(s.LatencyHist())
 	}
 	out.Latency = lat.Export()
