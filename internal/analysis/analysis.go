@@ -14,8 +14,8 @@
 //     issue/dispatch while a sync.Mutex/RWMutex is held — the stack's hot
 //     paths serialize on these locks.
 //   - statuserr: errors crossing the stubby public boundary must be
-//     canonical *Status errors so trace.Collector.SeenByCode classifies
-//     every failure.
+//     canonical *Status errors so each span's code (and the per-code
+//     Monarch series keyed by it) classifies every failure.
 //   - sinkobserve: streaming accumulator observe methods must not retain
 //     their argument, protecting the 0 allocs/op observe path.
 //   - bufown: pooled buffers (wire.GetBuf and friends) must be released,

@@ -7,8 +7,8 @@ import (
 
 // StatusBoundaryPackages lists the packages whose exported API is an RPC
 // boundary: every error they return must be a canonical status error so
-// trace.Collector.SeenByCode classifies the failure instead of lumping it
-// into Internal.
+// the span's code, and the telemetry plane's per-code Monarch series,
+// classify the failure instead of lumping it into Internal.
 var StatusBoundaryPackages = NewPackageList(
 	"rpcscale/internal/stubby",
 )
@@ -25,7 +25,7 @@ var StatuserrAnalyzer = &Analyzer{
 	Name: "statuserr",
 	Doc: "exported functions and methods of " + StatusBoundaryPackages.String() + " must return " +
 		"canonical status errors (Errorf(code, ...), *Status), never bare fmt.Errorf/errors.New/ctx.Err(), " +
-		"so SeenByCode sees a classified code on every failure path",
+		"so every failure path leaves a classified code on its span",
 	Run: runStatuserr,
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/sim"
@@ -72,7 +74,7 @@ type graphAccum struct {
 	fanInGraphs uint64 // graphs with at least one fan-in edge
 	fanInEdges  uint64
 	sharedNodes uint64
-	size        *stats.Hist       // graph node counts (the size CCDF)
+	size        stats.Hist        // graph node counts (the size CCDF)
 	depthWidth  map[[2]int]uint64 // (depth, log2 width bucket) -> graphs
 	motifNodes  [trace.NumMotifs]uint64
 
@@ -83,7 +85,7 @@ type graphAccum struct {
 
 func newGraphAccum() graphAccum {
 	return graphAccum{
-		size:       stats.NewHist(1, stats.DefaultGrowth),
+		size:       stats.SizeShape.Hist(),
 		depthWidth: make(map[[2]int]uint64),
 	}
 }
@@ -104,7 +106,7 @@ func (a *graphAccum) merge(o *graphAccum) {
 	a.fanInGraphs += o.fanInGraphs
 	a.fanInEdges += o.fanInEdges
 	a.sharedNodes += o.sharedNodes
-	a.size.Merge(o.size)
+	a.size.Merge(&o.size)
 	for k, v := range o.depthWidth {
 		a.depthWidth[k] += v
 	}
@@ -129,45 +131,53 @@ const reportMTU = 1500
 // items (1.57 MB) at any volume.
 const corrSubsample = 1 << 14
 
+// The shapes of the per-method histograms beyond stats.LatencyShape (ns)
+// and stats.SizeShape (bytes), each built once and shared by every sink.
+var (
+	ratioShape    = stats.NewShape(1e-4, 1.1) // response/request and cycles
+	taxRatioShape = stats.NewShape(1e-6, 1.1)
+)
+
 // methodAccum is the per-method stratified-sample state: one histogram
-// per per-method figure. Each histogram's count doubles as that figure's
-// call count (a value is counted iff it is added).
+// per per-method figure, held by value so a method's state is one
+// allocation. Each histogram's count doubles as that figure's call count
+// (a value is counted iff it is added).
 type methodAccum struct {
 	spans uint64 // all stratified samples, errors included (the >=100 gate)
 
-	lat      *stats.Hist // Fig. 2 completion time, ns
-	req      *stats.Hist // Fig. 6a request bytes
-	resp     *stats.Hist // Fig. 6b response bytes
-	ratio    *stats.Hist // Fig. 7 response/request
-	cpu      *stats.Hist // Fig. 21 cycles
-	taxRatio *stats.Hist // Fig. 11 tax ratio
-	wireNet  *stats.Hist // Fig. 12 wire+stack, ns
-	queue    *stats.Hist // Fig. 13 queuing, ns
+	lat      stats.Hist // Fig. 2 completion time, ns
+	req      stats.Hist // Fig. 6a request bytes
+	resp     stats.Hist // Fig. 6b response bytes
+	ratio    stats.Hist // Fig. 7 response/request
+	cpu      stats.Hist // Fig. 21 cycles
+	taxRatio stats.Hist // Fig. 11 tax ratio
+	wireNet  stats.Hist // Fig. 12 wire+stack, ns
+	queue    stats.Hist // Fig. 13 queuing, ns
 }
 
 func newMethodAccum() *methodAccum {
 	return &methodAccum{
-		lat:      stats.NewHist(100, stats.DefaultGrowth),
-		req:      stats.NewHist(1, stats.DefaultGrowth),
-		resp:     stats.NewHist(1, stats.DefaultGrowth),
-		ratio:    stats.NewHist(1e-4, 1.1),
-		cpu:      stats.NewHist(1e-4, 1.1),
-		taxRatio: stats.NewHist(1e-6, 1.1),
-		wireNet:  stats.NewHist(100, stats.DefaultGrowth),
-		queue:    stats.NewHist(100, stats.DefaultGrowth),
+		lat:      stats.LatencyShape.Hist(),
+		req:      stats.SizeShape.Hist(),
+		resp:     stats.SizeShape.Hist(),
+		ratio:    ratioShape.Hist(),
+		cpu:      ratioShape.Hist(),
+		taxRatio: taxRatioShape.Hist(),
+		wireNet:  stats.LatencyShape.Hist(),
+		queue:    stats.LatencyShape.Hist(),
 	}
 }
 
 func (a *methodAccum) merge(o *methodAccum) {
 	a.spans += o.spans
-	a.lat.Merge(o.lat)
-	a.req.Merge(o.req)
-	a.resp.Merge(o.resp)
-	a.ratio.Merge(o.ratio)
-	a.cpu.Merge(o.cpu)
-	a.taxRatio.Merge(o.taxRatio)
-	a.wireNet.Merge(o.wireNet)
-	a.queue.Merge(o.queue)
+	a.lat.Merge(&o.lat)
+	a.req.Merge(&o.req)
+	a.resp.Merge(&o.resp)
+	a.ratio.Merge(&o.ratio)
+	a.cpu.Merge(&o.cpu)
+	a.taxRatio.Merge(&o.taxRatio)
+	a.wireNet.Merge(&o.wireNet)
+	a.queue.Merge(&o.queue)
 }
 
 // volAccum is the per-method volume-mix state (Fig. 3 popularity and the
@@ -188,17 +198,22 @@ type svcAccum struct {
 // plus, per histogram bucket, exact nanosecond sums of (total, wire,
 // stack, queue) conditioned on the span landing in that bucket. The tail
 // panel then sums the buckets at or beyond the method's P95 rank — the
-// streaming replacement for retaining raw per-method samples. Like the
-// histogram's counts, buckets starts at the first used bucket, off.
+// streaming replacement for retaining raw per-method samples. Only the
+// buckets a span landed in have sums, one entry each, sorted by bucket.
 type taxAccum struct {
-	hist    *stats.Hist
+	hist    stats.Hist
 	under   [4]int64
-	off     int
-	buckets [][4]int64
+	buckets []taxBucket
+}
+
+// taxBucket is the Fig. 10 sums of the spans in histogram bucket b.
+type taxBucket struct {
+	b    int
+	sums [4]int64
 }
 
 func newTaxAccum() *taxAccum {
-	return &taxAccum{hist: stats.NewLatencyHist()}
+	return &taxAccum{hist: stats.LatencyShape.Hist()}
 }
 
 func (t *taxAccum) observe(tot, wire, stack, queue int64) {
@@ -206,10 +221,17 @@ func (t *taxAccum) observe(tot, wire, stack, queue int64) {
 	t.hist.Add(float64(tot))
 	sums := &t.under
 	if b >= 0 {
-		if b < t.off || b >= t.off+len(t.buckets) {
-			t.buckets, t.off = stats.Widen(t.buckets, t.off, b, b+1)
+		i, ok := slices.BinarySearchFunc(t.buckets, b, func(e taxBucket, b int) int { return cmp.Compare(e.b, b) })
+		if !ok {
+			// Grown to the exact length: most methods' spans land in a
+			// few buckets, and append's headroom would outweigh them.
+			grown := make([]taxBucket, len(t.buckets)+1)
+			copy(grown, t.buckets[:i])
+			copy(grown[i+1:], t.buckets[i:])
+			grown[i].b = b
+			t.buckets = grown
 		}
-		sums = &t.buckets[b-t.off]
+		sums = &t.buckets[i].sums
 	}
 	sums[0] += tot
 	sums[1] += wire
@@ -218,18 +240,50 @@ func (t *taxAccum) observe(tot, wire, stack, queue int64) {
 }
 
 func (t *taxAccum) merge(o *taxAccum) {
-	t.hist.Merge(o.hist)
+	t.hist.Merge(&o.hist)
 	for i := range t.under {
 		t.under[i] += o.under[i]
 	}
-	if len(o.buckets) > 0 {
-		t.buckets, t.off = stats.Widen(t.buckets, t.off, o.off, o.off+len(o.buckets))
-	}
-	for b := range o.buckets {
-		for i := range o.buckets[b] {
-			t.buckets[o.off-t.off+b][i] += o.buckets[b][i]
+	t.buckets = mergeBuckets(t.buckets, o.buckets)
+}
+
+// mergeBuckets returns the sums of a and b, each sorted by bucket, as one
+// list sorted by bucket. It adds into a's array when b has no bucket a
+// lacks, and otherwise lays the union out in a new one of its length.
+func mergeBuckets(a, b []taxBucket) []taxBucket {
+	n := len(a)
+	for i, j := 0, 0; j < len(b); j++ {
+		for i < len(a) && a[i].b < b[j].b {
+			i++
+		}
+		if i == len(a) || a[i].b != b[j].b {
+			n++
 		}
 	}
+	// In place, entry k is written only after it is read.
+	out := a[:0]
+	if n > len(a) {
+		out = make([]taxBucket, 0, n)
+	}
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case j == len(b) || i < len(a) && a[i].b < b[j].b:
+			out = append(out, a[i])
+			i++
+		case i == len(a) || b[j].b < a[i].b:
+			out = append(out, b[j])
+			j++
+		default:
+			e := a[i]
+			for k := range e.sums {
+				e.sums[k] += b[j].sums[k]
+			}
+			out = append(out, e)
+			i++
+			j++
+		}
+	}
+	return out
 }
 
 // tail sums the per-bucket sums at or beyond the q-rank bucket.
@@ -240,9 +294,12 @@ func (t *taxAccum) tail(q float64) [4]int64 {
 		// The rank falls in the underflow bucket: every span qualifies.
 		out = t.under
 	}
-	for i := max(b-t.off, 0); i < len(t.buckets); i++ {
+	for _, e := range t.buckets {
+		if e.b < b {
+			continue
+		}
 		for j := range out {
-			out[j] += t.buckets[i][j]
+			out[j] += e.sums[j]
 		}
 	}
 	return out

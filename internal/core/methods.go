@@ -77,7 +77,7 @@ func (r *PerMethodResult) FractionOfMethods(pred func(stats.Summary) bool) float
 // LatencyByMethod is Fig. 2: per-method RPC completion time, sorted by
 // median.
 func (k *ReportSink) LatencyByMethod() *PerMethodResult {
-	return k.perMethodResult("RPC completion time", "ns", func(a *methodAccum) *stats.Hist { return a.lat })
+	return k.perMethodResult("RPC completion time", "ns", func(a *methodAccum) *stats.Hist { return &a.lat })
 }
 
 // LatencyAnchors summarizes Fig. 2's headline claims for EXPERIMENTS.md.
@@ -118,23 +118,23 @@ func (r *PerMethodResult) Anchors() LatencyAnchors {
 
 // RequestSizeByMethod is Fig. 6a.
 func (k *ReportSink) RequestSizeByMethod() *PerMethodResult {
-	return k.perMethodResult("request size", "B", func(a *methodAccum) *stats.Hist { return a.req })
+	return k.perMethodResult("request size", "B", func(a *methodAccum) *stats.Hist { return &a.req })
 }
 
 // ResponseSizeByMethod is Fig. 6b (the paper quotes response anchors in
 // the text).
 func (k *ReportSink) ResponseSizeByMethod() *PerMethodResult {
-	return k.perMethodResult("response size", "B", func(a *methodAccum) *stats.Hist { return a.resp })
+	return k.perMethodResult("response size", "B", func(a *methodAccum) *stats.Hist { return &a.resp })
 }
 
 // SizeRatioByMethod is Fig. 7: response/request per call, per method.
 func (k *ReportSink) SizeRatioByMethod() *PerMethodResult {
-	return k.perMethodResult("response/request ratio", "ratio", func(a *methodAccum) *stats.Hist { return a.ratio })
+	return k.perMethodResult("response/request ratio", "ratio", func(a *methodAccum) *stats.Hist { return &a.ratio })
 }
 
 // CPUByMethod is Fig. 21: per-method normalized CPU cycles.
 func (k *ReportSink) CPUByMethod() *PerMethodResult {
-	return k.perMethodResult("CPU cost", "cycles", func(a *methodAccum) *stats.Hist { return a.cpu })
+	return k.perMethodResult("CPU cost", "cycles", func(a *methodAccum) *stats.Hist { return &a.cpu })
 }
 
 // CPUCorrelations reports the §4.2 finding that neither size nor latency

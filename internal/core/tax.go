@@ -93,7 +93,7 @@ type TaxRatioByMethodResult struct {
 
 // TaxRatioByMethod computes Fig. 11 from stratified samples.
 func (k *ReportSink) TaxRatioByMethod() *TaxRatioByMethodResult {
-	base := k.perMethodResult("tax ratio", "ratio", func(a *methodAccum) *stats.Hist { return a.taxRatio })
+	base := k.perMethodResult("tax ratio", "ratio", func(a *methodAccum) *stats.Hist { return &a.taxRatio })
 	res := &TaxRatioByMethodResult{Rows: base.Rows}
 	n := len(res.Rows)
 	if n == 0 {
@@ -143,8 +143,8 @@ type TaxComponentsResult struct {
 // TaxComponents computes Figs. 12/13 from stratified samples.
 func (k *ReportSink) TaxComponents() *TaxComponentsResult {
 	res := &TaxComponentsResult{
-		WireNet: k.perMethodResult("wire + stack latency", "ns", func(a *methodAccum) *stats.Hist { return a.wireNet }),
-		Queue:   k.perMethodResult("queuing latency", "ns", func(a *methodAccum) *stats.Hist { return a.queue }),
+		WireNet: k.perMethodResult("wire + stack latency", "ns", func(a *methodAccum) *stats.Hist { return &a.wireNet }),
+		Queue:   k.perMethodResult("queuing latency", "ns", func(a *methodAccum) *stats.Hist { return &a.queue }),
 	}
 	// Fig. 12: methods sorted by median wire+stack; anchor P99s.
 	if n := len(res.WireNet.Rows); n > 0 {

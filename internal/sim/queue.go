@@ -129,7 +129,13 @@ func (s *Server) dispatch() {
 		}
 	}
 	j := s.queue[idx]
-	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
+	if idx == 0 {
+		// FIFO takes the head: slice it off rather than copy the queue.
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+	} else {
+		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
+	}
 	s.start(j)
 }
 

@@ -187,6 +187,30 @@ func TestMinRTTMatchesPaperScale(t *testing.T) {
 	}
 }
 
+// The base-latency table answers as the pair's own proximity and
+// distance do, and a cluster from another topology (whose Index may name
+// a different cluster here) is worked out, not looked up.
+func TestBaseOneWayTable(t *testing.T) {
+	topo := NewTopology(DefaultTopology())
+	for _, a := range topo.Clusters {
+		for _, b := range topo.Clusters {
+			if got, want := topo.baseOneWay(a, b), topo.pairBase(a, b); got != want {
+				t.Fatalf("%s -> %s: table %v, pair %v", a.Name, b.Name, got, want)
+			}
+		}
+	}
+	cfg := DefaultTopology()
+	cfg.Seed = 9
+	other := NewTopology(cfg)
+	for _, a := range other.Clusters {
+		for _, b := range topo.Clusters {
+			if got, want := topo.baseOneWay(a, b), topo.pairBase(a, b); got != want {
+				t.Fatalf("outside %s -> %s: %v, pair %v", a.Name, b.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestExoDiurnalCycle(t *testing.T) {
 	m := NewExoModel(stats.NewRNG(5))
 	// Sample utilization over 24h; the diurnal wave must produce a spread

@@ -52,6 +52,8 @@ type Topology struct {
 	Clusters    []*Cluster
 
 	byName map[string]*Cluster
+	// base[a*n+b] is baseOneWay of clusters a and b by Index, n of them.
+	base []time.Duration
 }
 
 // worldRegions places six regions with rough real-world separations; the
@@ -122,6 +124,13 @@ func NewTopology(cfg TopologyConfig) *Topology {
 				topo.Clusters = append(topo.Clusters, cl)
 				topo.byName[cl.Name] = cl
 			}
+		}
+	}
+	n := len(topo.Clusters)
+	topo.base = make([]time.Duration, n*n)
+	for _, a := range topo.Clusters {
+		for _, b := range topo.Clusters {
+			topo.base[a.Index*n+b.Index] = topo.pairBase(a, b)
 		}
 	}
 	return topo
@@ -206,15 +215,7 @@ var congestionSpike = stats.NewPareto(float64(5*time.Millisecond), 1.2, float64(
 // propagation delay: queuing delay is exponential in the common case with
 // a Pareto spike tail whose probability rises with utilization.
 func (t *Topology) WireOneWay(rng *stats.RNG, a, b *Cluster, bytes int64, netUtil float64) time.Duration {
-	var base time.Duration
-	switch t.ProximityOf(a, b) {
-	case SameCluster:
-		base = intraClusterOneWay
-	case SameDatacenter:
-		base = interClusterSameDCOneWay
-	default:
-		base = interClusterSameDCOneWay + fiberOneWay(t.DistanceKm(a, b))
-	}
+	base := t.baseOneWay(a, b)
 	// Transmission at ~10 Gb/s effective per-flow throughput.
 	transmit := time.Duration(float64(bytes) * 0.8) // 0.8 ns per byte
 	// Switch/fabric queuing: exponential with mean growing with load.
@@ -234,15 +235,27 @@ func (t *Topology) WireOneWay(rng *stats.RNG, a, b *Cluster, bytes int64, netUti
 // MinRTT returns the no-load round-trip wire time between two clusters,
 // used by the Fig. 19 cross-validation that wire latency, not congestion,
 // dominates average cross-cluster RPCs.
-func (t *Topology) MinRTT(a, b *Cluster) time.Duration {
-	var base time.Duration
+func (t *Topology) MinRTT(a, b *Cluster) time.Duration { return 2 * t.baseOneWay(a, b) }
+
+// baseOneWay is the no-load one-way wire latency between two clusters:
+// read from the table for the topology's own clusters, worked out for
+// any other.
+func (t *Topology) baseOneWay(a, b *Cluster) time.Duration {
+	if n := len(t.Clusters); uint(a.Index) < uint(n) && uint(b.Index) < uint(n) &&
+		t.Clusters[a.Index] == a && t.Clusters[b.Index] == b {
+		return t.base[a.Index*n+b.Index]
+	}
+	return t.pairBase(a, b)
+}
+
+// pairBase works out baseOneWay from the pair's proximity and distance.
+func (t *Topology) pairBase(a, b *Cluster) time.Duration {
 	switch t.ProximityOf(a, b) {
 	case SameCluster:
-		base = intraClusterOneWay
+		return intraClusterOneWay
 	case SameDatacenter:
-		base = interClusterSameDCOneWay
+		return interClusterSameDCOneWay
 	default:
-		base = interClusterSameDCOneWay + fiberOneWay(t.DistanceKm(a, b))
+		return interClusterSameDCOneWay + fiberOneWay(t.DistanceKm(a, b))
 	}
-	return 2 * base
 }

@@ -86,3 +86,18 @@ func BenchmarkParetoSample(b *testing.B) {
 		p.Sample(rng)
 	}
 }
+
+// BenchmarkHistAddUniform adds values spread evenly over 1 µs to 1 s, as
+// the repo benchmark's stats.hist_add_ns does; its top buckets pass 2^16
+// counts within the first few million adds.
+func BenchmarkHistAddUniform(b *testing.B) {
+	h := NewLatencyHist()
+	rng := NewRNG(1)
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = 1e3 + rng.Float64()*1e9
+	}
+	for i := 0; b.Loop(); i++ {
+		h.Add(vals[i&4095])
+	}
+}

@@ -4,6 +4,51 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
+)
+
+// Shape is a histogram kind: the lower bound of its first bucket and the
+// factor its buckets grow by. Every histogram of one kind points to one
+// Shape, built once, so a histogram's header carries a pointer instead
+// of three floats. A Shape does not change after NewShape, so any number
+// of goroutines may read it.
+type Shape struct {
+	min    float64 // lower bound of bucket 0
+	growth float64 // geometric bucket growth factor
+	logG   float64 // cached log(growth)
+}
+
+// NewShape returns the shape whose first bucket starts at min and whose
+// buckets grow by the given factor. min must be positive and growth > 1.
+func NewShape(min, growth float64) *Shape {
+	if min <= 0 || growth <= 1 {
+		panic(fmt.Sprintf("stats: invalid histogram shape min=%v growth=%v", min, growth))
+	}
+	return &Shape{min: min, growth: growth, logG: math.Log(growth)}
+}
+
+// Hist returns an empty histogram of shape s.
+func (s *Shape) Hist() Hist { return Hist{shape: s, minSeen: math.Inf(1)} }
+
+// newHist returns a new empty histogram of shape s.
+func (s *Shape) newHist() *Hist {
+	h := s.Hist()
+	return &h
+}
+
+// bucket returns the bucket index for v (which must be >= s.min).
+func (s *Shape) bucket(v float64) int {
+	return int(math.Log(v/s.min) / s.logG)
+}
+
+// DefaultGrowth gives ~2.5% relative quantile error, which is far below the
+// run-to-run variance of any latency distribution we model.
+const DefaultGrowth = 1.05
+
+// The shapes of NewLatencyHist and NewSizeHist.
+var (
+	LatencyShape = NewShape(100, DefaultGrowth) // latencies in ns: first bucket at 100 ns
+	SizeShape    = NewShape(1, DefaultGrowth)   // message sizes in bytes: first bucket at 1 B
 )
 
 // Hist is a log-bucketed histogram for positive values spanning many orders
@@ -14,51 +59,78 @@ import (
 //
 // Hist is the distribution value type stored in Monarch time-series points
 // and is the working representation for every per-method analysis. The
-// zero value is not usable; construct with NewHist or NewLatencyHist.
+// zero value is not usable; construct with NewHist, NewLatencyHist or a
+// Shape's Hist.
 //
 // Bucket b covers [min*growth^b, min*growth^(b+1)). counts stores only the
-// buckets from the first used one to the last: counts[i] is bucket off+i.
+// buckets from the first used one to the last: count i is bucket off+i.
 // A per-method histogram holds a handful of values hundreds of buckets
 // above min, so the leading zeros are never stored. Every index a Hist
 // takes or returns (BucketIndex, RankBucket) is the absolute bucket b, and
 // Export writes counts from bucket 0.
+//
+// Counts are as narrow as they can be: 16 bits each until an addition
+// would overflow one, then the whole histogram widens to 32 bits, and
+// then to 64. At 16 bits counts is the slice of counts; wider, it is the
+// same memory allocated as []uint32 or []uint64, so it is aligned for
+// them, and p32, p64 and view read it at that width.
 type Hist struct {
-	min    float64 // lower bound of bucket 0
-	growth float64 // geometric bucket growth factor
-	logG   float64 // cached log(growth)
-
-	off     int      // absolute bucket of counts[0]
-	counts  []uint64 // counts[i] covers bucket off+i
+	shape   *Shape
+	counts  []uint16 // count i covers bucket off+i, 16<<wide bits each
+	off     int32    // absolute bucket of count 0
+	wide    uint8    // counts are 16<<wide bits wide: 0, 1 or 2
 	under   uint64   // values below min
 	total   uint64
 	maxSeen float64
 	minSeen float64
 }
 
-// DefaultGrowth gives ~2.5% relative quantile error, which is far below the
-// run-to-run variance of any latency distribution we model.
-const DefaultGrowth = 1.05
-
 // NewHist returns a histogram whose first bucket starts at min and whose
 // buckets grow by the given factor. min must be positive and growth > 1.
-func NewHist(min, growth float64) *Hist {
-	if min <= 0 || growth <= 1 {
-		panic(fmt.Sprintf("stats: invalid histogram shape min=%v growth=%v", min, growth))
-	}
-	return &Hist{min: min, growth: growth, logG: math.Log(growth), minSeen: math.Inf(1)}
-}
+func NewHist(min, growth float64) *Hist { return NewShape(min, growth).newHist() }
 
 // NewLatencyHist returns a histogram tuned for latencies expressed in
 // nanoseconds: first bucket at 100 ns, default growth.
-func NewLatencyHist() *Hist { return NewHist(100, DefaultGrowth) }
+func NewLatencyHist() *Hist { return LatencyShape.newHist() }
 
 // NewSizeHist returns a histogram tuned for message sizes in bytes: first
 // bucket at 1 B, default growth.
-func NewSizeHist() *Hist { return NewHist(1, DefaultGrowth) }
+func NewSizeHist() *Hist { return SizeShape.newHist() }
 
-// bucket returns the bucket index for v (which must be >= h.min).
-func (h *Hist) bucket(v float64) int {
-	return int(math.Log(v/h.min) / h.logG)
+// counter is the type of a count at each width.
+type counter interface{ uint16 | uint32 | uint64 }
+
+// view returns s's memory read as elements of type T.
+func view[T, S counter](s []S) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	var t T
+	var e S
+	return unsafe.Slice((*T)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(e))/int(unsafe.Sizeof(t)))
+}
+
+// p32 and p64 point to count i at 32 and 64 bits; i must be below n.
+func (h *Hist) p32(i int) *uint32 {
+	return (*uint32)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(h.counts)), 4*i))
+}
+
+func (h *Hist) p64(i int) *uint64 {
+	return (*uint64)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(h.counts)), 8*i))
+}
+
+// n returns how many buckets counts holds.
+func (h *Hist) n() int { return len(h.counts) >> h.wide }
+
+// at returns count i.
+func (h *Hist) at(i int) uint64 {
+	switch h.wide {
+	case 0:
+		return uint64(h.counts[i])
+	case 1:
+		return uint64(*h.p32(i))
+	}
+	return *h.p64(i)
 }
 
 // Add records one observation. Non-positive and NaN values are recorded in
@@ -70,9 +142,14 @@ func (h *Hist) AddN(v float64, n uint64) {
 	if n == 0 {
 		return
 	}
+	sh := h.shape
 	h.total += n
-	if !(v > 0) || math.IsNaN(v) { // catches v <= 0 and NaN
+	if !(v >= sh.min) { // below the first bucket, non-positive or NaN
 		h.under += n
+		if v > 0 {
+			h.maxSeen = max(h.maxSeen, v)
+			h.minSeen = min(h.minSeen, v)
+		}
 		return
 	}
 	if v > h.maxSeen {
@@ -81,42 +158,85 @@ func (h *Hist) AddN(v float64, n uint64) {
 	if v < h.minSeen {
 		h.minSeen = v
 	}
-	if v < h.min {
-		h.under += n
+	b := sh.bucket(v) - int(h.off)
+	switch h.wide {
+	case 0:
+		if uint(b) < uint(len(h.counts)) && n <= uint64(math.MaxUint16-h.counts[b]) {
+			h.counts[b] += uint16(n)
+			return
+		}
+	case 1:
+		if uint(b) < uint(len(h.counts)>>1) {
+			if c := h.p32(b); n <= uint64(math.MaxUint32-*c) {
+				*c += uint32(n)
+				return
+			}
+		}
+	}
+	h.add(b, n)
+}
+
+// add is AddN's general case, kept out of it so the common case stays
+// small: it makes room for bucket off+b, then adds n to its count.
+func (h *Hist) add(b int, n uint64) {
+	if uint(b) >= uint(h.n()) {
+		abs := b + int(h.off)
+		h.relayout(abs, abs+1, h.wide)
+		b = abs - int(h.off)
+	}
+	h.addAt(b, n)
+}
+
+// addAt adds n to count i, widening the counts first when it would
+// overflow. A 64-bit count wraps as a uint64 does.
+func (h *Hist) addAt(i int, n uint64) {
+	switch h.wide {
+	case 0:
+		if c := &h.counts[i]; n <= uint64(math.MaxUint16-*c) {
+			*c += uint16(n)
+			return
+		}
+	case 1:
+		if c := h.p32(i); n <= uint64(math.MaxUint32-*c) {
+			*c += uint32(n)
+			return
+		}
+	default:
+		*h.p64(i) += n
 		return
 	}
-	b := h.bucket(v) - h.off
-	if uint(b) >= uint(len(h.counts)) {
-		b = h.widen(b + h.off)
-	}
-	h.counts[b] += n
+	h.relayout(int(h.off), int(h.off)+h.n(), h.wide+1)
+	h.addAt(i, n)
 }
 
-// widen extends counts to cover absolute bucket b and returns b's index
-// in counts. It is kept out of AddN so the in-range case stays small.
-func (h *Hist) widen(b int) int {
-	h.counts, h.off = Widen(h.counts, h.off, b, b+1)
-	return b - h.off
+// relayout copies the counts into a new array of wide's width, no
+// narrower than they are, that covers absolute buckets [lo, hi) as well
+// as those it holds. An empty histogram starts at lo.
+func (h *Hist) relayout(lo, hi int, wide uint8) {
+	if h.n() == 0 {
+		h.off = int32(lo)
+	}
+	lo, hi = min(lo, int(h.off)), max(hi, int(h.off)+h.n())
+	switch wide {
+	case 0:
+		h.counts = laidOut[uint16](h, lo, hi)
+	case 1:
+		h.counts = view[uint16](laidOut[uint32](h, lo, hi))
+	default:
+		h.counts = view[uint16](laidOut[uint64](h, lo, hi))
+	}
+	h.off, h.wide = int32(lo), wide
 }
 
-// Widen returns s, which holds the elements of absolute indices
-// [off, off+len(s)), laid out to hold [lo, hi) as well, and the absolute
-// index of its first element. An empty s starts at lo. Added elements are
-// zero; s's array is reused when it only grows upward within capacity.
-func Widen[T any](s []T, off, lo, hi int) ([]T, int) {
-	if len(s) == 0 {
-		off = lo
+// laidOut returns h's counts as a new []T that covers absolute buckets
+// [lo, hi).
+func laidOut[T counter](h *Hist, lo, hi int) []T {
+	s := make([]T, hi-lo)
+	d := int(h.off) - lo
+	for i := range h.n() {
+		s[d+i] = T(h.at(i))
 	}
-	lo, hi = min(lo, off), max(hi, off+len(s))
-	if lo == off && hi-lo <= cap(s) {
-		n := len(s)
-		s = s[:hi-lo]
-		clear(s[n:])
-		return s, lo
-	}
-	grown := make([]T, hi-lo)
-	copy(grown[off-lo:], s)
-	return grown, lo
+	return s
 }
 
 // Merge adds all observations recorded in other into h. The histograms must
@@ -125,14 +245,17 @@ func (h *Hist) Merge(other *Hist) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if h.min != other.min || h.growth != other.growth {
+	if h.shape != other.shape && *h.shape != *other.shape {
 		panic("stats: merging histograms with different shapes")
 	}
-	if len(other.counts) > 0 {
-		h.counts, h.off = Widen(h.counts, h.off, other.off, other.off+len(other.counts))
-		d := other.off - h.off
-		for i, c := range other.counts {
-			h.counts[d+i] += c
+	if n := other.n(); n > 0 {
+		lo := int(other.off)
+		if lo < int(h.off) || lo+n > int(h.off)+h.n() || h.wide < other.wide {
+			h.relayout(lo, lo+n, max(h.wide, other.wide))
+		}
+		d := lo - int(h.off)
+		for i := range n {
+			h.addAt(d+i, other.at(i))
 		}
 	}
 	h.under += other.under
@@ -151,6 +274,39 @@ func (h *Hist) Count() uint64 { return h.total }
 // Max returns the largest observation seen (exact, not bucketed).
 func (h *Hist) Max() float64 { return h.maxSeen }
 
+// rank returns the 1-based rank of the q-quantile (q clamped to [0, 1])
+// among the histogram's observations.
+func (h *Hist) rank(q float64) uint64 {
+	return max(uint64(math.Ceil(min(max(q, 0), 1)*float64(h.total))), 1)
+}
+
+// find returns the index of the first non-empty bucket at which the
+// running count, from the underflow bucket up, reaches rank, with that
+// bucket's count and the running count below it; ok is false when no
+// bucket does.
+func (h *Hist) find(rank uint64) (i int, c, below uint64, ok bool) {
+	switch h.wide {
+	case 0:
+		return find(h.counts, h.under, rank)
+	case 1:
+		return find(view[uint32](h.counts), h.under, rank)
+	}
+	return find(view[uint64](h.counts), h.under, rank)
+}
+
+func find[T counter](counts []T, seen, rank uint64) (int, uint64, uint64, bool) {
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if seen+uint64(c) >= rank {
+			return i, uint64(c), seen, true
+		}
+		seen += uint64(c)
+	}
+	return 0, 0, seen, false
+}
+
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) using
 // within-bucket geometric interpolation. Underflow observations are treated
 // as h.min. Returns 0 for an empty histogram.
@@ -158,43 +314,27 @@ func (h *Hist) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank in [1, total].
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := h.rank(q)
 	if rank <= h.under {
-		return math.Min(h.min, h.minSeen)
+		return math.Min(h.shape.min, h.minSeen)
 	}
-	seen := h.under
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if seen+c >= rank {
-			lo := h.min * math.Pow(h.growth, float64(h.off+i))
-			hi := lo * h.growth
-			// Interpolate geometrically within the bucket.
-			frac := float64(rank-seen) / float64(c)
-			est := lo * math.Pow(hi/lo, frac)
-			// Clamp to the exact observed extrema for tighter tails.
-			if est > h.maxSeen {
-				est = h.maxSeen
-			}
-			if est < h.minSeen {
-				est = h.minSeen
-			}
-			return est
-		}
-		seen += c
+	i, c, seen, ok := h.find(rank)
+	if !ok {
+		return h.maxSeen
 	}
-	return h.maxSeen
+	lo := h.shape.min * math.Pow(h.shape.growth, float64(int(h.off)+i))
+	hi := lo * h.shape.growth
+	// Interpolate geometrically within the bucket.
+	frac := float64(rank-seen) / float64(c)
+	est := lo * math.Pow(hi/lo, frac)
+	// Clamp to the exact observed extrema for tighter tails.
+	if est > h.maxSeen {
+		est = h.maxSeen
+	}
+	if est < h.minSeen {
+		est = h.minSeen
+	}
+	return est
 }
 
 // Percentile is Quantile with p expressed in percent (P50 => 50).
@@ -205,10 +345,10 @@ func (h *Hist) Percentile(p float64) float64 { return h.Quantile(p / 100) }
 // histogram floor). It lets accumulators maintain per-bucket side state
 // (e.g. conditional sums) in parallel with the histogram's own counts.
 func (h *Hist) BucketIndex(v float64) int {
-	if !(v > 0) || math.IsNaN(v) || v < h.min {
+	if !(v > 0) || math.IsNaN(v) || v < h.shape.min {
 		return -1
 	}
-	return h.bucket(v)
+	return h.shape.bucket(v)
 }
 
 // RankBucket returns the index of the bucket holding the q-quantile's
@@ -220,30 +360,14 @@ func (h *Hist) RankBucket(q float64) int {
 	if h.total == 0 {
 		return -1
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := h.rank(q)
 	if rank <= h.under {
 		return -1
 	}
-	seen := h.under
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if seen+c >= rank {
-			return h.off + i
-		}
-		seen += c
+	if i, _, _, ok := h.find(rank); ok {
+		return int(h.off) + i
 	}
-	return h.off + len(h.counts) - 1
+	return int(h.off) + h.n() - 1
 }
 
 // CountAbove returns how many observations fall in buckets whose lower
@@ -252,12 +376,12 @@ func (h *Hist) CountAbove(v float64) uint64 {
 	if h.total == 0 {
 		return 0
 	}
-	if v <= h.min {
+	if v <= h.shape.min {
 		return h.total - h.under
 	}
 	var n uint64
-	for i := max(h.bucket(v)-h.off, 0); i < len(h.counts); i++ {
-		n += h.counts[i]
+	for i := max(h.shape.bucket(v)-int(h.off), 0); i < h.n(); i++ {
+		n += h.at(i)
 	}
 	return n
 }
@@ -284,13 +408,12 @@ func (h *Hist) Export() HistDump {
 		minSeen = 0 // JSON cannot carry +Inf; Import restores it
 	}
 	var counts []uint64
-	if len(h.counts) > 0 {
-		counts = make([]uint64, h.off+len(h.counts))
-		copy(counts[h.off:], h.counts)
+	if n := h.n(); n > 0 {
+		counts = laidOut[uint64](h, 0, int(h.off)+n)
 	}
 	return HistDump{
-		Min:     h.min,
-		Growth:  h.growth,
+		Min:     h.shape.min,
+		Growth:  h.shape.growth,
 		Counts:  counts,
 		Under:   h.under,
 		Total:   h.total,
@@ -308,10 +431,16 @@ func Import(d HistDump) *Hist {
 	h := NewHist(d.Min, d.Growth)
 	// Drop the leading zeros, keeping the last bucket so a re-export has
 	// the dump's length.
-	for h.off < len(d.Counts)-1 && d.Counts[h.off] == 0 {
-		h.off++
+	off := 0
+	for off < len(d.Counts)-1 && d.Counts[off] == 0 {
+		off++
 	}
-	h.counts = append([]uint64(nil), d.Counts[h.off:]...)
+	if counts := d.Counts[off:]; len(counts) > 0 {
+		h.relayout(off, off+len(counts), 0)
+		for i, c := range counts {
+			h.addAt(i, c)
+		}
+	}
 	h.under = d.Under
 	h.total = d.Total
 	h.maxSeen = d.MaxSeen
@@ -324,7 +453,9 @@ func Import(d HistDump) *Hist {
 // Clone returns a deep copy of h.
 func (h *Hist) Clone() *Hist {
 	c := *h
-	c.counts = append([]uint64(nil), h.counts...)
+	if n := c.n(); n > 0 {
+		c.relayout(int(c.off), int(c.off)+n, c.wide)
+	}
 	return &c
 }
 

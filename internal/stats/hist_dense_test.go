@@ -207,11 +207,23 @@ func fuzzValue(x, y byte) float64 {
 	return 100 * math.Pow(DefaultGrowth, e)
 }
 
+// fuzzN maps a byte to AddN's n: 0 through 3 below 0xc0, and above it a
+// count that takes a bucket to or past 2^16 or 2^32 in one or two adds,
+// so the histogram widens its counts.
+func fuzzN(y byte) uint64 {
+	if y < 0xc0 {
+		return uint64(y % 4)
+	}
+	return [8]uint64{1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 33, 1 << 48}[y&7]
+}
+
 // FuzzHistMatchesDense drives two histograms and their dense references
 // through the same operations, three bytes each: add to either (value
-// from two bytes), AddN with n in 0..3, merge either way, start one over
-// empty, clone, and an Export/Import round trip. After every operation
-// both histograms must answer every query as their reference does.
+// from two bytes), AddN with n from fuzzN, merge either way, start one
+// over empty, clone, and an Export/Import round trip. Large n widens one
+// histogram's counts to 32 or 64 bits, so merges, clones and round trips
+// meet every pair of widths. After every operation both histograms must
+// answer every query as their reference does.
 func FuzzHistMatchesDense(f *testing.F) {
 	up := []byte{0, 0x60, 10, 0, 0x70, 0, 0, 0x7f, 0xff}          // rising values
 	down := []byte{0, 0x7f, 0xff, 0, 0x70, 0, 0, 0x61, 0}         // each below the first bucket so far
@@ -223,6 +235,15 @@ func FuzzHistMatchesDense(f *testing.F) {
 	f.Add([]byte{0, 0x65, 0, 1, 0x7e, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 0, 0x70, 0x10})
 	// Overlapping ranges, AddN with n of 0 and 3, a clone, and a round trip.
 	f.Add([]byte{0, 0x68, 0, 1, 0x6a, 0, 2, 0x66, 3, 2, 0x66, 0, 4, 0, 0, 6, 0, 0, 7, 1, 0, 0, 0x64, 0})
+	// One bucket to 2^16 - 1 and then past it, merged into an empty
+	// 16-bit histogram, and a round trip of the 32-bit one.
+	f.Add([]byte{2, 0x68, 0xc0, 0, 0x68, 0xc0, 4, 0, 0, 7, 0, 0})
+	// Past 2^32 in one histogram and past 2^16 in the other, merged both
+	// ways across widths, then a round trip and a clone of the 64-bit one.
+	f.Add([]byte{2, 0x68, 0xc3, 0, 0x68, 0xc3, 0x0a, 0x66, 0xc1, 3, 0, 0, 4, 0, 0, 7, 0, 0, 0x0e, 0, 0})
+	// A new bucket below and one above the stored range, each taking a
+	// count past 2^32 as it is laid out.
+	f.Add([]byte{0, 0x70, 0, 2, 0x62, 0xc6, 2, 0x7c, 0xc7, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hs := [2]*Hist{NewLatencyHist(), NewLatencyHist()}
 		ds := [2]*denseHist{newDense(100, DefaultGrowth), newDense(100, DefaultGrowth)}
@@ -239,8 +260,8 @@ func FuzzHistMatchesDense(f *testing.F) {
 				hs[1-i].Add(v)
 				ds[1-i].AddN(v, 1)
 			case 2:
-				hs[i].AddN(v, uint64(y%4))
-				ds[i].AddN(v, uint64(y%4))
+				hs[i].AddN(v, fuzzN(y))
+				ds[i].AddN(v, fuzzN(y))
 			case 3:
 				hs[0].Merge(hs[1])
 				ds[0].Merge(ds[1])
@@ -292,5 +313,55 @@ func TestHistDumpKeepsLeadingZeros(t *testing.T) {
 	}
 	if d := NewLatencyHist().Export(); d.Counts != nil {
 		t.Fatalf("empty histogram exported counts %v, want none", d.Counts)
+	}
+}
+
+// Counts widen from 16 to 32 to 64 bits exactly when one would overflow,
+// and a dump with counts of every width imports at the width its largest
+// count needs and exports unchanged.
+func TestHistWidensOnOverflow(t *testing.T) {
+	h := NewLatencyHist()
+	steps := []struct {
+		v    float64
+		n    uint64
+		wide uint8
+	}{
+		{1e3, math.MaxUint16, 0},
+		{2e6, 1, 0},
+		{1e3, 1, 1},
+		{5e2, math.MaxUint32 - 1, 1},
+		{5e2, 2, 2},
+	}
+	d := newDense(100, DefaultGrowth)
+	for _, s := range steps {
+		h.AddN(s.v, s.n)
+		d.AddN(s.v, s.n)
+		if h.wide != s.wide {
+			t.Fatalf("after AddN(%v, %d): width %d, want %d", s.v, s.n, 16<<h.wide, 16<<s.wide)
+		}
+		sameAsDense(t, h, d, []float64{1e3, 5e2, 2e6})
+	}
+	for _, tc := range []struct {
+		counts []uint64
+		wide   uint8
+	}{
+		{[]uint64{0, 0, 3, 0, math.MaxUint16}, 0},
+		{[]uint64{0, 1 << 16, 0, 0}, 1},
+		{[]uint64{7, math.MaxUint32, 1}, 1},
+		{[]uint64{0, 0, 1 << 32, 5, 1 << 40}, 2},
+	} {
+		var total uint64
+		for _, c := range tc.counts {
+			total += c
+		}
+		dump := HistDump{Min: 100, Growth: DefaultGrowth, Counts: tc.counts, Total: total, MaxSeen: 1e6, MinSeen: 100}
+		h := Import(dump)
+		if h.wide != tc.wide {
+			t.Fatalf("Import(%v): width %d, want %d", tc.counts, 16<<h.wide, 16<<tc.wide)
+		}
+		sameAsDense(t, h, denseImport(dump), []float64{100, 110, 1e3})
+		if got := h.Export(); !reflect.DeepEqual(got, dump) {
+			t.Fatalf("Import(%v).Export() = %+v", tc.counts, got)
+		}
 	}
 }

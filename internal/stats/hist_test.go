@@ -4,7 +4,17 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A histogram's header is what a per-method figure pays for each method
+// that has a value at all, so its size is held: the shape is a shared
+// pointer and the width tag sits beside the 32-bit offset.
+func TestHistHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Hist{}); got > 72 {
+		t.Fatalf("unsafe.Sizeof(Hist{}) = %d B, want at most 72", got)
+	}
+}
 
 func TestHistEmpty(t *testing.T) {
 	h := NewLatencyHist()

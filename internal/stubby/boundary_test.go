@@ -12,9 +12,9 @@ import (
 // TestExportedBoundariesReturnStatusErrors is the runtime half of the
 // statuserr invariant (the rpclint statuserr analyzer is the static
 // half): every exported RPC-path entry point, driven into each of its
-// failure modes, must return a canonical *Status error so
-// trace.Collector.SeenByCode classifies the failure instead of lumping
-// it into Internal. The analyzer catches direct bare constructors; this
+// failure modes, must return a canonical *Status error so the span's
+// code, and the telemetry plane's per-code Monarch series, classify the
+// failure instead of lumping it into Internal. The analyzer catches direct bare constructors; this
 // table covers errors propagated through variables, which a syntactic
 // check cannot.
 func TestExportedBoundariesReturnStatusErrors(t *testing.T) {

@@ -26,11 +26,6 @@ type Collector struct {
 	errSeen  atomic.Uint64 // error spans offered
 	overflow atomic.Uint64 // spans dropped due to capacity
 
-	// byCode counts every offered span by outcome code (sampled or not),
-	// giving the exact error-code distribution of §4 even when the span
-	// store samples or overflows.
-	byCode [NumErrorCodes]atomic.Uint64
-
 	mu       sync.Mutex
 	chunks   [][]byte            // packed records, end to end; none straddles two chunks
 	n        int                 // records across chunks
@@ -109,9 +104,6 @@ func (c *Collector) Collect(s *Span) {
 	c.seen.Add(1)
 	if s.Err.IsError() {
 		c.errSeen.Add(1)
-	}
-	if int(s.Err) < len(c.byCode) {
-		c.byCode[s.Err].Add(1)
 	}
 	if !c.Sampled(s.TraceID) {
 		return
@@ -261,16 +253,6 @@ func (c *Collector) ErrorsSeen() uint64 { return c.errSeen.Load() }
 // Overflow returns how many sampled spans were dropped at capacity.
 func (c *Collector) Overflow() uint64 { return c.overflow.Load() }
 
-// SeenByCode returns how many spans ended with each outcome code,
-// indexed by ErrorCode. Counts cover every offered span, sampled or not.
-func (c *Collector) SeenByCode() [NumErrorCodes]uint64 {
-	var out [NumErrorCodes]uint64
-	for i := range c.byCode {
-		out[i] = c.byCode[i].Load()
-	}
-	return out
-}
-
 // Spans returns the retained spans in collection order, rebuilt from the
 // store over one backing array per call. They are the caller's: changing
 // one leaves the store as it was, and collection may continue
@@ -302,7 +284,4 @@ func (c *Collector) Reset() {
 	c.seen.Store(0)
 	c.errSeen.Store(0)
 	c.overflow.Store(0)
-	for i := range c.byCode {
-		c.byCode[i].Store(0)
-	}
 }

@@ -161,30 +161,6 @@ func TestCollectorErrorCounting(t *testing.T) {
 	}
 }
 
-func TestCollectorSeenByCode(t *testing.T) {
-	// Sampling must not affect the per-code counts: sample 1-in-10 but
-	// count every span.
-	c := New(WithSampleEvery(10))
-	for i := 0; i < 10; i++ {
-		c.Collect(&Span{TraceID: TraceID(i), SpanID: 1, Err: OK})
-	}
-	for i := 0; i < 4; i++ {
-		c.Collect(&Span{TraceID: TraceID(i), SpanID: 1, Err: Unavailable})
-	}
-	c.Collect(&Span{TraceID: 1, SpanID: 1, Err: Cancelled})
-	got := c.SeenByCode()
-	if got[OK] != 10 || got[Unavailable] != 4 || got[Cancelled] != 1 {
-		t.Errorf("SeenByCode = %v", got)
-	}
-	if got[DeadlineExceeded] != 0 {
-		t.Errorf("unobserved code counted: %v", got)
-	}
-	c.Reset()
-	if got := c.SeenByCode(); got[OK] != 0 || got[Unavailable] != 0 {
-		t.Errorf("Reset left per-code counts: %v", got)
-	}
-}
-
 func TestCollectorConcurrent(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
